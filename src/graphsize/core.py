@@ -138,7 +138,7 @@ def pairwise_inverse_weight_sum(weights: Sample | Sequence[float]) -> float:
 def _inverse_weights(weights: Iterable[float]) -> list[float]:
     inv = []
     for w in weights:
-        if w <= 0.0:
+        if not w > 0.0:
             raise EstimatorError("weights must be positive")
         inv.append(1.0 / w)
     return inv

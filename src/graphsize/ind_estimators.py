@@ -11,9 +11,9 @@ import math
 from collections import Counter
 
 from .core import (MODE_MULTISET, MODE_SET, EstimateOutcome, EstimatorError,
-                   RatioEstimate, AuxiliarySet, build_auxiliary,
-                   count_cross_collisions, count_induced_edges,
-                   pairwise_inverse_weight_sum)
+                   RatioEstimate, AuxiliarySet, _inverse_weights,
+                   build_auxiliary, count_cross_collisions,
+                   count_induced_edges, pairwise_inverse_weight_sum)
 from .sampling import METHOD_UIS, Sample
 
 
@@ -45,20 +45,11 @@ def inda_uis(s: Sample) -> EstimateOutcome:
     return inda_uis_ratio(s).outcome(offset=1.0)
 
 
-def _inverse(weights) -> list[float]:
-    inv = []
-    for w in weights:
-        if w <= 0.0:
-            raise EstimatorError("weights must be positive")
-        inv.append(1.0 / w)
-    return inv
-
-
 def mean_degree_wis(s: Sample) -> float:
     """Inverse-probability-weighted mean degree: sum(deg/w) / sum(1/w)."""
     if len(s) < 1:
         raise EstimatorError("empty sample")
-    inv = _inverse(s.weights())
+    inv = _inverse_weights(s.weights())
     num = math.fsum(d * iw for d, iw in zip(s.degrees(), inv))
     return num / math.fsum(inv)
 
@@ -94,7 +85,7 @@ def density_wis(s: Sample) -> float:
 def inda_wis_ratio(s: Sample) -> RatioEstimate:
     if len(s) < 2:
         raise EstimatorError("need at least 2 records")
-    inv = _inverse(s.weights())
+    inv = _inverse_weights(s.weights())
     deg_over_w = math.fsum(d * iw for d, iw in zip(s.degrees(), inv))
     num = deg_over_w * pairwise_inverse_weight_sum(s)
     den = math.fsum(inv) * edge_pair_inverse_weight_sum(s)
@@ -121,7 +112,7 @@ def indb_uis(s: Sample, a: AuxiliarySet) -> EstimateOutcome:
 def indb_wis_ratio(s: Sample, a: AuxiliarySet) -> RatioEstimate:
     if len(s) < 1 or a.cardinality < 1:
         raise EstimatorError("need a non-empty sample and auxiliary set")
-    inv = _inverse(s.weights())
+    inv = _inverse_weights(s.weights())
     num = a.cardinality * math.fsum(inv)
     den = math.fsum(iw * a.counts.get(r.node, 0)
                     for iw, r in zip(inv, s.records))

@@ -6,23 +6,27 @@ theta shifted subsamples and aggregating their ratio parts), margin filtering
 and the multi-walker variant (keep only cross-walker pairs).
 
 All margin sums run over ordered pairs (i, j), i != j.  They are computed as
-full-pair totals minus within-window totals, using prefix sums and per-node
-position lists, so the work is linear in the sample length plus the total
-snapshotted adjacency size.
+full-pair totals minus within-window totals.  The m-independent inputs come
+from the sample's cached :class:`~graphsize.sampling.MarginIndex`, built
+once with one sort of the snapshot entries; each margin m then costs an
+inverse-weight prefix-sum window and two binary searches per position, so a
+sweep over many m pays for the index once.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS, EstimateOutcome,
-                   EstimatorError, RatioEstimate, aggregate_ratios)
+                   EstimatorError, RatioEstimate, _inverse_weights,
+                   aggregate_ratios)
 from .ind_estimators import indb_auto_ratio
 from .node_estimators import node_wis_ratio
-from .sampling import Sample, reindexed
+from .sampling import MarginIndex, Sample, reindexed
 
 BASE_NODE_WIS = "node-wis"
 BASE_IND_B = "ind-b"
@@ -90,23 +94,26 @@ def estimate_thinned(s: Sample, cfg: ThinningConfig, base: str,
 # -- margin filtering ------------------------------------------------------
 
 
-def _inverse(weights) -> list[float]:
-    inv = []
-    for w in weights:
-        if w <= 0.0:
-            raise EstimatorError("weights must be positive")
-        inv.append(1.0 / w)
-    return inv
+def _margin_columns(s: Sample) -> tuple[MarginIndex, np.ndarray]:
+    """The sample's margin index and inverse weights, weights checked."""
+    index = s.margin_index
+    if not (index.weights > 0).all():
+        raise EstimatorError("weights must be positive")
+    return index, 1.0 / index.weights
 
 
-def _window_inverse_sums(inv: list[float], m: int) -> list[float]:
-    """For each i, the sum of 1/w_j over j in [i-m, i+m] (clamped)."""
+def _far_pair_sum(values: np.ndarray, inv: np.ndarray, m: int) -> float:
+    """Sum of values_i * inv_j over ordered pairs more than m positions apart.
+
+    The full product of totals minus, for each i, values_i times the
+    prefix-sum window of inv over [i-m, i+m].
+    """
     n = len(inv)
-    prefix = [0.0] * (n + 1)
-    for i, x in enumerate(inv):
-        prefix[i + 1] = prefix[i] + x
-    return [prefix[min(n, i + m + 1)] - prefix[max(0, i - m)]
-            for i in range(n)]
+    prefix = np.concatenate(([0.0], np.cumsum(inv)))
+    i = np.arange(n)
+    window = prefix[np.minimum(i + m + 1, n)] - prefix[np.maximum(i - m, 0)]
+    return (math.fsum(values.tolist()) * math.fsum(inv.tolist())
+            - math.fsum((values * window).tolist()))
 
 
 def node_margin_ratio(s: Sample, m: int) -> RatioEstimate:
@@ -114,43 +121,15 @@ def node_margin_ratio(s: Sample, m: int) -> RatioEstimate:
     n = len(s)
     if m >= n - 1:
         return RatioEstimate(0.0, 0.0)
-    weights = s.weights()
-    inv = _inverse(weights)
-    window = _window_inverse_sums(inv, m)
-    num = (math.fsum(weights) * math.fsum(inv)
-           - math.fsum(w * win for w, win in zip(weights, window)))
-
-    nodes = s.nodes()
-    counts = Counter(nodes)
-    total_ordered = sum(c * c for c in counts.values()) - n
-    positions = defaultdict(list)
-    for i, v in enumerate(nodes):
-        positions[v].append(i)
-    within = 0
-    for pos in positions.values():
-        lo = 0
-        for hi, p in enumerate(pos):
-            while p - pos[lo] > m:
-                lo += 1
-            within += hi - lo
-    return RatioEstimate(num, float(total_ordered - 2 * within))
+    index, inv = _margin_columns(s)
+    return RatioEstimate(_far_pair_sum(index.weights, inv, m),
+                         float(index.far_repeats(m).sum()))
 
 
 def node_margin(s: Sample, cfg: MarginConfig | int) -> EstimateOutcome:
     """Margin-filtered collision estimator for a single-walk sample."""
     m = cfg if isinstance(cfg, int) else cfg.m
     return node_margin_ratio(s, m).outcome()
-
-
-def _neighbor_positions(s: Sample, restrict_to_sampled: bool):
-    """Positions j whose neighbor snapshot contains each node key."""
-    sampled = set(s.nodes()) if restrict_to_sampled else None
-    occ: dict[int, list[int]] = defaultdict(list)
-    for j, r in enumerate(s.records):
-        for a in r.neighbors:
-            if sampled is None or a in sampled:
-                occ[a].append(j)
-    return occ
 
 
 def ind_margin_ratio(s: Sample, m: int, a_mode: str = MODE_MULTISET) -> RatioEstimate:
@@ -169,47 +148,27 @@ def ind_margin_ratio(s: Sample, m: int, a_mode: str = MODE_MULTISET) -> RatioEst
     n = len(s)
     if m >= n - 1:
         return RatioEstimate(0.0, 0.0)
-    inv = _inverse(s.weights())
-    nodes = s.nodes()
-    if a_mode == MODE_MULTISET:
-        degrees = [float(d) for d in s.degrees()]
-        window = _window_inverse_sums(inv, m)
-        num = (math.fsum(degrees) * math.fsum(inv)
-               - math.fsum(d * win for d, win in zip(degrees, window)))
-        occ = _neighbor_positions(s, restrict_to_sampled=True)
-        den_terms = []
-        for i, (v, iw) in enumerate(zip(nodes, inv)):
-            pos = occ.get(v)
-            if not pos:
-                continue
-            inside = bisect_right(pos, i + m) - bisect_left(pos, i - m)
-            den_terms.append(iw * (len(pos) - inside))
-        return RatioEstimate(num, math.fsum(den_terms))
-
-    if a_mode != MODE_SET:
+    if a_mode not in (MODE_MULTISET, MODE_SET):
         raise EstimatorError(f"unknown auxiliary mode: {a_mode!r}")
-    occ = _neighbor_positions(s, restrict_to_sampled=False)
-    a_size = len(occ)
+    index, inv = _margin_columns(s)
+    if a_mode == MODE_MULTISET:
+        return RatioEstimate(_far_pair_sum(index.degrees, inv, m),
+                             math.fsum((inv * index.far_mentions(m)).tolist()))
+
+    first, last = index.snapshot_first, index.snapshot_last
+    carried = index.snapshot_counts > 0
     # A neighbor node is invisible from position j iff all positions carrying
     # it fall inside [j-m, j+m]; that happens exactly for j in an interval.
-    missing = [0] * (n + 1)
-    for pos in occ.values():
-        lo_j = max(0, pos[-1] - m)
-        hi_j = min(n - 1, pos[0] + m)
-        if lo_j <= hi_j:
-            missing[lo_j] += 1
-            missing[hi_j + 1] -= 1
-    num_terms = []
-    miss = 0
-    for j, iw in enumerate(inv):
-        miss += missing[j]
-        num_terms.append(iw * (a_size - miss))
-    den_terms = []
-    for i, (v, iw) in enumerate(zip(nodes, inv)):
-        pos = occ.get(v)
-        if pos and (pos[0] < i - m or pos[-1] > i + m):
-            den_terms.append(iw)
-    return RatioEstimate(math.fsum(num_terms), math.fsum(den_terms))
+    lo_j = np.maximum(last[carried] - m, 0)
+    hi_j = np.minimum(first[carried] + m, n - 1)
+    hidden = lo_j <= hi_j
+    missing = np.cumsum(np.bincount(lo_j[hidden], minlength=n + 1)
+                        - np.bincount(hi_j[hidden] + 1, minlength=n + 1))[:n]
+    num = math.fsum((inv * (np.count_nonzero(carried) - missing)).tolist())
+    i = np.arange(n)
+    r = index.node_ranks
+    seen = (first[r] < i - m) | (last[r] > i + m)
+    return RatioEstimate(num, math.fsum(inv[seen].tolist()))
 
 
 def ind_margin(s: Sample, cfg: MarginConfig | int,
@@ -248,7 +207,7 @@ def _per_walker_sums(values: list[float], walkers: list[int]) -> dict[int, float
 
 def _crosswalker_node_ratio(s: Sample) -> RatioEstimate:
     weights = s.weights()
-    inv = _inverse(weights)
+    inv = _inverse_weights(weights)
     walkers = s.walkers()
     w_by = _per_walker_sums(weights, walkers)
     inv_by = _per_walker_sums(inv, walkers)
@@ -262,7 +221,7 @@ def _crosswalker_node_ratio(s: Sample) -> RatioEstimate:
 
 
 def _crosswalker_ind_ratio(s: Sample, a_mode: str) -> RatioEstimate:
-    inv = _inverse(s.weights())
+    inv = _inverse_weights(s.weights())
     walkers = s.walkers()
     nodes = s.nodes()
     if a_mode == MODE_MULTISET:

@@ -8,7 +8,11 @@ so estimation downstream never needs the full graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import IO, Callable, Sequence
 
 import numpy as np
@@ -65,6 +69,111 @@ class Sample:
 
     def walkers(self) -> list[int]:
         return [r.walker for r in self.records]
+
+    @cached_property
+    def margin_index(self) -> MarginIndex:
+        """Columns and occurrence index shared by the margin kernels.
+
+        Built on first use and kept for the life of the sample; a sample
+        derived with ``dataclasses.replace`` or :func:`reindexed` builds its
+        own.
+        """
+        return MarginIndex.build(self.records)
+
+
+@dataclass(frozen=True, eq=False)
+class MarginIndex:
+    """A sample's weights, degrees and node occurrences as read-only arrays.
+
+    Every distinct node id, sampled or only named in a snapshot, gets a dense
+    rank, sampled nodes first.  An occurrence of rank r at position p is the
+    key r * (n + 1) + p, so one sorted array lists each rank's positions in
+    order, and counting a rank's occurrences in a window of positions takes
+    two binary searches.  Ids enter no arithmetic, so they may be arbitrarily
+    large.  Building costs one sort of the snapshot entries.
+    """
+
+    weights: np.ndarray          # float64, per position
+    degrees: np.ndarray          # float64, per position
+    node_ranks: np.ndarray       # rank of the node at each position
+    node_order: np.ndarray       # positions sorted by rank, then position
+    node_keys: np.ndarray        # their keys, sorted
+    node_counts: np.ndarray      # positions per rank, for sampled ranks
+    snapshot_keys: np.ndarray    # sorted keys, one per snapshot entry
+    snapshot_counts: np.ndarray  # snapshot entries per rank
+    snapshot_first: np.ndarray   # first position whose snapshot names the
+    snapshot_last: np.ndarray    # rank, and last; n and -1 if none does
+
+    def __post_init__(self):
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+    @classmethod
+    def build(cls, records: Sequence[SampleRecord]) -> MarginIndex:
+        n = len(records)
+        nodes = list(map(attrgetter("node"), records))
+        snapshots = list(map(attrgetter("neighbors"), records))
+        lengths = np.fromiter(map(len, snapshots), np.int64, n)
+        rank = dict.fromkeys(chain(nodes, chain.from_iterable(snapshots)))
+        for r, v in enumerate(rank):
+            rank[v] = r
+        size, stride = len(rank), n + 1
+        # Keys take 32 bits when they fit: the index is the largest array a
+        # margin estimate allocates.
+        key_type = np.int32 if size * stride <= 2**31 - 1 else np.int64
+        ranks = np.fromiter(
+            map(rank.__getitem__, chain(nodes, chain.from_iterable(snapshots))),
+            key_type, n + int(lengths.sum()))
+        # Free the id map before the sort allocates its scratch space.
+        del rank, snapshots
+        node_ranks = ranks[:n].copy()
+        node_order = np.argsort(node_ranks, kind="stable")
+        keys = ranks[n:]
+        keys *= stride
+        keys += np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), lengths)
+        keys.sort()
+        bounds = np.searchsorted(keys, np.arange(0, (size + 1) * stride, stride,
+                                                 dtype=key_type))
+        counts = np.diff(bounds)
+        carried = np.flatnonzero(counts)
+        first = np.full(size, n, dtype=np.int64)
+        last = np.full(size, -1, dtype=np.int64)
+        first[carried] = keys[bounds[carried]] - carried * stride
+        last[carried] = keys[bounds[carried + 1] - 1] - carried * stride
+        return cls(
+            weights=np.fromiter(map(attrgetter("weight"), records),
+                                np.float64, n),
+            degrees=np.fromiter(map(attrgetter("degree"), records),
+                                np.float64, n),
+            node_ranks=node_ranks, node_order=node_order,
+            node_keys=(node_ranks[node_order] * stride
+                       + node_order).astype(key_type),
+            node_counts=np.bincount(node_ranks), snapshot_keys=keys,
+            snapshot_counts=counts, snapshot_first=first,
+            snapshot_last=last)
+
+    def far_repeats(self, m: int) -> np.ndarray:
+        """For each position i, positions j holding the same node, |i-j| > m."""
+        return (self.node_counts[self.node_ranks]
+                - self._near(self.node_keys, m))
+
+    def far_mentions(self, m: int) -> np.ndarray:
+        """For each position i, snapshot entries naming the node at i that
+        are carried by positions j with |i-j| > m."""
+        return (self.snapshot_counts[self.node_ranks]
+                - self._near(self.snapshot_keys, m))
+
+    def _near(self, keys: np.ndarray, m: int) -> np.ndarray:
+        """Keys of each position's node rank at positions within m of it."""
+        n = len(self.node_order)
+        p = self.node_order
+        base = self.node_keys - p
+        near = np.empty(n, dtype=np.int64)
+        # Queried in key order, the binary searches walk the keys forwards.
+        hi = (base + np.minimum(p + m + 1, n)).astype(keys.dtype)
+        lo = (base + np.maximum(p - m, 0)).astype(keys.dtype)
+        near[p] = np.searchsorted(keys, hi) - np.searchsorted(keys, lo)
+        return near
 
 
 def _record(g: Graph, position: int, node: int, weight: float,
@@ -175,6 +284,7 @@ def sample_rw_multi(g: Graph, walkers: int, per_walk: int,
 # writing, otherwise the record's own node keys.
 
 _HEADER_PREFIX = "graphsize-sample v1"
+_HEADER_KEYS = ("method", "seed", "weight_rule", "graph_digest", "n")
 
 
 def write_sample(s: Sample, sink: IO[str], g: Graph | None = None) -> None:
@@ -196,15 +306,22 @@ def read_sample(source: IO[str]) -> Sample:
     if not fields or fields[0] != _HEADER_PREFIX:
         raise SamplingError("not a graphsize sample file")
     meta = dict(f.split("=", 1) for f in fields[1:])
+    missing = [key for key in _HEADER_KEYS if key not in meta]
+    if missing:
+        raise SamplingError(f"sample header lacks {', '.join(missing)}")
     records = []
     for line in source:
         line = line.rstrip("\n")
         if not line:
             continue
         pos, node, deg, weight, walker, nbrs = line.split("\t")
+        w = float(weight)
+        if not 0.0 < w < math.inf:
+            raise SamplingError(
+                f"record {pos}: weight must be finite and positive, got {weight}")
         neighbors = tuple(int(x) for x in nbrs.split(",")) if nbrs else ()
         records.append(SampleRecord(int(pos), int(node), int(deg),
-                                    float(weight), neighbors, int(walker)))
+                                    w, neighbors, int(walker)))
     s = Sample(tuple(records), meta["method"], int(meta["seed"]),
                meta["weight_rule"], meta["graph_digest"],
                rng_name=meta.get("rng", RNG_NAME))

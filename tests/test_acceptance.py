@@ -7,6 +7,7 @@ here means the implementation does not reproduce the promised behavior on
 the pinned protocol, not that the code crashed.
 """
 
+import functools
 import math
 import time
 from dataclasses import replace
@@ -219,6 +220,7 @@ def test_criterion_05_weighted_sampling_improves_band():
             f"band {b_wis:.1f} vs {b_uis:.1f}")
 
 
+@functools.cache
 def _margin_medians():
     g = erdos_renyi(1000, 0.02, seed=0)
     g = g if g.is_connected else largest_connected_component(g)

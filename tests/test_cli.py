@@ -146,3 +146,70 @@ def test_plot_rejects_foreign_csv(tmp_path, capsys):
     code, _, err = run(capsys, "plot", "--csv", str(bad),
                        "-o", str(tmp_path / "x.svg"))
     assert code == 3
+
+
+def _rw_sample_file(tmp_path, capsys):
+    edges = tmp_path / "g.txt"
+    sample = tmp_path / "s.tsv"
+    run(capsys, "gen", "gen:er:nodes=60,p=0.15,seed=4", "-o", str(edges))
+    run(capsys, "sample", "--graph", str(edges), "--method", "rw",
+        "--n", "80", "--lcc", "--seed", "5", "-o", str(sample))
+    return sample
+
+
+def _rewrite(path, header=lambda h: h, record=lambda f: f):
+    """Rewrite a sample file, mapping its header and each record's fields."""
+    head, *body = path.read_text().splitlines()
+    lines = [header(head)] + ["\t".join(record(b.split("\t"))) for b in body]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "0.0", "-2.5"])
+def test_estimate_rejects_invalid_weight(tmp_path, capsys, weight):
+    sample = _rw_sample_file(tmp_path, capsys)
+    _rewrite(sample, record=lambda f: f[:3] + [weight] + f[4:]
+             if f[0] == "3" else f)
+    code, out, err = run(capsys, "estimate", "--sample", str(sample),
+                         "--estimator", "node-wis")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_estimate_rejects_header_without_count(tmp_path, capsys):
+    sample = _rw_sample_file(tmp_path, capsys)
+    _rewrite(sample, header=lambda h: "\t".join(
+        f for f in h.split("\t") if not f.startswith("n=")))
+    code, out, err = run(capsys, "estimate", "--sample", str(sample),
+                         "--estimator", "node-wis")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("offset", [2**62, 2**70])
+def test_margin_estimates_ignore_id_magnitude(tmp_path, capsys, offset):
+    sample = _rw_sample_file(tmp_path, capsys)
+    configs = [["--estimator", "node-wis", "--correction", "margin",
+                "--margin", "3"]]
+    configs += [["--estimator", "ind-b", "--correction", "margin",
+                 "--margin", "3", "--a-mode", mode]
+                for mode in ("multiset", "set")]
+
+    def estimates():
+        payloads = []
+        for config in configs:
+            code, out, err = run(capsys, "estimate", "--sample", str(sample),
+                                 *config)
+            assert code == 0, err
+            payloads.append(json.loads(out))
+        return payloads
+
+    small = estimates()
+
+    def shift(ids):
+        return ",".join(str(int(v) + offset) for v in ids.split(",") if v)
+
+    _rewrite(sample, record=lambda f: f[:1] + [shift(f[1])] + f[2:5]
+             + [shift(f[5])])
+    assert estimates() == small

@@ -127,8 +127,9 @@ def test_pairwise_inverse_weight_sum_property(w):
 
 
 def test_pairwise_inverse_weight_sum_rejects_zero():
-    with pytest.raises(EstimatorError):
-        pairwise_inverse_weight_sum([1.0, 0.0])
+    for bad in (0.0, float("nan")):
+        with pytest.raises(EstimatorError):
+            pairwise_inverse_weight_sum([1.0, bad])
 
 
 def test_aggregate_ratios():

@@ -1,7 +1,11 @@
+import math
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
-from graphsize.core import MODE_MULTISET, MODE_SET, NO_COLLISIONS, RatioEstimate
+from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
+                            EstimatorError, RatioEstimate)
 from graphsize.generators import erdos_renyi, ring_of_cliques
 from graphsize.graph import largest_connected_component
 from graphsize.node_estimators import node_wis, node_wis_ratio
@@ -11,7 +15,8 @@ from graphsize.rw_correction import (BASE_IND_B, BASE_NODE_WIS, MarginConfig,
                                      margin_crosswalker, node_margin,
                                      node_margin_ratio, surviving_pair_count,
                                      thin_shifted, thin_simple)
-from graphsize.sampling import sample_rw, sample_rw_multi
+from graphsize.sampling import (Sample, SampleRecord, reindexed, sample_rw,
+                                sample_rw_multi)
 
 import oracles
 from conftest import graph_from_text, make_sample
@@ -209,6 +214,94 @@ def test_margin_scale_invariance():
                lambda x: ind_margin(x, 3, MODE_SET).value):
         a, b = fn(s), fn(scaled)
         assert abs(a - b) / a < 1e-12
+
+
+MARGIN_KERNELS = {
+    "node": (node_margin_ratio, oracles.node_margin_parts),
+    "multiset": (lambda s, m: ind_margin_ratio(s, m, MODE_MULTISET),
+                 oracles.ind_margin_multiset_parts),
+    "set": (lambda s, m: ind_margin_ratio(s, m, MODE_SET),
+            oracles.ind_margin_set_parts),
+}
+
+
+@st.composite
+def walk_like_samples(draw):
+    """Concatenated walks over a small node pool.
+
+    Nodes repeat within and across walks; a node's snapshot may be empty and
+    may name nodes that are never sampled; ids are spread over 40 bits.
+    """
+    ids = st.integers(min_value=0, max_value=2**40)
+    pool = draw(st.lists(ids, min_size=1, max_size=8, unique=True))
+    unsampled = draw(st.lists(ids, max_size=4))
+    snapshot = {v: tuple(draw(st.lists(
+        st.sampled_from([u for u in pool + unsampled if u != v] or [-1]),
+        max_size=5, unique=True))) for v in pool}
+    walks = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=12), min_size=1, max_size=3))
+    records = []
+    for k, walk in enumerate(walks):
+        for v in walk:
+            weight = draw(st.floats(min_value=0.25, max_value=8.0))
+            records.append(SampleRecord(len(records), v, len(snapshot[v]),
+                                        weight, snapshot[v], k))
+    method = "RW_MULTI" if len(walks) > 1 else "RW"
+    return Sample(tuple(records), method, 0, "custom", "synthetic")
+
+
+def _assert_matches_oracle(s, m):
+    for name, (kernel, oracle) in MARGIN_KERNELS.items():
+        got = kernel(s, m)
+        num, den = oracle(s, m)
+        assert math.isclose(got.numerator, num, rel_tol=1e-9, abs_tol=1e-9), name
+        assert math.isclose(got.denominator, den, rel_tol=1e-9,
+                            abs_tol=1e-9), name
+
+
+@given(walk_like_samples(), st.data())
+def test_margin_kernels_match_oracles_for_any_m_order(s, data):
+    n = len(s)
+    ms = data.draw(st.lists(st.integers(min_value=0, max_value=n + 2),
+                            max_size=5))
+    ms = data.draw(st.permutations(ms + [0, 0, max(n - 1, 0), n + 2]))
+    first = {}
+    for m in ms:
+        _assert_matches_oracle(s, m)
+        for name, (kernel, _) in MARGIN_KERNELS.items():
+            assert first.setdefault((name, m), kernel(s, m)) == kernel(s, m)
+    # A copy starts without an index; ascending m gives the same ratios.
+    fresh = replace(s)
+    for m in sorted(set(ms)):
+        for name, (kernel, _) in MARGIN_KERNELS.items():
+            assert kernel(fresh, m) == first[name, m]
+    # Samples derived after the index was built get their own.
+    derived = (replace(s, records=s.records[::-1]),
+               reindexed(s, s.records[1:], "tail"))
+    for d in derived:
+        assert d.margin_index is not s.margin_index
+        for m in (0, 1):
+            _assert_matches_oracle(d, m)
+
+
+def test_margin_index_is_read_only():
+    g = _walk_graph()
+    index = sample_rw(g, 30, seed=1).margin_index
+    with pytest.raises(ValueError):
+        index.snapshot_keys[0] = 0
+    with pytest.raises(AttributeError):
+        index.weights = None
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_margin_kernels_reject_invalid_weights(bad):
+    g = _walk_graph()
+    s = sample_rw(g, 20, seed=2)
+    s = replace(s, records=(replace(s.records[0], weight=bad),)
+                + s.records[1:])
+    for kernel, _ in MARGIN_KERNELS.values():
+        with pytest.raises(EstimatorError):
+            kernel(s, 1)
 
 
 # -- cross-walker ------------------------------------------------------------
