@@ -10,11 +10,12 @@ import argparse
 import json
 import sys
 
-from .core import MODE_SET, EstimatorError
-from .experiment import (EstimatorSpec, ExperimentPlan, PlanError, SamplerSpec,
+from .core import A_MODES, MODE_SET, EstimatorError
+from .experiment import (CORRECTIONS, ESTIMATORS, METHODS, EstimatorSpec,
+                         PlanError, SamplerSpec, TrialSummary, check_spec,
                          draw_sample, emit_csv, emit_svg_band,
                          evaluate_with_ratio, parse_plan_file, resolve_graph,
-                         run_experiment, TrialSummary)
+                         run_experiment)
 from .graph import (GraphError, exact_stats, largest_connected_component,
                     size_identity, write_edge_list)
 from .sampling import SamplingError, read_sample, write_sample
@@ -53,8 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw a node sample and write it to a file")
     p.add_argument("--graph", required=True)
-    p.add_argument("--method", required=True,
-                   choices=["uis", "wis", "rw", "rw-multi"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--walkers", type=int, default=1)
@@ -67,13 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate graph size from a sample file")
     p.add_argument("--sample", required=True)
-    p.add_argument("--estimator", required=True,
-                   choices=["node-uis", "node-wis", "capture", "mle-approx",
-                            "mle-exact", "ind-a", "ind-b", "star"])
-    p.add_argument("--correction", default="none",
-                   choices=["none", "thin", "thin-shifted", "margin",
-                            "cross-walker"])
-    p.add_argument("--a-mode", default=MODE_SET, choices=["set", "multiset"])
+    p.add_argument("--estimator", required=True, choices=ESTIMATORS)
+    p.add_argument("--correction", default="none", choices=CORRECTIONS)
+    p.add_argument("--a-mode", default=MODE_SET, choices=A_MODES)
     p.add_argument("--theta", type=int, default=1)
     p.add_argument("--margin", type=int, default=0)
     p.add_argument("--seed", type=int, default=0,
@@ -123,11 +119,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    spec = SamplerSpec(method=args.method, n=args.n, walkers=args.walkers,
+                       weight_rule=args.weight_rule)
     g = resolve_graph(args.graph)
     if args.lcc:
         g = largest_connected_component(g)
-    spec = SamplerSpec(method=args.method, n=args.n, walkers=args.walkers,
-                       weight_rule=args.weight_rule)
     s = draw_sample(g, spec, args.seed)
     with open(args.output, "w", encoding="utf-8") as fh:
         write_sample(s, fh, g)
@@ -136,14 +132,15 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    est = EstimatorSpec(name=args.estimator, correction=args.correction,
+                        a_mode=args.a_mode, theta=args.theta, m=args.margin)
+    check_spec(None, est)
     if args.estimator == "star":
         print("notice: the star estimator is EXPERIMENTAL and typically "
               "performs worse than node/ind estimators", file=sys.stderr)
     with open(args.sample, "r", encoding="utf-8") as fh:
         sample = read_sample(fh)
-    est = EstimatorSpec(name=args.estimator, correction=args.correction,
-                        a_mode=args.a_mode, theta=args.theta, m=args.margin)
-    _check_estimate_config(sample, est)
+    check_spec(next(k for k, v in METHODS.items() if v == sample.method), est)
     ratio, outcome = evaluate_with_ratio(sample, est, args.seed)
     payload = {
         "estimator": est.name,
@@ -156,17 +153,6 @@ def _cmd_estimate(args) -> int:
     }
     print(json.dumps(payload))
     return 0
-
-
-def _check_estimate_config(sample, est: EstimatorSpec) -> None:
-    method_map = {"UIS": "uis", "WIS": "wis", "RW": "rw", "RW_MULTI": "rw-multi"}
-    # Reuse plan validation by faking a single-point grid on n.
-    from .graph import Graph
-    dummy = Graph([()], [0])
-    ExperimentPlan(graph=dummy,
-                   sampler=SamplerSpec(method=method_map[sample.method],
-                                       n=max(len(sample), 1)),
-                   estimator=est, param="n", values=(len(sample),), trials=1)
 
 
 def _cmd_experiment(args) -> int:

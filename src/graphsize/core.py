@@ -20,6 +20,7 @@ from .sampling import Sample
 
 MODE_SET = "set"
 MODE_MULTISET = "multiset"
+A_MODES = (MODE_SET, MODE_MULTISET)
 
 
 class EstimatorError(Exception):
@@ -105,7 +106,7 @@ def count_induced_edges(s: Sample) -> int:
 
 def build_auxiliary(s: Sample, mode: str = MODE_SET) -> AuxiliarySet:
     """Union of the records' neighbor snapshots, as a set or multiset."""
-    if mode not in (MODE_SET, MODE_MULTISET):
+    if mode not in A_MODES:
         raise EstimatorError(f"unknown auxiliary mode: {mode!r}")
     counts: Counter = Counter()
     for r in s.records:

@@ -10,30 +10,17 @@ and its base seed.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Sequence
 
-from . import generators
-from .core import MODE_SET, EstimateOutcome, EstimatorError
+from . import generators, star
+from . import ind_estimators as ind, node_estimators as node, rw_correction as rw
+from .core import (A_MODES, MODE_SET, EstimateOutcome, EstimatorError,
+                   RatioEstimate, count_unique)
 from .graph import Graph, largest_connected_component, load_edge_list
-from .ind_estimators import inda_uis, inda_wis, indb_auto
-from .node_estimators import (capture_recapture_from_sample, mle_unique_approx,
-                              mle_unique_exact, node_uis, node_wis)
-from .rw_correction import (BASE_IND_B, BASE_NODE_WIS, MarginConfig,
-                            ThinningConfig, estimate_thinned, ind_margin,
-                            margin_crosswalker, node_margin)
-from .sampling import (METHOD_RW, METHOD_RW_MULTI, METHOD_UIS, METHOD_WIS,
-                       Sample, sample_rw, sample_rw_multi, sample_uis,
-                       sample_wis)
-from .star import star_estimate
-
-THREADS_ENV = "GRAPHSIZE_THREADS"
-
-CORRECTIONS = ("none", "thin", "thin-shifted", "margin", "cross-walker")
-ESTIMATORS = ("node-uis", "node-wis", "capture", "mle-approx", "mle-exact",
-              "ind-a", "ind-b", "star")
+from .rw_correction import ThinningConfig, estimate_thinned, margin_crosswalker
+from .sampling import (METHOD_UIS, METHODS, Sample, sample_rw,
+                       sample_rw_multi, sample_uis, sample_wis)
 
 
 class PlanError(Exception):
@@ -42,10 +29,14 @@ class PlanError(Exception):
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    method: str  # uis | wis | rw | rw-multi
+    method: str  # a key of METHODS
     n: int
     walkers: int = 1
     weight_rule: str = "degree"
+
+    def __post_init__(self):
+        if self.n < 1 or self.walkers < 1:
+            raise PlanError("n and walkers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -57,23 +48,117 @@ class EstimatorSpec:
     m: int = 0
 
 
+# The tables look each kernel up in its module, or in this one, when they run,
+# so that replacing the module attribute (as tests and tracing do) works.
+class Estimator(NamedTuple):
+    estimate: Callable  # (sample, spec, seed) -> RatioEstimate | EstimateOutcome
+    offset: float = 0.0  # added to a ratio's quotient
+    walk_corrections: bool = False  # whether the corrections below apply
+
+
+ESTIMATORS = {
+    "node-uis": Estimator(lambda s, est, seed: node.node_uis_ratio(s)),
+    "node-wis": Estimator(lambda s, est, seed: node.node_wis_ratio(s),
+                          walk_corrections=True),
+    "capture": Estimator(lambda s, est, seed:
+                         node.capture_recapture_from_sample(s, seed)),
+    "mle-approx": Estimator(lambda s, est, seed:
+                            node.mle_unique_approx(len(s), count_unique(s))),
+    "mle-exact": Estimator(lambda s, est, seed:
+                           node.mle_unique_exact(len(s), count_unique(s))),
+    "ind-a": Estimator(lambda s, est, seed: ind.inda_uis_ratio(s)
+                       if s.method == METHOD_UIS else ind.inda_wis_ratio(s),
+                       offset=1.0),
+    "ind-b": Estimator(lambda s, est, seed: ind.indb_auto_ratio(s, est.a_mode),
+                       walk_corrections=True),
+    "star": Estimator(lambda s, est, seed: star.star_estimate(s)),
+}
+
+
+class Correction(NamedTuple):
+    methods: tuple[str, ...]  # the sampling methods it needs
+    param: str | None = None  # the grid parameter it sweeps besides n
+    apply: Callable | None = None  # (sample, spec), for the estimator's own
+
+
+# rw_correction names its thinning bases like the estimators, and its
+# cross-walker bases by their family (node-, ind-).
+WALKS = ("rw", "rw-multi")
+CORRECTIONS = {
+    "none": Correction(tuple(METHODS)),
+    "thin": Correction(WALKS, "theta", lambda s, est: estimate_thinned(
+        s, ThinningConfig(est.theta), est.name, shifted=False,
+        a_mode=est.a_mode)),
+    "thin-shifted": Correction(WALKS, "theta", lambda s, est: estimate_thinned(
+        s, ThinningConfig(est.theta), est.name, shifted=True,
+        a_mode=est.a_mode)),
+    "margin": Correction(WALKS, "m", lambda s, est:
+                         rw.node_margin_ratio(s, est.m) if est.name == "node-wis"
+                         else rw.ind_margin_ratio(s, est.m, est.a_mode)),
+    "cross-walker": Correction(("rw-multi",), None, lambda s, est:
+                               margin_crosswalker(s, est.name.split("-")[0],
+                                                  est.a_mode)),
+}
+
+
+def check_spec(method: str | None, est: EstimatorSpec, param: str = "n") -> None:
+    """Raise PlanError unless the tables allow this configuration.
+
+    ``method`` is a key of METHODS, or None while it is not known: the CLI
+    checks its flags before it reads the sample file that names the method.
+    """
+    if method is not None and method not in METHODS:
+        raise PlanError(f"unknown sampling method: {method!r}")
+    if est.name not in ESTIMATORS:
+        raise PlanError(f"unknown estimator: {est.name!r}")
+    if est.correction not in CORRECTIONS:
+        raise PlanError(f"unknown correction: {est.correction!r}")
+    if est.a_mode not in A_MODES:
+        raise PlanError(f"unknown auxiliary mode: {est.a_mode!r}")
+    if est.theta < 1:
+        raise PlanError(f"theta must be >= 1, got {est.theta}")
+    if est.m < 0:
+        raise PlanError(f"margin must be >= 0, got {est.m}")
+    correction = CORRECTIONS[est.correction]
+    if correction.apply and not ESTIMATORS[est.name].walk_corrections:
+        raise PlanError(
+            f"correction {est.correction!r} does not apply to {est.name}")
+    if method is not None and method not in correction.methods:
+        raise PlanError(f"correction {est.correction!r} needs "
+                        f"{' or '.join(correction.methods)} sampling")
+    if param not in ("n", correction.param):
+        raise PlanError(f"grid parameter {param!r} is neither n nor swept "
+                        f"by correction {est.correction!r}")
+
+
+def _check_plan(sampler: SamplerSpec, est: EstimatorSpec, param: str,
+                values: Sequence[float], trials: int) -> None:
+    """Every plan check that needs no graph; check_spec at each grid point."""
+    if trials < 1:
+        raise PlanError("trials must be >= 1")
+    if not values:
+        raise PlanError("parameter grid must be non-empty")
+    if param == "n" and min(values) < 1:
+        raise PlanError("n grid values must be >= 1")
+    check_spec(sampler.method, est, param)
+    for value in values if param != "n" else ():
+        check_spec(sampler.method, replace(est, **{param: int(value)}), param)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     graph: Graph
     sampler: SamplerSpec
     estimator: EstimatorSpec
-    param: str = "n"  # n | theta | m
+    param: str = "n"  # n, or the grid parameter of the correction
     values: tuple = ()
     trials: int = 500
     base_seed: int = 0
     normalize: bool = True
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise PlanError("trials must be >= 1")
-        if not self.values:
-            raise PlanError("parameter grid must be non-empty")
-        validate(self)
+        _check_plan(self.sampler, self.estimator, self.param, self.values,
+                    self.trials)
 
 
 @dataclass(frozen=True)
@@ -94,33 +179,6 @@ class TrialSummary:
         return self.p90 - self.p10
 
 
-def validate(plan: ExperimentPlan) -> None:
-    est = plan.estimator
-    method = plan.sampler.method
-    if method not in ("uis", "wis", "rw", "rw-multi"):
-        raise PlanError(f"unknown sampling method: {method!r}")
-    if est.name not in ESTIMATORS:
-        raise PlanError(f"unknown estimator: {est.name!r}")
-    if est.correction not in CORRECTIONS:
-        raise PlanError(f"unknown correction: {est.correction!r}")
-    if est.correction != "none":
-        if est.name not in ("node-wis", "ind-b"):
-            raise PlanError(
-                f"correction {est.correction!r} applies only to node-wis/ind-b")
-        if est.correction == "cross-walker":
-            if method != "rw-multi":
-                raise PlanError("cross-walker correction needs rw-multi sampling")
-        elif method not in ("rw", "rw-multi"):
-            raise PlanError(
-                f"correction {est.correction!r} needs random-walk sampling")
-    if plan.param not in ("n", "theta", "m"):
-        raise PlanError(f"unknown grid parameter: {plan.param!r}")
-    if plan.param == "theta" and est.correction not in ("thin", "thin-shifted"):
-        raise PlanError("theta grid needs a thinning correction")
-    if plan.param == "m" and est.correction != "margin":
-        raise PlanError("margin grid needs the margin correction")
-
-
 def draw_sample(g: Graph, spec: SamplerSpec, seed: int) -> Sample:
     if spec.method == "uis":
         return sample_uis(g, spec.n, seed)
@@ -135,84 +193,25 @@ def draw_sample(g: Graph, spec: SamplerSpec, seed: int) -> Sample:
     raise PlanError(f"unknown sampling method: {spec.method!r}")
 
 
+def evaluate_with_ratio(sample: Sample, est: EstimatorSpec, seed: int = 0):
+    """Apply the configured estimator and correction to one sample.
+
+    Returns (ratio, outcome); ratio is None unless the result is one
+    numerator/denominator pair.
+    """
+    check_spec(None, est)
+    entry = ESTIMATORS[est.name]
+    apply = CORRECTIONS[est.correction].apply
+    result = (entry.estimate(sample, est, seed) if apply is None
+              else apply(sample, est))
+    if isinstance(result, RatioEstimate):
+        return result, result.outcome(entry.offset)
+    return None, result
+
+
 def evaluate(sample: Sample, est: EstimatorSpec, seed: int = 0) -> EstimateOutcome:
     """Apply the configured estimator (and correction) to one sample."""
-    if est.correction == "none":
-        return _plain_estimate(sample, est, seed)
-    base = BASE_NODE_WIS if est.name == "node-wis" else BASE_IND_B
-    if est.correction in ("thin", "thin-shifted"):
-        return estimate_thinned(sample, ThinningConfig(est.theta), base,
-                                shifted=est.correction == "thin-shifted",
-                                a_mode=est.a_mode)
-    if est.correction == "margin":
-        if est.name == "node-wis":
-            return node_margin(sample, MarginConfig(est.m))
-        return ind_margin(sample, MarginConfig(est.m), est.a_mode)
-    if est.correction == "cross-walker":
-        kind = "node" if est.name == "node-wis" else "ind"
-        return margin_crosswalker(sample, kind, est.a_mode)
-    raise PlanError(f"unknown correction: {est.correction!r}")
-
-
-def evaluate_with_ratio(sample: Sample, est: EstimatorSpec, seed: int = 0):
-    """Like :func:`evaluate`, but also expose the numerator/denominator pair.
-
-    Returns (ratio, outcome); ratio is None for estimators that are not
-    ratio-shaped (capture-recapture and the MLE solvers).
-    """
-    from .ind_estimators import inda_uis_ratio, inda_wis_ratio, indb_auto_ratio
-    from .node_estimators import node_uis_ratio, node_wis_ratio
-    from .rw_correction import ind_margin_ratio, node_margin_ratio
-
-    outcome = evaluate(sample, est, seed)
-    ratio = None
-    if est.correction == "none":
-        if est.name == "node-uis":
-            ratio = node_uis_ratio(sample)
-        elif est.name == "node-wis":
-            ratio = node_wis_ratio(sample)
-        elif est.name == "ind-a":
-            ratio = (inda_uis_ratio(sample) if sample.method == METHOD_UIS
-                     else inda_wis_ratio(sample))
-        elif est.name == "ind-b":
-            ratio = indb_auto_ratio(sample, est.a_mode)
-    elif est.correction == "margin":
-        if est.name == "node-wis":
-            ratio = node_margin_ratio(sample, est.m)
-        else:
-            ratio = ind_margin_ratio(sample, est.m, est.a_mode)
-    return ratio, outcome
-
-
-def _plain_estimate(sample: Sample, est: EstimatorSpec,
-                    seed: int) -> EstimateOutcome:
-    name = est.name
-    if name == "node-uis":
-        return node_uis(sample)
-    if name == "node-wis":
-        return node_wis(sample)
-    if name == "capture":
-        return capture_recapture_from_sample(sample, seed)
-    if name in ("mle-approx", "mle-exact"):
-        n_unique = len(set(sample.nodes()))
-        fn = mle_unique_approx if name == "mle-approx" else mle_unique_exact
-        return fn(len(sample), n_unique)
-    if name == "ind-a":
-        if sample.method == METHOD_UIS:
-            return inda_uis(sample)
-        return inda_wis(sample)
-    if name == "ind-b":
-        return indb_auto(sample, est.a_mode)
-    if name == "star":
-        return star_estimate(sample)
-    raise PlanError(f"unknown estimator: {name!r}")
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
+    return evaluate_with_ratio(sample, est, seed)[1]
 
 
 def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
@@ -223,7 +222,6 @@ def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
     crawl would be post-processed.
     """
     scale = plan.graph.node_count if plan.normalize else 1.0
-    threads = _thread_count()
 
     def run_trial(trial: int) -> list[EstimateOutcome]:
         seed = plan.base_seed + trial
@@ -235,17 +233,12 @@ def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
                                     plan.estimator, seed))
             return out
         sample = draw_sample(plan.graph, plan.sampler, seed)
-        key = "theta" if plan.param == "theta" else "m"
-        return [evaluate(sample, replace(plan.estimator, **{key: int(value)}),
+        return [evaluate(sample,
+                         replace(plan.estimator, **{plan.param: int(value)}),
                          seed)
                 for value in plan.values]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(run_trial, range(plan.trials)))
-    else:
-        per_trial = [run_trial(t) for t in range(plan.trials)]
-
+    per_trial = [run_trial(t) for t in range(plan.trials)]
     summaries = []
     for col, value in enumerate(plan.values):
         outcomes = [per_trial[t][col] for t in range(plan.trials)]
@@ -381,24 +374,38 @@ def parse_plan_file(text: str) -> ExperimentPlan:
     for required in ("graph", "method", "n", "estimator", "param", "values"):
         if required not in kv:
             raise PlanError(f"plan is missing required key {required!r}")
-    graph = resolve_graph(kv["graph"])
-    if kv.get("lcc", "false").lower() in ("1", "true", "yes"):
-        graph = largest_connected_component(graph)
-    sampler = SamplerSpec(method=kv["method"], n=int(kv["n"]),
-                          walkers=int(kv.get("walkers", "1")),
+    sampler = SamplerSpec(method=kv["method"], n=_number("n", kv["n"]),
+                          walkers=_number("walkers", kv.get("walkers", "1")),
                           weight_rule=kv.get("weight_rule", "degree"))
     estimator = EstimatorSpec(name=kv["estimator"],
                               correction=kv.get("correction", "none"),
                               a_mode=kv.get("a_mode", MODE_SET),
-                              theta=int(kv.get("theta", "1")),
-                              m=int(kv.get("m", "0")))
+                              theta=_number("theta", kv.get("theta", "1")),
+                              m=_number("m", kv.get("m", "0")))
+    values = tuple(_number("values", v, float)
+                   for v in kv["values"].split(","))
+    trials = _number("trials", kv.get("trials", "500"))
+    _check_plan(sampler, estimator, kv["param"], values, trials)
+    graph = resolve_graph(kv["graph"])
+    if kv.get("lcc", "false").lower() in ("1", "true", "yes"):
+        graph = largest_connected_component(graph)
     return ExperimentPlan(
         graph=graph, sampler=sampler, estimator=estimator,
-        param=kv["param"],
-        values=tuple(float(v) for v in kv["values"].split(",")),
-        trials=int(kv.get("trials", "500")),
-        base_seed=int(kv.get("base_seed", "0")),
+        param=kv["param"], values=values, trials=trials,
+        base_seed=_number("base_seed", kv.get("base_seed", "0")),
         normalize=kv.get("normalize", "true").lower() in ("1", "true", "yes"))
+
+
+def _number(key: str, text: str, convert: Callable[[str], float] = int):
+    """A plan value as an int, or a finite float; PlanError names the key."""
+    try:
+        value = convert(text)
+        if convert is int or math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    kind = "an integer" if convert is int else "a finite number"
+    raise PlanError(f"plan key {key!r}: expected {kind}, got {text!r}")
 
 
 def resolve_graph(spec: str) -> Graph:

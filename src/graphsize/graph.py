@@ -45,7 +45,6 @@ class GraphStats:
     mean_degree: float
     mean_square_degree: float
     density: float
-    diameter_hint: int | None = None
 
 
 class Graph:
@@ -273,7 +272,7 @@ def largest_connected_component(g: Graph) -> Graph:
     return Graph.from_edges(edges, extra_nodes=[g.ext_id(v) for v in best])
 
 
-def exact_stats(g: Graph, with_diameter: bool = False) -> GraphStats:
+def exact_stats(g: Graph) -> GraphStats:
     """Exact mean degree, mean squared degree, and density.
 
     Density is undefined for a single node; N >= 2 is required.
@@ -285,8 +284,7 @@ def exact_stats(g: Graph, with_diameter: bool = False) -> GraphStats:
     mean_k = sum(degs) / n
     mean_k2 = sum(d * d for d in degs) / n
     density = 2 * g.edge_count / (n * (n - 1))
-    diameter = _bfs_diameter(g) if with_diameter else None
-    return GraphStats(mean_k, mean_k2, density, diameter)
+    return GraphStats(mean_k, mean_k2, density)
 
 
 def size_identity(g: Graph) -> float:
@@ -299,20 +297,3 @@ def size_identity(g: Graph) -> float:
         raise GraphError("size identity undefined: density is zero")
     s = exact_stats(g)
     return s.mean_degree / s.density + 1.0
-
-
-def _bfs_diameter(g: Graph) -> int:
-    """Exact diameter of the largest component (small graphs only)."""
-    best = 0
-    comp = max(g.components, key=len)
-    for s in comp:
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    queue.append(u)
-        best = max(best, max(dist.values()))
-    return best

@@ -8,9 +8,8 @@ by default the union of the sampled nodes' neighbor snapshots.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
-from .core import (MODE_MULTISET, MODE_SET, EstimateOutcome, EstimatorError,
+from .core import (MODE_SET, EstimateOutcome, EstimatorError,
                    RatioEstimate, AuxiliarySet, _inverse_weights,
                    build_auxiliary, count_cross_collisions,
                    count_induced_edges, pairwise_inverse_weight_sum)
@@ -61,10 +60,8 @@ def edge_pair_inverse_weight_sum(s: Sample) -> float:
     distinct-node pairs of products of per-node inverse-weight totals.
     """
     inv_by_node: dict[int, float] = {}
-    for r in s.records:
-        if r.weight <= 0.0:
-            raise EstimatorError("weights must be positive")
-        inv_by_node[r.node] = inv_by_node.get(r.node, 0.0) + 1.0 / r.weight
+    for r, iw in zip(s.records, _inverse_weights(s.weights())):
+        inv_by_node[r.node] = inv_by_node.get(r.node, 0.0) + iw
     snapshot = {r.node: r.neighbors for r in s.records}
     total = 0.0
     for v, iv in inv_by_node.items():

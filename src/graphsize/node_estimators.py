@@ -11,13 +11,12 @@ sum(w_i)*sum(1/w_j) is what makes the ratio a consistent estimator of N.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (NO_COLLISIONS, EstimateOutcome, EstimatorError,
-                   RatioEstimate, count_collisions)
+                   RatioEstimate, _inverse_weights, count_collisions)
 from .sampling import Sample
 
 
@@ -161,12 +160,7 @@ def node_wis_ratio(s: Sample) -> RatioEstimate:
     is invariant under rescaling all weights by a constant.
     """
     weights = s.weights()
-    inv = []
-    for w in weights:
-        if w <= 0.0:
-            raise EstimatorError("weights must be positive")
-        inv.append(1.0 / w)
-    num = math.fsum(weights) * math.fsum(inv)
+    num = math.fsum(weights) * math.fsum(_inverse_weights(weights))
     return RatioEstimate(num, float(2 * count_collisions(s)))
 
 

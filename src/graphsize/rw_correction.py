@@ -21,18 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS, EstimateOutcome,
-                   EstimatorError, RatioEstimate, _inverse_weights,
-                   aggregate_ratios)
+from .core import (A_MODES, MODE_MULTISET, MODE_SET, NO_COLLISIONS,
+                   EstimateOutcome, EstimatorError, RatioEstimate,
+                   _inverse_weights, aggregate_ratios)
 from .ind_estimators import indb_auto_ratio
 from .node_estimators import node_wis_ratio
 from .sampling import MarginIndex, Sample, reindexed
 
 BASE_NODE_WIS = "node-wis"
 BASE_IND_B = "ind-b"
-
-FILTER_INDEX_DISTANCE = "index-distance"
-FILTER_CROSS_WALKER = "cross-walker"
 
 
 @dataclass(frozen=True)
@@ -47,13 +44,10 @@ class ThinningConfig:
 @dataclass(frozen=True)
 class MarginConfig:
     m: int = 0
-    pair_filter: str = FILTER_INDEX_DISTANCE
 
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("margin must be >= 0")
-        if self.pair_filter not in (FILTER_INDEX_DISTANCE, FILTER_CROSS_WALKER):
-            raise ValueError(f"unknown pair filter: {self.pair_filter!r}")
 
 
 def thin_simple(s: Sample, cfg: ThinningConfig) -> Sample:
@@ -148,7 +142,7 @@ def ind_margin_ratio(s: Sample, m: int, a_mode: str = MODE_MULTISET) -> RatioEst
     n = len(s)
     if m >= n - 1:
         return RatioEstimate(0.0, 0.0)
-    if a_mode not in (MODE_MULTISET, MODE_SET):
+    if a_mode not in A_MODES:
         raise EstimatorError(f"unknown auxiliary mode: {a_mode!r}")
     index, inv = _margin_columns(s)
     if a_mode == MODE_MULTISET:

@@ -26,6 +26,10 @@ METHOD_WIS = "WIS"
 METHOD_RW = "RW"
 METHOD_RW_MULTI = "RW_MULTI"
 
+# Sampling method name, as plans and the CLI spell it -> ``Sample.method``.
+METHODS = {"uis": METHOD_UIS, "wis": METHOD_WIS, "rw": METHOD_RW,
+           "rw-multi": METHOD_RW_MULTI}
+
 
 class SamplingError(Exception):
     """Invalid sampler input (e.g. disconnected graph for a random walk)."""
@@ -202,8 +206,8 @@ def sample_wis(g: Graph, weight_rule: Callable[[int], float] | str,
     if n < 1:
         raise SamplingError("n must be >= 1")
     rule_name, weights = _resolve_weights(g, weight_rule)
-    if np.any(weights <= 0):
-        raise SamplingError("all sampling weights must be positive")
+    if not (np.isfinite(weights) & (weights > 0)).all():
+        raise SamplingError("all sampling weights must be finite and positive")
     rng = np.random.default_rng(seed)
     cumulative = np.cumsum(weights)
     draws = rng.random(n) * cumulative[-1]
@@ -309,6 +313,8 @@ def read_sample(source: IO[str]) -> Sample:
     missing = [key for key in _HEADER_KEYS if key not in meta]
     if missing:
         raise SamplingError(f"sample header lacks {', '.join(missing)}")
+    if meta["method"] not in METHODS.values():
+        raise SamplingError(f"unknown sampling method {meta['method']!r}")
     records = []
     for line in source:
         line = line.rstrip("\n")

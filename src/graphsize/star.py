@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import (NO_COLLISIONS, EstimateOutcome, EstimatorError,
-                   RatioEstimate, multiplicity_collisions)
+                   RatioEstimate, _inverse_weights, multiplicity_collisions)
 from .sampling import METHOD_UIS, Sample
 
 
@@ -73,13 +73,10 @@ def star_ncol_wis(nodes: list[int], weights: list[float]) -> float:
     m = len(nodes)
     if m < 2:
         return 0.0
+    inv_all = _inverse_weights(weights)
     inv_by_node: dict[int, list[float]] = {}
-    inv_all: list[float] = []
-    for v, w in zip(nodes, weights):
-        if w <= 0.0:
-            raise EstimatorError("weights must be positive")
-        inv_by_node.setdefault(v, []).append(1.0 / w)
-        inv_all.append(1.0 / w)
+    for v, iw in zip(nodes, inv_all):
+        inv_by_node.setdefault(v, []).append(iw)
     equal = math.fsum(math.fsum(g) ** 2 - math.fsum(x * x for x in g)
                       for g in inv_by_node.values())
     allp = math.fsum(inv_all) ** 2 - math.fsum(x * x for x in inv_all)
@@ -96,11 +93,7 @@ def star_aggregates_wis(s: Sample) -> StarAggregates:
     if sum_deg == 0:
         raise EstimatorError("all sampled nodes are isolated")
     m = sum_deg
-    inv = []
-    for w in weights:
-        if w <= 0.0:
-            raise EstimatorError("weights must be positive")
-        inv.append(1.0 / w)
+    inv = _inverse_weights(weights)
     deg_over_w = math.fsum(d * iw for d, iw in zip(degrees, inv))
     deg2_over_w = math.fsum(d * d * iw for d, iw in zip(degrees, inv))
     if deg_over_w <= 0.0:
@@ -129,16 +122,3 @@ def star_estimate(s: Sample) -> EstimateOutcome:
     if agg.ncol_star <= 0.0:
         return NO_COLLISIONS
     return RatioEstimate(agg.psi1 * agg.psi_neg1, 2.0 * agg.ncol_star).outcome()
-
-
-def within_parent_collision_count(s: Sample) -> int:
-    """Diagnostic only: collision pairs whose occurrences share a parent.
-
-    Neighbors of a single simple-graph node are distinct, so this is always
-    zero for snapshots taken from a simple graph; exposed to make the
-    uncorrected collision count auditable.
-    """
-    total = 0
-    for r in s.records:
-        total += multiplicity_collisions(Counter(r.neighbors))
-    return total

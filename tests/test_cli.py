@@ -213,3 +213,106 @@ def test_margin_estimates_ignore_id_magnitude(tmp_path, capsys, offset):
     _rewrite(sample, record=lambda f: f[:1] + [shift(f[1])] + f[2:5]
              + [shift(f[5])])
     assert estimates() == small
+
+
+@pytest.mark.parametrize("method", ["FOO", "uis"])
+def test_estimate_rejects_unknown_sample_method(tmp_path, capsys, method):
+    sample = _rw_sample_file(tmp_path, capsys)
+    _rewrite(sample, header=lambda h: h.replace("method=RW", f"method={method}"))
+    code, out, err = run(capsys, "estimate", "--sample", str(sample),
+                         "--estimator", "node-wis")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--estimator", "node-wis", "--correction", "thin", "--theta", "0"],
+    ["--estimator", "ind-b", "--correction", "thin-shifted", "--theta", "-2"],
+    ["--estimator", "ind-b", "--correction", "margin", "--margin", "-1"],
+    ["--estimator", "node-uis", "--correction", "margin"],
+])
+def test_estimate_flag_errors_precede_reading(tmp_path, capsys, flags):
+    # Configuration errors exit 2 whether or not the sample file exists.
+    for sample in (_rw_sample_file(tmp_path, capsys), tmp_path / "missing"):
+        code, out, err = run(capsys, "estimate", "--sample", str(sample),
+                             *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--walkers", "0", "--n", "9"]])
+def test_sample_flag_errors_precede_loading_the_graph(tmp_path, capsys, flags):
+    edges = tmp_path / "g.txt"
+    run(capsys, "gen", "gen:grid:rows=3,cols=3", "-o", str(edges))
+    for graph in (edges, tmp_path / "missing.txt"):
+        code, out, err = run(capsys, "sample", "--graph", str(graph),
+                             "--method", "rw-multi", "--n", "9", *flags,
+                             "-o", str(tmp_path / "s.tsv"))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", [
+    "values = 0,-5", "a_mode = bag", "n = abc", "trials = ten", "m = -1",
+    "walkers = 0", "param = n\nvalues = 0,50"])
+def test_experiment_plan_errors_precede_building_the_graph(tmp_path, capsys,
+                                                           line):
+    plan = tmp_path / "plan.txt"
+    # The graph file does not exist: reading it would be a data error (3).
+    plan.write_text(f"graph = {tmp_path / 'missing.txt'}\nmethod = rw\n"
+                    "n = 50\nestimator = ind-b\ncorrection = margin\n"
+                    "param = m\nvalues = 0,5\n" + line + "\n")
+    code, out, err = run(capsys, "experiment", "--plan", str(plan),
+                         "-o", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    key = line.split(" = ")[0]
+    if key in ("n", "trials"):
+        assert f"plan key '{key}'" in err
+
+
+def test_estimate_calls_each_kernel_once(tmp_path, capsys, monkeypatch):
+    from collections import Counter
+    from graphsize import ind_estimators, node_estimators, rw_correction
+
+    sample = _rw_sample_file(tmp_path, capsys)
+    calls = Counter()
+    for module, name in [(node_estimators, "node_wis_ratio"),
+                         (ind_estimators, "inda_wis_ratio"),
+                         (rw_correction, "ind_margin_ratio")]:
+        def counted(*args, _kernel=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(module, name, counted)
+    for flags in (["--estimator", "node-wis"], ["--estimator", "ind-a"],
+                  ["--estimator", "ind-b", "--correction", "margin",
+                   "--margin", "3"]):
+        code, out, err = run(capsys, "estimate", "--sample", str(sample),
+                             *flags)
+        assert code == 0, err
+        assert json.loads(out)["numerator"] is not None
+    assert calls == {"node_wis_ratio": 1, "inda_wis_ratio": 1,
+                     "ind_margin_ratio": 1}
+
+
+def test_readme_lists_the_tables():
+    import re
+    from pathlib import Path
+
+    from graphsize.experiment import CORRECTIONS, ESTIMATORS, METHODS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = " ".join(readme.split())
+
+    def names(label):
+        sentence = re.search(label + r"(.*?)\.(\s|$)", readme).group(1)
+        return re.findall(r"`([a-z][a-z-]*)`", sentence)
+
+    assert names("Estimators:") == list(ESTIMATORS)
+    assert names("Corrections:") == list(CORRECTIONS)
+    assert names("the other corrections apply to") == [
+        k for k, v in ESTIMATORS.items() if v.walk_corrections]
+    methods = re.search(r"draw a sample \(([^)]*)\)", readme).group(1)
+    assert methods.split(" | ") == list(METHODS)

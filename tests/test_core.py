@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,10 @@ from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
                             count_induced_edges, count_unique,
                             pairwise_inverse_weight_sum)
 from graphsize.generators import erdos_renyi
+from graphsize.ind_estimators import edge_pair_inverse_weight_sum
+from graphsize.node_estimators import node_wis_ratio
 from graphsize.sampling import sample_uis
+from graphsize.star import star_aggregates_wis, star_ncol_wis
 
 import oracles
 from conftest import graph_from_text, make_sample
@@ -127,9 +132,18 @@ def test_pairwise_inverse_weight_sum_property(w):
 
 
 def test_pairwise_inverse_weight_sum_rejects_zero():
+    s = _multiplicity_sample()
     for bad in (0.0, float("nan")):
         with pytest.raises(EstimatorError):
             pairwise_inverse_weight_sum([1.0, bad])
+        with pytest.raises(EstimatorError):
+            star_ncol_wis([1, 1], [1.0, bad])
+        # Every kernel that inverts weights applies the same rule.
+        records = (replace(s.records[0], weight=bad),) + s.records[1:]
+        for kernel in (node_wis_ratio, edge_pair_inverse_weight_sum,
+                       star_aggregates_wis):
+            with pytest.raises(EstimatorError):
+                kernel(replace(s, records=records))
 
 
 def test_aggregate_ratios():

@@ -68,13 +68,6 @@ def test_run_experiment_normalizes_by_graph_size():
     assert 0.2 < rows[0].p50 < 5.0  # ratio to N, not an absolute count
 
 
-def test_run_experiment_threaded_matches_serial(monkeypatch):
-    serial = emit_csv(run_experiment(_plan()))
-    monkeypatch.setenv("GRAPHSIZE_THREADS", "4")
-    threaded = emit_csv(run_experiment(_plan()))
-    assert serial == threaded
-
-
 def test_run_experiment_m_grid_reuses_one_sample_per_trial():
     plan = _plan(sampler=SamplerSpec(method="rw", n=200),
                  estimator=EstimatorSpec(name="ind-b", correction="margin"),
@@ -104,6 +97,21 @@ def test_plan_validation_errors():
                                       correction="cross-walker"))
     with pytest.raises(PlanError):  # theta grid without thinning
         _plan(param="theta")
+    walk = SamplerSpec(method="rw", n=50)
+    for estimator, param, values in [
+            # grid values below the range of their parameter
+            (EstimatorSpec(name="ind-b", correction="margin"), "m", (5, -1)),
+            (EstimatorSpec(name="node-wis", correction="thin"), "theta",
+             (2, 0)),
+            # out-of-range or unknown settings of the estimator itself
+            (EstimatorSpec(name="node-wis", correction="thin", theta=0),
+             "n", (50,)),
+            (EstimatorSpec(name="node-wis", correction="margin", m=-1),
+             "n", (50,)),
+            (EstimatorSpec(name="ind-b", a_mode="bag"), "n", (50,))]:
+        with pytest.raises(PlanError):
+            _plan(sampler=walk, estimator=estimator, param=param,
+                  values=values)
 
 
 def test_evaluate_dispatch_smoke():
@@ -130,6 +138,10 @@ def test_evaluate_dispatch_smoke():
     for sample, est in cases:
         out = evaluate(sample, est, seed=1)
         assert isinstance(out, EstimateOutcome)
+    for est in (EstimatorSpec(name="magic"),
+                EstimatorSpec(name="node-uis", correction="margin", m=4)):
+        with pytest.raises(PlanError):
+            evaluate(rw, est)
 
 
 def test_emit_csv_shape():
@@ -174,6 +186,13 @@ def test_parse_plan_file_roundtrip(tmp_path):
     assert emit_csv(run_experiment(plan)) == emit_csv(run_experiment(_plan()))
 
 
+def test_parse_plan_file_checks_before_building_the_graph(tmp_path):
+    plan = ("graph = {}\nmethod = rw\nn = 50\nestimator = ind-b\n"
+            "correction = margin\nparam = m\nvalues = 0,-3\n")
+    with pytest.raises(PlanError):  # not OSError: the file is never opened
+        parse_plan_file(plan.format(tmp_path / "missing.txt"))
+
+
 def test_parse_plan_file_errors():
     with pytest.raises(PlanError):
         parse_plan_file("graph = gen:er:nodes=10,p=0.1\nmethod = uis\n")
@@ -181,6 +200,12 @@ def test_parse_plan_file_errors():
         parse_plan_file("bogus_key = 1\n")
     with pytest.raises(PlanError):
         parse_plan_file("just a line without equals\n")
+    base = ("graph = gen:er:nodes=100,p=0.1,seed=1\nmethod = uis\nn = 50\n"
+            "estimator = node-uis\nparam = n\nvalues = 30,50\n")
+    for key, value in [("n", "abc"), ("trials", "2.5"), ("values", "30,x"),
+                       ("values", "30,nan"), ("m", ""), ("base_seed", "s")]:
+        with pytest.raises(PlanError, match=f"plan key '{key}'"):
+            parse_plan_file(base + f"{key} = {value}\n")
 
 
 def test_resolve_graph_specs(tmp_path):

@@ -73,8 +73,6 @@ def test_thinning_config_validation():
         ThinningConfig(0)
     with pytest.raises(ValueError):
         MarginConfig(-1)
-    with pytest.raises(ValueError):
-        MarginConfig(0, pair_filter="bogus")
 
 
 def test_estimate_thinned_theta_one_reduces():

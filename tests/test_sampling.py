@@ -65,8 +65,9 @@ def test_wis_degree_rule_on_star(star4):
 
 
 def test_wis_rejects_non_positive_weight(k5):
-    with pytest.raises(SamplingError):
-        sample_wis(k5, lambda v: 0.0, 10, seed=0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(SamplingError):
+            sample_wis(k5, lambda v: bad if v == 2 else 1.0, 10, seed=0)
 
 
 def test_rw_consecutive_nodes_adjacent():

@@ -1,12 +1,11 @@
 import pytest
 
 from graphsize.core import NO_COLLISIONS, EstimatorError
-from graphsize.generators import erdos_renyi, ring_of_cliques
+from graphsize.generators import erdos_renyi
 from graphsize.node_estimators import node_uis
 from graphsize.sampling import sample_uis, sample_wis
 from graphsize.star import (star_aggregates, star_aggregates_uis,
-                            star_aggregates_wis, star_estimate, star_ncol_wis,
-                            within_parent_collision_count)
+                            star_aggregates_wis, star_estimate, star_ncol_wis)
 
 import oracles
 from conftest import graph_from_text, make_sample
@@ -120,7 +119,3 @@ def test_star_estimate_clique_median_loose_band():
     assert abs(med - 50) / 50 < 0.3
 
 
-def test_within_parent_collisions_zero_on_simple_graphs():
-    g = ring_of_cliques(5, 4)
-    s = sample_uis(g, 50, seed=9)
-    assert within_parent_collision_count(s) == 0
