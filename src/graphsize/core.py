@@ -130,7 +130,11 @@ def pairwise_inverse_weight_sum(weights: Sample | Sequence[float]) -> float:
     """
     if isinstance(weights, Sample):
         weights = weights.weights()
-    inv = _inverse_weights(weights)
+    return _inverse_pair_sum(_inverse_weights(weights))
+
+
+def _inverse_pair_sum(inv: list[float]) -> float:
+    """pairwise_inverse_weight_sum from checked inverse weights."""
     s1 = math.fsum(inv)
     s2 = math.fsum(x * x for x in inv)
     return 0.5 * (s1 * s1 - s2)

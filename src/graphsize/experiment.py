@@ -36,7 +36,11 @@ class SamplerSpec:
 
     def __post_init__(self):
         if self.n < 1 or self.walkers < 1:
-            raise PlanError("n and walkers must be >= 1")
+            raise PlanError(f"n and walkers must be >= 1, got n={self.n}, "
+                            f"walkers={self.walkers}")
+        if self.method == "rw-multi" and self.n % self.walkers:
+            raise PlanError(f"rw-multi n ({self.n}) must be a multiple of "
+                            f"walkers ({self.walkers})")
 
 
 @dataclass(frozen=True)
@@ -138,8 +142,8 @@ def _check_plan(sampler: SamplerSpec, est: EstimatorSpec, param: str,
         raise PlanError("trials must be >= 1")
     if not values:
         raise PlanError("parameter grid must be non-empty")
-    if param == "n" and min(values) < 1:
-        raise PlanError("n grid values must be >= 1")
+    for value in values if param == "n" else ():
+        replace(sampler, n=int(value))  # SamplerSpec checks each size
     check_spec(sampler.method, est, param)
     for value in values if param != "n" else ():
         check_spec(sampler.method, replace(est, **{param: int(value)}), param)

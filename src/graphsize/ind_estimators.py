@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 
 from .core import (MODE_SET, EstimateOutcome, EstimatorError,
-                   RatioEstimate, AuxiliarySet, _inverse_weights,
-                   build_auxiliary, count_cross_collisions,
+                   RatioEstimate, AuxiliarySet, _inverse_pair_sum,
+                   _inverse_weights, build_auxiliary, count_cross_collisions,
                    count_induced_edges, pairwise_inverse_weight_sum)
 from .sampling import METHOD_UIS, Sample
 
@@ -59,8 +59,13 @@ def edge_pair_inverse_weight_sum(s: Sample) -> float:
     Grouping occurrences by node turns the pair sum into a sum over adjacent
     distinct-node pairs of products of per-node inverse-weight totals.
     """
+    return _edge_pair_sum(s, _inverse_weights(s.weights()))
+
+
+def _edge_pair_sum(s: Sample, inv: list[float]) -> float:
+    """edge_pair_inverse_weight_sum from the sample's checked inverse weights."""
     inv_by_node: dict[int, float] = {}
-    for r, iw in zip(s.records, _inverse_weights(s.weights())):
+    for r, iw in zip(s.records, inv):
         inv_by_node[r.node] = inv_by_node.get(r.node, 0.0) + iw
     snapshot = {r.node: r.neighbors for r in s.records}
     total = 0.0
@@ -84,8 +89,8 @@ def inda_wis_ratio(s: Sample) -> RatioEstimate:
         raise EstimatorError("need at least 2 records")
     inv = _inverse_weights(s.weights())
     deg_over_w = math.fsum(d * iw for d, iw in zip(s.degrees(), inv))
-    num = deg_over_w * pairwise_inverse_weight_sum(s)
-    den = math.fsum(inv) * edge_pair_inverse_weight_sum(s)
+    num = deg_over_w * _inverse_pair_sum(inv)
+    den = math.fsum(inv) * _edge_pair_sum(s, inv)
     return RatioEstimate(num, den)
 
 

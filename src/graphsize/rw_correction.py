@@ -2,13 +2,16 @@
 
 Three families: thinning (keep every theta-th sample, optionally keeping all
 theta shifted subsamples and aggregating their ratio parts), margin filtering
-(drop estimator contributions from sample pairs fewer than m steps apart),
+(drop estimator contributions from sample pairs at most m steps apart),
 and the multi-walker variant (keep only cross-walker pairs).
 
-All margin sums run over ordered pairs (i, j), i != j.  They are computed as
-full-pair totals minus within-window totals.  The m-independent inputs come
-from the sample's cached :class:`~graphsize.sampling.MarginIndex`, built
-once with one sort of the snapshot entries; each margin m then costs an
+Margin and cross-walker filtering are one pair filter: each position i
+excludes a window [lo_i, hi_i) of positions, the positions within m steps
+for a margin, the positions of its own walker for cross-walker filtering.
+All their sums run over ordered pairs (i, j), i != j, and are computed as
+full-pair totals minus within-window totals.  The window-independent inputs
+come from the sample's cached :class:`~graphsize.sampling.MarginIndex`,
+built once with one sort of the snapshot entries; each window then costs an
 inverse-weight prefix-sum window and two binary searches per position, so a
 sweep over many m pays for the index once.
 """
@@ -16,14 +19,13 @@ sweep over many m pays for the index once.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (A_MODES, MODE_MULTISET, MODE_SET, NO_COLLISIONS,
                    EstimateOutcome, EstimatorError, RatioEstimate,
-                   _inverse_weights, aggregate_ratios)
+                   aggregate_ratios)
 from .ind_estimators import indb_auto_ratio
 from .node_estimators import node_wis_ratio
 from .sampling import MarginIndex, Sample, reindexed
@@ -85,7 +87,7 @@ def estimate_thinned(s: Sample, cfg: ThinningConfig, base: str,
     return _base_ratio(thin_simple(s, cfg), base, a_mode).outcome()
 
 
-# -- margin filtering ------------------------------------------------------
+# -- margin and cross-walker filtering ---------------------------------------
 
 
 def _margin_columns(s: Sample) -> tuple[MarginIndex, np.ndarray]:
@@ -96,18 +98,56 @@ def _margin_columns(s: Sample) -> tuple[MarginIndex, np.ndarray]:
     return index, 1.0 / index.weights
 
 
-def _far_pair_sum(values: np.ndarray, inv: np.ndarray, m: int) -> float:
-    """Sum of values_i * inv_j over ordered pairs more than m positions apart.
+def _margin_window(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each position's excluded window: the positions at most m steps away."""
+    i = np.arange(n)
+    return np.maximum(i - m, 0), np.minimum(i + m + 1, n)
+
+
+def _far_pair_sum(values: np.ndarray, inv: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> float:
+    """Sum of values_i * inv_j over ordered pairs with j outside [lo_i, hi_i).
 
     The full product of totals minus, for each i, values_i times the
-    prefix-sum window of inv over [i-m, i+m].
+    prefix-sum window of inv over [lo_i, hi_i).
     """
-    n = len(inv)
     prefix = np.concatenate(([0.0], np.cumsum(inv)))
-    i = np.arange(n)
-    window = prefix[np.minimum(i + m + 1, n)] - prefix[np.maximum(i - m, 0)]
     return (math.fsum(values.tolist()) * math.fsum(inv.tolist())
-            - math.fsum((values * window).tolist()))
+            - math.fsum((values * (prefix[hi] - prefix[lo])).tolist()))
+
+
+def _node_window_ratio(s: Sample, lo: np.ndarray,
+                       hi: np.ndarray) -> RatioEstimate:
+    index, inv = _margin_columns(s)
+    return RatioEstimate(_far_pair_sum(index.weights, inv, lo, hi),
+                         float(index.far_repeats(lo, hi).sum()))
+
+
+def _ind_window_ratio(s: Sample, lo: np.ndarray, hi: np.ndarray,
+                      a_mode: str) -> RatioEstimate:
+    if a_mode not in A_MODES:
+        raise EstimatorError(f"unknown auxiliary mode: {a_mode!r}")
+    index, inv = _margin_columns(s)
+    if a_mode == MODE_MULTISET:
+        return RatioEstimate(
+            _far_pair_sum(index.degrees, inv, lo, hi),
+            math.fsum((inv * index.far_mentions(lo, hi)).tolist()))
+
+    n = len(s)
+    first, last = index.snapshot_first, index.snapshot_last
+    carried = index.snapshot_counts > 0
+    # A neighbor node is invisible from position j iff all positions carrying
+    # it fall inside j's window; lo and hi never decrease, so that happens
+    # exactly for j in an interval.
+    lo_j = np.searchsorted(hi, last[carried], "right")
+    hi_j = np.searchsorted(lo, first[carried], "right") - 1
+    hidden = lo_j <= hi_j
+    missing = np.cumsum(np.bincount(lo_j[hidden], minlength=n + 1)
+                        - np.bincount(hi_j[hidden] + 1, minlength=n + 1))[:n]
+    num = math.fsum((inv * (np.count_nonzero(carried) - missing)).tolist())
+    r = index.node_ranks
+    seen = (first[r] < lo) | (last[r] >= hi)
+    return RatioEstimate(num, math.fsum(inv[seen].tolist()))
 
 
 def node_margin_ratio(s: Sample, m: int) -> RatioEstimate:
@@ -115,9 +155,7 @@ def node_margin_ratio(s: Sample, m: int) -> RatioEstimate:
     n = len(s)
     if m >= n - 1:
         return RatioEstimate(0.0, 0.0)
-    index, inv = _margin_columns(s)
-    return RatioEstimate(_far_pair_sum(index.weights, inv, m),
-                         float(index.far_repeats(m).sum()))
+    return _node_window_ratio(s, *_margin_window(n, m))
 
 
 def node_margin(s: Sample, cfg: MarginConfig | int) -> EstimateOutcome:
@@ -142,27 +180,7 @@ def ind_margin_ratio(s: Sample, m: int, a_mode: str = MODE_MULTISET) -> RatioEst
     n = len(s)
     if m >= n - 1:
         return RatioEstimate(0.0, 0.0)
-    if a_mode not in A_MODES:
-        raise EstimatorError(f"unknown auxiliary mode: {a_mode!r}")
-    index, inv = _margin_columns(s)
-    if a_mode == MODE_MULTISET:
-        return RatioEstimate(_far_pair_sum(index.degrees, inv, m),
-                             math.fsum((inv * index.far_mentions(m)).tolist()))
-
-    first, last = index.snapshot_first, index.snapshot_last
-    carried = index.snapshot_counts > 0
-    # A neighbor node is invisible from position j iff all positions carrying
-    # it fall inside [j-m, j+m]; that happens exactly for j in an interval.
-    lo_j = np.maximum(last[carried] - m, 0)
-    hi_j = np.minimum(first[carried] + m, n - 1)
-    hidden = lo_j <= hi_j
-    missing = np.cumsum(np.bincount(lo_j[hidden], minlength=n + 1)
-                        - np.bincount(hi_j[hidden] + 1, minlength=n + 1))[:n]
-    num = math.fsum((inv * (np.count_nonzero(carried) - missing)).tolist())
-    i = np.arange(n)
-    r = index.node_ranks
-    seen = (first[r] < i - m) | (last[r] > i + m)
-    return RatioEstimate(num, math.fsum(inv[seen].tolist()))
+    return _ind_window_ratio(s, *_margin_window(n, m), a_mode)
 
 
 def ind_margin(s: Sample, cfg: MarginConfig | int,
@@ -172,86 +190,32 @@ def ind_margin(s: Sample, cfg: MarginConfig | int,
     return ind_margin_ratio(s, m, a_mode).outcome()
 
 
-# -- cross-walker filtering ------------------------------------------------
-
-
 def margin_crosswalker(s: Sample, base: str,
                        a_mode: str = MODE_MULTISET) -> EstimateOutcome:
     """Margin variant for multi-walker samples: keep only cross-walker pairs.
 
+    Each position's excluded window is its own walker's run of positions.
     No explicit margin parameter; a single-walker sample has no surviving
     pairs and yields the no-collisions outcome.
     """
-    walkers = s.walkers()
-    if len(set(walkers)) < 2:
+    ids = s.walkers()
+    # Dense ranks in id order: ids may be arbitrarily large.
+    rank = {k: r for r, k in enumerate(sorted(set(ids)))}
+    if len(rank) < 2:
         return NO_COLLISIONS
+    walkers = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
+    if (walkers[1:] < walkers[:-1]).any():
+        # The sums depend on the walker labels only, not on record order.
+        order = np.argsort(walkers, kind="stable")
+        s = reindexed(s, [s.records[k] for k in order], s.provenance)
+        walkers = walkers[order]
+    lo = np.searchsorted(walkers, walkers, "left")
+    hi = np.searchsorted(walkers, walkers, "right")
     if base == "node":
-        return _crosswalker_node_ratio(s).outcome()
+        return _node_window_ratio(s, lo, hi).outcome()
     if base == "ind":
-        return _crosswalker_ind_ratio(s, a_mode).outcome()
+        return _ind_window_ratio(s, lo, hi, a_mode).outcome()
     raise EstimatorError(f"unsupported cross-walker base: {base!r}")
-
-
-def _per_walker_sums(values: list[float], walkers: list[int]) -> dict[int, float]:
-    acc: dict[int, float] = defaultdict(float)
-    for v, k in zip(values, walkers):
-        acc[k] += v
-    return acc
-
-
-def _crosswalker_node_ratio(s: Sample) -> RatioEstimate:
-    weights = s.weights()
-    inv = _inverse_weights(weights)
-    walkers = s.walkers()
-    w_by = _per_walker_sums(weights, walkers)
-    inv_by = _per_walker_sums(inv, walkers)
-    num = (math.fsum(weights) * math.fsum(inv)
-           - math.fsum(w_by[k] * inv_by[k] for k in w_by))
-    counts = Counter(s.nodes())
-    counts_by = Counter(zip(s.nodes(), walkers))
-    den = (sum(c * c for c in counts.values())
-           - sum(c * c for c in counts_by.values()))
-    return RatioEstimate(num, float(den))
-
-
-def _crosswalker_ind_ratio(s: Sample, a_mode: str) -> RatioEstimate:
-    inv = _inverse_weights(s.weights())
-    walkers = s.walkers()
-    nodes = s.nodes()
-    if a_mode == MODE_MULTISET:
-        degrees = [float(d) for d in s.degrees()]
-        deg_by = _per_walker_sums(degrees, walkers)
-        inv_by = _per_walker_sums(inv, walkers)
-        num = (math.fsum(degrees) * math.fsum(inv)
-               - math.fsum(deg_by[k] * inv_by[k] for k in deg_by))
-        sampled = set(nodes)
-        cnt: Counter = Counter()
-        cnt_by: Counter = Counter()
-        for j, r in enumerate(s.records):
-            for a in r.neighbors:
-                if a in sampled:
-                    cnt[a] += 1
-                    cnt_by[a, walkers[j]] += 1
-        den = math.fsum(iw * (cnt.get(v, 0) - cnt_by.get((v, k), 0))
-                        for v, k, iw in zip(nodes, walkers, inv))
-        return RatioEstimate(num, den)
-
-    if a_mode != MODE_SET:
-        raise EstimatorError(f"unknown auxiliary mode: {a_mode!r}")
-    walker_sets: dict[int, set[int]] = defaultdict(set)
-    for j, r in enumerate(s.records):
-        for a in r.neighbors:
-            walker_sets[a].add(walkers[j])
-    a_size = len(walker_sets)
-    solo: Counter = Counter()
-    for ws in walker_sets.values():
-        if len(ws) == 1:
-            solo[next(iter(ws))] += 1
-    num = math.fsum(iw * (a_size - solo.get(k, 0))
-                    for k, iw in zip(walkers, inv))
-    den = math.fsum(iw for v, k, iw in zip(nodes, walkers, inv)
-                    if v in walker_sets and walker_sets[v] - {k})
-    return RatioEstimate(num, den)
 
 
 # -- surviving pair accounting ---------------------------------------------

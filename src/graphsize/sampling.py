@@ -95,6 +95,10 @@ class MarginIndex:
     order, and counting a rank's occurrences in a window of positions takes
     two binary searches.  Ids enter no arithmetic, so they may be arbitrarily
     large.  Building costs one sort of the snapshot entries.
+
+    The queries take one excluded window [lo[i], hi[i]) of positions per
+    position i: the positions within m steps for a margin, the positions of
+    i's own walker for the cross-walker filter.
     """
 
     weights: np.ndarray          # float64, per position
@@ -156,27 +160,27 @@ class MarginIndex:
             snapshot_counts=counts, snapshot_first=first,
             snapshot_last=last)
 
-    def far_repeats(self, m: int) -> np.ndarray:
-        """For each position i, positions j holding the same node, |i-j| > m."""
+    def far_repeats(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """For each position i, positions j outside [lo[i], hi[i]) holding
+        the same node."""
         return (self.node_counts[self.node_ranks]
-                - self._near(self.node_keys, m))
+                - self._near(self.node_keys, lo, hi))
 
-    def far_mentions(self, m: int) -> np.ndarray:
+    def far_mentions(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """For each position i, snapshot entries naming the node at i that
-        are carried by positions j with |i-j| > m."""
+        are carried by positions j outside [lo[i], hi[i])."""
         return (self.snapshot_counts[self.node_ranks]
-                - self._near(self.snapshot_keys, m))
+                - self._near(self.snapshot_keys, lo, hi))
 
-    def _near(self, keys: np.ndarray, m: int) -> np.ndarray:
-        """Keys of each position's node rank at positions within m of it."""
-        n = len(self.node_order)
+    def _near(self, keys: np.ndarray, lo: np.ndarray,
+              hi: np.ndarray) -> np.ndarray:
+        """Keys of each position's node rank at positions in its window."""
         p = self.node_order
         base = self.node_keys - p
-        near = np.empty(n, dtype=np.int64)
+        near = np.empty(len(p), dtype=np.int64)
         # Queried in key order, the binary searches walk the keys forwards.
-        hi = (base + np.minimum(p + m + 1, n)).astype(keys.dtype)
-        lo = (base + np.maximum(p - m, 0)).astype(keys.dtype)
-        near[p] = np.searchsorted(keys, hi) - np.searchsorted(keys, lo)
+        near[p] = (np.searchsorted(keys, (base + hi[p]).astype(keys.dtype))
+                   - np.searchsorted(keys, (base + lo[p]).astype(keys.dtype)))
         return near
 
 
@@ -316,18 +320,32 @@ def read_sample(source: IO[str]) -> Sample:
     if meta["method"] not in METHODS.values():
         raise SamplingError(f"unknown sampling method {meta['method']!r}")
     records = []
+    snapshots: dict[int, tuple[int, ...]] = {}
     for line in source:
         line = line.rstrip("\n")
         if not line:
             continue
         pos, node, deg, weight, walker, nbrs = line.split("\t")
+        # Margin and cross-walker filtering read file order as walk order.
+        if int(pos) != len(records):
+            raise SamplingError(
+                f"record {pos}: position must be its index, {len(records)}")
         w = float(weight)
         if not 0.0 < w < math.inf:
             raise SamplingError(
                 f"record {pos}: weight must be finite and positive, got {weight}")
         neighbors = tuple(int(x) for x in nbrs.split(",")) if nbrs else ()
-        records.append(SampleRecord(int(pos), int(node), int(deg),
-                                    w, neighbors, int(walker)))
+        if int(deg) != len(neighbors):
+            raise SamplingError(f"record {pos}: degree {deg} differs from its "
+                                f"{len(neighbors)} snapshot entries")
+        # Records of one node share its first snapshot, which must not change.
+        v = int(node)
+        snapshot = snapshots.setdefault(v, neighbors)
+        if snapshot != neighbors:
+            raise SamplingError(f"record {pos}: node {node} has a snapshot "
+                                "that differs from an earlier record's")
+        records.append(SampleRecord(len(records), v, len(snapshot), w,
+                                    snapshot, int(walker)))
     s = Sample(tuple(records), meta["method"], int(meta["seed"]),
                meta["weight_rule"], meta["graph_digest"],
                rng_name=meta.get("rng", RNG_NAME))

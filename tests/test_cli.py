@@ -164,16 +164,27 @@ def _rewrite(path, header=lambda h: h, record=lambda f: f):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("weight", ["nan", "inf", "0.0", "-2.5"])
-def test_estimate_rejects_invalid_weight(tmp_path, capsys, weight):
+def _at_record_3(field, value):
+    return lambda f: f[:field] + [value(f[field])] + f[field + 1:] \
+        if f[0] == "3" else f
+
+
+@pytest.mark.parametrize("rewrite", [
+    *(pytest.param(_at_record_3(3, lambda _, w=w: w), id=w)
+      for w in ("nan", "inf", "0.0", "-2.5")),
+    pytest.param(_at_record_3(2, lambda d: str(int(d) + 1)), id="degree"),
+    # Consecutive walk nodes differ, so their snapshots differ too.
+    pytest.param(lambda f: f[:1] + ["0"] + f[2:], id="snapshot"),
+    pytest.param(_at_record_3(0, lambda _: "4"), id="position"),
+])
+def test_estimate_rejects_invalid_weight(tmp_path, capsys, rewrite):
     sample = _rw_sample_file(tmp_path, capsys)
-    _rewrite(sample, record=lambda f: f[:3] + [weight] + f[4:]
-             if f[0] == "3" else f)
+    _rewrite(sample, record=rewrite)
     code, out, err = run(capsys, "estimate", "--sample", str(sample),
                          "--estimator", "node-wis")
     assert code == 3
     assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith("error: record ") and err.count("\n") == 1
 
 
 def test_estimate_rejects_header_without_count(tmp_path, capsys):
@@ -242,7 +253,9 @@ def test_estimate_flag_errors_precede_reading(tmp_path, capsys, flags):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flags", [["--n", "0"], ["--walkers", "0", "--n", "9"]])
+@pytest.mark.parametrize("flags", [
+    ["--n", "0"], ["--walkers", "0", "--n", "9"], ["--walkers", "2"],
+    ["--walkers", "4", "--n", "3"]])
 def test_sample_flag_errors_precede_loading_the_graph(tmp_path, capsys, flags):
     edges = tmp_path / "g.txt"
     run(capsys, "gen", "gen:grid:rows=3,cols=3", "-o", str(edges))
@@ -256,7 +269,8 @@ def test_sample_flag_errors_precede_loading_the_graph(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("line", [
     "values = 0,-5", "a_mode = bag", "n = abc", "trials = ten", "m = -1",
-    "walkers = 0", "param = n\nvalues = 0,50"])
+    "walkers = 0", "param = n\nvalues = 0,50",
+    "method = rw-multi\nwalkers = 2\nparam = n\nvalues = 50,51"])
 def test_experiment_plan_errors_precede_building_the_graph(tmp_path, capsys,
                                                            line):
     plan = tmp_path / "plan.txt"

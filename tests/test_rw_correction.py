@@ -222,6 +222,15 @@ MARGIN_KERNELS = {
             oracles.ind_margin_set_parts),
 }
 
+CROSSWALKER_KERNELS = {
+    "node": (lambda s: margin_crosswalker(s, "node"),
+             oracles.crosswalker_node_parts),
+    "multiset": (lambda s: margin_crosswalker(s, "ind", MODE_MULTISET),
+                 oracles.crosswalker_ind_multiset_parts),
+    "set": (lambda s: margin_crosswalker(s, "ind", MODE_SET),
+            oracles.crosswalker_ind_set_parts),
+}
+
 
 @st.composite
 def walk_like_samples(draw):
@@ -257,6 +266,16 @@ def _assert_matches_oracle(s, m):
                             abs_tol=1e-9), name
 
 
+def _assert_crosswalker_matches_oracle(s):
+    for name, (kernel, oracle) in CROSSWALKER_KERNELS.items():
+        got = kernel(s)
+        num, den = oracle(s)
+        if den == 0:
+            assert got == NO_COLLISIONS, name
+        else:
+            assert math.isclose(got.value, num / den, rel_tol=1e-9), name
+
+
 @given(walk_like_samples(), st.data())
 def test_margin_kernels_match_oracles_for_any_m_order(s, data):
     n = len(s)
@@ -273,13 +292,18 @@ def test_margin_kernels_match_oracles_for_any_m_order(s, data):
     for m in sorted(set(ms)):
         for name, (kernel, _) in MARGIN_KERNELS.items():
             assert kernel(fresh, m) == first[name, m]
-    # Samples derived after the index was built get their own.
+    _assert_crosswalker_matches_oracle(s)
+    # Samples derived after the index was built get their own; reversing or
+    # shuffling the records also reverses or interleaves the walkers.
+    shuffled = data.draw(st.permutations(s.records))
     derived = (replace(s, records=s.records[::-1]),
-               reindexed(s, s.records[1:], "tail"))
+               reindexed(s, s.records[1:], "tail"),
+               reindexed(s, shuffled, "shuffled"))
     for d in derived:
         assert d.margin_index is not s.margin_index
         for m in (0, 1):
             _assert_matches_oracle(d, m)
+        _assert_crosswalker_matches_oracle(d)
 
 
 def test_margin_index_is_read_only():
@@ -300,6 +324,15 @@ def test_margin_kernels_reject_invalid_weights(bad):
     for kernel, _ in MARGIN_KERNELS.values():
         with pytest.raises(EstimatorError):
             kernel(s, 1)
+    multi = sample_rw_multi(g, 2, 10, seeds=[2, 3])
+    multi = replace(multi, records=(replace(multi.records[0], weight=bad),)
+                    + multi.records[1:])
+    # In file order and with the walkers interleaved.
+    for d in (multi, replace(multi, records=multi.records[::2]
+                             + multi.records[1::2])):
+        for kernel, _ in CROSSWALKER_KERNELS.values():
+            with pytest.raises(EstimatorError):
+                kernel(d)
 
 
 # -- cross-walker ------------------------------------------------------------
