@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .sampling import Sample
@@ -108,11 +109,14 @@ def build_auxiliary(s: Sample, mode: str = MODE_SET) -> AuxiliarySet:
     """Union of the records' neighbor snapshots, as a set or multiset."""
     if mode not in A_MODES:
         raise EstimatorError(f"unknown auxiliary mode: {mode!r}")
+    if mode == MODE_SET:
+        # Records of one node share one snapshot: take each object once.
+        snapshots = {id(r.neighbors): r.neighbors for r in s.records}
+        union = dict.fromkeys(chain.from_iterable(snapshots.values()), 1)
+        return AuxiliarySet(union, mode, len(union))
     counts: Counter = Counter()
     for r in s.records:
         counts.update(r.neighbors)
-    if mode == MODE_SET:
-        counts = Counter(dict.fromkeys(counts, 1))
     return AuxiliarySet(dict(counts), mode, sum(counts.values()))
 
 

@@ -11,9 +11,11 @@ for a margin, the positions of its own walker for cross-walker filtering.
 All their sums run over ordered pairs (i, j), i != j, and are computed as
 full-pair totals minus within-window totals.  The window-independent inputs
 come from the sample's cached :class:`~graphsize.sampling.MarginIndex`,
-built once with one sort of the snapshot entries; each window then costs an
-inverse-weight prefix-sum window and two binary searches per position, so a
-sweep over many m pays for the index once.
+built once: the NODE kernels read its node occurrences, sorted once, and
+the IND kernels also its snapshot entries, ranked once per distinct snapshot
+and sorted on first use.  Each window then costs an inverse-weight
+prefix-sum window and two binary searches per position, so a sweep over
+many m pays for the index once.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ so estimation downstream never needs the full graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
@@ -94,7 +94,14 @@ class MarginIndex:
     key r * (n + 1) + p, so one sorted array lists each rank's positions in
     order, and counting a rank's occurrences in a window of positions takes
     two binary searches.  Ids enter no arithmetic, so they may be arbitrarily
-    large.  Building costs one sort of the snapshot entries.
+    large.
+
+    A walk revisits nodes, and the records of one node share one snapshot
+    object, so building ranks the ids of each distinct snapshot object once
+    and sorts the n node occurrences.  The snapshot half (``snapshot_keys``,
+    ``snapshot_counts``, ``snapshot_first``, ``snapshot_last``) expands the
+    ranked entries to positions with numpy and sorts them; it is built on
+    first use, so node-only queries never pay for it.
 
     The queries take one excluded window [lo[i], hi[i]) of positions per
     position i: the positions within m steps for a margin, the positions of
@@ -107,47 +114,38 @@ class MarginIndex:
     node_order: np.ndarray       # positions sorted by rank, then position
     node_keys: np.ndarray        # their keys, sorted
     node_counts: np.ndarray      # positions per rank, for sampled ranks
-    snapshot_keys: np.ndarray    # sorted keys, one per snapshot entry
-    snapshot_counts: np.ndarray  # snapshot entries per rank
-    snapshot_first: np.ndarray   # first position whose snapshot names the
-    snapshot_last: np.ndarray    # rank, and last; n and -1 if none does
+    _rank_count: int             # distinct ids, sampled or named
+    _snapshot_of: np.ndarray     # per position, its distinct snapshot object
+    _entry_ranks: np.ndarray     # ranks named by the distinct snapshots
+    _entry_bounds: np.ndarray    # snapshot k's: [bounds[k], bounds[k + 1])
 
     def __post_init__(self):
-        for array in vars(self).values():
-            array.flags.writeable = False
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @classmethod
     def build(cls, records: Sequence[SampleRecord]) -> MarginIndex:
         n = len(records)
         nodes = list(map(attrgetter("node"), records))
         snapshots = list(map(attrgetter("neighbors"), records))
-        lengths = np.fromiter(map(len, snapshots), np.int64, n)
-        rank = dict.fromkeys(chain(nodes, chain.from_iterable(snapshots)))
+        # Each distinct snapshot object once, in order of first appearance.
+        # Grouped by object, not by node: a sample built in memory may give
+        # one node unequal snapshots.
+        distinct = dict(zip(map(id, snapshots), snapshots))
+        unique = list(distinct.values())
+        for k, key in enumerate(distinct):
+            distinct[key] = k
+        rank = dict.fromkeys(chain(nodes, chain.from_iterable(unique)))
         for r, v in enumerate(rank):
             rank[v] = r
         size, stride = len(rank), n + 1
         # Keys take 32 bits when they fit: the index is the largest array a
         # margin estimate allocates.
         key_type = np.int32 if size * stride <= 2**31 - 1 else np.int64
-        ranks = np.fromiter(
-            map(rank.__getitem__, chain(nodes, chain.from_iterable(snapshots))),
-            key_type, n + int(lengths.sum()))
-        # Free the id map before the sort allocates its scratch space.
-        del rank, snapshots
-        node_ranks = ranks[:n].copy()
+        lengths = np.fromiter(map(len, unique), np.int64, len(unique))
+        node_ranks = np.fromiter(map(rank.__getitem__, nodes), key_type, n)
         node_order = np.argsort(node_ranks, kind="stable")
-        keys = ranks[n:]
-        keys *= stride
-        keys += np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), lengths)
-        keys.sort()
-        bounds = np.searchsorted(keys, np.arange(0, (size + 1) * stride, stride,
-                                                 dtype=key_type))
-        counts = np.diff(bounds)
-        carried = np.flatnonzero(counts)
-        first = np.full(size, n, dtype=np.int64)
-        last = np.full(size, -1, dtype=np.int64)
-        first[carried] = keys[bounds[carried]] - carried * stride
-        last[carried] = keys[bounds[carried + 1] - 1] - carried * stride
         return cls(
             weights=np.fromiter(map(attrgetter("weight"), records),
                                 np.float64, n),
@@ -156,9 +154,67 @@ class MarginIndex:
             node_ranks=node_ranks, node_order=node_order,
             node_keys=(node_ranks[node_order] * stride
                        + node_order).astype(key_type),
-            node_counts=np.bincount(node_ranks), snapshot_keys=keys,
-            snapshot_counts=counts, snapshot_first=first,
-            snapshot_last=last)
+            node_counts=np.bincount(node_ranks), _rank_count=size,
+            _snapshot_of=np.fromiter(map(distinct.__getitem__,
+                                         map(id, snapshots)), np.int64, n),
+            _entry_ranks=np.fromiter(
+                map(rank.__getitem__, chain.from_iterable(unique)),
+                key_type, int(lengths.sum())),
+            _entry_bounds=np.concatenate(([0], np.cumsum(lengths))))
+
+    @cached_property
+    def _snapshot_half(self) -> tuple[np.ndarray, ...]:
+        n, size = len(self.weights), self._rank_count
+        stride = n + 1
+        offsets = self._entry_bounds
+        starts = offsets[self._snapshot_of]
+        lengths = offsets[1:][self._snapshot_of] - starts
+        total = int(lengths.sum())
+        # Position p's entries are entry ranks starts[p] + 0, 1, ...; the
+        # gather indices take 32 bits when they fit, like the keys.
+        index_type = np.int32 if total <= 2**31 - 1 else np.int64
+        gather = np.repeat((starts - np.cumsum(lengths) + lengths)
+                           .astype(index_type), lengths)
+        gather += np.arange(total, dtype=index_type)
+        # Indexing, unlike take, does not copy 32-bit indices to 64 bits.
+        keys = self._entry_ranks[gather]
+        # Free the gather indices before sorting: peak memory stays near one
+        # key array plus the position column.
+        del gather, starts
+        keys *= stride
+        keys += np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), lengths)
+        keys.sort()
+        bounds = np.searchsorted(keys, np.arange(0, (size + 1) * stride, stride,
+                                                 dtype=keys.dtype))
+        counts = np.diff(bounds)
+        carried = np.flatnonzero(counts)
+        first = np.full(size, n, dtype=np.int64)
+        last = np.full(size, -1, dtype=np.int64)
+        first[carried] = keys[bounds[carried]] - carried * stride
+        last[carried] = keys[bounds[carried + 1] - 1] - carried * stride
+        for array in (keys, counts, first, last):
+            array.flags.writeable = False
+        return keys, counts, first, last
+
+    @property
+    def snapshot_keys(self) -> np.ndarray:
+        """Sorted keys, one per snapshot entry."""
+        return self._snapshot_half[0]
+
+    @property
+    def snapshot_counts(self) -> np.ndarray:
+        """Snapshot entries per rank."""
+        return self._snapshot_half[1]
+
+    @property
+    def snapshot_first(self) -> np.ndarray:
+        """First position whose snapshot names each rank; n if none does."""
+        return self._snapshot_half[2]
+
+    @property
+    def snapshot_last(self) -> np.ndarray:
+        """Last position whose snapshot names each rank; -1 if none does."""
+        return self._snapshot_half[3]
 
     def far_repeats(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """For each position i, positions j outside [lo[i], hi[i]) holding
@@ -300,63 +356,116 @@ def write_sample(s: Sample, sink: IO[str], g: Graph | None = None) -> None:
     sink.write(f"{_HEADER_PREFIX}\tmethod={s.method}\tseed={s.seed}"
                f"\tweight_rule={s.weight_rule}\tgraph_digest={s.graph_digest}"
                f"\trng={s.rng_name}\tn={len(s)}\n")
-    to_ext = g.ext_id if g is not None else (lambda v: v)
+    to_ext = g.ext_ids.__getitem__ if g is not None else (lambda v: v)
+    # A revisited node's id and snapshot are formatted once.
+    formatted: dict[tuple[int, int], tuple[str, str]] = {}
     for r in s.records:
-        nbrs = ",".join(str(to_ext(u)) for u in r.neighbors)
-        sink.write(f"{r.position}\t{to_ext(r.node)}\t{r.degree}"
-                   f"\t{r.weight!r}\t{r.walker}\t{nbrs}\n")
+        key = (r.node, id(r.neighbors))
+        text = formatted.get(key)
+        if text is None:
+            text = formatted[key] = (str(to_ext(r.node)), ",".join(
+                map(str, map(to_ext, r.neighbors))))
+        sink.write(f"{r.position}\t{text[0]}\t{r.degree}\t{r.weight!r}"
+                   f"\t{r.walker}\t{text[1]}\n")
 
 
 def read_sample(source: IO[str]) -> Sample:
-    """Read a sample file; node keys are the external ids as written."""
+    """Read a sample file; node keys are the external ids as written.
+
+    The records of one node share one snapshot tuple, parsed once: a
+    repeated node's snapshot must equal its first record's.
+    """
     header = source.readline().rstrip("\n")
     fields = header.split("\t")
     if not fields or fields[0] != _HEADER_PREFIX:
         raise SamplingError("not a graphsize sample file")
+    for field in fields[1:]:
+        if "=" not in field:
+            raise SamplingError(f"sample header field {field!r} is not "
+                                "key=value")
     meta = dict(f.split("=", 1) for f in fields[1:])
     missing = [key for key in _HEADER_KEYS if key not in meta]
     if missing:
         raise SamplingError(f"sample header lacks {', '.join(missing)}")
     if meta["method"] not in METHODS.values():
         raise SamplingError(f"unknown sampling method {meta['method']!r}")
+    seed, count = _header_int(meta, "seed"), _header_int(meta, "n")
     records = []
-    snapshots: dict[int, tuple[int, ...]] = {}
+    # Node -> its first record's snapshot text and parsed tuple.
+    snapshots: dict[int, tuple[str, tuple[int, ...]]] = {}
     for line in source:
         line = line.rstrip("\n")
         if not line:
             continue
-        pos, node, deg, weight, walker, nbrs = line.split("\t")
+        fields = line.split("\t")
+        i = len(records)
+        try:
+            pos, node, deg, weight, walker, nbrs = fields
+            position, v, degree, w = int(pos), int(node), int(deg), float(weight)
+            k = int(walker)
+            earlier = snapshots.get(v)
+            if earlier is not None and earlier[0] == nbrs:
+                neighbors = earlier[1]
+            else:
+                neighbors = tuple(map(int, nbrs.split(","))) if nbrs else ()
+        except ValueError:
+            raise _record_error(i, fields) from None
         # Margin and cross-walker filtering read file order as walk order.
-        if int(pos) != len(records):
-            raise SamplingError(
-                f"record {pos}: position must be its index, {len(records)}")
-        w = float(weight)
+        if position != i:
+            raise SamplingError(f"record {pos}: position must be its index, {i}")
         if not 0.0 < w < math.inf:
             raise SamplingError(
                 f"record {pos}: weight must be finite and positive, got {weight}")
-        neighbors = tuple(int(x) for x in nbrs.split(",")) if nbrs else ()
-        if int(deg) != len(neighbors):
+        if degree != len(neighbors):
             raise SamplingError(f"record {pos}: degree {deg} differs from its "
                                 f"{len(neighbors)} snapshot entries")
-        # Records of one node share its first snapshot, which must not change.
-        v = int(node)
-        snapshot = snapshots.setdefault(v, neighbors)
-        if snapshot != neighbors:
-            raise SamplingError(f"record {pos}: node {node} has a snapshot "
-                                "that differs from an earlier record's")
-        records.append(SampleRecord(len(records), v, len(snapshot), w,
-                                    snapshot, int(walker)))
-    s = Sample(tuple(records), meta["method"], int(meta["seed"]),
-               meta["weight_rule"], meta["graph_digest"],
-               rng_name=meta.get("rng", RNG_NAME))
-    if len(s) != int(meta["n"]):
+        if earlier is None:
+            snapshots[v] = (nbrs, neighbors)
+        elif earlier[1] is not neighbors:
+            if earlier[1] != neighbors:
+                raise SamplingError(f"record {pos}: node {node} has a snapshot "
+                                    "that differs from an earlier record's")
+            neighbors = earlier[1]
+        records.append(SampleRecord(i, v, degree, w, neighbors, k))
+    if not records:
+        raise SamplingError("sample file has no records")
+    if len(records) != count:
         raise SamplingError("record count does not match header")
-    return s
+    return Sample(tuple(records), meta["method"], seed, meta["weight_rule"],
+                  meta["graph_digest"], rng_name=meta.get("rng", RNG_NAME))
+
+
+def _header_int(meta: dict[str, str], key: str) -> int:
+    try:
+        return int(meta[key])
+    except ValueError:
+        raise SamplingError(f"sample header {key}={meta[key]} is not an "
+                            "integer") from None
+
+
+_RECORD_FIELDS = (("position", int), ("node", int), ("degree", int),
+                  ("weight", float), ("walker", int))
+
+
+def _record_error(i: int, fields: list[str]) -> SamplingError:
+    """The one-line error for a record whose fields do not parse."""
+    if len(fields) != 6:
+        return SamplingError(f"record {i}: expected 6 tab-separated fields, "
+                             f"got {len(fields)}")
+    for (name, parse), text in zip(_RECORD_FIELDS, fields):
+        try:
+            parse(text)
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            return SamplingError(f"record {i}: {name} {text!r} is not {kind}")
+    return SamplingError(f"record {i}: snapshot {fields[5]!r} is not a "
+                         "comma-separated list of integer ids")
 
 
 def reindexed(s: Sample, records: Sequence[SampleRecord],
               provenance: str) -> Sample:
     """Derive a new sample from a subset of records, positions renumbered."""
-    renum = tuple(replace(r, position=i) for i, r in enumerate(records))
+    renum = tuple(SampleRecord(i, r.node, r.degree, r.weight, r.neighbors,
+                               r.walker) for i, r in enumerate(records))
     return Sample(renum, s.method, s.seed, s.weight_rule, s.graph_digest,
                   rng_name=s.rng_name, provenance=provenance)

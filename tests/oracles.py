@@ -207,3 +207,47 @@ def relerr(a: float, b: float) -> float:
     if a == b:
         return 0.0
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+MARGIN_INDEX_ARRAYS = ("weights", "degrees", "node_ranks", "node_order",
+                       "node_keys", "node_counts", "snapshot_keys",
+                       "snapshot_counts", "snapshot_first", "snapshot_last")
+
+
+def margin_index_arrays(sample) -> dict[str, np.ndarray]:
+    """MarginIndex's arrays, with their dtypes, from one loop over every
+    snapshot entry of every position."""
+    records = sample.records
+    n = len(records)
+    rank = {}
+    for v in [r.node for r in records] + [u for r in records
+                                          for u in r.neighbors]:
+        rank.setdefault(v, len(rank))
+    size, stride = len(rank), n + 1
+    key_type = np.int32 if size * stride <= 2**31 - 1 else np.int64
+    node_ranks = np.array([rank[r.node] for r in records], dtype=key_type)
+    node_order = np.argsort(node_ranks, kind="stable")
+    counts = np.zeros(size, dtype=np.int64)
+    first = np.full(size, n, dtype=np.int64)
+    last = np.full(size, -1, dtype=np.int64)
+    keys = []
+    for p, r in enumerate(records):
+        for u in r.neighbors:
+            k = rank[u]
+            keys.append(k * stride + p)
+            counts[k] += 1
+            first[k] = min(first[k], p)
+            last[k] = max(last[k], p)
+    return {
+        "weights": np.array([r.weight for r in records], dtype=np.float64),
+        "degrees": np.array([r.degree for r in records], dtype=np.float64),
+        "node_ranks": node_ranks,
+        "node_order": node_order,
+        "node_keys": (node_ranks[node_order].astype(np.int64) * stride
+                      + node_order).astype(key_type),
+        "node_counts": np.bincount(node_ranks),
+        "snapshot_keys": np.array(sorted(keys), dtype=key_type),
+        "snapshot_counts": counts,
+        "snapshot_first": first,
+        "snapshot_last": last,
+    }

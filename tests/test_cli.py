@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -176,6 +177,11 @@ def _at_record_3(field, value):
     # Consecutive walk nodes differ, so their snapshots differ too.
     pytest.param(lambda f: f[:1] + ["0"] + f[2:], id="snapshot"),
     pytest.param(_at_record_3(0, lambda _: "4"), id="position"),
+    pytest.param(lambda f: f[:5] if f[0] == "3" else f, id="fields"),
+    *(pytest.param(_at_record_3(k, lambda _: "x1"), id=f"{name}-text")
+      for k, name in enumerate(("position", "node", "degree", "weight",
+                                "walker"))),
+    pytest.param(_at_record_3(5, lambda ids: ids + "x"), id="neighbor-text"),
 ])
 def test_estimate_rejects_invalid_weight(tmp_path, capsys, rewrite):
     sample = _rw_sample_file(tmp_path, capsys)
@@ -196,6 +202,55 @@ def test_estimate_rejects_header_without_count(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rewrite,named", [
+    pytest.param(lambda t: t.replace("\n", "\tloose\n", 1), "'loose'",
+                 id="header-field"),
+    pytest.param(lambda t: re.sub(r"\tseed=\d+", "\tseed=five", t),
+                 "seed=five", id="seed"),
+    pytest.param(lambda t: re.sub(r"\tn=\d+", "\tn=80.0", t), "n=80.0",
+                 id="count"),
+    pytest.param(lambda t: re.sub(r"\tn=\d+\n.*", "\tn=0\n", t,
+                                  flags=re.DOTALL), "no records",
+                 id="no-records"),
+])
+def test_estimate_rejects_malformed_sample_file(tmp_path, capsys, rewrite,
+                                                named):
+    sample = _rw_sample_file(tmp_path, capsys)
+    sample.write_text(rewrite(sample.read_text()))
+    for flags in (["--estimator", "node-wis", "--correction", "margin"],
+                  ["--estimator", "ind-b"]):
+        code, out, err = run(capsys, "estimate", "--sample", str(sample),
+                             *flags)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+
+
+@pytest.mark.parametrize("snapshot,accepted", [
+    pytest.param(lambda ids: "0" + ids, True, id="zero-padded"),
+    pytest.param(lambda ids: ",".join(ids.split(",")[::-1]), False,
+                 id="reordered"),
+])
+def test_estimate_reads_a_repeated_snapshot_by_value(tmp_path, capsys,
+                                                     snapshot, accepted):
+    sample = _rw_sample_file(tmp_path, capsys)
+    flags = ["--estimator", "ind-b", "--correction", "margin", "--margin", "3"]
+    before = run(capsys, "estimate", "--sample", str(sample), *flags)
+    records = [line.split("\t") for line in sample.read_text().splitlines()[1:]]
+    repeat = next(f[0] for p, f in enumerate(records) if int(f[2]) > 1
+                  and f[1] in {g[1] for g in records[:p]})
+    _rewrite(sample, record=lambda f: f[:5] + [snapshot(f[5])]
+             if f[0] == repeat else f)
+    code, out, err = run(capsys, "estimate", "--sample", str(sample), *flags)
+    if accepted:
+        assert (code, out, err) == before
+    else:
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: record {repeat}: node ")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("offset", [2**62, 2**70])

@@ -1,12 +1,14 @@
+import io
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
-                            EstimatorError, RatioEstimate)
-from graphsize.generators import erdos_renyi, ring_of_cliques
+                            EstimatorError, RatioEstimate, build_auxiliary)
+from graphsize.generators import barabasi_albert, erdos_renyi, ring_of_cliques
 from graphsize.graph import largest_connected_component
 from graphsize.node_estimators import node_wis, node_wis_ratio
 from graphsize.rw_correction import (BASE_IND_B, BASE_NODE_WIS, MarginConfig,
@@ -15,8 +17,9 @@ from graphsize.rw_correction import (BASE_IND_B, BASE_NODE_WIS, MarginConfig,
                                      margin_crosswalker, node_margin,
                                      node_margin_ratio, surviving_pair_count,
                                      thin_shifted, thin_simple)
-from graphsize.sampling import (Sample, SampleRecord, reindexed, sample_rw,
-                                sample_rw_multi)
+from graphsize.sampling import (MarginIndex, Sample, SampleRecord,
+                                read_sample, reindexed, sample_rw,
+                                sample_rw_multi, write_sample)
 
 import oracles
 from conftest import graph_from_text, make_sample
@@ -109,6 +112,41 @@ def test_estimate_thinned_ind_base():
     assert got.finite
     with pytest.raises(Exception):
         estimate_thinned(s, ThinningConfig(5), "bogus")
+
+
+# Pinned on a BA(300) 4x100 rw-multi sample: integer counts exact, ratios
+# bit-equal, so a cheaper auxiliary set or thinning changes nothing.
+PINNED_THINNED = {
+    (2, False, BASE_NODE_WIS, MODE_SET): 242.68366851161556,
+    (2, True, BASE_NODE_WIS, MODE_SET): 260.458543847978,
+    (5, False, BASE_NODE_WIS, MODE_SET): 415.23428912154156,
+    (5, True, BASE_NODE_WIS, MODE_SET): 309.65820501240876,
+    (2, False, BASE_IND_B, MODE_SET): 291.5203972465886,
+    (2, False, BASE_IND_B, MODE_MULTISET): 291.4152693745099,
+    (2, True, BASE_IND_B, MODE_SET): 291.0730042299309,
+    (2, True, BASE_IND_B, MODE_MULTISET): 308.6957053815552,
+    (5, False, BASE_IND_B, MODE_SET): 293.1321274769526,
+    (5, False, BASE_IND_B, MODE_MULTISET): 279.54572522588876,
+    (5, True, BASE_IND_B, MODE_SET): 284.47839539930993,
+    (5, True, BASE_IND_B, MODE_MULTISET): 300.6980140415456,
+}
+
+
+def test_auxiliary_and_thinned_estimates_are_pinned():
+    g = barabasi_albert(300, 3, seed=1)
+    s = sample_rw_multi(g, 4, 100, seeds=[11, 12, 13, 14])
+    a_set = build_auxiliary(s, MODE_SET)
+    a_multi = build_auxiliary(s, MODE_MULTISET)
+    assert (a_set.cardinality, len(a_set.counts), sum(a_set.counts)) \
+        == (297, 297, 44186)
+    assert set(a_set.counts.values()) == {1}
+    assert list(a_set.counts) == list(a_multi.counts)
+    assert (a_multi.cardinality, sum(a_multi.counts.values()),
+            sum(k * c for k, c in a_multi.counts.items())) \
+        == (4777, 4777, 505107)
+    for (theta, shifted, base, a_mode), value in PINNED_THINNED.items():
+        got = estimate_thinned(s, ThinningConfig(theta), base, shifted, a_mode)
+        assert got.value == value, (theta, shifted, base, a_mode)
 
 
 # -- margin filtering --------------------------------------------------------
@@ -304,6 +342,53 @@ def test_margin_kernels_match_oracles_for_any_m_order(s, data):
         for m in (0, 1):
             _assert_matches_oracle(d, m)
         _assert_crosswalker_matches_oracle(d)
+
+
+def _assert_index_matches(index, expected):
+    for name in oracles.MARGIN_INDEX_ARRAYS:
+        got = getattr(index, name)
+        assert got.dtype == expected[name].dtype, name
+        assert np.array_equal(got, expected[name]), name
+
+
+@given(walk_like_samples())
+def test_sample_file_round_trip_shares_snapshots(s):
+    text = io.StringIO()
+    write_sample(s, text)
+    back = read_sample(io.StringIO(text.getvalue()))
+    assert back == s
+    first = {}
+    for r in back.records:
+        assert first.setdefault(r.node, r.neighbors) is r.neighbors
+    again = io.StringIO()
+    write_sample(back, again)
+    assert again.getvalue() == text.getvalue()
+    # Equal but distinct snapshot tuples index exactly like shared ones.
+    copy = replace(s, records=tuple(replace(r, neighbors=tuple(list(
+        r.neighbors))) for r in s.records))
+    expected = oracles.margin_index_arrays(s)
+    for sample in (s, copy, back):
+        _assert_index_matches(sample.margin_index, expected)
+    # In memory, one node may carry unequal snapshots.
+    head = s.records[0]
+    cut = replace(s, records=(replace(head, neighbors=head.neighbors[1:]),)
+                  + s.records[1:])
+    _assert_index_matches(cut.margin_index, oracles.margin_index_arrays(cut))
+
+
+def test_margin_index_builds_snapshot_half_on_first_use():
+    s = sample_rw_multi(_walk_graph(), 3, 40, seeds=[1, 2, 3])
+    node_margin_ratio(s, 2)
+    margin_crosswalker(s, "node")
+    index = s.margin_index
+    assert "_snapshot_half" not in vars(index)
+    ind_margin_ratio(s, 2)
+    assert s.margin_index is index and "_snapshot_half" in vars(index)
+    eager = MarginIndex.build(s.records)
+    eager.snapshot_keys  # built before anything else is read
+    expected = oracles.margin_index_arrays(s)
+    for built in (index, eager):
+        _assert_index_matches(built, expected)
 
 
 def test_margin_index_is_read_only():
