@@ -23,10 +23,7 @@ from .node_estimators import (MleSolverConfig, capture_recapture,
 from .rw_correction import (MarginConfig, ThinningConfig, estimate_thinned,
                             ind_margin, margin_crosswalker, node_margin,
                             surviving_pair_count, thin_shifted, thin_simple)
-from .sampling import (Sample, SampleRecord, SamplingError, read_sample,
-                       sample_rw, sample_rw_multi, sample_uis, sample_wis,
-                       write_sample)
-from .star import (StarAggregates, star_aggregates, star_estimate,
-                   star_ncol_wis)
+from .sampling import (Sample, SamplingError, read_sample, sample_rw,
+                       sample_rw_multi, sample_uis, sample_wis, write_sample)
 
 __version__ = "0.1.0"

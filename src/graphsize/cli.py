@@ -1,19 +1,22 @@
 """Command-line interface.
 
 Subcommands: graphstat, gen, sample, estimate, experiment, plot.
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 2 configuration error, 3 data error.  Every
+configuration error is a PlanError, raised before any data is read; an
+estimator that rejects its sample raises EstimatorError, a data error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .core import A_MODES, MODE_SET, EstimatorError
-from .experiment import (CORRECTIONS, ESTIMATORS, METHODS, EstimatorSpec,
-                         PlanError, SamplerSpec, TrialSummary, check_spec,
-                         draw_sample, emit_csv, emit_svg_band,
+from .experiment import (CORRECTIONS, CSV_COLUMNS, ESTIMATORS, METHODS,
+                         EstimatorSpec, PlanError, SamplerSpec, TrialSummary,
+                         check_spec, draw_sample, emit_csv, emit_svg_band,
                          evaluate_with_ratio, parse_plan_file, resolve_graph,
                          run_experiment)
 from .graph import (GraphError, exact_stats, largest_connected_component,
@@ -29,10 +32,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (PlanError, EstimatorError) as exc:
+    except PlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GraphError, SamplingError, OSError, ValueError) as exc:
+    except (EstimatorError, GraphError, SamplingError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -135,9 +139,6 @@ def _cmd_estimate(args) -> int:
     est = EstimatorSpec(name=args.estimator, correction=args.correction,
                         a_mode=args.a_mode, theta=args.theta, m=args.margin)
     check_spec(None, est)
-    if args.estimator == "star":
-        print("notice: the star estimator is EXPERIMENTAL and typically "
-              "performs worse than node/ind estimators", file=sys.stderr)
     with open(args.sample, "r", encoding="utf-8") as fh:
         sample = read_sample(fh)
     check_spec(next(k for k, v in METHODS.items() if v == sample.method), est)
@@ -178,16 +179,31 @@ def _read_csv(path: str) -> list[TrialSummary]:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != "param,p10,p50,p90,infinite_fraction,trials":
+        if header != ",".join(CSV_COLUMNS):
             raise ValueError(f"{path}: not a graphsize experiment CSV")
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for line_no, line in enumerate(fh, start=2):
+            fields = line.strip().split(",")
+            if fields == [""]:
                 continue
-            param, p10, p50, p90, frac, trials = line.split(",")
-            opt = lambda x: float(x) if x else None
-            rows.append(TrialSummary(float(param), opt(p10), opt(p50),
-                                     opt(p90), float(frac), int(trials)))
+            if len(fields) != len(CSV_COLUMNS):
+                raise ValueError(f"{path} line {line_no}: expected "
+                                 f"{len(CSV_COLUMNS)} comma-separated "
+                                 f"fields, got {len(fields)}")
+            values = []
+            for name, text in zip(CSV_COLUMNS, fields):
+                # A percentile is empty when every trial was infinite.
+                if not text and name in ("p10", "p50", "p90"):
+                    values.append(None)
+                    continue
+                try:
+                    value = int(text) if name == "trials" else float(text)
+                    if not math.isfinite(value):
+                        raise ValueError
+                except ValueError:
+                    raise ValueError(f"{path} line {line_no}: {name} {text!r} "
+                                     "is not a finite number") from None
+                values.append(value)
+            rows.append(TrialSummary(*values))
     return rows
 
 

@@ -84,21 +84,20 @@ def multiplicity_collisions(counts: Counter) -> int:
 
 def count_unique(s: Sample) -> int:
     """Number of distinct nodes in the sample."""
-    return len(set(s.nodes()))
+    return len(s.snapshots)
 
 
 def count_induced_edges(s: Sample) -> int:
     """Number of sample pairs whose nodes form an edge.
 
     Repeated occurrences of a node count separately.  Adjacency is resolved
-    from the records' neighbor snapshots.
+    from the sampled nodes' neighbor snapshots.
     """
-    counts = Counter(s.nodes())
-    snapshot = {r.node: r.neighbors for r in s.records}
+    counts = Counter(s.node_at)
     ordered = 0
     for v, cv in counts.items():
         hits = 0
-        for u in snapshot[v]:
+        for u in s.snapshots[v]:
             hits += counts.get(u, 0)
         ordered += cv * hits
     # Each unordered edge pair was counted once from each side.
@@ -106,23 +105,21 @@ def count_induced_edges(s: Sample) -> int:
 
 
 def build_auxiliary(s: Sample, mode: str = MODE_SET) -> AuxiliarySet:
-    """Union of the records' neighbor snapshots, as a set or multiset."""
+    """Union of the positions' neighbor snapshots, as a set or multiset."""
     if mode not in A_MODES:
         raise EstimatorError(f"unknown auxiliary mode: {mode!r}")
     if mode == MODE_SET:
-        # Records of one node share one snapshot: take each object once.
-        snapshots = {id(r.neighbors): r.neighbors for r in s.records}
-        union = dict.fromkeys(chain.from_iterable(snapshots.values()), 1)
+        union = dict.fromkeys(chain.from_iterable(s.snapshots.values()), 1)
         return AuxiliarySet(union, mode, len(union))
     counts: Counter = Counter()
-    for r in s.records:
-        counts.update(r.neighbors)
+    for v in s.node_at:
+        counts.update(s.snapshots[v])
     return AuxiliarySet(dict(counts), mode, sum(counts.values()))
 
 
 def count_cross_collisions(s: Sample, a: AuxiliarySet) -> int:
     """Matches between sample entries and auxiliary elements (with multiplicity)."""
-    return sum(a.counts.get(r.node, 0) for r in s.records)
+    return sum(a.counts.get(v, 0) for v in s.node_at)
 
 
 def pairwise_inverse_weight_sum(weights: Sample | Sequence[float]) -> float:

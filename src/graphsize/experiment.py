@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
-from . import generators, star
+from . import generators
 from . import ind_estimators as ind, node_estimators as node, rw_correction as rw
 from .core import (A_MODES, MODE_SET, EstimateOutcome, EstimatorError,
                    RatioEstimate, count_unique)
@@ -75,7 +75,6 @@ ESTIMATORS = {
                        offset=1.0),
     "ind-b": Estimator(lambda s, est, seed: ind.indb_auto_ratio(s, est.a_mode),
                        walk_corrections=True),
-    "star": Estimator(lambda s, est, seed: star.star_estimate(s)),
 }
 
 
@@ -273,12 +272,16 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[max(rank - 1, 0)]
 
 
+# The experiment CSV's columns, in TrialSummary's field order.
+CSV_COLUMNS = ("param", "p10", "p50", "p90", "infinite_fraction", "trials")
+
+
 def emit_csv(summaries: Sequence[TrialSummary]) -> str:
     """CSV with one row per grid point; missing percentiles stay empty."""
     if not summaries:
         raise EstimatorError("no summaries to emit")
     fmt = lambda x: "" if x is None else f"{x:.12g}"
-    lines = ["param,p10,p50,p90,infinite_fraction,trials"]
+    lines = [",".join(CSV_COLUMNS)]
     for s in summaries:
         lines.append(f"{s.param_value:g},{fmt(s.p10)},{fmt(s.p50)},"
                      f"{fmt(s.p90)},{s.infinite_fraction:.12g},{s.trials}")
@@ -400,8 +403,10 @@ def parse_plan_file(text: str) -> ExperimentPlan:
         normalize=kv.get("normalize", "true").lower() in ("1", "true", "yes"))
 
 
-def _number(key: str, text: str, convert: Callable[[str], float] = int):
-    """A plan value as an int, or a finite float; PlanError names the key."""
+def _number(key: str, text: str, convert: Callable[[str], float] = int,
+            label: str = "plan key"):
+    """A plan or generator value as an int, or a finite float; PlanError
+    names the key."""
     try:
         value = convert(text)
         if convert is int or math.isfinite(value):
@@ -409,7 +414,7 @@ def _number(key: str, text: str, convert: Callable[[str], float] = int):
     except ValueError:
         pass
     kind = "an integer" if convert is int else "a finite number"
-    raise PlanError(f"plan key {key!r}: expected {kind}, got {text!r}")
+    raise PlanError(f"{label} {key!r}: expected {kind}, got {text!r}")
 
 
 def resolve_graph(spec: str) -> Graph:
@@ -426,21 +431,24 @@ def resolve_graph(spec: str) -> Graph:
         for part in args.split(","):
             k, _, v = part.partition("=")
             params[k.strip()] = v.strip()
+
+    def arg(key: str, convert: Callable[[str], float] = int,
+            default: str | None = None):
+        if key not in params and default is None:
+            raise PlanError(f"generator spec {spec!r} missing {key!r}")
+        return _number(key, params.get(key, default), convert, "generator key")
+
     try:
         if model == "er":
-            return generators.erdos_renyi(int(params["nodes"]),
-                                          float(params["p"]),
-                                          int(params.get("seed", "0")))
+            return generators.erdos_renyi(arg("nodes"), arg("p", float),
+                                          arg("seed", default="0"))
         if model == "ba":
-            return generators.barabasi_albert(int(params["nodes"]),
-                                              int(params["m"]),
-                                              int(params.get("seed", "0")))
+            return generators.barabasi_albert(arg("nodes"), arg("m"),
+                                              arg("seed", default="0"))
         if model == "ring":
-            return generators.ring_of_cliques(int(params["cliques"]),
-                                              int(params["size"]))
+            return generators.ring_of_cliques(arg("cliques"), arg("size"))
         if model == "grid":
-            return generators.grid_2d(int(params["rows"]),
-                                      int(params["cols"]))
-    except KeyError as exc:
-        raise PlanError(f"generator spec {spec!r} missing {exc}") from None
+            return generators.grid_2d(arg("rows"), arg("cols"))
+    except ValueError as exc:  # a value out of the generator's range
+        raise PlanError(f"generator spec {spec!r}: {exc}") from None
     raise PlanError(f"unknown generator model: {model!r}")

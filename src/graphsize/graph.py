@@ -256,7 +256,7 @@ def write_edge_list(g: Graph, sink: IO[str]) -> None:
 
 
 def largest_connected_component(g: Graph) -> Graph:
-    """Induced subgraph on the largest component, reindexed densely.
+    """Induced subgraph on the largest component, renumbered densely.
 
     External ids are retained.  Ties on component size break towards the
     component containing the smallest external id, for determinism.

@@ -65,13 +65,12 @@ def edge_pair_inverse_weight_sum(s: Sample) -> float:
 def _edge_pair_sum(s: Sample, inv: list[float]) -> float:
     """edge_pair_inverse_weight_sum from the sample's checked inverse weights."""
     inv_by_node: dict[int, float] = {}
-    for r, iw in zip(s.records, inv):
-        inv_by_node[r.node] = inv_by_node.get(r.node, 0.0) + iw
-    snapshot = {r.node: r.neighbors for r in s.records}
+    for v, iw in zip(s.node_at, inv):
+        inv_by_node[v] = inv_by_node.get(v, 0.0) + iw
     total = 0.0
     for v, iv in inv_by_node.items():
         acc = 0.0
-        for u in snapshot[v]:
+        for u in s.snapshots[v]:
             acc += inv_by_node.get(u, 0.0)
         total += iv * acc
     return 0.5 * total
@@ -116,8 +115,8 @@ def indb_wis_ratio(s: Sample, a: AuxiliarySet) -> RatioEstimate:
         raise EstimatorError("need a non-empty sample and auxiliary set")
     inv = _inverse_weights(s.weights())
     num = a.cardinality * math.fsum(inv)
-    den = math.fsum(iw * a.counts.get(r.node, 0)
-                    for iw, r in zip(inv, s.records))
+    den = math.fsum(iw * a.counts.get(v, 0)
+                    for iw, v in zip(inv, s.node_at))
     return RatioEstimate(num, den)
 
 

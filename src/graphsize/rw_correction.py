@@ -30,7 +30,7 @@ from .core import (A_MODES, MODE_MULTISET, MODE_SET, NO_COLLISIONS,
                    aggregate_ratios)
 from .ind_estimators import indb_auto_ratio
 from .node_estimators import node_wis_ratio
-from .sampling import MarginIndex, Sample, reindexed
+from .sampling import MarginIndex, Sample
 
 BASE_NODE_WIS = "node-wis"
 BASE_IND_B = "ind-b"
@@ -55,15 +55,13 @@ class MarginConfig:
 
 
 def thin_simple(s: Sample, cfg: ThinningConfig) -> Sample:
-    """Keep every theta-th record, starting from the first."""
-    return reindexed(s, s.records[::cfg.theta], f"thin:theta={cfg.theta}")
+    """Keep every theta-th position, starting from the first."""
+    return s.subset(range(0, len(s), cfg.theta))
 
 
 def thin_shifted(s: Sample, cfg: ThinningConfig) -> list[Sample]:
     """All theta shifted subsamples; their concatenation permutes the input."""
-    return [reindexed(s, s.records[k::cfg.theta],
-                      f"thin-shifted:theta={cfg.theta},k={k}")
-            for k in range(cfg.theta)]
+    return [s.subset(range(k, len(s), cfg.theta)) for k in range(cfg.theta)]
 
 
 def _base_ratio(s: Sample, base: str, a_mode: str = MODE_SET) -> RatioEstimate:
@@ -209,7 +207,7 @@ def margin_crosswalker(s: Sample, base: str,
     if (walkers[1:] < walkers[:-1]).any():
         # The sums depend on the walker labels only, not on record order.
         order = np.argsort(walkers, kind="stable")
-        s = reindexed(s, [s.records[k] for k in order], s.provenance)
+        s = s.subset(order)
         walkers = walkers[order]
     lo = np.searchsorted(walkers, walkers, "left")
     hi = np.searchsorted(walkers, walkers, "right")

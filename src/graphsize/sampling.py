@@ -2,18 +2,18 @@
 
 Every sampler is a pure function of (graph, parameters, seed) using numpy's
 PCG64 generator, named in the sample metadata so files are reproducible
-across platforms.  Each record snapshots the sampled node's neighbor list,
+across platforms.  Each sampled node keeps a snapshot of its neighbor list,
 so estimation downstream never needs the full graph.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter
-from typing import IO, Callable, Sequence
+from types import MappingProxyType
+from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,54 +35,72 @@ class SamplingError(Exception):
     """Invalid sampler input (e.g. disconnected graph for a random walk)."""
 
 
-@dataclass(frozen=True, slots=True)
-class SampleRecord:
-    """One sampled node with its local view of the graph."""
-
-    position: int
-    node: int
-    degree: int
-    weight: float
-    neighbors: tuple[int, ...]
-    walker: int = 0
-
-
 @dataclass(frozen=True)
 class Sample:
-    """An ordered node sample with provenance metadata."""
+    """An ordered node sample and where it came from.
 
-    records: tuple[SampleRecord, ...]
+    Position i holds the node ``node_at[i]``, its sampling weight
+    ``weight_at[i]`` and its walker ``walker_at[i]``, all Python numbers, so
+    ids may be arbitrarily large.  A walk revisits nodes, so neighbor
+    snapshots are kept once per distinct node: ``snapshots`` maps each
+    sampled node, in order of first appearance, to its snapshot tuple, and a
+    position's degree is the length of its node's snapshot.  Any mapping
+    that covers the sampled nodes may be passed; the sample keeps a
+    read-only mapping of just those.
+    """
+
+    node_at: tuple[int, ...]
+    weight_at: tuple[float, ...]
+    walker_at: tuple[int, ...]
+    snapshots: Mapping[int, tuple[int, ...]]
     method: str
     seed: int
     weight_rule: str
     graph_digest: str
     rng_name: str = RNG_NAME
-    provenance: str = ""
+
+    def __post_init__(self):
+        n = len(self.node_at)
+        if len(self.weight_at) != n or len(self.walker_at) != n:
+            raise SamplingError("sample columns differ in length")
+        try:
+            snapshots = {v: self.snapshots[v]
+                         for v in dict.fromkeys(self.node_at)}
+        except KeyError as exc:
+            raise SamplingError(f"sampled node {exc} has no snapshot") from None
+        object.__setattr__(self, "snapshots", MappingProxyType(snapshots))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.node_at)
 
     def nodes(self) -> list[int]:
-        return [r.node for r in self.records]
+        return list(self.node_at)
 
     def weights(self) -> list[float]:
-        return [r.weight for r in self.records]
+        return list(self.weight_at)
 
     def degrees(self) -> list[int]:
-        return [r.degree for r in self.records]
+        return [len(self.snapshots[v]) for v in self.node_at]
 
     def walkers(self) -> list[int]:
-        return [r.walker for r in self.records]
+        return list(self.walker_at)
+
+    def subset(self, positions: Sequence[int]) -> Sample:
+        """The sample of the given positions, in that order."""
+        pick = lambda column: tuple(map(column.__getitem__, positions))
+        return replace(self, node_at=pick(self.node_at),
+                       weight_at=pick(self.weight_at),
+                       walker_at=pick(self.walker_at))
 
     @cached_property
     def margin_index(self) -> MarginIndex:
         """Columns and occurrence index shared by the margin kernels.
 
         Built on first use and kept for the life of the sample; a sample
-        derived with ``dataclasses.replace`` or :func:`reindexed` builds its
+        derived with ``dataclasses.replace`` or :meth:`subset` builds its
         own.
         """
-        return MarginIndex.build(self.records)
+        return MarginIndex.build(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,9 +114,9 @@ class MarginIndex:
     two binary searches.  Ids enter no arithmetic, so they may be arbitrarily
     large.
 
-    A walk revisits nodes, and the records of one node share one snapshot
-    object, so building ranks the ids of each distinct snapshot object once
-    and sorts the n node occurrences.  The snapshot half (``snapshot_keys``,
+    The sampled nodes' ranks are their order in ``Sample.snapshots``, so
+    building ranks the ids of each distinct node's snapshot once and sorts
+    the n node occurrences.  The snapshot half (``snapshot_keys``,
     ``snapshot_counts``, ``snapshot_first``, ``snapshot_last``) expands the
     ranked entries to positions with numpy and sorts them; it is built on
     first use, so node-only queries never pay for it.
@@ -115,9 +133,8 @@ class MarginIndex:
     node_keys: np.ndarray        # their keys, sorted
     node_counts: np.ndarray      # positions per rank, for sampled ranks
     _rank_count: int             # distinct ids, sampled or named
-    _snapshot_of: np.ndarray     # per position, its distinct snapshot object
-    _entry_ranks: np.ndarray     # ranks named by the distinct snapshots
-    _entry_bounds: np.ndarray    # snapshot k's: [bounds[k], bounds[k + 1])
+    _entry_ranks: np.ndarray     # ranks named by the snapshots, in rank order
+    _entry_bounds: np.ndarray    # rank r's: [bounds[r], bounds[r + 1])
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -125,40 +142,27 @@ class MarginIndex:
                 value.flags.writeable = False
 
     @classmethod
-    def build(cls, records: Sequence[SampleRecord]) -> MarginIndex:
-        n = len(records)
-        nodes = list(map(attrgetter("node"), records))
-        snapshots = list(map(attrgetter("neighbors"), records))
-        # Each distinct snapshot object once, in order of first appearance.
-        # Grouped by object, not by node: a sample built in memory may give
-        # one node unequal snapshots.
-        distinct = dict(zip(map(id, snapshots), snapshots))
-        unique = list(distinct.values())
-        for k, key in enumerate(distinct):
-            distinct[key] = k
-        rank = dict.fromkeys(chain(nodes, chain.from_iterable(unique)))
+    def build(cls, s: Sample) -> MarginIndex:
+        n, snapshots = len(s), s.snapshots.values()
+        rank = dict.fromkeys(chain(s.snapshots, chain.from_iterable(snapshots)))
         for r, v in enumerate(rank):
             rank[v] = r
         size, stride = len(rank), n + 1
         # Keys take 32 bits when they fit: the index is the largest array a
         # margin estimate allocates.
         key_type = np.int32 if size * stride <= 2**31 - 1 else np.int64
-        lengths = np.fromiter(map(len, unique), np.int64, len(unique))
-        node_ranks = np.fromiter(map(rank.__getitem__, nodes), key_type, n)
+        lengths = np.fromiter(map(len, snapshots), np.int64, len(snapshots))
+        node_ranks = np.fromiter(map(rank.__getitem__, s.node_at), key_type, n)
         node_order = np.argsort(node_ranks, kind="stable")
         return cls(
-            weights=np.fromiter(map(attrgetter("weight"), records),
-                                np.float64, n),
-            degrees=np.fromiter(map(attrgetter("degree"), records),
-                                np.float64, n),
+            weights=np.array(s.weight_at, dtype=np.float64),
+            degrees=lengths[node_ranks].astype(np.float64),
             node_ranks=node_ranks, node_order=node_order,
             node_keys=(node_ranks[node_order] * stride
                        + node_order).astype(key_type),
             node_counts=np.bincount(node_ranks), _rank_count=size,
-            _snapshot_of=np.fromiter(map(distinct.__getitem__,
-                                         map(id, snapshots)), np.int64, n),
             _entry_ranks=np.fromiter(
-                map(rank.__getitem__, chain.from_iterable(unique)),
+                map(rank.__getitem__, chain.from_iterable(snapshots)),
                 key_type, int(lengths.sum())),
             _entry_bounds=np.concatenate(([0], np.cumsum(lengths))))
 
@@ -167,8 +171,8 @@ class MarginIndex:
         n, size = len(self.weights), self._rank_count
         stride = n + 1
         offsets = self._entry_bounds
-        starts = offsets[self._snapshot_of]
-        lengths = offsets[1:][self._snapshot_of] - starts
+        starts = offsets[self.node_ranks]
+        lengths = offsets[1:][self.node_ranks] - starts
         total = int(lengths.sum())
         # Position p's entries are entry ranks starts[p] + 0, 1, ...; the
         # gather indices take 32 bits when they fit, like the keys.
@@ -240,10 +244,12 @@ class MarginIndex:
         return near
 
 
-def _record(g: Graph, position: int, node: int, weight: float,
-            walker: int = 0) -> SampleRecord:
-    nbrs = g.neighbors(node)
-    return SampleRecord(position, node, len(nbrs), weight, nbrs, walker)
+def _drawn(g: Graph, nodes: list[int], weights: list[float],
+           walkers: list[int], method: str, seed: int, rule: str) -> Sample:
+    """A sample of dense node indices, each with the graph's snapshot."""
+    return Sample(tuple(nodes), tuple(weights), tuple(walkers),
+                  {v: g.neighbors(v) for v in nodes}, method, seed, rule,
+                  g.digest)
 
 
 def sample_uis(g: Graph, n: int, seed: int) -> Sample:
@@ -251,9 +257,8 @@ def sample_uis(g: Graph, n: int, seed: int) -> Sample:
     if n < 1:
         raise SamplingError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    nodes = rng.integers(0, g.node_count, size=n)
-    records = tuple(_record(g, i, int(v), 1.0) for i, v in enumerate(nodes))
-    return Sample(records, METHOD_UIS, seed, "unit", g.digest)
+    nodes = rng.integers(0, g.node_count, size=n).tolist()
+    return _drawn(g, nodes, [1.0] * n, [0] * n, METHOD_UIS, seed, "unit")
 
 
 def sample_wis(g: Graph, weight_rule: Callable[[int], float] | str,
@@ -272,9 +277,8 @@ def sample_wis(g: Graph, weight_rule: Callable[[int], float] | str,
     cumulative = np.cumsum(weights)
     draws = rng.random(n) * cumulative[-1]
     nodes = np.searchsorted(cumulative, draws, side="right")
-    records = tuple(_record(g, i, int(v), float(weights[v]))
-                    for i, v in enumerate(nodes))
-    return Sample(records, METHOD_WIS, seed, rule_name, g.digest)
+    return _drawn(g, nodes.tolist(), weights[nodes].tolist(), [0] * n,
+                  METHOD_WIS, seed, rule_name)
 
 
 def _resolve_weights(g: Graph, rule) -> tuple[str, np.ndarray]:
@@ -291,18 +295,16 @@ def _resolve_weights(g: Graph, rule) -> tuple[str, np.ndarray]:
 
 def sample_rw(g: Graph, n: int, seed: int,
               start: int | None = None) -> Sample:
-    """A simple random walk of n steps; record weight is the node degree.
+    """A simple random walk of n steps; the weight of a step is its degree.
 
     The start node defaults to a uniform draw from the same seed stream.
     There is no burn-in: dependence between consecutive samples is handled
     by the correction layer, not the sampler.
     """
-    records = _walk_records(g, n, seed, start, walker=0, offset=0)
-    return Sample(tuple(records), METHOD_RW, seed, "degree", g.digest)
+    return _walk_sample(g, [_walk(g, n, seed, start)], METHOD_RW, seed)
 
 
-def _walk_records(g: Graph, n: int, seed: int, start: int | None,
-                  walker: int, offset: int) -> list[SampleRecord]:
+def _walk(g: Graph, n: int, seed: int, start: int | None) -> list[int]:
     if n < 1:
         raise SamplingError("n must be >= 1")
     if not g.is_connected:
@@ -315,14 +317,21 @@ def _walk_records(g: Graph, n: int, seed: int, start: int | None,
     else:
         current = start
     uniforms = rng.random(n - 1)
-    records = []
-    for i in range(n):
+    nodes = [current]
+    for u in uniforms.tolist():
         nbrs = g.neighbors(current)
-        records.append(SampleRecord(offset + i, current, len(nbrs),
-                                    float(len(nbrs)), nbrs, walker))
-        if i < n - 1:
-            current = nbrs[int(uniforms[i] * len(nbrs))]
-    return records
+        current = nbrs[int(u * len(nbrs))]
+        nodes.append(current)
+    return nodes
+
+
+def _walk_sample(g: Graph, walks: list[list[int]], method: str,
+                 seed: int) -> Sample:
+    """Walks concatenated in order, tagged by walker id, degree-weighted."""
+    nodes = list(chain.from_iterable(walks))
+    return _drawn(g, nodes, [float(g.degree(v)) for v in nodes],
+                  [k for k, walk in enumerate(walks) for _ in walk],
+                  method, seed, "degree")
 
 
 def sample_rw_multi(g: Graph, walkers: int, per_walk: int,
@@ -332,20 +341,18 @@ def sample_rw_multi(g: Graph, walkers: int, per_walk: int,
         raise SamplingError("walkers must be >= 1")
     if len(seeds) != walkers:
         raise SamplingError("need exactly one seed per walker")
-    records: list[SampleRecord] = []
-    for k in range(walkers):
-        records.extend(_walk_records(g, per_walk, seeds[k], None,
-                                     walker=k, offset=len(records)))
-    return Sample(tuple(records), METHOD_RW_MULTI, seeds[0], "degree",
-                  g.digest, provenance=f"walkers={walkers}")
+    return _walk_sample(g, [_walk(g, per_walk, seeds[k], None)
+                            for k in range(walkers)], METHOD_RW_MULTI,
+                        seeds[0])
 
 
 # -- sample file format ----------------------------------------------------
 #
-# One metadata header line, then one record per line:
+# One metadata header line, then one record per position:
 #   position \t external-node-id \t degree \t weight \t walker \t n1,n2,...
 # Node ids in record lines are external ids when a graph is supplied for
-# writing, otherwise the record's own node keys.
+# writing, otherwise the sample's own node keys.  A node's records repeat
+# its one snapshot.
 
 _HEADER_PREFIX = "graphsize-sample v1"
 _HEADER_KEYS = ("method", "seed", "weight_rule", "graph_digest", "n")
@@ -357,23 +364,20 @@ def write_sample(s: Sample, sink: IO[str], g: Graph | None = None) -> None:
                f"\tweight_rule={s.weight_rule}\tgraph_digest={s.graph_digest}"
                f"\trng={s.rng_name}\tn={len(s)}\n")
     to_ext = g.ext_ids.__getitem__ if g is not None else (lambda v: v)
-    # A revisited node's id and snapshot are formatted once.
-    formatted: dict[tuple[int, int], tuple[str, str]] = {}
-    for r in s.records:
-        key = (r.node, id(r.neighbors))
-        text = formatted.get(key)
-        if text is None:
-            text = formatted[key] = (str(to_ext(r.node)), ",".join(
-                map(str, map(to_ext, r.neighbors))))
-        sink.write(f"{r.position}\t{text[0]}\t{r.degree}\t{r.weight!r}"
-                   f"\t{r.walker}\t{text[1]}\n")
+    # Each distinct node's id, degree and snapshot are formatted once.
+    formatted = {v: (f"{to_ext(v)}\t{len(nbrs)}",
+                     ",".join(map(str, map(to_ext, nbrs))))
+                 for v, nbrs in s.snapshots.items()}
+    for i, (v, w, k) in enumerate(zip(s.node_at, s.weight_at, s.walker_at)):
+        node, snapshot = formatted[v]
+        sink.write(f"{i}\t{node}\t{w!r}\t{k}\t{snapshot}\n")
 
 
 def read_sample(source: IO[str]) -> Sample:
     """Read a sample file; node keys are the external ids as written.
 
-    The records of one node share one snapshot tuple, parsed once: a
-    repeated node's snapshot must equal its first record's.
+    A node's snapshot is parsed once: a repeated node's snapshot must equal
+    its first record's.
     """
     header = source.readline().rstrip("\n")
     fields = header.split("\t")
@@ -390,26 +394,24 @@ def read_sample(source: IO[str]) -> Sample:
     if meta["method"] not in METHODS.values():
         raise SamplingError(f"unknown sampling method {meta['method']!r}")
     seed, count = _header_int(meta, "seed"), _header_int(meta, "n")
-    records = []
-    # Node -> its first record's snapshot text and parsed tuple.
-    snapshots: dict[int, tuple[str, tuple[int, ...]]] = {}
+    rows: list[tuple[int, float, int]] = []  # node, weight, walker
+    snapshots: dict[int, tuple[int, ...]] = {}
+    texts: dict[int, str] = {}  # each node's snapshot as first written
     for line in source:
         line = line.rstrip("\n")
         if not line:
             continue
         fields = line.split("\t")
-        i = len(records)
+        i = len(rows)
         try:
             pos, node, deg, weight, walker, nbrs = fields
             position, v, degree, w = int(pos), int(node), int(deg), float(weight)
             k = int(walker)
-            earlier = snapshots.get(v)
-            if earlier is not None and earlier[0] == nbrs:
-                neighbors = earlier[1]
-            else:
-                neighbors = tuple(map(int, nbrs.split(","))) if nbrs else ()
+            text = texts.get(v)
+            neighbors = (snapshots[v] if text == nbrs else
+                         tuple(map(int, nbrs.split(","))) if nbrs else ())
         except ValueError:
-            raise _record_error(i, fields) from None
+            raise _line_error(i, fields) from None
         # Margin and cross-walker filtering read file order as walk order.
         if position != i:
             raise SamplingError(f"record {pos}: position must be its index, {i}")
@@ -419,20 +421,19 @@ def read_sample(source: IO[str]) -> Sample:
         if degree != len(neighbors):
             raise SamplingError(f"record {pos}: degree {deg} differs from its "
                                 f"{len(neighbors)} snapshot entries")
-        if earlier is None:
-            snapshots[v] = (nbrs, neighbors)
-        elif earlier[1] is not neighbors:
-            if earlier[1] != neighbors:
-                raise SamplingError(f"record {pos}: node {node} has a snapshot "
-                                    "that differs from an earlier record's")
-            neighbors = earlier[1]
-        records.append(SampleRecord(i, v, degree, w, neighbors, k))
-    if not records:
+        if text is None:
+            texts[v], snapshots[v] = nbrs, neighbors
+        elif text != nbrs and neighbors != snapshots[v]:
+            raise SamplingError(f"record {pos}: node {node} has a snapshot "
+                                "that differs from an earlier record's")
+        rows.append((v, w, k))
+    if not rows:
         raise SamplingError("sample file has no records")
-    if len(records) != count:
+    if len(rows) != count:
         raise SamplingError("record count does not match header")
-    return Sample(tuple(records), meta["method"], seed, meta["weight_rule"],
-                  meta["graph_digest"], rng_name=meta.get("rng", RNG_NAME))
+    return Sample(*zip(*rows), snapshots, meta["method"], seed,
+                  meta["weight_rule"], meta["graph_digest"],
+                  rng_name=meta.get("rng", RNG_NAME))
 
 
 def _header_int(meta: dict[str, str], key: str) -> int:
@@ -443,16 +444,16 @@ def _header_int(meta: dict[str, str], key: str) -> int:
                             "integer") from None
 
 
-_RECORD_FIELDS = (("position", int), ("node", int), ("degree", int),
+_LINE_FIELDS = (("position", int), ("node", int), ("degree", int),
                   ("weight", float), ("walker", int))
 
 
-def _record_error(i: int, fields: list[str]) -> SamplingError:
+def _line_error(i: int, fields: list[str]) -> SamplingError:
     """The one-line error for a record whose fields do not parse."""
     if len(fields) != 6:
         return SamplingError(f"record {i}: expected 6 tab-separated fields, "
                              f"got {len(fields)}")
-    for (name, parse), text in zip(_RECORD_FIELDS, fields):
+    for (name, parse), text in zip(_LINE_FIELDS, fields):
         try:
             parse(text)
         except ValueError:
@@ -460,12 +461,3 @@ def _record_error(i: int, fields: list[str]) -> SamplingError:
             return SamplingError(f"record {i}: {name} {text!r} is not {kind}")
     return SamplingError(f"record {i}: snapshot {fields[5]!r} is not a "
                          "comma-separated list of integer ids")
-
-
-def reindexed(s: Sample, records: Sequence[SampleRecord],
-              provenance: str) -> Sample:
-    """Derive a new sample from a subset of records, positions renumbered."""
-    renum = tuple(SampleRecord(i, r.node, r.degree, r.weight, r.neighbors,
-                               r.walker) for i, r in enumerate(records))
-    return Sample(renum, s.method, s.seed, s.weight_rule, s.graph_digest,
-                  rng_name=s.rng_name, provenance=provenance)

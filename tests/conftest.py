@@ -3,7 +3,7 @@ import io
 import pytest
 
 from graphsize.graph import Graph, load_edge_list
-from graphsize.sampling import Sample, SampleRecord
+from graphsize.sampling import Sample
 
 
 def graph_from_text(text: str) -> Graph:
@@ -13,15 +13,13 @@ def graph_from_text(text: str) -> Graph:
 def make_sample(g: Graph, ext_nodes, weights=None, method="WIS",
                 walkers=None, weight_rule="custom") -> Sample:
     """Hand-built sample over a real graph, nodes given by external id."""
-    records = []
-    for i, ext in enumerate(ext_nodes):
-        v = g.dense_index(ext)
-        nbrs = g.neighbors(v)
-        w = 1.0 if weights is None else float(weights[i])
-        walker = 0 if walkers is None else walkers[i]
-        records.append(SampleRecord(i, v, len(nbrs), w, nbrs, walker))
-    return Sample(tuple(records), method, seed=0, weight_rule=weight_rule,
-                  graph_digest=g.digest)
+    nodes = [g.dense_index(ext) for ext in ext_nodes]
+    n = len(nodes)
+    return Sample(tuple(nodes),
+                  (1.0,) * n if weights is None else tuple(map(float, weights)),
+                  (0,) * n if walkers is None else tuple(walkers),
+                  {v: g.neighbors(v) for v in nodes}, method, seed=0,
+                  weight_rule=weight_rule, graph_digest=g.digest)
 
 
 @pytest.fixture

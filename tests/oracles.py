@@ -11,6 +11,11 @@ import math
 import numpy as np
 
 
+def _snapshot(sample, p: int) -> tuple:
+    """The neighbor snapshot of the node at position p."""
+    return sample.snapshots[sample.node_at[p]]
+
+
 def _arrays(sample):
     nodes = np.asarray(sample.nodes())
     weights = np.asarray(sample.weights(), dtype=float)
@@ -23,9 +28,9 @@ def neighbor_membership(sample) -> np.ndarray:
     nodes, _, _ = _arrays(sample)
     n = len(nodes)
     m = np.zeros((n, n), dtype=bool)
-    for j, r in enumerate(sample.records):
-        if r.neighbors:
-            m[:, j] = np.isin(nodes, np.asarray(r.neighbors))
+    for j in range(n):
+        if _snapshot(sample, j):
+            m[:, j] = np.isin(nodes, np.asarray(_snapshot(sample, j)))
     return m
 
 
@@ -97,11 +102,11 @@ def ind_margin_set_parts(sample, m: int) -> tuple[float, float]:
     inv = 1.0 / w
     idx = np.arange(n)
     far = np.abs(idx[:, None] - idx[None, :]) > m
-    a_nodes = sorted({a for r in sample.records for a in r.neighbors})
+    a_nodes = sorted({a for p in range(n) for a in _snapshot(sample, p)})
     carried = np.zeros((len(a_nodes), n), dtype=bool)
     row = {a: k for k, a in enumerate(a_nodes)}
-    for p, r in enumerate(sample.records):
-        for a in r.neighbors:
+    for p in range(n):
+        for a in _snapshot(sample, p):
             carried[row[a], p] = True
     # visible[j]: distinct auxiliary nodes carried by some position > m away.
     visible = (carried[None, :, :] & far[:, None, :]).any(axis=2).sum(axis=1)
@@ -141,11 +146,11 @@ def crosswalker_ind_set_parts(sample) -> tuple[float, float]:
     inv = 1.0 / w
     walkers = np.asarray(sample.walkers())
     cross = walkers[:, None] != walkers[None, :]
-    a_nodes = sorted({a for r in sample.records for a in r.neighbors})
+    a_nodes = sorted({a for p in range(n) for a in _snapshot(sample, p)})
     carried = np.zeros((len(a_nodes), n), dtype=bool)
     row = {a: k for k, a in enumerate(a_nodes)}
-    for p, r in enumerate(sample.records):
-        for a in r.neighbors:
+    for p in range(n):
+        for a in _snapshot(sample, p):
             carried[row[a], p] = True
     visible = (carried[None, :, :] & cross[:, None, :]).any(axis=2).sum(axis=1)
     num = float((inv * visible).sum())
@@ -154,53 +159,6 @@ def crosswalker_ind_set_parts(sample) -> tuple[float, float]:
         if v in row and (carried[row[v]] & cross[i]).any():
             den += inv[i]
     return num, den
-
-
-def star_flat(sample) -> tuple[list[int], list[float]]:
-    nodes, weights = [], []
-    for r in sample.records:
-        for a in r.neighbors:
-            nodes.append(a)
-            weights.append(r.weight)
-    return nodes, weights
-
-
-def star_ncol_wis(nodes, weights) -> float:
-    v = np.asarray(nodes)
-    inv = 1.0 / np.asarray(weights, dtype=float)
-    size = len(v)
-    if size < 2:
-        return 0.0
-    prod = inv[:, None] * inv[None, :]
-    off = ~np.eye(size, dtype=bool)
-    eq = v[:, None] == v[None, :]
-    allp = float(prod[off].sum())
-    if allp <= 0.0:
-        return 0.0
-    equal = float(prod[eq & off].sum())
-    return (size * (size - 1) / 2) * equal / allp
-
-
-def star_uis_aggregates(sample):
-    deg = np.asarray(sample.degrees(), dtype=float)
-    size = float(deg.sum())
-    psi1 = size * float((deg * deg).sum()) / float(deg.sum())
-    psi_neg1 = size * len(sample) / float(deg.sum())
-    flat, _ = star_flat(sample)
-    v = np.asarray(flat)
-    eq = v[:, None] == v[None, :]
-    ncol = float(np.triu(eq, k=1).sum())
-    return size, psi1, psi_neg1, ncol
-
-
-def star_wis_aggregates(sample):
-    deg = np.asarray(sample.degrees(), dtype=float)
-    inv = 1.0 / np.asarray(sample.weights(), dtype=float)
-    size = float(deg.sum())
-    psi1 = size * float((deg * deg * inv).sum()) / float((deg * inv).sum())
-    psi_neg1 = size * float(inv.sum()) / float((deg * inv).sum())
-    flat, fw = star_flat(sample)
-    return size, psi1, psi_neg1, star_ncol_wis(flat, fw)
 
 
 def relerr(a: float, b: float) -> float:
@@ -217,30 +175,30 @@ MARGIN_INDEX_ARRAYS = ("weights", "degrees", "node_ranks", "node_order",
 def margin_index_arrays(sample) -> dict[str, np.ndarray]:
     """MarginIndex's arrays, with their dtypes, from one loop over every
     snapshot entry of every position."""
-    records = sample.records
-    n = len(records)
+    nodes = sample.node_at
+    n = len(nodes)
     rank = {}
-    for v in [r.node for r in records] + [u for r in records
-                                          for u in r.neighbors]:
+    for v in list(nodes) + [u for p in range(n) for u in _snapshot(sample, p)]:
         rank.setdefault(v, len(rank))
     size, stride = len(rank), n + 1
     key_type = np.int32 if size * stride <= 2**31 - 1 else np.int64
-    node_ranks = np.array([rank[r.node] for r in records], dtype=key_type)
+    node_ranks = np.array([rank[v] for v in nodes], dtype=key_type)
     node_order = np.argsort(node_ranks, kind="stable")
     counts = np.zeros(size, dtype=np.int64)
     first = np.full(size, n, dtype=np.int64)
     last = np.full(size, -1, dtype=np.int64)
     keys = []
-    for p, r in enumerate(records):
-        for u in r.neighbors:
+    for p in range(n):
+        for u in _snapshot(sample, p):
             k = rank[u]
             keys.append(k * stride + p)
             counts[k] += 1
             first[k] = min(first[k], p)
             last[k] = max(last[k], p)
     return {
-        "weights": np.array([r.weight for r in records], dtype=np.float64),
-        "degrees": np.array([r.degree for r in records], dtype=np.float64),
+        "weights": np.array(sample.weight_at, dtype=np.float64),
+        "degrees": np.array([len(_snapshot(sample, p)) for p in range(n)],
+                            dtype=np.float64),
         "node_ranks": node_ranks,
         "node_order": node_order,
         "node_keys": (node_ranks[node_order].astype(np.int64) * stride

@@ -29,9 +29,8 @@ from graphsize.rw_correction import (MarginConfig, ThinningConfig,
                                      ind_margin_ratio, margin_crosswalker,
                                      node_margin, node_margin_ratio,
                                      surviving_pair_count)
-from graphsize.sampling import (Sample, SampleRecord, sample_rw,
-                                sample_rw_multi, sample_uis, sample_wis)
-from graphsize.star import star_aggregates_uis, star_aggregates_wis
+from graphsize.sampling import (Sample, sample_rw, sample_rw_multi,
+                                sample_uis, sample_wis)
 from graphsize.experiment import percentile
 
 import oracles
@@ -54,8 +53,7 @@ def _band(values):
 
 
 def _scale_weights(s: Sample, c: float) -> Sample:
-    return Sample(tuple(replace(r, weight=r.weight * c) for r in s.records),
-                  s.method, s.seed, s.weight_rule, s.graph_digest)
+    return replace(s, weight_at=tuple(w * c for w in s.weight_at))
 
 
 def test_criterion_01_size_identity_suite(k5, star4, path3):
@@ -148,14 +146,6 @@ def test_criterion_02_oracle_equivalence():
             num, den = oracles.crosswalker_ind_multiset_parts(s)
             if den:
                 close(got.value, num / den)
-        agg = star_aggregates_uis(s) if kind == 0 else star_aggregates_wis(s)
-        ref = (oracles.star_uis_aggregates(s) if kind == 0
-               else oracles.star_wis_aggregates(s))
-        close(agg.neighbor_count, ref[0])
-        close(agg.psi1, ref[1])
-        close(agg.psi_neg1, ref[2])
-        if ref[3]:
-            close(agg.ncol_star, ref[3])
         checked += 1
 
     elapsed = time.perf_counter() - start
@@ -372,9 +362,8 @@ def _synthetic_walk_sample(n: int) -> Sample:
     rng = np.random.default_rng(1)
     nodes = rng.integers(0, n // 3, size=n).tolist()
     weights = (0.5 + rng.random(n) * 4).tolist()
-    records = tuple(SampleRecord(i, v, 3, weights[i], (), 0)
-                    for i, v in enumerate(nodes))
-    return Sample(records, "RW", 1, "custom", "synthetic")
+    return Sample(tuple(nodes), tuple(weights), (0,) * n,
+                  dict.fromkeys(nodes, ()), "RW", 1, "custom", "synthetic")
 
 
 def test_criterion_12_linear_time_margin():

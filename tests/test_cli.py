@@ -67,18 +67,6 @@ def test_estimate_rw_margin(tmp_path, capsys):
     assert payload["denominator"] >= 0
 
 
-def test_estimate_star_prints_experimental_notice(tmp_path, capsys):
-    edges = tmp_path / "g.txt"
-    sample = tmp_path / "s.tsv"
-    run(capsys, "gen", "gen:ring:cliques=6,size=5", "-o", str(edges))
-    run(capsys, "sample", "--graph", str(edges), "--method", "uis",
-        "--n", "50", "-o", str(sample))
-    code, out, err = run(capsys, "estimate", "--sample", str(sample),
-                         "--estimator", "star")
-    assert code == 0
-    assert "EXPERIMENTAL" in err
-
-
 def test_estimate_config_error_exit_code(tmp_path, capsys):
     edges = tmp_path / "g.txt"
     sample = tmp_path / "s.tsv"
@@ -147,6 +135,75 @@ def test_plot_rejects_foreign_csv(tmp_path, capsys):
     code, _, err = run(capsys, "plot", "--csv", str(bad),
                        "-o", str(tmp_path / "x.svg"))
     assert code == 3
+
+
+def _one_line_error(code, out, err, rc):
+    assert code == rc
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("estimator", ["capture", "ind-a"])
+def test_estimator_rejecting_its_sample_is_data_error(tmp_path, capsys,
+                                                      estimator):
+    edges = tmp_path / "g.txt"
+    sample = tmp_path / "s.tsv"
+    run(capsys, "gen", "gen:grid:rows=3,cols=3", "-o", str(edges))
+    run(capsys, "sample", "--graph", str(edges), "--method", "uis",
+        "--n", "1", "-o", str(sample))
+    _one_line_error(*run(capsys, "estimate", "--sample", str(sample),
+                         "--estimator", estimator), 3)
+    # So is a plan whose n is too small for its estimator.
+    plan = tmp_path / "plan.txt"
+    plan.write_text("graph = gen:grid:rows=3,cols=3\nmethod = uis\nn = 1\n"
+                    f"estimator = {estimator}\nparam = n\nvalues = 1\n"
+                    "trials = 2\n")
+    _one_line_error(*run(capsys, "experiment", "--plan", str(plan),
+                         "-o", str(tmp_path / "x.csv")), 3)
+
+
+_CSV_HEADER = "param,p10,p50,p90,infinite_fraction,trials\n"
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("", "no summaries to plot"),
+    ("40,1,1,1,0,10\n60,1\n", "line 3: expected 6 comma-separated fields, "
+                             "got 2"),
+    ("40,1,1,1,0,10,7\n", "line 2: expected 6"),
+    ("40,1,one,1,0,10\n", "line 2: p50 'one' is not a finite number"),
+    ("40,nan,1,1,0,10\n", "line 2: p10 'nan' is not a finite number"),
+    ("40,,,,inf,10\n", "line 2: infinite_fraction 'inf' is not a finite"),
+    ("40,,,,1,2.5\n", "line 2: trials '2.5' is not a finite number"),
+    ("x,,,,1,10\n", "line 2: param 'x' is not a finite number"),
+])
+def test_plot_names_a_malformed_csv(tmp_path, capsys, rows, message):
+    csv = tmp_path / "out.csv"
+    csv.write_text(_CSV_HEADER + rows)
+    err = _one_line_error(*run(capsys, "plot", "--csv", str(csv),
+                               "-o", str(tmp_path / "x.svg")), 3)
+    assert message in err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("gen:er:nodes=x,p=0.1", "generator key 'nodes': expected an integer"),
+    ("gen:er:nodes=10,p=abc", "generator key 'p': expected a finite number"),
+    ("gen:ba:nodes=50,m=3,seed=1.5", "generator key 'seed'"),
+    ("gen:grid:rows=3", "missing 'cols'"),
+    ("gen:er:nodes=0,p=0.1", "n must be >= 1"),
+])
+def test_bad_generator_value_is_config_error(tmp_path, capsys, spec, message):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"graph = {spec}\nmethod = uis\nn = 10\n"
+                    "estimator = node-uis\nparam = n\nvalues = 10\n")
+    for argv in (["gen", spec, "-o", str(tmp_path / "g.txt")],
+                 ["graphstat", spec],
+                 ["sample", "--graph", spec, "--method", "uis", "--n", "5",
+                  "-o", str(tmp_path / "s.tsv")],
+                 ["experiment", "--plan", str(plan),
+                  "-o", str(tmp_path / "x.csv")]):
+        err = _one_line_error(*run(capsys, *argv), 2)
+        assert message in err
 
 
 def _rw_sample_file(tmp_path, capsys):

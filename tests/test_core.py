@@ -13,7 +13,6 @@ from graphsize.generators import erdos_renyi
 from graphsize.ind_estimators import edge_pair_inverse_weight_sum
 from graphsize.node_estimators import node_wis_ratio
 from graphsize.sampling import sample_uis
-from graphsize.star import star_aggregates_wis, star_ncol_wis
 
 import oracles
 from conftest import graph_from_text, make_sample
@@ -136,14 +135,11 @@ def test_pairwise_inverse_weight_sum_rejects_zero():
     for bad in (0.0, float("nan")):
         with pytest.raises(EstimatorError):
             pairwise_inverse_weight_sum([1.0, bad])
-        with pytest.raises(EstimatorError):
-            star_ncol_wis([1, 1], [1.0, bad])
         # Every kernel that inverts weights applies the same rule.
-        records = (replace(s.records[0], weight=bad),) + s.records[1:]
-        for kernel in (node_wis_ratio, edge_pair_inverse_weight_sum,
-                       star_aggregates_wis):
+        weights = (bad,) + s.weight_at[1:]
+        for kernel in (node_wis_ratio, edge_pair_inverse_weight_sum):
             with pytest.raises(EstimatorError):
-                kernel(replace(s, records=records))
+                kernel(replace(s, weight_at=weights))
 
 
 def test_aggregate_ratios():

@@ -126,7 +126,6 @@ def test_evaluate_dispatch_smoke():
         (uis, EstimatorSpec(name="mle-approx")),
         (uis, EstimatorSpec(name="mle-exact")),
         (uis, EstimatorSpec(name="ind-a")),
-        (uis, EstimatorSpec(name="star")),
         (rw, EstimatorSpec(name="node-wis", correction="thin", theta=3)),
         (rw, EstimatorSpec(name="node-wis", correction="thin-shifted",
                            theta=3)),

@@ -17,8 +17,7 @@ from graphsize.rw_correction import (BASE_IND_B, BASE_NODE_WIS, MarginConfig,
                                      margin_crosswalker, node_margin,
                                      node_margin_ratio, surviving_pair_count,
                                      thin_shifted, thin_simple)
-from graphsize.sampling import (MarginIndex, Sample, SampleRecord,
-                                read_sample, reindexed, sample_rw,
+from graphsize.sampling import (MarginIndex, Sample, read_sample, sample_rw,
                                 sample_rw_multi, write_sample)
 
 import oracles
@@ -38,7 +37,8 @@ def test_thin_simple_positions():
     s = sample_rw(g, 9, seed=0)
     kept = thin_simple(s, ThinningConfig(3))
     assert kept.nodes() == s.nodes()[::3]
-    assert [r.position for r in kept.records] == [0, 1, 2]
+    assert kept.weights() == s.weights()[::3]
+    assert list(kept.snapshots) == list(dict.fromkeys(kept.nodes()))
 
 
 def test_thin_simple_identity_and_overlong():
@@ -66,7 +66,7 @@ def test_thin_shifted_concatenation_permutes(theta, n):
     g = graph_from_text("0 1\n1 2\n2 0\n")
     s = sample_rw(g, n, seed=7)
     subs = thin_shifted(s, ThinningConfig(theta))
-    merged = sorted(r.node for sub in subs for r in sub.records)
+    merged = sorted(v for sub in subs for v in sub.node_at)
     assert merged == sorted(s.nodes())
     assert sum(len(sub) for sub in subs) == n
 
@@ -238,13 +238,9 @@ def test_margin_estimates_flatten_on_expander():
 
 
 def test_margin_scale_invariance():
-    from dataclasses import replace
-    from graphsize.sampling import Sample
     g = _walk_graph(seed=5)
     s = sample_rw(g, 300, seed=14)
-    scaled = Sample(tuple(replace(r, weight=r.weight * 0.1)
-                          for r in s.records),
-                    s.method, s.seed, s.weight_rule, s.graph_digest)
+    scaled = replace(s, weight_at=tuple(w * 0.1 for w in s.weight_at))
     for fn in (lambda x: node_margin(x, 3).value,
                lambda x: ind_margin(x, 3, MODE_MULTISET).value,
                lambda x: ind_margin(x, 3, MODE_SET).value):
@@ -285,14 +281,13 @@ def walk_like_samples(draw):
         max_size=5, unique=True))) for v in pool}
     walks = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1,
                                    max_size=12), min_size=1, max_size=3))
-    records = []
-    for k, walk in enumerate(walks):
-        for v in walk:
-            weight = draw(st.floats(min_value=0.25, max_value=8.0))
-            records.append(SampleRecord(len(records), v, len(snapshot[v]),
-                                        weight, snapshot[v], k))
+    nodes = tuple(v for walk in walks for v in walk)
+    weights = tuple(draw(st.floats(min_value=0.25, max_value=8.0))
+                    for _ in nodes)
+    walkers = tuple(k for k, walk in enumerate(walks) for _ in walk)
     method = "RW_MULTI" if len(walks) > 1 else "RW"
-    return Sample(tuple(records), method, 0, "custom", "synthetic")
+    return Sample(nodes, weights, walkers, snapshot, method, 0, "custom",
+                  "synthetic")
 
 
 def _assert_matches_oracle(s, m):
@@ -332,11 +327,10 @@ def test_margin_kernels_match_oracles_for_any_m_order(s, data):
             assert kernel(fresh, m) == first[name, m]
     _assert_crosswalker_matches_oracle(s)
     # Samples derived after the index was built get their own; reversing or
-    # shuffling the records also reverses or interleaves the walkers.
-    shuffled = data.draw(st.permutations(s.records))
-    derived = (replace(s, records=s.records[::-1]),
-               reindexed(s, s.records[1:], "tail"),
-               reindexed(s, shuffled, "shuffled"))
+    # shuffling the positions also reverses or interleaves the walkers.
+    shuffled = data.draw(st.permutations(range(n)))
+    derived = (s.subset(range(n - 1, -1, -1)), s.subset(range(1, n)),
+               s.subset(shuffled))
     for d in derived:
         assert d.margin_index is not s.margin_index
         for m in (0, 1):
@@ -357,23 +351,13 @@ def test_sample_file_round_trip_shares_snapshots(s):
     write_sample(s, text)
     back = read_sample(io.StringIO(text.getvalue()))
     assert back == s
-    first = {}
-    for r in back.records:
-        assert first.setdefault(r.node, r.neighbors) is r.neighbors
+    assert list(back.snapshots) == list(dict.fromkeys(back.node_at))
     again = io.StringIO()
     write_sample(back, again)
     assert again.getvalue() == text.getvalue()
-    # Equal but distinct snapshot tuples index exactly like shared ones.
-    copy = replace(s, records=tuple(replace(r, neighbors=tuple(list(
-        r.neighbors))) for r in s.records))
     expected = oracles.margin_index_arrays(s)
-    for sample in (s, copy, back):
+    for sample in (s, back):
         _assert_index_matches(sample.margin_index, expected)
-    # In memory, one node may carry unequal snapshots.
-    head = s.records[0]
-    cut = replace(s, records=(replace(head, neighbors=head.neighbors[1:]),)
-                  + s.records[1:])
-    _assert_index_matches(cut.margin_index, oracles.margin_index_arrays(cut))
 
 
 def test_margin_index_builds_snapshot_half_on_first_use():
@@ -384,7 +368,7 @@ def test_margin_index_builds_snapshot_half_on_first_use():
     assert "_snapshot_half" not in vars(index)
     ind_margin_ratio(s, 2)
     assert s.margin_index is index and "_snapshot_half" in vars(index)
-    eager = MarginIndex.build(s.records)
+    eager = MarginIndex.build(s)
     eager.snapshot_keys  # built before anything else is read
     expected = oracles.margin_index_arrays(s)
     for built in (index, eager):
@@ -404,17 +388,14 @@ def test_margin_index_is_read_only():
 def test_margin_kernels_reject_invalid_weights(bad):
     g = _walk_graph()
     s = sample_rw(g, 20, seed=2)
-    s = replace(s, records=(replace(s.records[0], weight=bad),)
-                + s.records[1:])
+    s = replace(s, weight_at=(bad,) + s.weight_at[1:])
     for kernel, _ in MARGIN_KERNELS.values():
         with pytest.raises(EstimatorError):
             kernel(s, 1)
     multi = sample_rw_multi(g, 2, 10, seeds=[2, 3])
-    multi = replace(multi, records=(replace(multi.records[0], weight=bad),)
-                    + multi.records[1:])
+    multi = replace(multi, weight_at=(bad,) + multi.weight_at[1:])
     # In file order and with the walkers interleaved.
-    for d in (multi, replace(multi, records=multi.records[::2]
-                             + multi.records[1::2])):
+    for d in (multi, multi.subset([*range(0, 20, 2), *range(1, 20, 2)])):
         for kernel, _ in CROSSWALKER_KERNELS.values():
             with pytest.raises(EstimatorError):
                 kernel(d)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from graphsize.generators import erdos_renyi, ring_of_cliques
+from graphsize.generators import barabasi_albert, erdos_renyi, ring_of_cliques
 from graphsize.graph import load_edge_list
-from graphsize.sampling import (SamplingError, read_sample, sample_rw,
+from graphsize.sampling import (Sample, SamplingError, read_sample, sample_rw,
                                 sample_rw_multi, sample_uis, sample_wis,
                                 write_sample)
 
@@ -16,8 +16,8 @@ from conftest import graph_from_text
 def test_uis_single_node_graph():
     g = graph_from_text("7 7\n")  # lone node via self-loop drop
     s = sample_uis(g, 5, seed=0)
-    assert [r.node for r in s.records] == [0] * 5
-    assert all(r.weight == 1.0 for r in s.records)
+    assert s.nodes() == [0] * 5
+    assert s.weights() == [1.0] * 5
 
 
 def test_uis_deterministic(k5):
@@ -39,7 +39,8 @@ def test_uis_frequencies_uniform():
 
 def test_uis_positions_contiguous(k5):
     s = sample_uis(k5, 10, seed=1)
-    assert [r.position for r in s.records] == list(range(10))
+    assert len(s.node_at) == len(s.weight_at) == len(s.walker_at) == 10
+    assert _written_positions(s) == list(range(10))
 
 
 def test_wis_two_node_frequencies():
@@ -50,9 +51,9 @@ def test_wis_two_node_frequencies():
     for v, p in [(0, 0.25), (1, 0.75)]:
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(counts[v] - n * p) < 5 * sigma
-    # records carry the weight used for drawing
-    for r in s.records[:100]:
-        assert r.weight == [1.0, 3.0][r.node]
+    # positions carry the weight used for drawing
+    for v, w in zip(s.node_at[:100], s.weight_at):
+        assert w == [1.0, 3.0][v]
 
 
 def test_wis_degree_rule_on_star(star4):
@@ -76,9 +77,9 @@ def test_rw_consecutive_nodes_adjacent():
         from graphsize.graph import largest_connected_component
         g = largest_connected_component(g)
     s = sample_rw(g, 500, seed=2)
-    for a, b in zip(s.records, s.records[1:]):
-        assert b.node in a.neighbors
-        assert a.weight == a.degree
+    for a, b, w in zip(s.node_at, s.node_at[1:], s.weight_at):
+        assert b in s.snapshots[a]
+        assert w == len(s.snapshots[a]) == g.degree(a)
 
 
 def test_rw_next_step_uniform_on_path(path3):
@@ -110,7 +111,7 @@ def test_rw_multi_tags_and_lengths(k5):
     s = sample_rw_multi(k5, 2, 3, seeds=[1, 2])
     assert len(s) == 6
     assert s.walkers() == [0, 0, 0, 1, 1, 1]
-    assert [r.position for r in s.records] == list(range(6))
+    assert _written_positions(s) == list(range(6))
 
 
 def test_rw_multi_single_walker_matches_rw(k5):
@@ -135,7 +136,10 @@ def test_sample_file_roundtrip(k5):
     write_sample(s, buf, k5)
     back = read_sample(io.StringIO(buf.getvalue()))
     # external ids of k5 are 0..4, identical to dense indices
-    assert back.records == s.records
+    assert back.node_at == s.node_at
+    assert back.weight_at == s.weight_at
+    assert back.walker_at == s.walker_at
+    assert back.snapshots == s.snapshots
     assert back.method == s.method
     assert back.seed == s.seed
     assert back.weight_rule == s.weight_rule
@@ -154,3 +158,62 @@ def test_sample_file_roundtrip_preserves_float_weights():
 def test_read_sample_rejects_foreign_file():
     with pytest.raises(SamplingError):
         read_sample(io.StringIO("something else\n"))
+
+
+def _written_positions(s) -> list[int]:
+    buf = io.StringIO()
+    write_sample(s, buf)
+    return [int(line.split("\t")[0])
+            for line in buf.getvalue().splitlines()[1:]]
+
+
+def test_sample_keeps_one_snapshot_per_distinct_node(k5):
+    snapshots = {v: k5.neighbors(v) for v in k5}
+    s = Sample((3, 1, 3, 0), (1.0,) * 4, (0,) * 4, snapshots, "UIS", 0,
+               "unit", k5.digest)
+    # Only the sampled nodes, in order of first appearance, read-only.
+    assert list(s.snapshots) == [3, 1, 0]
+    assert s.degrees() == [4, 4, 4, 4]
+    with pytest.raises(TypeError):
+        s.snapshots[2] = ()
+    tail = s.subset([3, 1])
+    assert tail.nodes() == [0, 1] and list(tail.snapshots) == [0, 1]
+    with pytest.raises(SamplingError, match="no snapshot"):
+        Sample((7,), (1.0,), (0,), snapshots, "UIS", 0, "unit", k5.digest)
+    with pytest.raises(SamplingError, match="differ in length"):
+        Sample((1, 2), (1.0,), (0, 0), snapshots, "UIS", 0, "unit", k5.digest)
+
+
+DRAWS = {
+    "uis": lambda g, n: sample_uis(g, n, seed=7),
+    "wis": lambda g, n: sample_wis(g, "degree", n, seed=7),
+    "rw": lambda g, n: sample_rw(g, n, seed=7),
+    "rw-multi": lambda g, n: sample_rw_multi(g, 4, n // 4,
+                                             seeds=[7, 8, 9, 10]),
+}
+
+
+def _per_walker(s) -> dict[int, list[tuple[int, float]]]:
+    walks: dict[int, list[tuple[int, float]]] = {}
+    for v, w, k in zip(s.node_at, s.weight_at, s.walker_at):
+        walks.setdefault(k, []).append((v, w))
+    return walks
+
+
+@pytest.mark.parametrize("method", sorted(DRAWS))
+def test_samplers_are_prefix_stable(method):
+    """With a fixed seed, a smaller sample is the head of a larger one (per
+    walker for rw-multi), so a trial could draw once and slice."""
+    g = barabasi_albert(500, 3, seed=7)
+    large = DRAWS[method](g, 400)
+    for n in (4, 8, 100, 396):
+        small = DRAWS[method](g, n)
+        if method == "rw-multi":
+            walks = _per_walker(large)
+            assert _per_walker(small) == {
+                k: walk[:n // 4] for k, walk in walks.items()}
+        else:
+            head = large.subset(range(n))
+            assert (small.node_at, small.weight_at, small.walker_at) \
+                == (head.node_at, head.weight_at, head.walker_at)
+            assert small.snapshots == head.snapshots
