@@ -122,9 +122,15 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise PlanError(f"--seed must be >= 0, got {seed}")
+
+
 def _cmd_sample(args) -> int:
     spec = SamplerSpec(method=args.method, n=args.n, walkers=args.walkers,
                        weight_rule=args.weight_rule)
+    _check_seed(args.seed)
     g = resolve_graph(args.graph)
     if args.lcc:
         g = largest_connected_component(g)
@@ -139,6 +145,7 @@ def _cmd_estimate(args) -> int:
     est = EstimatorSpec(name=args.estimator, correction=args.correction,
                         a_mode=args.a_mode, theta=args.theta, m=args.margin)
     check_spec(None, est)
+    _check_seed(args.seed)
     with open(args.sample, "r", encoding="utf-8") as fh:
         sample = read_sample(fh)
     check_spec(next(k for k, v in METHODS.items() if v == sample.method), est)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 from . import generators
@@ -135,17 +136,24 @@ def check_spec(method: str | None, est: EstimatorSpec, param: str = "n") -> None
 
 
 def _check_plan(sampler: SamplerSpec, est: EstimatorSpec, param: str,
-                values: Sequence[float], trials: int) -> None:
+                values: Sequence[float], trials: int, base_seed: int) -> None:
     """Every plan check that needs no graph; check_spec at each grid point."""
     if trials < 1:
         raise PlanError("trials must be >= 1")
+    if base_seed < 0:
+        raise PlanError(f"base_seed must be >= 0, got {base_seed}")
     if not values:
         raise PlanError("parameter grid must be non-empty")
-    for value in values if param == "n" else ():
-        replace(sampler, n=int(value))  # SamplerSpec checks each size
     check_spec(sampler.method, est, param)
-    for value in values if param != "n" else ():
-        check_spec(sampler.method, replace(est, **{param: int(value)}), param)
+    for value in values:
+        # n, m and theta are all integers.
+        if not float(value).is_integer():
+            raise PlanError(f"{param} grid value {value:g} is not an integer")
+        if param == "n":
+            replace(sampler, n=int(value))  # SamplerSpec checks each size
+        else:
+            check_spec(sampler.method, replace(est, **{param: int(value)}),
+                       param)
 
 
 @dataclass(frozen=True)
@@ -161,7 +169,7 @@ class ExperimentPlan:
 
     def __post_init__(self):
         _check_plan(self.sampler, self.estimator, self.param, self.values,
-                    self.trials)
+                    self.trials, self.base_seed)
 
 
 @dataclass(frozen=True)
@@ -220,21 +228,23 @@ def evaluate(sample: Sample, est: EstimatorSpec, seed: int = 0) -> EstimateOutco
 def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
     """One summary per grid point, over `trials` seeded independent trials.
 
-    Trial seeds are base_seed + trial index.  For theta/m grids each trial
-    draws one sample and sweeps the parameter over it, mirroring how a real
-    crawl would be post-processed.
+    Trial seeds are base_seed + trial index.  Each trial draws one sample.
+    For n grids it is drawn at the largest n, and each grid point evaluates
+    the sample of its own size that the seed gives, which is that draw's
+    head (per walker for rw-multi): every sampler is prefix-stable.  For
+    theta/m grids the parameter is swept over the one sample, mirroring how
+    a real crawl would be post-processed.
     """
     scale = plan.graph.node_count if plan.normalize else 1.0
 
     def run_trial(trial: int) -> list[EstimateOutcome]:
         seed = plan.base_seed + trial
         if plan.param == "n":
-            out = []
-            for value in plan.values:
-                spec = replace(plan.sampler, n=int(value))
-                out.append(evaluate(draw_sample(plan.graph, spec, seed),
-                                    plan.estimator, seed))
-            return out
+            spec = replace(plan.sampler, n=int(max(plan.values)))
+            sample = draw_sample(plan.graph, spec, seed)
+            return [evaluate(_head(sample, spec, int(value)), plan.estimator,
+                             seed)
+                    for value in plan.values]
         sample = draw_sample(plan.graph, plan.sampler, seed)
         return [evaluate(sample,
                          replace(plan.estimator, **{plan.param: int(value)}),
@@ -247,6 +257,19 @@ def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
         outcomes = [per_trial[t][col] for t in range(plan.trials)]
         summaries.append(summarize(value, outcomes, scale))
     return summaries
+
+
+def _head(sample: Sample, spec: SamplerSpec, n: int) -> Sample:
+    """The sample of size n <= spec.n that draw_sample gives with the seed
+    that drew ``sample`` at spec: its first n positions, or the first
+    n / walkers of each walker's run for rw-multi."""
+    walkers = spec.walkers if spec.method == "rw-multi" else 1
+    run, keep = spec.n // walkers, n // walkers
+    cut = lambda column: tuple(chain.from_iterable(
+        column[start:start + keep] for start in range(0, spec.n, run)))
+    return replace(sample, node_at=cut(sample.node_at),
+                   weight_at=cut(sample.weight_at),
+                   walker_at=cut(sample.walker_at))
 
 
 def summarize(param_value, outcomes: Sequence[EstimateOutcome],
@@ -392,14 +415,15 @@ def parse_plan_file(text: str) -> ExperimentPlan:
     values = tuple(_number("values", v, float)
                    for v in kv["values"].split(","))
     trials = _number("trials", kv.get("trials", "500"))
-    _check_plan(sampler, estimator, kv["param"], values, trials)
+    base_seed = _number("base_seed", kv.get("base_seed", "0"))
+    _check_plan(sampler, estimator, kv["param"], values, trials, base_seed)
     graph = resolve_graph(kv["graph"])
     if kv.get("lcc", "false").lower() in ("1", "true", "yes"):
         graph = largest_connected_component(graph)
     return ExperimentPlan(
         graph=graph, sampler=sampler, estimator=estimator,
         param=kv["param"], values=values, trials=trials,
-        base_seed=_number("base_seed", kv.get("base_seed", "0")),
+        base_seed=base_seed,
         normalize=kv.get("normalize", "true").lower() in ("1", "true", "yes"))
 
 
@@ -417,6 +441,19 @@ def _number(key: str, text: str, convert: Callable[[str], float] = int,
     raise PlanError(f"{label} {key!r}: expected {kind}, got {text!r}")
 
 
+# Each generator model's function in `generators`, looked up when it runs,
+# and its keys in argument order, with their types and defaults (None: the
+# key is required).
+_GENERATORS = {
+    "er": ("erdos_renyi", {"nodes": (int, None), "p": (float, None),
+                           "seed": (int, "0")}),
+    "ba": ("barabasi_albert", {"nodes": (int, None), "m": (int, None),
+                               "seed": (int, "0")}),
+    "ring": ("ring_of_cliques", {"cliques": (int, None), "size": (int, None)}),
+    "grid": ("grid_2d", {"rows": (int, None), "cols": (int, None)}),
+}
+
+
 def resolve_graph(spec: str) -> Graph:
     """Load a graph from a path, or build one from a ``gen:...`` spec."""
     if not spec.startswith("gen:"):
@@ -426,29 +463,25 @@ def resolve_graph(spec: str) -> Graph:
         _, model, args = spec.split(":", 2)
     except ValueError:
         raise PlanError(f"bad generator spec: {spec!r}") from None
+    if model not in _GENERATORS:
+        raise PlanError(f"unknown generator model: {model!r}")
+    name, keys = _GENERATORS[model]
     params: dict[str, str] = {}
     if args:
         for part in args.split(","):
             k, _, v = part.partition("=")
             params[k.strip()] = v.strip()
-
-    def arg(key: str, convert: Callable[[str], float] = int,
-            default: str | None = None):
+    for key in params:
+        if key not in keys:
+            raise PlanError(f"generator spec {spec!r}: unknown generator key "
+                            f"{key!r} for model {model!r}")
+    values = []
+    for key, (convert, default) in keys.items():
         if key not in params and default is None:
             raise PlanError(f"generator spec {spec!r} missing {key!r}")
-        return _number(key, params.get(key, default), convert, "generator key")
-
+        values.append(_number(key, params.get(key, default), convert,
+                              "generator key"))
     try:
-        if model == "er":
-            return generators.erdos_renyi(arg("nodes"), arg("p", float),
-                                          arg("seed", default="0"))
-        if model == "ba":
-            return generators.barabasi_albert(arg("nodes"), arg("m"),
-                                              arg("seed", default="0"))
-        if model == "ring":
-            return generators.ring_of_cliques(arg("cliques"), arg("size"))
-        if model == "grid":
-            return generators.grid_2d(arg("rows"), arg("cols"))
+        return getattr(generators, name)(*values)
     except ValueError as exc:  # a value out of the generator's range
         raise PlanError(f"generator spec {spec!r}: {exc}") from None
-    raise PlanError(f"unknown generator model: {model!r}")

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Iterator
 
+import numpy as np
+
 
 class GraphError(Exception):
     """Base class for graph construction and query errors."""
@@ -140,10 +142,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self._adj)
-
     def ext_id(self, v: int) -> int:
         return self._ext_ids[v]
 
@@ -169,6 +167,18 @@ class Graph:
         return iter(range(len(self._adj)))
 
     # -- derived, cached ---------------------------------------------------
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(map(len, self._adj))
+
+    @cached_property
+    def degree_weights(self) -> np.ndarray:
+        """The degrees as a read-only float64 array: the weight table of
+        degree-weighted sampling."""
+        weights = np.array(self.degrees, dtype=np.float64)
+        weights.flags.writeable = False
+        return weights
 
     @cached_property
     def digest(self) -> str:

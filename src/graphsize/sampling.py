@@ -282,10 +282,11 @@ def sample_wis(g: Graph, weight_rule: Callable[[int], float] | str,
 
 
 def _resolve_weights(g: Graph, rule) -> tuple[str, np.ndarray]:
+    # The named rules' tables are read-only and built at most once per graph.
     if rule == "degree":
-        return "degree", np.asarray(g.degrees, dtype=float)
-    if rule == "unit":
-        return "unit", np.ones(g.node_count)
+        return "degree", g.degree_weights
+    if rule == "unit":  # a view of one 1.0: nothing to build
+        return "unit", np.broadcast_to(1.0, g.node_count)
     if callable(rule):
         w = np.array([float(rule(v)) for v in range(g.node_count)])
         name = getattr(rule, "__name__", "custom")

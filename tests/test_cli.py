@@ -191,6 +191,7 @@ def test_plot_names_a_malformed_csv(tmp_path, capsys, rows, message):
     ("gen:ba:nodes=50,m=3,seed=1.5", "generator key 'seed'"),
     ("gen:grid:rows=3", "missing 'cols'"),
     ("gen:er:nodes=0,p=0.1", "n must be >= 1"),
+    ("gen:ba:nodes=100,m=3,sed=5", "unknown generator key 'sed'"),
 ])
 def test_bad_generator_value_is_config_error(tmp_path, capsys, spec, message):
     plan = tmp_path / "plan.txt"
@@ -204,6 +205,34 @@ def test_bad_generator_value_is_config_error(tmp_path, capsys, spec, message):
                   "-o", str(tmp_path / "x.csv")]):
         err = _one_line_error(*run(capsys, *argv), 2)
         assert message in err
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    # Neither the graph nor the sample file exists: the seed is checked first.
+    missing = str(tmp_path / "missing.txt")
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"graph = {missing}\nmethod = uis\nn = 10\n"
+                    "estimator = node-uis\nparam = n\nvalues = 10\n"
+                    "base_seed = -1\n")
+    for argv, key in [
+            (["sample", "--graph", missing, "--method", "uis", "--n", "5",
+              "--seed", "-1", "-o", str(tmp_path / "s.tsv")], "--seed"),
+            (["estimate", "--sample", missing, "--estimator", "capture",
+              "--seed", "-1"], "--seed"),
+            (["experiment", "--plan", str(plan),
+              "-o", str(tmp_path / "x.csv")], "base_seed")]:
+        err = _one_line_error(*run(capsys, *argv), 2)
+        assert f"{key} must be >= 0, got -1" in err
+
+
+def test_non_integer_grid_value_is_config_error(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("graph = gen:er:nodes=100,p=0.1,seed=1\nmethod = rw\n"
+                    "lcc = true\nn = 50\nestimator = ind-b\n"
+                    "correction = margin\nparam = m\nvalues = 2.9,3\n")
+    err = _one_line_error(*run(capsys, "experiment", "--plan", str(plan),
+                               "-o", str(tmp_path / "x.csv")), 2)
+    assert "m grid value 2.9 is not an integer" in err
 
 
 def _rw_sample_file(tmp_path, capsys):

@@ -1,14 +1,19 @@
 import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from graphsize import experiment
 from graphsize.core import NO_COLLISIONS, EstimateOutcome, EstimatorError
 from graphsize.experiment import (EstimatorSpec, ExperimentPlan, PlanError,
                                   SamplerSpec, TrialSummary, draw_sample,
                                   emit_csv, emit_svg_band, evaluate,
                                   parse_plan_file, percentile, resolve_graph,
                                   run_experiment, summarize)
-from graphsize.generators import erdos_renyi
+from graphsize.generators import barabasi_albert, erdos_renyi
+from graphsize.graph import largest_connected_component
+from graphsize.sampling import _resolve_weights, sample_wis
 
 
 def _plan(**overrides):
@@ -77,6 +82,81 @@ def test_run_experiment_m_grid_reuses_one_sample_per_trial():
     assert all(r.trials == 3 for r in rows)
 
 
+def _draw_per_size(plan):
+    """The n-grid CSV from one draw per grid point and trial."""
+    per_trial = []
+    for trial in range(plan.trials):
+        seed = plan.base_seed + trial
+        per_trial.append([
+            evaluate(draw_sample(plan.graph, replace(plan.sampler, n=int(v)),
+                                 seed), plan.estimator, seed)
+            for v in plan.values])
+    return emit_csv([summarize(v, [row[col] for row in per_trial],
+                               plan.graph.node_count)
+                     for col, v in enumerate(plan.values)])
+
+
+BA = barabasi_albert(300, 3, seed=5)
+SPARSE_LCC = largest_connected_component(erdos_renyi(200, 0.02, seed=1))
+
+
+@pytest.mark.parametrize("graph,sampler,estimator", [
+    (BA, SamplerSpec("uis", 8), EstimatorSpec("capture")),
+    (BA, SamplerSpec("uis", 8), EstimatorSpec("node-uis")),
+    (BA, SamplerSpec("wis", 8), EstimatorSpec("ind-a")),
+    (BA, SamplerSpec("wis", 8, weight_rule="unit"), EstimatorSpec("ind-b")),
+    (SPARSE_LCC, SamplerSpec("rw", 8),
+     EstimatorSpec("ind-b", correction="margin", m=2)),
+    (BA, SamplerSpec("rw-multi", 8, walkers=4),
+     EstimatorSpec("node-wis", correction="cross-walker")),
+    (BA, SamplerSpec("rw-multi", 8, walkers=4),
+     EstimatorSpec("ind-b", correction="thin-shifted", theta=3)),
+], ids=["uis-capture", "uis-node", "wis-degree", "wis-unit", "rw-margin",
+        "rw-multi-cross", "rw-multi-thin"])
+def test_n_grid_matches_a_draw_per_size(graph, sampler, estimator):
+    # Unsorted, with a repeat, and the largest size not last.
+    plan = ExperimentPlan(graph=graph, sampler=sampler, estimator=estimator,
+                          values=(120.0, 8.0, 200.0, 40.0, 40.0), trials=12,
+                          base_seed=4)
+    assert emit_csv(run_experiment(plan)) == _draw_per_size(plan)
+
+
+def test_n_grid_draws_once_per_trial(monkeypatch):
+    sizes = []
+    original = experiment.draw_sample
+
+    def counting(g, spec, seed):
+        sizes.append(spec.n)
+        return original(g, spec, seed)
+
+    monkeypatch.setattr(experiment, "draw_sample", counting)
+    run_experiment(_plan(values=(30.0, 80.0, 50.0), trials=1))
+    assert sizes == [80]
+    run_experiment(_plan(sampler=SamplerSpec("rw-multi", 8, walkers=4),
+                         values=(40.0, 8.0, 40.0), trials=3))
+    assert sizes == [80, 40, 40, 40]
+
+
+def test_weight_tables_are_read_only_and_built_once_per_graph():
+    g = barabasi_albert(200, 2, seed=3)
+    assert g.degrees is g.degrees
+    table = g.degree_weights
+    assert table.flags.writeable is False
+    with pytest.raises(ValueError):
+        table[0] = 1.0
+    assert table.tolist() == list(g.degrees)
+    for seed in range(3):
+        sample_wis(g, "degree", 10, seed)
+        assert g.degree_weights is table
+    # Unit weights are a read-only view of one 1.0: nothing is built.
+    unit = _resolve_weights(g, "unit")[1]
+    assert unit.flags.writeable is False and unit.strides == (0,)
+    assert unit.shape == (g.node_count,) and (unit == 1.0).all()
+    other = barabasi_albert(200, 2, seed=3)
+    assert other.degree_weights is not table
+    np.testing.assert_array_equal(other.degree_weights, table)
+
+
 def test_plan_validation_errors():
     with pytest.raises(PlanError):
         _plan(trials=0)
@@ -112,6 +192,23 @@ def test_plan_validation_errors():
         with pytest.raises(PlanError):
             _plan(sampler=walk, estimator=estimator, param=param,
                   values=values)
+
+
+def test_grid_values_and_base_seed_are_checked():
+    walk = SamplerSpec(method="rw", n=50)
+    margin = EstimatorSpec(name="ind-b", correction="margin")
+    thin = EstimatorSpec(name="node-wis", correction="thin")
+    for sampler, estimator, param, values, message in [
+            (walk, margin, "m", (2.9, 3.0), "m grid value 2.9 is not an"),
+            (walk, thin, "theta", (1.5,), "theta grid value 1.5 is not an"),
+            (walk, margin, "n", (100.7, 50.0), "n grid value 100.7 is not an"),
+            (walk, margin, "m", (float("inf"),), "m grid value inf is not")]:
+        with pytest.raises(PlanError, match=message):
+            _plan(sampler=sampler, estimator=estimator, param=param,
+                  values=values)
+    assert _plan(values=(30, 50.0)).values == (30, 50.0)  # integral: valid
+    with pytest.raises(PlanError, match="base_seed must be >= 0, got -1"):
+        _plan(base_seed=-1)
 
 
 def test_evaluate_dispatch_smoke():
@@ -192,6 +289,17 @@ def test_parse_plan_file_checks_before_building_the_graph(tmp_path):
         parse_plan_file(plan.format(tmp_path / "missing.txt"))
 
 
+def test_parse_plan_file_rejects_bad_grid_values_and_seeds(tmp_path):
+    base = (f"graph = {tmp_path / 'missing.txt'}\nmethod = rw\nn = 50\n"
+            "estimator = ind-b\ncorrection = margin\n")
+    for text, message in [
+            ("param = m\nvalues = 2.9,3\n", "m grid value 2.9"),
+            ("param = n\nvalues = 100.7\n", "n grid value 100.7"),
+            ("param = n\nvalues = 50\nbase_seed = -1\n", "base_seed")]:
+        with pytest.raises(PlanError, match=message):  # before the graph
+            parse_plan_file(base + text)
+
+
 def test_parse_plan_file_errors():
     with pytest.raises(PlanError):
         parse_plan_file("graph = gen:er:nodes=10,p=0.1\nmethod = uis\n")
@@ -218,6 +326,10 @@ def test_resolve_graph_specs(tmp_path):
         resolve_graph("gen:unknown:x=1")
     with pytest.raises(PlanError):
         resolve_graph("gen:er:p=0.1")  # missing nodes
+    with pytest.raises(PlanError, match="unknown generator key 'sed'"):
+        resolve_graph("gen:ba:nodes=100,m=3,sed=5")
+    with pytest.raises(PlanError, match="unknown generator key 'seed'"):
+        resolve_graph("gen:grid:rows=2,cols=2,seed=1")  # grid takes no seed
     path = tmp_path / "g.txt"
     path.write_text("0 1\n1 2\n")
     assert resolve_graph(str(path)).node_count == 3

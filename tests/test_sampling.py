@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphsize.generators import barabasi_albert, erdos_renyi, ring_of_cliques
 from graphsize.graph import load_edge_list
@@ -184,13 +185,18 @@ def test_sample_keeps_one_snapshot_per_distinct_node(k5):
         Sample((1, 2), (1.0,), (0, 0), snapshots, "UIS", 0, "unit", k5.digest)
 
 
-DRAWS = {
-    "uis": lambda g, n: sample_uis(g, n, seed=7),
-    "wis": lambda g, n: sample_wis(g, "degree", n, seed=7),
-    "rw": lambda g, n: sample_rw(g, n, seed=7),
-    "rw-multi": lambda g, n: sample_rw_multi(g, 4, n // 4,
-                                             seeds=[7, 8, 9, 10]),
-}
+def _draw(method, g, n, seed=7):
+    """A sample of size n (a multiple of 4 for rw-multi's four walkers)."""
+    if method == "uis":
+        return sample_uis(g, n, seed)
+    if method == "wis":
+        return sample_wis(g, "degree", n, seed)
+    if method == "rw":
+        return sample_rw(g, n, seed)
+    return sample_rw_multi(g, 4, n // 4, seeds=[seed + k for k in range(4)])
+
+
+METHODS = ("rw", "rw-multi", "uis", "wis")
 
 
 def _per_walker(s) -> dict[int, list[tuple[int, float]]]:
@@ -200,20 +206,41 @@ def _per_walker(s) -> dict[int, list[tuple[int, float]]]:
     return walks
 
 
-@pytest.mark.parametrize("method", sorted(DRAWS))
+def _assert_head(method, large, small):
+    """``small`` is the head of ``large``, per walker for rw-multi."""
+    n = len(small)
+    if method == "rw-multi":
+        walks = _per_walker(large)
+        assert _per_walker(small) == {
+            k: walk[:n // 4] for k, walk in walks.items()}
+    else:
+        head = large.subset(range(n))
+        assert (small.node_at, small.weight_at, small.walker_at) \
+            == (head.node_at, head.weight_at, head.walker_at)
+        assert small.snapshots == head.snapshots
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_samplers_are_prefix_stable(method):
     """With a fixed seed, a smaller sample is the head of a larger one (per
-    walker for rw-multi), so a trial could draw once and slice."""
+    walker for rw-multi), so a trial can draw once and slice."""
     g = barabasi_albert(500, 3, seed=7)
-    large = DRAWS[method](g, 400)
+    large = _draw(method, g, 400)
     for n in (4, 8, 100, 396):
-        small = DRAWS[method](g, n)
-        if method == "rw-multi":
-            walks = _per_walker(large)
-            assert _per_walker(small) == {
-                k: walk[:n // 4] for k, walk in walks.items()}
-        else:
-            head = large.subset(range(n))
-            assert (small.node_at, small.weight_at, small.walker_at) \
-                == (head.node_at, head.weight_at, head.walker_at)
-            assert small.snapshots == head.snapshots
+        _assert_head(method, large, _draw(method, g, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(METHODS), st.integers(0, 2**16),
+       st.integers(0, 2**63), st.integers(1, 60), st.data())
+def test_samplers_are_prefix_stable_property(method, graph_seed, seed, large_n,
+                                             data):
+    """The prefix stability that n-grid experiments rely on, over graphs,
+    sampler seeds and sizes."""
+    g = barabasi_albert(40, 2, seed=graph_seed)
+    unit = 4 if method == "rw-multi" else 1
+    large = _draw(method, g, large_n * unit, seed)
+    sizes = data.draw(st.lists(st.integers(1, large_n), min_size=1,
+                               max_size=4))
+    for n in sizes:
+        _assert_head(method, large, _draw(method, g, n * unit, seed))
