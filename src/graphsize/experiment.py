@@ -400,6 +400,8 @@ def parse_plan_file(text: str) -> ExperimentPlan:
         key, value = key.strip(), value.strip()
         if key not in _PLAN_KEYS:
             raise PlanError(f"plan line {line_no}: unknown key {key!r}")
+        if key in kv:
+            raise PlanError(f"plan line {line_no}: duplicate key {key!r}")
         kv[key] = value
     for required in ("graph", "method", "n", "estimator", "param", "values"):
         if required not in kv:
@@ -469,8 +471,12 @@ def resolve_graph(spec: str) -> Graph:
     params: dict[str, str] = {}
     if args:
         for part in args.split(","):
-            k, _, v = part.partition("=")
-            params[k.strip()] = v.strip()
+            key, _, value = part.partition("=")
+            key = key.strip()
+            if key in params:
+                raise PlanError(f"generator spec {spec!r}: duplicate "
+                                f"generator key {key!r}")
+            params[key] = value.strip()
     for key in params:
         if key not in keys:
             raise PlanError(f"generator spec {spec!r}: unknown generator key "

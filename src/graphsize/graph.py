@@ -1,17 +1,24 @@
 """Immutable undirected simple graphs with dense node indexing.
 
-Graphs are loaded from whitespace-separated edge lists (external 64-bit node
-ids), cleaned to simple form (no self-loops, no parallel edges), and stored
-with a dense index in [0, N).  All adjacency lists are sorted tuples, so the
-structure is safely shareable across threads after construction.
+Graphs are loaded from edge lists: one pair of ASCII decimal node ids below
+2^64 per line, separated by spaces or tabs, with ``#`` comment lines and
+blank lines allowed.  The whole text is checked and parsed at once with
+byte-class arrays; only a rejected input is scanned line by line, to name
+the first bad line.  Every graph, loaded or generated, is built by
+:meth:`Graph.from_edges`, which cleans it to simple form (no self-loops, no
+parallel edges) and stores it with a dense index in [0, N).  All adjacency
+lists are sorted tuples, so the structure is safely shareable across threads
+after construction.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -66,65 +73,70 @@ class Graph:
             raise GraphError("adjacency and id map length mismatch")
         if not adjacency:
             raise GraphError("empty graph")
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adjacency)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adjacency))
         self._ext_ids: tuple[int, ...] = tuple(ext_ids)
-        self._ext_to_dense = {e: i for i, e in enumerate(self._ext_ids)}
-        self._edge_count = sum(len(a) for a in self._adj) // 2
+        self._ext_to_dense = dict(zip(self._ext_ids, range(len(adjacency))))
+        self._edge_count = sum(self.degrees) // 2
         self.load_report = load_report
         self._validate()
 
     def _validate(self) -> None:
-        for v, nbrs in enumerate(self._adj):
-            prev = -1
-            for u in nbrs:
-                if u == v:
-                    raise GraphError(f"self-loop at dense index {v}")
-                if u <= prev:
-                    raise GraphError(f"adjacency of {v} not sorted/unique")
-                if not (0 <= u < len(self._adj)):
-                    raise GraphError(f"neighbor index {u} out of range")
-                prev = u
+        """Every neighbor list sorted, unique, in range and loop-free.
+
+        The checks run on the flattened adjacency at once; the error names
+        the first offending entry in (vertex, position) order, and of its
+        failed checks the first of: self-loop, order, range.
+        """
+        owner, flat = self._flat()
+        loop = flat == owner
+        # An entry is out of order if it is at most its predecessor in the
+        # same list, or than -1 if it comes first.  Any negative entry may
+        # count: at the first offender every predecessor passed, so is >= 0.
+        unordered = flat < 0
+        unordered[1:] |= (owner[1:] == owner[:-1]) & (flat[1:] <= flat[:-1])
+        bad = loop | unordered | (flat >= len(self._adj))
+        if bad.any():
+            i = int(bad.argmax())
+            v, u = int(owner[i]), int(flat[i])
+            if loop[i]:
+                raise GraphError(f"self-loop at dense index {v}")
+            if unordered[i]:
+                raise GraphError(f"adjacency of {v} not sorted/unique")
+            raise GraphError(f"neighbor index {u} out of range")
+
+    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency flattened in (vertex, position) order: each entry's
+        vertex and its neighbor, as int64 arrays."""
+        flat = np.fromiter(chain.from_iterable(self._adj), dtype=np.int64,
+                           count=sum(self.degrees))
+        return np.repeat(np.arange(len(self._adj)), self.degrees), flat
+
+    def _edge_array(self) -> np.ndarray:
+        """Each edge once, as an (E, 2) uint64 array of external ids, smaller
+        id first, in (vertex, position) order of its smaller end."""
+        owner, flat = self._flat()
+        ext = np.array(self._ext_ids, dtype=np.uint64)
+        pairs = np.stack((ext[owner], ext[flat]), axis=1)
+        return pairs[pairs[:, 0] < pairs[:, 1]]
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_edges(cls, edges: Iterable[tuple[int, int]],
-                   extra_nodes: Iterable[int] = (),
+    def from_edges(cls, edges: Iterable[tuple[int, int]] | np.ndarray,
+                   extra_nodes: Iterable[int] | np.ndarray = (),
                    report_base: LoadReport | None = None) -> "Graph":
-        """Build a graph from external-id edge pairs.
+        """Build a graph from external-id edge pairs, ids in [0, 2^64).
 
+        ``edges`` is an iterable of pairs or an (E, 2) integer array.
         Self-loops are dropped and parallel edges collapsed; the counts land
         in ``load_report``.  ``extra_nodes`` adds isolated nodes by id.
         """
+        ext_ids, adjacency, loops, dupes = _simple_adjacency(edges,
+                                                             extra_nodes)
         base = report_base or LoadReport()
-        self_loops = base.self_loops_dropped
-        dupes = base.duplicates_collapsed
-        edge_set: set[tuple[int, int]] = set()
-        nodes: set[int] = set(extra_nodes)
-        for a, b in edges:
-            if a == b:
-                self_loops += 1
-                nodes.add(a)
-                continue
-            key = (a, b) if a < b else (b, a)
-            if key in edge_set:
-                dupes += 1
-            else:
-                edge_set.add(key)
-            nodes.update(key)
-        if not nodes:
-            raise GraphError("empty graph: no nodes in input")
-        ext_ids = sorted(nodes)
-        dense = {e: i for i, e in enumerate(ext_ids)}
-        adj: list[list[int]] = [[] for _ in ext_ids]
-        for a, b in edge_set:
-            adj[dense[a]].append(dense[b])
-            adj[dense[b]].append(dense[a])
-        report = LoadReport(lines_read=base.lines_read,
-                            comments_skipped=base.comments_skipped,
-                            self_loops_dropped=self_loops,
-                            duplicates_collapsed=dupes)
-        return cls([tuple(sorted(a)) for a in adj], ext_ids, report)
+        return cls(adjacency, ext_ids, replace(
+            base, self_loops_dropped=base.self_loops_dropped + loops,
+            duplicates_collapsed=base.duplicates_collapsed + dupes))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -183,16 +195,8 @@ class Graph:
     @cached_property
     def digest(self) -> str:
         """Stable hash of the graph content (external-id edge list)."""
-        h = hashlib.sha256()
-        for e in self._ext_ids:
-            h.update(e.to_bytes(8, "little", signed=False))
-        for v in range(len(self._adj)):
-            ev = self._ext_ids[v]
-            for u in self._adj[v]:
-                eu = self._ext_ids[u]
-                if ev < eu:
-                    h.update(ev.to_bytes(8, "little"))
-                    h.update(eu.to_bytes(8, "little"))
+        h = hashlib.sha256(np.array(self._ext_ids, dtype="<u8").tobytes())
+        h.update(self._edge_array().astype("<u8", copy=False).tobytes())
         return h.hexdigest()[:16]
 
     @cached_property
@@ -221,48 +225,162 @@ class Graph:
         return len(self.components) == 1
 
 
-def load_edge_list(source: IO[str] | IO[bytes]) -> Graph:
-    """Parse a whitespace-separated edge list into a simple graph.
+def _simple_adjacency(
+        edges: Iterable[tuple[int, int]] | np.ndarray,
+        extra_nodes: Iterable[int] | np.ndarray,
+) -> tuple[list[int], list[tuple[int, ...]], int, int]:
+    """The sorted node ids, the sorted neighbor tuple of each node's dense
+    index, and the numbers of self-loops and of repeated edges in
+    ``edges``; see :meth:`Graph.from_edges`.  A function of its own so that
+    its array temporaries are freed before the graph is validated."""
+    if not isinstance(edges, np.ndarray):
+        edges = chain.from_iterable(edges)
+    pairs = _node_ids(edges).reshape(-1, 2)
+    # Asking for the inverse or the counts makes np.unique sort, which is
+    # several times faster here than its hash table.
+    nodes, ranks = np.unique(
+        np.concatenate((pairs.ravel(), _node_ids(extra_nodes))),
+        return_inverse=True)
+    if not nodes.size:
+        raise GraphError("empty graph: no nodes in input")
+    n = nodes.size
+    ranks = ranks[:pairs.size].reshape(-1, 2)
+    lo, hi = ranks.min(axis=1), ranks.max(axis=1)
+    proper = lo != hi
+    keys, _ = np.unique(lo[proper] * n + hi[proper], return_counts=True)
+    # Each edge in both directions, sorted by (vertex, neighbor).
+    both = np.sort(np.concatenate((keys, keys % n * n + keys // n)))
+    bounds = np.searchsorted(both, np.arange(n + 1) * n).tolist()
+    # One int object per node, shared by every list that holds it.
+    neighbors = np.arange(n).astype(object)[both % n].tolist()
+    kept = int(proper.sum())
+    return (nodes.tolist(),
+            [tuple(neighbors[a:b]) for a, b in zip(bounds, bounds[1:])],
+            len(pairs) - kept, kept - len(keys))
 
-    Lines starting with '#' are comments.  Self-loops are dropped, duplicate
-    edges collapsed, and external ids remapped densely; counts are recorded
-    in the returned graph's ``load_report``.
+
+def _node_ids(ids: Iterable[int] | np.ndarray) -> np.ndarray:
+    """Node ids as a uint64 array; GraphError for an id outside [0, 2^64)."""
+    if isinstance(ids, np.ndarray):
+        if ids.dtype == np.uint64:
+            return ids
+        ids = ids.ravel().tolist()
+    ids = list(ids)
+    try:
+        return np.array(ids, dtype=np.uint64)
+    except OverflowError:
+        bad = next(i for i in ids if not 0 <= i < 1 << 64)
+        raise GraphError(f"node id {bad} is outside [0, 2^64)") from None
+
+
+_MAX_DIGITS = 20                        # len(str(2**64 - 1))
+_U64_HEAD, _U64_LAST = divmod((1 << 64) - 1, 10)
+_BLANKS = b" \t\r"
+_ID = re.compile(r"-?[0-9]+")
+
+
+def load_edge_list(source: IO[str] | IO[bytes]) -> Graph:
+    """Parse an edge list into a simple graph.
+
+    Each line holds two node ids, 1 to 20 ASCII digits with a value below
+    2^64, separated by spaces or tabs (a CR counts as one).  Blank lines are
+    skipped, and so is a comment line, whose first non-blank character is
+    '#'.  Self-loops are dropped, duplicate edges collapsed, and external
+    ids remapped densely; counts are recorded in the returned graph's
+    ``load_report``.  Any other line raises EdgeListParseError naming the
+    first such line.
     """
-    edges: list[tuple[int, int]] = []
-    lines_read = 0
-    comments = 0
-    for line_no, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        lines_read += 1
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments += 1
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListParseError(line_no, line, "expected two node ids")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(line_no, line, "non-integer node id") from None
-        if a < 0 or b < 0:
-            raise EdgeListParseError(line_no, line, "negative node id")
-        edges.append((a, b))
-    base = LoadReport(lines_read=lines_read, comments_skipped=comments)
-    return Graph.from_edges(edges, report_base=base)
+    data = source.read()
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    pairs, report = _parse_edge_list(data)
+    return Graph.from_edges(pairs, report_base=report)
+
+
+def _parse_edge_list(data: bytes) -> tuple[np.ndarray, LoadReport]:
+    """The id pairs of an edge list as an (E, 2) uint64 array, and its line
+    and comment counts."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    starts, lengths, nondigit = _tokens(buf)
+    line_of = np.searchsorted(newlines, starts)
+    first = np.ones(len(starts), dtype=bool)
+    first[1:] = line_of[1:] != line_of[:-1]
+    comment = np.zeros(len(newlines) + 1, dtype=bool)
+    comment[line_of[first & (buf[starts] == ord("#"))]] = True
+    ids = ~comment[line_of]
+    starts, lengths, line_of = starts[ids], lengths[ids], line_of[ids]
+
+    # The first bad line of each kind: not two tokens, a non-digit byte, a
+    # token too long to be an id, or an id of 2^64 or more.
+    per_line = np.bincount(line_of, minlength=len(comment))
+    bad = [np.flatnonzero((per_line != 0) & (per_line != 2))[:1]]
+    nondigit_lines = np.searchsorted(newlines, nondigit)
+    bad.append(nondigit_lines[~comment[nondigit_lines]][:1])
+    bad.append(line_of[lengths > _MAX_DIGITS][:1])
+
+    # Horner's rule over the digit columns, in place.  ``cursor`` walks each
+    # token's bytes, held at the last byte of the data once its token ends;
+    # it reuses ``starts``, which is not needed again.
+    values = np.zeros(len(starts), dtype=np.uint64)
+    overflow = np.zeros(len(starts), dtype=bool)
+    cursor = starts
+    for k in range(min(int(lengths.max(initial=0)), _MAX_DIGITS)):
+        digit = buf[cursor] - np.uint8(ord("0"))
+        more = lengths > k
+        if k == _MAX_DIGITS - 1:
+            overflow = more & ((values > _U64_HEAD) | ((values == _U64_HEAD)
+                                                      & (digit > _U64_LAST)))
+        np.multiply(values, 10, out=values, where=more)
+        np.add(values, digit, out=values, where=more)
+        cursor += 1
+        np.minimum(cursor, len(buf) - 1, out=cursor)
+    bad.append(line_of[overflow][:1])
+    bad = np.concatenate(bad)
+    if bad.size:
+        index = int(bad.min())
+        begin = int(newlines[index - 1]) + 1 if index else 0
+        end = int(newlines[index]) if index < len(newlines) else len(data)
+        raise _line_error(index + 1, data[begin:end])
+    lines_read = len(newlines) + (bool(data) and not data.endswith(b"\n"))
+    return values.reshape(-1, 2), LoadReport(
+        lines_read=lines_read, comments_skipped=int(comment.sum()))
+
+
+def _tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The start and length of each token, a maximal run of bytes that are
+    neither blanks nor newlines, and the position of each non-digit byte in
+    a token.  The per-byte arrays are freed on return."""
+    word = np.ones(len(buf), dtype=bool)
+    for blank in _BLANKS + b"\n":
+        word &= buf != blank
+    nondigit = np.flatnonzero(word & (buf - np.uint8(ord("0")) > 9))
+    step = np.diff(word.view(np.int8), prepend=np.int8(0),
+                   append=np.int8(0))
+    starts = np.flatnonzero(step == 1)
+    return starts, np.flatnonzero(step == -1) - starts, nondigit
+
+
+def _line_error(line_number: int, raw: bytes) -> EdgeListParseError:
+    """The error for an edge-list line that the array check rejected."""
+    line = raw.decode("utf-8", "replace").strip(_BLANKS.decode())
+    fields = re.split(r"[ \t\r]+", line)
+    if len(fields) != 2:
+        reason = "expected two node ids"
+    elif not all(map(_ID.fullmatch, fields)):
+        reason = "non-integer node id"
+    elif any(f.startswith("-") for f in fields):
+        reason = "negative node id"
+    elif any(len(f) > _MAX_DIGITS for f in fields):
+        reason = f"node id longer than {_MAX_DIGITS} digits"
+    else:
+        reason = "node id not below 2^64"
+    return EdgeListParseError(line_number, line, reason)
 
 
 def write_edge_list(g: Graph, sink: IO[str]) -> None:
     """Serialize as one external-id pair per line, smaller id first."""
-    for v in range(g.node_count):
-        ev = g.ext_id(v)
-        for u in g.neighbors(v):
-            eu = g.ext_id(u)
-            if ev < eu:
-                sink.write(f"{ev} {eu}\n")
+    sink.writelines(f"{a} {b}\n" for a, b in g._edge_array().tolist())
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -273,13 +391,11 @@ def largest_connected_component(g: Graph) -> Graph:
     """
     best = max(g.components,
                key=lambda comp: (len(comp), -min(g.ext_id(v) for v in comp)))
-    keep = set(best)
-    edges = []
-    for v in best:
-        for u in g.neighbors(v):
-            if u in keep and g.ext_id(v) < g.ext_id(u):
-                edges.append((g.ext_id(v), g.ext_id(u)))
-    return Graph.from_edges(edges, extra_nodes=[g.ext_id(v) for v in best])
+    members = np.array(g.ext_ids, dtype=np.uint64)[list(best)]
+    edges = g._edge_array()
+    # An edge lies inside one component, so its smaller end decides.
+    return Graph.from_edges(edges[np.isin(edges[:, 0], members)],
+                            extra_nodes=members)
 
 
 def exact_stats(g: Graph) -> GraphStats:

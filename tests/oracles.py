@@ -1,7 +1,8 @@
-"""Naive quadratic reference implementations used to check the streaming code.
+"""Naive reference implementations used to check the streaming code.
 
 Everything here deliberately evaluates pair sums with explicit (i, j) masks
-over full n x n matrices.  Nothing from this module is used outside tests.
+over full n x n matrices, and loads edge lists line by line into Python
+sets.  Nothing from this module is used outside tests.
 """
 
 from __future__ import annotations
@@ -209,3 +210,87 @@ def margin_index_arrays(sample) -> dict[str, np.ndarray]:
         "snapshot_first": first,
         "snapshot_last": last,
     }
+
+
+def load_edge_list(source):
+    """Line-by-line edge-list loader: the array loader's reference.
+
+    It accepts what ``int()`` accepts as an id (so ``+5``, ``1_0`` and
+    non-ASCII digits too, which the array loader rejects) and splits on any
+    whitespace.
+    """
+    from graphsize.graph import EdgeListParseError, LoadReport
+
+    edges = []
+    lines_read = 0
+    comments = 0
+    for line_no, raw in enumerate(source, start=1):
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
+        lines_read += 1
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments += 1
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(line_no, line, "expected two node ids")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(line_no, line, "non-integer node id") from None
+        if a < 0 or b < 0:
+            raise EdgeListParseError(line_no, line, "negative node id")
+        if a >= 2**64 or b >= 2**64:
+            raise EdgeListParseError(line_no, line, "node id not below 2^64")
+        edges.append((a, b))
+    base = LoadReport(lines_read=lines_read, comments_skipped=comments)
+    return graph_from_edges(edges, report_base=base)
+
+
+def graph_from_edges(edges, extra_nodes=(), report_base=None):
+    """Set-based ``Graph.from_edges``: the array builder's reference."""
+    from graphsize.graph import Graph, GraphError, LoadReport
+
+    base = report_base or LoadReport()
+    self_loops = base.self_loops_dropped
+    dupes = base.duplicates_collapsed
+    edge_set = set()
+    nodes = set(extra_nodes)
+    for a, b in edges:
+        if a == b:
+            self_loops += 1
+            nodes.add(a)
+            continue
+        key = (a, b) if a < b else (b, a)
+        if key in edge_set:
+            dupes += 1
+        else:
+            edge_set.add(key)
+        nodes.update(key)
+    if not nodes:
+        raise GraphError("empty graph: no nodes in input")
+    ext_ids = sorted(nodes)
+    dense = {e: i for i, e in enumerate(ext_ids)}
+    adj = [[] for _ in ext_ids]
+    for a, b in edge_set:
+        adj[dense[a]].append(dense[b])
+        adj[dense[b]].append(dense[a])
+    report = LoadReport(lines_read=base.lines_read,
+                        comments_skipped=base.comments_skipped,
+                        self_loops_dropped=self_loops,
+                        duplicates_collapsed=dupes)
+    return Graph([tuple(sorted(a)) for a in adj], ext_ids, report)
+
+
+def largest_connected_component(g):
+    """Edge-by-edge ``largest_connected_component``: the array version's
+    reference."""
+    best = max(g.components,
+               key=lambda comp: (len(comp), -min(g.ext_id(v) for v in comp)))
+    keep = set(best)
+    edges = [(g.ext_id(v), g.ext_id(u)) for v in best for u in g.neighbors(v)
+             if u in keep and g.ext_id(v) < g.ext_id(u)]
+    return graph_from_edges(edges, extra_nodes=[g.ext_id(v) for v in best])

@@ -192,6 +192,7 @@ def test_plot_names_a_malformed_csv(tmp_path, capsys, rows, message):
     ("gen:grid:rows=3", "missing 'cols'"),
     ("gen:er:nodes=0,p=0.1", "n must be >= 1"),
     ("gen:ba:nodes=100,m=3,sed=5", "unknown generator key 'sed'"),
+    ("gen:er:nodes=10,nodes=20,p=0.1", "duplicate generator key 'nodes'"),
 ])
 def test_bad_generator_value_is_config_error(tmp_path, capsys, spec, message):
     plan = tmp_path / "plan.txt"
@@ -233,6 +234,28 @@ def test_non_integer_grid_value_is_config_error(tmp_path, capsys):
     err = _one_line_error(*run(capsys, "experiment", "--plan", str(plan),
                                "-o", str(tmp_path / "x.csv")), 2)
     assert "m grid value 2.9 is not an integer" in err
+
+
+def test_duplicate_plan_key_is_config_error(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    # The graph file does not exist: the plan is rejected before loading it.
+    plan.write_text(f"graph = {tmp_path / 'missing.txt'}\nmethod = uis\n"
+                    "n = 10\nestimator = node-uis\nparam = n\nvalues = 10\n"
+                    "trials = 3\n# again\ntrials = 5\n")
+    err = _one_line_error(*run(capsys, "experiment", "--plan", str(plan),
+                               "-o", str(tmp_path / "x.csv")), 2)
+    assert "plan line 9: duplicate key 'trials'" in err
+
+
+def test_edge_list_id_of_2_64_is_a_data_error(tmp_path, capsys):
+    edges = tmp_path / "g.txt"
+    edges.write_text("1 18446744073709551615\n1 18446744073709551616\n"
+                     "1 2\n2 3\n")
+    for argv in (["graphstat", str(edges)],
+                 ["sample", "--graph", str(edges), "--method", "uis",
+                  "--n", "2", "-o", str(tmp_path / "s.tsv")]):
+        err = _one_line_error(*run(capsys, *argv), 3)
+        assert "line 2: node id not below 2^64" in err
 
 
 def _rw_sample_file(tmp_path, capsys):
@@ -416,9 +439,12 @@ def test_experiment_plan_errors_precede_building_the_graph(tmp_path, capsys,
                                                            line):
     plan = tmp_path / "plan.txt"
     # The graph file does not exist: reading it would be a data error (3).
-    plan.write_text(f"graph = {tmp_path / 'missing.txt'}\nmethod = rw\n"
-                    "n = 50\nestimator = ind-b\ncorrection = margin\n"
-                    "param = m\nvalues = 0,5\n" + line + "\n")
+    keys = {"graph": str(tmp_path / "missing.txt"), "method": "rw", "n": "50",
+            "estimator": "ind-b", "correction": "margin", "param": "m",
+            "values": "0,5"}
+    # ``line`` replaces the keys it names: a key given twice is an error.
+    keys.update(pair.split(" = ") for pair in line.split("\n"))
+    plan.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
     code, out, err = run(capsys, "experiment", "--plan", str(plan),
                          "-o", str(tmp_path / "x.csv"))
     assert code == 2

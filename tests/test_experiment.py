@@ -307,12 +307,15 @@ def test_parse_plan_file_errors():
         parse_plan_file("bogus_key = 1\n")
     with pytest.raises(PlanError):
         parse_plan_file("just a line without equals\n")
-    base = ("graph = gen:er:nodes=100,p=0.1,seed=1\nmethod = uis\nn = 50\n"
-            "estimator = node-uis\nparam = n\nvalues = 30,50\n")
+    with pytest.raises(PlanError, match="plan line 2: duplicate key 'n'"):
+        parse_plan_file("n = 3\nn = 5\n")
+    base = {"graph": "gen:er:nodes=100,p=0.1,seed=1", "method": "uis",
+            "n": "50", "estimator": "node-uis", "param": "n", "values": "30,50"}
     for key, value in [("n", "abc"), ("trials", "2.5"), ("values", "30,x"),
                        ("values", "30,nan"), ("m", ""), ("base_seed", "s")]:
+        text = "".join(f"{k} = {v}\n" for k, v in {**base, key: value}.items())
         with pytest.raises(PlanError, match=f"plan key '{key}'"):
-            parse_plan_file(base + f"{key} = {value}\n")
+            parse_plan_file(text)
 
 
 def test_resolve_graph_specs(tmp_path):
@@ -330,6 +333,28 @@ def test_resolve_graph_specs(tmp_path):
         resolve_graph("gen:ba:nodes=100,m=3,sed=5")
     with pytest.raises(PlanError, match="unknown generator key 'seed'"):
         resolve_graph("gen:grid:rows=2,cols=2,seed=1")  # grid takes no seed
+    with pytest.raises(PlanError, match="duplicate generator key 'p'"):
+        resolve_graph("gen:er:nodes=10,p=0.1,p=0.2")
     path = tmp_path / "g.txt"
     path.write_text("0 1\n1 2\n")
     assert resolve_graph(str(path)).node_count == 3
+
+
+def test_resolve_graph_loads_a_path_through_one_load_edge_list_call(
+        tmp_path, monkeypatch):
+    # bench/tracing.py wraps this module attribute to time the graph.load
+    # layer, so a path must reach the loader through it, once.
+    calls = []
+    original = experiment.load_edge_list
+
+    def counting(source):
+        calls.append(source.name)
+        return original(source)
+
+    monkeypatch.setattr(experiment, "load_edge_list", counting)
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n")
+    assert resolve_graph(str(path)).edge_count == 2
+    assert calls == [str(path)]
+    resolve_graph("gen:grid:rows=2,cols=2")
+    assert len(calls) == 1

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+import oracles
 from graphsize.generators import (barabasi_albert, erdos_renyi, grid_2d,
                                   hub_of_cliques, ring_of_cliques)
-from graphsize.graph import size_identity
+from graphsize.graph import Graph, largest_connected_component, size_identity
 
 
 def test_er_deterministic():
@@ -79,3 +80,36 @@ def test_grid_2d():
 def test_grid_rejects_non_positive():
     with pytest.raises(ValueError):
         grid_2d(0, 5)
+
+
+def _same_graph(got, want):
+    assert got._adj == want._adj
+    assert got.ext_ids == want.ext_ids
+    assert got.edge_count == want.edge_count
+    assert got.load_report == want.load_report
+    assert got.digest == want.digest
+
+
+@pytest.mark.parametrize("build", [
+    lambda: erdos_renyi(300, 0.01, seed=2),   # disconnected
+    lambda: erdos_renyi(60, 0.0, seed=0),     # no edges
+    lambda: barabasi_albert(400, 3, seed=5),
+    lambda: ring_of_cliques(2, 3),            # its bridge edge is repeated
+    lambda: ring_of_cliques(1, 4),            # one clique, no bridge
+    lambda: hub_of_cliques(4, 3),
+    lambda: grid_2d(6, 7),
+])
+def test_generators_match_the_set_based_builder(build, monkeypatch):
+    inputs = []
+    original = Graph.from_edges.__func__
+
+    def recording(cls, edges, extra_nodes=(), report_base=None):
+        inputs.append((list(edges), list(extra_nodes)))
+        return original(cls, *inputs[-1], report_base)
+
+    monkeypatch.setattr(Graph, "from_edges", classmethod(recording))
+    g = build()
+    monkeypatch.undo()
+    _same_graph(g, oracles.graph_from_edges(*inputs[0]))
+    _same_graph(largest_connected_component(g),
+                oracles.largest_connected_component(g))

@@ -1,7 +1,12 @@
+import contextlib
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from graphsize import cli
+from graphsize.generators import barabasi_albert, erdos_renyi, grid_2d
 from graphsize.graph import (EdgeListParseError, Graph, GraphError,
                              exact_stats, largest_connected_component,
                              load_edge_list, size_identity, write_edge_list)
@@ -140,3 +145,178 @@ def test_components_and_connectivity():
     assert not g.is_connected
     assert len(g.components) == 2
     assert graph_from_text("1 2\n2 3\n").is_connected
+
+
+# -- pinned digests and validation errors -----------------------------------
+
+# Ids near 2^63 and 2^64 - 1, a self-loop, a duplicate in both orientations;
+# its largest component is the triangle on the three largest ids plus 0.
+_HUGE_IDS = (f"{2**64 - 1} {2**64 - 2}\n{2**64 - 2} {2**64 - 3}\n"
+             f"{2**64 - 1} {2**64 - 3}\n0 {2**64 - 1}\n"
+             f"{2**63} {2**63 + 1}\n5 5\n{2**64 - 2} {2**64 - 1}\n")
+
+
+@pytest.mark.parametrize("build,digest", [
+    (lambda: erdos_renyi(200, 0.05, 3), "6269ce9b618ef761"),
+    (lambda: barabasi_albert(500, 3, 7), "a341ee4cc8129df1"),
+    (lambda: grid_2d(5, 5), "cf3b264a5aa95482"),
+    (lambda: graph_from_text(_HUGE_IDS), "fe4633c5045f036f"),
+    (lambda: largest_connected_component(graph_from_text(_HUGE_IDS)),
+     "233ce484da1f4fb7"),
+])
+def test_digest_is_pinned(build, digest):
+    # Sample files carry the digest, so its bytes must not change.
+    assert build().digest == digest
+
+
+def test_huge_ids_load_and_keep_their_component():
+    g = graph_from_text(_HUGE_IDS)
+    assert (g.node_count, g.edge_count) == (7, 5)
+    assert g.load_report.self_loops_dropped == 1
+    assert g.load_report.duplicates_collapsed == 1
+    lcc = largest_connected_component(g)
+    assert lcc.ext_ids == (0, 2**64 - 3, 2**64 - 2, 2**64 - 1)
+    assert lcc.edge_count == 4
+
+
+@pytest.mark.parametrize("adjacency,message", [
+    ([(1, 2), (1,), (0, 1)], "self-loop at dense index 1"),
+    ([(2, 1), (0,), (0,)], "adjacency of 0 not sorted/unique"),
+    ([(1,), (0, 0), ()], "adjacency of 1 not sorted/unique"),
+    ([(1, 3), (0,), ()], "neighbor index 3 out of range"),
+    # The first offending vertex is reported, not the first kind of error.
+    ([(1, 5), (1,)], "neighbor index 5 out of range"),
+    # Of one entry's failed checks, self-loop comes before order ...
+    ([(1,), (2, 1), (1,)], "self-loop at dense index 1"),
+    # ... and order before range: a leading negative is out of order.
+    ([(-1,), ()], "adjacency of 0 not sorted/unique"),
+])
+def test_validate_names_the_first_offender(adjacency, message):
+    with pytest.raises(GraphError) as exc:
+        Graph(adjacency, list(range(len(adjacency))))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("edges", [[(1, 2**64)], [(-1, 2)], [(3, 3), (4, -5)]])
+def test_from_edges_rejects_ids_outside_64_bits(edges):
+    with pytest.raises(GraphError, match="outside \\[0, 2\\^64\\)"):
+        Graph.from_edges(edges)
+
+
+# -- the array loader against the line-by-line reference ---------------------
+
+_NEAR = [0, 1, 2, 3, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+_PAD = st.text(" \t", max_size=2)
+_GAP = st.text(" \t", min_size=1, max_size=2)
+_BAD = ["one field", "three fields", "-1", "-3", str(2**64),
+        str(2**64 + 1), str(10**25), "x", "1a", "0x1f", "#1"]
+
+
+@st.composite
+def _line(draw):
+    kind = draw(st.sampled_from(["edge"] * 4 + ["blank", "comment"]))
+    pad, end = draw(_PAD), draw(_PAD)
+    if kind == "blank":
+        return pad
+    if kind == "comment":
+        return pad + "#" + draw(st.text(st.characters(
+            blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+            max_size=8))
+    return pad + draw(_GAP).join(str(draw(st.sampled_from(_NEAR)))
+                                 for _ in range(2)) + end
+
+
+@st.composite
+def _bad_line(draw):
+    """A line with one or three ids, or with one id malformed."""
+    ids = [str(draw(st.sampled_from(_NEAR))) for _ in range(3)]
+    bad = draw(st.sampled_from(_BAD))
+    if bad == "one field":
+        ids = ids[:1]
+    elif bad != "three fields":
+        ids = ids[:2]
+        # A leading '#' would make the line a comment.
+        ids[1 if bad == "#1" else draw(st.integers(0, 1))] = bad
+    return draw(_PAD) + draw(_GAP).join(ids) + draw(_PAD)
+
+
+@st.composite
+def _edge_list(draw):
+    lines = draw(st.lists(_line(), max_size=12))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_bad_line()))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + e for line, e in zip(lines, ends))
+    return text[:-1] if lines and draw(st.booleans()) else text
+
+
+def _outcome(load, text):
+    try:
+        return load(io.StringIO(text))
+    except GraphError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_list())
+def test_loader_matches_the_line_by_line_reference(tmp_path_factory, text):
+    want = _outcome(oracles.load_edge_list, text)
+    got = _outcome(load_edge_list, text)
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        if isinstance(want, EdgeListParseError):
+            assert got.line_number == want.line_number
+    else:
+        assert got._adj == want._adj
+        assert got.ext_ids == want.ext_ids
+        assert got.edge_count == want.edge_count
+        assert got.load_report == want.load_report
+        assert got.digest == want.digest
+    path = tmp_path_factory.getbasetemp() / "fuzzed-edge-list.txt"
+    path.write_bytes(text.encode("utf-8"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["graphstat", str(path)])
+    assert rc in (0, 3)
+    if rc == 3:
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
+    if isinstance(want, EdgeListParseError):
+        assert rc == 3 and f"line {want.line_number}:" in err.getvalue()
+
+
+@pytest.mark.parametrize("line", ["+5 1", "1_0 2", "\u0661 2", "1 \uff12",
+                                  "000000000000000000001 2"])
+def test_loader_accepts_only_ascii_decimal_ids(line):
+    # int() takes each of these; an edge-list id is 1 to 20 ASCII digits.
+    text = f"1 2\n{line}\n"
+    assert oracles.load_edge_list(io.StringIO(text)).edge_count >= 1
+    with pytest.raises(EdgeListParseError) as exc:
+        graph_from_text(text)
+    assert exc.value.line_number == 2
+
+
+@pytest.mark.parametrize("text,line_number,reason", [
+    ("1 2\n1 2 3\n", 2, "expected two node ids"),
+    ("1 2\n\n  # note\n7\n", 4, "expected two node ids"),
+    ("1 x\n", 1, "non-integer node id"),
+    ("1 2\n-1 x\n", 2, "non-integer node id"),
+    ("1 2\n3 -4\n", 2, "negative node id"),
+    ("1 18446744073709551616\n", 1, "node id not below 2^64"),
+    ("1 000000000000000000001\n", 1, "node id longer than 20 digits"),
+    ("1 2\n3 4 # trailing comment\n", 2, "expected two node ids"),
+])
+def test_parse_error_names_line_and_reason(text, line_number, reason):
+    with pytest.raises(EdgeListParseError) as exc:
+        graph_from_text(text)
+    assert exc.value.line_number == line_number
+    assert f"line {line_number}: {reason}:" in str(exc.value)
+
+
+def test_load_report_counts_lines_and_comments():
+    g = graph_from_text("# header\r\n\t1\t2 \r\n\n  #x\n2 1\n3 3")
+    assert g.load_report.lines_read == 6
+    assert g.load_report.comments_skipped == 2
+    assert g.load_report.duplicates_collapsed == 1
+    assert g.load_report.self_loops_dropped == 1
+    assert g.ext_ids == (1, 2, 3)
