@@ -14,14 +14,14 @@ from .core import (AuxiliarySet, EstimateOutcome, EstimatorError,
 from .graph import (Graph, GraphError, GraphStats, LoadReport, exact_stats,
                     largest_connected_component, load_edge_list,
                     size_identity, write_edge_list)
-from .ind_estimators import (density_uis, density_wis, inda_uis, inda_wis,
-                             indb_auto, indb_uis, indb_wis, mean_degree_uis,
-                             mean_degree_wis)
+from .ind_estimators import (density_uis, density_wis, inda_uis_ratio,
+                             inda_wis_ratio, indb_auto_ratio, indb_uis_ratio,
+                             indb_wis_ratio, mean_degree_uis, mean_degree_wis)
 from .node_estimators import (MleSolverConfig, capture_recapture,
                               capture_recapture_from_sample, mle_unique_approx,
-                              mle_unique_exact, node_uis, node_wis)
-from .rw_correction import (MarginConfig, ThinningConfig, estimate_thinned,
-                            ind_margin, margin_crosswalker, node_margin,
+                              mle_unique_exact, node_uis_ratio, node_wis_ratio)
+from .rw_correction import (estimate_thinned, ind_margin_ratio,
+                            margin_crosswalker, node_margin_ratio,
                             surviving_pair_count, thin_shifted, thin_simple)
 from .sampling import (Sample, SamplingError, read_sample, sample_rw,
                        sample_rw_multi, sample_uis, sample_wis, write_sample)

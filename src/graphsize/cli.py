@@ -159,7 +159,7 @@ def _cmd_estimate(args) -> int:
         "denominator": ratio.denominator if ratio else None,
         "estimate": outcome.value if outcome.finite else "no_collisions",
     }
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))  # ValueError on inf or nan
     return 0
 
 
@@ -196,9 +196,12 @@ def _read_csv(path: str) -> list[TrialSummary]:
                 raise ValueError(f"{path} line {line_no}: expected "
                                  f"{len(CSV_COLUMNS)} comma-separated "
                                  f"fields, got {len(fields)}")
+            percentiles = fields[1:4]  # empty when every trial was infinite
+            if any(percentiles) and not all(percentiles):
+                raise ValueError(f"{path} line {line_no}: p10, p50 and p90 "
+                                 "must be all empty or all present")
             values = []
             for name, text in zip(CSV_COLUMNS, fields):
-                # A percentile is empty when every trial was infinite.
                 if not text and name in ("p10", "p50", "p90"):
                     values.append(None)
                     continue

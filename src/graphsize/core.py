@@ -49,15 +49,17 @@ NO_COLLISIONS = EstimateOutcome(None)
 
 @dataclass(frozen=True)
 class RatioEstimate:
-    """Numerator/denominator pair; denominator zero means no usable collisions."""
+    """Numerator/denominator pair, plus a constant offset (the density
+    route's +1); denominator zero means no usable collisions."""
 
     numerator: float
     denominator: float
+    offset: float = 0.0
 
-    def outcome(self, offset: float = 0.0) -> EstimateOutcome:
+    def outcome(self) -> EstimateOutcome:
         if self.denominator <= 0.0:
             return NO_COLLISIONS
-        return EstimateOutcome(self.numerator / self.denominator + offset)
+        return EstimateOutcome(self.numerator / self.denominator + self.offset)
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,7 @@ class AuxiliarySet:
 
 def count_collisions(s: Sample) -> int:
     """Number of unordered pairs of identical samples."""
-    return multiplicity_collisions(Counter(s.nodes()))
-
-
-def multiplicity_collisions(counts: Counter) -> int:
-    return sum(c * (c - 1) // 2 for c in counts.values())
+    return sum(c * (c - 1) // 2 for c in Counter(s.node_at).values())
 
 
 def count_unique(s: Sample) -> int:
@@ -122,15 +120,12 @@ def count_cross_collisions(s: Sample, a: AuxiliarySet) -> int:
     return sum(a.counts.get(v, 0) for v in s.node_at)
 
 
-def pairwise_inverse_weight_sum(weights: Sample | Sequence[float]) -> float:
+def pairwise_inverse_weight_sum(weights: Sequence[float]) -> float:
     """Sum of 1/(w_i * w_j) over unordered pairs, via the closed form.
 
     Equals 0.5 * ((sum 1/w)^2 - sum 1/w^2); reciprocal sums use compensated
-    summation because the terms can be heavy-tailed.  Accepts a sample or a
-    bare weight sequence.
+    summation because the terms can be heavy-tailed.
     """
-    if isinstance(weights, Sample):
-        weights = weights.weights()
     return _inverse_pair_sum(_inverse_weights(weights))
 
 
@@ -150,9 +145,9 @@ def _inverse_weights(weights: Iterable[float]) -> list[float]:
     return inv
 
 
-def aggregate_ratios(parts: Sequence[RatioEstimate],
-                     offset: float = 0.0) -> EstimateOutcome:
-    """Sum of numerators over sum of denominators across subsample parts.
+def aggregate_ratios(parts: Sequence[RatioEstimate]) -> EstimateOutcome:
+    """Sum of numerators over sum of denominators across subsample parts,
+    plus the parts' offset (they come from one estimator).
 
     Robust where a per-part mean would be infinite: parts with a zero
     denominator still contribute their numerator.
@@ -161,7 +156,7 @@ def aggregate_ratios(parts: Sequence[RatioEstimate],
         raise EstimatorError("no ratio parts to aggregate")
     num = math.fsum(p.numerator for p in parts)
     den = math.fsum(p.denominator for p in parts)
-    return RatioEstimate(num, den).outcome(offset)
+    return RatioEstimate(num, den, parts[0].offset).outcome()
 
 
 def aggregate_mean(values: Sequence[EstimateOutcome]) -> EstimateOutcome:

@@ -19,7 +19,7 @@ from . import ind_estimators as ind, node_estimators as node, rw_correction as r
 from .core import (A_MODES, MODE_SET, EstimateOutcome, EstimatorError,
                    RatioEstimate, count_unique)
 from .graph import Graph, largest_connected_component, load_edge_list
-from .rw_correction import ThinningConfig, estimate_thinned, margin_crosswalker
+from .rw_correction import estimate_thinned, margin_crosswalker
 from .sampling import (METHOD_UIS, METHODS, Sample, sample_rw,
                        sample_rw_multi, sample_uis, sample_wis)
 
@@ -57,7 +57,6 @@ class EstimatorSpec:
 # so that replacing the module attribute (as tests and tracing do) works.
 class Estimator(NamedTuple):
     estimate: Callable  # (sample, spec, seed) -> RatioEstimate | EstimateOutcome
-    offset: float = 0.0  # added to a ratio's quotient
     walk_corrections: bool = False  # whether the corrections below apply
 
 
@@ -72,8 +71,7 @@ ESTIMATORS = {
     "mle-exact": Estimator(lambda s, est, seed:
                            node.mle_unique_exact(len(s), count_unique(s))),
     "ind-a": Estimator(lambda s, est, seed: ind.inda_uis_ratio(s)
-                       if s.method == METHOD_UIS else ind.inda_wis_ratio(s),
-                       offset=1.0),
+                       if s.method == METHOD_UIS else ind.inda_wis_ratio(s)),
     "ind-b": Estimator(lambda s, est, seed: ind.indb_auto_ratio(s, est.a_mode),
                        walk_corrections=True),
 }
@@ -85,17 +83,19 @@ class Correction(NamedTuple):
     apply: Callable | None = None  # (sample, spec), for the estimator's own
 
 
-# rw_correction names its thinning bases like the estimators, and its
-# cross-walker bases by their family (node-, ind-).
+def _thinned(shifted: bool) -> Callable:
+    # Thins the estimator's own ratio; a walk estimator's ratio takes no seed.
+    return lambda s, est: estimate_thinned(
+        s, est.theta, lambda sub: ESTIMATORS[est.name].estimate(sub, est, 0),
+        shifted=shifted)
+
+
+# rw_correction names its cross-walker bases by their family (node-, ind-).
 WALKS = ("rw", "rw-multi")
 CORRECTIONS = {
     "none": Correction(tuple(METHODS)),
-    "thin": Correction(WALKS, "theta", lambda s, est: estimate_thinned(
-        s, ThinningConfig(est.theta), est.name, shifted=False,
-        a_mode=est.a_mode)),
-    "thin-shifted": Correction(WALKS, "theta", lambda s, est: estimate_thinned(
-        s, ThinningConfig(est.theta), est.name, shifted=True,
-        a_mode=est.a_mode)),
+    "thin": Correction(WALKS, "theta", _thinned(False)),
+    "thin-shifted": Correction(WALKS, "theta", _thinned(True)),
     "margin": Correction(WALKS, "m", lambda s, est:
                          rw.node_margin_ratio(s, est.m) if est.name == "node-wis"
                          else rw.ind_margin_ratio(s, est.m, est.a_mode)),
@@ -211,12 +211,11 @@ def evaluate_with_ratio(sample: Sample, est: EstimatorSpec, seed: int = 0):
     numerator/denominator pair.
     """
     check_spec(None, est)
-    entry = ESTIMATORS[est.name]
     apply = CORRECTIONS[est.correction].apply
-    result = (entry.estimate(sample, est, seed) if apply is None
-              else apply(sample, est))
+    result = (apply(sample, est) if apply
+              else ESTIMATORS[est.name].estimate(sample, est, seed))
     if isinstance(result, RatioEstimate):
-        return result, result.outcome(entry.offset)
+        return result, result.outcome()
     return None, result
 
 

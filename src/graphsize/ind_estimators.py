@@ -1,18 +1,19 @@
 """Size estimators based on induced edges (the IND family).
 
-Route A goes through the density identity N = <k>/rho + 1; route B counts
-cross-collisions between the sample and an auxiliary node (multi)set,
-by default the union of the sampled nodes' neighbor snapshots.
+Route A goes through the density identity N = <k>/rho + 1, so its ratios
+carry the +1 as their offset; route B counts cross-collisions between the
+sample and an auxiliary node (multi)set, by default the union of the sampled
+nodes' neighbor snapshots.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import (MODE_SET, EstimateOutcome, EstimatorError,
-                   RatioEstimate, AuxiliarySet, _inverse_pair_sum,
-                   _inverse_weights, build_auxiliary, count_cross_collisions,
-                   count_induced_edges, pairwise_inverse_weight_sum)
+from .core import (MODE_SET, AuxiliarySet, EstimatorError, RatioEstimate,
+                   _inverse_pair_sum, _inverse_weights, build_auxiliary,
+                   count_cross_collisions, count_induced_edges,
+                   pairwise_inverse_weight_sum)
 from .sampling import METHOD_UIS, Sample
 
 
@@ -32,16 +33,13 @@ def density_uis(s: Sample) -> float:
 
 
 def inda_uis_ratio(s: Sample) -> RatioEstimate:
+    """Density-route estimator for uniform samples:
+    (n-1)*sum(deg)/(2*n_ind) + 1."""
     if len(s) < 2:
         raise EstimatorError("need at least 2 records")
     n = len(s)
     num = (n - 1) * math.fsum(s.degrees())
-    return RatioEstimate(num, float(2 * count_induced_edges(s)))
-
-
-def inda_uis(s: Sample) -> EstimateOutcome:
-    """Density-route estimator for uniform samples: (n-1)*sum(deg)/(2*n_ind) + 1."""
-    return inda_uis_ratio(s).outcome(offset=1.0)
+    return RatioEstimate(num, float(2 * count_induced_edges(s)), 1.0)
 
 
 def mean_degree_wis(s: Sample) -> float:
@@ -80,37 +78,32 @@ def density_wis(s: Sample) -> float:
     """Two-point corrected density: edge pair terms over all pair terms."""
     if len(s) < 2:
         raise EstimatorError("density needs at least 2 records")
-    return edge_pair_inverse_weight_sum(s) / pairwise_inverse_weight_sum(s)
+    return (edge_pair_inverse_weight_sum(s)
+            / pairwise_inverse_weight_sum(s.weights()))
 
 
 def inda_wis_ratio(s: Sample) -> RatioEstimate:
+    """Weight-corrected density-route estimator; equals inda_uis_ratio's
+    quotient at unit weights."""
     if len(s) < 2:
         raise EstimatorError("need at least 2 records")
     inv = _inverse_weights(s.weights())
     deg_over_w = math.fsum(d * iw for d, iw in zip(s.degrees(), inv))
     num = deg_over_w * _inverse_pair_sum(inv)
     den = math.fsum(inv) * _edge_pair_sum(s, inv)
-    return RatioEstimate(num, den)
-
-
-def inda_wis(s: Sample) -> EstimateOutcome:
-    """Weight-corrected density-route estimator; reduces to inda_uis at unit weights."""
-    return inda_wis_ratio(s).outcome(offset=1.0)
+    return RatioEstimate(num, den, 1.0)
 
 
 def indb_uis_ratio(s: Sample, a: AuxiliarySet) -> RatioEstimate:
+    """|A| * |S| over the cross-collision count."""
     if len(s) < 1 or a.cardinality < 1:
         raise EstimatorError("need a non-empty sample and auxiliary set")
     return RatioEstimate(float(a.cardinality * len(s)),
                          float(count_cross_collisions(s, a)))
 
 
-def indb_uis(s: Sample, a: AuxiliarySet) -> EstimateOutcome:
-    """|A| * |S| over the cross-collision count."""
-    return indb_uis_ratio(s, a).outcome()
-
-
 def indb_wis_ratio(s: Sample, a: AuxiliarySet) -> RatioEstimate:
+    """One-point corrected cross-collision estimator."""
     if len(s) < 1 or a.cardinality < 1:
         raise EstimatorError("need a non-empty sample and auxiliary set")
     inv = _inverse_weights(s.weights())
@@ -120,13 +113,10 @@ def indb_wis_ratio(s: Sample, a: AuxiliarySet) -> RatioEstimate:
     return RatioEstimate(num, den)
 
 
-def indb_wis(s: Sample, a: AuxiliarySet) -> EstimateOutcome:
-    """One-point corrected cross-collision estimator."""
-    return indb_wis_ratio(s, a).outcome()
-
-
 def indb_auto_ratio(s: Sample, mode: str = MODE_SET) -> RatioEstimate:
-    """Cross-collision ratio with A built from the sample's own neighbor snapshots.
+    """The default IND estimator: the cross-collision ratio with A built
+    from the sample's own neighbor snapshots (duplicates in A discarded
+    unless asked).
 
     Uniform samples take the unweighted path even if weights are present;
     anything else is corrected by the record weights.
@@ -135,8 +125,3 @@ def indb_auto_ratio(s: Sample, mode: str = MODE_SET) -> RatioEstimate:
     if s.method == METHOD_UIS:
         return indb_uis_ratio(s, a)
     return indb_wis_ratio(s, a)
-
-
-def indb_auto(s: Sample, mode: str = MODE_SET) -> EstimateOutcome:
-    """The default IND estimator (duplicates in A discarded unless asked)."""
-    return indb_auto_ratio(s, mode).outcome()

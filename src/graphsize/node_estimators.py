@@ -143,18 +143,15 @@ def _check_unique_args(n: int, n_unique: int) -> None:
 
 
 def node_uis_ratio(s: Sample) -> RatioEstimate:
-    """n^2 over the ordered-pair collision count."""
+    """Collision-count estimator for uniform samples: n^2 over the
+    ordered-pair collision count."""
     n = len(s)
     return RatioEstimate(float(n * n), float(2 * count_collisions(s)))
 
 
-def node_uis(s: Sample) -> EstimateOutcome:
-    """Collision-count estimator for uniform samples."""
-    return node_uis_ratio(s).outcome()
-
-
 def node_wis_ratio(s: Sample) -> RatioEstimate:
-    """sum(w) * sum(1/w) over the ordered-pair collision count.
+    """Weight-corrected collision-count estimator: sum(w) * sum(1/w) over
+    the ordered-pair collision count.
 
     With unit weights this equals :func:`node_uis_ratio` exactly.  The value
     is invariant under rescaling all weights by a constant.
@@ -162,8 +159,3 @@ def node_wis_ratio(s: Sample) -> RatioEstimate:
     weights = s.weights()
     num = math.fsum(weights) * math.fsum(_inverse_weights(weights))
     return RatioEstimate(num, float(2 * count_collisions(s)))
-
-
-def node_wis(s: Sample) -> EstimateOutcome:
-    """Weight-corrected collision-count estimator."""
-    return node_wis_ratio(s).outcome()

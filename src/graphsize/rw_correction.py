@@ -21,70 +21,44 @@ many m pays for the index once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import (A_MODES, MODE_MULTISET, MODE_SET, NO_COLLISIONS,
-                   EstimateOutcome, EstimatorError, RatioEstimate,
-                   aggregate_ratios)
-from .ind_estimators import indb_auto_ratio
-from .node_estimators import node_wis_ratio
+from .core import (A_MODES, MODE_MULTISET, NO_COLLISIONS, EstimateOutcome,
+                   EstimatorError, RatioEstimate, aggregate_ratios)
 from .sampling import MarginIndex, Sample
 
-BASE_NODE_WIS = "node-wis"
-BASE_IND_B = "ind-b"
+
+def _check_at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise EstimatorError(f"{name} must be >= {least}, got {value}")
 
 
-@dataclass(frozen=True)
-class ThinningConfig:
-    theta: int
-
-    def __post_init__(self):
-        if self.theta < 1:
-            raise ValueError("theta must be >= 1")
-
-
-@dataclass(frozen=True)
-class MarginConfig:
-    m: int = 0
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("margin must be >= 0")
-
-
-def thin_simple(s: Sample, cfg: ThinningConfig) -> Sample:
+def thin_simple(s: Sample, theta: int) -> Sample:
     """Keep every theta-th position, starting from the first."""
-    return s.subset(range(0, len(s), cfg.theta))
+    _check_at_least("theta", theta, 1)
+    return s.subset(range(0, len(s), theta))
 
 
-def thin_shifted(s: Sample, cfg: ThinningConfig) -> list[Sample]:
+def thin_shifted(s: Sample, theta: int) -> list[Sample]:
     """All theta shifted subsamples; their concatenation permutes the input."""
-    return [s.subset(range(k, len(s), cfg.theta)) for k in range(cfg.theta)]
+    _check_at_least("theta", theta, 1)
+    return [s.subset(range(k, len(s), theta)) for k in range(theta)]
 
 
-def _base_ratio(s: Sample, base: str, a_mode: str = MODE_SET) -> RatioEstimate:
-    if base == BASE_NODE_WIS:
-        return node_wis_ratio(s)
-    if base == BASE_IND_B:
-        return indb_auto_ratio(s, a_mode)
-    raise EstimatorError(f"unsupported thinning base estimator: {base!r}")
-
-
-def estimate_thinned(s: Sample, cfg: ThinningConfig, base: str,
-                     shifted: bool = False,
-                     a_mode: str = MODE_SET) -> EstimateOutcome:
-    """Base estimator on a thinned sample.
+def estimate_thinned(s: Sample, theta: int,
+                     ratio: Callable[[Sample], RatioEstimate],
+                     shifted: bool = False) -> EstimateOutcome:
+    """The base estimator ``ratio`` on a thinned sample.
 
     Simple mode evaluates the base estimator on the single kept subsample.
     Shifted mode aggregates the per-subsample numerators and denominators,
     which stays finite even when some subsamples have no collisions.
     """
     if shifted:
-        parts = [_base_ratio(sub, base, a_mode) for sub in thin_shifted(s, cfg)]
-        return aggregate_ratios(parts)
-    return _base_ratio(thin_simple(s, cfg), base, a_mode).outcome()
+        return aggregate_ratios([ratio(sub) for sub in thin_shifted(s, theta)])
+    return ratio(thin_simple(s, theta)).outcome()
 
 
 # -- margin and cross-walker filtering ---------------------------------------
@@ -152,19 +126,14 @@ def _ind_window_ratio(s: Sample, lo: np.ndarray, hi: np.ndarray,
 
 def node_margin_ratio(s: Sample, m: int) -> RatioEstimate:
     """Ordered-pair ratio sum(w_i/w_j) over sum(1{s_i=s_j}), pairs > m apart."""
+    _check_at_least("margin", m, 0)
     n = len(s)
     if m >= n - 1:
         return RatioEstimate(0.0, 0.0)
     return _node_window_ratio(s, *_margin_window(n, m))
 
 
-def node_margin(s: Sample, cfg: MarginConfig | int) -> EstimateOutcome:
-    """Margin-filtered collision estimator for a single-walk sample."""
-    m = cfg if isinstance(cfg, int) else cfg.m
-    return node_margin_ratio(s, m).outcome()
-
-
-def ind_margin_ratio(s: Sample, m: int, a_mode: str = MODE_MULTISET) -> RatioEstimate:
+def ind_margin_ratio(s: Sample, m: int, a_mode: str) -> RatioEstimate:
     """Margin-filtered cross-collision ratio.
 
     Multiset mode is the direct pair form: sum(deg(s_i)/w(s_j)) over
@@ -177,21 +146,14 @@ def ind_margin_ratio(s: Sample, m: int, a_mode: str = MODE_MULTISET) -> RatioEst
     This counting rule is an artifact convention, held fixed by golden tests
     and documented in the README.
     """
+    _check_at_least("margin", m, 0)
     n = len(s)
     if m >= n - 1:
         return RatioEstimate(0.0, 0.0)
     return _ind_window_ratio(s, *_margin_window(n, m), a_mode)
 
 
-def ind_margin(s: Sample, cfg: MarginConfig | int,
-               a_mode: str = MODE_MULTISET) -> EstimateOutcome:
-    """Margin-filtered induced-edge estimator for a single-walk sample."""
-    m = cfg if isinstance(cfg, int) else cfg.m
-    return ind_margin_ratio(s, m, a_mode).outcome()
-
-
-def margin_crosswalker(s: Sample, base: str,
-                       a_mode: str = MODE_MULTISET) -> EstimateOutcome:
+def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
     """Margin variant for multi-walker samples: keep only cross-walker pairs.
 
     Each position's excluded window is its own walker's run of positions.
@@ -221,17 +183,19 @@ def margin_crosswalker(s: Sample, base: str,
 # -- surviving pair accounting ---------------------------------------------
 
 
-def surviving_pair_count(n: int, cfg: ThinningConfig | MarginConfig,
-                         shifted: bool = False) -> int:
-    """Exact count of ordered pairs a correction leaves usable."""
-    if isinstance(cfg, ThinningConfig):
-        theta = cfg.theta
-        if shifted:
-            lengths = [len(range(k, n, theta)) for k in range(theta)]
-            return sum(length * (length - 1) for length in lengths)
-        length = -(-n // theta)
-        return length * (length - 1)
-    if isinstance(cfg, MarginConfig):
-        m = min(cfg.m, max(n - 1, 0))
+def surviving_pair_count(n: int, correction: str, value: int) -> int:
+    """Exact count of ordered pairs a correction leaves usable.
+
+    ``correction`` is ``thin`` or ``thin-shifted`` with ``value`` theta, or
+    ``margin`` with ``value`` m.
+    """
+    if correction == "margin":
+        _check_at_least("margin", value, 0)
+        m = min(value, max(n - 1, 0))
         return n * (n - 1) - 2 * (m * n - m * (m + 1) // 2)
-    raise EstimatorError(f"unsupported correction config: {cfg!r}")
+    if correction not in ("thin", "thin-shifted"):
+        raise EstimatorError(f"unsupported correction: {correction!r}")
+    _check_at_least("theta", value, 1)
+    kept = range(value if correction == "thin-shifted" else 1)
+    lengths = [len(range(k, n, value)) for k in kept]
+    return sum(length * (length - 1) for length in lengths)

@@ -312,6 +312,8 @@ def _walk(g: Graph, n: int, seed: int, start: int | None) -> list[int]:
         raise SamplingError(
             "random walk requires a connected graph; "
             "extract the largest connected component first")
+    if g.edge_count == 0:
+        raise SamplingError("random walk needs a graph with an edge")
     rng = np.random.default_rng(seed)
     if start is None:
         current = int(rng.integers(g.node_count))

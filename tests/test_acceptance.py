@@ -20,14 +20,13 @@ from graphsize.core import MODE_MULTISET, MODE_SET, build_auxiliary, \
 from graphsize.generators import (erdos_renyi, grid_2d, hub_of_cliques,
                                   ring_of_cliques)
 from graphsize.graph import largest_connected_component, size_identity
-from graphsize.ind_estimators import (density_uis, density_wis, inda_wis,
-                                      indb_auto, indb_wis)
+from graphsize.ind_estimators import (density_uis, density_wis,
+                                      inda_wis_ratio, indb_auto_ratio,
+                                      indb_wis_ratio)
 from graphsize.node_estimators import (mle_unique_approx, mle_unique_exact,
-                                       node_uis, node_wis)
-from graphsize.rw_correction import (MarginConfig, ThinningConfig,
-                                     estimate_thinned, ind_margin,
-                                     ind_margin_ratio, margin_crosswalker,
-                                     node_margin, node_margin_ratio,
+                                       node_uis_ratio, node_wis_ratio)
+from graphsize.rw_correction import (estimate_thinned, ind_margin_ratio,
+                                     margin_crosswalker, node_margin_ratio,
                                      surviving_pair_count)
 from graphsize.sampling import (Sample, sample_rw, sample_rw_multi,
                                 sample_uis, sample_wis)
@@ -103,26 +102,27 @@ def test_criterion_02_oracle_equivalence():
 
         close(count_collisions(s), oracles.collision_count(s))
         close(count_induced_edges(s), oracles.induced_edge_count(s))
-        close(pairwise_inverse_weight_sum(s),
+        close(pairwise_inverse_weight_sum(s.weights()),
               oracles.pairwise_inverse_weight_sum(s.weights()))
         w = s.weights()
         ncol = oracles.collision_count(s)
         if ncol:
-            close(node_wis(s).value,
+            close(node_wis_ratio(s).outcome().value,
                   math.fsum(w) * math.fsum(1 / x for x in w) / (2 * ncol))
         close(density_uis(s), oracles.induced_edge_count(s)
               / (len(s) * (len(s) - 1) / 2))
         d_wis = oracles.density_wis(s)
         if d_wis:
             close(density_wis(s), d_wis)
-            close(inda_wis(s).value, oracles.inda_wis_value(s))
+            close(inda_wis_ratio(s).outcome().value,
+                  oracles.inda_wis_value(s))
         for mode in (MODE_SET, MODE_MULTISET):
             a = build_auxiliary(s, mode)
             inv = [1 / x for x in w]
             den = math.fsum(iw * a.counts.get(v, 0)
                             for iw, v in zip(inv, s.nodes()))
             if den:
-                close(indb_wis(s, a).value,
+                close(indb_wis_ratio(s, a).outcome().value,
                       a.cardinality * math.fsum(inv) / den)
         for m in (0, 5):
             got = node_margin_ratio(s, m)
@@ -138,7 +138,7 @@ def test_criterion_02_oracle_equivalence():
             close(got.numerator, num)
             close(got.denominator, den)
         if kind == 4:
-            got = margin_crosswalker(s, "node")
+            got = margin_crosswalker(s, "node", MODE_SET)
             num, den = oracles.crosswalker_node_parts(s)
             if den:
                 close(got.value, num / den)
@@ -162,7 +162,7 @@ def test_criterion_03_uniform_sampling_consistency():
     for n in (250, 500, 1000):
         finite = []
         for t in range(500):
-            out = node_uis(sample_uis(g, n, seed=t))
+            out = node_uis_ratio(sample_uis(g, n, seed=t)).outcome()
             if out.finite:
                 finite.append(out.value)
         maes.append(_median(abs(v - 2000.0) for v in finite))
@@ -183,8 +183,8 @@ def test_criterion_04_induced_edge_beats_collision_band():
     ind_vals, node_vals = [], []
     for t in range(200):
         s = sample_uis(g, 200, seed=t)
-        ind_vals.append(indb_auto(s).value)
-        out = node_uis(s)
+        ind_vals.append(indb_auto_ratio(s, MODE_SET).outcome().value)
+        out = node_uis_ratio(s).outcome()
         if out.finite:
             node_vals.append(out.value)
     elapsed = time.perf_counter() - start
@@ -198,10 +198,10 @@ def test_criterion_05_weighted_sampling_improves_band():
     g = erdos_renyi(2000, 0.005, seed=0)
     wis_vals, uis_vals = [], []
     for t in range(200):
-        out = node_wis(sample_wis(g, "degree", 500, seed=t))
+        out = node_wis_ratio(sample_wis(g, "degree", 500, seed=t)).outcome()
         if out.finite:
             wis_vals.append(out.value)
-        out = node_uis(sample_uis(g, 500, seed=t))
+        out = node_uis_ratio(sample_uis(g, 500, seed=t)).outcome()
         if out.finite:
             uis_vals.append(out.value)
     b_wis, b_uis = _band(wis_vals), _band(uis_vals)
@@ -219,7 +219,7 @@ def _margin_medians():
     for t in range(200):
         s = sample_rw(g, 2000, seed=t)
         for m in ms:
-            out = ind_margin(s, m)
+            out = ind_margin_ratio(s, m, MODE_MULTISET).outcome()
             if out.finite:
                 vals[m].append(out.value / g.node_count)
     return ms, [(m, _median(vals[m])) for m in ms]
@@ -261,7 +261,7 @@ def test_criterion_07_margin_beats_thinning():
         infinite = 0
         for t in range(200):
             s = sample_rw(g, 2000, seed=t)
-            out = estimate_thinned(s, ThinningConfig(theta), "node-wis")
+            out = estimate_thinned(s, theta, node_wis_ratio)
             if out.finite:
                 finite.append(out.value / g.node_count)
             else:
@@ -285,13 +285,14 @@ def test_criterion_08_lattice_failure_mode():
         vals = []
         for t in range(100):
             s = sample_rw(g, 2000, seed=t)
-            out = ind_margin(s, m)
+            out = ind_margin_ratio(s, m, MODE_MULTISET).outcome()
             if out.finite:
                 vals.append(out.value / g.node_count)
         walk_medians[m] = _median(vals)
     uis_vals = []
     for t in range(100):
-        uis_vals.append(indb_auto(sample_uis(g, 2000, seed=t)).value
+        s = sample_uis(g, 2000, seed=t)
+        uis_vals.append(indb_auto_ratio(s, MODE_SET).outcome().value
                         / g.node_count)
     uis_median = _median(uis_vals)
     walk_fails = all(v < 0.7 for v in walk_medians.values())
@@ -330,12 +331,13 @@ def test_criterion_10_weight_scale_invariance():
              else sample_rw(g, 120, seed=i))
         for c in (0.1, 10.0):
             scaled = _scale_weights(s, c)
-            for fn in (lambda x: node_wis(x).value,
-                       lambda x: inda_wis(x).value,
-                       lambda x: indb_auto(x, MODE_SET).value,
-                       lambda x: node_margin(x, 3).value,
-                       lambda x: ind_margin(x, 3, MODE_MULTISET).value):
-                base, got = fn(s), fn(scaled)
+            for fn in (node_wis_ratio,
+                       inda_wis_ratio,
+                       lambda x: indb_auto_ratio(x, MODE_SET),
+                       lambda x: node_margin_ratio(x, 3),
+                       lambda x: ind_margin_ratio(x, 3, MODE_MULTISET)):
+                base = fn(s).outcome().value
+                got = fn(scaled).outcome().value
                 worst = max(worst, abs(got - base) / abs(base))
     ok = worst <= 1e-12
     _report(10, "weighted estimators invariant under weight rescaling", ok,
@@ -344,9 +346,9 @@ def test_criterion_10_weight_scale_invariance():
 
 def test_criterion_11_surviving_pair_approximations():
     n, theta, m = 10_000, 50, 50
-    simple = surviving_pair_count(n, ThinningConfig(theta))
-    shifted = surviving_pair_count(n, ThinningConfig(theta), shifted=True)
-    margin = surviving_pair_count(n, MarginConfig(m))
+    simple = surviving_pair_count(n, "thin", theta)
+    shifted = surviving_pair_count(n, "thin-shifted", theta)
+    margin = surviving_pair_count(n, "margin", m)
     approx = {"simple": n * n / theta ** 2, "shifted": n * n / theta,
               "margin": n * (n - 2 * m)}
     errs = (abs(simple - approx["simple"]) / approx["simple"],
@@ -369,13 +371,13 @@ def _synthetic_walk_sample(n: int) -> Sample:
 def test_criterion_12_linear_time_margin():
     small = _synthetic_walk_sample(100_000)
     large = _synthetic_walk_sample(200_000)
-    node_margin(small, 50)  # warm up allocators and caches
+    node_margin_ratio(small, 50)  # warm up allocators and caches
     times = {}
     for name, s in (("small", small), ("large", large)):
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            node_margin(s, 50)
+            node_margin_ratio(s, 50)
             best = min(best, time.perf_counter() - t0)
         times[name] = best
     ratio = times["large"] / times["small"]

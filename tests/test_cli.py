@@ -89,6 +89,19 @@ def test_missing_file_is_data_error(capsys):
     assert code == 3
 
 
+def test_walk_on_a_graph_without_edges_is_data_error(tmp_path, capsys):
+    spec = "gen:er:nodes=5,p=0,seed=1"
+    plan = tmp_path / "plan.txt"
+    plan.write_text(f"graph = {spec}\nlcc = true\nmethod = rw\nn = 10\n"
+                    "estimator = node-wis\nparam = n\nvalues = 10\n")
+    for argv in (["sample", "--graph", spec, "--lcc", "--method", "rw",
+                  "--n", "3", "-o", str(tmp_path / "s.tsv")],
+                 ["experiment", "--plan", str(plan),
+                  "-o", str(tmp_path / "x.csv")]):
+        err = _one_line_error(*run(capsys, *argv), 3)
+        assert "random walk needs a graph with an edge" in err
+
+
 def test_rw_sample_on_disconnected_graph_is_data_error(tmp_path, capsys):
     edges = tmp_path / "g.txt"
     edges.write_text("0 1\n2 3\n")
@@ -176,6 +189,9 @@ _CSV_HEADER = "param,p10,p50,p90,infinite_fraction,trials\n"
     ("40,,,,inf,10\n", "line 2: infinite_fraction 'inf' is not a finite"),
     ("40,,,,1,2.5\n", "line 2: trials '2.5' is not a finite number"),
     ("x,,,,1,10\n", "line 2: param 'x' is not a finite number"),
+    ("0,0.9,,1.1,0,3\n", "line 2: p10, p50 and p90 must be all empty or "
+                         "all present"),
+    ("40,1,1,1,0,10\n0,,1.0,1.1,0,3\n", "line 3: p10, p50 and p90"),
 ])
 def test_plot_names_a_malformed_csv(tmp_path, capsys, rows, message):
     csv = tmp_path / "out.csv"
@@ -300,6 +316,16 @@ def test_estimate_rejects_invalid_weight(tmp_path, capsys, rewrite):
     assert code == 3
     assert out == ""
     assert err.startswith("error: record ") and err.count("\n") == 1
+
+
+def test_estimate_that_overflows_is_data_error(tmp_path, capsys):
+    # sum(w) * sum(1/w) overflows: the estimate is not a JSON number.
+    sample = _rw_sample_file(tmp_path, capsys)
+    weights = {"3": "1e300", "4": "1e-300"}
+    _rewrite(sample, record=lambda f: f[:3] + [weights.get(f[0], f[3])]
+             + f[4:])
+    _one_line_error(*run(capsys, "estimate", "--sample", str(sample),
+                         "--estimator", "node-wis"), 3)
 
 
 def test_estimate_rejects_header_without_count(tmp_path, capsys):

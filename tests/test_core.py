@@ -112,7 +112,7 @@ def test_pairwise_inverse_weight_sum_examples(k5):
     assert pairwise_inverse_weight_sum([1.0, 2.0]) == pytest.approx(0.5)
     assert pairwise_inverse_weight_sum([1.0, 1.0, 1.0]) == pytest.approx(3.0)
     s = make_sample(k5, [0, 1], weights=[1.0, 2.0])
-    assert pairwise_inverse_weight_sum(s) == pytest.approx(0.5)
+    assert pairwise_inverse_weight_sum(s.weights()) == pytest.approx(0.5)
 
 
 def test_pairwise_inverse_weight_sum_matches_pair_loop():
@@ -149,6 +149,9 @@ def test_aggregate_ratios():
     assert out.value == pytest.approx(1.0)
     assert aggregate_ratios([RatioEstimate(1, 0), RatioEstimate(2, 0)]) \
         == NO_COLLISIONS
+    # Parts of one estimator share its offset.
+    out = aggregate_ratios([RatioEstimate(1, 2, 1.0), RatioEstimate(3, 4, 1.0)])
+    assert out.value == pytest.approx(4 / 6 + 1.0)
     with pytest.raises(EstimatorError):
         aggregate_ratios([])
 
@@ -163,4 +166,5 @@ def test_aggregate_mean():
 def test_outcome_sentinel():
     assert not NO_COLLISIONS.finite
     assert RatioEstimate(3.0, 0.0).outcome() == NO_COLLISIONS
-    assert RatioEstimate(6.0, 2.0).outcome(offset=1.0).value == 4.0
+    assert RatioEstimate(6.0, 2.0, 1.0).outcome().value == 4.0
+    assert RatioEstimate(6.0, 0.0, 1.0).outcome() == NO_COLLISIONS

@@ -3,9 +3,11 @@ import pytest
 from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
                             AuxiliarySet, EstimatorError, build_auxiliary)
 from graphsize.generators import erdos_renyi, hub_of_cliques
-from graphsize.ind_estimators import (density_uis, density_wis, inda_uis,
-                                      inda_wis, indb_auto, indb_uis, indb_wis,
-                                      mean_degree_uis, mean_degree_wis)
+from graphsize.ind_estimators import (density_uis, density_wis,
+                                      inda_uis_ratio, inda_wis_ratio,
+                                      indb_auto_ratio, indb_uis_ratio,
+                                      indb_wis_ratio, mean_degree_uis,
+                                      mean_degree_wis)
 from graphsize.sampling import sample_uis, sample_wis
 
 import oracles
@@ -33,14 +35,14 @@ def test_density_uis(triangle, path3):
 
 
 def test_inda_uis_exact_on_full_enumeration(triangle, path3):
-    assert inda_uis(make_sample(triangle, [0, 1, 2],
-                                method="UIS")).value == pytest.approx(3.0)
-    assert inda_uis(make_sample(path3, [0, 1, 2],
-                                method="UIS")).value == pytest.approx(3.0)
+    for g in (triangle, path3):
+        s = make_sample(g, [0, 1, 2], method="UIS")
+        assert inda_uis_ratio(s).outcome().value == pytest.approx(3.0)
 
 
 def test_inda_uis_no_induced_edges(path3):
-    assert inda_uis(make_sample(path3, [0, 2], method="UIS")) == NO_COLLISIONS
+    s = make_sample(path3, [0, 2], method="UIS")
+    assert inda_uis_ratio(s).outcome() == NO_COLLISIONS
 
 
 def test_inda_exact_recovery_property():
@@ -49,7 +51,8 @@ def test_inda_exact_recovery_property():
         if g.edge_count == 0:
             continue
         s = make_sample(g, list(g.ext_ids), method="UIS")
-        assert inda_uis(s).value == pytest.approx(g.node_count, rel=1e-9)
+        assert inda_uis_ratio(s).outcome().value \
+            == pytest.approx(g.node_count, rel=1e-9)
 
 
 def test_mean_degree_wis(k5):
@@ -80,18 +83,19 @@ def test_density_wis_matches_pair_loop():
 
 def test_inda_wis_triangle(triangle):
     s = make_sample(triangle, [0, 1, 2], weights=[2.0, 2.0, 2.0])
-    assert inda_wis(s).value == pytest.approx(3.0)
+    assert inda_wis_ratio(s).outcome().value == pytest.approx(3.0)
 
 
 def test_inda_wis_unit_reduction(path3):
     s = make_sample(path3, [0, 1, 2, 2])
-    assert inda_wis(s).value == pytest.approx(inda_uis(s).value, rel=1e-12)
+    assert inda_wis_ratio(s).outcome().value \
+        == pytest.approx(inda_uis_ratio(s).outcome().value, rel=1e-12)
 
 
 def test_inda_wis_matches_pair_loop():
     g = erdos_renyi(50, 0.2, seed=6)
     s = sample_wis(g, "degree", 120, seed=7)
-    assert oracles.relerr(inda_wis(s).value,
+    assert oracles.relerr(inda_wis_ratio(s).outcome().value,
                           oracles.inda_wis_value(s)) < 1e-9
 
 
@@ -100,7 +104,7 @@ def test_inda_wis_median_near_truth():
     vals = []
     for t in range(100):
         s = sample_wis(g, "degree", 400, seed=t)
-        out = inda_wis(s)
+        out = inda_wis_ratio(s).outcome()
         assert out.finite
         vals.append(out.value)
     med = sorted(vals)[len(vals) // 2]
@@ -108,37 +112,39 @@ def test_inda_wis_median_near_truth():
 
 
 def test_indb_uis_arithmetic(k5):
-    got = indb_uis(make_sample(k5, [0] * 20, method="UIS"),
-                   AuxiliarySet({0: 1}, MODE_SET, 50))
+    got = indb_uis_ratio(make_sample(k5, [0] * 20, method="UIS"),
+                         AuxiliarySet({0: 1}, MODE_SET, 50)).outcome()
     assert got.value == pytest.approx(50 * 20 / 20)
     single = make_sample(k5, [0], method="UIS")
-    assert indb_uis(single, AuxiliarySet({0: 1}, MODE_SET, 1)).value == 1.0
-    assert indb_uis(single, AuxiliarySet({1: 1}, MODE_SET, 1)) == NO_COLLISIONS
+    hit = indb_uis_ratio(single, AuxiliarySet({0: 1}, MODE_SET, 1))
+    miss = indb_uis_ratio(single, AuxiliarySet({1: 1}, MODE_SET, 1))
+    assert hit.outcome().value == 1.0
+    assert miss.outcome() == NO_COLLISIONS
 
 
 def test_indb_wis_unit_reduction(k5):
     s = make_sample(k5, [0, 1, 2, 0], method="UIS")
     a = build_auxiliary(s, MODE_SET)
-    assert indb_wis(s, a).value == pytest.approx(indb_uis(s, a).value,
-                                                 rel=1e-12)
+    assert indb_wis_ratio(s, a).outcome().value \
+        == pytest.approx(indb_uis_ratio(s, a).outcome().value, rel=1e-12)
 
 
 def test_indb_wis_triangle(triangle):
     s = make_sample(triangle, [0, 1], weights=[2.0, 2.0])
     a = AuxiliarySet({0: 1, 1: 1, 2: 1}, MODE_SET, 3)
     # 3 * (1/2 + 1/2) over (1/2 + 1/2)
-    assert indb_wis(s, a).value == pytest.approx(3.0)
+    assert indb_wis_ratio(s, a).outcome().value == pytest.approx(3.0)
 
 
 def test_indb_auto_star_recovers_n(star4):
     s = make_sample(star4, [0, 1], method="UIS")
-    assert indb_auto(s).value == pytest.approx(5.0)
+    assert indb_auto_ratio(s).outcome().value == pytest.approx(5.0)
 
 
 def test_indb_auto_modes_agree_without_duplicate_neighbors(path3):
     s = make_sample(path3, [0, 1], method="UIS")
-    got_set = indb_auto(s, MODE_SET)
-    got_multi = indb_auto(s, MODE_MULTISET)
+    got_set = indb_auto_ratio(s, MODE_SET).outcome()
+    got_multi = indb_auto_ratio(s, MODE_MULTISET).outcome()
     assert got_set.value == pytest.approx(3.0)
     assert got_set.value == got_multi.value
 
@@ -148,7 +154,7 @@ def test_indb_auto_uis_ignores_weights():
     s = sample_uis(g, 60, seed=1)
     from dataclasses import replace
     tweaked = replace(s, weight_at=(5.0,) * len(s))
-    assert indb_auto(tweaked).value == indb_auto(s).value
+    assert indb_auto_ratio(tweaked, MODE_SET) == indb_auto_ratio(s, MODE_SET)
 
 
 def test_indb_set_mode_disperses_less_on_skewed_graph():
@@ -158,7 +164,7 @@ def test_indb_set_mode_disperses_less_on_skewed_graph():
     for t in range(200):
         s = sample_wis(g, "degree", 80, seed=t)
         for mode, sink in ((MODE_SET, set_err), (MODE_MULTISET, multi_err)):
-            out = indb_auto(s, mode)
+            out = indb_auto_ratio(s, mode).outcome()
             if out.finite:
                 sink.append(abs(out.value - n_true) / n_true)
     med = lambda xs: sorted(xs)[len(xs) // 2]
@@ -170,7 +176,7 @@ def test_indb_median_near_truth():
     vals = []
     for t in range(60):
         s = sample_wis(g, "degree", 200, seed=t)
-        vals.append(indb_auto(s).value)
+        vals.append(indb_auto_ratio(s).outcome().value)
     med = sorted(vals)[len(vals) // 2]
     assert abs(med - 2000) / 2000 < 0.1
 
@@ -180,8 +186,7 @@ def test_scale_invariance_wis_family():
     g = erdos_renyi(40, 0.25, seed=11)
     s = sample_wis(g, "degree", 100, seed=12)
     scaled = replace(s, weight_at=tuple(w * 7.5 for w in s.weight_at))
-    assert abs(inda_wis(s).value - inda_wis(scaled).value) \
-        / inda_wis(s).value < 1e-12
     a1 = build_auxiliary(s, MODE_SET)
-    assert abs(indb_wis(s, a1).value - indb_wis(scaled, a1).value) \
-        / indb_wis(s, a1).value < 1e-12
+    for kernel in (inda_wis_ratio, lambda x: indb_wis_ratio(x, a1)):
+        a, b = kernel(s).outcome().value, kernel(scaled).outcome().value
+        assert abs(a - b) / a < 1e-12

@@ -8,8 +8,8 @@ from graphsize.generators import erdos_renyi
 from graphsize.node_estimators import (MleSolverConfig, capture_recapture,
                                        capture_recapture_from_sample,
                                        mle_unique_approx, mle_unique_exact,
-                                       node_uis, node_uis_ratio, node_wis,
-                                       node_wis_ratio, split_for_capture)
+                                       node_uis_ratio, node_wis_ratio,
+                                       split_for_capture)
 from graphsize.sampling import sample_uis
 
 from conftest import make_sample
@@ -134,35 +134,34 @@ def test_node_uis_multiplicity_pattern(k5):
     g = erdos_renyi(10, 0.3, seed=1)
     ext = [g.ext_id(v) for v in [0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7]]
     s = make_sample(g, ext, method="UIS")
-    assert node_uis(s).value == pytest.approx(121 / 8)
+    assert node_uis_ratio(s).outcome().value == pytest.approx(121 / 8)
 
 
 def test_node_uis_single_node_repeats(k5):
     s = make_sample(k5, [2, 2, 2, 2], method="UIS")
-    assert node_uis(s).value == pytest.approx(16 / 12)
+    assert node_uis_ratio(s).outcome().value == pytest.approx(16 / 12)
 
 
 def test_node_uis_no_collisions(k5):
     s = make_sample(k5, [0, 1, 2], method="UIS")
-    assert node_uis(s) == NO_COLLISIONS
+    assert node_uis_ratio(s).outcome() == NO_COLLISIONS
 
 
 def test_node_wis_unit_weights_reduce_exactly(k5):
     s = make_sample(k5, [0, 1, 1, 3, 3, 3], method="UIS")
     assert node_wis_ratio(s) == node_uis_ratio(s)
-    assert node_wis(s).value == node_uis(s).value
 
 
 def test_node_wis_repeated_weighted_node(k5):
     s = make_sample(k5, [1, 1], weights=[2.0, 2.0])
     # (2+2) * (1/2+1/2) over two ordered collision pairs
-    assert node_wis(s).value == pytest.approx(2.0)
+    assert node_wis_ratio(s).outcome().value == pytest.approx(2.0)
 
 
 def test_node_wis_rejects_zero_weight(k5):
     s = make_sample(k5, [0, 1], weights=[1.0, 0.0])
     with pytest.raises(EstimatorError):
-        node_wis(s)
+        node_wis_ratio(s)
 
 
 @given(st.floats(min_value=0.01, max_value=100.0))
@@ -172,7 +171,8 @@ def test_node_wis_scale_invariance(c):
     ext = [g.ext_id(v) for v in [0, 1, 1, 2, 5, 5, 5, 9]]
     base = make_sample(g, ext, weights=[1.0, 2.0, 2.0, 0.5, 4.0, 4.0, 4.0, 3.0])
     scaled = replace(base, weight_at=tuple(w * c for w in base.weight_at))
-    a, b = node_wis(base).value, node_wis(scaled).value
+    a = node_wis_ratio(base).outcome().value
+    b = node_wis_ratio(scaled).outcome().value
     assert abs(a - b) / a < 1e-12
 
 
@@ -182,6 +182,6 @@ def test_node_wis_degree_weighted_walkish_sample():
     vals = []
     for t in range(100):
         s = sample_wis(g, "degree", 1000, seed=t)
-        vals.append(node_wis(s).value)
+        vals.append(node_wis_ratio(s).outcome().value)
     med = sorted(vals)[len(vals) // 2]
     assert abs(med - 500) / 500 < 0.1

@@ -8,15 +8,15 @@ from hypothesis import given, strategies as st
 
 from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
                             EstimatorError, RatioEstimate, build_auxiliary)
+from graphsize.experiment import EstimatorSpec, evaluate
 from graphsize.generators import barabasi_albert, erdos_renyi, ring_of_cliques
 from graphsize.graph import largest_connected_component
-from graphsize.node_estimators import node_wis, node_wis_ratio
-from graphsize.rw_correction import (BASE_IND_B, BASE_NODE_WIS, MarginConfig,
-                                     ThinningConfig, estimate_thinned,
-                                     ind_margin, ind_margin_ratio,
-                                     margin_crosswalker, node_margin,
-                                     node_margin_ratio, surviving_pair_count,
-                                     thin_shifted, thin_simple)
+from graphsize.ind_estimators import indb_auto_ratio
+from graphsize.node_estimators import node_wis_ratio
+from graphsize.rw_correction import (estimate_thinned, ind_margin_ratio,
+                                     margin_crosswalker, node_margin_ratio,
+                                     surviving_pair_count, thin_shifted,
+                                     thin_simple)
 from graphsize.sampling import (MarginIndex, Sample, read_sample, sample_rw,
                                 sample_rw_multi, write_sample)
 
@@ -35,7 +35,7 @@ def _walk_graph(seed=1):
 def test_thin_simple_positions():
     g = _walk_graph()
     s = sample_rw(g, 9, seed=0)
-    kept = thin_simple(s, ThinningConfig(3))
+    kept = thin_simple(s, 3)
     assert kept.nodes() == s.nodes()[::3]
     assert kept.weights() == s.weights()[::3]
     assert list(kept.snapshots) == list(dict.fromkeys(kept.nodes()))
@@ -44,19 +44,19 @@ def test_thin_simple_positions():
 def test_thin_simple_identity_and_overlong():
     g = _walk_graph()
     s = sample_rw(g, 5, seed=1)
-    assert thin_simple(s, ThinningConfig(1)).nodes() == s.nodes()
-    assert thin_simple(s, ThinningConfig(9)).nodes() == s.nodes()[:1]
+    assert thin_simple(s, 1).nodes() == s.nodes()
+    assert thin_simple(s, 9).nodes() == s.nodes()[:1]
 
 
 def test_thin_shifted_patterns():
     g = _walk_graph()
     s = sample_rw(g, 6, seed=2)
-    subs = thin_shifted(s, ThinningConfig(2))
+    subs = thin_shifted(s, 2)
     assert [sub.nodes() for sub in subs] == [s.nodes()[0::2], s.nodes()[1::2]]
-    assert [sub.nodes() for sub in thin_shifted(s, ThinningConfig(1))] \
+    assert [sub.nodes() for sub in thin_shifted(s, 1)] \
         == [s.nodes()]
     s5 = sample_rw(g, 5, seed=3)
-    assert [len(sub) for sub in thin_shifted(s5, ThinningConfig(3))] \
+    assert [len(sub) for sub in thin_shifted(s5, 3)] \
         == [2, 2, 1]
 
 
@@ -65,37 +65,64 @@ def test_thin_shifted_patterns():
 def test_thin_shifted_concatenation_permutes(theta, n):
     g = graph_from_text("0 1\n1 2\n2 0\n")
     s = sample_rw(g, n, seed=7)
-    subs = thin_shifted(s, ThinningConfig(theta))
+    subs = thin_shifted(s, theta)
     merged = sorted(v for sub in subs for v in sub.node_at)
     assert merged == sorted(s.nodes())
     assert sum(len(sub) for sub in subs) == n
 
 
-def test_thinning_config_validation():
-    with pytest.raises(ValueError):
-        ThinningConfig(0)
-    with pytest.raises(ValueError):
-        MarginConfig(-1)
+# Each kernel with its sweep parameter set to a value, and that parameter's
+# least valid value.
+PARAMETER_KERNELS = {
+    "node_margin_ratio": (node_margin_ratio, 0),
+    "ind_margin_ratio-multiset": (
+        lambda s, m: ind_margin_ratio(s, m, MODE_MULTISET), 0),
+    "ind_margin_ratio-set": (lambda s, m: ind_margin_ratio(s, m, MODE_SET), 0),
+    "thin_simple": (thin_simple, 1),
+    "thin_shifted": (thin_shifted, 1),
+    "estimate_thinned": (
+        lambda s, theta: estimate_thinned(s, theta, node_wis_ratio), 1),
+    "estimate_thinned-shifted": (lambda s, theta: estimate_thinned(
+        s, theta, node_wis_ratio, shifted=True), 1),
+    "surviving_pair_count-thin": (
+        lambda s, theta: surviving_pair_count(len(s), "thin", theta), 1),
+    "surviving_pair_count-thin-shifted": (
+        lambda s, theta: surviving_pair_count(len(s), "thin-shifted", theta),
+        1),
+    "surviving_pair_count-margin": (
+        lambda s, m: surviving_pair_count(len(s), "margin", m), 0),
+}
+
+
+@pytest.mark.parametrize("below", [1, 2])
+@pytest.mark.parametrize("kernel", PARAMETER_KERNELS)
+def test_kernels_reject_a_parameter_below_its_range(kernel, below):
+    g = largest_connected_component(erdos_renyi(200, 0.05, seed=1))
+    s = sample_rw(g, 300, seed=3)
+    call, least = PARAMETER_KERNELS[kernel]
+    call(s, least)
+    with pytest.raises(EstimatorError,
+                       match=rf"(margin|theta) must be >= {least}, got "
+                             rf"{least - below}"):
+        call(s, least - below)
 
 
 def test_estimate_thinned_theta_one_reduces():
     g = _walk_graph()
     s = sample_rw(g, 200, seed=4)
     for shifted in (False, True):
-        got = estimate_thinned(s, ThinningConfig(1), BASE_NODE_WIS,
-                               shifted=shifted)
-        assert got.value == node_wis(s).value
+        got = estimate_thinned(s, 1, node_wis_ratio, shifted=shifted)
+        assert got.value == node_wis_ratio(s).outcome().value
 
 
 def test_estimate_thinned_shifted_aggregates_parts():
     g = _walk_graph()
     s = sample_rw(g, 101, seed=5)
     theta = 4
-    parts = [node_wis_ratio(sub) for sub in thin_shifted(s, ThinningConfig(theta))]
+    parts = [node_wis_ratio(sub) for sub in thin_shifted(s, theta)]
     expected = (sum(p.numerator for p in parts)
                 / sum(p.denominator for p in parts))
-    got = estimate_thinned(s, ThinningConfig(theta), BASE_NODE_WIS,
-                           shifted=True)
+    got = estimate_thinned(s, theta, node_wis_ratio, shifted=True)
     assert got.value == pytest.approx(expected, rel=1e-12)
 
 
@@ -108,27 +135,27 @@ def test_shifted_aggregation_survives_empty_parts():
 def test_estimate_thinned_ind_base():
     g = _walk_graph()
     s = sample_rw(g, 150, seed=6)
-    got = estimate_thinned(s, ThinningConfig(5), BASE_IND_B, shifted=True)
+    got = estimate_thinned(s, 5, lambda x: indb_auto_ratio(x, MODE_SET),
+                           shifted=True)
     assert got.finite
-    with pytest.raises(Exception):
-        estimate_thinned(s, ThinningConfig(5), "bogus")
 
 
 # Pinned on a BA(300) 4x100 rw-multi sample: integer counts exact, ratios
-# bit-equal, so a cheaper auxiliary set or thinning changes nothing.
+# bit-equal, so a cheaper auxiliary set or thinning changes nothing.  Keys:
+# theta, shifted, the estimator, and its auxiliary mode.
 PINNED_THINNED = {
-    (2, False, BASE_NODE_WIS, MODE_SET): 242.68366851161556,
-    (2, True, BASE_NODE_WIS, MODE_SET): 260.458543847978,
-    (5, False, BASE_NODE_WIS, MODE_SET): 415.23428912154156,
-    (5, True, BASE_NODE_WIS, MODE_SET): 309.65820501240876,
-    (2, False, BASE_IND_B, MODE_SET): 291.5203972465886,
-    (2, False, BASE_IND_B, MODE_MULTISET): 291.4152693745099,
-    (2, True, BASE_IND_B, MODE_SET): 291.0730042299309,
-    (2, True, BASE_IND_B, MODE_MULTISET): 308.6957053815552,
-    (5, False, BASE_IND_B, MODE_SET): 293.1321274769526,
-    (5, False, BASE_IND_B, MODE_MULTISET): 279.54572522588876,
-    (5, True, BASE_IND_B, MODE_SET): 284.47839539930993,
-    (5, True, BASE_IND_B, MODE_MULTISET): 300.6980140415456,
+    (2, False, "node-wis", MODE_SET): 242.68366851161556,
+    (2, True, "node-wis", MODE_SET): 260.458543847978,
+    (5, False, "node-wis", MODE_SET): 415.23428912154156,
+    (5, True, "node-wis", MODE_SET): 309.65820501240876,
+    (2, False, "ind-b", MODE_SET): 291.5203972465886,
+    (2, False, "ind-b", MODE_MULTISET): 291.4152693745099,
+    (2, True, "ind-b", MODE_SET): 291.0730042299309,
+    (2, True, "ind-b", MODE_MULTISET): 308.6957053815552,
+    (5, False, "ind-b", MODE_SET): 293.1321274769526,
+    (5, False, "ind-b", MODE_MULTISET): 279.54572522588876,
+    (5, True, "ind-b", MODE_SET): 284.47839539930993,
+    (5, True, "ind-b", MODE_MULTISET): 300.6980140415456,
 }
 
 
@@ -145,8 +172,9 @@ def test_auxiliary_and_thinned_estimates_are_pinned():
             sum(k * c for k, c in a_multi.counts.items())) \
         == (4777, 4777, 505107)
     for (theta, shifted, base, a_mode), value in PINNED_THINNED.items():
-        got = estimate_thinned(s, ThinningConfig(theta), base, shifted, a_mode)
-        assert got.value == value, (theta, shifted, base, a_mode)
+        correction = "thin-shifted" if shifted else "thin"
+        est = EstimatorSpec(base, correction, a_mode, theta)
+        assert evaluate(s, est).value == value, (theta, shifted, base, a_mode)
 
 
 # -- margin filtering --------------------------------------------------------
@@ -154,9 +182,10 @@ def test_auxiliary_and_thinned_estimates_are_pinned():
 
 def test_node_margin_small_examples(k5):
     s = make_sample(k5, [0, 1, 0])
-    assert node_margin(s, 0).value == pytest.approx(3.0)  # 6 / 2
-    assert node_margin(s, 1).value == pytest.approx(1.0)  # 2 / 2
-    assert node_margin(s, 2) == NO_COLLISIONS
+    # 6 / 2, then 2 / 2, then no pair more than 2 steps apart
+    assert node_margin_ratio(s, 0).outcome().value == pytest.approx(3.0)
+    assert node_margin_ratio(s, 1).outcome().value == pytest.approx(1.0)
+    assert node_margin_ratio(s, 2).outcome() == NO_COLLISIONS
 
 
 def test_node_margin_zero_equals_closed_form():
@@ -173,7 +202,8 @@ def test_node_margin_zero_equals_closed_form():
                 ncol += nodes[i] == nodes[j]
         closed = ((math.fsum(w) * math.fsum(1 / x for x in w) - len(w))
                   / (2 * ncol))
-        assert node_margin(s, 0).value == pytest.approx(closed, rel=1e-12)
+        assert node_margin_ratio(s, 0).outcome().value \
+            == pytest.approx(closed, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [0, 1, 5, 50])
@@ -189,15 +219,15 @@ def test_node_margin_matches_pair_loop(m):
 
 def test_ind_margin_triangle_example(triangle):
     s = make_sample(triangle, [0, 1, 2], weights=[2.0, 2.0, 2.0])
-    got = ind_margin(s, 0, MODE_MULTISET)
+    got = ind_margin_ratio(s, 0, MODE_MULTISET).outcome()
     # numerator 6, denominator 3 over ordered far pairs
     assert got.value == pytest.approx(2.0)
 
 
 def test_ind_margin_m_too_large(triangle):
     s = make_sample(triangle, [0, 1, 2])
-    assert ind_margin(s, 2, MODE_MULTISET) == NO_COLLISIONS
-    assert ind_margin(s, 5, MODE_SET) == NO_COLLISIONS
+    assert ind_margin_ratio(s, 2, MODE_MULTISET).outcome() == NO_COLLISIONS
+    assert ind_margin_ratio(s, 5, MODE_SET).outcome() == NO_COLLISIONS
 
 
 @pytest.mark.parametrize("m", [0, 1, 5, 50])
@@ -232,8 +262,8 @@ def test_margin_estimates_flatten_on_expander():
     g = erdos_renyi(300, 0.08, seed=12)
     g = g if g.is_connected else largest_connected_component(g)
     s = sample_rw(g, 1200, seed=13)
-    raw = ind_margin(s, 0, MODE_MULTISET).value
-    corrected = ind_margin(s, 20, MODE_MULTISET).value
+    raw = ind_margin_ratio(s, 0, MODE_MULTISET).outcome().value
+    corrected = ind_margin_ratio(s, 20, MODE_MULTISET).outcome().value
     assert abs(corrected - g.node_count) <= abs(raw - g.node_count) + 30
 
 
@@ -241,9 +271,9 @@ def test_margin_scale_invariance():
     g = _walk_graph(seed=5)
     s = sample_rw(g, 300, seed=14)
     scaled = replace(s, weight_at=tuple(w * 0.1 for w in s.weight_at))
-    for fn in (lambda x: node_margin(x, 3).value,
-               lambda x: ind_margin(x, 3, MODE_MULTISET).value,
-               lambda x: ind_margin(x, 3, MODE_SET).value):
+    for fn in (lambda x: node_margin_ratio(x, 3).outcome().value,
+               lambda x: ind_margin_ratio(x, 3, MODE_MULTISET).outcome().value,
+               lambda x: ind_margin_ratio(x, 3, MODE_SET).outcome().value):
         a, b = fn(s), fn(scaled)
         assert abs(a - b) / a < 1e-12
 
@@ -257,7 +287,7 @@ MARGIN_KERNELS = {
 }
 
 CROSSWALKER_KERNELS = {
-    "node": (lambda s: margin_crosswalker(s, "node"),
+    "node": (lambda s: margin_crosswalker(s, "node", MODE_SET),
              oracles.crosswalker_node_parts),
     "multiset": (lambda s: margin_crosswalker(s, "ind", MODE_MULTISET),
                  oracles.crosswalker_ind_multiset_parts),
@@ -363,10 +393,10 @@ def test_sample_file_round_trip_shares_snapshots(s):
 def test_margin_index_builds_snapshot_half_on_first_use():
     s = sample_rw_multi(_walk_graph(), 3, 40, seeds=[1, 2, 3])
     node_margin_ratio(s, 2)
-    margin_crosswalker(s, "node")
+    margin_crosswalker(s, "node", MODE_SET)
     index = s.margin_index
     assert "_snapshot_half" not in vars(index)
-    ind_margin_ratio(s, 2)
+    ind_margin_ratio(s, 2, MODE_MULTISET)
     assert s.margin_index is index and "_snapshot_half" in vars(index)
     eager = MarginIndex.build(s)
     eager.snapshot_keys  # built before anything else is read
@@ -406,12 +436,12 @@ def test_margin_kernels_reject_invalid_weights(bad):
 
 def test_crosswalker_single_walker_is_no_collisions(k5):
     s = make_sample(k5, [0, 1, 0], walkers=[0, 0, 0], method="RW_MULTI")
-    assert margin_crosswalker(s, "node") == NO_COLLISIONS
+    assert margin_crosswalker(s, "node", MODE_SET) == NO_COLLISIONS
 
 
 def test_crosswalker_two_identical_walkers(k5):
     s = make_sample(k5, [3, 3], walkers=[0, 1], method="RW_MULTI")
-    assert margin_crosswalker(s, "node").value == pytest.approx(1.0)
+    assert margin_crosswalker(s, "node", MODE_SET).value == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("base,a_mode", [("node", MODE_MULTISET),
@@ -449,36 +479,38 @@ def test_crosswalker_median_near_truth():
 
 
 def test_surviving_pair_count_examples():
-    assert surviving_pair_count(100, ThinningConfig(10)) == 90
-    assert surviving_pair_count(100, ThinningConfig(10), shifted=True) == 900
-    assert surviving_pair_count(100, MarginConfig(10)) == 8010
+    assert surviving_pair_count(100, "thin", 10) == 90
+    assert surviving_pair_count(100, "thin-shifted", 10) == 900
+    assert surviving_pair_count(100, "margin", 10) == 8010
+    with pytest.raises(EstimatorError, match="unsupported correction"):
+        surviving_pair_count(100, "cross-walker", 1)
 
 
 def test_surviving_pair_count_margin_matches_enumeration():
     for n, m in [(10, 0), (10, 3), (25, 24), (25, 30), (7, 2)]:
         exact = sum(1 for i in range(n) for j in range(n) if abs(j - i) > m)
-        assert surviving_pair_count(n, MarginConfig(m)) == exact
+        assert surviving_pair_count(n, "margin", m) == exact
 
 
 def test_surviving_pair_count_shifted_matches_enumeration():
     for n, theta in [(10, 3), (11, 4), (9, 2), (5, 7)]:
         lengths = [len(range(k, n, theta)) for k in range(theta)]
-        assert surviving_pair_count(n, ThinningConfig(theta), shifted=True) \
+        assert surviving_pair_count(n, "thin-shifted", theta) \
             == sum(length * (length - 1) for length in lengths)
 
 
 @given(st.integers(min_value=4, max_value=400),
        st.integers(min_value=0, max_value=100))
 def test_surviving_pair_count_monotone_in_margin(n, m):
-    a = surviving_pair_count(n, MarginConfig(m))
-    b = surviving_pair_count(n, MarginConfig(m + 1))
+    a = surviving_pair_count(n, "margin", m)
+    b = surviving_pair_count(n, "margin", m + 1)
     assert b <= a
 
 
 @given(st.integers(min_value=2, max_value=50))
 def test_pair_count_ordering_by_correction(theta):
     n = 4 * theta + 17
-    simple = surviving_pair_count(n, ThinningConfig(theta))
-    shifted = surviving_pair_count(n, ThinningConfig(theta), shifted=True)
-    margin = surviving_pair_count(n, MarginConfig(theta))
+    simple = surviving_pair_count(n, "thin", theta)
+    shifted = surviving_pair_count(n, "thin-shifted", theta)
+    margin = surviving_pair_count(n, "margin", theta)
     assert simple <= shifted <= margin
