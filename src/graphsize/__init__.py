@@ -7,9 +7,9 @@ correction (thinning and margin filtering).
 """
 
 from .core import (AuxiliarySet, EstimateOutcome, EstimatorError,
-                   NO_COLLISIONS, RatioEstimate, aggregate_mean,
-                   aggregate_ratios, build_auxiliary, count_collisions,
-                   count_cross_collisions, count_induced_edges, count_unique,
+                   NO_COLLISIONS, RatioEstimate, aggregate_ratios,
+                   build_auxiliary, count_collisions, count_cross_collisions,
+                   count_induced_edges, count_unique,
                    pairwise_inverse_weight_sum)
 from .graph import (Graph, GraphError, GraphStats, LoadReport, exact_stats,
                     largest_connected_component, load_edge_list,

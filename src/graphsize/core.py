@@ -12,10 +12,10 @@ suite as oracles.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .sampling import Sample
 
@@ -75,14 +75,20 @@ class AuxiliarySet:
     cardinality: int
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in A_MODES:
+        raise EstimatorError(f"unknown auxiliary mode: {mode!r}")
+
+
 def count_collisions(s: Sample) -> int:
     """Number of unordered pairs of identical samples."""
-    return sum(c * (c - 1) // 2 for c in Counter(s.node_at).values())
+    counts = np.bincount(s.rank_column)
+    return int((counts * (counts - 1)).sum()) // 2
 
 
 def count_unique(s: Sample) -> int:
     """Number of distinct nodes in the sample."""
-    return len(s.snapshots)
+    return int(np.count_nonzero(np.bincount(s.rank_column)))
 
 
 def count_induced_edges(s: Sample) -> int:
@@ -91,33 +97,48 @@ def count_induced_edges(s: Sample) -> int:
     Repeated occurrences of a node count separately.  Adjacency is resolved
     from the sampled nodes' neighbor snapshots.
     """
-    counts = Counter(s.node_at)
-    ordered = 0
-    for v, cv in counts.items():
-        hits = 0
-        for u in s.snapshots[v]:
-            hits += counts.get(u, 0)
-        ordered += cv * hits
+    counts = np.bincount(s.rank_column, minlength=len(s.ids))
+    hits = _row_sums(s, counts[s.entries]).astype(np.int64)
     # Each unordered edge pair was counted once from each side.
-    return ordered // 2
+    return int((counts[:len(hits)] * hits).sum()) // 2
+
+
+def _row_sums(s: Sample, values: np.ndarray) -> np.ndarray:
+    """For each snapshot row of ``s``, the sum of ``values`` over its
+    entries, added in entry order (float64)."""
+    rows = len(s.offsets) - 1
+    return np.bincount(np.repeat(np.arange(rows), np.diff(s.offsets)),
+                       weights=values, minlength=rows)
+
+
+def _auxiliary_counts(s: Sample, mode: str) -> np.ndarray:
+    """Each rank's multiplicity in the union of the positions' neighbor
+    snapshots, taken as a set or a multiset."""
+    _check_mode(mode)
+    occurrences = np.bincount(s.rank_column, minlength=len(s.offsets) - 1)
+    counts = np.bincount(s.entries, np.repeat(occurrences, np.diff(s.offsets)),
+                         minlength=len(s.ids)).astype(np.int64)
+    return np.minimum(counts, 1) if mode == MODE_SET else counts
 
 
 def build_auxiliary(s: Sample, mode: str = MODE_SET) -> AuxiliarySet:
     """Union of the positions' neighbor snapshots, as a set or multiset."""
-    if mode not in A_MODES:
-        raise EstimatorError(f"unknown auxiliary mode: {mode!r}")
-    if mode == MODE_SET:
-        union = dict.fromkeys(chain.from_iterable(s.snapshots.values()), 1)
-        return AuxiliarySet(union, mode, len(union))
-    counts: Counter = Counter()
-    for v in s.node_at:
-        counts.update(s.snapshots[v])
-    return AuxiliarySet(dict(counts), mode, sum(counts.values()))
+    counts = _auxiliary_counts(s, mode)
+    kept = np.flatnonzero(counts).tolist()
+    return AuxiliarySet(dict(zip(map(s.ids.__getitem__, kept),
+                                 counts[kept].tolist())),
+                        mode, int(counts.sum()))
+
+
+def _rank_counts(s: Sample, a: AuxiliarySet) -> np.ndarray:
+    """The multiplicity in ``a`` of each sampled rank of ``s``."""
+    return np.array([a.counts.get(v, 0) for v in s.ids[:len(s.offsets) - 1]],
+                    dtype=np.int64)
 
 
 def count_cross_collisions(s: Sample, a: AuxiliarySet) -> int:
     """Matches between sample entries and auxiliary elements (with multiplicity)."""
-    return sum(a.counts.get(v, 0) for v in s.node_at)
+    return int(_rank_counts(s, a)[s.rank_column].sum())
 
 
 def pairwise_inverse_weight_sum(weights: Sequence[float]) -> float:
@@ -126,23 +147,21 @@ def pairwise_inverse_weight_sum(weights: Sequence[float]) -> float:
     Equals 0.5 * ((sum 1/w)^2 - sum 1/w^2); reciprocal sums use compensated
     summation because the terms can be heavy-tailed.
     """
-    return _inverse_pair_sum(_inverse_weights(weights))
+    return _inverse_pair_sum(_inverse_weights(np.asarray(weights,
+                                                         dtype=np.float64)))
 
 
-def _inverse_pair_sum(inv: list[float]) -> float:
+def _inverse_pair_sum(inv: np.ndarray) -> float:
     """pairwise_inverse_weight_sum from checked inverse weights."""
-    s1 = math.fsum(inv)
-    s2 = math.fsum(x * x for x in inv)
+    s1 = math.fsum(inv.tolist())
+    s2 = math.fsum((inv * inv).tolist())
     return 0.5 * (s1 * s1 - s2)
 
 
-def _inverse_weights(weights: Iterable[float]) -> list[float]:
-    inv = []
-    for w in weights:
-        if not w > 0.0:
-            raise EstimatorError("weights must be positive")
-        inv.append(1.0 / w)
-    return inv
+def _inverse_weights(weights: np.ndarray) -> np.ndarray:
+    if not (weights > 0.0).all():
+        raise EstimatorError("weights must be positive")
+    return 1.0 / weights
 
 
 def aggregate_ratios(parts: Sequence[RatioEstimate]) -> EstimateOutcome:
@@ -157,12 +176,3 @@ def aggregate_ratios(parts: Sequence[RatioEstimate]) -> EstimateOutcome:
     num = math.fsum(p.numerator for p in parts)
     den = math.fsum(p.denominator for p in parts)
     return RatioEstimate(num, den, parts[0].offset).outcome()
-
-
-def aggregate_mean(values: Sequence[EstimateOutcome]) -> EstimateOutcome:
-    """Arithmetic mean of outcomes; any infinite member poisons the mean."""
-    if not values:
-        raise EstimatorError("no outcomes to aggregate")
-    if any(not v.finite for v in values):
-        return NO_COLLISIONS
-    return EstimateOutcome(math.fsum(v.value for v in values) / len(values))

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from . import generators
 from . import ind_estimators as ind, node_estimators as node, rw_correction as rw
@@ -264,11 +265,8 @@ def _head(sample: Sample, spec: SamplerSpec, n: int) -> Sample:
     n / walkers of each walker's run for rw-multi."""
     walkers = spec.walkers if spec.method == "rw-multi" else 1
     run, keep = spec.n // walkers, n // walkers
-    cut = lambda column: tuple(chain.from_iterable(
-        column[start:start + keep] for start in range(0, spec.n, run)))
-    return replace(sample, node_at=cut(sample.node_at),
-                   weight_at=cut(sample.weight_at),
-                   walker_at=cut(sample.walker_at))
+    return sample.subset((np.arange(0, spec.n, run)[:, None]
+                          + np.arange(keep)).ravel())
 
 
 def summarize(param_value, outcomes: Sequence[EstimateOutcome],
@@ -327,6 +325,8 @@ def emit_svg_band(summaries: Sequence[TrialSummary], xlabel: str = "parameter",
     ys = [v for s in rows for v in (s.p10, s.p50, s.p90)]
     y_lo = min(ys + [0.0]) if ys else 0.0
     y_hi = max(ys + [1.0]) if ys else 1.0
+    if not math.isfinite(y_hi - y_lo):
+        raise EstimatorError("percentiles span more than the float range")
     if y_hi - y_lo < 1e-12:
         y_hi = y_lo + 1.0
     n_pts = len(summaries)

@@ -193,6 +193,18 @@ class Graph:
         return weights
 
     @cached_property
+    def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The adjacency as CSR int64 arrays (indptr, indices): v's
+        neighbors are indices[indptr[v]:indptr[v + 1]]."""
+        indptr = np.zeros(len(self._adj) + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=indptr[1:])
+        arrays = indptr, np.fromiter(chain.from_iterable(self._adj), np.int64,
+                                     int(indptr[-1]))
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
+
+    @cached_property
     def digest(self) -> str:
         """Stable hash of the graph content (external-id edge list)."""
         h = hashlib.sha256(np.array(self._ext_ids, dtype="<u8").tobytes())

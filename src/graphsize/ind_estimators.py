@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import (MODE_SET, AuxiliarySet, EstimatorError, RatioEstimate,
-                   _inverse_pair_sum, _inverse_weights, build_auxiliary,
-                   count_cross_collisions, count_induced_edges,
+                   _auxiliary_counts, _inverse_pair_sum, _inverse_weights,
+                   _rank_counts, _row_sums, count_induced_edges,
                    pairwise_inverse_weight_sum)
-from .sampling import METHOD_UIS, Sample
+from .sampling import METHOD_UIS, Sample, _first_seen
 
 
 def mean_degree_uis(s: Sample) -> float:
     """Plain average of sampled degrees."""
     if len(s) < 1:
         raise EstimatorError("empty sample")
-    return math.fsum(s.degrees()) / len(s)
+    return math.fsum(s.degree_column.tolist()) / len(s)
 
 
 def density_uis(s: Sample) -> float:
@@ -38,7 +40,7 @@ def inda_uis_ratio(s: Sample) -> RatioEstimate:
     if len(s) < 2:
         raise EstimatorError("need at least 2 records")
     n = len(s)
-    num = (n - 1) * math.fsum(s.degrees())
+    num = (n - 1) * math.fsum(s.degree_column.tolist())
     return RatioEstimate(num, float(2 * count_induced_edges(s)), 1.0)
 
 
@@ -46,9 +48,9 @@ def mean_degree_wis(s: Sample) -> float:
     """Inverse-probability-weighted mean degree: sum(deg/w) / sum(1/w)."""
     if len(s) < 1:
         raise EstimatorError("empty sample")
-    inv = _inverse_weights(s.weights())
-    num = math.fsum(d * iw for d, iw in zip(s.degrees(), inv))
-    return num / math.fsum(inv)
+    inv = _inverse_weights(s.weight_column)
+    return (math.fsum((s.degree_column * inv).tolist())
+            / math.fsum(inv.tolist()))
 
 
 def edge_pair_inverse_weight_sum(s: Sample) -> float:
@@ -57,21 +59,20 @@ def edge_pair_inverse_weight_sum(s: Sample) -> float:
     Grouping occurrences by node turns the pair sum into a sum over adjacent
     distinct-node pairs of products of per-node inverse-weight totals.
     """
-    return _edge_pair_sum(s, _inverse_weights(s.weights()))
+    return _edge_pair_sum(s, _inverse_weights(s.weight_column))
 
 
-def _edge_pair_sum(s: Sample, inv: list[float]) -> float:
-    """edge_pair_inverse_weight_sum from the sample's checked inverse weights."""
-    inv_by_node: dict[int, float] = {}
-    for v, iw in zip(s.node_at, inv):
-        inv_by_node[v] = inv_by_node.get(v, 0.0) + iw
-    total = 0.0
-    for v, iv in inv_by_node.items():
-        acc = 0.0
-        for u in s.snapshots[v]:
-            acc += inv_by_node.get(u, 0.0)
-        total += iv * acc
-    return 0.5 * total
+def _edge_pair_sum(s: Sample, inv: np.ndarray) -> float:
+    """edge_pair_inverse_weight_sum from the sample's checked inverse weights.
+
+    Sums run in the order of a loop over the distinct nodes by first
+    appearance, so the result does not depend on how ranks are numbered.
+    """
+    inv_by_rank = np.bincount(s.rank_column, inv, minlength=len(s.ids))
+    totals = _row_sums(s, inv_by_rank[s.entries])
+    seen = _first_seen(s.rank_column)[0]
+    terms = inv_by_rank[seen] * totals[seen]
+    return 0.5 * float(terms.cumsum()[-1]) if terms.size else 0.0
 
 
 def density_wis(s: Sample) -> float:
@@ -79,7 +80,7 @@ def density_wis(s: Sample) -> float:
     if len(s) < 2:
         raise EstimatorError("density needs at least 2 records")
     return (edge_pair_inverse_weight_sum(s)
-            / pairwise_inverse_weight_sum(s.weights()))
+            / pairwise_inverse_weight_sum(s.weight_column))
 
 
 def inda_wis_ratio(s: Sample) -> RatioEstimate:
@@ -87,30 +88,38 @@ def inda_wis_ratio(s: Sample) -> RatioEstimate:
     quotient at unit weights."""
     if len(s) < 2:
         raise EstimatorError("need at least 2 records")
-    inv = _inverse_weights(s.weights())
-    deg_over_w = math.fsum(d * iw for d, iw in zip(s.degrees(), inv))
+    inv = _inverse_weights(s.weight_column)
+    deg_over_w = math.fsum((s.degree_column * inv).tolist())
     num = deg_over_w * _inverse_pair_sum(inv)
-    den = math.fsum(inv) * _edge_pair_sum(s, inv)
+    den = math.fsum(inv.tolist()) * _edge_pair_sum(s, inv)
     return RatioEstimate(num, den, 1.0)
 
 
 def indb_uis_ratio(s: Sample, a: AuxiliarySet) -> RatioEstimate:
     """|A| * |S| over the cross-collision count."""
-    if len(s) < 1 or a.cardinality < 1:
+    return _indb_uis(s, a.cardinality, _rank_counts(s, a))
+
+
+def _indb_uis(s: Sample, cardinality: int, counts: np.ndarray) -> RatioEstimate:
+    """indb_uis_ratio from A's size and multiplicity per rank of s."""
+    if len(s) < 1 or cardinality < 1:
         raise EstimatorError("need a non-empty sample and auxiliary set")
-    return RatioEstimate(float(a.cardinality * len(s)),
-                         float(count_cross_collisions(s, a)))
+    return RatioEstimate(float(cardinality * len(s)),
+                         float(counts[s.rank_column].sum()))
 
 
 def indb_wis_ratio(s: Sample, a: AuxiliarySet) -> RatioEstimate:
     """One-point corrected cross-collision estimator."""
-    if len(s) < 1 or a.cardinality < 1:
+    return _indb_wis(s, a.cardinality, _rank_counts(s, a))
+
+
+def _indb_wis(s: Sample, cardinality: int, counts: np.ndarray) -> RatioEstimate:
+    """indb_wis_ratio from A's size and multiplicity per rank of s."""
+    if len(s) < 1 or cardinality < 1:
         raise EstimatorError("need a non-empty sample and auxiliary set")
-    inv = _inverse_weights(s.weights())
-    num = a.cardinality * math.fsum(inv)
-    den = math.fsum(iw * a.counts.get(v, 0)
-                    for iw, v in zip(inv, s.node_at))
-    return RatioEstimate(num, den)
+    inv = _inverse_weights(s.weight_column)
+    return RatioEstimate(cardinality * math.fsum(inv.tolist()),
+                         math.fsum((inv * counts[s.rank_column]).tolist()))
 
 
 def indb_auto_ratio(s: Sample, mode: str = MODE_SET) -> RatioEstimate:
@@ -121,7 +130,6 @@ def indb_auto_ratio(s: Sample, mode: str = MODE_SET) -> RatioEstimate:
     Uniform samples take the unweighted path even if weights are present;
     anything else is corrected by the record weights.
     """
-    a = build_auxiliary(s, mode)
-    if s.method == METHOD_UIS:
-        return indb_uis_ratio(s, a)
-    return indb_wis_ratio(s, a)
+    counts = _auxiliary_counts(s, mode)
+    ratio = _indb_uis if s.method == METHOD_UIS else _indb_wis
+    return ratio(s, int(counts.sum()), counts)

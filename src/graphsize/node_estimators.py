@@ -58,11 +58,9 @@ def split_for_capture(s: Sample, seed: int) -> CaptureSplit:
     n = len(s)
     if n < 2:
         raise EstimatorError("need at least 2 records to split")
-    order = np.random.default_rng(seed).permutation(n)
-    nodes = s.nodes()
-    half = n // 2
-    s1 = frozenset(nodes[i] for i in order[:half])
-    s2 = frozenset(nodes[i] for i in order[half:])
+    ranks = s.rank_column[np.random.default_rng(seed).permutation(n)]
+    s1, s2 = (frozenset(map(s.ids.__getitem__, np.unique(half).tolist()))
+              for half in (ranks[:n // 2], ranks[n // 2:]))
     return CaptureSplit(s1, s2, n - len(s1) - len(s2))
 
 
@@ -156,6 +154,7 @@ def node_wis_ratio(s: Sample) -> RatioEstimate:
     With unit weights this equals :func:`node_uis_ratio` exactly.  The value
     is invariant under rescaling all weights by a constant.
     """
-    weights = s.weights()
-    num = math.fsum(weights) * math.fsum(_inverse_weights(weights))
+    weights = s.weight_column
+    num = (math.fsum(weights.tolist())
+           * math.fsum(_inverse_weights(weights).tolist()))
     return RatioEstimate(num, float(2 * count_collisions(s)))

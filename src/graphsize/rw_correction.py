@@ -11,11 +11,12 @@ for a margin, the positions of its own walker for cross-walker filtering.
 All their sums run over ordered pairs (i, j), i != j, and are computed as
 full-pair totals minus within-window totals.  The window-independent inputs
 come from the sample's cached :class:`~graphsize.sampling.MarginIndex`,
-built once: the NODE kernels read its node occurrences, sorted once, and
-the IND kernels also its snapshot entries, ranked once per distinct snapshot
-and sorted on first use.  Each window then costs an inverse-weight
-prefix-sum window and two binary searches per position, so a sweep over
-many m pays for the index once.
+built once from the sample's rank column and snapshot CSR: the NODE kernels
+read its node occurrences, sorted once, and the IND kernels also its
+snapshot entries, expanded to positions and sorted on first use.  Each
+window then costs an inverse-weight prefix-sum window and two binary
+searches per position, so a sweep over many m pays for the index once.
+Thinning slices the rank column over the parent's shared CSR.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (A_MODES, MODE_MULTISET, NO_COLLISIONS, EstimateOutcome,
-                   EstimatorError, RatioEstimate, aggregate_ratios)
+from .core import (MODE_MULTISET, NO_COLLISIONS, EstimateOutcome,
+                   EstimatorError, RatioEstimate, _check_mode, aggregate_ratios)
 from .sampling import MarginIndex, Sample
 
 
@@ -38,13 +39,13 @@ def _check_at_least(name: str, value: int, least: int) -> None:
 def thin_simple(s: Sample, theta: int) -> Sample:
     """Keep every theta-th position, starting from the first."""
     _check_at_least("theta", theta, 1)
-    return s.subset(range(0, len(s), theta))
+    return s.subset(np.arange(0, len(s), theta))
 
 
 def thin_shifted(s: Sample, theta: int) -> list[Sample]:
     """All theta shifted subsamples; their concatenation permutes the input."""
     _check_at_least("theta", theta, 1)
-    return [s.subset(range(k, len(s), theta)) for k in range(theta)]
+    return [s.subset(np.arange(k, len(s), theta)) for k in range(theta)]
 
 
 def estimate_thinned(s: Sample, theta: int,
@@ -99,8 +100,7 @@ def _node_window_ratio(s: Sample, lo: np.ndarray,
 
 def _ind_window_ratio(s: Sample, lo: np.ndarray, hi: np.ndarray,
                       a_mode: str) -> RatioEstimate:
-    if a_mode not in A_MODES:
-        raise EstimatorError(f"unknown auxiliary mode: {a_mode!r}")
+    _check_mode(a_mode)
     index, inv = _margin_columns(s)
     if a_mode == MODE_MULTISET:
         return RatioEstimate(
@@ -158,14 +158,13 @@ def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
 
     Each position's excluded window is its own walker's run of positions.
     No explicit margin parameter; a single-walker sample has no surviving
-    pairs and yields the no-collisions outcome.
+    pairs and yields the no-collisions outcome.  ``a_mode`` is checked for
+    either base, though only the ind base uses it.
     """
-    ids = s.walkers()
-    # Dense ranks in id order: ids may be arbitrarily large.
-    rank = {k: r for r, k in enumerate(sorted(set(ids)))}
-    if len(rank) < 2:
+    _check_mode(a_mode)
+    walkers = s.walker_column
+    if np.unique(walkers).size < 2:
         return NO_COLLISIONS
-    walkers = np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
     if (walkers[1:] < walkers[:-1]).any():
         # The sums depend on the walker labels only, not on record order.
         order = np.argsort(walkers, kind="stable")

@@ -1,14 +1,17 @@
-"""Node samplers: UIS, WIS, single and multi-walker random walks.
+"""Node samplers, the in-memory sample and the sample file format.
 
 Every sampler is a pure function of (graph, parameters, seed) using numpy's
 PCG64 generator, named in the sample metadata so files are reproducible
 across platforms.  Each sampled node keeps a snapshot of its neighbor list,
-so estimation downstream never needs the full graph.
+so estimation downstream never needs the full graph.  A sample holds its
+nodes as dense ranks of their ids, and the estimators count with arrays of
+ranks; no id enters their arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -35,24 +38,32 @@ class SamplingError(Exception):
     """Invalid sampler input (e.g. disconnected graph for a random walk)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """An ordered node sample and where it came from.
+    """An ordered node sample and where it came from, over dense node ranks.
 
-    Position i holds the node ``node_at[i]``, its sampling weight
-    ``weight_at[i]`` and its walker ``walker_at[i]``, all Python numbers, so
-    ids may be arbitrarily large.  A walk revisits nodes, so neighbor
-    snapshots are kept once per distinct node: ``snapshots`` maps each
-    sampled node, in order of first appearance, to its snapshot tuple, and a
-    position's degree is the length of its node's snapshot.  Any mapping
-    that covers the sampled nodes may be passed; the sample keeps a
-    read-only mapping of just those.
+    Rank r stands for the id ``ids[r]``, so ids may be arbitrarily large.
+    Position i holds the node of rank ``rank_column[i]``, its weight
+    ``weight_column[i]`` (float64) and its walker ``walker_column[i]``
+    (int64).  Snapshots are kept once per distinct node, as one CSR: row r,
+    ``entries[offsets[r]:offsets[r + 1]]``, holds the ranks that rank r's
+    snapshot names, and every sampled rank has a row.  The samplers and
+    :func:`read_sample` rank the sampled nodes first, then the ids only a
+    snapshot names, each in order of first appearance; :meth:`subset` keeps
+    its parent's ids and CSR.
+
+    ``node_at``, ``weight_at``, ``walker_at`` and ``snapshots`` (each
+    distinct sampled node, by first appearance, to its neighbor tuple), and
+    the list methods, are read-only Python views made on first use.  Two
+    samples are equal when these views and the metadata are.
     """
 
-    node_at: tuple[int, ...]
-    weight_at: tuple[float, ...]
-    walker_at: tuple[int, ...]
-    snapshots: Mapping[int, tuple[int, ...]]
+    ids: tuple[int, ...]
+    rank_column: np.ndarray
+    weight_column: np.ndarray
+    walker_column: np.ndarray
+    offsets: np.ndarray
+    entries: np.ndarray
     method: str
     seed: int
     weight_rule: str
@@ -60,18 +71,50 @@ class Sample:
     rng_name: str = RNG_NAME
 
     def __post_init__(self):
-        n = len(self.node_at)
-        if len(self.weight_at) != n or len(self.walker_at) != n:
+        n = len(self.rank_column)
+        if len(self.weight_column) != n or len(self.walker_column) != n:
             raise SamplingError("sample columns differ in length")
-        try:
-            snapshots = {v: self.snapshots[v]
-                         for v in dict.fromkeys(self.node_at)}
-        except KeyError as exc:
-            raise SamplingError(f"sampled node {exc} has no snapshot") from None
-        object.__setattr__(self, "snapshots", MappingProxyType(snapshots))
+        for column in (self.rank_column, self.weight_column,
+                       self.walker_column, self.offsets, self.entries):
+            column.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.node_at)
+        return len(self.rank_column)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sample):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in (
+            "node_at", "weight_at", "walker_at", "snapshots", "method", "seed",
+            "weight_rule", "graph_digest", "rng_name"))
+
+    @cached_property
+    def node_at(self) -> tuple[int, ...]:
+        return tuple(map(self.ids.__getitem__, self.rank_column.tolist()))
+
+    @cached_property
+    def weight_at(self) -> tuple[float, ...]:
+        return tuple(self.weight_column.tolist())
+
+    @cached_property
+    def walker_at(self) -> tuple[int, ...]:
+        return tuple(self.walker_column.tolist())
+
+    @cached_property
+    def snapshots(self) -> Mapping[int, tuple[int, ...]]:
+        ids, bounds = self.ids, self.offsets.tolist()
+        entries = self.entries.tolist()
+        row = lambda r: tuple(map(ids.__getitem__,
+                                  entries[bounds[r]:bounds[r + 1]]))
+        return MappingProxyType({ids[r]: row(r) for r in dict.fromkeys(
+            self.rank_column.tolist())})
+
+    @cached_property
+    def degree_column(self) -> np.ndarray:
+        """Each position's degree, the length of its node's snapshot."""
+        degrees = np.diff(self.offsets)[self.rank_column]
+        degrees.flags.writeable = False
+        return degrees
 
     def nodes(self) -> list[int]:
         return list(self.node_at)
@@ -80,17 +123,18 @@ class Sample:
         return list(self.weight_at)
 
     def degrees(self) -> list[int]:
-        return [len(self.snapshots[v]) for v in self.node_at]
+        return self.degree_column.tolist()
 
     def walkers(self) -> list[int]:
         return list(self.walker_at)
 
-    def subset(self, positions: Sequence[int]) -> Sample:
-        """The sample of the given positions, in that order."""
-        pick = lambda column: tuple(map(column.__getitem__, positions))
-        return replace(self, node_at=pick(self.node_at),
-                       weight_at=pick(self.weight_at),
-                       walker_at=pick(self.walker_at))
+    def subset(self, positions: Sequence[int] | np.ndarray) -> Sample:
+        """The sample of the given positions, in that order; it shares this
+        sample's ids and snapshots."""
+        index = np.asarray(positions, dtype=np.intp)
+        return replace(self, rank_column=self.rank_column[index],
+                       weight_column=self.weight_column[index],
+                       walker_column=self.walker_column[index])
 
     @cached_property
     def margin_index(self) -> MarginIndex:
@@ -103,23 +147,49 @@ class Sample:
         return MarginIndex.build(self)
 
 
+def _first_seen(values: np.ndarray, size: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values in order of first appearance, the index of each
+    one's first appearance, and the rank of every value in that order.
+
+    Values known to lie in [0, size) index a table of that size instead of
+    being sorted, which takes less time and memory.
+    """
+    if size is None:
+        distinct, inverse = np.unique(values, return_inverse=True)
+    else:
+        distinct, inverse = np.arange(size), values
+    first = np.full(len(distinct), len(values))
+    np.minimum.at(first, inverse, np.arange(len(values)))
+    seen = np.flatnonzero(first < len(values))
+    order = seen[np.argsort(first[seen])]
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return distinct[order], first[order], rank[inverse]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray,
+            dtype=np.int64) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + lengths[i]) concatenated."""
+    index = np.repeat((starts - np.cumsum(lengths) + lengths).astype(dtype),
+                      lengths)
+    index += np.arange(len(index), dtype=dtype)
+    return index
+
+
 @dataclass(frozen=True, eq=False)
 class MarginIndex:
     """A sample's weights, degrees and node occurrences as read-only arrays.
 
-    Every distinct node id, sampled or only named in a snapshot, gets a dense
-    rank, sampled nodes first.  An occurrence of rank r at position p is the
-    key r * (n + 1) + p, so one sorted array lists each rank's positions in
+    The ranks are the sample's own (a sample derived by
+    :meth:`Sample.subset` keeps its parent's), so building only sorts the n
+    node occurrences.  An occurrence of rank r at position p is the key
+    r * (n + 1) + p, so one sorted array lists each rank's positions in
     order, and counting a rank's occurrences in a window of positions takes
-    two binary searches.  Ids enter no arithmetic, so they may be arbitrarily
-    large.
-
-    The sampled nodes' ranks are their order in ``Sample.snapshots``, so
-    building ranks the ids of each distinct node's snapshot once and sorts
-    the n node occurrences.  The snapshot half (``snapshot_keys``,
+    two binary searches.  The snapshot half (``snapshot_keys``,
     ``snapshot_counts``, ``snapshot_first``, ``snapshot_last``) expands the
-    ranked entries to positions with numpy and sorts them; it is built on
-    first use, so node-only queries never pay for it.
+    CSR rows to positions and sorts them; it is built on first use, so
+    node-only queries never pay for it.
 
     The queries take one excluded window [lo[i], hi[i]) of positions per
     position i: the positions within m steps for a margin, the positions of
@@ -143,28 +213,21 @@ class MarginIndex:
 
     @classmethod
     def build(cls, s: Sample) -> MarginIndex:
-        n, snapshots = len(s), s.snapshots.values()
-        rank = dict.fromkeys(chain(s.snapshots, chain.from_iterable(snapshots)))
-        for r, v in enumerate(rank):
-            rank[v] = r
-        size, stride = len(rank), n + 1
+        n, size = len(s), len(s.ids)
+        stride = n + 1
         # Keys take 32 bits when they fit: the index is the largest array a
         # margin estimate allocates.
         key_type = np.int32 if size * stride <= 2**31 - 1 else np.int64
-        lengths = np.fromiter(map(len, snapshots), np.int64, len(snapshots))
-        node_ranks = np.fromiter(map(rank.__getitem__, s.node_at), key_type, n)
+        node_ranks = s.rank_column.astype(key_type)
         node_order = np.argsort(node_ranks, kind="stable")
         return cls(
-            weights=np.array(s.weight_at, dtype=np.float64),
-            degrees=lengths[node_ranks].astype(np.float64),
+            weights=s.weight_column,
+            degrees=s.degree_column.astype(np.float64),
             node_ranks=node_ranks, node_order=node_order,
             node_keys=(node_ranks[node_order] * stride
                        + node_order).astype(key_type),
             node_counts=np.bincount(node_ranks), _rank_count=size,
-            _entry_ranks=np.fromiter(
-                map(rank.__getitem__, chain.from_iterable(snapshots)),
-                key_type, int(lengths.sum())),
-            _entry_bounds=np.concatenate(([0], np.cumsum(lengths))))
+            _entry_ranks=s.entries.astype(key_type), _entry_bounds=s.offsets)
 
     @cached_property
     def _snapshot_half(self) -> tuple[np.ndarray, ...]:
@@ -176,10 +239,8 @@ class MarginIndex:
         total = int(lengths.sum())
         # Position p's entries are entry ranks starts[p] + 0, 1, ...; the
         # gather indices take 32 bits when they fit, like the keys.
-        index_type = np.int32 if total <= 2**31 - 1 else np.int64
-        gather = np.repeat((starts - np.cumsum(lengths) + lengths)
-                           .astype(index_type), lengths)
-        gather += np.arange(total, dtype=index_type)
+        gather = _ranges(starts, lengths,
+                         np.int32 if total <= 2**31 - 1 else np.int64)
         # Indexing, unlike take, does not copy 32-bit indices to 64 bits.
         keys = self._entry_ranks[gather]
         # Free the gather indices before sorting: peak memory stays near one
@@ -244,12 +305,18 @@ class MarginIndex:
         return near
 
 
-def _drawn(g: Graph, nodes: list[int], weights: list[float],
-           walkers: list[int], method: str, seed: int, rule: str) -> Sample:
+def _drawn(g: Graph, nodes: np.ndarray, weights: np.ndarray,
+           walkers: np.ndarray, method: str, seed: int, rule: str) -> Sample:
     """A sample of dense node indices, each with the graph's snapshot."""
-    return Sample(tuple(nodes), tuple(weights), tuple(walkers),
-                  {v: g.neighbors(v) for v in nodes}, method, seed, rule,
-                  g.digest)
+    sampled, _, node_ranks = _first_seen(nodes, g.node_count)
+    indptr, indices = g.adjacency_arrays
+    starts = indptr[sampled]
+    lengths = indptr[sampled + 1] - starts
+    ids, _, ranks = _first_seen(np.concatenate(
+        (sampled, indices[_ranges(starts, lengths)])), g.node_count)
+    return Sample(tuple(ids.tolist()), node_ranks, weights, walkers,
+                  np.concatenate(([0], np.cumsum(lengths))),
+                  ranks[len(sampled):], method, seed, rule, g.digest)
 
 
 def sample_uis(g: Graph, n: int, seed: int) -> Sample:
@@ -257,8 +324,9 @@ def sample_uis(g: Graph, n: int, seed: int) -> Sample:
     if n < 1:
         raise SamplingError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    nodes = rng.integers(0, g.node_count, size=n).tolist()
-    return _drawn(g, nodes, [1.0] * n, [0] * n, METHOD_UIS, seed, "unit")
+    nodes = rng.integers(0, g.node_count, size=n)
+    return _drawn(g, nodes, np.ones(n), np.zeros(n, dtype=np.int64),
+                  METHOD_UIS, seed, "unit")
 
 
 def sample_wis(g: Graph, weight_rule: Callable[[int], float] | str,
@@ -277,7 +345,7 @@ def sample_wis(g: Graph, weight_rule: Callable[[int], float] | str,
     cumulative = np.cumsum(weights)
     draws = rng.random(n) * cumulative[-1]
     nodes = np.searchsorted(cumulative, draws, side="right")
-    return _drawn(g, nodes.tolist(), weights[nodes].tolist(), [0] * n,
+    return _drawn(g, nodes, weights[nodes], np.zeros(n, dtype=np.int64),
                   METHOD_WIS, seed, rule_name)
 
 
@@ -331,9 +399,9 @@ def _walk(g: Graph, n: int, seed: int, start: int | None) -> list[int]:
 def _walk_sample(g: Graph, walks: list[list[int]], method: str,
                  seed: int) -> Sample:
     """Walks concatenated in order, tagged by walker id, degree-weighted."""
-    nodes = list(chain.from_iterable(walks))
-    return _drawn(g, nodes, [float(g.degree(v)) for v in nodes],
-                  [k for k, walk in enumerate(walks) for _ in walk],
+    nodes = np.fromiter(chain.from_iterable(walks), np.int64)
+    return _drawn(g, nodes, g.degree_weights[nodes],
+                  np.repeat(np.arange(len(walks)), list(map(len, walks))),
                   method, seed, "degree")
 
 
@@ -354,8 +422,8 @@ def sample_rw_multi(g: Graph, walkers: int, per_walk: int,
 # One metadata header line, then one record per position:
 #   position \t external-node-id \t degree \t weight \t walker \t n1,n2,...
 # Node ids in record lines are external ids when a graph is supplied for
-# writing, otherwise the sample's own node keys.  A node's records repeat
-# its one snapshot.
+# writing, otherwise the sample's own ids.  A node's records repeat its one
+# snapshot.
 
 _HEADER_PREFIX = "graphsize-sample v1"
 _HEADER_KEYS = ("method", "seed", "weight_rule", "graph_digest", "n")
@@ -366,24 +434,34 @@ def write_sample(s: Sample, sink: IO[str], g: Graph | None = None) -> None:
     sink.write(f"{_HEADER_PREFIX}\tmethod={s.method}\tseed={s.seed}"
                f"\tweight_rule={s.weight_rule}\tgraph_digest={s.graph_digest}"
                f"\trng={s.rng_name}\tn={len(s)}\n")
-    to_ext = g.ext_ids.__getitem__ if g is not None else (lambda v: v)
+    names = list(map(str, s.ids if g is None
+                     else map(g.ext_ids.__getitem__, s.ids)))
+    bounds, ranks = s.offsets.tolist(), s.rank_column.tolist()
     # Each distinct node's id, degree and snapshot are formatted once.
-    formatted = {v: (f"{to_ext(v)}\t{len(nbrs)}",
-                     ",".join(map(str, map(to_ext, nbrs))))
-                 for v, nbrs in s.snapshots.items()}
-    for i, (v, w, k) in enumerate(zip(s.node_at, s.weight_at, s.walker_at)):
-        node, snapshot = formatted[v]
+    formatted = {r: (f"{names[r]}\t{bounds[r + 1] - bounds[r]}",
+                     ",".join(map(names.__getitem__, s.entries[
+                         bounds[r]:bounds[r + 1]].tolist())))
+                 for r in dict.fromkeys(ranks)}
+    for i, (r, w, k) in enumerate(zip(ranks, s.weight_column.tolist(),
+                                      s.walker_column.tolist())):
+        node, snapshot = formatted[r]
         sink.write(f"{i}\t{node}\t{w!r}\t{k}\t{snapshot}\n")
 
 
 def read_sample(source: IO[str]) -> Sample:
-    """Read a sample file; node keys are the external ids as written.
+    """Read a sample file; node ids are the external ids as written.
 
-    A node's snapshot is parsed once: a repeated node's snapshot must equal
+    The text is read through ``source``, so its newline translation
+    applies.  The records are checked and parsed at once with byte-class
+    arrays; only a rejected file is looked at record by record, to name its
+    first bad record.  A repeated node's snapshot must hold the same ids as
     its first record's.
     """
-    header = source.readline().rstrip("\n")
-    fields = header.split("\t")
+    data = bytearray()
+    for chunk in iter(lambda: source.read(2**20), ""):  # bounds the copies
+        data += chunk.encode("utf-8")
+    data += b"" if data.endswith(b"\n") else b"\n"  # ends every line
+    fields = data[:data.index(b"\n")].decode("utf-8").split("\t")
     if not fields or fields[0] != _HEADER_PREFIX:
         raise SamplingError("not a graphsize sample file")
     for field in fields[1:]:
@@ -397,46 +475,14 @@ def read_sample(source: IO[str]) -> Sample:
     if meta["method"] not in METHODS.values():
         raise SamplingError(f"unknown sampling method {meta['method']!r}")
     seed, count = _header_int(meta, "seed"), _header_int(meta, "n")
-    rows: list[tuple[int, float, int]] = []  # node, weight, walker
-    snapshots: dict[int, tuple[int, ...]] = {}
-    texts: dict[int, str] = {}  # each node's snapshot as first written
-    for line in source:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        i = len(rows)
-        try:
-            pos, node, deg, weight, walker, nbrs = fields
-            position, v, degree, w = int(pos), int(node), int(deg), float(weight)
-            k = int(walker)
-            text = texts.get(v)
-            neighbors = (snapshots[v] if text == nbrs else
-                         tuple(map(int, nbrs.split(","))) if nbrs else ())
-        except ValueError:
-            raise _line_error(i, fields) from None
-        # Margin and cross-walker filtering read file order as walk order.
-        if position != i:
-            raise SamplingError(f"record {pos}: position must be its index, {i}")
-        if not 0.0 < w < math.inf:
-            raise SamplingError(
-                f"record {pos}: weight must be finite and positive, got {weight}")
-        if degree != len(neighbors):
-            raise SamplingError(f"record {pos}: degree {deg} differs from its "
-                                f"{len(neighbors)} snapshot entries")
-        if text is None:
-            texts[v], snapshots[v] = nbrs, neighbors
-        elif text != nbrs and neighbors != snapshots[v]:
-            raise SamplingError(f"record {pos}: node {node} has a snapshot "
-                                "that differs from an earlier record's")
-        rows.append((v, w, k))
-    if not rows:
-        raise SamplingError("sample file has no records")
-    if len(rows) != count:
+    *columns, sampled, named = _parse_records(data)
+    if len(columns[0]) != count:
         raise SamplingError("record count does not match header")
-    return Sample(*zip(*rows), snapshots, meta["method"], seed,
-                  meta["weight_rule"], meta["graph_digest"],
-                  rng_name=meta.get("rng", RNG_NAME))
+    del data  # rank the ids once the text and the parser's arrays are freed
+    ids, _, ranks = _first_seen(np.concatenate((sampled, named)))
+    return Sample(tuple(ids.tolist()), *columns, ranks[len(sampled):],
+                  meta["method"], seed, meta["weight_rule"],
+                  meta["graph_digest"], rng_name=meta.get("rng", RNG_NAME))
 
 
 def _header_int(meta: dict[str, str], key: str) -> int:
@@ -447,20 +493,202 @@ def _header_int(meta: dict[str, str], key: str) -> int:
                             "integer") from None
 
 
-_LINE_FIELDS = (("position", int), ("node", int), ("degree", int),
-                  ("weight", float), ("walker", int))
+_SHORT = 18                             # digits that always fit in int64
+_INT64 = range(-2**63, 2**63)
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _line_error(i: int, fields: list[str]) -> SamplingError:
-    """The one-line error for a record whose fields do not parse."""
+def _parse_records(data: bytes) -> tuple:
+    """The records of a sample file, the lines after the header that are
+    not empty, as :class:`Sample`'s rank, weight and walker columns and
+    offsets, then the sampled ids and the ids their snapshots name.
+
+    Every check runs on all records at once; a malformed record gives junk
+    values, not an exception.  A check that reads another record reads an
+    earlier one, so the first record that fails is the first bad one.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    end = _find(buf, "\n")
+    start, end = end[:-1] + 1, end[1:]
+    start, end = start[end > start], end[end > start]
+    if not start.size:
+        raise SamplingError("sample file has no records")
+    n = len(start)
+    # Field j of each record spans [begin[:, j], stop[:, j]).  The last
+    # byte, a newline, stands in for missing tabs.
+    tab = np.append(_find(buf, "\t"), len(buf) - 1).astype(end.dtype)
+    first_tab = np.searchsorted(tab, start)
+    cut = np.take(tab, first_tab[:, None] + np.arange(5), mode="clip")
+    begin = np.column_stack((start, cut + 1))
+    stop = np.column_stack((cut, end))
+    fields = [0, 2, 4, 1]                # position, degree, walker, node
+    values, valid, wide = _integers(data, buf, begin[:, fields].T.ravel(),
+                                    stop[:, fields].T.ravel())
+    position, degree, walker, node = values.reshape(4, n)
+    weights = _floats(buf, begin[:, 3], stop[:, 3] - begin[:, 3])
+
+    # Snapshots are parsed for each node's first record.  A repeat whose
+    # text is its first record's byte for byte needs no parsing; one whose
+    # text differs must still name the same ids.
+    sampled, first_record, node_ranks = _first_seen(node)
+    repeat = np.flatnonzero(first_record[node_ranks] != np.arange(n))
+    prior = first_record[node_ranks[repeat]]
+    span, length = begin[:, 5], np.maximum(stop[:, 5] - begin[:, 5], 0)
+    differs = np.fromiter(
+        (data[a:a + k] != data[b:b + m] for a, k, b, m in zip(
+            span[repeat].tolist(), length[repeat].tolist(),
+            span[prior].tolist(), length[prior].tolist())),
+        dtype=bool, count=len(repeat))
+    parsed = np.union1d(first_record, repeat[differs])
+    named, count, listed = _snapshots(data, buf, _find(buf, ","), span[parsed],
+                                      span[parsed] + length[parsed])
+    slot = np.zeros(n, dtype=np.int64)    # each record's parsed snapshot
+    slot[parsed] = np.arange(len(parsed))
+    slot[repeat[~differs]] = slot[prior[~differs]]
+    at = np.append(0, np.cumsum(count))
+    changed, r, p = repeat[differs], slot[repeat[differs]], slot[prior[differs]]
+    same = count[r] == count[p]
+    unequal = (named[_ranges(at[r[same]], count[r[same]])]
+               != named[_ranges(at[p[same]], count[r[same]])])
+
+    bad = ((np.searchsorted(tab, end) - first_tab != 5)
+           | ~valid.reshape(4, n).all(axis=0) | wide.reshape(4, n)[2]
+           | ~((weights > 0.0) & (weights < math.inf))
+           | (position != np.arange(n)) | ~listed[slot]
+           | (degree != count[slot]))
+    bad[changed[~same]] = True
+    bad[np.repeat(changed[same], count[r[same]])[unequal]] = True
+    if bad.any():
+        i = int(bad.argmax())
+        raise _record_error(i, data[start[i]:end[i]].decode("utf-8"))
+    rows = slot[first_record]
+    return (node_ranks, weights, walker.astype(np.int64),
+            np.append(0, np.cumsum(count[rows])), sampled,
+            named[_ranges(at[rows], count[rows])])
+
+
+def _find(buf: np.ndarray, byte: str) -> np.ndarray:
+    """The positions of ``byte`` in ``buf``, int32 where they fit, found a
+    MiB at a time so that no temporary spans the whole text."""
+    dtype = np.int32 if len(buf) < 2**31 else np.int64
+    return np.concatenate([np.flatnonzero(buf[i:i + 2**20] == ord(byte))
+                           .astype(dtype) + dtype(i)
+                           for i in range(0, len(buf), 2**20)])
+
+
+def _integers(data: bytes, buf: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The cells [starts, ends) as integers (ASCII digits after an optional
+    '-'), whether each is one, and whether it is beyond int64.  The values
+    are int64, or Python ints in an object array if one is beyond int64;
+    an invalid cell's value is junk."""
+    signed = np.take(buf, starts, mode="clip") == ord("-")
+    digits = ends - starts - signed
+    valid = digits > 0
+    values = np.zeros(len(starts), dtype=np.int64)
+    # Horner's rule from the right: the digit k places before a cell's end
+    # is worth 10**k.
+    cursor = ends - 1
+    for k in range(min(int(digits.max(initial=0)), _SHORT)):
+        digit = np.take(buf, cursor, mode="clip") - np.uint8(ord("0"))
+        digit *= digits > k
+        valid &= digit <= 9
+        values += digit * np.int64(10**k)
+        cursor -= 1
+    np.negative(values, out=values, where=signed)
+    wide, beyond = np.zeros(len(starts), dtype=bool), []
+    for c in np.flatnonzero(digits > _SHORT).tolist():
+        cell = data[starts[c]:ends[c]].decode()
+        valid[c] = bool(_INTEGER.fullmatch(cell))
+        if valid[c] and int(cell) in _INT64:
+            values[c] = int(cell)
+        elif valid[c]:
+            wide[c] = True
+            beyond.append(int(cell))
+    if beyond:
+        values = values.astype(object)
+        values[wide] = beyond
+    return values, valid, wide
+
+
+def _snapshots(data: bytes, buf: np.ndarray, commas: np.ndarray,
+               starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The comma-separated integers of the sorted, disjoint spans [starts,
+    ends), given the position of every comma: all their values, the count
+    in each span, and whether a span holds only integers."""
+    lo, hi = np.searchsorted(commas, starts), np.searchsorted(commas, ends)
+    full = ends > starts
+    count = np.where(full, hi - lo + 1, 0)
+    # A span's cells lie between its bounds: the byte before it, its commas
+    # and its end.
+    bounds = np.sort(np.concatenate((starts[full] - 1, ends[full],
+                                     commas[_ranges(lo, hi - lo)])))
+    inside = np.ones(max(len(bounds) - 1, 0), dtype=bool)
+    inside[np.cumsum(count[full] + 1)[:-1] - 1] = False
+    values, valid, _ = _integers(data, buf, bounds[:-1][inside] + 1,
+                                 bounds[1:][inside])
+    listed = np.bincount(np.repeat(np.arange(len(starts)), count), ~valid,
+                         minlength=len(starts)) == 0
+    return values, count, listed
+
+
+def _floats(buf: np.ndarray, starts: np.ndarray,
+            lengths: np.ndarray) -> np.ndarray:
+    """The cells as float() reads them, NaN where it cannot."""
+    # Space padding, which float() ignores, keeps every NUL byte inside.
+    width = int(lengths.max(initial=0)) + 1
+    columns = np.arange(width)
+    text = np.take(buf, starts[:, None] + columns, mode="clip")
+    text[columns >= lengths[:, None]] = ord(" ")
+    text = text.view(f"S{width}").ravel()
+    try:
+        return text.astype(np.float64)
+    except ValueError:
+        return np.array(list(map(_number, text.tolist())), dtype=np.float64)
+
+
+def _number(text: bytes) -> float | None:
+    """float(text), or None where float() cannot read it."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+# Each field before the snapshot, its check and what it must be.
+_FIELDS = (("position", _INTEGER.fullmatch, "an integer"),
+           ("node", _INTEGER.fullmatch, "an integer"),
+           ("degree", _INTEGER.fullmatch, "an integer"),
+           ("weight", lambda text: _number(text.encode()) is not None,
+            "a number"),
+           ("walker", _INTEGER.fullmatch, "an integer"))
+
+
+def _record_error(i: int, line: str) -> SamplingError:
+    """The one-line error for record i, which the array checks rejected: of
+    its problems, the first in the order checked here."""
+    fields = line.split("\t")
     if len(fields) != 6:
         return SamplingError(f"record {i}: expected 6 tab-separated fields, "
                              f"got {len(fields)}")
-    for (name, parse), text in zip(_LINE_FIELDS, fields):
-        try:
-            parse(text)
-        except ValueError:
-            kind = "an integer" if parse is int else "a number"
+    for (name, check, kind), text in zip(_FIELDS, fields):
+        if not check(text):
             return SamplingError(f"record {i}: {name} {text!r} is not {kind}")
-    return SamplingError(f"record {i}: snapshot {fields[5]!r} is not a "
-                         "comma-separated list of integer ids")
+    pos, node, deg, weight, walker, nbrs = fields
+    if int(walker) not in _INT64:
+        return SamplingError(f"record {i}: walker {walker!r} is not a 64-bit "
+                             "integer")
+    ids = nbrs.split(",") if nbrs else []
+    if not all(map(_INTEGER.fullmatch, ids)):
+        return SamplingError(f"record {i}: snapshot {nbrs!r} is not a "
+                             "comma-separated list of integer ids")
+    if int(pos) != i:
+        return SamplingError(f"record {pos}: position must be its index, {i}")
+    if not 0.0 < float(weight.encode()) < math.inf:
+        return SamplingError(
+            f"record {pos}: weight must be finite and positive, got {weight}")
+    if int(deg) != len(ids):
+        return SamplingError(f"record {pos}: degree {deg} differs from its "
+                             f"{len(ids)} snapshot entries")
+    return SamplingError(f"record {pos}: node {node} has a snapshot that "
+                         "differs from an earlier record's")

@@ -5,6 +5,8 @@ import pytest
 from graphsize.graph import Graph, load_edge_list
 from graphsize.sampling import Sample
 
+import oracles
+
 
 def graph_from_text(text: str) -> Graph:
     return load_edge_list(io.StringIO(text))
@@ -15,11 +17,12 @@ def make_sample(g: Graph, ext_nodes, weights=None, method="WIS",
     """Hand-built sample over a real graph, nodes given by external id."""
     nodes = [g.dense_index(ext) for ext in ext_nodes]
     n = len(nodes)
-    return Sample(tuple(nodes),
-                  (1.0,) * n if weights is None else tuple(map(float, weights)),
-                  (0,) * n if walkers is None else tuple(walkers),
-                  {v: g.neighbors(v) for v in nodes}, method, seed=0,
-                  weight_rule=weight_rule, graph_digest=g.digest)
+    return oracles.sample_from_snapshots(
+        tuple(nodes),
+        (1.0,) * n if weights is None else tuple(map(float, weights)),
+        (0,) * n if walkers is None else tuple(walkers),
+        {v: g.neighbors(v) for v in nodes}, method, seed=0,
+        weight_rule=weight_rule, graph_digest=g.digest)
 
 
 @pytest.fixture

@@ -294,3 +294,148 @@ def largest_connected_component(g):
     edges = [(g.ext_id(v), g.ext_id(u)) for v in best for u in g.neighbors(v)
              if u in keep and g.ext_id(v) < g.ext_id(u)]
     return graph_from_edges(edges, extra_nodes=[g.ext_id(v) for v in best])
+
+
+def sample_from_snapshots(node_at, weight_at, walker_at, snapshots, method,
+                          seed, weight_rule, graph_digest,
+                          rng_name="numpy-pcg64"):
+    """A ``Sample`` from per-position Python columns and a mapping that
+    covers the sampled nodes, ranked with dicts: sampled nodes first, then
+    the ids only a snapshot names, each in order of first appearance."""
+    from graphsize.sampling import Sample, SamplingError
+
+    if not len(node_at) == len(weight_at) == len(walker_at):
+        raise SamplingError("sample columns differ in length")
+    rows = [tuple(snapshots[v]) for v in dict.fromkeys(node_at)]
+    named = [u for row in rows for u in row]
+    rank = {v: r for r, v in enumerate(dict.fromkeys(list(node_at) + named))}
+    ranks = lambda ids: np.array([rank[v] for v in ids], dtype=np.int64)
+    return Sample(tuple(rank), ranks(node_at),
+                  np.array(weight_at, dtype=np.float64),
+                  np.array(walker_at, dtype=np.int64),
+                  np.cumsum([0] + [len(row) for row in rows]), ranks(named),
+                  method, seed, weight_rule, graph_digest, rng_name)
+
+
+def read_sample(source):
+    """Record-by-record sample-file reader: the array reader's reference.
+
+    It accepts what ``int()`` and ``float()`` accept in a field (so ``+5``,
+    `` 5``, ``1_0`` and non-ASCII digits too, which the array reader
+    rejects); walker ids beyond 64 bits fail when the sample is built.
+    """
+    from graphsize.sampling import METHODS, RNG_NAME, SamplingError
+
+    header = source.readline().rstrip("\n")
+    fields = header.split("\t")
+    if not fields or fields[0] != "graphsize-sample v1":
+        raise SamplingError("not a graphsize sample file")
+    for field in fields[1:]:
+        if "=" not in field:
+            raise SamplingError(f"sample header field {field!r} is not "
+                                "key=value")
+    meta = dict(f.split("=", 1) for f in fields[1:])
+    missing = [key for key in ("method", "seed", "weight_rule",
+                               "graph_digest", "n") if key not in meta]
+    if missing:
+        raise SamplingError(f"sample header lacks {', '.join(missing)}")
+    if meta["method"] not in METHODS.values():
+        raise SamplingError(f"unknown sampling method {meta['method']!r}")
+    header_ints = []
+    for key in ("seed", "n"):
+        try:
+            header_ints.append(int(meta[key]))
+        except ValueError:
+            raise SamplingError(f"sample header {key}={meta[key]} is not an "
+                                "integer") from None
+    seed, count = header_ints
+    rows = []
+    snapshots = {}
+    texts = {}
+    for line in source:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        i = len(rows)
+        try:
+            pos, node, deg, weight, walker, nbrs = fields
+            position, v, degree, w = int(pos), int(node), int(deg), float(weight)
+            k = int(walker)
+            text = texts.get(v)
+            neighbors = (snapshots[v] if text == nbrs else
+                         tuple(map(int, nbrs.split(","))) if nbrs else ())
+        except ValueError:
+            raise _record_line_error(i, fields) from None
+        if position != i:
+            raise SamplingError(f"record {pos}: position must be its index, {i}")
+        if not 0.0 < w < math.inf:
+            raise SamplingError(
+                f"record {pos}: weight must be finite and positive, got {weight}")
+        if degree != len(neighbors):
+            raise SamplingError(f"record {pos}: degree {deg} differs from its "
+                                f"{len(neighbors)} snapshot entries")
+        if text is None:
+            texts[v], snapshots[v] = nbrs, neighbors
+        elif text != nbrs and neighbors != snapshots[v]:
+            raise SamplingError(f"record {pos}: node {node} has a snapshot "
+                                "that differs from an earlier record's")
+        rows.append((v, w, k))
+    if not rows:
+        raise SamplingError("sample file has no records")
+    if len(rows) != count:
+        raise SamplingError("record count does not match header")
+    if any(k not in range(-2**63, 2**63) for _, _, k in rows):
+        raise SamplingError("walker ids must fit in 64 bits")
+    return sample_from_snapshots(*zip(*rows), snapshots, meta["method"], seed,
+                                 meta["weight_rule"], meta["graph_digest"],
+                                 rng_name=meta.get("rng", RNG_NAME))
+
+
+def _record_line_error(i, fields):
+    from graphsize.sampling import SamplingError
+
+    if len(fields) != 6:
+        return SamplingError(f"record {i}: expected 6 tab-separated fields, "
+                             f"got {len(fields)}")
+    for name, parse, text in zip(("position", "node", "degree", "weight",
+                                  "walker"), (int, int, int, float, int),
+                                 fields):
+        try:
+            parse(text)
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            return SamplingError(f"record {i}: {name} {text!r} is not {kind}")
+    return SamplingError(f"record {i}: snapshot {fields[5]!r} is not a "
+                         "comma-separated list of integer ids")
+
+
+def count_induced_edges(sample) -> int:
+    """Dict-loop induced-edge count: the array kernel's exact reference."""
+    counts = {}
+    for v in sample.node_at:
+        counts[v] = counts.get(v, 0) + 1
+    ordered = 0
+    for v, cv in counts.items():
+        ordered += cv * sum(counts.get(u, 0) for u in sample.snapshots[v])
+    return ordered // 2
+
+
+def inda_wis_parts(sample) -> tuple[float, float]:
+    """``inda_wis_ratio``'s numerator and denominator from dict loops in the
+    order the array kernel keeps, so that the two agree bit for bit."""
+    inv = [1.0 / w for w in sample.weight_at]
+    degrees = [len(sample.snapshots[v]) for v in sample.node_at]
+    s1 = math.fsum(inv)
+    pair_sum = 0.5 * (s1 * s1 - math.fsum(x * x for x in inv))
+    inv_by_node = {}
+    for v, iw in zip(sample.node_at, inv):
+        inv_by_node[v] = inv_by_node.get(v, 0.0) + iw
+    total = 0.0
+    for v, iv in inv_by_node.items():
+        acc = 0.0
+        for u in sample.snapshots[v]:
+            acc += inv_by_node.get(u, 0.0)
+        total += iv * acc
+    num = math.fsum(d * iw for d, iw in zip(degrees, inv)) * pair_sum
+    return num, s1 * (0.5 * total)

@@ -52,7 +52,7 @@ def _band(values):
 
 
 def _scale_weights(s: Sample, c: float) -> Sample:
-    return replace(s, weight_at=tuple(w * c for w in s.weight_at))
+    return replace(s, weight_column=s.weight_column * c)
 
 
 def test_criterion_01_size_identity_suite(k5, star4, path3):
@@ -364,8 +364,9 @@ def _synthetic_walk_sample(n: int) -> Sample:
     rng = np.random.default_rng(1)
     nodes = rng.integers(0, n // 3, size=n).tolist()
     weights = (0.5 + rng.random(n) * 4).tolist()
-    return Sample(tuple(nodes), tuple(weights), (0,) * n,
-                  dict.fromkeys(nodes, ()), "RW", 1, "custom", "synthetic")
+    return oracles.sample_from_snapshots(tuple(nodes), tuple(weights), (0,) * n,
+                                         dict.fromkeys(nodes, ()), "RW", 1,
+                                         "custom", "synthetic")
 
 
 def test_criterion_12_linear_time_margin():

@@ -192,6 +192,7 @@ _CSV_HEADER = "param,p10,p50,p90,infinite_fraction,trials\n"
     ("0,0.9,,1.1,0,3\n", "line 2: p10, p50 and p90 must be all empty or "
                          "all present"),
     ("40,1,1,1,0,10\n0,,1.0,1.1,0,3\n", "line 3: p10, p50 and p90"),
+    ("0,-9e307,0,9e307,0,3\n", "percentiles span more than the float range"),
 ])
 def test_plot_names_a_malformed_csv(tmp_path, capsys, rows, message):
     csv = tmp_path / "out.csv"

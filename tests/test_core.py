@@ -1,14 +1,14 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
                             EstimateOutcome, EstimatorError, RatioEstimate,
-                            aggregate_mean, aggregate_ratios, build_auxiliary,
-                            count_collisions, count_cross_collisions,
-                            count_induced_edges, count_unique,
-                            pairwise_inverse_weight_sum)
+                            aggregate_ratios, build_auxiliary, count_collisions,
+                            count_cross_collisions, count_induced_edges,
+                            count_unique, pairwise_inverse_weight_sum)
 from graphsize.generators import erdos_renyi
 from graphsize.ind_estimators import edge_pair_inverse_weight_sum
 from graphsize.node_estimators import node_wis_ratio
@@ -139,7 +139,7 @@ def test_pairwise_inverse_weight_sum_rejects_zero():
         weights = (bad,) + s.weight_at[1:]
         for kernel in (node_wis_ratio, edge_pair_inverse_weight_sum):
             with pytest.raises(EstimatorError):
-                kernel(replace(s, weight_at=weights))
+                kernel(replace(s, weight_column=np.array(weights)))
 
 
 def test_aggregate_ratios():
@@ -154,13 +154,6 @@ def test_aggregate_ratios():
     assert out.value == pytest.approx(4 / 6 + 1.0)
     with pytest.raises(EstimatorError):
         aggregate_ratios([])
-
-
-def test_aggregate_mean():
-    two, four = EstimateOutcome(2.0), EstimateOutcome(4.0)
-    assert aggregate_mean([two, four]).value == pytest.approx(3.0)
-    assert aggregate_mean([two, NO_COLLISIONS]) == NO_COLLISIONS
-    assert aggregate_mean([EstimateOutcome(5.0)]).value == 5.0
 
 
 def test_outcome_sentinel():

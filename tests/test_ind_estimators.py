@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
@@ -153,7 +154,7 @@ def test_indb_auto_uis_ignores_weights():
     g = erdos_renyi(40, 0.2, seed=9)
     s = sample_uis(g, 60, seed=1)
     from dataclasses import replace
-    tweaked = replace(s, weight_at=(5.0,) * len(s))
+    tweaked = replace(s, weight_column=np.full(len(s), 5.0))
     assert indb_auto_ratio(tweaked, MODE_SET) == indb_auto_ratio(s, MODE_SET)
 
 
@@ -185,7 +186,7 @@ def test_scale_invariance_wis_family():
     from dataclasses import replace
     g = erdos_renyi(40, 0.25, seed=11)
     s = sample_wis(g, "degree", 100, seed=12)
-    scaled = replace(s, weight_at=tuple(w * 7.5 for w in s.weight_at))
+    scaled = replace(s, weight_column=s.weight_column * 7.5)
     a1 = build_auxiliary(s, MODE_SET)
     for kernel in (inda_wis_ratio, lambda x: indb_wis_ratio(x, a1)):
         a, b = kernel(s).outcome().value, kernel(scaled).outcome().value

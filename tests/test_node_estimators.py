@@ -170,7 +170,7 @@ def test_node_wis_scale_invariance(c):
     g = erdos_renyi(20, 0.3, seed=4)
     ext = [g.ext_id(v) for v in [0, 1, 1, 2, 5, 5, 5, 9]]
     base = make_sample(g, ext, weights=[1.0, 2.0, 2.0, 0.5, 4.0, 4.0, 4.0, 3.0])
-    scaled = replace(base, weight_at=tuple(w * c for w in base.weight_at))
+    scaled = replace(base, weight_column=base.weight_column * c)
     a = node_wis_ratio(base).outcome().value
     b = node_wis_ratio(scaled).outcome().value
     assert abs(a - b) / a < 1e-12

@@ -17,7 +17,7 @@ from graphsize.rw_correction import (estimate_thinned, ind_margin_ratio,
                                      margin_crosswalker, node_margin_ratio,
                                      surviving_pair_count, thin_shifted,
                                      thin_simple)
-from graphsize.sampling import (MarginIndex, Sample, read_sample, sample_rw,
+from graphsize.sampling import (MarginIndex, read_sample, sample_rw,
                                 sample_rw_multi, write_sample)
 
 import oracles
@@ -270,7 +270,7 @@ def test_margin_estimates_flatten_on_expander():
 def test_margin_scale_invariance():
     g = _walk_graph(seed=5)
     s = sample_rw(g, 300, seed=14)
-    scaled = replace(s, weight_at=tuple(w * 0.1 for w in s.weight_at))
+    scaled = replace(s, weight_column=s.weight_column * 0.1)
     for fn in (lambda x: node_margin_ratio(x, 3).outcome().value,
                lambda x: ind_margin_ratio(x, 3, MODE_MULTISET).outcome().value,
                lambda x: ind_margin_ratio(x, 3, MODE_SET).outcome().value):
@@ -316,8 +316,8 @@ def walk_like_samples(draw):
                     for _ in nodes)
     walkers = tuple(k for k, walk in enumerate(walks) for _ in walk)
     method = "RW_MULTI" if len(walks) > 1 else "RW"
-    return Sample(nodes, weights, walkers, snapshot, method, 0, "custom",
-                  "synthetic")
+    return oracles.sample_from_snapshots(nodes, weights, walkers, snapshot,
+                                         method, 0, "custom", "synthetic")
 
 
 def _assert_matches_oracle(s, m):
@@ -418,12 +418,13 @@ def test_margin_index_is_read_only():
 def test_margin_kernels_reject_invalid_weights(bad):
     g = _walk_graph()
     s = sample_rw(g, 20, seed=2)
-    s = replace(s, weight_at=(bad,) + s.weight_at[1:])
+    s = replace(s, weight_column=np.array((bad,) + s.weight_at[1:]))
     for kernel, _ in MARGIN_KERNELS.values():
         with pytest.raises(EstimatorError):
             kernel(s, 1)
     multi = sample_rw_multi(g, 2, 10, seeds=[2, 3])
-    multi = replace(multi, weight_at=(bad,) + multi.weight_at[1:])
+    multi = replace(multi,
+                    weight_column=np.array((bad,) + multi.weight_at[1:]))
     # In file order and with the walkers interleaved.
     for d in (multi, multi.subset([*range(0, 20, 2), *range(1, 20, 2)])):
         for kernel, _ in CROSSWALKER_KERNELS.values():
@@ -432,6 +433,15 @@ def test_margin_kernels_reject_invalid_weights(bad):
 
 
 # -- cross-walker ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("base", ["node", "ind"])
+def test_crosswalker_rejects_an_unknown_auxiliary_mode(base):
+    s = sample_rw_multi(_walk_graph(), 2, 40, seeds=[1, 2])
+    for sample in (s, s.subset(range(40))):  # two walkers, then one
+        with pytest.raises(EstimatorError,
+                           match="unknown auxiliary mode: 'bogus'"):
+            margin_crosswalker(sample, base, "bogus")
 
 
 def test_crosswalker_single_walker_is_no_collisions(k5):

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from graphsize.generators import barabasi_albert, erdos_renyi, ring_of_cliques
 from graphsize.graph import load_edge_list
-from graphsize.sampling import (Sample, SamplingError, read_sample, sample_rw,
+from graphsize.sampling import (SamplingError, read_sample, sample_rw,
                                 sample_rw_multi, sample_uis, sample_wis,
                                 write_sample)
 
+import oracles
 from conftest import graph_from_text
 
 
@@ -170,19 +172,19 @@ def _written_positions(s) -> list[int]:
 
 def test_sample_keeps_one_snapshot_per_distinct_node(k5):
     snapshots = {v: k5.neighbors(v) for v in k5}
-    s = Sample((3, 1, 3, 0), (1.0,) * 4, (0,) * 4, snapshots, "UIS", 0,
-               "unit", k5.digest)
-    # Only the sampled nodes, in order of first appearance, read-only.
+    s = oracles.sample_from_snapshots((3, 1, 3, 0), (1.0,) * 4, (0,) * 4,
+                                      snapshots, "UIS", 0, "unit", k5.digest)
+    # One CSR row per distinct sampled node, in order of first appearance.
+    assert s.ids[:3] == (3, 1, 0) and len(s.offsets) == 4
     assert list(s.snapshots) == [3, 1, 0]
     assert s.degrees() == [4, 4, 4, 4]
     with pytest.raises(TypeError):
         s.snapshots[2] = ()
     tail = s.subset([3, 1])
     assert tail.nodes() == [0, 1] and list(tail.snapshots) == [0, 1]
-    with pytest.raises(SamplingError, match="no snapshot"):
-        Sample((7,), (1.0,), (0,), snapshots, "UIS", 0, "unit", k5.digest)
+    assert tail.ids is s.ids and tail.entries is s.entries
     with pytest.raises(SamplingError, match="differ in length"):
-        Sample((1, 2), (1.0,), (0, 0), snapshots, "UIS", 0, "unit", k5.digest)
+        replace(s, weight_column=np.ones(3))
 
 
 def _draw(method, g, n, seed=7):
