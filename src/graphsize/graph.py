@@ -6,16 +6,18 @@ blank lines allowed.  The whole text is checked and parsed at once with
 byte-class arrays; only a rejected input is scanned line by line, to name
 the first bad line.  Every graph, loaded or generated, is built by
 :meth:`Graph.from_edges`, which cleans it to simple form (no self-loops, no
-parallel edges) and stores it with a dense index in [0, N).  All adjacency
-lists are sorted tuples, so the structure is safely shareable across threads
-after construction.
+parallel edges) and stores it with a dense index in [0, N).  The adjacency
+is one read-only int64 CSR: node v's neighbors, in increasing order, are
+``indices[indptr[v]:indptr[v + 1]]``.  Nothing is written after
+construction except caches of values derived from it, so a graph is safely
+shareable across threads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -62,39 +64,53 @@ class Graph:
     Nodes carry two identities: the external 64-bit id from the input, and a
     dense index in [0, N) used everywhere internally.  Dense indices are
     assigned in increasing external-id order, so loading is deterministic.
+    ``indptr`` and ``indices`` are the adjacency as a CSR (see the module
+    docstring); the graph keeps them read-only.
     """
 
-    __slots__ = ("_adj", "_ext_ids", "_ext_to_dense", "_edge_count",
+    __slots__ = ("_indptr", "_indices", "_ext_array", "_ext_ids",
                  "load_report", "__dict__")
 
-    def __init__(self, adjacency: list[tuple[int, ...]], ext_ids: list[int],
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 ext_ids: Iterable[int] | np.ndarray,
                  load_report: LoadReport | None = None):
-        if len(adjacency) != len(ext_ids):
+        self._ext_array = _node_ids(ext_ids).copy()
+        self._ext_ids: tuple[int, ...] = tuple(self._ext_array.tolist())
+        if len(indptr) != len(self._ext_ids) + 1:
             raise GraphError("adjacency and id map length mismatch")
-        if not adjacency:
+        if not self._ext_ids:
             raise GraphError("empty graph")
-        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adjacency))
-        self._ext_ids: tuple[int, ...] = tuple(ext_ids)
-        self._ext_to_dense = dict(zip(self._ext_ids, range(len(adjacency))))
-        self._edge_count = sum(self.degrees) // 2
+        # Dense indices follow the ids, which dense_index bisects.
+        unsorted = np.flatnonzero(self._ext_array[1:] <= self._ext_array[:-1])
+        if unsorted.size:
+            v = int(unsorted[0]) + 1
+            raise GraphError(f"external id {self._ext_ids[v]} at dense index "
+                             f"{v} does not exceed its predecessor")
+        self._indptr = np.array(indptr, dtype=np.int64)
+        self._indices = np.array(indices, dtype=np.int64)
+        if (self._indptr[0] != 0 or self._indptr[-1] != len(self._indices)
+                or (np.diff(self._indptr) < 0).any()):
+            raise GraphError("indptr does not delimit the indices")
+        for array in (self._ext_array, self._indptr, self._indices):
+            array.flags.writeable = False
         self.load_report = load_report
         self._validate()
 
     def _validate(self) -> None:
         """Every neighbor list sorted, unique, in range and loop-free.
 
-        The checks run on the flattened adjacency at once; the error names
-        the first offending entry in (vertex, position) order, and of its
-        failed checks the first of: self-loop, order, range.
+        The checks run on the whole CSR at once; the error names the first
+        offending entry in (vertex, position) order, and of its failed
+        checks the first of: self-loop, order, range.
         """
-        owner, flat = self._flat()
+        owner, flat = self._owners(), self._indices
         loop = flat == owner
         # An entry is out of order if it is at most its predecessor in the
         # same list, or than -1 if it comes first.  Any negative entry may
         # count: at the first offender every predecessor passed, so is >= 0.
         unordered = flat < 0
         unordered[1:] |= (owner[1:] == owner[:-1]) & (flat[1:] <= flat[:-1])
-        bad = loop | unordered | (flat >= len(self._adj))
+        bad = loop | unordered | (flat >= self.node_count)
         if bad.any():
             i = int(bad.argmax())
             v, u = int(owner[i]), int(flat[i])
@@ -104,20 +120,19 @@ class Graph:
                 raise GraphError(f"adjacency of {v} not sorted/unique")
             raise GraphError(f"neighbor index {u} out of range")
 
-    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
-        """The adjacency flattened in (vertex, position) order: each entry's
-        vertex and its neighbor, as int64 arrays."""
-        flat = np.fromiter(chain.from_iterable(self._adj), dtype=np.int64,
-                           count=sum(self.degrees))
-        return np.repeat(np.arange(len(self._adj)), self.degrees), flat
+    def _owners(self) -> np.ndarray:
+        """The vertex of each CSR entry, as an int64 array."""
+        return np.repeat(np.arange(self.node_count),
+                         np.diff(self._indptr))
 
     def _edge_array(self) -> np.ndarray:
         """Each edge once, as an (E, 2) uint64 array of external ids, smaller
         id first, in (vertex, position) order of its smaller end."""
-        owner, flat = self._flat()
-        ext = np.array(self._ext_ids, dtype=np.uint64)
-        pairs = np.stack((ext[owner], ext[flat]), axis=1)
-        return pairs[pairs[:, 0] < pairs[:, 1]]
+        owner = self._owners()
+        upper = owner < self._indices
+        ext = self._ext_array
+        return np.stack((ext[owner[upper]], ext[self._indices[upper]]),
+                        axis=1)
 
     # -- construction ------------------------------------------------------
 
@@ -131,10 +146,10 @@ class Graph:
         Self-loops are dropped and parallel edges collapsed; the counts land
         in ``load_report``.  ``extra_nodes`` adds isolated nodes by id.
         """
-        ext_ids, adjacency, loops, dupes = _simple_adjacency(edges,
+        ext_ids, indptr, indices, loops, dupes = _simple_csr(edges,
                                                              extra_nodes)
         base = report_base or LoadReport()
-        return cls(adjacency, ext_ids, replace(
+        return cls(indptr, indices, ext_ids, replace(
             base, self_loops_dropped=base.self_loops_dropped + loops,
             duplicates_collapsed=base.duplicates_collapsed + dupes))
 
@@ -142,109 +157,121 @@ class Graph:
 
     @property
     def node_count(self) -> int:
-        return len(self._adj)
+        return len(self._ext_ids)
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self._indices) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        indptr, indices = self.adjacency_lists
+        return tuple(indices[indptr[v]:indptr[v + 1]])
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self.degrees[v]
 
     def ext_id(self, v: int) -> int:
         return self._ext_ids[v]
 
     def dense_index(self, ext: int) -> int:
-        return self._ext_to_dense[ext]
+        v = bisect_left(self._ext_ids, ext)
+        if v == self.node_count or self._ext_ids[v] != ext:
+            raise KeyError(ext)
+        return v
 
     @property
     def ext_ids(self) -> tuple[int, ...]:
         return self._ext_ids
 
     def has_edge(self, u: int, v: int) -> bool:
-        a = self._adj[u]
-        lo, hi = 0, len(a)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(a) and a[lo] == v
+        indptr, indices = self.adjacency_lists
+        i = bisect_left(indices, v, indptr[u], indptr[u + 1])
+        return i < indptr[u + 1] and indices[i] == v
 
     def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self._adj)))
+        return iter(range(self.node_count))
 
     # -- derived, cached ---------------------------------------------------
 
+    @property
+    def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only CSR int64 arrays (indptr, indices)."""
+        return self._indptr, self._indices
+
+    @cached_property
+    def adjacency_lists(self) -> tuple[list[int], list[int]]:
+        """The CSR as Python lists, for loops that step node by node; the
+        indices share one int object per node."""
+        shared = np.arange(self.node_count).astype(object)
+        return self._indptr.tolist(), shared[self._indices].tolist()
+
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(map(len, self._adj))
+        return tuple(np.diff(self._indptr).tolist())
 
     @cached_property
     def degree_weights(self) -> np.ndarray:
         """The degrees as a read-only float64 array: the weight table of
         degree-weighted sampling."""
-        weights = np.array(self.degrees, dtype=np.float64)
+        weights = np.diff(self._indptr).astype(np.float64)
         weights.flags.writeable = False
         return weights
 
     @cached_property
-    def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The adjacency as CSR int64 arrays (indptr, indices): v's
-        neighbors are indices[indptr[v]:indptr[v + 1]]."""
-        indptr = np.zeros(len(self._adj) + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=indptr[1:])
-        arrays = indptr, np.fromiter(chain.from_iterable(self._adj), np.int64,
-                                     int(indptr[-1]))
-        for array in arrays:
-            array.flags.writeable = False
-        return arrays
-
-    @cached_property
     def digest(self) -> str:
         """Stable hash of the graph content (external-id edge list)."""
-        h = hashlib.sha256(np.array(self._ext_ids, dtype="<u8").tobytes())
+        h = hashlib.sha256(self._ext_array.astype("<u8").tobytes())
         h.update(self._edge_array().astype("<u8", copy=False).tobytes())
         return h.hexdigest()[:16]
 
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components as sorted dense-index tuples."""
-        seen = [False] * self.node_count
-        out = []
-        for s in range(self.node_count):
-            if seen[s]:
-                continue
-            seen[s] = True
-            comp = [s]
-            queue = deque([s])
-            while queue:
-                v = queue.popleft()
-                for u in self._adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        comp.append(u)
-                        queue.append(u)
-            out.append(tuple(sorted(comp)))
-        return tuple(out)
+        """Connected components as sorted dense-index tuples, in order of
+        their smallest members."""
+        n = self.node_count
+        root = _component_roots(self._owners(), self._indices, n)
+        order = np.argsort(root, kind="stable")
+        bounds = np.flatnonzero(np.diff(root[order], prepend=-1,
+                                        append=n)).tolist()
+        members = order.tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @property
     def is_connected(self) -> bool:
         return len(self.components) == 1
 
 
-def _simple_adjacency(
+def _component_roots(owner: np.ndarray, neighbor: np.ndarray,
+                     n: int) -> np.ndarray:
+    """Each node's smallest component member, by min-label hooking with
+    pointer jumping over the (owner, neighbor) entries of a symmetric CSR.
+
+    ``parent[v] <= v`` throughout, and after each jump every node points at
+    a root; a root then hooks to the smallest root next to its tree.  Once
+    no root moves, every edge joins nodes of one root, the smallest member
+    of their component.
+    """
+    parent = np.arange(n)
+    while True:
+        hooked = parent.copy()
+        np.minimum.at(hooked, parent[owner], parent[neighbor])
+        while True:
+            jumped = hooked[hooked]
+            if (jumped == hooked).all():
+                break
+            hooked = jumped
+        if (hooked == parent).all():
+            return parent
+        parent = hooked
+
+
+def _simple_csr(
         edges: Iterable[tuple[int, int]] | np.ndarray,
         extra_nodes: Iterable[int] | np.ndarray,
-) -> tuple[list[int], list[tuple[int, ...]], int, int]:
-    """The sorted node ids, the sorted neighbor tuple of each node's dense
-    index, and the numbers of self-loops and of repeated edges in
-    ``edges``; see :meth:`Graph.from_edges`.  A function of its own so that
-    its array temporaries are freed before the graph is validated."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """The sorted node ids, the CSR of their dense indices, and the numbers
+    of self-loops and of repeated edges in ``edges``; see
+    :meth:`Graph.from_edges`."""
     if not isinstance(edges, np.ndarray):
         edges = chain.from_iterable(edges)
     pairs = _node_ids(edges).reshape(-1, 2)
@@ -262,12 +289,9 @@ def _simple_adjacency(
     keys, _ = np.unique(lo[proper] * n + hi[proper], return_counts=True)
     # Each edge in both directions, sorted by (vertex, neighbor).
     both = np.sort(np.concatenate((keys, keys % n * n + keys // n)))
-    bounds = np.searchsorted(both, np.arange(n + 1) * n).tolist()
-    # One int object per node, shared by every list that holds it.
-    neighbors = np.arange(n).astype(object)[both % n].tolist()
+    indptr = np.searchsorted(both, np.arange(n + 1) * n)
     kept = int(proper.sum())
-    return (nodes.tolist(),
-            [tuple(neighbors[a:b]) for a, b in zip(bounds, bounds[1:])],
+    return (nodes, indptr, both % n,
             len(pairs) - kept, kept - len(keys))
 
 
@@ -401,9 +425,9 @@ def largest_connected_component(g: Graph) -> Graph:
     External ids are retained.  Ties on component size break towards the
     component containing the smallest external id, for determinism.
     """
-    best = max(g.components,
-               key=lambda comp: (len(comp), -min(g.ext_id(v) for v in comp)))
-    members = np.array(g.ext_ids, dtype=np.uint64)[list(best)]
+    # A component's first member has its smallest external id.
+    best = max(g.components, key=lambda comp: (len(comp), -comp[0]))
+    members = g._ext_array[list(best)]
     edges = g._edge_array()
     # An edge lies inside one component, so its smaller end decides.
     return Graph.from_edges(edges[np.isin(edges[:, 0], members)],

@@ -59,7 +59,7 @@ def split_for_capture(s: Sample, seed: int) -> CaptureSplit:
     if n < 2:
         raise EstimatorError("need at least 2 records to split")
     ranks = s.rank_column[np.random.default_rng(seed).permutation(n)]
-    s1, s2 = (frozenset(map(s.ids.__getitem__, np.unique(half).tolist()))
+    s1, s2 = (frozenset(map(s.ids.__getitem__, set(half.tolist())))
               for half in (ranks[:n // 2], ranks[n // 2:]))
     return CaptureSplit(s1, s2, n - len(s1) - len(s2))
 

@@ -163,7 +163,7 @@ def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
     """
     _check_mode(a_mode)
     walkers = s.walker_column
-    if np.unique(walkers).size < 2:
+    if len(walkers) == 0 or (walkers == walkers[0]).all():
         return NO_COLLISIONS
     if (walkers[1:] < walkers[:-1]).any():
         # The sums depend on the walker labels only, not on record order.

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from types import MappingProxyType
 from typing import IO, Callable, Mapping, Sequence
 
@@ -388,10 +388,11 @@ def _walk(g: Graph, n: int, seed: int, start: int | None) -> list[int]:
     else:
         current = start
     uniforms = rng.random(n - 1)
+    indptr, indices = g.adjacency_lists
+    degrees = g.degrees
     nodes = [current]
     for u in uniforms.tolist():
-        nbrs = g.neighbors(current)
-        current = nbrs[int(u * len(nbrs))]
+        current = indices[indptr[current] + int(u * degrees[current])]
         nodes.append(current)
     return nodes
 
@@ -437,15 +438,16 @@ def write_sample(s: Sample, sink: IO[str], g: Graph | None = None) -> None:
     names = list(map(str, s.ids if g is None
                      else map(g.ext_ids.__getitem__, s.ids)))
     bounds, ranks = s.offsets.tolist(), s.rank_column.tolist()
+    entries = list(map(names.__getitem__, s.entries.tolist()))
     # Each distinct node's id, degree and snapshot are formatted once.
     formatted = {r: (f"{names[r]}\t{bounds[r + 1] - bounds[r]}",
-                     ",".join(map(names.__getitem__, s.entries[
-                         bounds[r]:bounds[r + 1]].tolist())))
+                     ",".join(entries[bounds[r]:bounds[r + 1]]))
                  for r in dict.fromkeys(ranks)}
-    for i, (r, w, k) in enumerate(zip(ranks, s.weight_column.tolist(),
-                                      s.walker_column.tolist())):
-        node, snapshot = formatted[r]
-        sink.write(f"{i}\t{node}\t{w!r}\t{k}\t{snapshot}\n")
+    lines = (f"{i}\t{formatted[r][0]}\t{w!r}\t{k}\t{formatted[r][1]}\n"
+             for i, (r, w, k) in enumerate(zip(
+                 ranks, s.weight_column.tolist(), s.walker_column.tolist())))
+    for batch in iter(lambda: "".join(islice(lines, 4096)), ""):
+        sink.write(batch)
 
 
 def read_sample(source: IO[str]) -> Sample:
@@ -534,12 +536,16 @@ def _parse_records(data: bytes) -> tuple:
     repeat = np.flatnonzero(first_record[node_ranks] != np.arange(n))
     prior = first_record[node_ranks[repeat]]
     span, length = begin[:, 5], np.maximum(stop[:, 5] - begin[:, 5], 0)
+    # Python's slice comparison (memcmp) beats gathering the bytes here.
     differs = np.fromiter(
         (data[a:a + k] != data[b:b + m] for a, k, b, m in zip(
             span[repeat].tolist(), length[repeat].tolist(),
             span[prior].tolist(), length[prior].tolist())),
         dtype=bool, count=len(repeat))
-    parsed = np.union1d(first_record, repeat[differs])
+    # Sorted and distinct as np.union1d gives, without importing numpy.ma.
+    parsed = np.zeros(n, dtype=bool)
+    parsed[first_record] = parsed[repeat[differs]] = True
+    parsed = np.flatnonzero(parsed)
     named, count, listed = _snapshots(data, buf, _find(buf, ","), span[parsed],
                                       span[parsed] + length[parsed])
     slot = np.zeros(n, dtype=np.int64)    # each record's parsed snapshot

@@ -252,7 +252,7 @@ def load_edge_list(source):
 
 def graph_from_edges(edges, extra_nodes=(), report_base=None):
     """Set-based ``Graph.from_edges``: the array builder's reference."""
-    from graphsize.graph import Graph, GraphError, LoadReport
+    from graphsize.graph import GraphError, LoadReport
 
     base = report_base or LoadReport()
     self_loops = base.self_loops_dropped
@@ -282,7 +282,106 @@ def graph_from_edges(edges, extra_nodes=(), report_base=None):
                         comments_skipped=base.comments_skipped,
                         self_loops_dropped=self_loops,
                         duplicates_collapsed=dupes)
-    return Graph([tuple(sorted(a)) for a in adj], ext_ids, report)
+    return graph_from_adjacency([tuple(sorted(a)) for a in adj], ext_ids,
+                                report)
+
+
+def graph_from_adjacency(adjacency, ext_ids, load_report=None):
+    """A ``Graph`` from one neighbor tuple per dense index, through the CSR
+    that its constructor takes."""
+    from graphsize.graph import Graph
+
+    indptr = np.cumsum([0] + [len(nbrs) for nbrs in adjacency])
+    indices = [u for nbrs in adjacency for u in nbrs]
+    return Graph(indptr, indices, ext_ids, load_report)
+
+
+def adjacency(g):
+    """The neighbor tuple of each dense index of ``g``."""
+    return tuple(g.neighbors(v) for v in g)
+
+
+def components(g):
+    """Breadth-first ``Graph.components``: the array version's reference."""
+    from collections import deque
+
+    seen = [False] * g.node_count
+    out = []
+    for s in range(g.node_count):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for u in g.neighbors(v):
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+                    queue.append(u)
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
+
+
+def erdos_renyi(n, p, seed):
+    """``erdos_renyi`` drawing one geometric gap per call and walking the
+    rows pair by pair: the batched version's reference."""
+    from graphsize.graph import Graph
+
+    rng = np.random.default_rng(seed)
+    edges = []
+    total = n * (n - 1) // 2
+    if p > 0.0:
+        row, row_start, row_len = 0, 0, n - 1
+        idx = -1
+        while True:
+            idx += int(rng.geometric(p))
+            if idx >= total:
+                break
+            while idx >= row_start + row_len:
+                row_start += row_len
+                row += 1
+                row_len = n - 1 - row
+            edges.append((row, row + 1 + idx - row_start))
+    return Graph.from_edges(edges, extra_nodes=range(n))
+
+
+def barabasi_albert(n, m, seed):
+    """``barabasi_albert`` drawing each target with ``rng.integers``: the
+    raw-stream version's reference."""
+    from graphsize.graph import Graph
+
+    if m < 1 or n <= m:
+        raise ValueError("need n > m >= 1")
+    rng = np.random.default_rng(seed)
+    edges = [(i, i + 1) for i in range(m - 1)]
+    repeated = []
+    for a, b in edges:
+        repeated += [a, b]
+    if not repeated:
+        repeated = [0]
+    for v in range(m, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(repeated[int(rng.integers(len(repeated)))])
+        for t in targets:
+            edges.append((t, v))
+            repeated += [t, v]
+    return Graph.from_edges(edges, extra_nodes=range(n))
+
+
+def walk(g, n, seed, start=None):
+    """A random walk stepping through neighbor tuples: the reference of
+    ``sampling._walk`` on a connected graph with an edge."""
+    rng = np.random.default_rng(seed)
+    current = int(rng.integers(g.node_count)) if start is None else start
+    nodes = [current]
+    for u in rng.random(n - 1).tolist():
+        nbrs = g.neighbors(current)
+        current = nbrs[int(u * len(nbrs))]
+        nodes.append(current)
+    return nodes
 
 
 def largest_connected_component(g):

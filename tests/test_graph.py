@@ -1,6 +1,7 @@
 import contextlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -123,7 +124,7 @@ def test_exact_stats_path(path3):
 
 
 def test_exact_stats_requires_two_nodes():
-    g = Graph([()], [0])
+    g = oracles.graph_from_adjacency([()], [0])
     with pytest.raises(GraphError):
         exact_stats(g)
 
@@ -135,7 +136,7 @@ def test_size_identity_examples(k5, star4, path3):
 
 
 def test_size_identity_requires_an_edge():
-    g = Graph([(), ()], [0, 1])
+    g = oracles.graph_from_adjacency([(), ()], [0, 1])
     with pytest.raises(GraphError):
         size_identity(g)
 
@@ -193,7 +194,20 @@ def test_huge_ids_load_and_keep_their_component():
 ])
 def test_validate_names_the_first_offender(adjacency, message):
     with pytest.raises(GraphError) as exc:
-        Graph(adjacency, list(range(len(adjacency))))
+        oracles.graph_from_adjacency(adjacency, list(range(len(adjacency))))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("ext_ids,message", [
+    ([5, 3, 7], "external id 3 at dense index 1 does not exceed its "
+                "predecessor"),
+    ([0, 4, 4], "external id 4 at dense index 2 does not exceed its "
+                "predecessor"),
+])
+def test_constructor_rejects_ids_out_of_order(ext_ids, message):
+    # dense_index bisects the ids, and the digest orients edges by index.
+    with pytest.raises(GraphError) as exc:
+        oracles.graph_from_adjacency([(1,), (0,), ()], ext_ids)
     assert str(exc.value) == message
 
 
@@ -267,7 +281,7 @@ def test_loader_matches_the_line_by_line_reference(tmp_path_factory, text):
         if isinstance(want, EdgeListParseError):
             assert got.line_number == want.line_number
     else:
-        assert got._adj == want._adj
+        assert oracles.adjacency(got) == oracles.adjacency(want)
         assert got.ext_ids == want.ext_ids
         assert got.edge_count == want.edge_count
         assert got.load_report == want.load_report
@@ -320,3 +334,40 @@ def test_load_report_counts_lines_and_comments():
     assert g.load_report.duplicates_collapsed == 1
     assert g.load_report.self_loops_dropped == 1
     assert g.ext_ids == (1, 2, 3)
+
+
+# -- components against the breadth-first reference ---------------------------
+
+
+@st.composite
+def _scattered_graph(draw):
+    """A graph on up to 60 ids with few edges: isolated nodes, and often
+    many components."""
+    ids = st.integers(0, 59)
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    extra = draw(st.lists(ids, max_size=20))
+    if not edges and not extra:
+        extra = [0]
+    return Graph.from_edges(edges, extra_nodes=extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scattered_graph())
+def test_components_match_the_breadth_first_reference(g):
+    assert g.components == oracles.components(g)
+    assert g.is_connected == (len(oracles.components(g)) == 1)
+    want = oracles.largest_connected_component(g)
+    got = largest_connected_component(g)
+    assert (got.ext_ids, got.digest) == (want.ext_ids, want.digest)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: grid_2d(20, 30),
+    lambda: erdos_renyi(2000, 0.0006, 4),     # many trees and isolated nodes
+    # A path through the ids in random order: hooking needs many rounds.
+    lambda: Graph.from_edges(np.random.default_rng(0).permutation(
+        1000).repeat(2)[1:-1].reshape(-1, 2), extra_nodes=[5000]),
+])
+def test_components_match_the_reference_on_long_paths_and_forests(build):
+    g = build()
+    assert g.components == oracles.components(g)

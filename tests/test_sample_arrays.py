@@ -9,7 +9,11 @@ loops they replaced, and must agree bit for bit.
 import ast
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from graphsize.ind_estimators import inda_wis_ratio
 from graphsize.sampling import (Sample, SamplingError, read_sample,
                                 sample_rw_multi, sample_wis, write_sample)
 
+import graphsize
 import oracles
 from test_cli_fuzz import SAMPLE, mutated
 from test_rw_correction import walk_like_samples
@@ -206,3 +211,27 @@ def test_derived_samples_share_the_parent_arrays():
     write_sample(s.subset(np.arange(59, -1, -1)), buf, g)
     back = read_sample(io.StringIO(buf.getvalue()))
     assert back.node_at == tuple(g.ext_id(v) for v in s.node_at[::-1])
+
+
+def test_estimating_from_a_file_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma takes about 14 ms to import, which every estimate process
+    # would pay; a flagless np.unique or np.union1d imports it.
+    g = barabasi_albert(300, 3, seed=1)
+    path = tmp_path / "s.tsv"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_sample(sample_rw_multi(g, 3, 100, [1, 2, 3]), fh, g)
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from graphsize import cli",
+        "for extra in (['node-wis'], ['capture'],",
+        "              ['ind-b', '--correction', 'cross-walker']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        f"        assert cli.main(['estimate', '--sample', {str(path)!r},",
+        "                         '--estimator', *extra]) == 0",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    src = str(Path(graphsize.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphsize.generators import barabasi_albert, erdos_renyi, ring_of_cliques
+from graphsize.generators import (barabasi_albert, erdos_renyi, grid_2d,
+                                  ring_of_cliques)
 from graphsize.graph import load_edge_list
 from graphsize.sampling import (SamplingError, read_sample, sample_rw,
                                 sample_rw_multi, sample_uis, sample_wis,
@@ -246,3 +247,17 @@ def test_samplers_are_prefix_stable_property(method, graph_seed, seed, large_n,
                                max_size=4))
     for n in sizes:
         _assert_head(method, large, _draw(method, g, n * unit, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ba", "ring", "grid"]), st.integers(0, 2**16),
+       st.integers(1, 400), st.booleans())
+def test_walk_matches_the_neighbor_tuple_reference(kind, seed, n, pick_start):
+    g = {"ba": lambda: barabasi_albert(300, 2, seed % 7),
+         "ring": lambda: ring_of_cliques(5, 4),
+         "grid": lambda: grid_2d(6, 9)}[kind]()
+    start = seed % g.node_count if pick_start else None
+    want = oracles.walk(g, n, seed, start)
+    assert sample_rw(g, n, seed, start).nodes() == want
+    multi = sample_rw_multi(g, 1, n, [seed])
+    assert multi.nodes() == oracles.walk(g, n, seed)
