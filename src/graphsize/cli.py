@@ -146,7 +146,7 @@ def _cmd_estimate(args) -> int:
                         a_mode=args.a_mode, theta=args.theta, m=args.margin)
     check_spec(None, est)
     _check_seed(args.seed)
-    with open(args.sample, "r", encoding="utf-8") as fh:
+    with open(args.sample, "rb") as fh:
         sample = read_sample(fh)
     check_spec(next(k for k, v in METHODS.items() if v == sample.method), est)
     ratio, outcome = evaluate_with_ratio(sample, est, args.seed)

@@ -422,9 +422,12 @@ def write_edge_list(g: Graph, sink: IO[str]) -> None:
 def largest_connected_component(g: Graph) -> Graph:
     """Induced subgraph on the largest component, renumbered densely.
 
-    External ids are retained.  Ties on component size break towards the
-    component containing the smallest external id, for determinism.
+    External ids are retained, and a connected graph is returned as it is.
+    Ties on component size break towards the component containing the
+    smallest external id, for determinism.
     """
+    if g.is_connected:
+        return g
     # A component's first member has its smallest external id.
     best = max(g.components, key=lambda comp: (len(comp), -comp[0]))
     members = g._ext_array[list(best)]

@@ -70,7 +70,7 @@ def _edge_pair_sum(s: Sample, inv: np.ndarray) -> float:
     """
     inv_by_rank = np.bincount(s.rank_column, inv, minlength=len(s.ids))
     totals = _row_sums(s, inv_by_rank[s.entries])
-    seen = _first_seen(s.rank_column)[0]
+    seen = _first_seen(s.rank_column, len(s.offsets) - 1)[0]
     terms = inv_by_rank[seen] * totals[seen]
     return 0.5 * float(terms.cumsum()[-1]) if terms.size else 0.0
 

@@ -149,23 +149,25 @@ class Sample:
 
 def _first_seen(values: np.ndarray, size: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values in order of first appearance, the index of each
-    one's first appearance, and the rank of every value in that order.
-
-    Values known to lie in [0, size) index a table of that size instead of
-    being sorted, which takes less time and memory.
-    """
-    if size is None:
-        distinct, inverse = np.unique(values, return_inverse=True)
-    else:
-        distinct, inverse = np.arange(size), values
+    """The distinct values by first appearance, each one's first index, and
+    every value's rank in that order.  Values in [0, size), or spanning at
+    most four slots per value, index a table; others are sorted."""
+    if size is None and len(values) and values.dtype != object:
+        low, high = int(values.min()), int(values.max())
+        if high - low < 4 * len(values):
+            distinct, first, ranks = _first_seen(values - low, high - low + 1)
+            return distinct + low, first, ranks
+    distinct, inverse = (np.unique(values, return_inverse=True) if size is None
+                         else (np.arange(size), values))
     first = np.full(len(distinct), len(values))
     np.minimum.at(first, inverse, np.arange(len(values)))
-    seen = np.flatnonzero(first < len(values))
-    order = seen[np.argsort(first[seen])]
+    # Marked over the positions, the first appearances come out in order.
+    mark = np.zeros(len(values) + 1, dtype=bool)
+    mark[first] = True
+    first = np.flatnonzero(mark[:-1])
     rank = np.empty(len(distinct), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return distinct[order], first[order], rank[inverse]
+    rank[inverse[first]] = np.arange(len(first))
+    return distinct[inverse[first]], first, rank[inverse]
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray,
@@ -450,18 +452,22 @@ def write_sample(s: Sample, sink: IO[str], g: Graph | None = None) -> None:
         sink.write(batch)
 
 
-def read_sample(source: IO[str]) -> Sample:
-    """Read a sample file; node ids are the external ids as written.
+def read_sample(source: IO[str] | IO[bytes]) -> Sample:
+    """Read a sample file from a binary or text handle; node ids are the
+    external ids as written.
 
-    The text is read through ``source``, so its newline translation
-    applies.  The records are checked and parsed at once with byte-class
-    arrays; only a rejected file is looked at record by record, to name its
-    first bad record.  A repeated node's snapshot must hold the same ids as
-    its first record's.
+    Bytes are read as text mode reads them: CRLF and a lone CR end a line,
+    and text that is not UTF-8 raises UnicodeDecodeError.  From a text
+    handle, its own newline translation applies.  The records are checked
+    and parsed at once with byte-class arrays; only a rejected file is
+    looked at record by record, to name its first bad record.  A repeated
+    node's snapshot must hold the same ids as its first record's.
     """
-    data = bytearray()
-    for chunk in iter(lambda: source.read(2**20), ""):  # bounds the copies
-        data += chunk.encode("utf-8")
+    data = source.read()
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    elif not data.isascii() or b"\r" in data:  # read it as text mode would
+        data = re.sub(rb"\r\n?", b"\n", data.decode("utf-8").encode("utf-8"))
     data += b"" if data.endswith(b"\n") else b"\n"  # ends every line
     fields = data[:data.index(b"\n")].decode("utf-8").split("\t")
     if not fields or fields[0] != _HEADER_PREFIX:
@@ -470,7 +476,11 @@ def read_sample(source: IO[str]) -> Sample:
         if "=" not in field:
             raise SamplingError(f"sample header field {field!r} is not "
                                 "key=value")
-    meta = dict(f.split("=", 1) for f in fields[1:])
+    meta = {}
+    for key, value in (field.split("=", 1) for field in fields[1:]):
+        if key in meta:
+            raise SamplingError(f"sample header key {key!r} given twice")
+        meta[key] = value
     missing = [key for key in _HEADER_KEYS if key not in meta]
     if missing:
         raise SamplingError(f"sample header lacks {', '.join(missing)}")
@@ -510,19 +520,16 @@ def _parse_records(data: bytes) -> tuple:
     earlier one, so the first record that fails is the first bad one.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    end = _find(buf, "\n")
-    start, end = end[:-1] + 1, end[1:]
-    start, end = start[end > start], end[end > start]
-    if not start.size:
+    sep = _find(buf, "\t", "\n")         # tabs and newlines
+    line = np.flatnonzero(buf[sep] == ord("\n"))  # each newline's place in sep
+    record = np.flatnonzero(np.diff(sep[line]) > 1)  # the lines not empty
+    if not record.size:
         raise SamplingError("sample file has no records")
-    n = len(start)
-    # Field j of each record spans [begin[:, j], stop[:, j]).  The last
-    # byte, a newline, stands in for missing tabs.
-    tab = np.append(_find(buf, "\t"), len(buf) - 1).astype(end.dtype)
-    first_tab = np.searchsorted(tab, start)
-    cut = np.take(tab, first_tab[:, None] + np.arange(5), mode="clip")
-    begin = np.column_stack((start, cut + 1))
-    stop = np.column_stack((cut, end))
+    n, tabs = len(record), np.diff(line)[record] - 1
+    # Field j of each record spans [bounds[:, j] + 1, bounds[:, j + 1]); one
+    # with too few tabs reads later separators, junk the tab count rejects.
+    bounds = np.take(sep, line[record, None] + np.arange(7), mode="clip")
+    begin, stop = bounds[:, :6] + 1, bounds[:, 1:]
     fields = [0, 2, 4, 1]                # position, degree, walker, node
     values, valid, wide = _integers(data, buf, begin[:, fields].T.ravel(),
                                     stop[:, fields].T.ravel())
@@ -546,8 +553,7 @@ def _parse_records(data: bytes) -> tuple:
     parsed = np.zeros(n, dtype=bool)
     parsed[first_record] = parsed[repeat[differs]] = True
     parsed = np.flatnonzero(parsed)
-    named, count, listed = _snapshots(data, buf, _find(buf, ","), span[parsed],
-                                      span[parsed] + length[parsed])
+    named, count, listed = _snapshots(data, span[parsed], length[parsed])
     slot = np.zeros(n, dtype=np.int64)    # each record's parsed snapshot
     slot[parsed] = np.arange(len(parsed))
     slot[repeat[~differs]] = slot[prior[~differs]]
@@ -557,7 +563,7 @@ def _parse_records(data: bytes) -> tuple:
     unequal = (named[_ranges(at[r[same]], count[r[same]])]
                != named[_ranges(at[p[same]], count[r[same]])])
 
-    bad = ((np.searchsorted(tab, end) - first_tab != 5)
+    bad = ((tabs != 5)
            | ~valid.reshape(4, n).all(axis=0) | wide.reshape(4, n)[2]
            | ~((weights > 0.0) & (weights < math.inf))
            | (position != np.arange(n)) | ~listed[slot]
@@ -566,20 +572,23 @@ def _parse_records(data: bytes) -> tuple:
     bad[np.repeat(changed[same], count[r[same]])[unequal]] = True
     if bad.any():
         i = int(bad.argmax())
-        raise _record_error(i, data[start[i]:end[i]].decode("utf-8"))
+        end = sep[line[record[i] + 1]]
+        raise _record_error(i, data[begin[i, 0]:end].decode("utf-8"))
     rows = slot[first_record]
     return (node_ranks, weights, walker.astype(np.int64),
             np.append(0, np.cumsum(count[rows])), sampled,
             named[_ranges(at[rows], count[rows])])
 
 
-def _find(buf: np.ndarray, byte: str) -> np.ndarray:
-    """The positions of ``byte`` in ``buf``, int32 where they fit, found a
-    MiB at a time so that no temporary spans the whole text."""
+def _find(buf: np.ndarray, low: str, high: str) -> np.ndarray:
+    """The positions of the bytes from ``low`` to ``high`` in ``buf``, int32
+    where they fit, found a MiB at a time so no temporary spans the text."""
     dtype = np.int32 if len(buf) < 2**31 else np.int64
-    return np.concatenate([np.flatnonzero(buf[i:i + 2**20] == ord(byte))
-                           .astype(dtype) + dtype(i)
-                           for i in range(0, len(buf), 2**20)])
+    # Subtracting low wraps every byte below it past high - low.
+    return np.concatenate([
+        np.flatnonzero(buf[i:i + 2**20] - np.uint8(ord(low))
+                       <= ord(high) - ord(low)).astype(dtype) + dtype(i)
+        for i in range(0, max(len(buf), 1), 2**20)])
 
 
 def _integers(data: bytes, buf: np.ndarray, starts: np.ndarray,
@@ -617,22 +626,20 @@ def _integers(data: bytes, buf: np.ndarray, starts: np.ndarray,
     return values, valid, wide
 
 
-def _snapshots(data: bytes, buf: np.ndarray, commas: np.ndarray,
-               starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The comma-separated integers of the sorted, disjoint spans [starts,
-    ends), given the position of every comma: all their values, the count
-    in each span, and whether a span holds only integers."""
-    lo, hi = np.searchsorted(commas, starts), np.searchsorted(commas, ends)
-    full = ends > starts
-    count = np.where(full, hi - lo + 1, 0)
-    # A span's cells lie between its bounds: the byte before it, its commas
-    # and its end.
-    bounds = np.sort(np.concatenate((starts[full] - 1, ends[full],
-                                     commas[_ranges(lo, hi - lo)])))
-    inside = np.ones(max(len(bounds) - 1, 0), dtype=bool)
-    inside[np.cumsum(count[full] + 1)[:-1] - 1] = False
-    values, valid, _ = _integers(data, buf, bounds[:-1][inside] + 1,
-                                 bounds[1:][inside])
+def _snapshots(data: bytes, starts: np.ndarray,
+               lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The comma-separated integers in the spans [starts, starts + lengths),
+    the count in each span, and whether a span holds only integers."""
+    full = lengths > 0
+    # Only these spans are read: copied out, each ended by a comma, so a
+    # span's cells end at its commas; an empty span ends where the last did.
+    text = b",".join([data[a:a + k] for a, k in zip(
+        starts[full].tolist(), lengths[full].tolist())] + [b""])
+    buf = np.frombuffer(text, dtype=np.uint8)
+    cells = np.append(np.int32(-1), _find(buf, ",", ","))  # their bounds
+    values, valid, _ = _integers(text, buf, cells[:-1] + 1, cells[1:])
+    count = np.diff(np.searchsorted(cells, np.cumsum(lengths + full) - 1),
+                    prepend=0)
     listed = np.bincount(np.repeat(np.arange(len(starts)), count), ~valid,
                          minlength=len(starts)) == 0
     return values, count, listed

@@ -386,13 +386,28 @@ def walk(g, n, seed, start=None):
 
 def largest_connected_component(g):
     """Edge-by-edge ``largest_connected_component``: the array version's
-    reference."""
-    best = max(g.components,
+    reference.  A connected graph is its own component, load report and
+    all."""
+    comps = components(g)
+    if len(comps) == 1:
+        return g
+    best = max(comps,
                key=lambda comp: (len(comp), -min(g.ext_id(v) for v in comp)))
     keep = set(best)
     edges = [(g.ext_id(v), g.ext_id(u)) for v in best for u in g.neighbors(v)
              if u in keep and g.ext_id(v) < g.ext_id(u)]
     return graph_from_edges(edges, extra_nodes=[g.ext_id(v) for v in best])
+
+
+def first_seen(values):
+    """Dict-loop ``_first_seen``: the distinct values by first appearance,
+    the index of each one's first appearance, and every value's rank in
+    that order."""
+    first = {}
+    for i, v in enumerate(values):
+        first.setdefault(v, i)
+    rank = {v: r for r, v in enumerate(first)}
+    return list(first), list(first.values()), [rank[v] for v in values]
 
 
 def sample_from_snapshots(node_at, weight_at, walker_at, snapshots, method,
@@ -433,7 +448,11 @@ def read_sample(source):
         if "=" not in field:
             raise SamplingError(f"sample header field {field!r} is not "
                                 "key=value")
-    meta = dict(f.split("=", 1) for f in fields[1:])
+    meta = {}
+    for key, value in (f.split("=", 1) for f in fields[1:]):
+        if key in meta:
+            raise SamplingError(f"sample header key {key!r} given twice")
+        meta[key] = value
     missing = [key for key in ("method", "seed", "weight_rule",
                                "graph_digest", "n") if key not in meta]
     if missing:

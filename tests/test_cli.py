@@ -350,6 +350,8 @@ def test_estimate_rejects_header_without_count(tmp_path, capsys):
     pytest.param(lambda t: re.sub(r"\tn=\d+\n.*", "\tn=0\n", t,
                                   flags=re.DOTALL), "no records",
                  id="no-records"),
+    pytest.param(lambda t: t.replace("\tseed=", "\tseed=1\tseed=", 1),
+                 "sample header key 'seed' given twice", id="key-twice"),
 ])
 def test_estimate_rejects_malformed_sample_file(tmp_path, capsys, rewrite,
                                                 named):
@@ -363,6 +365,30 @@ def test_estimate_rejects_malformed_sample_file(tmp_path, capsys, rewrite,
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert named in err
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_estimate_reads_every_newline_convention(tmp_path, capsys, newline):
+    sample = _rw_sample_file(tmp_path, capsys)
+    flags = ["--estimator", "ind-b", "--correction", "margin", "--margin", "3"]
+    want = run(capsys, "estimate", "--sample", str(sample), *flags)
+    assert want[0] == 0
+    sample.write_bytes(sample.read_bytes().replace(b"\n", newline))
+    assert run(capsys, "estimate", "--sample", str(sample), *flags) == want
+
+
+@pytest.mark.parametrize("line", [0, -2])
+def test_estimate_rejects_a_sample_that_is_not_utf8(tmp_path, capsys, line):
+    # As in text mode, the file fails to decode before any record is read:
+    # record 3's weight is not the error named.
+    sample = _rw_sample_file(tmp_path, capsys)
+    _rewrite(sample, record=_at_record_3(3, lambda _: "nan"))
+    lines = sample.read_bytes().split(b"\n")
+    lines[line] += b"\xff"
+    sample.write_bytes(b"\n".join(lines))
+    err = _one_line_error(*run(capsys, "estimate", "--sample", str(sample),
+                               "--estimator", "node-wis"), 3)
+    assert "'utf-8' codec can't decode" in err
 
 
 @pytest.mark.parametrize("snapshot,accepted", [

@@ -17,7 +17,7 @@ import json
 import re
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from graphsize.cli import main
 from graphsize.generators import erdos_renyi
@@ -118,6 +118,9 @@ def workdir(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None)
 @given(text=mutated(SAMPLE), flags=st.sampled_from(ESTIMATE_FLAGS))
+# A short last record: its missing fields must not read past the text.
+@example(text="".join(SAMPLE.splitlines(keepends=True)[:3])
+         + "2\t6\t6.0\t1\t0,3", flags=ESTIMATE_FLAGS[0])
 def test_estimate_survives_a_mutated_sample_file(workdir, text, flags):
     path = workdir / "sample.tsv"
     path.write_text(text, encoding="utf-8")

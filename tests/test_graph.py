@@ -95,7 +95,18 @@ def test_lcc_picks_largest_component():
 def test_lcc_identity_on_connected_graph():
     g = graph_from_text("1 2\n2 3\n")
     lcc = largest_connected_component(g)
-    assert lcc.digest == g.digest
+    assert lcc is g
+    assert lcc.digest == graph_from_text("1 2\n2 3\n").digest
+
+
+def test_lcc_of_a_disconnected_graph_is_its_largest_component():
+    g = erdos_renyi(300, 0.01, seed=2)
+    comps = oracles.components(g)
+    assert len(comps) > 1
+    best = max(comps, key=lambda comp: (len(comp), -min(map(g.ext_id, comp))))
+    lcc = largest_connected_component(g)
+    assert lcc.ext_ids == tuple(sorted(map(g.ext_id, best)))
+    assert lcc.digest == oracles.largest_connected_component(g).digest
 
 
 def test_lcc_tie_break_smallest_external_id():

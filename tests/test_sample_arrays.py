@@ -14,18 +14,20 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphsize.cli import main
 from graphsize.core import count_induced_edges
 from graphsize.experiment import SamplerSpec, _head
 from graphsize.generators import barabasi_albert
 from graphsize.ind_estimators import inda_wis_ratio
-from graphsize.sampling import (Sample, SamplingError, read_sample,
-                                sample_rw_multi, sample_wis, write_sample)
+from graphsize.sampling import (Sample, SamplingError, _first_seen,
+                                read_sample, sample_rw_multi, sample_wis,
+                                write_sample)
 
 import graphsize
 import oracles
@@ -144,6 +146,41 @@ def test_reader_takes_newlines_as_the_handle_gives_them():
     assert translated == read_sample(io.StringIO(text))
     with pytest.raises(SamplingError, match=r"record 0: snapshot '6\\r'"):
         read_sample(io.StringIO(crlf.decode()))
+
+
+@st.composite
+def _ids(draw):
+    """Ids for ``_first_seen``, the size to give it, and whether the ids
+    are dense enough for a table: values below a table size, dense ranges at
+    any offset, sparse ids 2^40 apart, or ids beyond int64 in an object
+    array."""
+    kind = draw(st.sampled_from(("table", "dense", "sparse", "wide")))
+    n = draw(st.integers(1, 50))
+    slots = draw(st.lists(st.integers(0, 3 * n), min_size=n, max_size=n))
+    offset = draw(st.integers(-2**62, 2**62))
+    if kind == "table":
+        return np.array(slots), 3 * n + 1 + draw(st.integers(0, 5)), True
+    if kind == "dense":
+        return np.array(slots) + offset, None, True
+    if kind == "sparse":
+        return np.array(slots) * 2**40 + offset, None, False
+    return np.array([2**63 + slot for slot in slots], dtype=object), None, False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ids())
+@example((np.array([7]), 8, True))
+@example((np.array([-2**62]), None, True))
+@example((np.array([2**64 - 1], dtype=object), None, False))
+@example((np.array([3, -2**63, 2**63 - 1, 3]), None, False))
+def test_first_seen_matches_the_dict_loop(case):
+    values, size, dense = case
+    # Dense values index a table: they are never sorted.
+    no_sort = mock.patch.object(np, "unique", side_effect=AssertionError)
+    with no_sort if dense else contextlib.nullcontext():
+        distinct, first, ranks = _first_seen(values, size)
+    assert (distinct.tolist(), first.tolist(), ranks.tolist()) == \
+        oracles.first_seen(values.tolist())
 
 
 @pytest.mark.parametrize("record", [
