@@ -19,8 +19,9 @@ from .experiment import (CORRECTIONS, CSV_COLUMNS, ESTIMATORS, METHODS,
                          check_spec, draw_sample, emit_csv, emit_svg_band,
                          evaluate_with_ratio, parse_plan_file, resolve_graph,
                          run_experiment)
-from .graph import (GraphError, exact_stats, largest_connected_component,
-                    size_identity, write_edge_list)
+from .graph import (GraphError, _excerpt, exact_stats,
+                    largest_connected_component, size_identity,
+                    write_edge_list)
 from .sampling import SamplingError, read_sample, write_sample
 
 EXIT_CONFIG = 2
@@ -210,8 +211,9 @@ def _read_csv(path: str) -> list[TrialSummary]:
                     if not math.isfinite(value):
                         raise ValueError
                 except ValueError:
-                    raise ValueError(f"{path} line {line_no}: {name} {text!r} "
-                                     "is not a finite number") from None
+                    raise ValueError(f"{path} line {line_no}: {name} "
+                                     f"{_excerpt(text)} is not a finite "
+                                     "number") from None
                 values.append(value)
             rows.append(TrialSummary(*values))
     return rows

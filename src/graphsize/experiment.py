@@ -19,7 +19,8 @@ from . import generators
 from . import ind_estimators as ind, node_estimators as node, rw_correction as rw
 from .core import (A_MODES, MODE_SET, EstimateOutcome, EstimatorError,
                    RatioEstimate, count_unique)
-from .graph import Graph, largest_connected_component, load_edge_list
+from .graph import (Graph, _excerpt, largest_connected_component,
+                    load_edge_list)
 from .rw_correction import estimate_thinned, margin_crosswalker
 from .sampling import (METHOD_UIS, METHODS, Sample, sample_rw,
                        sample_rw_multi, sample_uis, sample_wis)
@@ -113,13 +114,13 @@ def check_spec(method: str | None, est: EstimatorSpec, param: str = "n") -> None
     checks its flags before it reads the sample file that names the method.
     """
     if method is not None and method not in METHODS:
-        raise PlanError(f"unknown sampling method: {method!r}")
+        raise PlanError(f"unknown sampling method: {_excerpt(method)}")
     if est.name not in ESTIMATORS:
-        raise PlanError(f"unknown estimator: {est.name!r}")
+        raise PlanError(f"unknown estimator: {_excerpt(est.name)}")
     if est.correction not in CORRECTIONS:
-        raise PlanError(f"unknown correction: {est.correction!r}")
+        raise PlanError(f"unknown correction: {_excerpt(est.correction)}")
     if est.a_mode not in A_MODES:
-        raise PlanError(f"unknown auxiliary mode: {est.a_mode!r}")
+        raise PlanError(f"unknown auxiliary mode: {_excerpt(est.a_mode)}")
     if est.theta < 1:
         raise PlanError(f"theta must be >= 1, got {est.theta}")
     if est.m < 0:
@@ -127,13 +128,14 @@ def check_spec(method: str | None, est: EstimatorSpec, param: str = "n") -> None
     correction = CORRECTIONS[est.correction]
     if correction.apply and not ESTIMATORS[est.name].walk_corrections:
         raise PlanError(
-            f"correction {est.correction!r} does not apply to {est.name}")
+            f"correction {_excerpt(est.correction)} does not apply to "
+            f"{est.name}")
     if method is not None and method not in correction.methods:
-        raise PlanError(f"correction {est.correction!r} needs "
+        raise PlanError(f"correction {_excerpt(est.correction)} needs "
                         f"{' or '.join(correction.methods)} sampling")
     if param not in ("n", correction.param):
-        raise PlanError(f"grid parameter {param!r} is neither n nor swept "
-                        f"by correction {est.correction!r}")
+        raise PlanError(f"grid parameter {_excerpt(param)} is neither n nor "
+                        f"swept by correction {_excerpt(est.correction)}")
 
 
 def _check_plan(sampler: SamplerSpec, est: EstimatorSpec, param: str,
@@ -202,7 +204,7 @@ def draw_sample(g: Graph, spec: SamplerSpec, seed: int) -> Sample:
         per_walk = spec.n // spec.walkers
         seeds = [seed * 1_000_003 + k for k in range(spec.walkers)]
         return sample_rw_multi(g, spec.walkers, per_walk, seeds)
-    raise PlanError(f"unknown sampling method: {spec.method!r}")
+    raise PlanError(f"unknown sampling method: {_excerpt(spec.method)}")
 
 
 def evaluate_with_ratio(sample: Sample, est: EstimatorSpec, seed: int = 0):
@@ -398,9 +400,11 @@ def parse_plan_file(text: str) -> ExperimentPlan:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _PLAN_KEYS:
-            raise PlanError(f"plan line {line_no}: unknown key {key!r}")
+            raise PlanError(f"plan line {line_no}: unknown key "
+                            f"{_excerpt(key)}")
         if key in kv:
-            raise PlanError(f"plan line {line_no}: duplicate key {key!r}")
+            raise PlanError(f"plan line {line_no}: duplicate key "
+                            f"{_excerpt(key)}")
         kv[key] = value
     for required in ("graph", "method", "n", "estimator", "param", "values"):
         if required not in kv:
@@ -439,7 +443,8 @@ def _number(key: str, text: str, convert: Callable[[str], float] = int,
     except ValueError:
         pass
     kind = "an integer" if convert is int else "a finite number"
-    raise PlanError(f"{label} {key!r}: expected {kind}, got {text!r}")
+    raise PlanError(f"{label} {_excerpt(key)}: expected {kind}, got "
+                    f"{_excerpt(text)}")
 
 
 # Each generator model's function in `generators`, looked up when it runs,
@@ -463,9 +468,9 @@ def resolve_graph(spec: str) -> Graph:
     try:
         _, model, args = spec.split(":", 2)
     except ValueError:
-        raise PlanError(f"bad generator spec: {spec!r}") from None
+        raise PlanError(f"bad generator spec: {_excerpt(spec)}") from None
     if model not in _GENERATORS:
-        raise PlanError(f"unknown generator model: {model!r}")
+        raise PlanError(f"unknown generator model: {_excerpt(model)}")
     name, keys = _GENERATORS[model]
     params: dict[str, str] = {}
     if args:
@@ -473,20 +478,22 @@ def resolve_graph(spec: str) -> Graph:
             key, _, value = part.partition("=")
             key = key.strip()
             if key in params:
-                raise PlanError(f"generator spec {spec!r}: duplicate "
-                                f"generator key {key!r}")
+                raise PlanError(f"generator spec {_excerpt(spec)}: duplicate "
+                                f"generator key {_excerpt(key)}")
             params[key] = value.strip()
     for key in params:
         if key not in keys:
-            raise PlanError(f"generator spec {spec!r}: unknown generator key "
-                            f"{key!r} for model {model!r}")
+            raise PlanError(f"generator spec {_excerpt(spec)}: unknown "
+                            f"generator key {_excerpt(key)} for model "
+                            f"{_excerpt(model)}")
     values = []
     for key, (convert, default) in keys.items():
         if key not in params and default is None:
-            raise PlanError(f"generator spec {spec!r} missing {key!r}")
+            raise PlanError(f"generator spec {_excerpt(spec)} missing "
+                            f"{_excerpt(key)}")
         values.append(_number(key, params.get(key, default), convert,
                               "generator key"))
     try:
         return getattr(generators, name)(*values)
     except ValueError as exc:  # a value out of the generator's range
-        raise PlanError(f"generator spec {spec!r}: {exc}") from None
+        raise PlanError(f"generator spec {_excerpt(spec)}: {exc}") from None

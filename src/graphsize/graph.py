@@ -25,9 +25,23 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
+_EXCERPT = 80                           # characters an error line quotes
+
 
 class GraphError(Exception):
     """Base class for graph construction and query errors."""
+
+
+def _excerpt(text: str, quote: bool = True) -> str:
+    """Text as an error line quotes it (its repr, or itself if not ``quote``):
+    over ``_EXCERPT`` characters, a head whose repr fits, then the length."""
+    show = repr if quote else str
+    if len(text) <= _EXCERPT:
+        return show(text)
+    head = text[:_EXCERPT]
+    while len(repr(head)) > _EXCERPT + 2:
+        head = head[:-1]
+    return f"{show(head)}... ({len(text)} characters)"
 
 
 class EdgeListParseError(GraphError):
@@ -36,7 +50,7 @@ class EdgeListParseError(GraphError):
     def __init__(self, line_number: int, line: str, reason: str):
         self.line_number = line_number
         self.line = line
-        super().__init__(f"line {line_number}: {reason}: {line!r}")
+        super().__init__(f"line {line_number}: {reason}: {_excerpt(line)}")
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,10 @@ from .core import (NO_COLLISIONS, EstimateOutcome, EstimatorError,
 from .sampling import Sample
 
 
-@dataclass(frozen=True)
-class MleSolverConfig:
-    """Root-solver settings for the unique-element MLE estimators."""
-
-    tolerance: float = 1e-9
-    cap: float = 1e12
-
-    def __post_init__(self):
-        if self.tolerance <= 0 or self.cap <= 1:
-            raise ValueError("need tolerance > 0 and cap > 1")
+# The MLE solvers' relative tolerance, and the size beyond which they give
+# up and report no collisions.
+_TOLERANCE = 1e-9
+_CAP = 1e12
 
 
 def capture_recapture(s1_unique: set, s2_unique: set) -> EstimateOutcome:
@@ -70,8 +64,7 @@ def capture_recapture_from_sample(s: Sample, seed: int) -> EstimateOutcome:
     return capture_recapture(set(split.s1_unique), set(split.s2_unique))
 
 
-def mle_unique_approx(n: int, n_unique: int,
-                      cfg: MleSolverConfig = MleSolverConfig()) -> EstimateOutcome:
+def mle_unique_approx(n: int, n_unique: int) -> EstimateOutcome:
     """Solve n_unique = N * (1 - exp(-n/N)) for N by bisection.
 
     The left side approaches n from below as N grows, so n_unique == n has
@@ -88,9 +81,9 @@ def mle_unique_approx(n: int, n_unique: int,
     hi = lo
     while f(hi) < 0.0:
         hi *= 2.0
-        if hi > cfg.cap:
+        if hi > _CAP:
             return NO_COLLISIONS
-    while (hi - lo) > cfg.tolerance * hi:
+    while (hi - lo) > _TOLERANCE * hi:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0.0:
             lo = mid
@@ -99,8 +92,7 @@ def mle_unique_approx(n: int, n_unique: int,
     return EstimateOutcome(0.5 * (lo + hi))
 
 
-def mle_unique_exact(n: int, n_unique: int,
-                     cfg: MleSolverConfig = MleSolverConfig()) -> EstimateOutcome:
+def mle_unique_exact(n: int, n_unique: int) -> EstimateOutcome:
     """Smallest integer N >= n_unique where the exact MLE inequality holds.
 
     The predicate (N+1)/(N+1-n_unique) * (N/(N+1))^n < 1 is evaluated in log
@@ -114,7 +106,7 @@ def mle_unique_exact(n: int, n_unique: int,
     hi = max(n_unique, 1)
     while not pred(hi):
         hi *= 2
-        if hi > cfg.cap:
+        if hi > _CAP:
             return NO_COLLISIONS
     lo = max(n_unique, 1)
     while lo < hi:
@@ -129,8 +121,10 @@ def mle_unique_exact(n: int, n_unique: int,
 def _exact_mle_log(N: int, n: int, n_unique: int) -> float:
     if N + 1 - n_unique <= 0:
         return math.inf
-    return (math.log(N + 1) - math.log(N + 1 - n_unique)
-            + n * (math.log(N) - math.log(N + 1)))
+    # log((N+1)/(N+1-n_unique)) + n*log(N/(N+1)), without the cancellation
+    # of log(N) - log(N+1) at large N.
+    return (math.log1p(n_unique / (N + 1 - n_unique))
+            - n * math.log1p(1 / N))
 
 
 def _check_unique_args(n: int, n_unique: int) -> None:

@@ -10,13 +10,14 @@ excludes a window [lo_i, hi_i) of positions, the positions within m steps
 for a margin, the positions of its own walker for cross-walker filtering.
 All their sums run over ordered pairs (i, j), i != j, and are computed as
 full-pair totals minus within-window totals.  The window-independent inputs
-come from the sample's cached :class:`~graphsize.sampling.MarginIndex`,
-built once from the sample's rank column and snapshot CSR: the NODE kernels
-read its node occurrences, sorted once, and the IND kernels also its
-snapshot entries, expanded to positions and sorted on first use.  Each
-window then costs an inverse-weight prefix-sum window and two binary
-searches per position, so a sweep over many m pays for the index once.
-Thinning slices the rank column over the parent's shared CSR.
+are the sample's own columns and its two cached occurrence indexes (see
+:class:`~graphsize.sampling.Occurrences`): the NODE kernels read
+``occurrences``, each position's node, and the IND kernels also
+``mentions``, each position's snapshot entries, which is built on first use.
+Each window then costs an inverse-weight prefix-sum window and two binary
+searches per position (:meth:`~graphsize.sampling.Sample.far`), so a sweep
+over many m sorts once.  Thinning slices the rank column over the parent's
+shared CSR.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from typing import Callable
 import numpy as np
 
 from .core import (MODE_MULTISET, NO_COLLISIONS, EstimateOutcome,
-                   EstimatorError, RatioEstimate, _check_mode, aggregate_ratios)
-from .sampling import MarginIndex, Sample
+                   EstimatorError, RatioEstimate, _check_mode,
+                   _inverse_weights, aggregate_ratios)
+from .sampling import Sample
 
 
 def _check_at_least(name: str, value: int, least: int) -> None:
@@ -65,14 +67,6 @@ def estimate_thinned(s: Sample, theta: int,
 # -- margin and cross-walker filtering ---------------------------------------
 
 
-def _margin_columns(s: Sample) -> tuple[MarginIndex, np.ndarray]:
-    """The sample's margin index and inverse weights, weights checked."""
-    index = s.margin_index
-    if not (index.weights > 0).all():
-        raise EstimatorError("weights must be positive")
-    return index, 1.0 / index.weights
-
-
 def _margin_window(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Each position's excluded window: the positions at most m steps away."""
     i = np.arange(n)
@@ -91,25 +85,22 @@ def _far_pair_sum(values: np.ndarray, inv: np.ndarray, lo: np.ndarray,
             - math.fsum((values * (prefix[hi] - prefix[lo])).tolist()))
 
 
-def _node_window_ratio(s: Sample, lo: np.ndarray,
+def _node_window_ratio(s: Sample, inv: np.ndarray, lo: np.ndarray,
                        hi: np.ndarray) -> RatioEstimate:
-    index, inv = _margin_columns(s)
-    return RatioEstimate(_far_pair_sum(index.weights, inv, lo, hi),
-                         float(index.far_repeats(lo, hi).sum()))
+    return RatioEstimate(_far_pair_sum(s.weight_column, inv, lo, hi),
+                         float(s.far(s.occurrences, lo, hi).sum()))
 
 
-def _ind_window_ratio(s: Sample, lo: np.ndarray, hi: np.ndarray,
-                      a_mode: str) -> RatioEstimate:
-    _check_mode(a_mode)
-    index, inv = _margin_columns(s)
+def _ind_window_ratio(s: Sample, inv: np.ndarray, lo: np.ndarray,
+                      hi: np.ndarray, a_mode: str) -> RatioEstimate:
     if a_mode == MODE_MULTISET:
         return RatioEstimate(
-            _far_pair_sum(index.degrees, inv, lo, hi),
-            math.fsum((inv * index.far_mentions(lo, hi)).tolist()))
+            _far_pair_sum(s.degree_column, inv, lo, hi),
+            math.fsum((inv * s.far(s.mentions, lo, hi)).tolist()))
 
     n = len(s)
-    first, last = index.snapshot_first, index.snapshot_last
-    carried = index.snapshot_counts > 0
+    first, last = s.mentions.first, s.mentions.last
+    carried = s.mentions.counts > 0
     # A neighbor node is invisible from position j iff all positions carrying
     # it fall inside j's window; lo and hi never decrease, so that happens
     # exactly for j in an interval.
@@ -119,7 +110,7 @@ def _ind_window_ratio(s: Sample, lo: np.ndarray, hi: np.ndarray,
     missing = np.cumsum(np.bincount(lo_j[hidden], minlength=n + 1)
                         - np.bincount(hi_j[hidden] + 1, minlength=n + 1))[:n]
     num = math.fsum((inv * (np.count_nonzero(carried) - missing)).tolist())
-    r = index.node_ranks
+    r = s.rank_column
     seen = (first[r] < lo) | (last[r] >= hi)
     return RatioEstimate(num, math.fsum(inv[seen].tolist()))
 
@@ -127,10 +118,11 @@ def _ind_window_ratio(s: Sample, lo: np.ndarray, hi: np.ndarray,
 def node_margin_ratio(s: Sample, m: int) -> RatioEstimate:
     """Ordered-pair ratio sum(w_i/w_j) over sum(1{s_i=s_j}), pairs > m apart."""
     _check_at_least("margin", m, 0)
+    inv = _inverse_weights(s.weight_column)
     n = len(s)
     if m >= n - 1:
         return RatioEstimate(0.0, 0.0)
-    return _node_window_ratio(s, *_margin_window(n, m))
+    return _node_window_ratio(s, inv, *_margin_window(n, m))
 
 
 def ind_margin_ratio(s: Sample, m: int, a_mode: str) -> RatioEstimate:
@@ -147,10 +139,12 @@ def ind_margin_ratio(s: Sample, m: int, a_mode: str) -> RatioEstimate:
     and documented in the README.
     """
     _check_at_least("margin", m, 0)
+    _check_mode(a_mode)
+    inv = _inverse_weights(s.weight_column)
     n = len(s)
     if m >= n - 1:
         return RatioEstimate(0.0, 0.0)
-    return _ind_window_ratio(s, *_margin_window(n, m), a_mode)
+    return _ind_window_ratio(s, inv, *_margin_window(n, m), a_mode)
 
 
 def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
@@ -162,20 +156,20 @@ def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
     either base, though only the ind base uses it.
     """
     _check_mode(a_mode)
+    inv = _inverse_weights(s.weight_column)
     walkers = s.walker_column
     if len(walkers) == 0 or (walkers == walkers[0]).all():
         return NO_COLLISIONS
     if (walkers[1:] < walkers[:-1]).any():
         # The sums depend on the walker labels only, not on record order.
         order = np.argsort(walkers, kind="stable")
-        s = s.subset(order)
-        walkers = walkers[order]
+        s, inv, walkers = s.subset(order), inv[order], walkers[order]
     lo = np.searchsorted(walkers, walkers, "left")
     hi = np.searchsorted(walkers, walkers, "right")
     if base == "node":
-        return _node_window_ratio(s, lo, hi).outcome()
+        return _node_window_ratio(s, inv, lo, hi).outcome()
     if base == "ind":
-        return _ind_window_ratio(s, lo, hi, a_mode).outcome()
+        return _ind_window_ratio(s, inv, lo, hi, a_mode).outcome()
     raise EstimatorError(f"unsupported cross-walker base: {base!r}")
 
 

@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, islice
 from types import MappingProxyType
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _excerpt
 
 RNG_NAME = "numpy-pcg64"
 
@@ -54,8 +54,13 @@ class Sample:
 
     ``node_at``, ``weight_at``, ``walker_at`` and ``snapshots`` (each
     distinct sampled node, by first appearance, to its neighbor tuple), and
-    the list methods, are read-only Python views made on first use.  Two
-    samples are equal when these views and the metadata are.
+    the ``nodes()`` and ``degrees()`` lists, are read-only Python views made
+    on first use.  Two samples are equal when these views and the metadata
+    are.  The margin and cross-walker kernels read two cached
+    :class:`Occurrences`, also made on first use: ``occurrences``, where
+    each rank is sampled, and ``mentions``, which positions' snapshots name
+    it.  A sample derived by :meth:`subset` or ``dataclasses.replace``
+    builds its own.
     """
 
     ids: tuple[int, ...]
@@ -119,14 +124,8 @@ class Sample:
     def nodes(self) -> list[int]:
         return list(self.node_at)
 
-    def weights(self) -> list[float]:
-        return list(self.weight_at)
-
     def degrees(self) -> list[int]:
         return self.degree_column.tolist()
-
-    def walkers(self) -> list[int]:
-        return list(self.walker_at)
 
     def subset(self, positions: Sequence[int] | np.ndarray) -> Sample:
         """The sample of the given positions, in that order; it shares this
@@ -137,14 +136,77 @@ class Sample:
                        walker_column=self.walker_column[index])
 
     @cached_property
-    def margin_index(self) -> MarginIndex:
-        """Columns and occurrence index shared by the margin kernels.
+    def occurrences(self) -> Occurrences:
+        """Each position's node, as one occurrence of its rank."""
+        n = len(self)
+        return _occurrences(self.rank_column, np.arange(n), n, len(self.ids))
 
-        Built on first use and kept for the life of the sample; a sample
-        derived with ``dataclasses.replace`` or :meth:`subset` builds its
-        own.
-        """
-        return MarginIndex.build(self)
+    @cached_property
+    def mentions(self) -> Occurrences:
+        """Each snapshot entry, as an occurrence of the rank it names at the
+        position carrying it.  Node-only queries never build it."""
+        n, size, lengths = len(self), len(self.ids), self.degree_column
+        # Position p's entries are entries[starts[p]:starts[p] + lengths[p]].
+        # The gather indices take 32 bits when they fit, and the ranks and
+        # positions gathered the fewest bits that hold them.
+        gather = np.int32 if lengths.sum() <= 2**31 - 1 else np.int64
+        return _occurrences(
+            self.entries.astype(np.min_scalar_type(size))[_ranges(
+                self.offsets[self.rank_column], lengths, gather)],
+            np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), lengths), n,
+            size)
+
+    def far(self, occ: Occurrences, lo: np.ndarray,
+            hi: np.ndarray) -> np.ndarray:
+        """For each position i, the occurrences in ``occ`` of i's node at
+        positions outside the window [lo[i], hi[i])."""
+        keys = self.occurrences.keys
+        p = keys % (len(self) + 1)
+        base = keys - p
+        # Queried in key order, the binary searches walk the keys forwards.
+        below, until = (np.searchsorted(occ.keys, (base + edge[p]).astype(
+            keys.dtype)) for edge in (lo, hi))
+        near = np.empty(len(p), dtype=np.int64)
+        near[p] = until - below
+        return occ.counts[self.rank_column] - near
+
+
+class Occurrences(NamedTuple):
+    """Where each rank occurs in a sample of n positions, read-only.
+
+    An occurrence of rank r at position p is the key r * (n + 1) + p, so the
+    sorted keys list each rank's positions in order, and counting a rank's
+    occurrences in a window of positions takes two binary searches.
+    """
+
+    keys: np.ndarray     # sorted; int32 when every key fits
+    counts: np.ndarray   # occurrences per rank
+    first: np.ndarray    # first position per rank, n if none
+    last: np.ndarray     # last position per rank, -1 if none
+
+
+def _occurrences(ranks: np.ndarray, positions: np.ndarray, n: int,
+                 size: int) -> Occurrences:
+    """The occurrences of ``ranks[k]`` (below ``size``) at ``positions[k]``."""
+    stride = n + 1
+    # Keys take 32 bits when they fit: they are the largest array a margin
+    # estimate allocates.
+    keys = ranks.astype(np.int32 if size * stride <= 2**31 - 1 else np.int64)
+    del ranks  # a gathered rank column is freed before the sort
+    keys *= stride
+    keys += positions
+    keys.sort()
+    bounds = np.searchsorted(keys, np.arange(0, (size + 1) * stride, stride,
+                                             dtype=keys.dtype))
+    counts = np.diff(bounds)
+    carried = np.flatnonzero(counts)
+    first = np.full(size, n, dtype=np.int64)
+    last = np.full(size, -1, dtype=np.int64)
+    first[carried] = keys[bounds[carried]] - carried * stride
+    last[carried] = keys[bounds[carried + 1] - 1] - carried * stride
+    for array in (keys, counts, first, last):
+        array.flags.writeable = False
+    return Occurrences(keys, counts, first, last)
 
 
 def _first_seen(values: np.ndarray, size: int | None = None
@@ -177,134 +239,6 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray,
                       lengths)
     index += np.arange(len(index), dtype=dtype)
     return index
-
-
-@dataclass(frozen=True, eq=False)
-class MarginIndex:
-    """A sample's weights, degrees and node occurrences as read-only arrays.
-
-    The ranks are the sample's own (a sample derived by
-    :meth:`Sample.subset` keeps its parent's), so building only sorts the n
-    node occurrences.  An occurrence of rank r at position p is the key
-    r * (n + 1) + p, so one sorted array lists each rank's positions in
-    order, and counting a rank's occurrences in a window of positions takes
-    two binary searches.  The snapshot half (``snapshot_keys``,
-    ``snapshot_counts``, ``snapshot_first``, ``snapshot_last``) expands the
-    CSR rows to positions and sorts them; it is built on first use, so
-    node-only queries never pay for it.
-
-    The queries take one excluded window [lo[i], hi[i]) of positions per
-    position i: the positions within m steps for a margin, the positions of
-    i's own walker for the cross-walker filter.
-    """
-
-    weights: np.ndarray          # float64, per position
-    degrees: np.ndarray          # float64, per position
-    node_ranks: np.ndarray       # rank of the node at each position
-    node_order: np.ndarray       # positions sorted by rank, then position
-    node_keys: np.ndarray        # their keys, sorted
-    node_counts: np.ndarray      # positions per rank, for sampled ranks
-    _rank_count: int             # distinct ids, sampled or named
-    _entry_ranks: np.ndarray     # ranks named by the snapshots, in rank order
-    _entry_bounds: np.ndarray    # rank r's: [bounds[r], bounds[r + 1])
-
-    def __post_init__(self):
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-
-    @classmethod
-    def build(cls, s: Sample) -> MarginIndex:
-        n, size = len(s), len(s.ids)
-        stride = n + 1
-        # Keys take 32 bits when they fit: the index is the largest array a
-        # margin estimate allocates.
-        key_type = np.int32 if size * stride <= 2**31 - 1 else np.int64
-        node_ranks = s.rank_column.astype(key_type)
-        node_order = np.argsort(node_ranks, kind="stable")
-        return cls(
-            weights=s.weight_column,
-            degrees=s.degree_column.astype(np.float64),
-            node_ranks=node_ranks, node_order=node_order,
-            node_keys=(node_ranks[node_order] * stride
-                       + node_order).astype(key_type),
-            node_counts=np.bincount(node_ranks), _rank_count=size,
-            _entry_ranks=s.entries.astype(key_type), _entry_bounds=s.offsets)
-
-    @cached_property
-    def _snapshot_half(self) -> tuple[np.ndarray, ...]:
-        n, size = len(self.weights), self._rank_count
-        stride = n + 1
-        offsets = self._entry_bounds
-        starts = offsets[self.node_ranks]
-        lengths = offsets[1:][self.node_ranks] - starts
-        total = int(lengths.sum())
-        # Position p's entries are entry ranks starts[p] + 0, 1, ...; the
-        # gather indices take 32 bits when they fit, like the keys.
-        gather = _ranges(starts, lengths,
-                         np.int32 if total <= 2**31 - 1 else np.int64)
-        # Indexing, unlike take, does not copy 32-bit indices to 64 bits.
-        keys = self._entry_ranks[gather]
-        # Free the gather indices before sorting: peak memory stays near one
-        # key array plus the position column.
-        del gather, starts
-        keys *= stride
-        keys += np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), lengths)
-        keys.sort()
-        bounds = np.searchsorted(keys, np.arange(0, (size + 1) * stride, stride,
-                                                 dtype=keys.dtype))
-        counts = np.diff(bounds)
-        carried = np.flatnonzero(counts)
-        first = np.full(size, n, dtype=np.int64)
-        last = np.full(size, -1, dtype=np.int64)
-        first[carried] = keys[bounds[carried]] - carried * stride
-        last[carried] = keys[bounds[carried + 1] - 1] - carried * stride
-        for array in (keys, counts, first, last):
-            array.flags.writeable = False
-        return keys, counts, first, last
-
-    @property
-    def snapshot_keys(self) -> np.ndarray:
-        """Sorted keys, one per snapshot entry."""
-        return self._snapshot_half[0]
-
-    @property
-    def snapshot_counts(self) -> np.ndarray:
-        """Snapshot entries per rank."""
-        return self._snapshot_half[1]
-
-    @property
-    def snapshot_first(self) -> np.ndarray:
-        """First position whose snapshot names each rank; n if none does."""
-        return self._snapshot_half[2]
-
-    @property
-    def snapshot_last(self) -> np.ndarray:
-        """Last position whose snapshot names each rank; -1 if none does."""
-        return self._snapshot_half[3]
-
-    def far_repeats(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """For each position i, positions j outside [lo[i], hi[i]) holding
-        the same node."""
-        return (self.node_counts[self.node_ranks]
-                - self._near(self.node_keys, lo, hi))
-
-    def far_mentions(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """For each position i, snapshot entries naming the node at i that
-        are carried by positions j outside [lo[i], hi[i])."""
-        return (self.snapshot_counts[self.node_ranks]
-                - self._near(self.snapshot_keys, lo, hi))
-
-    def _near(self, keys: np.ndarray, lo: np.ndarray,
-              hi: np.ndarray) -> np.ndarray:
-        """Keys of each position's node rank at positions in its window."""
-        p = self.node_order
-        base = self.node_keys - p
-        near = np.empty(len(p), dtype=np.int64)
-        # Queried in key order, the binary searches walk the keys forwards.
-        near[p] = (np.searchsorted(keys, (base + hi[p]).astype(keys.dtype))
-                   - np.searchsorted(keys, (base + lo[p]).astype(keys.dtype)))
-        return near
 
 
 def _drawn(g: Graph, nodes: np.ndarray, weights: np.ndarray,
@@ -474,18 +408,20 @@ def read_sample(source: IO[str] | IO[bytes]) -> Sample:
         raise SamplingError("not a graphsize sample file")
     for field in fields[1:]:
         if "=" not in field:
-            raise SamplingError(f"sample header field {field!r} is not "
-                                "key=value")
+            raise SamplingError(f"sample header field {_excerpt(field)} is "
+                                "not key=value")
     meta = {}
     for key, value in (field.split("=", 1) for field in fields[1:]):
         if key in meta:
-            raise SamplingError(f"sample header key {key!r} given twice")
+            raise SamplingError(f"sample header key {_excerpt(key)} given "
+                                "twice")
         meta[key] = value
     missing = [key for key in _HEADER_KEYS if key not in meta]
     if missing:
         raise SamplingError(f"sample header lacks {', '.join(missing)}")
     if meta["method"] not in METHODS.values():
-        raise SamplingError(f"unknown sampling method {meta['method']!r}")
+        raise SamplingError(
+            f"unknown sampling method {_excerpt(meta['method'])}")
     seed, count = _header_int(meta, "seed"), _header_int(meta, "n")
     *columns, sampled, named = _parse_records(data)
     if len(columns[0]) != count:
@@ -501,7 +437,8 @@ def _header_int(meta: dict[str, str], key: str) -> int:
     try:
         return int(meta[key])
     except ValueError:
-        raise SamplingError(f"sample header {key}={meta[key]} is not an "
+        raise SamplingError(f"sample header {key}="
+                            f"{_excerpt(meta[key], quote=False)} is not an "
                             "integer") from None
 
 
@@ -686,22 +623,24 @@ def _record_error(i: int, line: str) -> SamplingError:
                              f"got {len(fields)}")
     for (name, check, kind), text in zip(_FIELDS, fields):
         if not check(text):
-            return SamplingError(f"record {i}: {name} {text!r} is not {kind}")
+            return SamplingError(f"record {i}: {name} {_excerpt(text)} is "
+                                 f"not {kind}")
     pos, node, deg, weight, walker, nbrs = fields
+    label = f"record {_excerpt(pos, quote=False)}"
     if int(walker) not in _INT64:
-        return SamplingError(f"record {i}: walker {walker!r} is not a 64-bit "
-                             "integer")
+        return SamplingError(f"record {i}: walker {_excerpt(walker)} is not a "
+                             "64-bit integer")
     ids = nbrs.split(",") if nbrs else []
     if not all(map(_INTEGER.fullmatch, ids)):
-        return SamplingError(f"record {i}: snapshot {nbrs!r} is not a "
+        return SamplingError(f"record {i}: snapshot {_excerpt(nbrs)} is not a "
                              "comma-separated list of integer ids")
     if int(pos) != i:
-        return SamplingError(f"record {pos}: position must be its index, {i}")
+        return SamplingError(f"{label}: position must be its index, {i}")
     if not 0.0 < float(weight.encode()) < math.inf:
-        return SamplingError(
-            f"record {pos}: weight must be finite and positive, got {weight}")
+        return SamplingError(f"{label}: weight must be finite and positive, "
+                             f"got {_excerpt(weight, quote=False)}")
     if int(deg) != len(ids):
-        return SamplingError(f"record {pos}: degree {deg} differs from its "
-                             f"{len(ids)} snapshot entries")
-    return SamplingError(f"record {pos}: node {node} has a snapshot that "
-                         "differs from an earlier record's")
+        return SamplingError(f"{label}: degree {_excerpt(deg, quote=False)} "
+                             f"differs from its {len(ids)} snapshot entries")
+    return SamplingError(f"{label}: node {_excerpt(node, quote=False)} has a "
+                         "snapshot that differs from an earlier record's")

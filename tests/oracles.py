@@ -7,6 +7,7 @@ sets.  Nothing from this module is used outside tests.
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ def _snapshot(sample, p: int) -> tuple:
 
 def _arrays(sample):
     nodes = np.asarray(sample.nodes())
-    weights = np.asarray(sample.weights(), dtype=float)
+    weights = np.asarray(sample.weight_at, dtype=float)
     degrees = np.asarray(sample.degrees(), dtype=float)
     return nodes, weights, degrees
 
@@ -121,7 +122,7 @@ def ind_margin_set_parts(sample, m: int) -> tuple[float, float]:
 
 def crosswalker_node_parts(sample) -> tuple[float, float]:
     nodes, w, _ = _arrays(sample)
-    walkers = np.asarray(sample.walkers())
+    walkers = np.asarray(sample.walker_at)
     cross = walkers[:, None] != walkers[None, :]
     num = float((w[:, None] * (1.0 / w)[None, :])[cross].sum())
     eq = nodes[:, None] == nodes[None, :]
@@ -132,7 +133,7 @@ def crosswalker_node_parts(sample) -> tuple[float, float]:
 def crosswalker_ind_multiset_parts(sample) -> tuple[float, float]:
     nodes, w, deg = _arrays(sample)
     n = len(nodes)
-    walkers = np.asarray(sample.walkers())
+    walkers = np.asarray(sample.walker_at)
     cross = walkers[:, None] != walkers[None, :]
     num = float((deg[:, None] * (1.0 / w)[None, :])[cross].sum())
     member = neighbor_membership(sample)
@@ -145,7 +146,7 @@ def crosswalker_ind_set_parts(sample) -> tuple[float, float]:
     nodes, w, _ = _arrays(sample)
     n = len(nodes)
     inv = 1.0 / w
-    walkers = np.asarray(sample.walkers())
+    walkers = np.asarray(sample.walker_at)
     cross = walkers[:, None] != walkers[None, :]
     a_nodes = sorted({a for p in range(n) for a in _snapshot(sample, p)})
     carried = np.zeros((len(a_nodes), n), dtype=bool)
@@ -168,14 +169,13 @@ def relerr(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-MARGIN_INDEX_ARRAYS = ("weights", "degrees", "node_ranks", "node_order",
-                       "node_keys", "node_counts", "snapshot_keys",
-                       "snapshot_counts", "snapshot_first", "snapshot_last")
+OCCURRENCE_FIELDS = ("keys", "counts", "first", "last")
 
 
-def margin_index_arrays(sample) -> dict[str, np.ndarray]:
-    """MarginIndex's arrays, with their dtypes, from one loop over every
-    snapshot entry of every position."""
+def occurrence_arrays(sample) -> dict[str, np.ndarray]:
+    """The sample's rank, weight and degree columns and the arrays of its
+    ``occurrences`` and ``mentions``, with their dtypes, from one loop over
+    every position and every snapshot entry it carries."""
     nodes = sample.node_at
     n = len(nodes)
     rank = {}
@@ -183,33 +183,34 @@ def margin_index_arrays(sample) -> dict[str, np.ndarray]:
         rank.setdefault(v, len(rank))
     size, stride = len(rank), n + 1
     key_type = np.int32 if size * stride <= 2**31 - 1 else np.int64
-    node_ranks = np.array([rank[v] for v in nodes], dtype=key_type)
-    node_order = np.argsort(node_ranks, kind="stable")
-    counts = np.zeros(size, dtype=np.int64)
-    first = np.full(size, n, dtype=np.int64)
-    last = np.full(size, -1, dtype=np.int64)
-    keys = []
-    for p in range(n):
-        for u in _snapshot(sample, p):
-            k = rank[u]
+
+    def occurrences(pairs):
+        keys = []
+        counts = np.zeros(size, dtype=np.int64)
+        first = np.full(size, n, dtype=np.int64)
+        last = np.full(size, -1, dtype=np.int64)
+        for v, p in pairs:
+            k = rank[v]
             keys.append(k * stride + p)
             counts[k] += 1
             first[k] = min(first[k], p)
             last[k] = max(last[k], p)
-    return {
-        "weights": np.array(sample.weight_at, dtype=np.float64),
-        "degrees": np.array([len(_snapshot(sample, p)) for p in range(n)],
-                            dtype=np.float64),
-        "node_ranks": node_ranks,
-        "node_order": node_order,
-        "node_keys": (node_ranks[node_order].astype(np.int64) * stride
-                      + node_order).astype(key_type),
-        "node_counts": np.bincount(node_ranks),
-        "snapshot_keys": np.array(sorted(keys), dtype=key_type),
-        "snapshot_counts": counts,
-        "snapshot_first": first,
-        "snapshot_last": last,
+        return dict(zip(OCCURRENCE_FIELDS, (
+            np.array(sorted(keys), dtype=key_type), counts, first, last)))
+
+    arrays = {
+        "rank_column": np.array([rank[v] for v in nodes], dtype=np.int64),
+        "weight_column": np.array(sample.weight_at, dtype=np.float64),
+        "degree_column": np.array([len(_snapshot(sample, p))
+                                   for p in range(n)], dtype=np.int64),
     }
+    for name, pairs in (
+            ("occurrences", [(v, p) for p, v in enumerate(nodes)]),
+            ("mentions", [(u, p) for p in range(n)
+                          for u in _snapshot(sample, p)])):
+        for field, array in occurrences(pairs).items():
+            arrays[f"{name}.{field}"] = array
+    return arrays
 
 
 def load_edge_list(source):
@@ -557,3 +558,32 @@ def inda_wis_parts(sample) -> tuple[float, float]:
         total += iv * acc
     num = math.fsum(d * iw for d, iw in zip(degrees, inv)) * pair_sum
     return num, s1 * (0.5 * total)
+
+
+def mle_unique_exact(n: int, n_unique: int) -> int:
+    """The smallest N >= n_unique with (N+1)/(N+1-n_unique) * (N/(N+1))^n
+    < 1, the predicate evaluated in 60-digit decimal logarithms and located
+    by the same doubling and bisection as the estimator."""
+    context = decimal.Context(prec=60)
+
+    def log_ratio(a: int, b: int) -> decimal.Decimal:
+        return context.ln(context.divide(decimal.Decimal(a),
+                                         decimal.Decimal(b)))
+
+    def holds(big_n: int) -> bool:
+        if big_n + 1 - n_unique <= 0:
+            return False
+        return context.add(log_ratio(big_n + 1, big_n + 1 - n_unique),
+                           context.multiply(decimal.Decimal(n),
+                                            log_ratio(big_n, big_n + 1))) < 0
+
+    lo = hi = max(n_unique, 1)
+    while not holds(hi):
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

@@ -102,9 +102,9 @@ def test_criterion_02_oracle_equivalence():
 
         close(count_collisions(s), oracles.collision_count(s))
         close(count_induced_edges(s), oracles.induced_edge_count(s))
-        close(pairwise_inverse_weight_sum(s.weights()),
-              oracles.pairwise_inverse_weight_sum(s.weights()))
-        w = s.weights()
+        close(pairwise_inverse_weight_sum(s.weight_at),
+              oracles.pairwise_inverse_weight_sum(s.weight_at))
+        w = s.weight_at
         ncol = oracles.collision_count(s)
         if ncol:
             close(node_wis_ratio(s).outcome().value,

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from graphsize.cli import main
+from graphsize.graph import _excerpt
 
 
 def run(capsys, *argv):
@@ -365,6 +366,66 @@ def test_estimate_rejects_malformed_sample_file(tmp_path, capsys, rewrite,
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert named in err
+
+
+_SNAPSHOT = ",".join(["1"] * 299_999 + ["x"])
+
+
+@pytest.mark.parametrize("rewrite,named,length", [
+    pytest.param(lambda t: t.replace("\n", "\t" + "z" * 500_000 + "\n", 1),
+                 "sample header field 'zzz", 500_000, id="header-field"),
+    pytest.param(lambda t: re.sub(r"\tmethod=\w+", "\tmethod=" + "R" * 500_000,
+                                  t),
+                 "unknown sampling method 'RRR", 500_000, id="method"),
+    pytest.param(lambda t: re.sub(r"(?m)^(3\t(?:[^\t]*\t){4})[^\n]*",
+                                  lambda m: m[1] + _SNAPSHOT, t),
+                 "record 3: snapshot '1,1,", len(_SNAPSHOT), id="snapshot"),
+])
+def test_sample_file_errors_cut_long_input(tmp_path, capsys, rewrite, named,
+                                           length):
+    sample = _rw_sample_file(tmp_path, capsys)
+    sample.write_text(rewrite(sample.read_text()))
+    err = _one_line_error(*run(capsys, "estimate", "--sample", str(sample),
+                               "--estimator", "node-wis"), 3)
+    assert len(err) < 300 and named in err
+    assert f"... ({length} characters)" in err
+
+
+def test_edge_list_errors_cut_long_input(tmp_path, capsys):
+    edges = tmp_path / "g.txt"
+    edges.write_bytes(b"\0" * 1_000_000 + b"\n1 2\n")
+    err = _one_line_error(*run(capsys, "sample", "--graph", str(edges),
+                               "--method", "uis", "--n", "2",
+                               "-o", str(tmp_path / "s.tsv")), 3)
+    assert len(err) < 300
+    assert err.startswith("error: line 1: expected two node ids: '\\x00")
+    assert err.endswith("'... (1000000 characters)\n")
+
+
+@pytest.mark.parametrize("text", ["", "a" * 80, "\0" * 80, "5\t6"])
+def test_excerpt_shows_short_input_whole(text):
+    assert _excerpt(text) == repr(text)
+    assert _excerpt(text, quote=False) == text
+
+
+@pytest.mark.parametrize("text,head", [("a" * 81, "a" * 80),
+                                       ("\0" * 81, "\0" * 20),
+                                       ("ab\0" * 30, "ab\0" * 13 + "ab")])
+def test_excerpt_cuts_long_input(text, head):
+    assert _excerpt(text) == f"{head!r}... ({len(text)} characters)"
+    assert _excerpt(text, quote=False) == f"{head}... ({len(text)} characters)"
+
+
+def test_plan_errors_cut_long_input(tmp_path, capsys):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("graph = gen:grid:rows=3,cols=3\nmethod = uis\n"
+                    f"n = {'9' * 500_000}x\nestimator = node-uis\n"
+                    "param = n\nvalues = 10\n")
+    err = _one_line_error(*run(capsys, "experiment", "--plan", str(plan),
+                               "-o", str(tmp_path / "x.csv")), 2)
+    assert len(err) < 300
+    assert "plan key 'n': expected an integer, got '999" in err
+    assert "... (500001 characters)" in err
 
 
 @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])

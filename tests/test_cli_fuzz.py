@@ -20,21 +20,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from graphsize.cli import main
-from graphsize.generators import erdos_renyi
-from graphsize.graph import largest_connected_component
-from graphsize.sampling import sample_rw_multi, write_sample
 
-ALPHABET = "0123456789.,-=e:#\t\n "
-
-
-def _sample_text() -> str:
-    g = largest_connected_component(erdos_renyi(12, 0.4, seed=1))
-    sink = io.StringIO()
-    write_sample(sample_rw_multi(g, 2, 8, seeds=[1, 2]), sink, g)
-    return sink.getvalue()
-
-
-SAMPLE = _sample_text()
+from strategies import SAMPLE, mutated
 
 PLAN = """\
 graph = gen:er:nodes=30,p=0.2,seed=1
@@ -73,22 +60,6 @@ ESTIMATE_FLAGS = [
      "--theta", "3"],
     ["--estimator", "ind-b", "--correction", "cross-walker"],
 ]
-
-
-@st.composite
-def mutated(draw, text: str) -> str:
-    """``text`` after one to four edits, each of which inserts, deletes or
-    replaces a run of up to three characters."""
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        at = draw(st.integers(0, len(text)))
-        cut = draw(st.sampled_from(("insert", "delete", "replace")))
-        run = draw(st.integers(1, 3))
-        new = "" if cut == "delete" else draw(
-            st.text(st.sampled_from(ALPHABET), min_size=run, max_size=run))
-        text = text[:at] + new + text[at + (0 if cut == "insert" else run):]
-    result = text
-    assume(not re.search(r"\d{4}", result))
-    return result
 
 
 def _strict_json(text: str):

@@ -112,7 +112,7 @@ def test_pairwise_inverse_weight_sum_examples(k5):
     assert pairwise_inverse_weight_sum([1.0, 2.0]) == pytest.approx(0.5)
     assert pairwise_inverse_weight_sum([1.0, 1.0, 1.0]) == pytest.approx(3.0)
     s = make_sample(k5, [0, 1], weights=[1.0, 2.0])
-    assert pairwise_inverse_weight_sum(s.weights()) == pytest.approx(0.5)
+    assert pairwise_inverse_weight_sum(s.weight_at) == pytest.approx(0.5)
 
 
 def test_pairwise_inverse_weight_sum_matches_pair_loop():

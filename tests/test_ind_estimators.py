@@ -61,7 +61,7 @@ def test_mean_degree_wis(k5):
     assert mean_degree_wis(s) == pytest.approx(mean_degree_uis(s))
     g = erdos_renyi(30, 0.2, seed=1)
     s = sample_wis(g, "degree", 100, seed=2)
-    inv = [1.0 / w for w in s.weights()]
+    inv = [1.0 / w for w in s.weight_at]
     expected = sum(d * i for d, i in zip(s.degrees(), inv)) / sum(inv)
     assert mean_degree_wis(s) == pytest.approx(expected, rel=1e-9)
 

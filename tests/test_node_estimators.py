@@ -5,13 +5,14 @@ from hypothesis import given, strategies as st
 
 from graphsize.core import NO_COLLISIONS, EstimatorError
 from graphsize.generators import erdos_renyi
-from graphsize.node_estimators import (MleSolverConfig, capture_recapture,
+from graphsize.node_estimators import (capture_recapture,
                                        capture_recapture_from_sample,
                                        mle_unique_approx, mle_unique_exact,
                                        node_uis_ratio, node_wis_ratio,
                                        split_for_capture)
 from graphsize.sampling import sample_uis
 
+import oracles
 from conftest import make_sample
 
 
@@ -122,11 +123,16 @@ def test_mle_exact_at_least_n_unique():
 
 
 def test_mle_cap_triggers_no_collisions():
-    # nearly saturated counts with a tiny cap cannot find a root
-    assert mle_unique_approx(1000, 999, MleSolverConfig(cap=2000.0)) \
-        == NO_COLLISIONS
-    assert mle_unique_exact(1000, 999, MleSolverConfig(cap=2000.0)) \
-        == NO_COLLISIONS
+    # One collision in 2e6 draws puts the root near 2e12, past the 1e12 cap.
+    assert mle_unique_approx(2_000_000, 1_999_999) == NO_COLLISIONS
+    assert mle_unique_exact(2_000_000, 1_999_999) == NO_COLLISIONS
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_mle_exact_with_one_collision_matches_decimal_reference(n):
+    expected = oracles.mle_unique_exact(n, n - 1)
+    got = mle_unique_exact(n, n - 1).value
+    assert abs(got - expected) <= 1e-9 * expected
 
 
 def test_node_uis_multiplicity_pattern(k5):

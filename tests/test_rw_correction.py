@@ -17,11 +17,12 @@ from graphsize.rw_correction import (estimate_thinned, ind_margin_ratio,
                                      margin_crosswalker, node_margin_ratio,
                                      surviving_pair_count, thin_shifted,
                                      thin_simple)
-from graphsize.sampling import (MarginIndex, read_sample, sample_rw,
-                                sample_rw_multi, write_sample)
+from graphsize.sampling import (read_sample, sample_rw, sample_rw_multi,
+                                write_sample)
 
 import oracles
 from conftest import graph_from_text, make_sample
+from strategies import walk_like_samples
 
 
 def _walk_graph(seed=1):
@@ -37,7 +38,7 @@ def test_thin_simple_positions():
     s = sample_rw(g, 9, seed=0)
     kept = thin_simple(s, 3)
     assert kept.nodes() == s.nodes()[::3]
-    assert kept.weights() == s.weights()[::3]
+    assert kept.weight_at == s.weight_at[::3]
     assert list(kept.snapshots) == list(dict.fromkeys(kept.nodes()))
 
 
@@ -194,7 +195,7 @@ def test_node_margin_zero_equals_closed_form():
     for weights in (None, [0.5, 2.0, 2.0, 1.0, 4.0, 0.25, 2.0, 8.0]):
         ext = [g.ext_id(v) for v in [0, 1, 1, 2, 5, 5, 2, 9]]
         s = make_sample(g, ext, weights=weights)
-        w = s.weights()
+        w = s.weight_at
         ncol = 0
         nodes = s.nodes()
         for i in range(len(nodes)):
@@ -296,30 +297,6 @@ CROSSWALKER_KERNELS = {
 }
 
 
-@st.composite
-def walk_like_samples(draw):
-    """Concatenated walks over a small node pool.
-
-    Nodes repeat within and across walks; a node's snapshot may be empty and
-    may name nodes that are never sampled; ids are spread over 40 bits.
-    """
-    ids = st.integers(min_value=0, max_value=2**40)
-    pool = draw(st.lists(ids, min_size=1, max_size=8, unique=True))
-    unsampled = draw(st.lists(ids, max_size=4))
-    snapshot = {v: tuple(draw(st.lists(
-        st.sampled_from([u for u in pool + unsampled if u != v] or [-1]),
-        max_size=5, unique=True))) for v in pool}
-    walks = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1,
-                                   max_size=12), min_size=1, max_size=3))
-    nodes = tuple(v for walk in walks for v in walk)
-    weights = tuple(draw(st.floats(min_value=0.25, max_value=8.0))
-                    for _ in nodes)
-    walkers = tuple(k for k, walk in enumerate(walks) for _ in walk)
-    method = "RW_MULTI" if len(walks) > 1 else "RW"
-    return oracles.sample_from_snapshots(nodes, weights, walkers, snapshot,
-                                         method, 0, "custom", "synthetic")
-
-
 def _assert_matches_oracle(s, m):
     for name, (kernel, oracle) in MARGIN_KERNELS.items():
         got = kernel(s, m)
@@ -362,17 +339,19 @@ def test_margin_kernels_match_oracles_for_any_m_order(s, data):
     derived = (s.subset(range(n - 1, -1, -1)), s.subset(range(1, n)),
                s.subset(shuffled))
     for d in derived:
-        assert d.margin_index is not s.margin_index
+        assert d.occurrences is not s.occurrences
         for m in (0, 1):
             _assert_matches_oracle(d, m)
         _assert_crosswalker_matches_oracle(d)
 
 
-def _assert_index_matches(index, expected):
-    for name in oracles.MARGIN_INDEX_ARRAYS:
-        got = getattr(index, name)
-        assert got.dtype == expected[name].dtype, name
-        assert np.array_equal(got, expected[name]), name
+def _assert_occurrences_match(s, expected):
+    for name, want in expected.items():
+        got = s
+        for attribute in name.split("."):
+            got = getattr(got, attribute)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
 
 
 @given(walk_like_samples())
@@ -385,33 +364,35 @@ def test_sample_file_round_trip_shares_snapshots(s):
     again = io.StringIO()
     write_sample(back, again)
     assert again.getvalue() == text.getvalue()
-    expected = oracles.margin_index_arrays(s)
+    expected = oracles.occurrence_arrays(s)
     for sample in (s, back):
-        _assert_index_matches(sample.margin_index, expected)
+        _assert_occurrences_match(sample, expected)
 
 
-def test_margin_index_builds_snapshot_half_on_first_use():
+def test_mentions_are_built_on_first_use():
     s = sample_rw_multi(_walk_graph(), 3, 40, seeds=[1, 2, 3])
     node_margin_ratio(s, 2)
     margin_crosswalker(s, "node", MODE_SET)
-    index = s.margin_index
-    assert "_snapshot_half" not in vars(index)
+    occurrences = s.occurrences
+    assert "mentions" not in vars(s)
     ind_margin_ratio(s, 2, MODE_MULTISET)
-    assert s.margin_index is index and "_snapshot_half" in vars(index)
-    eager = MarginIndex.build(s)
-    eager.snapshot_keys  # built before anything else is read
-    expected = oracles.margin_index_arrays(s)
-    for built in (index, eager):
-        _assert_index_matches(built, expected)
+    assert s.occurrences is occurrences and "mentions" in vars(s)
+    eager = replace(s)
+    eager.mentions  # built before anything else is read
+    assert "occurrences" not in vars(eager)
+    expected = oracles.occurrence_arrays(s)
+    for built in (s, eager):
+        _assert_occurrences_match(built, expected)
 
 
-def test_margin_index_is_read_only():
-    g = _walk_graph()
-    index = sample_rw(g, 30, seed=1).margin_index
-    with pytest.raises(ValueError):
-        index.snapshot_keys[0] = 0
-    with pytest.raises(AttributeError):
-        index.weights = None
+def test_occurrences_are_read_only():
+    s = sample_rw(_walk_graph(), 30, seed=1)
+    for occ in (s.occurrences, s.mentions):
+        for array in occ:
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(AttributeError):
+            occ.keys = None
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
@@ -420,8 +401,9 @@ def test_margin_kernels_reject_invalid_weights(bad):
     s = sample_rw(g, 20, seed=2)
     s = replace(s, weight_column=np.array((bad,) + s.weight_at[1:]))
     for kernel, _ in MARGIN_KERNELS.values():
-        with pytest.raises(EstimatorError):
-            kernel(s, 1)
+        for m in (1, 5, len(s) - 1, len(s) + 2):
+            with pytest.raises(EstimatorError):
+                kernel(s, m)
     multi = sample_rw_multi(g, 2, 10, seeds=[2, 3])
     multi = replace(multi,
                     weight_column=np.array((bad,) + multi.weight_at[1:]))
@@ -442,6 +424,14 @@ def test_crosswalker_rejects_an_unknown_auxiliary_mode(base):
         with pytest.raises(EstimatorError,
                            match="unknown auxiliary mode: 'bogus'"):
             margin_crosswalker(sample, base, "bogus")
+
+
+@pytest.mark.parametrize("m", [5, 39, 42])
+def test_ind_margin_rejects_an_unknown_auxiliary_mode(m):
+    s = sample_rw(_walk_graph(), 40, seed=1)
+    with pytest.raises(EstimatorError,
+                       match="unknown auxiliary mode: 'bogus'"):
+        ind_margin_ratio(s, m, "bogus")
 
 
 def test_crosswalker_single_walker_is_no_collisions(k5):

@@ -31,8 +31,7 @@ from graphsize.sampling import (Sample, SamplingError, _first_seen,
 
 import graphsize
 import oracles
-from test_cli_fuzz import SAMPLE, mutated
-from test_rw_correction import walk_like_samples
+from strategies import SAMPLE, mutated, walk_like_samples
 
 HEADER = ("graphsize-sample v1\tmethod=RW_MULTI\tseed=0\tweight_rule=degree"
           "\tgraph_digest=x\trng=numpy-pcg64\tn={n}\n")

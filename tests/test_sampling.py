@@ -21,7 +21,7 @@ def test_uis_single_node_graph():
     g = graph_from_text("7 7\n")  # lone node via self-loop drop
     s = sample_uis(g, 5, seed=0)
     assert s.nodes() == [0] * 5
-    assert s.weights() == [1.0] * 5
+    assert s.weight_at == (1.0,) * 5
 
 
 def test_uis_deterministic(k5):
@@ -114,7 +114,7 @@ def test_rw_requires_connected_graph():
 def test_rw_multi_tags_and_lengths(k5):
     s = sample_rw_multi(k5, 2, 3, seeds=[1, 2])
     assert len(s) == 6
-    assert s.walkers() == [0, 0, 0, 1, 1, 1]
+    assert s.walker_at == (0, 0, 0, 1, 1, 1)
     assert _written_positions(s) == list(range(6))
 
 
@@ -156,7 +156,7 @@ def test_sample_file_roundtrip_preserves_float_weights():
     buf = io.StringIO()
     write_sample(s, buf, g)
     back = read_sample(io.StringIO(buf.getvalue()))
-    assert back.weights() == s.weights()
+    assert back.weight_at == s.weight_at
 
 
 def test_read_sample_rejects_foreign_file():
