@@ -6,9 +6,8 @@ from uniform, weighted, or random-walk node samples, using collision-count
 correction (thinning and margin filtering).
 """
 
-from .core import (AuxiliarySet, EstimateOutcome, EstimatorError,
-                   NO_COLLISIONS, RatioEstimate, aggregate_ratios,
-                   build_auxiliary, count_collisions, count_cross_collisions,
+from .core import (EstimateOutcome, EstimatorError, NO_COLLISIONS,
+                   RatioEstimate, aggregate_ratios, count_collisions,
                    count_induced_edges, count_unique,
                    pairwise_inverse_weight_sum)
 from .graph import (Graph, GraphError, GraphStats, LoadReport, exact_stats,

@@ -62,19 +62,6 @@ class RatioEstimate:
         return EstimateOutcome(self.numerator / self.denominator + self.offset)
 
 
-@dataclass(frozen=True)
-class AuxiliarySet:
-    """Node (multi)set used by the cross-collision estimators.
-
-    ``counts`` maps node key to multiplicity (always 1 in set mode);
-    ``cardinality`` is the multiset size, or the number of distinct nodes.
-    """
-
-    counts: dict[int, int]
-    mode: str
-    cardinality: int
-
-
 def _check_mode(mode: str) -> None:
     if mode not in A_MODES:
         raise EstimatorError(f"unknown auxiliary mode: {mode!r}")
@@ -119,26 +106,6 @@ def _auxiliary_counts(s: Sample, mode: str) -> np.ndarray:
     counts = np.bincount(s.entries, np.repeat(occurrences, np.diff(s.offsets)),
                          minlength=len(s.ids)).astype(np.int64)
     return np.minimum(counts, 1) if mode == MODE_SET else counts
-
-
-def build_auxiliary(s: Sample, mode: str = MODE_SET) -> AuxiliarySet:
-    """Union of the positions' neighbor snapshots, as a set or multiset."""
-    counts = _auxiliary_counts(s, mode)
-    kept = np.flatnonzero(counts).tolist()
-    return AuxiliarySet(dict(zip(map(s.ids.__getitem__, kept),
-                                 counts[kept].tolist())),
-                        mode, int(counts.sum()))
-
-
-def _rank_counts(s: Sample, a: AuxiliarySet) -> np.ndarray:
-    """The multiplicity in ``a`` of each sampled rank of ``s``."""
-    return np.array([a.counts.get(v, 0) for v in s.ids[:len(s.offsets) - 1]],
-                    dtype=np.int64)
-
-
-def count_cross_collisions(s: Sample, a: AuxiliarySet) -> int:
-    """Matches between sample entries and auxiliary elements (with multiplicity)."""
-    return int(_rank_counts(s, a)[s.rank_column].sum())
 
 
 def pairwise_inverse_weight_sum(weights: Sequence[float]) -> float:

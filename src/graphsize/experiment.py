@@ -310,9 +310,12 @@ def emit_csv(summaries: Sequence[TrialSummary]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_svg_band(summaries: Sequence[TrialSummary], xlabel: str = "parameter",
-                  ylabel: str = "estimate / true size",
-                  width: int = 640, height: int = 400) -> str:
+_SVG_YLABEL = "estimate / true size"
+_SVG_WIDTH, _SVG_HEIGHT = 640, 400
+
+
+def emit_svg_band(summaries: Sequence[TrialSummary],
+                  xlabel: str = "parameter") -> str:
     """Static SVG: grey 10-90 band with a dotted median line.
 
     Grid points are spaced evenly; rows whose trials were all infinite are
@@ -321,8 +324,8 @@ def emit_svg_band(summaries: Sequence[TrialSummary], xlabel: str = "parameter",
     if not summaries:
         raise EstimatorError("no summaries to plot")
     margin_l, margin_r, margin_t, margin_b = 60, 20, 20, 50
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _SVG_WIDTH - margin_l - margin_r
+    plot_h = _SVG_HEIGHT - margin_t - margin_b
     rows = [s for s in summaries if s.p10 is not None]
     ys = [v for s in rows for v in (s.p10, s.p50, s.p90)]
     y_lo = min(ys + [0.0]) if ys else 0.0
@@ -343,9 +346,10 @@ def emit_svg_band(summaries: Sequence[TrialSummary], xlabel: str = "parameter",
 
     index = {id(s): i for i, s in enumerate(summaries)}
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
+        f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
+        'fill="white"/>',
         f'<line x1="{margin_l}" y1="{margin_t}" x2="{margin_l}" '
         f'y2="{margin_t + plot_h}" stroke="black"/>',
         f'<line x1="{margin_l}" y1="{margin_t + plot_h}" '
@@ -368,11 +372,12 @@ def emit_svg_band(summaries: Sequence[TrialSummary], xlabel: str = "parameter",
         v = y_lo + frac * (y_hi - y_lo)
         parts.append(f'<text x="{margin_l - 6}" y="{y_of(v) + 4:.2f}" '
                      f'font-size="11" text-anchor="end">{v:.3g}</text>')
-    parts.append(f'<text x="{margin_l + plot_w / 2:.0f}" y="{height - 10}" '
-                 f'font-size="13" text-anchor="middle">{xlabel}</text>')
+    parts.append(f'<text x="{margin_l + plot_w / 2:.0f}" '
+                 f'y="{_SVG_HEIGHT - 10}" font-size="13" '
+                 f'text-anchor="middle">{xlabel}</text>')
     parts.append(f'<text x="16" y="{margin_t + plot_h / 2:.0f}" font-size="13" '
                  f'text-anchor="middle" transform="rotate(-90 16 '
-                 f'{margin_t + plot_h / 2:.0f})">{ylabel}</text>')
+                 f'{margin_t + plot_h / 2:.0f})">{_SVG_YLABEL}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -2,8 +2,8 @@
 
 Route A goes through the density identity N = <k>/rho + 1, so its ratios
 carry the +1 as their offset; route B counts cross-collisions between the
-sample and an auxiliary node (multi)set, by default the union of the sampled
-nodes' neighbor snapshots.
+sample and an auxiliary node (multi)set A, the union of the sampled nodes'
+neighbor snapshots.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ import math
 
 import numpy as np
 
-from .core import (MODE_SET, AuxiliarySet, EstimatorError, RatioEstimate,
+from .core import (MODE_SET, EstimatorError, RatioEstimate,
                    _auxiliary_counts, _inverse_pair_sum, _inverse_weights,
-                   _rank_counts, _row_sums, count_induced_edges,
-                   pairwise_inverse_weight_sum)
+                   _row_sums, count_induced_edges, pairwise_inverse_weight_sum)
 from .sampling import METHOD_UIS, Sample, _first_seen
 
 
@@ -95,41 +94,38 @@ def inda_wis_ratio(s: Sample) -> RatioEstimate:
     return RatioEstimate(num, den, 1.0)
 
 
-def indb_uis_ratio(s: Sample, a: AuxiliarySet) -> RatioEstimate:
-    """|A| * |S| over the cross-collision count."""
-    return _indb_uis(s, a.cardinality, _rank_counts(s, a))
-
-
-def _indb_uis(s: Sample, cardinality: int, counts: np.ndarray) -> RatioEstimate:
-    """indb_uis_ratio from A's size and multiplicity per rank of s."""
-    if len(s) < 1 or cardinality < 1:
+def _cross_hits(s: Sample, mode: str) -> tuple[int, np.ndarray]:
+    """|A| for A built from the sample's neighbor snapshots in ``mode``, and
+    how many elements of A each position's node matches."""
+    counts = _auxiliary_counts(s, mode)
+    size = int(counts.sum())
+    if len(s) < 1 or size < 1:
         raise EstimatorError("need a non-empty sample and auxiliary set")
-    return RatioEstimate(float(cardinality * len(s)),
-                         float(counts[s.rank_column].sum()))
+    return size, counts[s.rank_column]
 
 
-def indb_wis_ratio(s: Sample, a: AuxiliarySet) -> RatioEstimate:
-    """One-point corrected cross-collision estimator."""
-    return _indb_wis(s, a.cardinality, _rank_counts(s, a))
+def indb_uis_ratio(s: Sample, mode: str = MODE_SET) -> RatioEstimate:
+    """|A| * |S| over the cross-collision count, A the union of the
+    positions' neighbor snapshots taken as a set or a multiset."""
+    size, hits = _cross_hits(s, mode)
+    return RatioEstimate(float(size * len(s)), float(hits.sum()))
 
 
-def _indb_wis(s: Sample, cardinality: int, counts: np.ndarray) -> RatioEstimate:
-    """indb_wis_ratio from A's size and multiplicity per rank of s."""
-    if len(s) < 1 or cardinality < 1:
-        raise EstimatorError("need a non-empty sample and auxiliary set")
+def indb_wis_ratio(s: Sample, mode: str = MODE_SET) -> RatioEstimate:
+    """One-point corrected cross-collision estimator, A as in
+    :func:`indb_uis_ratio`."""
+    size, hits = _cross_hits(s, mode)
     inv = _inverse_weights(s.weight_column)
-    return RatioEstimate(cardinality * math.fsum(inv.tolist()),
-                         math.fsum((inv * counts[s.rank_column]).tolist()))
+    return RatioEstimate(size * math.fsum(inv.tolist()),
+                         math.fsum((inv * hits).tolist()))
 
 
 def indb_auto_ratio(s: Sample, mode: str = MODE_SET) -> RatioEstimate:
-    """The default IND estimator: the cross-collision ratio with A built
-    from the sample's own neighbor snapshots (duplicates in A discarded
-    unless asked).
+    """The default IND estimator: the cross-collision ratio with duplicates
+    in A discarded unless asked.
 
     Uniform samples take the unweighted path even if weights are present;
     anything else is corrected by the record weights.
     """
-    counts = _auxiliary_counts(s, mode)
-    ratio = _indb_uis if s.method == METHOD_UIS else _indb_wis
-    return ratio(s, int(counts.sum()), counts)
+    ratio = indb_uis_ratio if s.method == METHOD_UIS else indb_wis_ratio
+    return ratio(s, mode)

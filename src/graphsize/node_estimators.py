@@ -11,7 +11,6 @@ sum(w_i)*sum(1/w_j) is what makes the ratio a consistent estimator of N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,34 +33,15 @@ def capture_recapture(s1_unique: set, s2_unique: set) -> EstimateOutcome:
     return RatioEstimate(len(s1_unique) * len(s2_unique), overlap).outcome()
 
 
-@dataclass(frozen=True)
-class CaptureSplit:
-    """Diagnostics of a seeded half/half split with per-half deduplication."""
-
-    s1_unique: frozenset
-    s2_unique: frozenset
-    discarded: int
-
-
-def split_for_capture(s: Sample, seed: int) -> CaptureSplit:
-    """Deterministically split a sample into two deduplicated halves.
-
-    Within-half duplicates are discarded; their count is reported because
-    that discard loses information the collision estimators would keep.
-    """
+def capture_recapture_from_sample(s: Sample, seed: int) -> EstimateOutcome:
+    """Capture-recapture applied to one sample via a seeded random split
+    into two halves; duplicates within a half count once."""
     n = len(s)
     if n < 2:
         raise EstimatorError("need at least 2 records to split")
     ranks = s.rank_column[np.random.default_rng(seed).permutation(n)]
-    s1, s2 = (frozenset(map(s.ids.__getitem__, set(half.tolist())))
-              for half in (ranks[:n // 2], ranks[n // 2:]))
-    return CaptureSplit(s1, s2, n - len(s1) - len(s2))
-
-
-def capture_recapture_from_sample(s: Sample, seed: int) -> EstimateOutcome:
-    """Capture-recapture applied to one sample via a seeded random split."""
-    split = split_for_capture(s, seed)
-    return capture_recapture(set(split.s1_unique), set(split.s2_unique))
+    return capture_recapture(set(ranks[:n // 2].tolist()),
+                             set(ranks[n // 2:].tolist()))
 
 
 def mle_unique_approx(n: int, n_unique: int) -> EstimateOutcome:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, islice
@@ -298,18 +299,17 @@ def _resolve_weights(g: Graph, rule) -> tuple[str, np.ndarray]:
     raise SamplingError(f"unknown weight rule: {rule!r}")
 
 
-def sample_rw(g: Graph, n: int, seed: int,
-              start: int | None = None) -> Sample:
+def sample_rw(g: Graph, n: int, seed: int) -> Sample:
     """A simple random walk of n steps; the weight of a step is its degree.
 
-    The start node defaults to a uniform draw from the same seed stream.
-    There is no burn-in: dependence between consecutive samples is handled
-    by the correction layer, not the sampler.
+    The start node is a uniform draw from the same seed stream.  There is
+    no burn-in: dependence between consecutive samples is handled by the
+    correction layer, not the sampler.
     """
-    return _walk_sample(g, [_walk(g, n, seed, start)], METHOD_RW, seed)
+    return _walk_sample(g, [_walk(g, n, seed)], METHOD_RW, seed)
 
 
-def _walk(g: Graph, n: int, seed: int, start: int | None) -> list[int]:
+def _walk(g: Graph, n: int, seed: int) -> list[int]:
     if n < 1:
         raise SamplingError("n must be >= 1")
     if not g.is_connected:
@@ -319,10 +319,7 @@ def _walk(g: Graph, n: int, seed: int, start: int | None) -> list[int]:
     if g.edge_count == 0:
         raise SamplingError("random walk needs a graph with an edge")
     rng = np.random.default_rng(seed)
-    if start is None:
-        current = int(rng.integers(g.node_count))
-    else:
-        current = start
+    current = int(rng.integers(g.node_count))
     uniforms = rng.random(n - 1)
     indptr, indices = g.adjacency_lists
     degrees = g.degrees
@@ -349,7 +346,7 @@ def sample_rw_multi(g: Graph, walkers: int, per_walk: int,
         raise SamplingError("walkers must be >= 1")
     if len(seeds) != walkers:
         raise SamplingError("need exactly one seed per walker")
-    return _walk_sample(g, [_walk(g, per_walk, seeds[k], None)
+    return _walk_sample(g, [_walk(g, per_walk, seeds[k])
                             for k in range(walkers)], METHOD_RW_MULTI,
                         seeds[0])
 
@@ -445,6 +442,14 @@ def _header_int(meta: dict[str, str], key: str) -> int:
 _SHORT = 18                             # digits that always fit in int64
 _INT64 = range(-2**63, 2**63)
 _INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _is_integer(text: str) -> bool:
+    """Whether text is ASCII digits after an optional '-', no more of them
+    than int() converts (``sys.get_int_max_str_digits()``, 0 for no limit)."""
+    limit = sys.get_int_max_str_digits()
+    return (_INTEGER.fullmatch(text) is not None
+            and not 0 < limit < len(text) - text.startswith("-"))
 
 
 def _parse_records(data: bytes) -> tuple:
@@ -551,7 +556,7 @@ def _integers(data: bytes, buf: np.ndarray, starts: np.ndarray,
     wide, beyond = np.zeros(len(starts), dtype=bool), []
     for c in np.flatnonzero(digits > _SHORT).tolist():
         cell = data[starts[c]:ends[c]].decode()
-        valid[c] = bool(_INTEGER.fullmatch(cell))
+        valid[c] = _is_integer(cell)
         if valid[c] and int(cell) in _INT64:
             values[c] = int(cell)
         elif valid[c]:
@@ -606,12 +611,12 @@ def _number(text: bytes) -> float | None:
 
 
 # Each field before the snapshot, its check and what it must be.
-_FIELDS = (("position", _INTEGER.fullmatch, "an integer"),
-           ("node", _INTEGER.fullmatch, "an integer"),
-           ("degree", _INTEGER.fullmatch, "an integer"),
+_FIELDS = (("position", _is_integer, "an integer"),
+           ("node", _is_integer, "an integer"),
+           ("degree", _is_integer, "an integer"),
            ("weight", lambda text: _number(text.encode()) is not None,
             "a number"),
-           ("walker", _INTEGER.fullmatch, "an integer"))
+           ("walker", _is_integer, "an integer"))
 
 
 def _record_error(i: int, line: str) -> SamplingError:
@@ -631,7 +636,7 @@ def _record_error(i: int, line: str) -> SamplingError:
         return SamplingError(f"record {i}: walker {_excerpt(walker)} is not a "
                              "64-bit integer")
     ids = nbrs.split(",") if nbrs else []
-    if not all(map(_INTEGER.fullmatch, ids)):
+    if not all(map(_is_integer, ids)):
         return SamplingError(f"record {i}: snapshot {_excerpt(nbrs)} is not a "
                              "comma-separated list of integer ids")
     if int(pos) != i:

@@ -47,10 +47,6 @@ def induced_edge_count(sample) -> int:
     return int(np.triu(member, k=1).sum())
 
 
-def cross_collision_count(sample, aux) -> int:
-    return sum(aux.counts.get(v, 0) for v in sample.nodes())
-
-
 def pairwise_inverse_weight_sum(weights) -> float:
     w = np.asarray(list(weights), dtype=float)
     inv = 1.0 / w
@@ -372,11 +368,11 @@ def barabasi_albert(n, m, seed):
     return Graph.from_edges(edges, extra_nodes=range(n))
 
 
-def walk(g, n, seed, start=None):
+def walk(g, n, seed):
     """A random walk stepping through neighbor tuples: the reference of
     ``sampling._walk`` on a connected graph with an edge."""
     rng = np.random.default_rng(seed)
-    current = int(rng.integers(g.node_count)) if start is None else start
+    current = int(rng.integers(g.node_count))
     nodes = [current]
     for u in rng.random(n - 1).tolist():
         nbrs = g.neighbors(current)
@@ -558,6 +554,40 @@ def inda_wis_parts(sample) -> tuple[float, float]:
         total += iv * acc
     num = math.fsum(d * iw for d, iw in zip(degrees, inv)) * pair_sum
     return num, s1 * (0.5 * total)
+
+
+def auxiliary_counts(sample, mode: str) -> dict:
+    """Route B's auxiliary (multi)set A as id -> multiplicity: every
+    position's neighbor snapshot, once per position; in set mode each
+    multiplicity is 1."""
+    counts = {}
+    for v in sample.node_at:
+        for u in sample.snapshots[v]:
+            counts[u] = counts.get(u, 0) + 1
+    return dict.fromkeys(counts, 1) if mode == "set" else counts
+
+
+def indb_parts(sample, mode: str, weighted: bool) -> tuple[float, float]:
+    """``indb_wis_ratio``'s (``weighted``) or ``indb_uis_ratio``'s
+    numerator and denominator from :func:`auxiliary_counts`, in the order
+    the kernels sum, so that the two agree bit for bit."""
+    aux = auxiliary_counts(sample, mode)
+    size = sum(aux.values())
+    hits = [aux.get(v, 0) for v in sample.node_at]
+    if not weighted:
+        return float(size * len(sample)), float(sum(hits))
+    inv = [1.0 / w for w in sample.weight_at]
+    return size * math.fsum(inv), math.fsum(i * h for i, h in zip(inv, hits))
+
+
+def capture_split(sample, seed: int) -> tuple[set, set]:
+    """The two halves of ``capture_recapture_from_sample``'s seeded split as
+    sets of node ids, filled position by position in permuted order."""
+    order = np.random.default_rng(seed).permutation(len(sample)).tolist()
+    halves = (set(), set())
+    for k, p in enumerate(order):
+        halves[k >= len(sample) // 2].add(sample.node_at[p])
+    return halves
 
 
 def mle_unique_exact(n: int, n_unique: int) -> int:

@@ -341,6 +341,14 @@ def test_estimate_rejects_header_without_count(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _digits_at_record_3(field):
+    """A text rewrite: field ``field`` of record 3 becomes 5000 nines, more
+    digits than int() converts by default."""
+    at = _at_record_3(field, lambda _: "9" * 5000)
+    return lambda t: "\n".join("\t".join(at(line.split("\t")))
+                               for line in t.split("\n"))
+
+
 @pytest.mark.parametrize("rewrite,named", [
     pytest.param(lambda t: t.replace("\n", "\tloose\n", 1), "'loose'",
                  id="header-field"),
@@ -353,6 +361,10 @@ def test_estimate_rejects_header_without_count(tmp_path, capsys):
                  id="no-records"),
     pytest.param(lambda t: t.replace("\tseed=", "\tseed=1\tseed=", 1),
                  "sample header key 'seed' given twice", id="key-twice"),
+    *(pytest.param(_digits_at_record_3(field), f"record 3: {name} '9999",
+                   id=f"{name}-digits")
+      for field, name in [(0, "position"), (1, "node"), (2, "degree"),
+                          (4, "walker"), (5, "snapshot")]),
 ])
 def test_estimate_rejects_malformed_sample_file(tmp_path, capsys, rewrite,
                                                 named):
@@ -481,9 +493,10 @@ def test_margin_estimates_ignore_id_magnitude(tmp_path, capsys, offset):
     sample = _rw_sample_file(tmp_path, capsys)
     configs = [["--estimator", "node-wis", "--correction", "margin",
                 "--margin", "3"]]
-    configs += [["--estimator", "ind-b", "--correction", "margin",
-                 "--margin", "3", "--a-mode", mode]
+    configs += [["--estimator", "ind-b", *margin, "--a-mode", mode]
+                for margin in (["--correction", "margin", "--margin", "3"], [])
                 for mode in ("multiset", "set")]
+    configs.append(["--estimator", "capture"])
 
     def estimates():
         payloads = []

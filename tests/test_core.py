@@ -6,11 +6,12 @@ from hypothesis import given, strategies as st
 
 from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
                             EstimateOutcome, EstimatorError, RatioEstimate,
-                            aggregate_ratios, build_auxiliary, count_collisions,
-                            count_cross_collisions, count_induced_edges,
+                            _auxiliary_counts, aggregate_ratios,
+                            count_collisions, count_induced_edges,
                             count_unique, pairwise_inverse_weight_sum)
 from graphsize.generators import erdos_renyi
-from graphsize.ind_estimators import edge_pair_inverse_weight_sum
+from graphsize.ind_estimators import (edge_pair_inverse_weight_sum,
+                                      indb_uis_ratio, indb_wis_ratio)
 from graphsize.node_estimators import node_wis_ratio
 from graphsize.sampling import sample_uis
 
@@ -61,51 +62,58 @@ def test_induced_edges_matches_pair_loop():
     assert count_induced_edges(s) == oracles.induced_edge_count(s)
 
 
-def test_build_auxiliary_star_leaves(star4):
+def _auxiliary(s, mode):
+    """``_auxiliary_counts`` as id -> multiplicity, checked against the
+    dict-loop reference."""
+    counts = _auxiliary_counts(s, mode)
+    a = {s.ids[r]: c for r, c in enumerate(counts.tolist()) if c}
+    assert a == oracles.auxiliary_counts(s, mode)
+    return a
+
+
+def test_auxiliary_counts_star_leaves(star4):
     s = make_sample(star4, [1, 2])
-    multi = build_auxiliary(s, MODE_MULTISET)
-    assert multi.cardinality == 2
     hub = star4.dense_index(0)
-    assert multi.counts == {hub: 2}
-    single = build_auxiliary(s, MODE_SET)
-    assert single.cardinality == 1
-    assert single.counts == {hub: 1}
+    assert _auxiliary(s, MODE_MULTISET) == {hub: 2}
+    assert _auxiliary(s, MODE_SET) == {hub: 1}
 
 
-def test_build_auxiliary_hub(star4):
+def test_auxiliary_counts_hub(star4):
     s = make_sample(star4, [0])
     for mode in (MODE_SET, MODE_MULTISET):
-        a = build_auxiliary(s, mode)
-        assert a.cardinality == 4
+        assert sum(_auxiliary(s, mode).values()) == 4
 
 
 def test_multiset_cardinality_is_degree_sum():
     g = erdos_renyi(50, 0.15, seed=2)
     s = sample_uis(g, 80, seed=3)
-    a = build_auxiliary(s, MODE_MULTISET)
-    assert a.cardinality == sum(s.degrees())
+    assert sum(_auxiliary(s, MODE_MULTISET).values()) == sum(s.degrees())
 
 
-def test_build_auxiliary_rejects_unknown_mode(k5):
-    with pytest.raises(EstimatorError):
-        build_auxiliary(make_sample(k5, [0]), "bag")
+def test_auxiliary_mode_must_be_known(k5):
+    s = make_sample(k5, [0])
+    for kernel in (_auxiliary_counts, indb_uis_ratio, indb_wis_ratio):
+        with pytest.raises(EstimatorError, match="unknown auxiliary mode"):
+            kernel(s, "bag")
 
 
 def test_cross_collisions_simple(k5):
-    s = make_sample(k5, [0])
-    from graphsize.core import AuxiliarySet
-    assert count_cross_collisions(s, AuxiliarySet({0: 1}, MODE_SET, 1)) == 1
-    s2 = make_sample(k5, [0, 0])
-    a = AuxiliarySet({0: 2, 1: 1}, MODE_MULTISET, 3)
-    assert count_cross_collisions(s2, a) == 4
+    # A = {1, 2, 3, 4} twice, then {0, 2, 3, 4}: 0 meets A once per
+    # occurrence and 1 meets it twice as a multiset, once as a set.
+    s = make_sample(k5, [0, 0, 1])
+    assert _auxiliary(s, MODE_MULTISET) == {0: 1, 1: 2, 2: 3, 3: 3, 4: 3}
+    assert indb_uis_ratio(s, MODE_MULTISET) == RatioEstimate(12.0 * 3, 4.0)
+    assert indb_uis_ratio(s, MODE_SET) == RatioEstimate(5.0 * 3, 3.0)
+    assert indb_uis_ratio(make_sample(k5, [0]), MODE_MULTISET).denominator \
+        == 0.0
 
 
 def test_cross_collisions_of_own_multiset_is_twice_induced():
     for seed in range(5):
         g = erdos_renyi(30, 0.25, seed=seed)
         s = sample_uis(g, 60, seed=seed + 10)
-        a = build_auxiliary(s, MODE_MULTISET)
-        assert count_cross_collisions(s, a) == 2 * count_induced_edges(s)
+        assert indb_uis_ratio(s, MODE_MULTISET).denominator \
+            == 2 * count_induced_edges(s)
 
 
 def test_pairwise_inverse_weight_sum_examples(k5):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
-                            AuxiliarySet, EstimatorError, build_auxiliary)
+                            EstimatorError, RatioEstimate)
 from graphsize.generators import erdos_renyi, hub_of_cliques
 from graphsize.ind_estimators import (density_uis, density_wis,
                                       inda_uis_ratio, inda_wis_ratio,
@@ -12,7 +12,7 @@ from graphsize.ind_estimators import (density_uis, density_wis,
 from graphsize.sampling import sample_uis, sample_wis
 
 import oracles
-from conftest import make_sample
+from conftest import graph_from_text, make_sample
 
 
 def test_mean_degree_uis(k5, triangle):
@@ -112,29 +112,34 @@ def test_inda_wis_median_near_truth():
     assert abs(med - 500) / 500 < 0.15
 
 
-def test_indb_uis_arithmetic(k5):
-    got = indb_uis_ratio(make_sample(k5, [0] * 20, method="UIS"),
-                         AuxiliarySet({0: 1}, MODE_SET, 50)).outcome()
-    assert got.value == pytest.approx(50 * 20 / 20)
-    single = make_sample(k5, [0], method="UIS")
-    hit = indb_uis_ratio(single, AuxiliarySet({0: 1}, MODE_SET, 1))
-    miss = indb_uis_ratio(single, AuxiliarySet({1: 1}, MODE_SET, 1))
-    assert hit.outcome().value == 1.0
+def test_indb_uis_arithmetic(path3):
+    # A: the middle's snapshot {0, 2} once per visit, then 0's snapshot {1}.
+    s = make_sample(path3, [1] * 19 + [0], method="UIS")
+    assert indb_uis_ratio(s, MODE_SET) == RatioEstimate(3.0 * 20, 20.0)
+    assert indb_uis_ratio(s, MODE_MULTISET) == RatioEstimate(39.0 * 20, 38.0)
+    miss = indb_uis_ratio(make_sample(path3, [0], method="UIS"))
+    assert miss == RatioEstimate(1.0, 0.0)
     assert miss.outcome() == NO_COLLISIONS
+    lone = make_sample(graph_from_text("0 1\n2 2\n"), [2], method="UIS")
+    for kernel in (indb_uis_ratio, indb_wis_ratio):
+        with pytest.raises(EstimatorError, match="auxiliary set"):
+            kernel(lone)
 
 
 def test_indb_wis_unit_reduction(k5):
     s = make_sample(k5, [0, 1, 2, 0], method="UIS")
-    a = build_auxiliary(s, MODE_SET)
-    assert indb_wis_ratio(s, a).outcome().value \
-        == pytest.approx(indb_uis_ratio(s, a).outcome().value, rel=1e-12)
+    for mode in (MODE_SET, MODE_MULTISET):
+        assert indb_wis_ratio(s, mode).outcome().value == pytest.approx(
+            indb_uis_ratio(s, mode).outcome().value, rel=1e-12)
 
 
 def test_indb_wis_triangle(triangle):
     s = make_sample(triangle, [0, 1], weights=[2.0, 2.0])
-    a = AuxiliarySet({0: 1, 1: 1, 2: 1}, MODE_SET, 3)
-    # 3 * (1/2 + 1/2) over (1/2 + 1/2)
-    assert indb_wis_ratio(s, a).outcome().value == pytest.approx(3.0)
+    # A = {1, 2} + {0, 2}: 3 * (1/2 + 1/2) over (1/2 + 1/2) as a set, and
+    # 4 * (1/2 + 1/2) over (1/2 + 1/2) as a multiset
+    assert indb_wis_ratio(s, MODE_SET).outcome().value == pytest.approx(3.0)
+    assert indb_wis_ratio(s, MODE_MULTISET).outcome().value \
+        == pytest.approx(4.0)
 
 
 def test_indb_auto_star_recovers_n(star4):
@@ -187,7 +192,7 @@ def test_scale_invariance_wis_family():
     g = erdos_renyi(40, 0.25, seed=11)
     s = sample_wis(g, "degree", 100, seed=12)
     scaled = replace(s, weight_column=s.weight_column * 7.5)
-    a1 = build_auxiliary(s, MODE_SET)
-    for kernel in (inda_wis_ratio, lambda x: indb_wis_ratio(x, a1)):
+    for kernel in (inda_wis_ratio, indb_wis_ratio,
+                   lambda x: indb_wis_ratio(x, MODE_MULTISET)):
         a, b = kernel(s).outcome().value, kernel(scaled).outcome().value
         assert abs(a - b) / a < 1e-12

@@ -3,13 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from graphsize.core import NO_COLLISIONS, EstimatorError
+from graphsize.core import NO_COLLISIONS, EstimateOutcome, EstimatorError
 from graphsize.generators import erdos_renyi
 from graphsize.node_estimators import (capture_recapture,
                                        capture_recapture_from_sample,
                                        mle_unique_approx, mle_unique_exact,
-                                       node_uis_ratio, node_wis_ratio,
-                                       split_for_capture)
+                                       node_uis_ratio, node_wis_ratio)
 from graphsize.sampling import sample_uis
 
 import oracles
@@ -24,14 +23,14 @@ def test_capture_recapture_examples():
         capture_recapture(set(), {1})
 
 
-def test_split_for_capture_reports_discards(k5):
+def test_capture_split_counts_each_half_once(k5):
+    # Halves {0, 0} and {1, 1} are the sets {0} and {1}: no overlap.  Halves
+    # {0, 1} and {0, 1} are the same two-node set: 2 * 2 / 2.
     s = make_sample(k5, [0, 0, 1, 1])
-    split = split_for_capture(s, seed=0)
-    assert len(split.s1_unique) + len(split.s2_unique) + split.discarded == 4
-    # deterministic given the seed
-    again = split_for_capture(s, seed=0)
-    assert (split.s1_unique, split.s2_unique) == (again.s1_unique,
-                                                  again.s2_unique)
+    got = [capture_recapture_from_sample(s, seed) for seed in range(20)]
+    assert set(got) == {NO_COLLISIONS, EstimateOutcome(2.0)}
+    assert got == [capture_recapture_from_sample(s, seed)
+                   for seed in range(20)]
 
 
 def test_capture_from_full_double_cover(k5):

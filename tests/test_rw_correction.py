@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
-                            EstimatorError, RatioEstimate, build_auxiliary)
+                            EstimatorError, RatioEstimate, _auxiliary_counts)
 from graphsize.experiment import EstimatorSpec, evaluate
 from graphsize.generators import barabasi_albert, erdos_renyi, ring_of_cliques
 from graphsize.graph import largest_connected_component
@@ -163,15 +163,14 @@ PINNED_THINNED = {
 def test_auxiliary_and_thinned_estimates_are_pinned():
     g = barabasi_albert(300, 3, seed=1)
     s = sample_rw_multi(g, 4, 100, seeds=[11, 12, 13, 14])
-    a_set = build_auxiliary(s, MODE_SET)
-    a_multi = build_auxiliary(s, MODE_MULTISET)
-    assert (a_set.cardinality, len(a_set.counts), sum(a_set.counts)) \
+    a_set = _auxiliary_counts(s, MODE_SET)
+    a_multi = _auxiliary_counts(s, MODE_MULTISET)
+    ids = np.array(s.ids)
+    assert (a_set.sum(), np.count_nonzero(a_set), ids[a_set > 0].sum()) \
         == (297, 297, 44186)
-    assert set(a_set.counts.values()) == {1}
-    assert list(a_set.counts) == list(a_multi.counts)
-    assert (a_multi.cardinality, sum(a_multi.counts.values()),
-            sum(k * c for k, c in a_multi.counts.items())) \
-        == (4777, 4777, 505107)
+    assert set(a_set.tolist()) == {1}
+    assert (np.flatnonzero(a_set) == np.flatnonzero(a_multi)).all()
+    assert (a_multi.sum(), (ids * a_multi).sum()) == (4777, 505107)
     for (theta, shifted, base, a_mode), value in PINNED_THINNED.items():
         correction = "thin-shifted" if shifted else "thin"
         est = EstimatorSpec(base, correction, a_mode, theta)

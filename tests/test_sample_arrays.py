@@ -2,8 +2,9 @@
 
 ``read_sample`` parses a file with byte arrays; ``oracles.read_sample`` is
 the per-record loop it replaced.  The counting kernels work on dense ranks;
-``oracles.count_induced_edges`` and ``oracles.inda_wis_parts`` are the dict
-loops they replaced, and must agree bit for bit.
+``oracles.count_induced_edges``, ``oracles.inda_wis_parts``,
+``oracles.indb_parts`` and ``oracles.capture_split`` are dict and set loops
+over node ids, and must agree bit for bit.
 """
 
 import ast
@@ -21,10 +22,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from graphsize.cli import main
-from graphsize.core import count_induced_edges
+from graphsize.core import (MODE_MULTISET, MODE_SET, EstimatorError,
+                            count_induced_edges)
 from graphsize.experiment import SamplerSpec, _head
 from graphsize.generators import barabasi_albert
-from graphsize.ind_estimators import inda_wis_ratio
+from graphsize.ind_estimators import (inda_wis_ratio, indb_uis_ratio,
+                                      indb_wis_ratio)
+from graphsize.node_estimators import (capture_recapture,
+                                       capture_recapture_from_sample)
 from graphsize.sampling import (Sample, SamplingError, _first_seen,
                                 read_sample, sample_rw_multi, sample_wis,
                                 write_sample)
@@ -226,13 +231,25 @@ def drawn_samples(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(drawn_samples())
-def test_kernels_equal_the_dict_loops_bit_for_bit(s):
+@given(drawn_samples(), st.integers(0, 2**32))
+def test_kernels_equal_the_dict_loops_bit_for_bit(s, seed):
     assert count_induced_edges(s) == oracles.count_induced_edges(s)
     if len(s) >= 2:
         ratio = inda_wis_ratio(s)
         assert (ratio.numerator, ratio.denominator) \
             == oracles.inda_wis_parts(s)
+        assert capture_recapture_from_sample(s, seed) \
+            == capture_recapture(*oracles.capture_split(s, seed))
+    for mode in (MODE_SET, MODE_MULTISET):
+        for kernel, weighted in ((indb_uis_ratio, False),
+                                 (indb_wis_ratio, True)):
+            if not oracles.auxiliary_counts(s, mode):
+                with pytest.raises(EstimatorError):
+                    kernel(s, mode)
+                continue
+            ratio = kernel(s, mode)
+            assert (ratio.numerator, ratio.denominator) \
+                == oracles.indb_parts(s, mode, weighted)
 
 
 def test_derived_samples_share_the_parent_arrays():
