@@ -29,21 +29,27 @@ EXIT_DATA = 3
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except PlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (EstimatorError, GraphError, SamplingError, OSError,
+    except (PlanError, EstimatorError, GraphError, SamplingError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_CONFIG if isinstance(exc, PlanError) else EXIT_DATA
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, its subparsers' too, as one-line configuration errors."""
+
+    def error(self, message: str):
+        # Unrecognized arguments are quoted raw: escape what breaks a line.
+        shown = "".join(c if c.isprintable() else ascii(c)[1:-1]
+                        for c in message)
+        raise PlanError(_excerpt(shown, quote=False))
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphsize",
         description="Estimate the number of nodes of a graph from node samples.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from html import escape
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -374,7 +375,7 @@ def emit_svg_band(summaries: Sequence[TrialSummary],
                      f'font-size="11" text-anchor="end">{v:.3g}</text>')
     parts.append(f'<text x="{margin_l + plot_w / 2:.0f}" '
                  f'y="{_SVG_HEIGHT - 10}" font-size="13" '
-                 f'text-anchor="middle">{xlabel}</text>')
+                 f'text-anchor="middle">{escape(xlabel, quote=False)}</text>')
     parts.append(f'<text x="16" y="{margin_t + plot_h / 2:.0f}" font-size="13" '
                  f'text-anchor="middle" transform="rotate(-90 16 '
                  f'{margin_t + plot_h / 2:.0f})">{_SVG_YLABEL}</text>')

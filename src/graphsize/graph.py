@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -94,7 +93,8 @@ class Graph:
             raise GraphError("adjacency and id map length mismatch")
         if not self._ext_ids:
             raise GraphError("empty graph")
-        # Dense indices follow the ids, which dense_index bisects.
+        # Dense indices follow the ids: an edge's smaller end has the
+        # smaller id (_edge_array).
         unsorted = np.flatnonzero(self._ext_array[1:] <= self._ext_array[:-1])
         if unsorted.size:
             v = int(unsorted[0]) + 1
@@ -177,33 +177,9 @@ class Graph:
     def edge_count(self) -> int:
         return len(self._indices) // 2
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        indptr, indices = self.adjacency_lists
-        return tuple(indices[indptr[v]:indptr[v + 1]])
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
-    def ext_id(self, v: int) -> int:
-        return self._ext_ids[v]
-
-    def dense_index(self, ext: int) -> int:
-        v = bisect_left(self._ext_ids, ext)
-        if v == self.node_count or self._ext_ids[v] != ext:
-            raise KeyError(ext)
-        return v
-
     @property
     def ext_ids(self) -> tuple[int, ...]:
         return self._ext_ids
-
-    def has_edge(self, u: int, v: int) -> bool:
-        indptr, indices = self.adjacency_lists
-        i = bisect_left(indices, v, indptr[u], indptr[u + 1])
-        return i < indptr[u + 1] and indices[i] == v
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.node_count))
 
     # -- derived, cached ---------------------------------------------------
 
@@ -214,8 +190,9 @@ class Graph:
 
     @cached_property
     def adjacency_lists(self) -> tuple[list[int], list[int]]:
-        """The CSR as Python lists, for loops that step node by node; the
-        indices share one int object per node."""
+        """The CSR as Python lists, for the one loop that steps node by
+        node, ``sampling._walk``; the indices share one int object per
+        node."""
         shared = np.arange(self.node_count).astype(object)
         return self._indptr.tolist(), shared[self._indices].tolist()
 

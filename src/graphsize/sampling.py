@@ -16,8 +16,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, islice
-from types import MappingProxyType
-from typing import IO, Callable, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,15 +52,12 @@ class Sample:
     snapshot names, each in order of first appearance; :meth:`subset` keeps
     its parent's ids and CSR.
 
-    ``node_at``, ``weight_at``, ``walker_at`` and ``snapshots`` (each
-    distinct sampled node, by first appearance, to its neighbor tuple), and
-    the ``nodes()`` and ``degrees()`` lists, are read-only Python views made
-    on first use.  Two samples are equal when these views and the metadata
-    are.  The margin and cross-walker kernels read two cached
-    :class:`Occurrences`, also made on first use: ``occurrences``, where
-    each rank is sampled, and ``mentions``, which positions' snapshots name
-    it.  A sample derived by :meth:`subset` or ``dataclasses.replace``
-    builds its own.
+    Samples compare by identity.  The ``nodes()`` and ``degrees()`` lists
+    remain only for ``bench/``, until it reads the columns.  The margin and
+    cross-walker kernels read two cached :class:`Occurrences`, made on
+    first use: ``occurrences``, where each rank is sampled, and
+    ``mentions``, which positions' snapshots name it.  A sample derived by
+    :meth:`subset` or ``dataclasses.replace`` builds its own.
     """
 
     ids: tuple[int, ...]
@@ -87,34 +83,6 @@ class Sample:
     def __len__(self) -> int:
         return len(self.rank_column)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in (
-            "node_at", "weight_at", "walker_at", "snapshots", "method", "seed",
-            "weight_rule", "graph_digest", "rng_name"))
-
-    @cached_property
-    def node_at(self) -> tuple[int, ...]:
-        return tuple(map(self.ids.__getitem__, self.rank_column.tolist()))
-
-    @cached_property
-    def weight_at(self) -> tuple[float, ...]:
-        return tuple(self.weight_column.tolist())
-
-    @cached_property
-    def walker_at(self) -> tuple[int, ...]:
-        return tuple(self.walker_column.tolist())
-
-    @cached_property
-    def snapshots(self) -> Mapping[int, tuple[int, ...]]:
-        ids, bounds = self.ids, self.offsets.tolist()
-        entries = self.entries.tolist()
-        row = lambda r: tuple(map(ids.__getitem__,
-                                  entries[bounds[r]:bounds[r + 1]]))
-        return MappingProxyType({ids[r]: row(r) for r in dict.fromkeys(
-            self.rank_column.tolist())})
-
     @cached_property
     def degree_column(self) -> np.ndarray:
         """Each position's degree, the length of its node's snapshot."""
@@ -123,7 +91,7 @@ class Sample:
         return degrees
 
     def nodes(self) -> list[int]:
-        return list(self.node_at)
+        return list(map(self.ids.__getitem__, self.rank_column.tolist()))
 
     def degrees(self) -> list[int]:
         return self.degree_column.tolist()

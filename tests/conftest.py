@@ -15,13 +15,13 @@ def graph_from_text(text: str) -> Graph:
 def make_sample(g: Graph, ext_nodes, weights=None, method="WIS",
                 walkers=None, weight_rule="custom") -> Sample:
     """Hand-built sample over a real graph, nodes given by external id."""
-    nodes = [g.dense_index(ext) for ext in ext_nodes]
+    nodes = [oracles.dense_index(g, ext) for ext in ext_nodes]
     n = len(nodes)
     return oracles.sample_from_snapshots(
         tuple(nodes),
         (1.0,) * n if weights is None else tuple(map(float, weights)),
         (0,) * n if walkers is None else tuple(walkers),
-        {v: g.neighbors(v) for v in nodes}, method, seed=0,
+        {v: oracles.neighbors(g, v) for v in nodes}, method, seed=0,
         weight_rule=weight_rule, graph_digest=g.digest)
 
 

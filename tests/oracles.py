@@ -9,20 +9,66 @@ from __future__ import annotations
 
 import decimal
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 
-def _snapshot(sample, p: int) -> tuple:
-    """The neighbor snapshot of the node at position p."""
-    return sample.snapshots[sample.node_at[p]]
+class Views(NamedTuple):
+    """A sample as Python values: per position its node id, weight and
+    walker, and each distinct sampled node, by first appearance, to the ids
+    its snapshot names."""
+
+    node_at: tuple
+    weight_at: tuple
+    walker_at: tuple
+    snapshots: dict
+
+
+def views(sample) -> Views:
+    """The :class:`Views` of a sample, read off its rank columns and CSR."""
+    ids, bounds = sample.ids, sample.offsets.tolist()
+    entries, ranks = sample.entries.tolist(), sample.rank_column.tolist()
+    row = lambda r: tuple(ids[u] for u in entries[bounds[r]:bounds[r + 1]])
+    return Views(tuple(ids[r] for r in ranks),
+                 tuple(sample.weight_column.tolist()),
+                 tuple(sample.walker_column.tolist()),
+                 {ids[r]: row(r) for r in dict.fromkeys(ranks)})
+
+
+def same_sample(a, b) -> bool:
+    """Whether two samples hold the same views and metadata."""
+    return views(a) == views(b) and all(
+        getattr(a, name) == getattr(b, name) for name in (
+            "method", "seed", "weight_rule", "graph_digest", "rng_name"))
+
+
+def snapshots_at(sample) -> list:
+    """The snapshot of the node at each position."""
+    v = views(sample)
+    return [v.snapshots[x] for x in v.node_at]
+
+
+def neighbors(g, v: int) -> tuple:
+    """The dense neighbor indices of node v, read off the CSR."""
+    indptr, indices = g.adjacency_arrays
+    return tuple(indices[indptr[v]:indptr[v + 1]].tolist())
+
+
+def has_edge(g, u: int, v: int) -> bool:
+    return v in neighbors(g, u)
+
+
+def dense_index(g, ext: int) -> int:
+    """The dense index of the external id ``ext``; ValueError if absent."""
+    return g.ext_ids.index(ext)
 
 
 def _arrays(sample):
-    nodes = np.asarray(sample.nodes())
-    weights = np.asarray(sample.weight_at, dtype=float)
-    degrees = np.asarray(sample.degrees(), dtype=float)
-    return nodes, weights, degrees
+    """The node ids, weights and degrees of the positions, as arrays."""
+    v = views(sample)
+    return (np.asarray(v.node_at), np.asarray(v.weight_at, dtype=float),
+            np.asarray([len(v.snapshots[x]) for x in v.node_at], dtype=float))
 
 
 def neighbor_membership(sample) -> np.ndarray:
@@ -30,9 +76,9 @@ def neighbor_membership(sample) -> np.ndarray:
     nodes, _, _ = _arrays(sample)
     n = len(nodes)
     m = np.zeros((n, n), dtype=bool)
-    for j in range(n):
-        if _snapshot(sample, j):
-            m[:, j] = np.isin(nodes, np.asarray(_snapshot(sample, j)))
+    for j, snapshot in enumerate(snapshots_at(sample)):
+        if snapshot:
+            m[:, j] = np.isin(nodes, np.asarray(snapshot))
     return m
 
 
@@ -100,11 +146,12 @@ def ind_margin_set_parts(sample, m: int) -> tuple[float, float]:
     inv = 1.0 / w
     idx = np.arange(n)
     far = np.abs(idx[:, None] - idx[None, :]) > m
-    a_nodes = sorted({a for p in range(n) for a in _snapshot(sample, p)})
+    snapshots = snapshots_at(sample)
+    a_nodes = sorted({a for snapshot in snapshots for a in snapshot})
     carried = np.zeros((len(a_nodes), n), dtype=bool)
     row = {a: k for k, a in enumerate(a_nodes)}
-    for p in range(n):
-        for a in _snapshot(sample, p):
+    for p, snapshot in enumerate(snapshots):
+        for a in snapshot:
             carried[row[a], p] = True
     # visible[j]: distinct auxiliary nodes carried by some position > m away.
     visible = (carried[None, :, :] & far[:, None, :]).any(axis=2).sum(axis=1)
@@ -118,7 +165,7 @@ def ind_margin_set_parts(sample, m: int) -> tuple[float, float]:
 
 def crosswalker_node_parts(sample) -> tuple[float, float]:
     nodes, w, _ = _arrays(sample)
-    walkers = np.asarray(sample.walker_at)
+    walkers = np.asarray(views(sample).walker_at)
     cross = walkers[:, None] != walkers[None, :]
     num = float((w[:, None] * (1.0 / w)[None, :])[cross].sum())
     eq = nodes[:, None] == nodes[None, :]
@@ -129,7 +176,7 @@ def crosswalker_node_parts(sample) -> tuple[float, float]:
 def crosswalker_ind_multiset_parts(sample) -> tuple[float, float]:
     nodes, w, deg = _arrays(sample)
     n = len(nodes)
-    walkers = np.asarray(sample.walker_at)
+    walkers = np.asarray(views(sample).walker_at)
     cross = walkers[:, None] != walkers[None, :]
     num = float((deg[:, None] * (1.0 / w)[None, :])[cross].sum())
     member = neighbor_membership(sample)
@@ -142,13 +189,14 @@ def crosswalker_ind_set_parts(sample) -> tuple[float, float]:
     nodes, w, _ = _arrays(sample)
     n = len(nodes)
     inv = 1.0 / w
-    walkers = np.asarray(sample.walker_at)
+    walkers = np.asarray(views(sample).walker_at)
     cross = walkers[:, None] != walkers[None, :]
-    a_nodes = sorted({a for p in range(n) for a in _snapshot(sample, p)})
+    snapshots = snapshots_at(sample)
+    a_nodes = sorted({a for snapshot in snapshots for a in snapshot})
     carried = np.zeros((len(a_nodes), n), dtype=bool)
     row = {a: k for k, a in enumerate(a_nodes)}
-    for p in range(n):
-        for a in _snapshot(sample, p):
+    for p, snapshot in enumerate(snapshots):
+        for a in snapshot:
             carried[row[a], p] = True
     visible = (carried[None, :, :] & cross[:, None, :]).any(axis=2).sum(axis=1)
     num = float((inv * visible).sum())
@@ -172,10 +220,11 @@ def occurrence_arrays(sample) -> dict[str, np.ndarray]:
     """The sample's rank, weight and degree columns and the arrays of its
     ``occurrences`` and ``mentions``, with their dtypes, from one loop over
     every position and every snapshot entry it carries."""
-    nodes = sample.node_at
+    nodes, weights, _, _ = views(sample)
+    snapshots = snapshots_at(sample)
     n = len(nodes)
     rank = {}
-    for v in list(nodes) + [u for p in range(n) for u in _snapshot(sample, p)]:
+    for v in list(nodes) + [u for snapshot in snapshots for u in snapshot]:
         rank.setdefault(v, len(rank))
     size, stride = len(rank), n + 1
     key_type = np.int32 if size * stride <= 2**31 - 1 else np.int64
@@ -196,14 +245,13 @@ def occurrence_arrays(sample) -> dict[str, np.ndarray]:
 
     arrays = {
         "rank_column": np.array([rank[v] for v in nodes], dtype=np.int64),
-        "weight_column": np.array(sample.weight_at, dtype=np.float64),
-        "degree_column": np.array([len(_snapshot(sample, p))
-                                   for p in range(n)], dtype=np.int64),
+        "weight_column": np.array(weights, dtype=np.float64),
+        "degree_column": np.array(list(map(len, snapshots)), dtype=np.int64),
     }
     for name, pairs in (
             ("occurrences", [(v, p) for p, v in enumerate(nodes)]),
-            ("mentions", [(u, p) for p in range(n)
-                          for u in _snapshot(sample, p)])):
+            ("mentions", [(u, p) for p, snapshot in enumerate(snapshots)
+                          for u in snapshot])):
         for field, array in occurrences(pairs).items():
             arrays[f"{name}.{field}"] = array
     return arrays
@@ -295,7 +343,7 @@ def graph_from_adjacency(adjacency, ext_ids, load_report=None):
 
 def adjacency(g):
     """The neighbor tuple of each dense index of ``g``."""
-    return tuple(g.neighbors(v) for v in g)
+    return tuple(neighbors(g, v) for v in range(g.node_count))
 
 
 def components(g):
@@ -312,7 +360,7 @@ def components(g):
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for u in g.neighbors(v):
+            for u in neighbors(g, v):
                 if not seen[u]:
                     seen[u] = True
                     comp.append(u)
@@ -375,7 +423,7 @@ def walk(g, n, seed):
     current = int(rng.integers(g.node_count))
     nodes = [current]
     for u in rng.random(n - 1).tolist():
-        nbrs = g.neighbors(current)
+        nbrs = neighbors(g, current)
         current = nbrs[int(u * len(nbrs))]
         nodes.append(current)
     return nodes
@@ -388,12 +436,12 @@ def largest_connected_component(g):
     comps = components(g)
     if len(comps) == 1:
         return g
-    best = max(comps,
-               key=lambda comp: (len(comp), -min(g.ext_id(v) for v in comp)))
+    ext = g.ext_ids
+    best = max(comps, key=lambda comp: (len(comp), -min(ext[v] for v in comp)))
     keep = set(best)
-    edges = [(g.ext_id(v), g.ext_id(u)) for v in best for u in g.neighbors(v)
-             if u in keep and g.ext_id(v) < g.ext_id(u)]
-    return graph_from_edges(edges, extra_nodes=[g.ext_id(v) for v in best])
+    edges = [(ext[v], ext[u]) for v in best for u in neighbors(g, v)
+             if u in keep and ext[v] < ext[u]]
+    return graph_from_edges(edges, extra_nodes=[ext[v] for v in best])
 
 
 def first_seen(values):
@@ -527,29 +575,31 @@ def _record_line_error(i, fields):
 
 def count_induced_edges(sample) -> int:
     """Dict-loop induced-edge count: the array kernel's exact reference."""
+    nodes, _, _, snapshots = views(sample)
     counts = {}
-    for v in sample.node_at:
+    for v in nodes:
         counts[v] = counts.get(v, 0) + 1
     ordered = 0
     for v, cv in counts.items():
-        ordered += cv * sum(counts.get(u, 0) for u in sample.snapshots[v])
+        ordered += cv * sum(counts.get(u, 0) for u in snapshots[v])
     return ordered // 2
 
 
 def inda_wis_parts(sample) -> tuple[float, float]:
     """``inda_wis_ratio``'s numerator and denominator from dict loops in the
     order the array kernel keeps, so that the two agree bit for bit."""
-    inv = [1.0 / w for w in sample.weight_at]
-    degrees = [len(sample.snapshots[v]) for v in sample.node_at]
+    nodes, weights, _, snapshots = views(sample)
+    inv = [1.0 / w for w in weights]
+    degrees = [len(snapshots[v]) for v in nodes]
     s1 = math.fsum(inv)
     pair_sum = 0.5 * (s1 * s1 - math.fsum(x * x for x in inv))
     inv_by_node = {}
-    for v, iw in zip(sample.node_at, inv):
+    for v, iw in zip(nodes, inv):
         inv_by_node[v] = inv_by_node.get(v, 0.0) + iw
     total = 0.0
     for v, iv in inv_by_node.items():
         acc = 0.0
-        for u in sample.snapshots[v]:
+        for u in snapshots[v]:
             acc += inv_by_node.get(u, 0.0)
         total += iv * acc
     num = math.fsum(d * iw for d, iw in zip(degrees, inv)) * pair_sum
@@ -561,8 +611,8 @@ def auxiliary_counts(sample, mode: str) -> dict:
     position's neighbor snapshot, once per position; in set mode each
     multiplicity is 1."""
     counts = {}
-    for v in sample.node_at:
-        for u in sample.snapshots[v]:
+    for snapshot in snapshots_at(sample):
+        for u in snapshot:
             counts[u] = counts.get(u, 0) + 1
     return dict.fromkeys(counts, 1) if mode == "set" else counts
 
@@ -573,10 +623,11 @@ def indb_parts(sample, mode: str, weighted: bool) -> tuple[float, float]:
     the kernels sum, so that the two agree bit for bit."""
     aux = auxiliary_counts(sample, mode)
     size = sum(aux.values())
-    hits = [aux.get(v, 0) for v in sample.node_at]
+    nodes, weights, _, _ = views(sample)
+    hits = [aux.get(v, 0) for v in nodes]
     if not weighted:
         return float(size * len(sample)), float(sum(hits))
-    inv = [1.0 / w for w in sample.weight_at]
+    inv = [1.0 / w for w in weights]
     return size * math.fsum(inv), math.fsum(i * h for i, h in zip(inv, hits))
 
 
@@ -584,9 +635,10 @@ def capture_split(sample, seed: int) -> tuple[set, set]:
     """The two halves of ``capture_recapture_from_sample``'s seeded split as
     sets of node ids, filled position by position in permuted order."""
     order = np.random.default_rng(seed).permutation(len(sample)).tolist()
+    nodes = views(sample).node_at
     halves = (set(), set())
     for k, p in enumerate(order):
-        halves[k >= len(sample) // 2].add(sample.node_at[p])
+        halves[k >= len(sample) // 2].add(nodes[p])
     return halves
 
 

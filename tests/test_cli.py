@@ -1,5 +1,6 @@
 import json
 import re
+from xml.etree import ElementTree
 
 import pytest
 
@@ -133,6 +134,14 @@ def test_experiment_and_plot(tmp_path, capsys):
                        "--xlabel", "sample size", "-o", str(svg))
     assert code == 0
     assert svg.read_text().startswith("<svg")
+    # Markup characters in the label are escaped, not written raw.
+    label = "m < n & theta > 0"
+    code, out, _ = run(capsys, "plot", "--csv", str(csv),
+                       "--xlabel", label, "-o", str(svg))
+    assert code == 0
+    texts = ElementTree.fromstring(svg.read_text()).iter(
+        "{http://www.w3.org/2000/svg}text")
+    assert label in [t.text for t in texts]
 
 
 def test_experiment_bad_plan_is_config_error(tmp_path, capsys):
@@ -224,6 +233,31 @@ def test_bad_generator_value_is_config_error(tmp_path, capsys, spec, message):
                   "-o", str(tmp_path / "x.csv")]):
         err = _one_line_error(*run(capsys, *argv), 2)
         assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--sample", "s.tsv", "--estimator", "capture", "--seed",
+      "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["estimate", "--sample", "s.tsv", "--estimator", "capture", "--seed",
+      "9" * 5000], "... (5038 characters)"),
+    (["estimate", "--sample", "s.tsv", "--estimator", "bogus"],
+     "argument --estimator: invalid choice: 'bogus'"),
+    (["sample", "--graph", "g.txt", "--method", "uis", "--n", "5", "-o",
+      "s.tsv", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ([], "the following arguments are required: command"),
+    (["plot"], "the following arguments are required: --csv, -o/--output"),
+])
+def test_flag_errors_are_one_line_config_errors(capsys, argv, message):
+    # argparse's own errors: no usage block, and a long value is cut.
+    err = _one_line_error(*run(capsys, *argv), 2)
+    assert message in err and len(err) < 200
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: graphsize estimate")
 
 
 def test_negative_seed_is_config_error(tmp_path, capsys):

@@ -1,14 +1,15 @@
 """Fuzzing of the CLI's input boundaries.
 
 Each test mutates one small valid input (a sample file, a plan, an
-experiment CSV) by inserting, deleting and replacing characters from a small
-alphabet, and drives the result through ``cli.main``.  Whatever the input,
-main must return 0, 2 or 3 without raising, print exactly one ``error:``
-line when it fails, and print valid JSON from a successful ``estimate``.
+experiment CSV, a command line) by inserting, deleting and replacing
+characters from a small alphabet, or whole arguments, and drives the result
+through ``cli.main``.  Whatever the input, main must return 0, 2 or 3
+without raising, print exactly one ``error:`` line when it fails, and print
+valid JSON from a successful ``estimate``.
 
 Examples with a number of more than 3 digits are discarded, and so are plans
-whose generated graph could have more than 50 nodes, so that no example
-builds a large graph or runs long.
+and command lines whose generated graph could have more than 50 nodes, so
+that no example builds a large graph or runs long.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from graphsize.cli import main
 
-from strategies import SAMPLE, mutated
+from strategies import ALPHABET, SAMPLE, mutated
 
 PLAN = """\
 graph = gen:er:nodes=30,p=0.2,seed=1
@@ -68,7 +69,9 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-def _run(argv):
+def _run(argv, warns=False):
+    """``main(argv)``'s exit code and stdout, after checking the contract;
+    ``warns`` lets a success print one ``warning:`` line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -77,6 +80,8 @@ def _run(argv):
     if code:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
+    elif warns and err:
+        assert err.startswith("warning:") and err.count("\n") == 1, err
     else:
         assert err == ""
     return code, out
@@ -124,3 +129,74 @@ def test_plot_survives_a_mutated_csv(workdir, text):
                       "-o", str(workdir / "plot.svg")])
     if code == 0:
         assert (workdir / "plot.svg").read_text().startswith("<svg")
+
+
+# A valid command line per subcommand.  Paths are relative: the test runs in
+# its work directory, and no edit can add a '/' to leave it.
+GRAPH = "gen:er:nodes=30,p=0.2,seed=1"
+ARGVS = [
+    ["graphstat", GRAPH],
+    ["gen", "gen:ba:nodes=30,m=2,seed=1", "-o", "g.txt"],
+    ["sample", "--graph", GRAPH, "--method", "rw-multi", "--n", "40",
+     "--walkers", "2", "--seed", "3", "--lcc", "-o", "s.tsv"],
+    ["sample", "--graph", GRAPH, "--method", "wis", "--weight-rule", "unit",
+     "--n", "20", "-o", "s.tsv"],
+    ["estimate", "--sample", "in.tsv", "--estimator", "ind-b",
+     "--correction", "margin", "--margin", "2", "--a-mode", "multiset",
+     "--theta", "1", "--seed", "3"],
+    ["experiment", "--plan", "in.plan", "-o", "out.csv"],
+    ["plot", "--csv", "in.csv", "--xlabel", "m", "-o", "out.svg"],
+]
+WORDS = sorted({arg for argv in ARGVS for arg in argv
+                if arg.startswith("-")} | {argv[0] for argv in ARGVS})
+
+
+@st.composite
+def mutated_argv(draw):
+    """A command line of ``ARGVS`` after one to three edits: an argument
+    replaced by a flag or subcommand name, edited as text by ``mutated``,
+    deleted, or a name or short text inserted.  The subcommand is edited in
+    one example of eight."""
+    command, *argv = draw(st.sampled_from(ARGVS))
+    name = st.sampled_from(WORDS)
+    for _ in range(draw(st.integers(1, 3))):
+        cut = draw(st.sampled_from(("name", "text", "delete", "insert")))
+        if cut == "insert" or not argv:
+            argv.insert(draw(st.integers(0, len(argv))), draw(
+                name | st.text(st.sampled_from(ALPHABET), max_size=3)))
+            continue
+        at = draw(st.integers(0, len(argv) - 1))
+        if cut == "delete":
+            del argv[at]
+        else:
+            argv[at] = draw(name if cut == "name" else mutated(argv[at]))
+    if draw(st.sampled_from(range(8))) == 7:
+        command = draw(st.sampled_from((None, "")) | name | mutated(command))
+    argv = [command, *argv] if command is not None else argv
+    for arg in argv:
+        # No example asks for help or names a graph of more than 50 nodes.
+        assume(not arg.startswith(("-h", "--h")))
+        assume(not re.search(r"\d{4}", arg))
+        if "gen" in arg:
+            assume(all(int(v) <= 50 for v in re.findall(r"\d+", arg)))
+    return argv
+
+
+ESTIMATE = ["estimate", "--sample", "in.tsv", "--estimator", "capture"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=mutated_argv())
+@example(argv=ESTIMATE + ["--seed", "9" * 5000])
+@example(argv=ESTIMATE[:-1] + ["bogus"])
+@example(argv=ESTIMATE + ["--bogus", "1"])
+@example(argv=[])
+def test_cli_survives_a_mutated_command_line(workdir, argv):
+    with contextlib.chdir(workdir):
+        for name, text in (("in.tsv", SAMPLE), ("in.plan", PLAN),
+                           ("in.csv", CSV)):
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        code, out = _run(argv, warns=argv[:1] == ["graphstat"])
+    if code == 0 and argv[0] == "estimate":
+        _strict_json(out)

@@ -23,7 +23,7 @@ def _multiplicity_sample():
     # one node three times, one twice, six singletons: n=11, 8 unique
     g = erdos_renyi(10, 0.3, seed=1)
     nodes = [0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7]
-    ext = [g.ext_id(v) for v in nodes]
+    ext = [g.ext_ids[v] for v in nodes]
     return make_sample(g, ext, method="UIS")
 
 
@@ -73,7 +73,7 @@ def _auxiliary(s, mode):
 
 def test_auxiliary_counts_star_leaves(star4):
     s = make_sample(star4, [1, 2])
-    hub = star4.dense_index(0)
+    hub = oracles.dense_index(star4, 0)
     assert _auxiliary(s, MODE_MULTISET) == {hub: 2}
     assert _auxiliary(s, MODE_SET) == {hub: 1}
 
@@ -87,7 +87,8 @@ def test_auxiliary_counts_hub(star4):
 def test_multiset_cardinality_is_degree_sum():
     g = erdos_renyi(50, 0.15, seed=2)
     s = sample_uis(g, 80, seed=3)
-    assert sum(_auxiliary(s, MODE_MULTISET).values()) == sum(s.degrees())
+    assert sum(_auxiliary(s, MODE_MULTISET).values()) \
+        == s.degree_column.sum()
 
 
 def test_auxiliary_mode_must_be_known(k5):
@@ -120,7 +121,8 @@ def test_pairwise_inverse_weight_sum_examples(k5):
     assert pairwise_inverse_weight_sum([1.0, 2.0]) == pytest.approx(0.5)
     assert pairwise_inverse_weight_sum([1.0, 1.0, 1.0]) == pytest.approx(3.0)
     s = make_sample(k5, [0, 1], weights=[1.0, 2.0])
-    assert pairwise_inverse_weight_sum(s.weight_at) == pytest.approx(0.5)
+    assert pairwise_inverse_weight_sum(s.weight_column) \
+        == pytest.approx(0.5)
 
 
 def test_pairwise_inverse_weight_sum_matches_pair_loop():
@@ -144,10 +146,10 @@ def test_pairwise_inverse_weight_sum_rejects_zero():
         with pytest.raises(EstimatorError):
             pairwise_inverse_weight_sum([1.0, bad])
         # Every kernel that inverts weights applies the same rule.
-        weights = (bad,) + s.weight_at[1:]
+        weights = np.append(bad, s.weight_column[1:])
         for kernel in (node_wis_ratio, edge_pair_inverse_weight_sum):
             with pytest.raises(EstimatorError):
-                kernel(replace(s, weight_column=np.array(weights)))
+                kernel(replace(s, weight_column=weights))
 
 
 def test_aggregate_ratios():

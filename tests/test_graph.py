@@ -19,7 +19,7 @@ def test_load_two_edge_path():
     g = graph_from_text("1 2\n2 3\n")
     assert g.node_count == 3
     assert g.edge_count == 2
-    degs = {g.ext_id(v): g.degree(v) for v in g}
+    degs = dict(zip(g.ext_ids, g.degrees))
     assert degs == {1: 1, 2: 2, 3: 1}
 
 
@@ -61,18 +61,18 @@ def test_degree_sum_is_twice_edge_count():
 
 def test_adjacency_is_symmetric_and_sorted():
     g = graph_from_text("5 1\n5 9\n1 9\n9 2\n")
-    for v in g:
-        nbrs = g.neighbors(v)
+    for v in range(g.node_count):
+        nbrs = oracles.neighbors(g, v)
         assert list(nbrs) == sorted(nbrs)
         for u in nbrs:
-            assert v in g.neighbors(u)
-            assert g.has_edge(v, u) and g.has_edge(u, v)
+            assert v in oracles.neighbors(g, u)
+            assert oracles.has_edge(g, v, u) and oracles.has_edge(g, u, v)
 
 
 def test_has_edge_negative_case():
     g = graph_from_text("0 1\n1 2\n")
-    a, c = g.dense_index(0), g.dense_index(2)
-    assert not g.has_edge(a, c)
+    a, c = oracles.dense_index(g, 0), oracles.dense_index(g, 2)
+    assert not oracles.has_edge(g, a, c)
 
 
 def test_roundtrip_serialization_is_stable():
@@ -103,9 +103,10 @@ def test_lcc_of_a_disconnected_graph_is_its_largest_component():
     g = erdos_renyi(300, 0.01, seed=2)
     comps = oracles.components(g)
     assert len(comps) > 1
-    best = max(comps, key=lambda comp: (len(comp), -min(map(g.ext_id, comp))))
+    ext = g.ext_ids
+    best = max(comps, key=lambda comp: (len(comp), -min(ext[v] for v in comp)))
     lcc = largest_connected_component(g)
-    assert lcc.ext_ids == tuple(sorted(map(g.ext_id, best)))
+    assert lcc.ext_ids == tuple(sorted(ext[v] for v in best))
     assert lcc.digest == oracles.largest_connected_component(g).digest
 
 

@@ -137,7 +137,7 @@ def test_mle_exact_with_one_collision_matches_decimal_reference(n):
 def test_node_uis_multiplicity_pattern(k5):
     # n=11 with 4 collision pairs: 121 / (2*4)
     g = erdos_renyi(10, 0.3, seed=1)
-    ext = [g.ext_id(v) for v in [0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7]]
+    ext = [g.ext_ids[v] for v in [0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7]]
     s = make_sample(g, ext, method="UIS")
     assert node_uis_ratio(s).outcome().value == pytest.approx(121 / 8)
 
@@ -173,7 +173,7 @@ def test_node_wis_rejects_zero_weight(k5):
 def test_node_wis_scale_invariance(c):
     from dataclasses import replace
     g = erdos_renyi(20, 0.3, seed=4)
-    ext = [g.ext_id(v) for v in [0, 1, 1, 2, 5, 5, 5, 9]]
+    ext = [g.ext_ids[v] for v in [0, 1, 1, 2, 5, 5, 5, 9]]
     base = make_sample(g, ext, weights=[1.0, 2.0, 2.0, 0.5, 4.0, 4.0, 4.0, 3.0])
     scaled = replace(base, weight_column=base.weight_column * c)
     a = node_wis_ratio(base).outcome().value

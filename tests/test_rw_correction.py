@@ -36,26 +36,28 @@ def _walk_graph(seed=1):
 def test_thin_simple_positions():
     g = _walk_graph()
     s = sample_rw(g, 9, seed=0)
-    kept = thin_simple(s, 3)
-    assert kept.nodes() == s.nodes()[::3]
-    assert kept.weight_at == s.weight_at[::3]
-    assert list(kept.snapshots) == list(dict.fromkeys(kept.nodes()))
+    kept, full = oracles.views(thin_simple(s, 3)), oracles.views(s)
+    assert kept.node_at == full.node_at[::3]
+    assert kept.weight_at == full.weight_at[::3]
+    assert kept.snapshots == {v: full.snapshots[v] for v in kept.node_at}
 
 
 def test_thin_simple_identity_and_overlong():
     g = _walk_graph()
     s = sample_rw(g, 5, seed=1)
-    assert thin_simple(s, 1).nodes() == s.nodes()
-    assert thin_simple(s, 9).nodes() == s.nodes()[:1]
+    nodes = oracles.views(s).node_at
+    assert oracles.views(thin_simple(s, 1)).node_at == nodes
+    assert oracles.views(thin_simple(s, 9)).node_at == nodes[:1]
 
 
 def test_thin_shifted_patterns():
     g = _walk_graph()
     s = sample_rw(g, 6, seed=2)
-    subs = thin_shifted(s, 2)
-    assert [sub.nodes() for sub in subs] == [s.nodes()[0::2], s.nodes()[1::2]]
-    assert [sub.nodes() for sub in thin_shifted(s, 1)] \
-        == [s.nodes()]
+    nodes = oracles.views(s).node_at
+    assert [oracles.views(sub).node_at for sub in thin_shifted(s, 2)] \
+        == [nodes[0::2], nodes[1::2]]
+    assert [oracles.views(sub).node_at for sub in thin_shifted(s, 1)] \
+        == [nodes]
     s5 = sample_rw(g, 5, seed=3)
     assert [len(sub) for sub in thin_shifted(s5, 3)] \
         == [2, 2, 1]
@@ -67,8 +69,8 @@ def test_thin_shifted_concatenation_permutes(theta, n):
     g = graph_from_text("0 1\n1 2\n2 0\n")
     s = sample_rw(g, n, seed=7)
     subs = thin_shifted(s, theta)
-    merged = sorted(v for sub in subs for v in sub.node_at)
-    assert merged == sorted(s.nodes())
+    merged = sorted(v for sub in subs for v in oracles.views(sub).node_at)
+    assert merged == sorted(oracles.views(s).node_at)
     assert sum(len(sub) for sub in subs) == n
 
 
@@ -192,11 +194,10 @@ def test_node_margin_zero_equals_closed_form():
     import math
     g = erdos_renyi(30, 0.2, seed=8)
     for weights in (None, [0.5, 2.0, 2.0, 1.0, 4.0, 0.25, 2.0, 8.0]):
-        ext = [g.ext_id(v) for v in [0, 1, 1, 2, 5, 5, 2, 9]]
+        ext = [g.ext_ids[v] for v in [0, 1, 1, 2, 5, 5, 2, 9]]
         s = make_sample(g, ext, weights=weights)
-        w = s.weight_at
+        nodes, w, _, _ = oracles.views(s)
         ncol = 0
-        nodes = s.nodes()
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 ncol += nodes[i] == nodes[j]
@@ -358,8 +359,10 @@ def test_sample_file_round_trip_shares_snapshots(s):
     text = io.StringIO()
     write_sample(s, text)
     back = read_sample(io.StringIO(text.getvalue()))
-    assert back == s
-    assert list(back.snapshots) == list(dict.fromkeys(back.node_at))
+    assert oracles.same_sample(back, s)
+    # One CSR row per distinct sampled node, ranked by first appearance.
+    assert list(dict.fromkeys(back.rank_column.tolist())) \
+        == list(range(len(back.offsets) - 1))
     again = io.StringIO()
     write_sample(back, again)
     assert again.getvalue() == text.getvalue()
@@ -398,14 +401,14 @@ def test_occurrences_are_read_only():
 def test_margin_kernels_reject_invalid_weights(bad):
     g = _walk_graph()
     s = sample_rw(g, 20, seed=2)
-    s = replace(s, weight_column=np.array((bad,) + s.weight_at[1:]))
+    s = replace(s, weight_column=np.append(bad, s.weight_column[1:]))
     for kernel, _ in MARGIN_KERNELS.values():
         for m in (1, 5, len(s) - 1, len(s) + 2):
             with pytest.raises(EstimatorError):
                 kernel(s, m)
     multi = sample_rw_multi(g, 2, 10, seeds=[2, 3])
     multi = replace(multi,
-                    weight_column=np.array((bad,) + multi.weight_at[1:]))
+                    weight_column=np.append(bad, multi.weight_column[1:]))
     # In file order and with the walkers interleaved.
     for d in (multi, multi.subset([*range(0, 20, 2), *range(1, 20, 2)])):
         for kernel, _ in CROSSWALKER_KERNELS.values():

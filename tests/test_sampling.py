@@ -20,22 +20,23 @@ from conftest import graph_from_text
 def test_uis_single_node_graph():
     g = graph_from_text("7 7\n")  # lone node via self-loop drop
     s = sample_uis(g, 5, seed=0)
-    assert s.nodes() == [0] * 5
-    assert s.weight_at == (1.0,) * 5
+    assert oracles.views(s).node_at == (0,) * 5
+    assert oracles.views(s).weight_at == (1.0,) * 5
 
 
 def test_uis_deterministic(k5):
     a = sample_uis(k5, 50, seed=9)
     b = sample_uis(k5, 50, seed=9)
-    assert a.nodes() == b.nodes()
-    assert a.nodes() != sample_uis(k5, 50, seed=10).nodes()
+    other = sample_uis(k5, 50, seed=10)
+    assert oracles.views(a).node_at == oracles.views(b).node_at
+    assert oracles.views(a).node_at != oracles.views(other).node_at
 
 
 def test_uis_frequencies_uniform():
     g = erdos_renyi(100, 1.0, seed=0)  # K100
     n = 100_000
     s = sample_uis(g, n, seed=4)
-    counts = np.bincount(s.nodes(), minlength=100)
+    counts = np.bincount(oracles.views(s).node_at, minlength=100)
     mean = n / 100
     sigma = math.sqrt(n * (1 / 100) * (99 / 100))
     assert np.all(np.abs(counts - mean) < 5 * sigma)
@@ -43,7 +44,8 @@ def test_uis_frequencies_uniform():
 
 def test_uis_positions_contiguous(k5):
     s = sample_uis(k5, 10, seed=1)
-    assert len(s.node_at) == len(s.weight_at) == len(s.walker_at) == 10
+    node_at, weight_at, walker_at, _ = oracles.views(s)
+    assert len(node_at) == len(weight_at) == len(walker_at) == 10
     assert _written_positions(s) == list(range(10))
 
 
@@ -51,20 +53,21 @@ def test_wis_two_node_frequencies():
     g = graph_from_text("0 1\n")
     n = 100_000
     s = sample_wis(g, lambda v: [1.0, 3.0][v], n, seed=5)
-    counts = np.bincount(s.nodes(), minlength=2)
+    counts = np.bincount(oracles.views(s).node_at, minlength=2)
     for v, p in [(0, 0.25), (1, 0.75)]:
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(counts[v] - n * p) < 5 * sigma
     # positions carry the weight used for drawing
-    for v, w in zip(s.node_at[:100], s.weight_at):
+    node_at, weight_at, _, _ = oracles.views(s)
+    for v, w in zip(node_at[:100], weight_at):
         assert w == [1.0, 3.0][v]
 
 
 def test_wis_degree_rule_on_star(star4):
     n = 50_000
     s = sample_wis(star4, "degree", n, seed=6)
-    hub = star4.dense_index(0)
-    freq = s.nodes().count(hub) / n
+    hub = oracles.dense_index(star4, 0)
+    freq = oracles.views(s).node_at.count(hub) / n
     sigma = math.sqrt(0.25 / n)
     assert abs(freq - 0.5) < 5 * sigma
 
@@ -81,20 +84,21 @@ def test_rw_consecutive_nodes_adjacent():
         from graphsize.graph import largest_connected_component
         g = largest_connected_component(g)
     s = sample_rw(g, 500, seed=2)
-    for a, b, w in zip(s.node_at, s.node_at[1:], s.weight_at):
-        assert b in s.snapshots[a]
-        assert w == len(s.snapshots[a]) == g.degree(a)
+    node_at, weight_at, _, snapshots = oracles.views(s)
+    for a, b, w in zip(node_at, node_at[1:], weight_at):
+        assert b in snapshots[a]
+        assert w == len(snapshots[a]) == g.degrees[a]
 
 
 def test_rw_next_step_uniform_on_path(path3):
     # A walk on 0-1-2 is at the middle by its second step; the step after
     # its first visit there draws a fresh uniform.
-    mid = path3.dense_index(1)
+    mid = oracles.dense_index(path3, 1)
     nexts = []
     for s in range(2000):
-        walk = sample_rw(path3, 3, seed=s).nodes()
+        walk = oracles.views(sample_rw(path3, 3, seed=s)).node_at
         nexts.append(walk[walk.index(mid) + 1])
-    frac = nexts.count(path3.dense_index(0)) / len(nexts)
+    frac = nexts.count(oracles.dense_index(path3, 0)) / len(nexts)
     assert abs(frac - 0.5) < 5 * math.sqrt(0.25 / len(nexts))
 
 
@@ -102,10 +106,10 @@ def test_rw_visits_proportional_to_degree():
     g = ring_of_cliques(4, 4)
     n = 200_000
     s = sample_rw(g, n, seed=7)
-    counts = np.bincount(s.nodes(), minlength=g.node_count)
+    counts = np.bincount(oracles.views(s).node_at, minlength=g.node_count)
     total_deg = sum(g.degrees)
-    for v in g:
-        expected = g.degree(v) / total_deg
+    for v in range(g.node_count):
+        expected = g.degrees[v] / total_deg
         assert abs(counts[v] / n - expected) < 0.1 * expected
 
 
@@ -118,19 +122,20 @@ def test_rw_requires_connected_graph():
 def test_rw_multi_tags_and_lengths(k5):
     s = sample_rw_multi(k5, 2, 3, seeds=[1, 2])
     assert len(s) == 6
-    assert s.walker_at == (0, 0, 0, 1, 1, 1)
+    assert oracles.views(s).walker_at == (0, 0, 0, 1, 1, 1)
     assert _written_positions(s) == list(range(6))
 
 
 def test_rw_multi_single_walker_matches_rw(k5):
     multi = sample_rw_multi(k5, 1, 20, seeds=[3])
     single = sample_rw(k5, 20, seed=3)
-    assert multi.nodes() == single.nodes()
+    assert oracles.views(multi).node_at == oracles.views(single).node_at
 
 
 def test_rw_multi_equal_seeds_give_equal_walks(k5):
     s = sample_rw_multi(k5, 2, 10, seeds=[5, 5])
-    assert s.nodes()[:10] == s.nodes()[10:]
+    nodes = oracles.views(s).node_at
+    assert nodes[:10] == nodes[10:]
 
 
 def test_rw_multi_seed_count_checked(k5):
@@ -144,14 +149,7 @@ def test_sample_file_roundtrip(k5):
     write_sample(s, buf, k5)
     back = read_sample(io.StringIO(buf.getvalue()))
     # external ids of k5 are 0..4, identical to dense indices
-    assert back.node_at == s.node_at
-    assert back.weight_at == s.weight_at
-    assert back.walker_at == s.walker_at
-    assert back.snapshots == s.snapshots
-    assert back.method == s.method
-    assert back.seed == s.seed
-    assert back.weight_rule == s.weight_rule
-    assert back.graph_digest == s.graph_digest
+    assert oracles.same_sample(back, s)
 
 
 def test_sample_file_roundtrip_preserves_float_weights():
@@ -160,7 +158,7 @@ def test_sample_file_roundtrip_preserves_float_weights():
     buf = io.StringIO()
     write_sample(s, buf, g)
     back = read_sample(io.StringIO(buf.getvalue()))
-    assert back.weight_at == s.weight_at
+    assert oracles.views(back).weight_at == oracles.views(s).weight_at
 
 
 def test_read_sample_rejects_foreign_file():
@@ -176,17 +174,19 @@ def _written_positions(s) -> list[int]:
 
 
 def test_sample_keeps_one_snapshot_per_distinct_node(k5):
-    snapshots = {v: k5.neighbors(v) for v in k5}
+    snapshots = {v: oracles.neighbors(k5, v) for v in range(k5.node_count)}
     s = oracles.sample_from_snapshots((3, 1, 3, 0), (1.0,) * 4, (0,) * 4,
                                       snapshots, "UIS", 0, "unit", k5.digest)
     # One CSR row per distinct sampled node, in order of first appearance.
     assert s.ids[:3] == (3, 1, 0) and len(s.offsets) == 4
-    assert list(s.snapshots) == [3, 1, 0]
-    assert s.degrees() == [4, 4, 4, 4]
-    with pytest.raises(TypeError):
-        s.snapshots[2] = ()
+    assert list(oracles.views(s).snapshots) == [3, 1, 0]
+    assert s.degree_column.tolist() == [4, 4, 4, 4]
+    for column in (s.rank_column, s.offsets, s.entries, s.degree_column):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 2
     tail = s.subset([3, 1])
-    assert tail.nodes() == [0, 1] and list(tail.snapshots) == [0, 1]
+    assert oracles.views(tail).node_at == (0, 1)
+    assert list(oracles.views(tail).snapshots) == [0, 1]
     assert tail.ids is s.ids and tail.entries is s.entries
     with pytest.raises(SamplingError, match="differ in length"):
         replace(s, weight_column=np.ones(3))
@@ -208,7 +208,8 @@ METHODS = ("rw", "rw-multi", "uis", "wis")
 
 def _per_walker(s) -> dict[int, list[tuple[int, float]]]:
     walks: dict[int, list[tuple[int, float]]] = {}
-    for v, w, k in zip(s.node_at, s.weight_at, s.walker_at):
+    node_at, weight_at, walker_at, _ = oracles.views(s)
+    for v, w, k in zip(node_at, weight_at, walker_at):
         walks.setdefault(k, []).append((v, w))
     return walks
 
@@ -221,10 +222,7 @@ def _assert_head(method, large, small):
         assert _per_walker(small) == {
             k: walk[:n // 4] for k, walk in walks.items()}
     else:
-        head = large.subset(range(n))
-        assert (small.node_at, small.weight_at, small.walker_at) \
-            == (head.node_at, head.weight_at, head.walker_at)
-        assert small.snapshots == head.snapshots
+        assert oracles.views(small) == oracles.views(large.subset(range(n)))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -260,6 +258,6 @@ def test_walk_matches_the_neighbor_tuple_reference(kind, seed, n):
     g = {"ba": lambda: barabasi_albert(300, 2, seed % 7),
          "ring": lambda: ring_of_cliques(5, 4),
          "grid": lambda: grid_2d(6, 9)}[kind]()
-    want = oracles.walk(g, n, seed)
-    assert sample_rw(g, n, seed).nodes() == want
-    assert sample_rw_multi(g, 1, n, [seed]).nodes() == want
+    want = tuple(oracles.walk(g, n, seed))
+    assert oracles.views(sample_rw(g, n, seed)).node_at == want
+    assert oracles.views(sample_rw_multi(g, 1, n, [seed])).node_at == want
