@@ -39,7 +39,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors, its subparsers' too, as one-line configuration errors."""
+    """Usage errors, its subparsers' too, as one-line configuration errors.
+    Flags are matched in full only: a prefix that works today would turn
+    ambiguous once a flag sharing it is added."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         # Unrecognized arguments are quoted raw: escape what breaks a line.

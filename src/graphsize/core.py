@@ -114,13 +114,13 @@ def pairwise_inverse_weight_sum(weights: Sequence[float]) -> float:
     Equals 0.5 * ((sum 1/w)^2 - sum 1/w^2); reciprocal sums use compensated
     summation because the terms can be heavy-tailed.
     """
-    return _inverse_pair_sum(_inverse_weights(np.asarray(weights,
-                                                         dtype=np.float64)))
+    inv = _inverse_weights(np.asarray(weights, dtype=np.float64))
+    return _inverse_pair_sum(inv, math.fsum(inv.tolist()))
 
 
-def _inverse_pair_sum(inv: np.ndarray) -> float:
-    """pairwise_inverse_weight_sum from checked inverse weights."""
-    s1 = math.fsum(inv.tolist())
+def _inverse_pair_sum(inv: np.ndarray, s1: float) -> float:
+    """pairwise_inverse_weight_sum from checked inverse weights and their
+    compensated sum ``s1``."""
     s2 = math.fsum((inv * inv).tolist())
     return 0.5 * (s1 * s1 - s2)
 

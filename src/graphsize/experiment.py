@@ -45,6 +45,9 @@ class SamplerSpec:
         if self.method == "rw-multi" and self.n % self.walkers:
             raise PlanError(f"rw-multi n ({self.n}) must be a multiple of "
                             f"walkers ({self.walkers})")
+        if self.method != "rw-multi" and self.walkers != 1:
+            raise PlanError(f"walkers ({self.walkers}) needs rw-multi "
+                            f"sampling, not {_excerpt(self.method)}")
 
 
 @dataclass(frozen=True)

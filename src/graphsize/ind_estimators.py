@@ -89,8 +89,9 @@ def inda_wis_ratio(s: Sample) -> RatioEstimate:
         raise EstimatorError("need at least 2 records")
     inv = _inverse_weights(s.weight_column)
     deg_over_w = math.fsum((s.degree_column * inv).tolist())
-    num = deg_over_w * _inverse_pair_sum(inv)
-    den = math.fsum(inv.tolist()) * _edge_pair_sum(s, inv)
+    inv_sum = math.fsum(inv.tolist())
+    num = deg_over_w * _inverse_pair_sum(inv, inv_sum)
+    den = inv_sum * _edge_pair_sum(s, inv)
     return RatioEstimate(num, den, 1.0)
 
 

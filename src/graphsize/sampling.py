@@ -42,15 +42,18 @@ class SamplingError(Exception):
 class Sample:
     """An ordered node sample and where it came from, over dense node ranks.
 
-    Rank r stands for the id ``ids[r]``, so ids may be arbitrarily large.
-    Position i holds the node of rank ``rank_column[i]``, its weight
-    ``weight_column[i]`` (float64) and its walker ``walker_column[i]``
-    (int64).  Snapshots are kept once per distinct node, as one CSR: row r,
-    ``entries[offsets[r]:offsets[r + 1]]``, holds the ranks that rank r's
-    snapshot names, and every sampled rank has a row.  The samplers and
-    :func:`read_sample` rank the sampled nodes first, then the ids only a
-    snapshot names, each in order of first appearance; :meth:`subset` keeps
-    its parent's ids and CSR.
+    Rank r stands for the id ``ids[r]``, a read-only array: int64, or
+    Python ints in an object array when an id is beyond int64 (a tuple
+    given here becomes one of these).  Position i holds the node of rank
+    ``rank_column[i]``, its weight ``weight_column[i]`` (float64) and its
+    walker ``walker_column[i]`` (int64).  Snapshots are kept once per
+    distinct node, as one CSR: row r, ``entries[offsets[r]:offsets[r + 1]]``,
+    holds the ranks that rank r's snapshot names, and every sampled rank has
+    a row.  The samplers and :func:`read_sample` rank the sampled nodes
+    first, then the ids only a snapshot names, each in order of first
+    appearance.  :meth:`subset` keeps its parent's ids and a prefix view of
+    its CSR, the rows up to the highest rank it holds, so the kernels on a
+    head of a sample cost what the head holds.
 
     Samples compare by identity.  The ``nodes()`` and ``degrees()`` lists
     remain only for ``bench/``, until it reads the columns.  The margin and
@@ -60,7 +63,7 @@ class Sample:
     :meth:`subset` or ``dataclasses.replace`` builds its own.
     """
 
-    ids: tuple[int, ...]
+    ids: np.ndarray
     rank_column: np.ndarray
     weight_column: np.ndarray
     walker_column: np.ndarray
@@ -76,7 +79,9 @@ class Sample:
         n = len(self.rank_column)
         if len(self.weight_column) != n or len(self.walker_column) != n:
             raise SamplingError("sample columns differ in length")
-        for column in (self.rank_column, self.weight_column,
+        if not isinstance(self.ids, np.ndarray):
+            object.__setattr__(self, "ids", _id_array(self.ids))
+        for column in (self.ids, self.rank_column, self.weight_column,
                        self.walker_column, self.offsets, self.entries):
             column.flags.writeable = False
 
@@ -91,18 +96,23 @@ class Sample:
         return degrees
 
     def nodes(self) -> list[int]:
-        return list(map(self.ids.__getitem__, self.rank_column.tolist()))
+        return self.ids[self.rank_column].tolist()
 
     def degrees(self) -> list[int]:
         return self.degree_column.tolist()
 
     def subset(self, positions: Sequence[int] | np.ndarray) -> Sample:
-        """The sample of the given positions, in that order; it shares this
-        sample's ids and snapshots."""
+        """The sample of the given positions, in that order.  It shares this
+        sample's ids, and views the CSR rows up to its highest rank: as
+        ranks follow first appearance, a head holds exactly its own rows."""
         index = np.asarray(positions, dtype=np.intp)
-        return replace(self, rank_column=self.rank_column[index],
+        ranks = self.rank_column[index]
+        rows = int(ranks.max()) + 1 if len(ranks) else 0
+        return replace(self, rank_column=ranks,
                        weight_column=self.weight_column[index],
-                       walker_column=self.walker_column[index])
+                       walker_column=self.walker_column[index],
+                       offsets=self.offsets[:rows + 1],
+                       entries=self.entries[:self.offsets[rows]])
 
     @cached_property
     def occurrences(self) -> Occurrences:
@@ -178,6 +188,15 @@ def _occurrences(ranks: np.ndarray, positions: np.ndarray, n: int,
     return Occurrences(keys, counts, first, last)
 
 
+def _id_array(ids: Sequence[int]) -> np.ndarray:
+    """Node ids as int64, or as Python ints in an object array when one is
+    beyond int64."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
+
+
 def _first_seen(values: np.ndarray, size: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct values by first appearance, each one's first index, and
@@ -219,7 +238,7 @@ def _drawn(g: Graph, nodes: np.ndarray, weights: np.ndarray,
     lengths = indptr[sampled + 1] - starts
     ids, _, ranks = _first_seen(np.concatenate(
         (sampled, indices[_ranges(starts, lengths)])), g.node_count)
-    return Sample(tuple(ids.tolist()), node_ranks, weights, walkers,
+    return Sample(ids, node_ranks, weights, walkers,
                   np.concatenate(([0], np.cumsum(lengths))),
                   ranks[len(sampled):], method, seed, rule, g.digest)
 
@@ -336,8 +355,8 @@ def write_sample(s: Sample, sink: IO[str], g: Graph | None = None) -> None:
     sink.write(f"{_HEADER_PREFIX}\tmethod={s.method}\tseed={s.seed}"
                f"\tweight_rule={s.weight_rule}\tgraph_digest={s.graph_digest}"
                f"\trng={s.rng_name}\tn={len(s)}\n")
-    names = list(map(str, s.ids if g is None
-                     else map(g.ext_ids.__getitem__, s.ids)))
+    names = list(map(str, (s.ids if g is None
+                           else g._ext_array[s.ids]).tolist()))
     bounds, ranks = s.offsets.tolist(), s.rank_column.tolist()
     entries = list(map(names.__getitem__, s.entries.tolist()))
     # Each distinct node's id, degree and snapshot are formatted once.
@@ -393,7 +412,7 @@ def read_sample(source: IO[str] | IO[bytes]) -> Sample:
         raise SamplingError("record count does not match header")
     del data  # rank the ids once the text and the parser's arrays are freed
     ids, _, ranks = _first_seen(np.concatenate((sampled, named)))
-    return Sample(tuple(ids.tolist()), *columns, ranks[len(sampled):],
+    return Sample(ids, *columns, ranks[len(sampled):],
                   meta["method"], seed, meta["weight_rule"],
                   meta["graph_digest"], rng_name=meta.get("rng", RNG_NAME))
 

@@ -244,6 +244,11 @@ def test_bad_generator_value_is_config_error(tmp_path, capsys, spec, message):
      "argument --estimator: invalid choice: 'bogus'"),
     (["sample", "--graph", "g.txt", "--method", "uis", "--n", "5", "-o",
       "s.tsv", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    # Flags are matched in full only, never by a prefix.
+    (["estimate", "--sam", "s.tsv", "--est", "node-uis"],
+     "the following arguments are required: --sample, --estimator"),
+    (["sample", "--graph", "g.txt", "--meth", "uis", "--n", "5", "-o",
+      "s.tsv"], "the following arguments are required: --method"),
     ([], "the following arguments are required: command"),
     (["plot"], "the following arguments are required: --csv, -o/--output"),
 ])
@@ -580,7 +585,8 @@ def test_estimate_flag_errors_precede_reading(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("flags", [
     ["--n", "0"], ["--walkers", "0", "--n", "9"], ["--walkers", "2"],
-    ["--walkers", "4", "--n", "3"]])
+    ["--walkers", "4", "--n", "3"], ["--method", "uis", "--walkers", "7"],
+    ["--method", "rw", "--walkers", "2"]])
 def test_sample_flag_errors_precede_loading_the_graph(tmp_path, capsys, flags):
     edges = tmp_path / "g.txt"
     run(capsys, "gen", "gen:grid:rows=3,cols=3", "-o", str(edges))
@@ -595,7 +601,8 @@ def test_sample_flag_errors_precede_loading_the_graph(tmp_path, capsys, flags):
 @pytest.mark.parametrize("line", [
     "values = 0,-5", "a_mode = bag", "n = abc", "trials = ten", "m = -1",
     "walkers = 0", "param = n\nvalues = 0,50",
-    "method = rw-multi\nwalkers = 2\nparam = n\nvalues = 50,51"])
+    "method = rw-multi\nwalkers = 2\nparam = n\nvalues = 50,51",
+    "walkers = 2"])
 def test_experiment_plan_errors_precede_building_the_graph(tmp_path, capsys,
                                                            line):
     plan = tmp_path / "plan.txt"

@@ -23,14 +23,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from graphsize.cli import main
-from graphsize.core import (MODE_MULTISET, MODE_SET, EstimatorError,
-                            count_induced_edges)
-from graphsize.experiment import SamplerSpec, _head
+from graphsize.core import (A_MODES, MODE_MULTISET, MODE_SET,
+                            EstimatorError, count_induced_edges)
+from graphsize.experiment import (ESTIMATORS, EstimatorSpec, SamplerSpec,
+                                  _head, draw_sample)
 from graphsize.generators import barabasi_albert
 from graphsize.ind_estimators import (inda_wis_ratio, indb_uis_ratio,
                                       indb_wis_ratio)
 from graphsize.node_estimators import (capture_recapture,
                                        capture_recapture_from_sample)
+from graphsize.rw_correction import ind_margin_ratio, margin_crosswalker
 from graphsize.sampling import (Sample, SamplingError, _first_seen,
                                 read_sample, sample_rw_multi, sample_wis,
                                 write_sample)
@@ -260,7 +262,9 @@ def test_derived_samples_share_the_parent_arrays():
     s = sample_rw_multi(g, 3, 20, [1, 2, 3])
     spec = SamplerSpec("rw-multi", 60, 3)
     for derived in (s.subset(np.arange(0, 60, 7)), _head(s, spec, 30)):
-        assert derived.ids is s.ids and derived.entries is s.entries
+        assert derived.ids is s.ids
+        assert np.shares_memory(derived.offsets, s.offsets)
+        assert np.shares_memory(derived.entries, s.entries)
         snapshots = oracles.views(s).snapshots
         assert oracles.views(derived).snapshots == {
             v: snapshots[v] for v in oracles.views(derived).node_at}
@@ -269,6 +273,71 @@ def test_derived_samples_share_the_parent_arrays():
     back = read_sample(io.StringIO(buf.getvalue()))
     assert oracles.views(back).node_at \
         == tuple(g.ext_ids[v] for v in oracles.views(s).node_at[::-1])
+
+
+def _answers(s, seed):
+    """Every estimator's ratio or outcome on ``s``, and the margin and
+    cross-walker kernels', as reprs (exact for floats), or the error."""
+    def answer(call, *args):
+        try:
+            return repr(call(s, *args))
+        except EstimatorError as exc:
+            return f"error: {exc}"
+
+    calls = [(ESTIMATORS[name].estimate, EstimatorSpec(name, a_mode=mode),
+              seed) for name in ESTIMATORS for mode in A_MODES]
+    calls += [(ind_margin_ratio, m, mode) for m in (0, 1, 3)
+              for mode in A_MODES]
+    calls += [(margin_crosswalker, base, mode) for base in ("node", "ind")
+              for mode in A_MODES]
+    return [answer(*call) for call in calls]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["uis", "wis", "rw", "rw-multi"]),
+       st.integers(0, 2**16), st.integers(0, 2**32), st.integers(1, 12))
+def test_trimmed_heads_give_the_untrimmed_answers(method, graph_seed, seed,
+                                                  per_walker):
+    """A head views the rows up to its highest rank, which, ranks following
+    first appearance, are all its snapshots; every kernel on it agrees bit
+    for bit with the same head over its parent's whole CSR."""
+    g = barabasi_albert(60, 2, seed=graph_seed)
+    walkers = 3 if method == "rw-multi" else 1
+    spec = SamplerSpec(method, walkers * per_walker, walkers)
+    s = draw_sample(g, spec, seed)
+    for k in range(1, len(s) + 1):
+        heads = [s.subset(range(k))]
+        if k % walkers == 0:
+            heads.append(_head(s, spec, k))
+        for head in heads:
+            rows = int(head.rank_column.max()) + 1
+            assert len(head.offsets) - 1 == rows
+            assert len(head.entries) == s.offsets[rows]
+            assert np.shares_memory(head.offsets, s.offsets)
+            assert np.shares_memory(head.entries, s.entries)
+            whole = replace(head, offsets=s.offsets, entries=s.entries)
+            assert _answers(head, seed) == _answers(whole, seed)
+
+
+@pytest.mark.parametrize("shift", [0, 2**63, -2**64])
+def test_ids_beyond_int64_round_trip_as_an_object_array(shift):
+    """Tuple ids become a read-only array, int64 where they fit and object
+    otherwise, and survive a write and read in that form."""
+    snapshots = {7 + shift: (9 + shift, 8 + shift), 8 + shift: (7 + shift,)}
+    s = oracles.sample_from_snapshots((7 + shift, 8 + shift, 7 + shift),
+                                      (1.0, 2.0, 1.0), (0, 0, 0), snapshots,
+                                      "RW", 0, "degree", "x")
+    dtype = np.int64 if shift == 0 else object
+    assert s.ids.dtype == dtype
+    assert s.ids.tolist() == [7 + shift, 8 + shift, 9 + shift]
+    with pytest.raises(ValueError, match="read-only"):
+        s.ids[0] = 1
+    assert s.nodes() == [7 + shift, 8 + shift, 7 + shift]
+    buf = io.StringIO()
+    write_sample(s, buf)
+    back = read_sample(io.StringIO(buf.getvalue()))
+    assert back.ids.dtype == dtype and not back.ids.flags.writeable
+    assert oracles.same_sample(back, s)
 
 
 def test_samples_compare_by_identity():

@@ -178,16 +178,17 @@ def test_sample_keeps_one_snapshot_per_distinct_node(k5):
     s = oracles.sample_from_snapshots((3, 1, 3, 0), (1.0,) * 4, (0,) * 4,
                                       snapshots, "UIS", 0, "unit", k5.digest)
     # One CSR row per distinct sampled node, in order of first appearance.
-    assert s.ids[:3] == (3, 1, 0) and len(s.offsets) == 4
+    assert s.ids[:3].tolist() == [3, 1, 0] and len(s.offsets) == 4
     assert list(oracles.views(s).snapshots) == [3, 1, 0]
     assert s.degree_column.tolist() == [4, 4, 4, 4]
-    for column in (s.rank_column, s.offsets, s.entries, s.degree_column):
+    for column in (s.ids, s.rank_column, s.offsets, s.entries,
+                   s.degree_column):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 2
     tail = s.subset([3, 1])
     assert oracles.views(tail).node_at == (0, 1)
     assert list(oracles.views(tail).snapshots) == [0, 1]
-    assert tail.ids is s.ids and tail.entries is s.entries
+    assert tail.ids is s.ids and np.shares_memory(tail.entries, s.entries)
     with pytest.raises(SamplingError, match="differ in length"):
         replace(s, weight_column=np.ones(3))
 
