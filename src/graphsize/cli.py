@@ -9,8 +9,12 @@ estimator that rejects its sample raises EstimatorError, a data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import secrets
+import stat
 import sys
 
 from .core import A_MODES, MODE_SET, EstimatorError
@@ -108,11 +112,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_graphstat(args) -> int:
     g = resolve_graph(args.graph)
-    stats = exact_stats(g)
     print(f"nodes: {g.node_count}")
     print(f"edges: {g.edge_count}")
-    print(f"mean_degree: {stats.mean_degree:.6g}")
-    print(f"density: {stats.density:.6g}")
+    print(f"mean_degree: {2 * g.edge_count / g.node_count:.6g}")
+    if g.node_count > 1:
+        print(f"density: {exact_stats(g).density:.6g}")
     if g.edge_count:
         residual = abs(size_identity(g) - g.node_count) / g.node_count
         print(f"size_identity_residual: {residual:.3e}")
@@ -126,9 +130,41 @@ def _cmd_graphstat(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _output(path: str, newline: str | None = None):
+    """A text handle on a new file beside ``path``, opened before the work
+    that fills it.  If the block succeeds the file replaces ``path``, and
+    if it fails the file is removed, so ``path`` is never half written.  It
+    gets the mode ``open(path, "w")`` would leave: the replaced file's, or
+    0o666 less the umask.  A symbolic link is written through, as open()
+    writes, and a path that exists but is no regular file (a pipe or a
+    terminal, such as /dev/stdout) is written directly."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    temp = os.path.join(head, f".{name}.{secrets.token_hex(6)}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the output, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
+
+
 def _cmd_gen(args) -> int:
-    g = resolve_graph(args.spec)
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with _output(args.output) as fh:
+        g = resolve_graph(args.spec)
         write_edge_list(g, fh)
     print(f"wrote {g.node_count} nodes, {g.edge_count} edges to {args.output}")
     return 0
@@ -143,12 +179,12 @@ def _cmd_sample(args) -> int:
     spec = SamplerSpec(method=args.method, n=args.n, walkers=args.walkers,
                        weight_rule=args.weight_rule)
     _check_seed(args.seed)
-    g = resolve_graph(args.graph)
-    if args.lcc:
-        g = largest_connected_component(g)
-    s = draw_sample(g, spec, args.seed)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        write_sample(s, fh, g)
+    with _output(args.output) as fh:
+        g = resolve_graph(args.graph)
+        if args.lcc:
+            g = largest_connected_component(g)
+        s = draw_sample(g, spec, args.seed)
+        write_sample(s, fh)
     print(f"wrote {len(s)} records to {args.output}")
     return 0
 
@@ -176,20 +212,18 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.plan, "r", encoding="utf-8") as fh:
-        plan = parse_plan_file(fh.read())
-    summaries = run_experiment(plan)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(emit_csv(summaries))
+    with _output(args.output, newline="") as out:
+        with open(args.plan, "r", encoding="utf-8") as fh:
+            plan = parse_plan_file(fh.read())
+        summaries = run_experiment(plan)
+        out.write(emit_csv(summaries))
     print(f"wrote {len(summaries)} rows to {args.output}")
     return 0
 
 
 def _cmd_plot(args) -> int:
-    summaries = _read_csv(args.csv)
-    svg = emit_svg_band(summaries, xlabel=args.xlabel)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg)
+    with _output(args.output, newline="") as fh:
+        fh.write(emit_svg_band(_read_csv(args.csv), xlabel=args.xlabel))
     print(f"wrote {args.output}")
     return 0
 

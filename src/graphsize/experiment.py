@@ -140,6 +140,16 @@ def check_spec(method: str | None, est: EstimatorSpec, param: str = "n") -> None
     if param not in ("n", correction.param):
         raise PlanError(f"grid parameter {_excerpt(param)} is neither n nor "
                         f"swept by correction {_excerpt(est.correction)}")
+    # A parameter set where nothing reads it would be echoed as if applied.
+    if est.theta != 1 and correction.param != "theta":
+        raise PlanError(f"theta ({est.theta}) is read only by correction "
+                        "thin or thin-shifted")
+    if est.m != 0 and correction.param != "m":
+        raise PlanError(f"margin m ({est.m}) is read only by correction "
+                        "margin")
+    if est.a_mode != MODE_SET and est.name != "ind-b":
+        raise PlanError(f"auxiliary mode {est.a_mode} is read only by "
+                        "estimator ind-b")
 
 
 def _check_plan(sampler: SamplerSpec, est: EstimatorSpec, param: str,

@@ -76,36 +76,35 @@ class Graph:
 
     Nodes carry two identities: the external 64-bit id from the input, and a
     dense index in [0, N) used everywhere internally.  Dense indices are
-    assigned in increasing external-id order, so loading is deterministic.
+    assigned in increasing external-id order, so loading is deterministic:
+    ``ext_ids`` is the read-only uint64 array of the ids, sorted.
     ``indptr`` and ``indices`` are the adjacency as a CSR (see the module
     docstring); the graph keeps them read-only.
     """
 
-    __slots__ = ("_indptr", "_indices", "_ext_array", "_ext_ids",
-                 "load_report", "__dict__")
+    __slots__ = ("_indptr", "_indices", "ext_ids", "load_report", "__dict__")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  ext_ids: Iterable[int] | np.ndarray,
                  load_report: LoadReport | None = None):
-        self._ext_array = _node_ids(ext_ids).copy()
-        self._ext_ids: tuple[int, ...] = tuple(self._ext_array.tolist())
-        if len(indptr) != len(self._ext_ids) + 1:
+        self.ext_ids = _node_ids(ext_ids).copy()
+        if len(indptr) != len(self.ext_ids) + 1:
             raise GraphError("adjacency and id map length mismatch")
-        if not self._ext_ids:
+        if not len(self.ext_ids):
             raise GraphError("empty graph")
         # Dense indices follow the ids: an edge's smaller end has the
         # smaller id (_edge_array).
-        unsorted = np.flatnonzero(self._ext_array[1:] <= self._ext_array[:-1])
+        unsorted = np.flatnonzero(self.ext_ids[1:] <= self.ext_ids[:-1])
         if unsorted.size:
             v = int(unsorted[0]) + 1
-            raise GraphError(f"external id {self._ext_ids[v]} at dense index "
+            raise GraphError(f"external id {self.ext_ids[v]} at dense index "
                              f"{v} does not exceed its predecessor")
         self._indptr = np.array(indptr, dtype=np.int64)
         self._indices = np.array(indices, dtype=np.int64)
         if (self._indptr[0] != 0 or self._indptr[-1] != len(self._indices)
                 or (np.diff(self._indptr) < 0).any()):
             raise GraphError("indptr does not delimit the indices")
-        for array in (self._ext_array, self._indptr, self._indices):
+        for array in (self.ext_ids, self._indptr, self._indices):
             array.flags.writeable = False
         self.load_report = load_report
         self._validate()
@@ -144,7 +143,7 @@ class Graph:
         id first, in (vertex, position) order of its smaller end."""
         owner = self._owners()
         upper = owner < self._indices
-        ext = self._ext_array
+        ext = self.ext_ids
         return np.stack((ext[owner[upper]], ext[self._indices[upper]]),
                         axis=1)
 
@@ -171,15 +170,11 @@ class Graph:
 
     @property
     def node_count(self) -> int:
-        return len(self._ext_ids)
+        return len(self.ext_ids)
 
     @property
     def edge_count(self) -> int:
         return len(self._indices) // 2
-
-    @property
-    def ext_ids(self) -> tuple[int, ...]:
-        return self._ext_ids
 
     # -- derived, cached ---------------------------------------------------
 
@@ -189,16 +184,13 @@ class Graph:
         return self._indptr, self._indices
 
     @cached_property
-    def adjacency_lists(self) -> tuple[list[int], list[int]]:
-        """The CSR as Python lists, for the one loop that steps node by
-        node, ``sampling._walk``; the indices share one int object per
-        node."""
+    def adjacency_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """The CSR and the degrees as Python lists, for the one loop that
+        steps node by node, ``sampling._walk``; the indices share one int
+        object per node."""
         shared = np.arange(self.node_count).astype(object)
-        return self._indptr.tolist(), shared[self._indices].tolist()
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(np.diff(self._indptr).tolist())
+        return (self._indptr.tolist(), shared[self._indices].tolist(),
+                np.diff(self._indptr).tolist())
 
     @cached_property
     def degree_weights(self) -> np.ndarray:
@@ -211,25 +203,22 @@ class Graph:
     @cached_property
     def digest(self) -> str:
         """Stable hash of the graph content (external-id edge list)."""
-        h = hashlib.sha256(self._ext_array.astype("<u8").tobytes())
+        h = hashlib.sha256(self.ext_ids.astype("<u8").tobytes())
         h.update(self._edge_array().astype("<u8", copy=False).tobytes())
         return h.hexdigest()[:16]
 
     @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components as sorted dense-index tuples, in order of
-        their smallest members."""
-        n = self.node_count
-        root = _component_roots(self._owners(), self._indices, n)
-        order = np.argsort(root, kind="stable")
-        bounds = np.flatnonzero(np.diff(root[order], prepend=-1,
-                                        append=n)).tolist()
-        members = order.tolist()
-        return tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
+    def component_roots(self) -> np.ndarray:
+        """Each node's component, as the read-only int64 array of its
+        smallest member's dense index."""
+        roots = _component_roots(self._owners(), self._indices,
+                                 self.node_count)
+        roots.flags.writeable = False
+        return roots
 
     @property
     def is_connected(self) -> bool:
-        return len(self.components) == 1
+        return not self.component_roots.any()
 
 
 def _component_roots(owner: np.ndarray, neighbor: np.ndarray,
@@ -419,9 +408,10 @@ def largest_connected_component(g: Graph) -> Graph:
     """
     if g.is_connected:
         return g
-    # A component's first member has its smallest external id.
-    best = max(g.components, key=lambda comp: (len(comp), -comp[0]))
-    members = g._ext_array[list(best)]
+    # The first largest component has the smallest root, and a component's
+    # root has its smallest external id.
+    roots = g.component_roots
+    members = g.ext_ids[roots == np.bincount(roots).argmax()]
     edges = g._edge_array()
     # An edge lies inside one component, so its smaller end decides.
     return Graph.from_edges(edges[np.isin(edges[:, 0], members)],
@@ -436,9 +426,10 @@ def exact_stats(g: Graph) -> GraphStats:
     n = g.node_count
     if n < 2:
         raise GraphError("density undefined for N < 2")
-    degs = g.degrees
-    mean_k = sum(degs) / n
-    mean_k2 = sum(d * d for d in degs) / n
+    # Exact int64 sums, so each mean is one correctly rounded division.
+    degs = np.diff(g.adjacency_arrays[0])
+    mean_k = int(degs.sum()) / n
+    mean_k2 = int((degs * degs).sum()) / n
     density = 2 * g.edge_count / (n * (n - 1))
     return GraphStats(mean_k, mean_k2, density)
 

@@ -42,11 +42,12 @@ class SamplingError(Exception):
 class Sample:
     """An ordered node sample and where it came from, over dense node ranks.
 
-    Rank r stands for the id ``ids[r]``, a read-only array: int64, or
-    Python ints in an object array when an id is beyond int64 (a tuple
-    given here becomes one of these).  Position i holds the node of rank
-    ``rank_column[i]``, its weight ``weight_column[i]`` (float64) and its
-    walker ``walker_column[i]`` (int64).  Snapshots are kept once per
+    Rank r stands for the node id ``ids[r]``, its graph's external id in a
+    drawn sample, a read-only array: int64, or Python ints in an object
+    array when an id is beyond int64 (a tuple given here becomes one of
+    these).  Position i holds the node of rank ``rank_column[i]``, its
+    weight ``weight_column[i]`` (float64) and its walker
+    ``walker_column[i]`` (int64).  Snapshots are kept once per
     distinct node, as one CSR: row r, ``entries[offsets[r]:offsets[r + 1]]``,
     holds the ranks that rank r's snapshot names, and every sampled rank has
     a row.  The samplers and :func:`read_sample` rank the sampled nodes
@@ -231,13 +232,18 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray,
 
 def _drawn(g: Graph, nodes: np.ndarray, weights: np.ndarray,
            walkers: np.ndarray, method: str, seed: int, rule: str) -> Sample:
-    """A sample of dense node indices, each with the graph's snapshot."""
+    """The sample of the given dense node indices, each with the graph's
+    snapshot; it names the nodes by external id."""
     sampled, _, node_ranks = _first_seen(nodes, g.node_count)
     indptr, indices = g.adjacency_arrays
     starts = indptr[sampled]
     lengths = indptr[sampled + 1] - starts
-    ids, _, ranks = _first_seen(np.concatenate(
+    dense, _, ranks = _first_seen(np.concatenate(
         (sampled, indices[_ranges(starts, lengths)])), g.node_count)
+    ids = g.ext_ids[dense]
+    # The ids are sorted, so the last one decides whether all fit in int64.
+    ids = (ids.view(np.int64) if g.ext_ids[-1] < 2**63
+           else ids.astype(object))
     return Sample(ids, node_ranks, weights, walkers,
                   np.concatenate(([0], np.cumsum(lengths))),
                   ranks[len(sampled):], method, seed, rule, g.digest)
@@ -308,8 +314,7 @@ def _walk(g: Graph, n: int, seed: int) -> list[int]:
     rng = np.random.default_rng(seed)
     current = int(rng.integers(g.node_count))
     uniforms = rng.random(n - 1)
-    indptr, indices = g.adjacency_lists
-    degrees = g.degrees
+    indptr, indices, degrees = g.adjacency_lists
     nodes = [current]
     for u in uniforms.tolist():
         current = indices[indptr[current] + int(u * degrees[current])]
@@ -341,22 +346,21 @@ def sample_rw_multi(g: Graph, walkers: int, per_walk: int,
 # -- sample file format ----------------------------------------------------
 #
 # One metadata header line, then one record per position:
-#   position \t external-node-id \t degree \t weight \t walker \t n1,n2,...
-# Node ids in record lines are external ids when a graph is supplied for
-# writing, otherwise the sample's own ids.  A node's records repeat its one
-# snapshot.
+#   position \t node-id \t degree \t weight \t walker \t n1,n2,...
+# Node ids are the sample's ids, which are external ids for a drawn sample.
+# A node's records repeat its one snapshot.
 
 _HEADER_PREFIX = "graphsize-sample v1"
 _HEADER_KEYS = ("method", "seed", "weight_rule", "graph_digest", "n")
 
 
-def write_sample(s: Sample, sink: IO[str], g: Graph | None = None) -> None:
-    """Write the line-oriented sample format (bit-exact, documented above)."""
+def write_sample(s: Sample, sink: IO[str]) -> None:
+    """Write the line-oriented sample format (bit-exact, documented above);
+    :func:`read_sample` gives the sample back."""
     sink.write(f"{_HEADER_PREFIX}\tmethod={s.method}\tseed={s.seed}"
                f"\tweight_rule={s.weight_rule}\tgraph_digest={s.graph_digest}"
                f"\trng={s.rng_name}\tn={len(s)}\n")
-    names = list(map(str, (s.ids if g is None
-                           else g._ext_array[s.ids]).tolist()))
+    names = list(map(str, s.ids.tolist()))
     bounds, ranks = s.offsets.tolist(), s.rank_column.tolist()
     entries = list(map(names.__getitem__, s.entries.tolist()))
     # Each distinct node's id, degree and snapshot are formatted once.

@@ -14,15 +14,17 @@ def graph_from_text(text: str) -> Graph:
 
 def make_sample(g: Graph, ext_nodes, weights=None, method="WIS",
                 walkers=None, weight_rule="custom") -> Sample:
-    """Hand-built sample over a real graph, nodes given by external id."""
-    nodes = [oracles.dense_index(g, ext) for ext in ext_nodes]
-    n = len(nodes)
+    """Hand-built sample over a real graph, nodes given and named by
+    external id, as a drawn sample names them."""
+    ext = oracles.ext_ids(g)
+    n = len(ext_nodes)
     return oracles.sample_from_snapshots(
-        tuple(nodes),
+        tuple(ext_nodes),
         (1.0,) * n if weights is None else tuple(map(float, weights)),
         (0,) * n if walkers is None else tuple(walkers),
-        {v: oracles.neighbors(g, v) for v in nodes}, method, seed=0,
-        weight_rule=weight_rule, graph_digest=g.digest)
+        {v: tuple(ext[u] for u in oracles.neighbors(
+            g, oracles.dense_index(g, v))) for v in ext_nodes},
+        method, seed=0, weight_rule=weight_rule, graph_digest=g.digest)
 
 
 @pytest.fixture

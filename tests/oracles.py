@@ -49,6 +49,16 @@ def snapshots_at(sample) -> list:
     return [v.snapshots[x] for x in v.node_at]
 
 
+def ext_ids(g) -> tuple:
+    """The external id of each dense index, as Python ints."""
+    return tuple(g.ext_ids.tolist())
+
+
+def degrees(g) -> tuple:
+    """The degree of each dense index, read off the CSR."""
+    return tuple(np.diff(g.adjacency_arrays[0]).tolist())
+
+
 def neighbors(g, v: int) -> tuple:
     """The dense neighbor indices of node v, read off the CSR."""
     indptr, indices = g.adjacency_arrays
@@ -61,7 +71,7 @@ def has_edge(g, u: int, v: int) -> bool:
 
 def dense_index(g, ext: int) -> int:
     """The dense index of the external id ``ext``; ValueError if absent."""
-    return g.ext_ids.index(ext)
+    return ext_ids(g).index(ext)
 
 
 def _arrays(sample):
@@ -347,7 +357,9 @@ def adjacency(g):
 
 
 def components(g):
-    """Breadth-first ``Graph.components``: the array version's reference."""
+    """The connected components as sorted dense-index tuples, in order of
+    their smallest members, found breadth first: the reference of
+    ``Graph.component_roots``."""
     from collections import deque
 
     seen = [False] * g.node_count
@@ -367,6 +379,15 @@ def components(g):
                     queue.append(u)
         out.append(tuple(sorted(comp)))
     return tuple(out)
+
+
+def component_roots(g) -> list:
+    """Each node's smallest component member, from :func:`components`."""
+    roots = [0] * g.node_count
+    for comp in components(g):
+        for v in comp:
+            roots[v] = comp[0]
+    return roots
 
 
 def erdos_renyi(n, p, seed):
@@ -436,7 +457,7 @@ def largest_connected_component(g):
     comps = components(g)
     if len(comps) == 1:
         return g
-    ext = g.ext_ids
+    ext = ext_ids(g)
     best = max(comps, key=lambda comp: (len(comp), -min(ext[v] for v in comp)))
     keep = set(best)
     edges = [(ext[v], ext[u]) for v in best for u in neighbors(g, v)

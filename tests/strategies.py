@@ -21,7 +21,7 @@ ALPHABET = "0123456789.,-=e:#\t\n "
 def _sample_text() -> str:
     g = largest_connected_component(erdos_renyi(12, 0.4, seed=1))
     sink = io.StringIO()
-    write_sample(sample_rw_multi(g, 2, 8, seeds=[1, 2]), sink, g)
+    write_sample(sample_rw_multi(g, 2, 8, seeds=[1, 2]), sink)
     return sink.getvalue()
 
 

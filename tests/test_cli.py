@@ -1,9 +1,16 @@
 import json
+import os
 import re
+import resource
+import signal
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
+import graphsize
 from graphsize.cli import main
 from graphsize.graph import _excerpt
 
@@ -24,6 +31,102 @@ def test_gen_and_graphstat(tmp_path, capsys):
     assert code == 0
     assert "nodes: 200" in out
     assert "size_identity_residual" in out
+
+
+def test_graphstat_on_one_node(capsys):
+    # Density needs two nodes; the other statistics are printed.
+    code, out, err = run(capsys, "graphstat", "gen:grid:rows=1,cols=1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:3] == ["nodes: 1", "edges: 0", "mean_degree: 0"]
+    assert "density" not in out and "size_identity_residual" not in out
+
+
+def _run_with_file_size_limit(argv, limit):
+    """The exit code and stderr of graphsize run in a child process whose
+    writes past ``limit`` bytes of a file fail (EFBIG)."""
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    src = str(Path(graphsize.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "graphsize.cli", *argv], capture_output=True,
+        text=True, preexec_fn=limit_file_size, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("command", ["gen", "sample", "experiment", "plot"])
+def test_a_failed_write_leaves_the_previous_output(tmp_path, capsys,
+                                                   command):
+    edges, plan, csv = (tmp_path / name for name in ("g.txt", "plan", "x.csv"))
+    run(capsys, "gen", "gen:grid:rows=5,cols=5", "-o", str(edges))
+    plan.write_text(f"graph = {edges}\nmethod = uis\nn = 40\n"
+                    "estimator = node-uis\nparam = n\nvalues = 10,20,40\n"
+                    "trials = 3\n")
+    run(capsys, "experiment", "--plan", str(plan), "-o", str(csv))
+    argv = {"gen": ["gen", "gen:grid:rows=5,cols=5"],
+            "sample": ["sample", "--graph", str(edges), "--method", "uis",
+                       "--n", "50"],
+            "experiment": ["experiment", "--plan", str(plan)],
+            "plot": ["plot", "--csv", str(csv)]}[command]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "result").write_text("previous\n")
+    # Every output is longer than the limit, so its write fails midway.
+    code, err = _run_with_file_size_limit(argv + ["-o", str(out / "result")],
+                                          limit=64)
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert (out / "result").read_text() == "previous\n"
+    assert os.listdir(out) == ["result"]
+    # Unlimited, the output replaces the file and keeps its mode.
+    (out / "result").chmod(0o640)
+    assert main(argv + ["-o", str(out / "result")]) == 0
+    assert (out / "result").read_text() != "previous\n"
+    assert (out / "result").stat().st_mode & 0o777 == 0o640
+    assert os.listdir(out) == ["result"]
+
+
+def test_a_new_output_gets_the_mode_that_open_gives(tmp_path, capsys):
+    umask = os.umask(0o027)
+    try:
+        assert main(["gen", "gen:grid:rows=2,cols=2", "-o",
+                     str(tmp_path / "g.txt")]) == 0
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "g.txt").stat().st_mode & 0o777 == 0o640
+
+
+def test_outputs_through_a_link_or_to_a_pipe(tmp_path):
+    # A link is written through, as open() writes; /dev/stdout (a pipe
+    # here) is written directly, since it has no file to replace.
+    (tmp_path / "real.txt").write_text("previous\n")
+    (tmp_path / "link.txt").symlink_to(tmp_path / "real.txt")
+    assert main(["gen", "gen:grid:rows=1,cols=2", "-o",
+                 str(tmp_path / "link.txt")]) == 0
+    assert (tmp_path / "link.txt").is_symlink()
+    assert (tmp_path / "real.txt").read_text() == "0 1\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+    src = str(Path(graphsize.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "graphsize.cli", "gen", "gen:grid:rows=1,cols=2",
+         "-o", "/dev/stdout"], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout) == (0, "0 1\nwrote 2 nodes, 1 edges "
+                                              "to /dev/stdout\n")
+
+
+def test_a_missing_output_directory_fails_before_the_graph_loads(tmp_path,
+                                                                 capsys):
+    # The graph file is missing too; the output's error comes first.
+    missing = tmp_path / "nowhere" / "s.tsv"
+    code, out, err = run(capsys, "sample", "--graph",
+                         str(tmp_path / "missing.txt"), "--method", "uis",
+                         "--n", "5", "-o", str(missing))
+    assert code == 3 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: " \
+                  f"'{missing}'\n"
 
 
 def test_graphstat_warns_on_disconnected(tmp_path, capsys):
@@ -572,6 +675,14 @@ def test_estimate_rejects_unknown_sample_method(tmp_path, capsys, method):
     ["--estimator", "ind-b", "--correction", "thin-shifted", "--theta", "-2"],
     ["--estimator", "ind-b", "--correction", "margin", "--margin", "-1"],
     ["--estimator", "node-uis", "--correction", "margin"],
+    # A parameter that nothing in the configuration reads.
+    ["--estimator", "node-uis", "--theta", "5"],
+    ["--estimator", "ind-b", "--correction", "margin", "--theta", "2"],
+    ["--estimator", "node-uis", "--margin", "3"],
+    ["--estimator", "ind-b", "--correction", "thin", "--margin", "3"],
+    ["--estimator", "node-uis", "--a-mode", "multiset"],
+    ["--estimator", "node-wis", "--correction", "margin", "--a-mode",
+     "multiset"],
 ])
 def test_estimate_flag_errors_precede_reading(tmp_path, capsys, flags):
     # Configuration errors exit 2 whether or not the sample file exists.
@@ -602,7 +713,8 @@ def test_sample_flag_errors_precede_loading_the_graph(tmp_path, capsys, flags):
     "values = 0,-5", "a_mode = bag", "n = abc", "trials = ten", "m = -1",
     "walkers = 0", "param = n\nvalues = 0,50",
     "method = rw-multi\nwalkers = 2\nparam = n\nvalues = 50,51",
-    "walkers = 2"])
+    "walkers = 2", "theta = 3", "estimator = node-wis\na_mode = multiset",
+    "correction = none\nparam = n\nvalues = 10\nm = 4"])
 def test_experiment_plan_errors_precede_building_the_graph(tmp_path, capsys,
                                                            line):
     plan = tmp_path / "plan.txt"

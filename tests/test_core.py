@@ -23,7 +23,7 @@ def _multiplicity_sample():
     # one node three times, one twice, six singletons: n=11, 8 unique
     g = erdos_renyi(10, 0.3, seed=1)
     nodes = [0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7]
-    ext = [g.ext_ids[v] for v in nodes]
+    ext = [oracles.ext_ids(g)[v] for v in nodes]
     return make_sample(g, ext, method="UIS")
 
 

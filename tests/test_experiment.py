@@ -15,6 +15,8 @@ from graphsize.generators import barabasi_albert, erdos_renyi
 from graphsize.graph import largest_connected_component
 from graphsize.sampling import _resolve_weights, sample_wis
 
+import oracles
+
 
 def _plan(**overrides):
     defaults = dict(graph=erdos_renyi(100, 0.1, seed=1),
@@ -139,12 +141,11 @@ def test_n_grid_draws_once_per_trial(monkeypatch):
 
 def test_weight_tables_are_read_only_and_built_once_per_graph():
     g = barabasi_albert(200, 2, seed=3)
-    assert g.degrees is g.degrees
     table = g.degree_weights
     assert table.flags.writeable is False
     with pytest.raises(ValueError):
         table[0] = 1.0
-    assert table.tolist() == list(g.degrees)
+    assert table.tolist() == list(oracles.degrees(g))
     for seed in range(3):
         sample_wis(g, "degree", 10, seed)
         assert g.degree_weights is table

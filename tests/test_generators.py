@@ -47,7 +47,7 @@ def test_ba_counts():
     assert g.node_count == n
     # path of m nodes, then m edges per new node (duplicates avoided by design)
     assert g.edge_count == (m - 1) + (n - m) * m
-    assert min(g.degrees) >= 1
+    assert min(oracles.degrees(g)) >= 1
 
 
 def test_ba_rejects_bad_params():
@@ -66,7 +66,7 @@ def test_hub_of_cliques():
     g = hub_of_cliques(6, 5)
     assert g.node_count == 31
     hub = oracles.dense_index(g, 30)
-    assert g.degrees[hub] == 6
+    assert oracles.degrees(g)[hub] == 6
     assert g.is_connected
 
 
@@ -75,7 +75,7 @@ def test_grid_2d():
     assert g.node_count == 900
     assert g.edge_count == 2 * 30 * 29
     assert g.is_connected
-    degs = sorted(set(g.degrees))
+    degs = sorted(set(oracles.degrees(g)))
     assert degs == [2, 3, 4]
 
 
@@ -86,7 +86,7 @@ def test_grid_rejects_non_positive():
 
 def _same_graph(got, want):
     assert oracles.adjacency(got) == oracles.adjacency(want)
-    assert got.ext_ids == want.ext_ids
+    assert oracles.ext_ids(got) == oracles.ext_ids(want)
     assert got.edge_count == want.edge_count
     assert got.load_report == want.load_report
     assert got.digest == want.digest

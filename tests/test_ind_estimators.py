@@ -51,7 +51,7 @@ def test_inda_exact_recovery_property():
         g = erdos_renyi(25, 0.2, seed=seed)
         if g.edge_count == 0:
             continue
-        s = make_sample(g, list(g.ext_ids), method="UIS")
+        s = make_sample(g, list(oracles.ext_ids(g)), method="UIS")
         assert inda_uis_ratio(s).outcome().value \
             == pytest.approx(g.node_count, rel=1e-9)
 

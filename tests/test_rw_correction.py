@@ -194,7 +194,7 @@ def test_node_margin_zero_equals_closed_form():
     import math
     g = erdos_renyi(30, 0.2, seed=8)
     for weights in (None, [0.5, 2.0, 2.0, 1.0, 4.0, 0.25, 2.0, 8.0]):
-        ext = [g.ext_ids[v] for v in [0, 1, 1, 2, 5, 5, 2, 9]]
+        ext = [oracles.ext_ids(g)[v] for v in [0, 1, 1, 2, 5, 5, 2, 9]]
         s = make_sample(g, ext, weights=weights)
         nodes, w, _, _ = oracles.views(s)
         ncol = 0

@@ -20,7 +20,7 @@ from conftest import graph_from_text
 def test_uis_single_node_graph():
     g = graph_from_text("7 7\n")  # lone node via self-loop drop
     s = sample_uis(g, 5, seed=0)
-    assert oracles.views(s).node_at == (0,) * 5
+    assert oracles.views(s).node_at == (7,) * 5
     assert oracles.views(s).weight_at == (1.0,) * 5
 
 
@@ -85,9 +85,10 @@ def test_rw_consecutive_nodes_adjacent():
         g = largest_connected_component(g)
     s = sample_rw(g, 500, seed=2)
     node_at, weight_at, _, snapshots = oracles.views(s)
+    degrees = oracles.degrees(g)
     for a, b, w in zip(node_at, node_at[1:], weight_at):
         assert b in snapshots[a]
-        assert w == len(snapshots[a]) == g.degrees[a]
+        assert w == len(snapshots[a]) == degrees[oracles.dense_index(g, a)]
 
 
 def test_rw_next_step_uniform_on_path(path3):
@@ -107,9 +108,9 @@ def test_rw_visits_proportional_to_degree():
     n = 200_000
     s = sample_rw(g, n, seed=7)
     counts = np.bincount(oracles.views(s).node_at, minlength=g.node_count)
-    total_deg = sum(g.degrees)
-    for v in range(g.node_count):
-        expected = g.degrees[v] / total_deg
+    degrees = oracles.degrees(g)
+    for v in range(g.node_count):  # ring_of_cliques ids are 0..N-1
+        expected = degrees[v] / sum(degrees)
         assert abs(counts[v] / n - expected) < 0.1 * expected
 
 
@@ -143,20 +144,30 @@ def test_rw_multi_seed_count_checked(k5):
         sample_rw_multi(k5, 2, 5, seeds=[1])
 
 
-def test_sample_file_roundtrip(k5):
-    s = sample_rw(k5, 25, seed=8)
-    buf = io.StringIO()
-    write_sample(s, buf, k5)
-    back = read_sample(io.StringIO(buf.getvalue()))
-    # external ids of k5 are 0..4, identical to dense indices
-    assert oracles.same_sample(back, s)
+def test_sample_file_roundtrip():
+    # A drawn sample names nodes by external id, so no graph is needed to
+    # write it, and reading it back gives the same sample: ids 0..3, ids
+    # that are not contiguous, and ids beyond int64.
+    for text, dtype in [
+            ("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", np.int64),
+            (f"10 7000\n7000 {2**40}\n10 {2**40}\n{2**40} 5\n", np.int64),
+            (f"{2**63} {2**64 - 1}\n{2**64 - 1} 3\n3 {2**63}\n"
+             f"3 {2**63 + 9}\n", object)]:
+        g = graph_from_text(text)
+        s = sample_rw_multi(g, 2, 20, seeds=[8, 9])
+        assert set(oracles.views(s).node_at) <= set(oracles.ext_ids(g))
+        buf = io.StringIO()
+        write_sample(s, buf)
+        back = read_sample(io.StringIO(buf.getvalue()))
+        assert oracles.same_sample(back, s)
+        assert s.ids.dtype == back.ids.dtype == dtype
 
 
 def test_sample_file_roundtrip_preserves_float_weights():
     g = graph_from_text("0 1\n1 2\n")
     s = sample_wis(g, lambda v: 1.0 + v / 3.0, 30, seed=3)
     buf = io.StringIO()
-    write_sample(s, buf, g)
+    write_sample(s, buf)
     back = read_sample(io.StringIO(buf.getvalue()))
     assert oracles.views(back).weight_at == oracles.views(s).weight_at
 
