@@ -194,6 +194,9 @@ def _cmd_estimate(args) -> int:
                         a_mode=args.a_mode, theta=args.theta, m=args.margin)
     check_spec(None, est)
     _check_seed(args.seed)
+    if args.seed != 0 and est.name != "capture":
+        raise PlanError(f"--seed ({args.seed}) is read only by estimator "
+                        "capture")
     with open(args.sample, "rb") as fh:
         sample = read_sample(fh)
     check_spec(next(k for k, v in METHODS.items() if v == sample.method), est)

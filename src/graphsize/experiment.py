@@ -48,6 +48,9 @@ class SamplerSpec:
         if self.method != "rw-multi" and self.walkers != 1:
             raise PlanError(f"walkers ({self.walkers}) needs rw-multi "
                             f"sampling, not {_excerpt(self.method)}")
+        if self.method != "wis" and self.weight_rule != "degree":
+            raise PlanError(f"weight rule {_excerpt(self.weight_rule)} is "
+                            "read only by wis sampling")
 
 
 @dataclass(frozen=True)

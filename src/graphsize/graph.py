@@ -290,7 +290,7 @@ def _node_ids(ids: Iterable[int] | np.ndarray) -> np.ndarray:
 
 
 _MAX_DIGITS = 20                        # len(str(2**64 - 1))
-_U64_HEAD, _U64_LAST = divmod((1 << 64) - 1, 10)
+_U64_TOP, _U64_REST = divmod((1 << 64) - 1, 10**19)
 _BLANKS = b" \t\r"
 _ID = re.compile(r"-?[0-9]+")
 
@@ -318,41 +318,21 @@ def _parse_edge_list(data: bytes) -> tuple[np.ndarray, LoadReport]:
     and comment counts."""
     buf = np.frombuffer(data, dtype=np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
-    starts, lengths, nondigit = _tokens(buf)
+    starts, ends = _tokens(buf)
     line_of = np.searchsorted(newlines, starts)
     first = np.ones(len(starts), dtype=bool)
     first[1:] = line_of[1:] != line_of[:-1]
     comment = np.zeros(len(newlines) + 1, dtype=bool)
     comment[line_of[first & (buf[starts] == ord("#"))]] = True
     ids = ~comment[line_of]
-    starts, lengths, line_of = starts[ids], lengths[ids], line_of[ids]
+    starts, ends, line_of = starts[ids], ends[ids], line_of[ids]
+    values, valid = _decimals(buf, starts, ends)
 
-    # The first bad line of each kind: not two tokens, a non-digit byte, a
-    # token too long to be an id, or an id of 2^64 or more.
+    # The first bad line: one that does not hold two tokens, or a token that
+    # is no node id.
     per_line = np.bincount(line_of, minlength=len(comment))
-    bad = [np.flatnonzero((per_line != 0) & (per_line != 2))[:1]]
-    nondigit_lines = np.searchsorted(newlines, nondigit)
-    bad.append(nondigit_lines[~comment[nondigit_lines]][:1])
-    bad.append(line_of[lengths > _MAX_DIGITS][:1])
-
-    # Horner's rule over the digit columns, in place.  ``cursor`` walks each
-    # token's bytes, held at the last byte of the data once its token ends;
-    # it reuses ``starts``, which is not needed again.
-    values = np.zeros(len(starts), dtype=np.uint64)
-    overflow = np.zeros(len(starts), dtype=bool)
-    cursor = starts
-    for k in range(min(int(lengths.max(initial=0)), _MAX_DIGITS)):
-        digit = buf[cursor] - np.uint8(ord("0"))
-        more = lengths > k
-        if k == _MAX_DIGITS - 1:
-            overflow = more & ((values > _U64_HEAD) | ((values == _U64_HEAD)
-                                                      & (digit > _U64_LAST)))
-        np.multiply(values, 10, out=values, where=more)
-        np.add(values, digit, out=values, where=more)
-        cursor += 1
-        np.minimum(cursor, len(buf) - 1, out=cursor)
-    bad.append(line_of[overflow][:1])
-    bad = np.concatenate(bad)
+    bad = np.concatenate((np.flatnonzero((per_line != 0) & (per_line != 2)),
+                          line_of[~valid][:1]))
     if bad.size:
         index = int(bad.min())
         begin = int(newlines[index - 1]) + 1 if index else 0
@@ -363,18 +343,37 @@ def _parse_edge_list(data: bytes) -> tuple[np.ndarray, LoadReport]:
         lines_read=lines_read, comments_skipped=int(comment.sum()))
 
 
-def _tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The start and length of each token, a maximal run of bytes that are
-    neither blanks nor newlines, and the position of each non-digit byte in
-    a token.  The per-byte arrays are freed on return."""
+def _decimals(buf: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The byte runs [starts, ends) of ``buf`` read as node ids, 1 to 20
+    ASCII digits with a value below 2^64: their uint64 values, junk where a
+    run is no id, and whether each is one.  A run may be empty, end before
+    it starts, or reach past either end of ``buf``."""
+    lengths = ends - starts
+    values = np.zeros(len(starts), dtype=np.uint64)
+    valid = (lengths > 0) & (lengths <= _MAX_DIGITS)
+    # Horner's rule from the right: the digit k places before a run's end
+    # is worth 10**k, and a byte before the run's start counts as a zero.
+    for k in range(min(int(lengths.max(initial=0)), _MAX_DIGITS)):
+        digit = np.take(buf, ends - (k + 1), mode="clip") - np.uint8(ord("0"))
+        digit *= lengths > k
+        valid &= digit <= 9
+        if k == _MAX_DIGITS - 1:  # a 20th digit may carry past 2^64 - 1
+            valid &= (digit < _U64_TOP) | ((digit == _U64_TOP)
+                                           & (values <= _U64_REST))
+        values += digit * np.uint64(10**k)
+    return values, valid
+
+
+def _tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end of each token, a maximal run of bytes that are
+    neither blanks nor newlines.  The per-byte arrays are freed on return."""
     word = np.ones(len(buf), dtype=bool)
     for blank in _BLANKS + b"\n":
         word &= buf != blank
-    nondigit = np.flatnonzero(word & (buf - np.uint8(ord("0")) > 9))
     step = np.diff(word.view(np.int8), prepend=np.int8(0),
                    append=np.int8(0))
-    starts = np.flatnonzero(step == 1)
-    return starts, np.flatnonzero(step == -1) - starts, nondigit
+    return np.flatnonzero(step == 1), np.flatnonzero(step == -1)
 
 
 def _line_error(line_number: int, raw: bytes) -> EdgeListParseError:

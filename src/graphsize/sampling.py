@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, islice
@@ -20,7 +19,7 @@ from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, _excerpt
+from .graph import Graph, _decimals, _excerpt, _node_ids
 
 RNG_NAME = "numpy-pcg64"
 
@@ -43,18 +42,18 @@ class Sample:
     """An ordered node sample and where it came from, over dense node ranks.
 
     Rank r stands for the node id ``ids[r]``, its graph's external id in a
-    drawn sample, a read-only array: int64, or Python ints in an object
-    array when an id is beyond int64 (a tuple given here becomes one of
-    these).  Position i holds the node of rank ``rank_column[i]``, its
-    weight ``weight_column[i]`` (float64) and its walker
-    ``walker_column[i]`` (int64).  Snapshots are kept once per
-    distinct node, as one CSR: row r, ``entries[offsets[r]:offsets[r + 1]]``,
-    holds the ranks that rank r's snapshot names, and every sampled rank has
-    a row.  The samplers and :func:`read_sample` rank the sampled nodes
-    first, then the ids only a snapshot names, each in order of first
-    appearance.  :meth:`subset` keeps its parent's ids and a prefix view of
-    its CSR, the rows up to the highest rank it holds, so the kernels on a
-    head of a sample cost what the head holds.
+    drawn sample; ``ids`` is a read-only uint64 array, as ``Graph.ext_ids``
+    is (ids given in another form are converted).  Position i holds the
+    node of rank ``rank_column[i]``, its weight ``weight_column[i]``
+    (float64) and its walker ``walker_column[i]`` (int64).  Snapshots are
+    kept once per distinct node, as one CSR: row r,
+    ``entries[offsets[r]:offsets[r + 1]]``, holds the ranks that rank r's
+    snapshot names, and every sampled rank has a row.  The samplers and
+    :func:`read_sample` rank the sampled nodes first, then the ids only a
+    snapshot names, each in order of first appearance.  :meth:`subset`
+    keeps its parent's ids and a prefix view of its CSR, the rows up to the
+    highest rank it holds, so the kernels on a head of a sample cost what
+    the head holds.
 
     Samples compare by identity.  The ``nodes()`` and ``degrees()`` lists
     remain only for ``bench/``, until it reads the columns.  The margin and
@@ -80,8 +79,7 @@ class Sample:
         n = len(self.rank_column)
         if len(self.weight_column) != n or len(self.walker_column) != n:
             raise SamplingError("sample columns differ in length")
-        if not isinstance(self.ids, np.ndarray):
-            object.__setattr__(self, "ids", _id_array(self.ids))
+        object.__setattr__(self, "ids", _node_ids(self.ids))
         for column in (self.ids, self.rank_column, self.weight_column,
                        self.walker_column, self.offsets, self.entries):
             column.flags.writeable = False
@@ -189,36 +187,29 @@ def _occurrences(ranks: np.ndarray, positions: np.ndarray, n: int,
     return Occurrences(keys, counts, first, last)
 
 
-def _id_array(ids: Sequence[int]) -> np.ndarray:
-    """Node ids as int64, or as Python ints in an object array when one is
-    beyond int64."""
-    try:
-        return np.array(ids, dtype=np.int64)
-    except OverflowError:
-        return np.array(ids, dtype=object)
-
-
 def _first_seen(values: np.ndarray, size: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values by first appearance, each one's first index, and
-    every value's rank in that order.  Values in [0, size), or spanning at
-    most four slots per value, index a table; others are sorted."""
-    if size is None and len(values) and values.dtype != object:
-        low, high = int(values.min()), int(values.max())
-        if high - low < 4 * len(values):
-            distinct, first, ranks = _first_seen(values - low, high - low + 1)
-            return distinct + low, first, ranks
-    distinct, inverse = (np.unique(values, return_inverse=True) if size is None
-                         else (np.arange(size), values))
-    first = np.full(len(distinct), len(values))
-    np.minimum.at(first, inverse, np.arange(len(values)))
+    """The distinct values by first appearance, in the dtype of ``values``,
+    each one's first index, and every value's rank in that order.  Values
+    in [0, size), or spanning at most four slots per value, index a table;
+    others are sorted."""
+    index = values
+    if size is None and len(values):
+        low, high = values.min(), values.max()
+        if int(high) - int(low) < 4 * len(values):
+            index, size = values - low, int(high - low) + 1
+    if size is None:
+        distinct, index = np.unique(values, return_inverse=True)
+        size = len(distinct)
+    first = np.full(size, len(values))
+    np.minimum.at(first, index, np.arange(len(values)))
     # Marked over the positions, the first appearances come out in order.
     mark = np.zeros(len(values) + 1, dtype=bool)
     mark[first] = True
     first = np.flatnonzero(mark[:-1])
-    rank = np.empty(len(distinct), dtype=np.int64)
-    rank[inverse[first]] = np.arange(len(first))
-    return distinct[inverse[first]], first, rank[inverse]
+    rank = np.empty(size, dtype=np.int64)
+    rank[index[first]] = np.arange(len(first))
+    return values[first], first, rank[index]
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray,
@@ -240,11 +231,7 @@ def _drawn(g: Graph, nodes: np.ndarray, weights: np.ndarray,
     lengths = indptr[sampled + 1] - starts
     dense, _, ranks = _first_seen(np.concatenate(
         (sampled, indices[_ranges(starts, lengths)])), g.node_count)
-    ids = g.ext_ids[dense]
-    # The ids are sorted, so the last one decides whether all fit in int64.
-    ids = (ids.view(np.int64) if g.ext_ids[-1] < 2**63
-           else ids.astype(object))
-    return Sample(ids, node_ranks, weights, walkers,
+    return Sample(g.ext_ids[dense], node_ranks, weights, walkers,
                   np.concatenate(([0], np.cumsum(lengths))),
                   ranks[len(sampled):], method, seed, rule, g.digest)
 
@@ -348,7 +335,9 @@ def sample_rw_multi(g: Graph, walkers: int, per_walk: int,
 # One metadata header line, then one record per position:
 #   position \t node-id \t degree \t weight \t walker \t n1,n2,...
 # Node ids are the sample's ids, which are external ids for a drawn sample.
-# A node's records repeat its one snapshot.
+# Every integer cell (position, node, degree, walker, snapshot ids) is 1 to
+# 20 ASCII digits with a value below 2^64, as in an edge list, and a walker
+# is below 2^63.  A node's records repeat its one snapshot.
 
 _HEADER_PREFIX = "graphsize-sample v1"
 _HEADER_KEYS = ("method", "seed", "weight_rule", "graph_digest", "n")
@@ -430,17 +419,14 @@ def _header_int(meta: dict[str, str], key: str) -> int:
                             "integer") from None
 
 
-_SHORT = 18                             # digits that always fit in int64
-_INT64 = range(-2**63, 2**63)
-_INTEGER = re.compile(r"-?[0-9]+")
+_ID = re.compile(r"[0-9]{1,20}")
+_ID_TEXT = "1 to 20 ASCII digits below 2^64"
 
 
-def _is_integer(text: str) -> bool:
-    """Whether text is ASCII digits after an optional '-', no more of them
-    than int() converts (``sys.get_int_max_str_digits()``, 0 for no limit)."""
-    limit = sys.get_int_max_str_digits()
-    return (_INTEGER.fullmatch(text) is not None
-            and not 0 < limit < len(text) - text.startswith("-"))
+def _is_id(text: str) -> bool:
+    """Whether text is an integer cell: 1 to 20 ASCII digits with a value
+    below 2^64, a node id as an edge list writes it."""
+    return _ID.fullmatch(text) is not None and int(text) < 1 << 64
 
 
 def _parse_records(data: bytes) -> tuple:
@@ -464,8 +450,8 @@ def _parse_records(data: bytes) -> tuple:
     bounds = np.take(sep, line[record, None] + np.arange(7), mode="clip")
     begin, stop = bounds[:, :6] + 1, bounds[:, 1:]
     fields = [0, 2, 4, 1]                # position, degree, walker, node
-    values, valid, wide = _integers(data, buf, begin[:, fields].T.ravel(),
-                                    stop[:, fields].T.ravel())
+    values, valid = _decimals(buf, begin[:, fields].T.ravel(),
+                              stop[:, fields].T.ravel())
     position, degree, walker, node = values.reshape(4, n)
     weights = _floats(buf, begin[:, 3], stop[:, 3] - begin[:, 3])
 
@@ -497,7 +483,7 @@ def _parse_records(data: bytes) -> tuple:
                != named[_ranges(at[p[same]], count[r[same]])])
 
     bad = ((tabs != 5)
-           | ~valid.reshape(4, n).all(axis=0) | wide.reshape(4, n)[2]
+           | ~valid.reshape(4, n).all(axis=0) | (walker >= 2**63)
            | ~((weights > 0.0) & (weights < math.inf))
            | (position != np.arange(n)) | ~listed[slot]
            | (degree != count[slot]))
@@ -524,41 +510,6 @@ def _find(buf: np.ndarray, low: str, high: str) -> np.ndarray:
         for i in range(0, max(len(buf), 1), 2**20)])
 
 
-def _integers(data: bytes, buf: np.ndarray, starts: np.ndarray,
-              ends: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The cells [starts, ends) as integers (ASCII digits after an optional
-    '-'), whether each is one, and whether it is beyond int64.  The values
-    are int64, or Python ints in an object array if one is beyond int64;
-    an invalid cell's value is junk."""
-    signed = np.take(buf, starts, mode="clip") == ord("-")
-    digits = ends - starts - signed
-    valid = digits > 0
-    values = np.zeros(len(starts), dtype=np.int64)
-    # Horner's rule from the right: the digit k places before a cell's end
-    # is worth 10**k.
-    cursor = ends - 1
-    for k in range(min(int(digits.max(initial=0)), _SHORT)):
-        digit = np.take(buf, cursor, mode="clip") - np.uint8(ord("0"))
-        digit *= digits > k
-        valid &= digit <= 9
-        values += digit * np.int64(10**k)
-        cursor -= 1
-    np.negative(values, out=values, where=signed)
-    wide, beyond = np.zeros(len(starts), dtype=bool), []
-    for c in np.flatnonzero(digits > _SHORT).tolist():
-        cell = data[starts[c]:ends[c]].decode()
-        valid[c] = _is_integer(cell)
-        if valid[c] and int(cell) in _INT64:
-            values[c] = int(cell)
-        elif valid[c]:
-            wide[c] = True
-            beyond.append(int(cell))
-    if beyond:
-        values = values.astype(object)
-        values[wide] = beyond
-    return values, valid, wide
-
-
 def _snapshots(data: bytes, starts: np.ndarray,
                lengths: np.ndarray) -> tuple[np.ndarray, ...]:
     """The comma-separated integers in the spans [starts, starts + lengths),
@@ -570,7 +521,7 @@ def _snapshots(data: bytes, starts: np.ndarray,
         starts[full].tolist(), lengths[full].tolist())] + [b""])
     buf = np.frombuffer(text, dtype=np.uint8)
     cells = np.append(np.int32(-1), _find(buf, ",", ","))  # their bounds
-    values, valid, _ = _integers(text, buf, cells[:-1] + 1, cells[1:])
+    values, valid = _decimals(buf, cells[:-1] + 1, cells[1:])
     count = np.diff(np.searchsorted(cells, np.cumsum(lengths + full) - 1),
                     prepend=0)
     listed = np.bincount(np.repeat(np.arange(len(starts)), count), ~valid,
@@ -602,12 +553,11 @@ def _number(text: bytes) -> float | None:
 
 
 # Each field before the snapshot, its check and what it must be.
-_FIELDS = (("position", _is_integer, "an integer"),
-           ("node", _is_integer, "an integer"),
-           ("degree", _is_integer, "an integer"),
+_FIELDS = (("position", _is_id, _ID_TEXT), ("node", _is_id, _ID_TEXT),
+           ("degree", _is_id, _ID_TEXT),
            ("weight", lambda text: _number(text.encode()) is not None,
             "a number"),
-           ("walker", _is_integer, "an integer"))
+           ("walker", _is_id, _ID_TEXT))
 
 
 def _record_error(i: int, line: str) -> SamplingError:
@@ -623,13 +573,13 @@ def _record_error(i: int, line: str) -> SamplingError:
                                  f"not {kind}")
     pos, node, deg, weight, walker, nbrs = fields
     label = f"record {_excerpt(pos, quote=False)}"
-    if int(walker) not in _INT64:
-        return SamplingError(f"record {i}: walker {_excerpt(walker)} is not a "
-                             "64-bit integer")
+    if int(walker) >= 2**63:
+        return SamplingError(f"record {i}: walker {_excerpt(walker)} is not "
+                             "below 2^63")
     ids = nbrs.split(",") if nbrs else []
-    if not all(map(_is_integer, ids)):
+    if not all(map(_is_id, ids)):
         return SamplingError(f"record {i}: snapshot {_excerpt(nbrs)} is not a "
-                             "comma-separated list of integer ids")
+                             f"comma-separated list of {_ID_TEXT}")
     if int(pos) != i:
         return SamplingError(f"{label}: position must be its index, {i}")
     if not 0.0 < float(weight.encode()) < math.inf:

@@ -27,7 +27,7 @@ class Views(NamedTuple):
 
 def views(sample) -> Views:
     """The :class:`Views` of a sample, read off its rank columns and CSR."""
-    ids, bounds = sample.ids, sample.offsets.tolist()
+    ids, bounds = sample.ids.tolist(), sample.offsets.tolist()
     entries, ranks = sample.entries.tolist(), sample.rank_column.tolist()
     row = lambda r: tuple(ids[u] for u in entries[bounds[r]:bounds[r + 1]])
     return Views(tuple(ids[r] for r in ranks),
@@ -501,8 +501,10 @@ def read_sample(source):
     """Record-by-record sample-file reader: the array reader's reference.
 
     It accepts what ``int()`` and ``float()`` accept in a field (so ``+5``,
-    `` 5``, ``1_0`` and non-ASCII digits too, which the array reader
-    rejects); walker ids beyond 64 bits fail when the sample is built.
+    `` 5``, ``1_0``, non-ASCII digits, signed ids and ids of any size too,
+    which the array reader rejects); walker ids beyond 64 bits fail when
+    the sample is built, and so, with a GraphError, do ids outside
+    [0, 2^64).
     """
     from graphsize.sampling import METHODS, RNG_NAME, SamplingError
 
@@ -588,10 +590,14 @@ def _record_line_error(i, fields):
         try:
             parse(text)
         except ValueError:
-            kind = "an integer" if parse is int else "a number"
+            kind = _CELL if parse is int else "a number"
             return SamplingError(f"record {i}: {name} {text!r} is not {kind}")
     return SamplingError(f"record {i}: snapshot {fields[5]!r} is not a "
-                         "comma-separated list of integer ids")
+                         f"comma-separated list of {_CELL}")
+
+
+# What an integer cell must be, as the array reader's messages say.
+_CELL = "1 to 20 ASCII digits below 2^64"
 
 
 def count_induced_edges(sample) -> int:

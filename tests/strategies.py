@@ -55,7 +55,8 @@ def walk_like_samples(draw):
     pool = draw(st.lists(ids, min_size=1, max_size=8, unique=True))
     unsampled = draw(st.lists(ids, max_size=4))
     snapshot = {v: tuple(draw(st.lists(
-        st.sampled_from([u for u in pool + unsampled if u != v] or [-1]),
+        st.sampled_from([u for u in pool + unsampled if u != v]
+                        or [2**40 + 1]),
         max_size=5, unique=True))) for v in pool}
     walks = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1,
                                    max_size=12), min_size=1, max_size=3))

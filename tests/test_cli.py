@@ -354,6 +354,12 @@ def test_bad_generator_value_is_config_error(tmp_path, capsys, spec, message):
       "s.tsv"], "the following arguments are required: --method"),
     ([], "the following arguments are required: command"),
     (["plot"], "the following arguments are required: --csv, -o/--output"),
+    # A flag that nothing in the configuration reads.
+    (["sample", "--graph", "g.txt", "--method", "rw", "--n", "5", "-o",
+      "s.tsv", "--weight-rule", "unit"],
+     "weight rule 'unit' is read only by wis sampling"),
+    (["estimate", "--sample", "s.tsv", "--estimator", "node-uis", "--seed",
+      "5"], "--seed (5) is read only by estimator capture"),
 ])
 def test_flag_errors_are_one_line_config_errors(capsys, argv, message):
     # argparse's own errors: no usage block, and a long value is cut.
@@ -630,7 +636,7 @@ def test_estimate_reads_a_repeated_snapshot_by_value(tmp_path, capsys,
         assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("offset", [2**62, 2**70])
+@pytest.mark.parametrize("offset", [2**62, 2**64 - 2**10])
 def test_margin_estimates_ignore_id_magnitude(tmp_path, capsys, offset):
     sample = _rw_sample_file(tmp_path, capsys)
     configs = [["--estimator", "node-wis", "--correction", "margin",
@@ -683,6 +689,7 @@ def test_estimate_rejects_unknown_sample_method(tmp_path, capsys, method):
     ["--estimator", "node-uis", "--a-mode", "multiset"],
     ["--estimator", "node-wis", "--correction", "margin", "--a-mode",
      "multiset"],
+    ["--estimator", "ind-b", "--seed", "5"],
 ])
 def test_estimate_flag_errors_precede_reading(tmp_path, capsys, flags):
     # Configuration errors exit 2 whether or not the sample file exists.
@@ -697,7 +704,8 @@ def test_estimate_flag_errors_precede_reading(tmp_path, capsys, flags):
 @pytest.mark.parametrize("flags", [
     ["--n", "0"], ["--walkers", "0", "--n", "9"], ["--walkers", "2"],
     ["--walkers", "4", "--n", "3"], ["--method", "uis", "--walkers", "7"],
-    ["--method", "rw", "--walkers", "2"]])
+    ["--method", "rw", "--walkers", "2"], ["--weight-rule", "unit"],
+    ["--method", "uis", "--weight-rule", "unit"]])
 def test_sample_flag_errors_precede_loading_the_graph(tmp_path, capsys, flags):
     edges = tmp_path / "g.txt"
     run(capsys, "gen", "gen:grid:rows=3,cols=3", "-o", str(edges))
@@ -714,7 +722,8 @@ def test_sample_flag_errors_precede_loading_the_graph(tmp_path, capsys, flags):
     "walkers = 0", "param = n\nvalues = 0,50",
     "method = rw-multi\nwalkers = 2\nparam = n\nvalues = 50,51",
     "walkers = 2", "theta = 3", "estimator = node-wis\na_mode = multiset",
-    "correction = none\nparam = n\nvalues = 10\nm = 4"])
+    "correction = none\nparam = n\nvalues = 10\nm = 4",
+    "weight_rule = unit"])
 def test_experiment_plan_errors_precede_building_the_graph(tmp_path, capsys,
                                                            line):
     plan = tmp_path / "plan.txt"

@@ -28,6 +28,7 @@ from graphsize.core import (A_MODES, MODE_MULTISET, MODE_SET,
 from graphsize.experiment import (ESTIMATORS, EstimatorSpec, SamplerSpec,
                                   _head, draw_sample)
 from graphsize.generators import barabasi_albert
+from graphsize.graph import GraphError
 from graphsize.ind_estimators import (inda_wis_ratio, indb_uis_ratio,
                                       indb_wis_ratio)
 from graphsize.node_estimators import (capture_recapture,
@@ -45,19 +46,29 @@ HEADER = ("graphsize-sample v1\tmethod=RW_MULTI\tseed=0\tweight_rule=degree"
           "\tgraph_digest=x\trng=numpy-pcg64\tn={n}\n")
 
 # A message the array reader gives where the reference, which reads fields
-# with int() and float(), accepts: it reads integers as ASCII digits after an
-# optional '-', weights as ASCII, and walker ids of at most 64 bits.
-NARROWED = re.compile(r"record \d+: (?:(position|node|degree|walker) (.*) is "
-                      r"not an integer|(snapshot) (.*) is not a comma-"
-                      r"separated list of integer ids|(weight) (.*) is not a "
-                      r"number|(walker) (.*) is not a 64-bit integer)$")
+# with int() and float(), accepts: it reads integers as an edge list reads
+# node ids, 1 to 20 ASCII digits below 2^64, weights as ASCII, and walker ids
+# below 2^63.
+CELL = "1 to 20 ASCII digits below 2\\^64"
+NARROWED = re.compile(rf"record \d+: (?:(position|node|degree|walker) (.*) is "
+                      rf"not {CELL}|(snapshot) (.*) is not a comma-separated "
+                      rf"list of {CELL}|(weight) (.*) is not a number|"
+                      r"(walker) (.*) is not below 2\^63)$")
 
 
 def _outcome(read, text):
     try:
         return read(io.StringIO(text))
-    except SamplingError as exc:
+    except (SamplingError, GraphError) as exc:
         return str(exc)
+
+
+def _is_cell(text):
+    """Whether ``text``, which int() reads, is an integer cell of the
+    narrowed grammar: not so when it is not ASCII digits, has a sign (as
+    ``-0`` has), has more than 20 characters, or is 2^64 or more."""
+    value = int(text)  # the reference's reading
+    return re.fullmatch(r"[0-9]{1,20}", text) is not None and value < 2**64
 
 
 def _assert_narrowed(message):
@@ -72,17 +83,18 @@ def _assert_narrowed(message):
         with pytest.raises(ValueError):
             float(text.encode())
     elif match.group(7):
-        assert int(text) not in range(-2**63, 2**63), message
+        assert _is_cell(text) and int(text) >= 2**63, message
+    elif name == "snapshot":
+        assert not all(map(_is_cell, text.split(","))), message
     else:
-        items = text.split(",")
-        for item in items:
-            int(item)  # the reference's reading
-        assert not all(re.fullmatch(r"-?[0-9]+", item) for item in items)
+        assert not _is_cell(text), message
 
 
 def _assert_same(text):
     """Both readers give the same sample or the same message, unless the
-    array reader rejects a field of the narrowed grammar."""
+    array reader rejects a field of the narrowed grammar.  The reference
+    fails with a GraphError when it builds a sample over an id outside
+    [0, 2^64)."""
     new, old = _outcome(read_sample, text), _outcome(oracles.read_sample, text)
     if isinstance(new, Sample) and isinstance(old, Sample):
         assert oracles.same_sample(new, old)
@@ -122,9 +134,12 @@ CASES = {
                       "4\t9\t0\t1E2\t0\t"]),
     "no-records": HEADER.format(n=0) + "\n\n",
     "count": _file(["0\t5\t0\t1.0\t0\t"]).replace("n=1", "n=2"),
+    "top-of-range": _file([f"0\t{2**64 - 1}\t1\t1.0\t{2**63 - 1}\t"
+                           f"{2**64 - 2}", f"1\t{'0' * 19}7\t0\t1.0\t0\t"]),
 }
 SAMPLES = ("zero-padded-repeat", "signed-zero", "blank-lines",
-           "no-trailing-newline", "empty-snapshots", "weights")
+           "no-trailing-newline", "empty-snapshots", "weights",
+           "top-of-range")
 
 
 def _shift(token, offset):
@@ -135,16 +150,25 @@ def _shift(token, offset):
     return ("-" if value < 0 else "") + zeros + str(abs(value))
 
 
-@pytest.mark.parametrize("offset", [0, 2**62, 2**70, -2**70])
+@pytest.mark.parametrize("offset", [0, 2**62, 2**64 - 2**10, 2**70, -2**70])
 @pytest.mark.parametrize("case", CASES)
 def test_reader_matches_the_record_loop_on_edge_cases(case, offset):
+    """Each case with its ids shifted: a sample case reads back while its
+    ids stay integer cells, and the offsets +-2^70 put every id outside
+    [0, 2^64)."""
+    ids = []
+
+    def shift(token):
+        ids.append(_shift(token, offset))
+        return ids[-1]
+
     text = re.sub(r"(?m)^(\d+\t)(-?\d+)",
-                  lambda m: m.group(1) + _shift(m.group(2), offset),
-                  CASES[case])
+                  lambda m: m.group(1) + shift(m.group(2)), CASES[case])
     text = re.sub(r"(?m)\t([-\d,]+)$", lambda m: "\t" + ",".join(
-        _shift(v, offset) for v in m.group(1).split(",")), text)
+        map(shift, m.group(1).split(","))), text)
     got = _assert_same(text)
-    assert isinstance(got, Sample) == (case in SAMPLES)
+    assert isinstance(got, Sample) == (case in SAMPLES
+                                       and all(map(_is_cell, ids)))
 
 
 def test_reader_takes_newlines_as_the_handle_gives_them():
@@ -161,8 +185,7 @@ def test_reader_takes_newlines_as_the_handle_gives_them():
 def _ids(draw):
     """Ids for ``_first_seen``, the size to give it, and whether the ids
     are dense enough for a table: values below a table size, dense ranges at
-    any offset, sparse ids 2^40 apart, or ids beyond int64 in an object
-    array."""
+    any offset, sparse ids 2^40 apart, or uint64 ids just below 2^64."""
     kind = draw(st.sampled_from(("table", "dense", "sparse", "wide")))
     n = draw(st.integers(1, 50))
     slots = draw(st.lists(st.integers(0, 3 * n), min_size=n, max_size=n))
@@ -173,14 +196,16 @@ def _ids(draw):
         return np.array(slots) + offset, None, True
     if kind == "sparse":
         return np.array(slots) * 2**40 + offset, None, False
-    return np.array([2**63 + slot for slot in slots], dtype=object), None, False
+    return (np.array(slots, dtype=np.uint64) + np.uint64(2**64 - 1 - 3 * n),
+            None, True)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_ids())
 @example((np.array([7]), 8, True))
 @example((np.array([-2**62]), None, True))
-@example((np.array([2**64 - 1], dtype=object), None, False))
+@example((np.array([2**64 - 1], dtype=np.uint64), None, True))
+@example((np.array([2**64 - 1, 0, 2**63, 0], dtype=np.uint64), None, False))
 @example((np.array([3, -2**63, 2**63 - 1, 3]), None, False))
 def test_first_seen_matches_the_dict_loop(case):
     values, size, dense = case
@@ -196,6 +221,12 @@ def test_first_seen_matches_the_dict_loop(case):
     "0\t+5\t0\t1.0\t0\t", "0\t5\t1\t1.0\t0\t 6", " 0\t5\t0\t1.0\t0\t",
     "0\t5\t1_0\t1.0\t0\t", "0\t5\t1\t1.0\t0\t\u0661",
     "0\t5 \t0\t1.0\t0\t", f"0\t5\t0\t1.0\t{2**63}\t",
+] + [
+    # A sign, 21 digits or 2^64 in each integer field.
+    "\t".join(cell if k == field else text for k, text in
+              enumerate(["0", "5", "1", "1.0", "0", "6"]))
+    for field in (0, 1, 2, 4, 5)
+    for cell in ("-5", "-0", "0" * 20 + "1", str(2**64))
 ])
 def test_narrowed_tokens_are_one_record_error(tmp_path, record):
     text = _file([record])
@@ -318,16 +349,15 @@ def test_trimmed_heads_give_the_untrimmed_answers(method, graph_seed, seed,
             assert _answers(head, seed) == _answers(whole, seed)
 
 
-@pytest.mark.parametrize("shift", [0, 2**63, -2**64])
-def test_ids_beyond_int64_round_trip_as_an_object_array(shift):
-    """Tuple ids become a read-only array, int64 where they fit and object
-    otherwise, and survive a write and read in that form."""
+@pytest.mark.parametrize("shift", [0, 2**63, 2**64 - 16])
+def test_ids_round_trip_as_a_read_only_uint64_array(shift):
+    """Tuple ids become a read-only uint64 array, and survive a write and
+    read in that form, up to the largest id below 2^64."""
     snapshots = {7 + shift: (9 + shift, 8 + shift), 8 + shift: (7 + shift,)}
     s = oracles.sample_from_snapshots((7 + shift, 8 + shift, 7 + shift),
                                       (1.0, 2.0, 1.0), (0, 0, 0), snapshots,
                                       "RW", 0, "degree", "x")
-    dtype = np.int64 if shift == 0 else object
-    assert s.ids.dtype == dtype
+    assert s.ids.dtype == np.uint64
     assert s.ids.tolist() == [7 + shift, 8 + shift, 9 + shift]
     with pytest.raises(ValueError, match="read-only"):
         s.ids[0] = 1
@@ -335,7 +365,7 @@ def test_ids_beyond_int64_round_trip_as_an_object_array(shift):
     buf = io.StringIO()
     write_sample(s, buf)
     back = read_sample(io.StringIO(buf.getvalue()))
-    assert back.ids.dtype == dtype and not back.ids.flags.writeable
+    assert back.ids.dtype == np.uint64 and not back.ids.flags.writeable
     assert oracles.same_sample(back, s)
 
 

@@ -147,12 +147,11 @@ def test_rw_multi_seed_count_checked(k5):
 def test_sample_file_roundtrip():
     # A drawn sample names nodes by external id, so no graph is needed to
     # write it, and reading it back gives the same sample: ids 0..3, ids
-    # that are not contiguous, and ids beyond int64.
-    for text, dtype in [
-            ("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", np.int64),
-            (f"10 7000\n7000 {2**40}\n10 {2**40}\n{2**40} 5\n", np.int64),
-            (f"{2**63} {2**64 - 1}\n{2**64 - 1} 3\n3 {2**63}\n"
-             f"3 {2**63 + 9}\n", object)]:
+    # that are not contiguous, and ids beyond int64, all as uint64.
+    for text in ["0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+                 f"10 7000\n7000 {2**40}\n10 {2**40}\n{2**40} 5\n",
+                 f"{2**63} {2**64 - 1}\n{2**64 - 1} 3\n3 {2**63}\n"
+                 f"3 {2**63 + 9}\n"]:
         g = graph_from_text(text)
         s = sample_rw_multi(g, 2, 20, seeds=[8, 9])
         assert set(oracles.views(s).node_at) <= set(oracles.ext_ids(g))
@@ -160,7 +159,7 @@ def test_sample_file_roundtrip():
         write_sample(s, buf)
         back = read_sample(io.StringIO(buf.getvalue()))
         assert oracles.same_sample(back, s)
-        assert s.ids.dtype == back.ids.dtype == dtype
+        assert s.ids.dtype == back.ids.dtype == np.uint64
 
 
 def test_sample_file_roundtrip_preserves_float_weights():
