@@ -26,7 +26,7 @@ from .experiment import (CORRECTIONS, CSV_COLUMNS, ESTIMATORS, METHODS,
 from .graph import (GraphError, _excerpt, exact_stats,
                     largest_connected_component, size_identity,
                     write_edge_list)
-from .sampling import SamplingError, read_sample, write_sample
+from .sampling import WEIGHT_RULES, SamplingError, read_sample, write_sample
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -78,8 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--walkers", type=int, default=1)
-    p.add_argument("--weight-rule", default="degree",
-                   choices=["degree", "unit"])
+    p.add_argument("--weight-rule", default="degree", choices=WEIGHT_RULES)
     p.add_argument("--lcc", action="store_true",
                    help="restrict to the largest connected component first")
     p.add_argument("-o", "--output", required=True)

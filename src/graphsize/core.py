@@ -115,14 +115,22 @@ def pairwise_inverse_weight_sum(weights: Sequence[float]) -> float:
     summation because the terms can be heavy-tailed.
     """
     inv = _inverse_weights(np.asarray(weights, dtype=np.float64))
-    return _inverse_pair_sum(inv, math.fsum(inv.tolist()))
+    return _inverse_pair_sum(inv, _fsum(inv))
 
 
 def _inverse_pair_sum(inv: np.ndarray, s1: float) -> float:
     """pairwise_inverse_weight_sum from checked inverse weights and their
     compensated sum ``s1``."""
-    s2 = math.fsum((inv * inv).tolist())
+    s2 = _fsum(inv * inv)
     return 0.5 * (s1 * s1 - s2)
+
+
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum of a 1-D array, read through its buffer: the same
+    correctly rounded sum as of ``values.tolist()``, without the list.  A
+    buffer exports native byte order only, so other arrays are copied."""
+    return math.fsum(memoryview(values.astype(
+        values.dtype.newbyteorder("="), copy=False)))
 
 
 def _inverse_weights(weights: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ from .core import (A_MODES, MODE_SET, EstimateOutcome, EstimatorError,
 from .graph import (Graph, _excerpt, largest_connected_component,
                     load_edge_list)
 from .rw_correction import estimate_thinned, margin_crosswalker
-from .sampling import (METHOD_UIS, METHODS, Sample, sample_rw,
-                       sample_rw_multi, sample_uis, sample_wis)
+from .sampling import (METHOD_UIS, METHODS, WEIGHT_RULES, Sample,
+                       sample_rw, sample_rw_multi, sample_uis, sample_wis)
 
 
 class PlanError(Exception):
@@ -42,6 +42,9 @@ class SamplerSpec:
         if self.n < 1 or self.walkers < 1:
             raise PlanError(f"n and walkers must be >= 1, got n={self.n}, "
                             f"walkers={self.walkers}")
+        if self.weight_rule not in WEIGHT_RULES:
+            raise PlanError("unknown weight rule: "
+                            f"{_excerpt(self.weight_rule)}")
         if self.method == "rw-multi" and self.n % self.walkers:
             raise PlanError(f"rw-multi n ({self.n}) must be a multiple of "
                             f"walkers ({self.walkers})")

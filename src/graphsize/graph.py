@@ -201,6 +201,14 @@ class Graph:
         return weights
 
     @cached_property
+    def degree_cumulative(self) -> np.ndarray:
+        """The running sums of ``degree_weights``, read-only: the table a
+        degree-weighted draw looks its draws up in."""
+        cumulative = np.cumsum(self.degree_weights)
+        cumulative.flags.writeable = False
+        return cumulative
+
+    @cached_property
     def digest(self) -> str:
         """Stable hash of the graph content (external-id edge list)."""
         h = hashlib.sha256(self.ext_ids.astype("<u8").tobytes())

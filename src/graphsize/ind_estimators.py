@@ -8,13 +8,12 @@ neighbor snapshots.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (MODE_SET, EstimatorError, RatioEstimate,
-                   _auxiliary_counts, _inverse_pair_sum, _inverse_weights,
-                   _row_sums, count_induced_edges, pairwise_inverse_weight_sum)
+                   _auxiliary_counts, _fsum, _inverse_pair_sum,
+                   _inverse_weights, _row_sums, count_induced_edges,
+                   pairwise_inverse_weight_sum)
 from .sampling import METHOD_UIS, Sample, _first_seen
 
 
@@ -22,7 +21,7 @@ def mean_degree_uis(s: Sample) -> float:
     """Plain average of sampled degrees."""
     if len(s) < 1:
         raise EstimatorError("empty sample")
-    return math.fsum(s.degree_column.tolist()) / len(s)
+    return _fsum(s.degree_column) / len(s)
 
 
 def density_uis(s: Sample) -> float:
@@ -39,7 +38,7 @@ def inda_uis_ratio(s: Sample) -> RatioEstimate:
     if len(s) < 2:
         raise EstimatorError("need at least 2 records")
     n = len(s)
-    num = (n - 1) * math.fsum(s.degree_column.tolist())
+    num = (n - 1) * _fsum(s.degree_column)
     return RatioEstimate(num, float(2 * count_induced_edges(s)), 1.0)
 
 
@@ -48,8 +47,7 @@ def mean_degree_wis(s: Sample) -> float:
     if len(s) < 1:
         raise EstimatorError("empty sample")
     inv = _inverse_weights(s.weight_column)
-    return (math.fsum((s.degree_column * inv).tolist())
-            / math.fsum(inv.tolist()))
+    return _fsum(s.degree_column * inv) / _fsum(inv)
 
 
 def edge_pair_inverse_weight_sum(s: Sample) -> float:
@@ -66,12 +64,25 @@ def _edge_pair_sum(s: Sample, inv: np.ndarray) -> float:
 
     Sums run in the order of a loop over the distinct nodes by first
     appearance, so the result does not depend on how ranks are numbered.
+    Ranks that already follow first appearance (a draw, a file read, a
+    head of either) are that order as they stand, and need no lookup.
     """
-    inv_by_rank = np.bincount(s.rank_column, inv, minlength=len(s.ids))
+    ranks = s.rank_column
+    inv_by_rank = np.bincount(ranks, inv, minlength=len(s.ids))
     totals = _row_sums(s, inv_by_rank[s.entries])
-    seen = _first_seen(s.rank_column, len(s.offsets) - 1)[0]
+    if _in_first_seen_order(ranks):
+        seen = slice(int(ranks.max(initial=-1)) + 1)
+    else:
+        seen = _first_seen(ranks, len(s.offsets) - 1)[0]
     terms = inv_by_rank[seen] * totals[seen]
     return 0.5 * float(terms.cumsum()[-1]) if terms.size else 0.0
+
+
+def _in_first_seen_order(ranks: np.ndarray) -> bool:
+    """Whether ranks 0, 1, 2, ... first appear in that order: the first
+    is 0 and the running maximum rises by at most 1 a step."""
+    return not len(ranks) or (ranks[0] == 0 and bool(
+        (np.diff(np.maximum.accumulate(ranks)) <= 1).all()))
 
 
 def density_wis(s: Sample) -> float:
@@ -88,8 +99,8 @@ def inda_wis_ratio(s: Sample) -> RatioEstimate:
     if len(s) < 2:
         raise EstimatorError("need at least 2 records")
     inv = _inverse_weights(s.weight_column)
-    deg_over_w = math.fsum((s.degree_column * inv).tolist())
-    inv_sum = math.fsum(inv.tolist())
+    deg_over_w = _fsum(s.degree_column * inv)
+    inv_sum = _fsum(inv)
     num = deg_over_w * _inverse_pair_sum(inv, inv_sum)
     den = inv_sum * _edge_pair_sum(s, inv)
     return RatioEstimate(num, den, 1.0)
@@ -117,8 +128,7 @@ def indb_wis_ratio(s: Sample, mode: str = MODE_SET) -> RatioEstimate:
     :func:`indb_uis_ratio`."""
     size, hits = _cross_hits(s, mode)
     inv = _inverse_weights(s.weight_column)
-    return RatioEstimate(size * math.fsum(inv.tolist()),
-                         math.fsum((inv * hits).tolist()))
+    return RatioEstimate(size * _fsum(inv), _fsum(inv * hits))
 
 
 def indb_auto_ratio(s: Sample, mode: str = MODE_SET) -> RatioEstimate:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .core import (NO_COLLISIONS, EstimateOutcome, EstimatorError,
-                   RatioEstimate, _inverse_weights, count_collisions)
+                   RatioEstimate, _fsum, _inverse_weights, count_collisions)
 from .sampling import Sample
 
 
@@ -129,6 +129,5 @@ def node_wis_ratio(s: Sample) -> RatioEstimate:
     is invariant under rescaling all weights by a constant.
     """
     weights = s.weight_column
-    num = (math.fsum(weights.tolist())
-           * math.fsum(_inverse_weights(weights).tolist()))
+    num = _fsum(weights) * _fsum(_inverse_weights(weights))
     return RatioEstimate(num, float(2 * count_collisions(s)))

@@ -22,13 +22,12 @@ shared CSR.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
 from .core import (MODE_MULTISET, NO_COLLISIONS, EstimateOutcome,
-                   EstimatorError, RatioEstimate, _check_mode,
+                   EstimatorError, RatioEstimate, _check_mode, _fsum,
                    _inverse_weights, aggregate_ratios)
 from .sampling import Sample
 
@@ -81,8 +80,8 @@ def _far_pair_sum(values: np.ndarray, inv: np.ndarray, lo: np.ndarray,
     prefix-sum window of inv over [lo_i, hi_i).
     """
     prefix = np.concatenate(([0.0], np.cumsum(inv)))
-    return (math.fsum(values.tolist()) * math.fsum(inv.tolist())
-            - math.fsum((values * (prefix[hi] - prefix[lo])).tolist()))
+    return (_fsum(values) * _fsum(inv)
+            - _fsum(values * (prefix[hi] - prefix[lo])))
 
 
 def _node_window_ratio(s: Sample, inv: np.ndarray, lo: np.ndarray,
@@ -96,7 +95,7 @@ def _ind_window_ratio(s: Sample, inv: np.ndarray, lo: np.ndarray,
     if a_mode == MODE_MULTISET:
         return RatioEstimate(
             _far_pair_sum(s.degree_column, inv, lo, hi),
-            math.fsum((inv * s.far(s.mentions, lo, hi)).tolist()))
+            _fsum(inv * s.far(s.mentions, lo, hi)))
 
     n = len(s)
     first, last = s.mentions.first, s.mentions.last
@@ -109,10 +108,10 @@ def _ind_window_ratio(s: Sample, inv: np.ndarray, lo: np.ndarray,
     hidden = lo_j <= hi_j
     missing = np.cumsum(np.bincount(lo_j[hidden], minlength=n + 1)
                         - np.bincount(hi_j[hidden] + 1, minlength=n + 1))[:n]
-    num = math.fsum((inv * (np.count_nonzero(carried) - missing)).tolist())
+    num = _fsum(inv * (np.count_nonzero(carried) - missing))
     r = s.rank_column
     seen = (first[r] < lo) | (last[r] >= hi)
-    return RatioEstimate(num, math.fsum(inv[seen].tolist()))
+    return RatioEstimate(num, _fsum(inv[seen]))
 
 
 def node_margin_ratio(s: Sample, m: int) -> RatioEstimate:

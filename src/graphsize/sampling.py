@@ -10,6 +10,7 @@ ranks; no id enters their arithmetic.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass, replace
@@ -31,6 +32,8 @@ METHOD_RW_MULTI = "RW_MULTI"
 # Sampling method name, as plans and the CLI spell it -> ``Sample.method``.
 METHODS = {"uis": METHOD_UIS, "wis": METHOD_WIS, "rw": METHOD_RW,
            "rw-multi": METHOD_RW_MULTI}
+
+WEIGHT_RULES = ("degree", "unit")  # by name; sample_wis takes callables too
 
 
 class SamplingError(Exception):
@@ -259,9 +262,16 @@ def sample_wis(g: Graph, weight_rule: Callable[[int], float] | str,
     if not (np.isfinite(weights) & (weights > 0)).all():
         raise SamplingError("all sampling weights must be finite and positive")
     rng = np.random.default_rng(seed)
-    cumulative = np.cumsum(weights)
+    # The degree table's running sums are built once per graph; a callable
+    # named "degree" resolves to that name, so the rule itself decides.
+    cumulative = (g.degree_cumulative if weight_rule == "degree"
+                  else np.cumsum(weights))
     draws = rng.random(n) * cumulative[-1]
-    nodes = np.searchsorted(cumulative, draws, side="right")
+    # Looked up in sorted order, the searches walk the table forwards; the
+    # nodes go back to draw order.
+    order = np.argsort(draws)
+    nodes = np.empty(n, dtype=np.intp)
+    nodes[order] = np.searchsorted(cumulative, draws[order], side="right")
     return _drawn(g, nodes, weights[nodes], np.zeros(n, dtype=np.int64),
                   METHOD_WIS, seed, rule_name)
 
@@ -411,12 +421,15 @@ def read_sample(source: IO[str] | IO[bytes]) -> Sample:
 
 
 def _header_int(meta: dict[str, str], key: str) -> int:
-    try:
-        return int(meta[key])
-    except ValueError:
-        raise SamplingError(f"sample header {key}="
-                            f"{_excerpt(meta[key], quote=False)} is not an "
-                            "integer") from None
+    """A header count or seed: one or more ASCII digits, of any size (an
+    rw-multi seed is the walk seed times 1,000,003)."""
+    text = meta[key]
+    if text.isascii() and text.isdigit():
+        with contextlib.suppress(ValueError):  # beyond int()'s digit limit
+            return int(text)
+    shown = _excerpt(text, quote=not text.isprintable())
+    raise SamplingError(f"sample header {key}={shown} is not an integer of "
+                        "ASCII digits")
 
 
 _ID = re.compile(r"[0-9]{1,20}")

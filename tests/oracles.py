@@ -450,6 +450,16 @@ def walk(g, n, seed):
     return nodes
 
 
+def wis_draw(weights, n, seed):
+    """The dense nodes of a weighted draw, each draw looked up in the
+    running sums in draw order: the reference of ``sample_wis``'s sorted
+    lookup."""
+    cumulative = np.cumsum(np.asarray(weights, dtype=np.float64))
+    rng = np.random.default_rng(seed)
+    return np.searchsorted(cumulative, rng.random(n) * cumulative[-1],
+                           side="right")
+
+
 def largest_connected_component(g):
     """Edge-by-edge ``largest_connected_component``: the array version's
     reference.  A connected graph is its own component, load report and
@@ -500,11 +510,12 @@ def sample_from_snapshots(node_at, weight_at, walker_at, snapshots, method,
 def read_sample(source):
     """Record-by-record sample-file reader: the array reader's reference.
 
-    It accepts what ``int()`` and ``float()`` accept in a field (so ``+5``,
-    `` 5``, ``1_0``, non-ASCII digits, signed ids and ids of any size too,
-    which the array reader rejects); walker ids beyond 64 bits fail when
-    the sample is built, and so, with a GraphError, do ids outside
-    [0, 2^64).
+    It accepts what ``int()`` and ``float()`` accept in a record field (so
+    ``+5``, `` 5``, ``1_0``, non-ASCII digits, signed ids and ids of any
+    size too, which the array reader rejects); walker ids beyond 64 bits
+    fail when the sample is built, and so, with a GraphError, do ids
+    outside [0, 2^64).  The header's seed and n are ASCII digits, as the
+    array reader reads them.
     """
     from graphsize.sampling import METHODS, RNG_NAME, SamplingError
 
@@ -529,11 +540,13 @@ def read_sample(source):
         raise SamplingError(f"unknown sampling method {meta['method']!r}")
     header_ints = []
     for key in ("seed", "n"):
-        try:
-            header_ints.append(int(meta[key]))
-        except ValueError:
-            raise SamplingError(f"sample header {key}={meta[key]} is not an "
-                                "integer") from None
+        # Header values are ASCII digits only, of any size.
+        value = meta[key]
+        if not (value.isascii() and value.isdigit()):
+            shown = value if value.isprintable() else repr(value)
+            raise SamplingError(f"sample header {key}={shown} is not an "
+                                "integer of ASCII digits")
+        header_ints.append(int(value))
     seed, count = header_ints
     rows = []
     snapshots = {}
@@ -620,17 +633,25 @@ def inda_wis_parts(sample) -> tuple[float, float]:
     degrees = [len(snapshots[v]) for v in nodes]
     s1 = math.fsum(inv)
     pair_sum = 0.5 * (s1 * s1 - math.fsum(x * x for x in inv))
+    num = math.fsum(d * iw for d, iw in zip(degrees, inv)) * pair_sum
+    return num, s1 * edge_pair_sum(sample)
+
+
+def edge_pair_sum(sample) -> float:
+    """Route A's edge-pair sum of 1/(w_i * w_j) from dict loops over the
+    distinct nodes in order of first appearance, as ``_first_seen`` orders
+    them, whatever the ranks."""
+    nodes, weights, _, snapshots = views(sample)
     inv_by_node = {}
-    for v, iw in zip(nodes, inv):
-        inv_by_node[v] = inv_by_node.get(v, 0.0) + iw
+    for v, w in zip(nodes, weights):
+        inv_by_node[v] = inv_by_node.get(v, 0.0) + 1.0 / w
     total = 0.0
     for v, iv in inv_by_node.items():
         acc = 0.0
         for u in snapshots[v]:
             acc += inv_by_node.get(u, 0.0)
         total += iv * acc
-    num = math.fsum(d * iw for d, iw in zip(degrees, inv)) * pair_sum
-    return num, s1 * (0.5 * total)
+    return 0.5 * total
 
 
 def auxiliary_counts(sample, mode: str) -> dict:

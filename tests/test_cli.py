@@ -217,6 +217,67 @@ def test_rw_sample_on_disconnected_graph_is_data_error(tmp_path, capsys):
     assert "largest connected component" in err
 
 
+def test_wis_sample_on_a_graph_with_an_isolated_node_is_data_error(
+        tmp_path, capsys):
+    edges = tmp_path / "g.txt"
+    edges.write_text("1 2\n2 3\n5 5\n")  # node 5 keeps degree 0
+    for _ in range(2):
+        err = _one_line_error(*run(capsys, "sample", "--graph", str(edges),
+                                   "--method", "wis", "--n", "10",
+                                   "-o", str(tmp_path / "s.tsv")), 3)
+        assert "finite and positive" in err
+    assert not (tmp_path / "s.tsv").exists()
+
+
+def test_rw_multi_sample_with_a_header_seed_beyond_64_bits_reads_back(
+        tmp_path, capsys):
+    # The file's seed is --seed * 1,000,003, past 2^64 for --seed 2^63.
+    edges, sample = tmp_path / "g.txt", tmp_path / "s.tsv"
+    run(capsys, "gen", "gen:ba:nodes=60,m=2,seed=1", "-o", str(edges))
+    code, _, err = run(capsys, "sample", "--graph", str(edges), "--method",
+                       "rw-multi", "--walkers", "2", "--n", "40", "--seed",
+                       str(2**63), "-o", str(sample))
+    assert (code, err) == (0, "")
+    assert f"\tseed={2**63 * 1_000_003}\t" in sample.read_text()
+    code, out, err = run(capsys, "estimate", "--sample", str(sample),
+                         "--estimator", "node-wis")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == 40
+
+
+def test_the_benchmark_crawl_commands_succeed_and_agree(tmp_path, capsys):
+    """The benchmark's crawl pass on BA(2000, 3): gen, an rw-multi sample of
+    n = N, then its five estimate commands, each printing one JSON object
+    whose estimate is its own ratio."""
+    edges, sample = tmp_path / "graph.txt", tmp_path / "sample.tsv"
+    code, _, err = run(capsys, "gen", "gen:ba:nodes=2000,m=3,seed=1",
+                       "-o", str(edges))
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "sample", "--graph", str(edges), "--method",
+                         "rw-multi", "--walkers", "4", "--n", "2000",
+                         "--seed", "0", "-o", str(sample))
+    assert (code, err) == (0, "")
+    assert out.startswith("wrote 2000 records")
+    for flags in (["--estimator", "node-wis"], ["--estimator", "ind-a"],
+                  ["--estimator", "ind-b", "--correction", "margin",
+                   "--margin", "50", "--a-mode", "multiset"],
+                  ["--estimator", "ind-b", "--correction", "thin-shifted",
+                   "--theta", "10"],
+                  ["--estimator", "ind-b", "--correction", "cross-walker",
+                   "--a-mode", "set"]):
+        code, out, err = run(capsys, "estimate", "--sample", str(sample),
+                             *flags)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1
+        payload = json.loads(out)
+        assert payload["n"] == 2000
+        assert isinstance(payload["estimate"], float)
+        if payload["denominator"]:
+            offset = 1.0 if flags[1] == "ind-a" else 0.0
+            assert payload["estimate"] == (
+                payload["numerator"] / payload["denominator"] + offset)
+
+
 def test_experiment_and_plot(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     csv = tmp_path / "out.csv"
@@ -504,6 +565,17 @@ def _digits_at_record_3(field):
                  "seed=five", id="seed"),
     pytest.param(lambda t: re.sub(r"\tn=\d+", "\tn=80.0", t), "n=80.0",
                  id="count"),
+    # int() reads each of these header values; only ASCII digits are read.
+    *(pytest.param(lambda t, key=key, value=value: re.sub(
+        rf"\t{key}=\d+", f"\t{key}={value}", t), f"{key}={value} is not",
+        id=f"{key}-{label}")
+      for key, value, label in [("seed", "-1_0", "signed"),
+                                ("seed", "+5", "plus"),
+                                ("seed", "\u0665", "arabic-indic"),
+                                ("n", " +8_0", "spaced"),
+                                ("n", "8_0", "underscore")]),
+    pytest.param(lambda t: re.sub(r"\tseed=\d+", "\tseed=" + "9" * 5000, t),
+                 "seed=9999", id="seed-beyond-int-digit-limit"),
     pytest.param(lambda t: re.sub(r"\tn=\d+\n.*", "\tn=0\n", t,
                                   flags=re.DOTALL), "no records",
                  id="no-records"),
@@ -723,7 +795,9 @@ def test_sample_flag_errors_precede_loading_the_graph(tmp_path, capsys, flags):
     "method = rw-multi\nwalkers = 2\nparam = n\nvalues = 50,51",
     "walkers = 2", "theta = 3", "estimator = node-wis\na_mode = multiset",
     "correction = none\nparam = n\nvalues = 10\nm = 4",
-    "weight_rule = unit"])
+    "weight_rule = unit",
+    "method = wis\nweight_rule = bogus\ncorrection = none\nparam = n\n"
+    "values = 10,50"])
 def test_experiment_plan_errors_precede_building_the_graph(tmp_path, capsys,
                                                            line):
     plan = tmp_path / "plan.txt"
@@ -741,6 +815,8 @@ def test_experiment_plan_errors_precede_building_the_graph(tmp_path, capsys,
     key = line.split(" = ")[0]
     if key in ("n", "trials"):
         assert f"plan key '{key}'" in err
+    if "bogus" in line:
+        assert "unknown weight rule: 'bogus'" in err
 
 
 def test_estimate_calls_each_kernel_once(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,12 +7,13 @@ from hypothesis import given, strategies as st
 
 from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
                             EstimateOutcome, EstimatorError, RatioEstimate,
-                            _auxiliary_counts, aggregate_ratios,
+                            _auxiliary_counts, _fsum, aggregate_ratios,
                             count_collisions, count_induced_edges,
                             count_unique, pairwise_inverse_weight_sum)
 from graphsize.generators import erdos_renyi
 from graphsize.ind_estimators import (edge_pair_inverse_weight_sum,
-                                      indb_uis_ratio, indb_wis_ratio)
+                                      inda_wis_ratio, indb_uis_ratio,
+                                      indb_wis_ratio)
 from graphsize.node_estimators import node_wis_ratio
 from graphsize.sampling import sample_uis
 
@@ -138,6 +140,27 @@ def test_pairwise_inverse_weight_sum_matches_pair_loop():
 def test_pairwise_inverse_weight_sum_property(w):
     got = pairwise_inverse_weight_sum(w)
     assert oracles.relerr(got, oracles.pairwise_inverse_weight_sum(w)) < 1e-9
+
+
+@given(st.lists(st.floats(-1e30, 1e30), max_size=60),
+       st.lists(st.integers(-2**62, 2**62), max_size=60),
+       st.sampled_from(["<", ">"]), st.integers(-3, 3).filter(bool))
+def test_fsum_is_math_fsum_of_the_list(floats, ints, order, step):
+    """The buffer read sums the same numbers as the list: either byte
+    order, any stride."""
+    for array in (np.array(floats, dtype=f"{order}f8"),
+                  np.array(floats, dtype=f"{order}f4"),
+                  np.array(ints, dtype=f"{order}i8")):
+        assert _fsum(array[::step]) == math.fsum(array[::step].tolist())
+
+
+def test_wis_kernels_read_a_big_endian_weight_column():
+    s = _multiplicity_sample()
+    weights = 1.0 + np.arange(len(s))
+    swapped = replace(s, weight_column=weights.astype(">f8"))
+    native = replace(s, weight_column=weights)
+    for kernel in (node_wis_ratio, inda_wis_ratio, indb_wis_ratio):
+        assert kernel(swapped) == kernel(native)
 
 
 def test_pairwise_inverse_weight_sum_rejects_zero():

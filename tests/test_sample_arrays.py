@@ -29,11 +29,13 @@ from graphsize.experiment import (ESTIMATORS, EstimatorSpec, SamplerSpec,
                                   _head, draw_sample)
 from graphsize.generators import barabasi_albert
 from graphsize.graph import GraphError
-from graphsize.ind_estimators import (inda_wis_ratio, indb_uis_ratio,
+from graphsize.ind_estimators import (_edge_pair_sum, _in_first_seen_order,
+                                      inda_wis_ratio, indb_uis_ratio,
                                       indb_wis_ratio)
 from graphsize.node_estimators import (capture_recapture,
                                        capture_recapture_from_sample)
-from graphsize.rw_correction import ind_margin_ratio, margin_crosswalker
+from graphsize.rw_correction import (ind_margin_ratio, margin_crosswalker,
+                                     thin_shifted)
 from graphsize.sampling import (Sample, SamplingError, _first_seen,
                                 read_sample, sample_rw_multi, sample_wis,
                                 write_sample)
@@ -177,8 +179,13 @@ def test_reader_takes_newlines_as_the_handle_gives_them():
     translated = read_sample(io.TextIOWrapper(io.BytesIO(crlf),
                                               encoding="utf-8"))
     assert oracles.same_sample(translated, read_sample(io.StringIO(text)))
-    with pytest.raises(SamplingError, match=r"record 0: snapshot '6\\r'"):
+    # Untranslated, a CR ends the header's last value, n, and then each
+    # record's snapshot: neither is digits only.
+    with pytest.raises(SamplingError, match=r"sample header n='2\\r' is not"):
         read_sample(io.StringIO(crlf.decode()))
+    head, body = crlf.decode().split("\r\n", 1)
+    with pytest.raises(SamplingError, match=r"record 0: snapshot '6\\r'"):
+        read_sample(io.StringIO(head + "\n" + body))
 
 
 @st.composite
@@ -286,6 +293,72 @@ def test_kernels_equal_the_dict_loops_bit_for_bit(s, seed):
             ratio = kernel(s, mode)
             assert (ratio.numerator, ratio.denominator) \
                 == oracles.indb_parts(s, mode, weighted)
+
+
+@st.composite
+def route_a_samples(draw):
+    """A sample whose ranks follow first appearance (a draw, its file read
+    back, a head of a single-run draw) or one that need not (a reversed or
+    thin-shifted subset, an rw-multi head or walker reorder, a sample
+    without its first position, a walk-like sample reordered), with
+    whether it is known to follow first appearance."""
+    g = barabasi_albert(60, 2, seed=draw(st.integers(0, 2**16)))
+    method = draw(st.sampled_from(["uis", "wis", "rw", "rw-multi"]))
+    walkers = draw(st.integers(2, 4)) if method == "rw-multi" else 1
+    spec = SamplerSpec(method, walkers * draw(st.integers(2, 30)), walkers)
+    s = draw_sample(g, spec, draw(st.integers(0, 2**32)))
+    n = len(s)
+    cut = draw(st.sampled_from(["draw", "read", "head", "reversed",
+                                "thin-shifted", "reorder", "tail",
+                                "walk-like"]))
+    if cut == "draw":
+        return s, True
+    if cut == "read":
+        sink = io.StringIO()
+        write_sample(s, sink)
+        return read_sample(io.StringIO(sink.getvalue())), True
+    if cut == "head":
+        keep = draw(st.integers(1, spec.n // walkers))
+        return _head(s, spec, keep * walkers), walkers == 1 or None
+    if cut == "reversed":
+        return s.subset(np.arange(n)[::-1]), None
+    if cut == "thin-shifted":
+        theta = draw(st.integers(2, 5))
+        return thin_shifted(s, theta)[draw(st.integers(1, theta - 1))], None
+    if cut == "reorder":
+        # The cross-walker kernels' stable reorder by walker label.
+        shuffled = s.subset(draw(st.permutations(range(n))))
+        return shuffled.subset(np.argsort(shuffled.walker_column,
+                                          kind="stable")), None
+    if cut == "tail":
+        return s.subset(np.arange(1, n)), bool(s.rank_column[1] == 0)
+    t = draw(walk_like_samples())
+    return t.subset(draw(st.permutations(range(len(t))))), None
+
+
+@settings(max_examples=300, deadline=None)
+@given(route_a_samples())
+def test_route_a_sums_in_first_appearance_order_with_or_without_lookup(case):
+    """Route A skips the first-appearance lookup exactly when the ranks
+    already follow first appearance; either way the edge-pair sum is the
+    one taken over the distinct nodes in first-appearance order, to the
+    bit."""
+    s, ordered = case
+    first = _first_seen(s.rank_column)[0]
+    assert _in_first_seen_order(s.rank_column) == (
+        np.array_equal(first, np.arange(len(first))))
+    if ordered is not None:
+        assert _in_first_seen_order(s.rank_column) == ordered
+    inv = 1.0 / s.weight_column
+    assert _edge_pair_sum(s, inv) == oracles.edge_pair_sum(s)
+
+
+@pytest.mark.parametrize("ranks,ordered", [
+    ([], True), ([0], True), ([0, 0, 1, 0, 2, 1, 3], True), ([1], False),
+    ([1, 0], False), ([0, 2, 1], False), ([0, 1, 3, 2], False),
+    ([0, 1, 1, 3], False)])
+def test_first_appearance_order_check(ranks, ordered):
+    assert _in_first_seen_order(np.array(ranks, dtype=np.int64)) == ordered
 
 
 def test_derived_samples_share_the_parent_arrays():

@@ -78,6 +78,56 @@ def test_wis_rejects_non_positive_weight(k5):
             sample_wis(k5, lambda v: bad if v == 2 else 1.0, 10, seed=0)
 
 
+def test_wis_degree_rule_rejects_an_isolated_node_on_every_call():
+    g = graph_from_text("1 2\n2 3\n5 5\n")  # node 5 keeps degree 0
+    with pytest.raises(SamplingError, match="finite and positive"):
+        sample_wis(g, "degree", 10, seed=0)
+    # The second call finds the cumulative table built, as any earlier draw
+    # on the graph leaves it.
+    assert g.degree_cumulative[-1] == 4.0
+    with pytest.raises(SamplingError, match="finite and positive"):
+        sample_wis(g, "degree", 10, seed=0)
+
+
+def _drawn_dense(g, s):
+    """The dense node of each position of a drawn sample."""
+    return np.searchsorted(g.ext_ids, s.ids[s.rank_column])
+
+
+@pytest.mark.parametrize("graph", ["ba", "k5"])
+@pytest.mark.parametrize("rule", ["degree", "unit", "callable"])
+@pytest.mark.parametrize("n", [1, 7, 20_000])
+def test_wis_draws_match_the_draw_order_reference(graph, rule, n):
+    """Sorted lookup gives the nodes of a lookup in draw order: one draw,
+    draws far beyond the node count, and equal weights (k5's degrees, the
+    unit rule)."""
+    g = barabasi_albert(300, 3, seed=2) if graph == "ba" else erdos_renyi(
+        5, 1.0, seed=0)
+    degrees = np.diff(g.adjacency_arrays[0]).astype(float)
+    weights = {"degree": degrees, "unit": np.ones(g.node_count),
+               "callable": 1.0 + np.arange(g.node_count) % 3}[rule]
+    for seed in (0, 1, 2**40):
+        s = sample_wis(g, (lambda v: weights[v]) if rule == "callable"
+                       else rule, n, seed)
+        want = oracles.wis_draw(weights, n, seed)
+        np.testing.assert_array_equal(_drawn_dense(g, s), want)
+        np.testing.assert_array_equal(s.weight_column, weights[want])
+
+
+def test_wis_callable_named_degree_draws_from_its_own_weights(star4):
+    hub = oracles.dense_index(star4, 0)
+
+    def degree(v):  # the reverse of the degree rule: leaves outweigh the hub
+        return 1.0 if v == hub else 50.0
+
+    own = [degree(v) for v in range(star4.node_count)]
+    s = sample_wis(star4, degree, 2000, seed=3)
+    assert s.weight_rule == "degree"
+    np.testing.assert_array_equal(_drawn_dense(star4, s),
+                                  oracles.wis_draw(own, 2000, 3))
+    assert (_drawn_dense(star4, s) == hub).mean() < 0.05
+
+
 def test_rw_consecutive_nodes_adjacent():
     g = erdos_renyi(60, 0.1, seed=1)
     if not g.is_connected:
