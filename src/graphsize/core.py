@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sampling import Sample
+from .sampling import Sample, _fsum
 
 MODE_SET = "set"
 MODE_MULTISET = "multiset"
@@ -125,17 +125,13 @@ def _inverse_pair_sum(inv: np.ndarray, s1: float) -> float:
     return 0.5 * (s1 * s1 - s2)
 
 
-def _fsum(values: np.ndarray) -> float:
-    """math.fsum of a 1-D array, read through its buffer: the same
-    correctly rounded sum as of ``values.tolist()``, without the list.  A
-    buffer exports native byte order only, so other arrays are copied."""
-    return math.fsum(memoryview(values.astype(
-        values.dtype.newbyteorder("="), copy=False)))
+def _check_weights(weights: np.ndarray) -> None:
+    if not (weights > 0.0).all():
+        raise EstimatorError("weights must be positive")
 
 
 def _inverse_weights(weights: np.ndarray) -> np.ndarray:
-    if not (weights > 0.0).all():
-        raise EstimatorError("weights must be positive")
+    _check_weights(weights)
     return 1.0 / weights
 
 

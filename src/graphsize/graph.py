@@ -263,11 +263,8 @@ def _simple_csr(
     if not isinstance(edges, np.ndarray):
         edges = chain.from_iterable(edges)
     pairs = _node_ids(edges).reshape(-1, 2)
-    # Asking for the inverse or the counts makes np.unique sort, which is
-    # several times faster here than its hash table.
-    nodes, ranks = np.unique(
-        np.concatenate((pairs.ravel(), _node_ids(extra_nodes))),
-        return_inverse=True)
+    nodes, ranks = _sorted_ranks(
+        np.concatenate((pairs.ravel(), _node_ids(extra_nodes))))
     if not nodes.size:
         raise GraphError("empty graph: no nodes in input")
     n = nodes.size
@@ -281,6 +278,33 @@ def _simple_csr(
     kept = int(proper.sum())
     return (nodes, indptr, both % n,
             len(pairs) - kept, kept - len(keys))
+
+
+def _sorted_ranks(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids, sorted, and each id's index among them.  Dense ids
+    (see :func:`_dense_span`) mark a table; others are sorted."""
+    dense = _dense_span(ids)
+    if dense is not None:
+        low, span = dense
+        offsets = ids - low
+        mark = np.zeros(span, dtype=bool)
+        mark[offsets] = True
+        ranks = np.cumsum(mark)[offsets] - 1
+        return np.flatnonzero(mark).astype(ids.dtype) + low, ranks
+    # Asking for the inverse makes np.unique sort, which is several times
+    # faster here than its hash table.
+    return np.unique(ids, return_inverse=True)
+
+
+def _dense_span(values: np.ndarray) -> tuple[np.generic, int] | None:
+    """The least value and the number of slots from it to the greatest,
+    when that is at most four slots per value, so that the values less
+    the least can index a table; None for sparser or no values."""
+    if not len(values):
+        return None
+    low = values.min()
+    span = int(values.max()) - int(low) + 1
+    return (low, span) if span <= 4 * len(values) else None
 
 
 def _node_ids(ids: Iterable[int] | np.ndarray) -> np.ndarray:

@@ -9,15 +9,20 @@ Margin and cross-walker filtering are one pair filter: each position i
 excludes a window [lo_i, hi_i) of positions, the positions within m steps
 for a margin, the positions of its own walker for cross-walker filtering.
 All their sums run over ordered pairs (i, j), i != j, and are computed as
-full-pair totals minus within-window totals.  The window-independent inputs
-are the sample's own columns and its two cached occurrence indexes (see
-:class:`~graphsize.sampling.Occurrences`): the NODE kernels read
-``occurrences``, each position's node, and the IND kernels also
-``mentions``, each position's snapshot entries, which is built on first use.
-Each window then costs an inverse-weight prefix-sum window and two binary
-searches per position (:meth:`~graphsize.sampling.Sample.far`), so a sweep
-over many m sorts once.  Thinning slices the rank column over the parent's
-shared CSR.
+full-pair totals minus within-window totals.  Everything that no window
+changes is built once per sample and cached on it, read-only: the two
+occurrence indexes (:class:`~graphsize.sampling.Occurrences`),
+``occurrences``, each position's node, and, for the IND kernels only,
+``mentions``, each position's snapshot entries; and
+:class:`~graphsize.sampling.Windows`, the prefix sums of the inverse
+weights, the exact full-pair totals and each occurrence's position, rank
+base and inverse weight.  A NODE or multiset window then costs one
+prefix-window exact sum for its numerator, and one search call over both
+window edges (:meth:`~graphsize.sampling.Sample.far`) and one exact sum
+for its denominator.  Set mode reads the mentions' cached first and last
+positions.  So a sweep over many m sorts once, and each m costs what its
+own window needs.  The positivity check on the weights runs on every
+call.  Thinning slices the rank column over the parent's shared CSR.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .core import (MODE_MULTISET, NO_COLLISIONS, EstimateOutcome,
-                   EstimatorError, RatioEstimate, _check_mode, _fsum,
-                   _inverse_weights, aggregate_ratios)
+                   EstimatorError, RatioEstimate, _check_mode, _check_weights,
+                   _fsum, aggregate_ratios)
 from .sampling import Sample
 
 
@@ -72,56 +77,61 @@ def _margin_window(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(i - m, 0), np.minimum(i + m + 1, n)
 
 
-def _far_pair_sum(values: np.ndarray, inv: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray) -> float:
-    """Sum of values_i * inv_j over ordered pairs with j outside [lo_i, hi_i).
-
-    The full product of totals minus, for each i, values_i times the
-    prefix-sum window of inv over [lo_i, hi_i).
-    """
-    prefix = np.concatenate(([0.0], np.cumsum(inv)))
-    return (_fsum(values) * _fsum(inv)
-            - _fsum(values * (prefix[hi] - prefix[lo])))
-
-
-def _node_window_ratio(s: Sample, inv: np.ndarray, lo: np.ndarray,
-                       hi: np.ndarray) -> RatioEstimate:
-    return RatioEstimate(_far_pair_sum(s.weight_column, inv, lo, hi),
-                         float(s.far(s.occurrences, lo, hi).sum()))
+def _runs(s: Sample, lo: np.ndarray, hi: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Windows [lo_i, hi_i) of positions: the inverse weights summed over
+    each, by position, and their edges as keys, as :meth:`Sample.far`
+    takes them."""
+    w = s.windows
+    edges = np.concatenate((w.base + lo[w.position], w.base + hi[w.position]))
+    return (w.prefix[hi] - w.prefix[lo],
+            edges.astype(s.occurrences.keys.dtype, copy=False))
 
 
-def _ind_window_ratio(s: Sample, inv: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, a_mode: str) -> RatioEstimate:
-    if a_mode == MODE_MULTISET:
-        return RatioEstimate(
-            _far_pair_sum(s.degree_column, inv, lo, hi),
-            _fsum(inv * s.far(s.mentions, lo, hi)))
+# Sums of values_i * inv_j over ordered pairs with j outside i's window are
+# the exact total minus, for each i, values_i times i's window sum of inv.
 
-    n = len(s)
-    first, last = s.mentions.first, s.mentions.last
-    carried = s.mentions.counts > 0
+
+def _node_window_ratio(s: Sample, sums: np.ndarray,
+                       edges: np.ndarray) -> RatioEstimate:
+    return RatioEstimate(
+        s.windows.weight_total - _fsum(s.weight_column * sums),
+        float(s.far(s.occurrences, edges).sum()))
+
+
+def _multiset_window_ratio(s: Sample, sums: np.ndarray,
+                           edges: np.ndarray) -> RatioEstimate:
+    w = s.windows
+    return RatioEstimate(w.degree_total - _fsum(s.degree_column * sums),
+                         _fsum(w.keyed_inverse * s.far(s.mentions, edges)))
+
+
+def _set_window_ratio(s: Sample, lo: np.ndarray,
+                      hi: np.ndarray) -> RatioEstimate:
+    # Set mode reads only the mentions: no window total or key edge.
+    n, inv, occ = len(s), 1.0 / s.weight_column, s.mentions
+    first, last = occ.spans
     # A neighbor node is invisible from position j iff all positions carrying
     # it fall inside j's window; lo and hi never decrease, so that happens
     # exactly for j in an interval.
-    lo_j = np.searchsorted(hi, last[carried], "right")
-    hi_j = np.searchsorted(lo, first[carried], "right") - 1
+    lo_j = np.searchsorted(hi, last, "right")
+    hi_j = np.searchsorted(lo, first, "right") - 1
     hidden = lo_j <= hi_j
     missing = np.cumsum(np.bincount(lo_j[hidden], minlength=n + 1)
                         - np.bincount(hi_j[hidden] + 1, minlength=n + 1))[:n]
-    num = _fsum(inv * (np.count_nonzero(carried) - missing))
+    num = _fsum(inv * (len(first) - missing))
     r = s.rank_column
-    seen = (first[r] < lo) | (last[r] >= hi)
+    seen = (occ.first[r] < lo) | (occ.last[r] >= hi)
     return RatioEstimate(num, _fsum(inv[seen]))
 
 
 def node_margin_ratio(s: Sample, m: int) -> RatioEstimate:
     """Ordered-pair ratio sum(w_i/w_j) over sum(1{s_i=s_j}), pairs > m apart."""
     _check_at_least("margin", m, 0)
-    inv = _inverse_weights(s.weight_column)
-    n = len(s)
-    if m >= n - 1:
+    _check_weights(s.weight_column)
+    if m >= len(s) - 1:
         return RatioEstimate(0.0, 0.0)
-    return _node_window_ratio(s, inv, *_margin_window(n, m))
+    return _node_window_ratio(s, *_runs(s, *_margin_window(len(s), m)))
 
 
 def ind_margin_ratio(s: Sample, m: int, a_mode: str) -> RatioEstimate:
@@ -139,11 +149,14 @@ def ind_margin_ratio(s: Sample, m: int, a_mode: str) -> RatioEstimate:
     """
     _check_at_least("margin", m, 0)
     _check_mode(a_mode)
-    inv = _inverse_weights(s.weight_column)
+    _check_weights(s.weight_column)
     n = len(s)
     if m >= n - 1:
         return RatioEstimate(0.0, 0.0)
-    return _ind_window_ratio(s, inv, *_margin_window(n, m), a_mode)
+    lo, hi = _margin_window(n, m)
+    if a_mode == MODE_MULTISET:
+        return _multiset_window_ratio(s, *_runs(s, lo, hi))
+    return _set_window_ratio(s, lo, hi)
 
 
 def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
@@ -155,21 +168,25 @@ def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
     either base, though only the ind base uses it.
     """
     _check_mode(a_mode)
-    inv = _inverse_weights(s.weight_column)
+    _check_weights(s.weight_column)
     walkers = s.walker_column
     if len(walkers) == 0 or (walkers == walkers[0]).all():
         return NO_COLLISIONS
     if (walkers[1:] < walkers[:-1]).any():
         # The sums depend on the walker labels only, not on record order.
         order = np.argsort(walkers, kind="stable")
-        s, inv, walkers = s.subset(order), inv[order], walkers[order]
+        s, walkers = s.subset(order), walkers[order]
     lo = np.searchsorted(walkers, walkers, "left")
     hi = np.searchsorted(walkers, walkers, "right")
     if base == "node":
-        return _node_window_ratio(s, inv, lo, hi).outcome()
-    if base == "ind":
-        return _ind_window_ratio(s, inv, lo, hi, a_mode).outcome()
-    raise EstimatorError(f"unsupported cross-walker base: {base!r}")
+        ratio = _node_window_ratio(s, *_runs(s, lo, hi))
+    elif base != "ind":
+        raise EstimatorError(f"unsupported cross-walker base: {base!r}")
+    elif a_mode == MODE_MULTISET:
+        ratio = _multiset_window_ratio(s, *_runs(s, lo, hi))
+    else:
+        ratio = _set_window_ratio(s, lo, hi)
+    return ratio.outcome()
 
 
 # -- surviving pair accounting ---------------------------------------------

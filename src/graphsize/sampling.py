@@ -20,7 +20,7 @@ from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, _decimals, _excerpt, _node_ids
+from .graph import Graph, _decimals, _dense_span, _excerpt, _node_ids
 
 RNG_NAME = "numpy-pcg64"
 
@@ -60,10 +60,14 @@ class Sample:
 
     Samples compare by identity.  The ``nodes()`` and ``degrees()`` lists
     remain only for ``bench/``, until it reads the columns.  The margin and
-    cross-walker kernels read two cached :class:`Occurrences`, made on
-    first use: ``occurrences``, where each rank is sampled, and
-    ``mentions``, which positions' snapshots name it.  A sample derived by
-    :meth:`subset` or ``dataclasses.replace`` builds its own.
+    cross-walker kernels read what the sample caches on first use, all
+    read-only: two :class:`Occurrences`, ``occurrences``, where each rank
+    is sampled, and ``mentions``, which positions' snapshots name it; and
+    ``windows``, the window-independent sums and arrays of
+    :class:`Windows`.  Built once, they leave each further window one
+    prefix-window exact sum for its numerator, and one search call and one
+    exact sum for its denominator.  A sample derived by :meth:`subset` or
+    ``dataclasses.replace`` builds its own.
     """
 
     ids: np.ndarray
@@ -120,7 +124,8 @@ class Sample:
     def occurrences(self) -> Occurrences:
         """Each position's node, as one occurrence of its rank."""
         n = len(self)
-        return _occurrences(self.rank_column, np.arange(n), n, len(self.ids))
+        return _occurrences(self.rank_column, np.arange(n), n, len(self.ids),
+                            self.rank_column)
 
     @cached_property
     def mentions(self) -> Occurrences:
@@ -135,21 +140,37 @@ class Sample:
             self.entries.astype(np.min_scalar_type(size))[_ranges(
                 self.offsets[self.rank_column], lengths, gather)],
             np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), lengths), n,
-            size)
+            size, self.rank_column)
 
-    def far(self, occ: Occurrences, lo: np.ndarray,
-            hi: np.ndarray) -> np.ndarray:
-        """For each position i, the occurrences in ``occ`` of i's node at
-        positions outside the window [lo[i], hi[i])."""
+    @cached_property
+    def windows(self) -> Windows:
+        """What a node or multiset window reads and no window changes; see
+        :class:`Windows`.  The caller checks that the weights are
+        positive."""
         keys = self.occurrences.keys
-        p = keys % (len(self) + 1)
-        base = keys - p
-        # Queried in key order, the binary searches walk the keys forwards.
-        below, until = (np.searchsorted(occ.keys, (base + edge[p]).astype(
-            keys.dtype)) for edge in (lo, hi))
-        near = np.empty(len(p), dtype=np.int64)
-        near[p] = until - below
-        return occ.counts[self.rank_column] - near
+        position = keys % (len(self) + 1)
+        inverse = 1.0 / self.weight_column
+        prefix = np.concatenate(([0.0], np.cumsum(inverse)))
+        base, keyed = keys - position, inverse[position]
+        for array in (prefix, position, base, keyed):
+            array.flags.writeable = False
+        inverse_sum = _fsum(inverse)
+        return Windows(prefix, _fsum(self.weight_column) * inverse_sum,
+                       # The exact integer sum, rounded once, is their fsum.
+                       float(int(self.degree_column.sum())) * inverse_sum,
+                       position, base, keyed)
+
+    def far(self, occ: Occurrences, edges: np.ndarray) -> np.ndarray:
+        """For each occurrence of a sampled node, in the key order of
+        ``occurrences``, the occurrences in ``occ`` of its rank outside its
+        window of positions.  ``edges`` holds the windows as keys, in the
+        dtype of ``occ.keys``: the key each window starts at, then the key
+        it ends before.  Each half ascends, so the one search call walks
+        ``occ.keys`` forwards twice; the count at each occurrence is cached
+        in ``occ.own``.  Nothing is gathered or scattered."""
+        found = np.searchsorted(occ.keys, edges)
+        n = len(self)
+        return occ.own - (found[n:] - found[:n])
 
 
 class Occurrences(NamedTuple):
@@ -161,14 +182,43 @@ class Occurrences(NamedTuple):
     """
 
     keys: np.ndarray     # sorted; int32 when every key fits
-    counts: np.ndarray   # occurrences per rank
     first: np.ndarray    # first position per rank, n if none
     last: np.ndarray     # last position per rank, -1 if none
+    spans: np.ndarray    # rows: first and last position per rank that occurs
+    own: np.ndarray      # counts of each sampled occurrence's rank, in the
+                         # key order of Sample.occurrences
+
+
+class Windows(NamedTuple):
+    """What the node and multiset windows of one sample (margin or
+    cross-walker) read and no window changes, read-only.  Per-occurrence
+    arrays follow the key order of ``Sample.occurrences``.
+
+    A window then costs one prefix-window exact sum for its numerator, and
+    for its denominator one search call over both window edges
+    (:meth:`Sample.far`) and one exact sum.
+    """
+
+    prefix: np.ndarray   # running sums of 1 / weight, from 0 (n + 1 values)
+    weight_total: float  # fsum(weights) * fsum(1 / weights)
+    degree_total: float  # fsum(degrees) * fsum(1 / weights)
+    position: np.ndarray  # each occurrence's position
+    base: np.ndarray     # each occurrence's key less its position, r * (n + 1)
+    keyed_inverse: np.ndarray  # 1 / weight at each occurrence's position
+
+
+def _fsum(values: np.ndarray) -> float:
+    """math.fsum of a 1-D array, read through its buffer: the same
+    correctly rounded sum as of ``values.tolist()``, without the list.  A
+    buffer exports native byte order only, so other arrays are copied."""
+    return math.fsum(memoryview(values.astype(
+        values.dtype.newbyteorder("="), copy=False)))
 
 
 def _occurrences(ranks: np.ndarray, positions: np.ndarray, n: int,
-                 size: int) -> Occurrences:
-    """The occurrences of ``ranks[k]`` (below ``size``) at ``positions[k]``."""
+                 size: int, sampled: np.ndarray) -> Occurrences:
+    """The occurrences of ``ranks[k]`` (below ``size``) at ``positions[k]``,
+    in a sample whose rank column is ``sampled``."""
     stride = n + 1
     # Keys take 32 bits when they fit: they are the largest array a margin
     # estimate allocates.
@@ -183,24 +233,29 @@ def _occurrences(ranks: np.ndarray, positions: np.ndarray, n: int,
     carried = np.flatnonzero(counts)
     first = np.full(size, n, dtype=np.int64)
     last = np.full(size, -1, dtype=np.int64)
-    first[carried] = keys[bounds[carried]] - carried * stride
-    last[carried] = keys[bounds[carried + 1] - 1] - carried * stride
-    for array in (keys, counts, first, last):
+    spans = (np.stack((keys[bounds[carried]], keys[bounds[carried + 1] - 1]))
+             - carried * stride)
+    first[carried], last[carried] = spans
+    # Sorted by key, the sample's own occurrences run through its ranks in
+    # order, each rank as often as it is sampled.
+    own = np.repeat(counts, np.bincount(sampled, minlength=size))
+    occ = Occurrences(keys, first, last, spans, own)
+    for array in occ:
         array.flags.writeable = False
-    return Occurrences(keys, counts, first, last)
+    return occ
 
 
 def _first_seen(values: np.ndarray, size: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct values by first appearance, in the dtype of ``values``,
     each one's first index, and every value's rank in that order.  Values
-    in [0, size), or spanning at most four slots per value, index a table;
+    in [0, size), or dense (see ``graph._dense_span``), index a table;
     others are sorted."""
     index = values
-    if size is None and len(values):
-        low, high = values.min(), values.max()
-        if int(high) - int(low) < 4 * len(values):
-            index, size = values - low, int(high - low) + 1
+    dense = _dense_span(values) if size is None else None
+    if dense is not None:
+        low, size = dense
+        index = values - low
     if size is None:
         distinct, index = np.unique(values, return_inverse=True)
         size = len(distinct)

@@ -8,6 +8,7 @@ sets.  Nothing from this module is used outside tests.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from typing import NamedTuple
 
@@ -223,13 +224,13 @@ def relerr(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-OCCURRENCE_FIELDS = ("keys", "counts", "first", "last")
+OCCURRENCE_FIELDS = ("keys", "first", "last", "spans", "own")
 
 
 def occurrence_arrays(sample) -> dict[str, np.ndarray]:
     """The sample's rank, weight and degree columns and the arrays of its
-    ``occurrences`` and ``mentions``, with their dtypes, from one loop over
-    every position and every snapshot entry it carries."""
+    ``occurrences``, ``mentions`` and ``windows``, with their dtypes, from
+    one loop over every position and every snapshot entry it carries."""
     nodes, weights, _, _ = views(sample)
     snapshots = snapshots_at(sample)
     n = len(nodes)
@@ -238,6 +239,8 @@ def occurrence_arrays(sample) -> dict[str, np.ndarray]:
         rank.setdefault(v, len(rank))
     size, stride = len(rank), n + 1
     key_type = np.int32 if size * stride <= 2**31 - 1 else np.int64
+    # The sample's own occurrences by key: by rank, then by position.
+    sampled = sorted((rank[v], p) for p, v in enumerate(nodes))
 
     def occurrences(pairs):
         keys = []
@@ -250,13 +253,25 @@ def occurrence_arrays(sample) -> dict[str, np.ndarray]:
             counts[k] += 1
             first[k] = min(first[k], p)
             last[k] = max(last[k], p)
+        occurs = counts > 0
+        spans = np.array([first[occurs], last[occurs]], dtype=np.int64)
+        own = np.array([counts[k] for k, _ in sampled], dtype=np.int64)
         return dict(zip(OCCURRENCE_FIELDS, (
-            np.array(sorted(keys), dtype=key_type), counts, first, last)))
+            np.array(sorted(keys), dtype=key_type), first, last, spans,
+            own)))
 
+    inverse = [1.0 / w for w in weights]
     arrays = {
         "rank_column": np.array([rank[v] for v in nodes], dtype=np.int64),
         "weight_column": np.array(weights, dtype=np.float64),
         "degree_column": np.array(list(map(len, snapshots)), dtype=np.int64),
+        "windows.prefix": np.array([0.0] + list(itertools.accumulate(
+            inverse))),
+        "windows.position": np.array([p for _, p in sampled],
+                                     dtype=key_type),
+        "windows.base": np.array([k * stride for k, _ in sampled],
+                                 dtype=key_type),
+        "windows.keyed_inverse": np.array([inverse[p] for _, p in sampled]),
     }
     for name, pairs in (
             ("occurrences", [(v, p) for p, v in enumerate(nodes)]),
@@ -265,6 +280,14 @@ def occurrence_arrays(sample) -> dict[str, np.ndarray]:
         for field, array in occurrences(pairs).items():
             arrays[f"{name}.{field}"] = array
     return arrays
+
+
+def window_totals(sample) -> tuple[float, float]:
+    """fsum(w) * fsum(1/w) and fsum(deg) * fsum(1/w), from Python lists."""
+    nodes, weights, _, _ = views(sample)
+    inverse = math.fsum(1.0 / w for w in weights)
+    degrees = list(map(len, snapshots_at(sample)))
+    return math.fsum(weights) * inverse, math.fsum(degrees) * inverse
 
 
 def load_edge_list(source):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -245,10 +246,31 @@ def test_rw_multi_sample_with_a_header_seed_beyond_64_bits_reads_back(
     assert json.loads(out)["n"] == 40
 
 
+# The crawl pass's answers on BA(2000, 3): the sample file's sha256, then
+# each estimate command's flags and its (numerator, denominator, estimate).
+CRAWL_SAMPLE_SHA256 = (
+    "f3a8b2c8ae9cf54afce87b6adebd8f757d920c9c7bd56da4754cc29131460b91")
+CRAWL_ESTIMATES = (
+    (["--estimator", "node-wis"],
+     (10598866.099202197, 6136.0, 1727.3249835727179)),
+    (["--estimator", "ind-a"],
+     (112118999.72449021, 78540.85714311963, 1428.5245242127091)),
+    (["--estimator", "ind-b", "--correction", "margin", "--margin", "50",
+      "--a-mode", "multiset"],
+     (10077202.653256971, 5047.115907380232, 1996.6259618728805)),
+    (["--estimator", "ind-b", "--correction", "thin-shifted", "--theta", "10"],
+     (None, None, 1912.577314855986)),
+    (["--estimator", "ind-b", "--correction", "cross-walker", "--a-mode",
+      "set"],
+     (None, None, 2011.546107208886)),
+)
+
+
 def test_the_benchmark_crawl_commands_succeed_and_agree(tmp_path, capsys):
     """The benchmark's crawl pass on BA(2000, 3): gen, an rw-multi sample of
     n = N, then its five estimate commands, each printing one JSON object
-    whose estimate is its own ratio."""
+    whose estimate is its own ratio.  The sample file and every number are
+    pinned, bit for bit."""
     edges, sample = tmp_path / "graph.txt", tmp_path / "sample.tsv"
     code, _, err = run(capsys, "gen", "gen:ba:nodes=2000,m=3,seed=1",
                        "-o", str(edges))
@@ -258,13 +280,9 @@ def test_the_benchmark_crawl_commands_succeed_and_agree(tmp_path, capsys):
                          "--seed", "0", "-o", str(sample))
     assert (code, err) == (0, "")
     assert out.startswith("wrote 2000 records")
-    for flags in (["--estimator", "node-wis"], ["--estimator", "ind-a"],
-                  ["--estimator", "ind-b", "--correction", "margin",
-                   "--margin", "50", "--a-mode", "multiset"],
-                  ["--estimator", "ind-b", "--correction", "thin-shifted",
-                   "--theta", "10"],
-                  ["--estimator", "ind-b", "--correction", "cross-walker",
-                   "--a-mode", "set"]):
+    assert (hashlib.sha256(sample.read_bytes()).hexdigest()
+            == CRAWL_SAMPLE_SHA256)
+    for flags, pinned in CRAWL_ESTIMATES:
         code, out, err = run(capsys, "estimate", "--sample", str(sample),
                              *flags)
         assert (code, err) == (0, "")
@@ -276,6 +294,8 @@ def test_the_benchmark_crawl_commands_succeed_and_agree(tmp_path, capsys):
             offset = 1.0 if flags[1] == "ind-a" else 0.0
             assert payload["estimate"] == (
                 payload["numerator"] / payload["denominator"] + offset)
+        assert (payload["numerator"], payload["denominator"],
+                payload["estimate"]) == pinned
 
 
 def test_experiment_and_plot(tmp_path, capsys):

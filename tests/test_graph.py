@@ -3,14 +3,15 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from graphsize import cli
 from graphsize.generators import barabasi_albert, erdos_renyi, grid_2d
 from graphsize.graph import (EdgeListParseError, Graph, GraphError,
-                             exact_stats, largest_connected_component,
-                             load_edge_list, size_identity, write_edge_list)
+                             _sorted_ranks, exact_stats,
+                             largest_connected_component, load_edge_list,
+                             size_identity, write_edge_list)
 
 from conftest import graph_from_text
 
@@ -352,6 +353,44 @@ def test_load_report_counts_lines_and_comments():
     assert g.load_report.duplicates_collapsed == 1
     assert g.load_report.self_loops_dropped == 1
     assert g.ext_ids.tolist() == [1, 2, 3]
+
+
+# -- the dense-id table against the sort -------------------------------------
+
+_TOP = 2**64 - 1
+
+
+@st.composite
+def _spread_edges(draw):
+    """Edges and extra nodes over up to 60 ids, dense or 2^40 apart, from 0
+    or ending at 2^64 - 1, with self-loops and duplicates likely."""
+    step = draw(st.sampled_from([1, 3, 2**40]))
+    offset = draw(st.sampled_from([0, 7, _TOP - 59 * step]))
+    ids = st.integers(0, 59).map(lambda k: offset + k * step)
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    extra = draw(st.lists(ids, min_size=0 if edges else 1, max_size=10))
+    return edges, extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spread_edges())
+@example(([(k, k % 7) for k in range(30)], []))  # dense, loops, duplicates
+@example(([(_TOP - k, _TOP - k // 2) for k in range(30)], [_TOP]))
+@example(([(k << 40, (k + 1) << 40) for k in range(30)], []))  # sorted
+@example(([], [5, 9, 6, 5]))  # extra nodes only
+def test_dense_id_table_matches_the_sorted_ids(inputs):
+    edges, extra = inputs
+    ids = np.array([v for e in edges for v in e] + extra, dtype=np.uint64)
+    got, want = _sorted_ranks(ids), np.unique(ids, return_inverse=True)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    got = Graph.from_edges(edges, extra_nodes=extra)
+    want = oracles.graph_from_edges(edges, extra)
+    assert oracles.ext_ids(got) == oracles.ext_ids(want)
+    assert oracles.adjacency(got) == oracles.adjacency(want)
+    assert got.load_report == want.load_report
+    assert got.digest == want.digest
 
 
 # -- components against the breadth-first reference ---------------------------

@@ -1,5 +1,6 @@
 import io
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,8 @@ from graphsize.rw_correction import (estimate_thinned, ind_margin_ratio,
                                      margin_crosswalker, node_margin_ratio,
                                      surviving_pair_count, thin_shifted,
                                      thin_simple)
-from graphsize.sampling import (read_sample, sample_rw, sample_rw_multi,
-                                write_sample)
+from graphsize.sampling import (Sample, read_sample, sample_rw,
+                                sample_rw_multi, write_sample)
 
 import oracles
 from conftest import graph_from_text, make_sample
@@ -395,6 +396,94 @@ def test_occurrences_are_read_only():
                 array[0] = 0
         with pytest.raises(AttributeError):
             occ.keys = None
+
+
+# -- the window basis --------------------------------------------------------
+
+
+def _basis_samples():
+    g = _walk_graph()
+    return {"rw": sample_rw(g, 60, seed=4),
+            "rw-multi": sample_rw_multi(g, 3, 20, seeds=[4, 5, 6])}
+
+
+@pytest.mark.parametrize("method", ["rw", "rw-multi"])
+def test_a_sweep_in_any_order_answers_each_m_as_a_fresh_sample(method):
+    s = _basis_samples()[method]
+    n = len(s)
+    ms = [0, 1, 2, 5, 10, 25, n - 2, n - 1, n + 3] * 2
+    random.Random(method).shuffle(ms)
+    for m in ms:
+        for name, (kernel, _) in MARGIN_KERNELS.items():
+            assert kernel(s, m) == kernel(replace(s), m), (name, m)
+        _assert_matches_oracle(s, m)
+    windows = s.windows
+    for name, (kernel, _) in CROSSWALKER_KERNELS.items():
+        assert kernel(s) == kernel(replace(s)), name
+    _assert_crosswalker_matches_oracle(s)
+    assert s.windows is windows  # built once, for the whole sweep
+
+
+def test_window_basis_is_read_only_and_matches_its_reference():
+    s = _basis_samples()["rw-multi"]
+    node_margin_ratio(s, 2)
+    arrays = [a for a in s.windows if isinstance(a, np.ndarray)]
+    assert len(arrays) == 4
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 0
+    with pytest.raises(AttributeError):
+        s.windows.prefix = None
+    _assert_occurrences_match(s, oracles.occurrence_arrays(s))
+    totals = (s.windows.weight_total, s.windows.degree_total)
+    assert totals == oracles.window_totals(s)
+
+
+def test_a_zero_weight_is_rejected_on_every_call():
+    for s in _basis_samples().values():
+        bad = replace(s, weight_column=np.append(s.weight_column[:-1], 0.0))
+        calls = [lambda m=m, k=k: k(bad, m)
+                 for k, _ in MARGIN_KERNELS.values() for m in (0, 3)]
+        calls += [lambda k=k: k(bad) for k, _ in CROSSWALKER_KERNELS.values()]
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(EstimatorError):
+                    call()
+        assert "windows" not in vars(bad)
+
+
+def test_derived_samples_build_their_own_basis():
+    s = _basis_samples()["rw-multi"]
+    n = len(s)
+    for m in (0, 2):
+        _assert_matches_oracle(s, m)
+    derived = (replace(s), s.subset(range(n - 1, -1, -1)),
+               s.subset(range(5, n)), s.subset(range(0, n, 2)))
+    for d in derived:
+        assert not {"occurrences", "mentions", "windows"} & set(vars(d))
+        for m in (0, 2):
+            _assert_matches_oracle(d, m)
+        _assert_crosswalker_matches_oracle(d)
+        assert d.windows is not s.windows
+    # A copy keeps the ranks, which follow first appearance as the
+    # reference's do.
+    _assert_occurrences_match(derived[0], oracles.occurrence_arrays(s))
+
+
+def test_margin_edges_stay_inside_32_bit_keys():
+    # 46,340 distinct nodes at as many positions: every key fits in 32
+    # bits, but the last keys plus m + 1 would not.  Position i's snapshot
+    # names the node at i + 1, so only node 0 is named far from itself.
+    n = 46340
+    s = Sample(np.arange(n, dtype=np.uint64), np.arange(n), np.ones(n),
+               np.zeros(n, dtype=np.int64), np.arange(n + 1),
+               (np.arange(n) + 1) % n, "RW", 0, "degree", "0" * 16)
+    assert s.occurrences.keys.dtype == s.mentions.keys.dtype == np.int32
+    for m in (n - 3, n - 2):
+        pairs = float(surviving_pair_count(n, "margin", m))
+        assert node_margin_ratio(s, m) == RatioEstimate(pairs, 0.0)
+        for a_mode in (MODE_MULTISET, MODE_SET):
+            assert ind_margin_ratio(s, m, a_mode) == RatioEstimate(pairs, 1.0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
