@@ -323,6 +323,8 @@ def _node_ids(ids: Iterable[int] | np.ndarray) -> np.ndarray:
 
 _MAX_DIGITS = 20                        # len(str(2**64 - 1))
 _U64_TOP, _U64_REST = divmod((1 << 64) - 1, 10**19)
+_POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
+_SPELL_BLOCK = 2**14
 _BLANKS = b" \t\r"
 _ID = re.compile(r"-?[0-9]+")
 
@@ -397,6 +399,58 @@ def _decimals(buf: np.ndarray, starts: np.ndarray,
     return values, valid
 
 
+def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """uint64 values as the ASCII decimal digits :func:`_decimals` reads,
+    without leading zeros: every value's digits back to back in one uint8
+    array, and each value's start and length in it."""
+    lengths = np.searchsorted(_POWERS[1:], values, side="right") + 1
+    ends = np.cumsum(lengths)
+    width = int(lengths.max(initial=0))
+    # Places are written from the highest down, each at its distance from
+    # its value's end.  A value without the place writes a zero into the
+    # bytes before its own, which a lower place of their value writes again
+    # later, or into the padding ahead of the first value.
+    text = np.empty(width + int(lengths.sum()), dtype=np.uint8)
+    at = ends + (width - 1)
+    higher = np.zeros(len(values), dtype=np.uint64)
+    for k in reversed(range(width)):
+        quotient = values // _POWERS[k]
+        text[at - k] = quotient - higher * np.uint64(10) + np.uint64(ord("0"))
+        higher = quotient
+    return text[width:], ends - lengths, lengths
+
+
+def _spelled(text: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+             cells: np.ndarray, marks: bytes | np.ndarray) -> str:
+    """The texts [starts, starts + lengths) of ``text`` at the indices
+    ``cells``, back to back, each followed by its byte of ``marks``.  The
+    cells are gathered _SPELL_BLOCK at a time, which bounds the gather's
+    temporaries."""
+    marks = np.frombuffer(marks, dtype=np.uint8)
+    # The gather indices take 32 bits when every position in the text fits;
+    # a block is far shorter than 2^31 bytes.
+    gather = np.int32 if len(text) < 2**31 else np.int64
+    blocks = []
+    for k in range(0, len(cells), _SPELL_BLOCK):
+        block = cells[k:k + _SPELL_BLOCK]
+        # Each cell's range reads one byte past its text, where its mark goes.
+        runs = lengths[block] + 1
+        spelled = np.take(text, _ranges(starts[block], runs, gather),
+                          mode="clip")
+        spelled[np.cumsum(runs) - 1] = marks[k:k + _SPELL_BLOCK]
+        blocks.append(spelled.tobytes())
+    return b"".join(blocks).decode("ascii")
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray,
+            dtype=np.int64) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + lengths[i]) concatenated."""
+    index = np.repeat((starts - np.cumsum(lengths) + lengths).astype(dtype),
+                      lengths)
+    index += np.arange(len(index), dtype=dtype)
+    return index
+
+
 def _tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The start and end of each token, a maximal run of bytes that are
     neither blanks nor newlines.  The per-byte arrays are freed on return."""
@@ -426,8 +480,15 @@ def _line_error(line_number: int, raw: bytes) -> EdgeListParseError:
 
 
 def write_edge_list(g: Graph, sink: IO[str]) -> None:
-    """Serialize as one external-id pair per line, smaller id first."""
-    sink.writelines(f"{a} {b}\n" for a, b in g._edge_array().tolist())
+    """Serialize as one external-id pair per line, smaller id first.  Each
+    id is formatted once, and the lines are gathered from those texts."""
+    # The edges of _edge_array, as dense indices into the ids' texts.
+    owner, neighbor = g._owners(), g._indices
+    upper = owner < neighbor
+    pairs = np.stack((owner[upper], neighbor[upper]), axis=1)
+    del owner, upper
+    sink.write(_spelled(*_digits(g.ext_ids), pairs.ravel(),
+                        b" \n" * len(pairs)))
 
 
 def largest_connected_component(g: Graph) -> Graph:

@@ -164,10 +164,13 @@ def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
 
     Each position's excluded window is its own walker's run of positions.
     No explicit margin parameter; a single-walker sample has no surviving
-    pairs and yields the no-collisions outcome.  ``a_mode`` is checked for
-    either base, though only the ind base uses it.
+    pairs and yields the no-collisions outcome.  ``base`` and ``a_mode``
+    are checked for any sample, and ``a_mode`` for either base, though only
+    the ind base uses it.
     """
     _check_mode(a_mode)
+    if base not in ("node", "ind"):
+        raise EstimatorError(f"unsupported cross-walker base: {base!r}")
     _check_weights(s.weight_column)
     walkers = s.walker_column
     if len(walkers) == 0 or (walkers == walkers[0]).all():
@@ -180,8 +183,6 @@ def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
     hi = np.searchsorted(walkers, walkers, "right")
     if base == "node":
         ratio = _node_window_ratio(s, *_runs(s, lo, hi))
-    elif base != "ind":
-        raise EstimatorError(f"unsupported cross-walker base: {base!r}")
     elif a_mode == MODE_MULTISET:
         ratio = _multiset_window_ratio(s, *_runs(s, lo, hi))
     else:

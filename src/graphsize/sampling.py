@@ -15,12 +15,13 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, _decimals, _dense_span, _excerpt, _node_ids
+from .graph import (Graph, _decimals, _dense_span, _digits, _excerpt,
+                    _node_ids, _ranges, _spelled)
 
 RNG_NAME = "numpy-pcg64"
 
@@ -270,15 +271,6 @@ def _first_seen(values: np.ndarray, size: int | None = None
     return values[first], first, rank[index]
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray,
-            dtype=np.int64) -> np.ndarray:
-    """The ranges [starts[i], starts[i] + lengths[i]) concatenated."""
-    index = np.repeat((starts - np.cumsum(lengths) + lengths).astype(dtype),
-                      lengths)
-    index += np.arange(len(index), dtype=dtype)
-    return index
-
-
 def _drawn(g: Graph, nodes: np.ndarray, weights: np.ndarray,
            walkers: np.ndarray, method: str, seed: int, rule: str) -> Sample:
     """The sample of the given dense node indices, each with the graph's
@@ -402,7 +394,10 @@ def sample_rw_multi(g: Graph, walkers: int, per_walk: int,
 # Node ids are the sample's ids, which are external ids for a drawn sample.
 # Every integer cell (position, node, degree, walker, snapshot ids) is 1 to
 # 20 ASCII digits with a value below 2^64, as in an edge list, and a walker
-# is below 2^63.  A node's records repeat its one snapshot.
+# is below 2^63.  A weight is written as its repr and read as float() reads
+# it; a cell of 1 to 15 digits then ".0" (every integer weight below 10^15,
+# such as a degree) is read with the integer cells, since float64 holds it
+# exactly.  A node's records repeat its one snapshot.
 
 _HEADER_PREFIX = "graphsize-sample v1"
 _HEADER_KEYS = ("method", "seed", "weight_rule", "graph_digest", "n")
@@ -410,22 +405,58 @@ _HEADER_KEYS = ("method", "seed", "weight_rule", "graph_digest", "n")
 
 def write_sample(s: Sample, sink: IO[str]) -> None:
     """Write the line-oriented sample format (bit-exact, documented above);
-    :func:`read_sample` gives the sample back."""
+    :func:`read_sample` gives the sample back.
+
+    Each distinct id, CSR row, weight and walker is formatted once, and
+    each position: numbers by :func:`graph._digits`, rows gathered from
+    their digits, weights (told apart by their bits) by repr.  The records
+    are joined from those texts 4096 at a time and written as ``str``.
+    """
     sink.write(f"{_HEADER_PREFIX}\tmethod={s.method}\tseed={s.seed}"
                f"\tweight_rule={s.weight_rule}\tgraph_digest={s.graph_digest}"
                f"\trng={s.rng_name}\tn={len(s)}\n")
-    names = list(map(str, s.ids.tolist()))
-    bounds, ranks = s.offsets.tolist(), s.rank_column.tolist()
-    entries = list(map(names.__getitem__, s.entries.tolist()))
-    # Each distinct node's id, degree and snapshot are formatted once.
-    formatted = {r: (f"{names[r]}\t{bounds[r + 1] - bounds[r]}",
-                     ",".join(entries[bounds[r]:bounds[r + 1]]))
-                 for r in dict.fromkeys(ranks)}
-    lines = (f"{i}\t{formatted[r][0]}\t{w!r}\t{k}\t{formatted[r][1]}\n"
-             for i, (r, w, k) in enumerate(zip(
-                 ranks, s.weight_column.tolist(), s.walker_column.tolist())))
-    for batch in iter(lambda: "".join(islice(lines, 4096)), ""):
-        sink.write(batch)
+    degrees = np.diff(s.offsets)
+    n, rows, size = len(s), len(degrees), len(s.ids)
+    # The values spelled: the ids, each row's degree, each position, then
+    # one value, ``empty``, that spells nothing, so its cell puts only its
+    # mark.  Cells that end in a newline split into lines.
+    text, starts, lengths = _digits(np.concatenate((
+        s.ids, degrees.astype(np.uint64), np.arange(n, dtype=np.uint64))))
+    empty = len(starts)
+    texts = (text, np.append(starts, 0), np.append(lengths, 0))
+    positions = np.stack((np.arange(size + rows, empty), np.full(n, empty)),
+                         axis=1)
+    # Row r's head, "id\tdegree\t", and tail, "snapshot\n": its ids, or the
+    # empty value for a row without one, each followed by a comma, or by a
+    # newline at the row's end.
+    heads = _spelled(*texts, np.stack((
+        np.arange(rows), np.arange(size, size + rows), np.full(rows, empty)),
+        axis=1).ravel(), b"\t\t\n" * rows).splitlines()
+    cells = np.insert(s.entries, s.offsets[np.flatnonzero(degrees == 0)],
+                      empty)
+    marks = np.full(len(cells), ord(","), dtype=np.uint8)
+    marks[np.cumsum(np.maximum(degrees, 1)) - 1] = ord("\n")
+    tails = _spelled(*texts, cells, marks).splitlines(True)
+    del cells, marks
+    # Weights are told apart by their bits: 0.0 and -0.0 differ in repr.
+    weights = np.asarray(s.weight_column, dtype=np.float64)
+    bits, weight_at = np.unique(weights.view(np.uint64), return_inverse=True)
+    walkers, walker_at = np.unique(s.walker_column, return_inverse=True)
+    columns = ((np.array(heads, dtype=object), s.rank_column),
+               (np.array([f"{w!r}\t" for w in bits.view(np.float64).tolist()],
+                         dtype=object), weight_at),
+               (np.array([f"{k}\t" for k in walkers.tolist()], dtype=object),
+                walker_at),
+               (np.array(tails, dtype=object), s.rank_column))
+    del heads, tails
+    for start in range(0, n, 4096):
+        stop = min(start + 4096, n)
+        block = np.empty((stop - start, 5), dtype=object)
+        block[:, 0] = _spelled(*texts, positions[start:stop].ravel(),
+                               b"\t\n" * (stop - start)).splitlines()
+        for j, (pieces, at) in enumerate(columns, 1):
+            block[:, j] = pieces[at[start:stop]]
+        sink.write("".join(block.ravel().tolist()))
 
 
 def read_sample(source: IO[str] | IO[bytes]) -> Sample:
@@ -517,11 +548,22 @@ def _parse_records(data: bytes) -> tuple:
     # with too few tabs reads later separators, junk the tab count rejects.
     bounds = np.take(sep, line[record, None] + np.arange(7), mode="clip")
     begin, stop = bounds[:, :6] + 1, bounds[:, 1:]
-    fields = [0, 2, 4, 1]                # position, degree, walker, node
-    values, valid = _decimals(buf, begin[:, fields].T.ravel(),
-                              stop[:, fields].T.ravel())
-    position, degree, walker, node = values.reshape(4, n)
-    weights = _floats(buf, begin[:, 3], stop[:, 3] - begin[:, 3])
+    # A weight of 1 to 15 digits then ".0" is an integer below 10^15, which
+    # float64 holds exactly, as float() reads it: its digits are read with
+    # the integer fields, after position, degree, walker and node.
+    # float() reads every other weight.
+    weight, after = begin[:, 3], stop[:, 3]
+    whole = ((after - weight <= 17) & (buf[after - 2] == ord("."))
+             & (buf[after - 1] == ord("0")))
+    fields = [0, 2, 4, 1, 3]
+    ends = stop[:, fields]
+    ends[:, 4] = np.where(whole, after - 2, weight)  # or no digits at all
+    values, valid = _decimals(buf, begin[:, fields].T.ravel(), ends.T.ravel())
+    position, degree, walker, node, digits = values.reshape(5, n)
+    valid = valid.reshape(5, n)
+    weights = digits.astype(np.float64)
+    other = np.flatnonzero(~valid[4])
+    weights[other] = _floats(buf, weight[other], after[other] - weight[other])
 
     # Snapshots are parsed for each node's first record.  A repeat whose
     # text is its first record's byte for byte needs no parsing; one whose
@@ -551,7 +593,7 @@ def _parse_records(data: bytes) -> tuple:
                != named[_ranges(at[p[same]], count[r[same]])])
 
     bad = ((tabs != 5)
-           | ~valid.reshape(4, n).all(axis=0) | (walker >= 2**63)
+           | ~valid[:4].all(axis=0) | (walker >= 2**63)
            | ~((weights > 0.0) & (weights < math.inf))
            | (position != np.arange(n)) | ~listed[slot]
            | (degree != count[slot]))

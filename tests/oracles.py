@@ -290,6 +290,16 @@ def window_totals(sample) -> tuple[float, float]:
     return math.fsum(weights) * inverse, math.fsum(degrees) * inverse
 
 
+def write_edge_list(g, sink):
+    """One f-string per edge, read off the CSR: the array writer's
+    reference.  Each edge once, smaller id first, in (vertex, position)
+    order of its smaller end."""
+    ids = ext_ids(g)
+    for v in range(g.node_count):
+        sink.writelines(f"{ids[v]} {ids[u]}\n" for u in neighbors(g, v)
+                        if v < u)
+
+
 def load_edge_list(source):
     """Line-by-line edge-list loader: the array loader's reference.
 
@@ -528,6 +538,22 @@ def sample_from_snapshots(node_at, weight_at, walker_at, snapshots, method,
                   np.array(walker_at, dtype=np.int64),
                   np.cumsum([0] + [len(row) for row in rows]), ranks(named),
                   method, seed, weight_rule, graph_digest, rng_name)
+
+
+def write_sample(s, sink):
+    """One f-string per record, over Python values: the array writer's
+    reference.  A weight is written as its repr."""
+    sink.write(f"graphsize-sample v1\tmethod={s.method}\tseed={s.seed}"
+               f"\tweight_rule={s.weight_rule}\tgraph_digest={s.graph_digest}"
+               f"\trng={s.rng_name}\tn={len(s)}\n")
+    ids, bounds = s.ids.tolist(), s.offsets.tolist()
+    entries = s.entries.tolist()
+    for i, (r, w, k) in enumerate(zip(s.rank_column.tolist(),
+                                      s.weight_column.tolist(),
+                                      s.walker_column.tolist())):
+        row = entries[bounds[r]:bounds[r + 1]]
+        snapshot = ",".join(str(ids[u]) for u in row)
+        sink.write(f"{i}\t{ids[r]}\t{len(row)}\t{w!r}\t{k}\t{snapshot}\n")
 
 
 def read_sample(source):

@@ -248,6 +248,8 @@ def test_rw_multi_sample_with_a_header_seed_beyond_64_bits_reads_back(
 
 # The crawl pass's answers on BA(2000, 3): the sample file's sha256, then
 # each estimate command's flags and its (numerator, denominator, estimate).
+CRAWL_GRAPH_SHA256 = (
+    "157a421946ce8dc9bfd37fa62e6df8ea51923e63b21cf631fc2971c88ad80b86")
 CRAWL_SAMPLE_SHA256 = (
     "f3a8b2c8ae9cf54afce87b6adebd8f757d920c9c7bd56da4754cc29131460b91")
 CRAWL_ESTIMATES = (
@@ -269,12 +271,13 @@ CRAWL_ESTIMATES = (
 def test_the_benchmark_crawl_commands_succeed_and_agree(tmp_path, capsys):
     """The benchmark's crawl pass on BA(2000, 3): gen, an rw-multi sample of
     n = N, then its five estimate commands, each printing one JSON object
-    whose estimate is its own ratio.  The sample file and every number are
-    pinned, bit for bit."""
+    whose estimate is its own ratio.  The edge list, the sample file and
+    every number are pinned, bit for bit."""
     edges, sample = tmp_path / "graph.txt", tmp_path / "sample.tsv"
     code, _, err = run(capsys, "gen", "gen:ba:nodes=2000,m=3,seed=1",
                        "-o", str(edges))
     assert (code, err) == (0, "")
+    assert hashlib.sha256(edges.read_bytes()).hexdigest() == CRAWL_GRAPH_SHA256
     code, out, err = run(capsys, "sample", "--graph", str(edges), "--method",
                          "rw-multi", "--walkers", "4", "--n", "2000",
                          "--seed", "0", "-o", str(sample))

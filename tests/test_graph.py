@@ -86,6 +86,25 @@ def test_roundtrip_serialization_is_stable():
     assert g2.digest == g.digest
 
 
+IDS = st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**63, 2**64 - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(IDS, IDS), max_size=40), st.lists(IDS, max_size=4))
+def test_edge_list_writer_matches_its_reference(edges, isolated):
+    """Ids up to 2^64 - 1, self-loops and repeats (cleaned away), isolated
+    nodes (not written) and graphs without edges."""
+    if not edges and not isolated:
+        isolated = [2**64 - 1]
+    g = Graph.from_edges(edges, extra_nodes=isolated)
+    texts = []
+    for writer in (write_edge_list, oracles.write_edge_list):
+        sink = io.StringIO()
+        writer(g, sink)
+        texts.append(sink.getvalue())
+    assert texts[0] == texts[1]
+
+
 def test_lcc_picks_largest_component():
     g = graph_from_text("1 2\n2 3\n3 1\n8 9\n")
     lcc = largest_connected_component(g)

@@ -517,6 +517,17 @@ def test_crosswalker_rejects_an_unknown_auxiliary_mode(base):
             margin_crosswalker(sample, base, "bogus")
 
 
+@pytest.mark.parametrize("a_mode", [MODE_SET, MODE_MULTISET])
+def test_crosswalker_rejects_an_unknown_base(a_mode):
+    """The base is checked before the one-walker shortcut, so a sample
+    with one walker rejects it as one with two walkers does."""
+    s = sample_rw_multi(_walk_graph(), 2, 40, seeds=[1, 2])
+    for sample in (s, s.subset(range(40)), sample_rw(_walk_graph(), 40, 1)):
+        with pytest.raises(EstimatorError,
+                           match="unsupported cross-walker base: 'bogus'"):
+            margin_crosswalker(sample, "bogus", a_mode)
+
+
 @pytest.mark.parametrize("m", [5, 39, 42])
 def test_ind_margin_rejects_an_unknown_auxiliary_mode(m):
     s = sample_rw(_walk_graph(), 40, seed=1)

@@ -10,6 +10,7 @@ over node ids, and must agree bit for bit.
 import ast
 import contextlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -28,7 +29,7 @@ from graphsize.core import (A_MODES, MODE_MULTISET, MODE_SET,
 from graphsize.experiment import (ESTIMATORS, EstimatorSpec, SamplerSpec,
                                   _head, draw_sample)
 from graphsize.generators import barabasi_albert
-from graphsize.graph import GraphError
+from graphsize.graph import Graph, GraphError
 from graphsize.ind_estimators import (_edge_pair_sum, _in_first_seen_order,
                                       inda_wis_ratio, indb_uis_ratio,
                                       indb_wis_ratio)
@@ -37,8 +38,8 @@ from graphsize.node_estimators import (capture_recapture,
 from graphsize.rw_correction import (ind_margin_ratio, margin_crosswalker,
                                      thin_shifted)
 from graphsize.sampling import (Sample, SamplingError, _first_seen,
-                                read_sample, sample_rw_multi, sample_wis,
-                                write_sample)
+                                read_sample, sample_rw_multi, sample_uis,
+                                sample_wis, write_sample)
 
 import graphsize
 import oracles
@@ -477,3 +478,95 @@ def test_estimating_from_a_file_does_not_import_numpy_ma(tmp_path):
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout == "False\n"
+
+
+# -- the writer against its reference ---------------------------------------
+
+# Ids up to the largest below 2^64, and weights whose reprs the writer must
+# keep apart: 0.0 and -0.0 share a value, and NaN equals nothing.
+IDS = st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**63, 2**64 - 1])
+WEIGHTS = (0.1, 1 / 3, 1e15, 1e16, 5e-324, 0.0, -0.0, math.nan, 1.0, 7.0)
+
+
+def _text(writer, s) -> str:
+    sink = io.StringIO()
+    writer(s, sink)
+    return sink.getvalue()
+
+
+@st.composite
+def writer_samples(draw):
+    """A draw by any sampler over a BA graph relabelled with ids up to
+    2^64 - 1 (with isolated nodes, which have empty snapshots, for the
+    independent samplers), whole, thinned or reversed, so that CSR rows go
+    unsampled; or a sample built through the API with any weights, walkers
+    up to 2^63 - 1 and empty snapshots."""
+    if draw(st.booleans()):
+        ids = draw(st.lists(IDS, min_size=1, max_size=8, unique=True))
+        snapshots = {v: tuple(draw(st.lists(IDS, max_size=4, unique=True)))
+                     for v in ids}
+        nodes = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=20))
+        return oracles.sample_from_snapshots(
+            nodes, [draw(st.sampled_from(WEIGHTS)) for _ in nodes],
+            [draw(st.integers(0, 2**63 - 1)) for _ in nodes], snapshots,
+            "RW_MULTI", draw(st.integers(0, 2**70)), "custom", "api")
+    method = draw(st.sampled_from(["uis", "wis", "rw", "rw-multi"]))
+    base = barabasi_albert(20, 2, seed=draw(st.integers(0, 2**16)))
+    ids = np.array(draw(st.lists(IDS, min_size=24, max_size=24, unique=True)),
+                   dtype=np.uint64)
+    isolated = ids[20:] if method in ("uis", "wis") else ()
+    g = Graph.from_edges(ids[base._edge_array().astype(np.intp)],
+                         extra_nodes=isolated)
+    walkers = draw(st.integers(2, 3)) if method == "rw-multi" else 1
+    spec = SamplerSpec(method, walkers * draw(st.integers(1, 15)), walkers,
+                       "unit" if method == "wis" else "degree")
+    s = draw_sample(g, spec, draw(st.integers(0, 2**32)))
+    cut = draw(st.sampled_from(["whole", "thinned", "reversed"]))
+    if cut == "thinned":
+        return s.subset(np.arange(draw(st.integers(0, len(s) - 1)), len(s),
+                                  draw(st.integers(2, 4))))
+    return s.subset(np.arange(len(s))[::-1]) if cut == "reversed" else s
+
+
+@settings(max_examples=200, deadline=None)
+@given(writer_samples())
+def test_the_writer_matches_its_reference(s):
+    assert _text(write_sample, s) == _text(oracles.write_sample, s)
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+def test_the_writer_matches_its_reference_around_its_chunk_size(n):
+    """The records are joined 4096 at a time."""
+    g = barabasi_albert(300, 2, seed=n)
+    walk = sample_rw_multi(g, 1, n, [n])
+    for s in (sample_uis(g, n, seed=n), walk, walk.subset(range(n)[::-2])):
+        assert _text(write_sample, s) == _text(oracles.write_sample, s)
+
+
+@pytest.mark.parametrize("cell", [
+    "5.0", "05.0", "999999999999999.0", "1000000000000000.0", "1_0.0",
+    " 5.0", "+5.0", "5.00", "inf", "nan", "0.0", "-0.0"])
+def test_weight_cells_read_as_float_reads_them(cell):
+    """Integral weights of up to 15 digits are read as digits, every other
+    cell (16 digits, underscores, signs, blanks, more decimals) as float()
+    reads it; a weight that is not finite and positive is rejected, by both
+    readers with one message."""
+    text = HEADER.format(n=2) + f"0\t7\t1\t{cell}\t0\t8\n1\t8\t1\t2.0\t0\t7\n"
+    value = float(cell)
+    if 0.0 < value < math.inf:
+        floats = graphsize.sampling._floats
+        with mock.patch("graphsize.sampling._floats", wraps=floats) as spy:
+            s = read_sample(io.BytesIO(text.encode()))
+        assert s.weight_column.tolist() == [value, 2.0]
+        buf, starts, lengths = spy.call_args.args
+        digits = re.fullmatch(r"[0-9]{1,15}\.0", cell) is not None
+        assert [bytes(buf[a:a + k]) for a, k in zip(starts, lengths)] == (
+            [] if digits else [cell.encode()])
+        assert oracles.same_sample(s, oracles.read_sample(io.StringIO(text)))
+        return
+    message = f"record 0: weight must be finite and positive, got {cell}"
+    for reader, source in ((read_sample, io.BytesIO(text.encode())),
+                           (oracles.read_sample, io.StringIO(text))):
+        with pytest.raises(SamplingError) as error:
+            reader(source)
+        assert str(error.value) == message
