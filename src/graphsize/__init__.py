@@ -8,17 +8,16 @@ correction (thinning and margin filtering).
 
 from .core import (EstimateOutcome, EstimatorError, NO_COLLISIONS,
                    RatioEstimate, aggregate_ratios, count_collisions,
-                   count_induced_edges, count_unique,
-                   pairwise_inverse_weight_sum)
+                   count_induced_edges, count_unique)
 from .graph import (Graph, GraphError, GraphStats, LoadReport, exact_stats,
                     largest_connected_component, load_edge_list,
                     size_identity, write_edge_list)
 from .ind_estimators import (density_uis, density_wis, inda_uis_ratio,
                              inda_wis_ratio, indb_auto_ratio, indb_uis_ratio,
                              indb_wis_ratio, mean_degree_uis, mean_degree_wis)
-from .node_estimators import (capture_recapture, capture_recapture_from_sample,
-                              mle_unique_approx, mle_unique_exact,
-                              node_uis_ratio, node_wis_ratio)
+from .node_estimators import (capture_recapture_from_sample, mle_unique_approx,
+                              mle_unique_exact, node_uis_ratio,
+                              node_wis_ratio)
 from .rw_correction import (estimate_thinned, ind_margin_ratio,
                             margin_crosswalker, node_margin_ratio,
                             surviving_pair_count, thin_shifted, thin_simple)

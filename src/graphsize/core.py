@@ -108,19 +108,11 @@ def _auxiliary_counts(s: Sample, mode: str) -> np.ndarray:
     return np.minimum(counts, 1) if mode == MODE_SET else counts
 
 
-def pairwise_inverse_weight_sum(weights: Sequence[float]) -> float:
-    """Sum of 1/(w_i * w_j) over unordered pairs, via the closed form.
-
-    Equals 0.5 * ((sum 1/w)^2 - sum 1/w^2); reciprocal sums use compensated
-    summation because the terms can be heavy-tailed.
-    """
-    inv = _inverse_weights(np.asarray(weights, dtype=np.float64))
-    return _inverse_pair_sum(inv, _fsum(inv))
-
-
 def _inverse_pair_sum(inv: np.ndarray, s1: float) -> float:
-    """pairwise_inverse_weight_sum from checked inverse weights and their
-    compensated sum ``s1``."""
+    """Sum of 1/(w_i * w_j) over unordered pairs, from checked inverse
+    weights and their compensated sum ``s1``, via the closed form
+    0.5 * ((sum 1/w)^2 - sum 1/w^2).  Reciprocal sums use compensated
+    summation because the terms can be heavy-tailed."""
     s2 = _fsum(inv * inv)
     return 0.5 * (s1 * s1 - s2)
 

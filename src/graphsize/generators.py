@@ -119,21 +119,6 @@ def ring_of_cliques(num_cliques: int, clique_size: int) -> Graph:
     return Graph.from_edges(edges)
 
 
-def hub_of_cliques(num_cliques: int, clique_size: int) -> Graph:
-    """A hub node joined to one member of each clique (skewed degrees)."""
-    if num_cliques < 1 or clique_size < 2:
-        raise ValueError("need num_cliques >= 1 and clique_size >= 2")
-    edges = []
-    hub = num_cliques * clique_size
-    for c in range(num_cliques):
-        base = c * clique_size
-        for i in range(clique_size):
-            for j in range(i + 1, clique_size):
-                edges.append((base + i, base + j))
-        edges.append((hub, base))
-    return Graph.from_edges(edges)
-
-
 def grid_2d(rows: int, cols: int) -> Graph:
     """Four-connected 2-D lattice (road-network stand-in)."""
     if rows < 1 or cols < 1:

@@ -12,8 +12,7 @@ import numpy as np
 
 from .core import (MODE_SET, EstimatorError, RatioEstimate,
                    _auxiliary_counts, _fsum, _inverse_pair_sum,
-                   _inverse_weights, _row_sums, count_induced_edges,
-                   pairwise_inverse_weight_sum)
+                   _inverse_weights, _row_sums, count_induced_edges)
 from .sampling import METHOD_UIS, Sample, _first_seen
 
 
@@ -50,20 +49,14 @@ def mean_degree_wis(s: Sample) -> float:
     return _fsum(s.degree_column * inv) / _fsum(inv)
 
 
-def edge_pair_inverse_weight_sum(s: Sample) -> float:
-    """Sum over unordered edge-forming pairs of 1/(w_i * w_j), in linear time.
+def _edge_pair_sum(s: Sample, inv: np.ndarray) -> float:
+    """Sum over unordered edge-forming pairs of 1/(w_i * w_j), in linear
+    time, from the sample's checked inverse weights.
 
     Grouping occurrences by node turns the pair sum into a sum over adjacent
-    distinct-node pairs of products of per-node inverse-weight totals.
-    """
-    return _edge_pair_sum(s, _inverse_weights(s.weight_column))
-
-
-def _edge_pair_sum(s: Sample, inv: np.ndarray) -> float:
-    """edge_pair_inverse_weight_sum from the sample's checked inverse weights.
-
-    Sums run in the order of a loop over the distinct nodes by first
-    appearance, so the result does not depend on how ranks are numbered.
+    distinct-node pairs of products of per-node inverse-weight totals.  Sums
+    run in the order of a loop over the distinct nodes by first appearance,
+    so the result does not depend on how ranks are numbered.
     Ranks that already follow first appearance (a draw, a file read, a
     head of either) are that order as they stand, and need no lookup.
     """
@@ -89,8 +82,8 @@ def density_wis(s: Sample) -> float:
     """Two-point corrected density: edge pair terms over all pair terms."""
     if len(s) < 2:
         raise EstimatorError("density needs at least 2 records")
-    return (edge_pair_inverse_weight_sum(s)
-            / pairwise_inverse_weight_sum(s.weight_column))
+    inv = _inverse_weights(s.weight_column)
+    return _edge_pair_sum(s, inv) / _inverse_pair_sum(inv, _fsum(inv))
 
 
 def inda_wis_ratio(s: Sample) -> RatioEstimate:

@@ -25,14 +25,6 @@ _TOLERANCE = 1e-9
 _CAP = 1e12
 
 
-def capture_recapture(s1_unique: set, s2_unique: set) -> EstimateOutcome:
-    """Two-phase capture-recapture from duplicate-free node sets."""
-    if not s1_unique or not s2_unique:
-        raise EstimatorError("capture-recapture needs two non-empty sets")
-    overlap = len(s1_unique & s2_unique)
-    return RatioEstimate(len(s1_unique) * len(s2_unique), overlap).outcome()
-
-
 def capture_recapture_from_sample(s: Sample, seed: int) -> EstimateOutcome:
     """Capture-recapture applied to one sample via a seeded random split
     into two halves; duplicates within a half count once."""
@@ -40,8 +32,9 @@ def capture_recapture_from_sample(s: Sample, seed: int) -> EstimateOutcome:
     if n < 2:
         raise EstimatorError("need at least 2 records to split")
     ranks = s.rank_column[np.random.default_rng(seed).permutation(n)]
-    return capture_recapture(set(ranks[:n // 2].tolist()),
-                             set(ranks[n // 2:].tolist()))
+    first, second = set(ranks[:n // 2].tolist()), set(ranks[n // 2:].tolist())
+    return RatioEstimate(len(first) * len(second),
+                         len(first & second)).outcome()
 
 
 def mle_unique_approx(n: int, n_unique: int) -> EstimateOutcome:

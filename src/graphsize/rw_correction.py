@@ -49,9 +49,11 @@ def thin_simple(s: Sample, theta: int) -> Sample:
 
 
 def thin_shifted(s: Sample, theta: int) -> list[Sample]:
-    """All theta shifted subsamples; their concatenation permutes the input."""
+    """The theta shifted subsamples, less the empty ones when theta exceeds
+    the sample's length; their concatenation permutes the input."""
     _check_at_least("theta", theta, 1)
-    return [s.subset(np.arange(k, len(s), theta)) for k in range(theta)]
+    return [s.subset(np.arange(k, len(s), theta))
+            for k in range(min(theta, len(s)))]
 
 
 def estimate_thinned(s: Sample, theta: int,

@@ -466,9 +466,10 @@ def read_sample(source: IO[str] | IO[bytes]) -> Sample:
     Bytes are read as text mode reads them: CRLF and a lone CR end a line,
     and text that is not UTF-8 raises UnicodeDecodeError.  From a text
     handle, its own newline translation applies.  The records are checked
-    and parsed at once with byte-class arrays; only a rejected file is
-    looked at record by record, to name its first bad record.  A repeated
-    node's snapshot must hold the same ids as its first record's.
+    and parsed at once with byte-class arrays, one boolean array per check;
+    a rejected file's one error line names its first bad record and the
+    first check that record fails.  A repeated node's snapshot must hold the
+    same ids as its first record's.
     """
     data = source.read()
     if isinstance(data, str):
@@ -518,14 +519,24 @@ def _header_int(meta: dict[str, str], key: str) -> int:
                         "ASCII digits")
 
 
-_ID = re.compile(r"[0-9]{1,20}")
 _ID_TEXT = "1 to 20 ASCII digits below 2^64"
-
-
-def _is_id(text: str) -> bool:
-    """Whether text is an integer cell: 1 to 20 ASCII digits with a value
-    below 2^64, a node id as an edge list writes it."""
-    return _ID.fullmatch(text) is not None and int(text) < 1 << 64
+# What each check of _parse_records, in its order, says of the first record
+# that fails it: {i} is its index, {fields} its field count, {entries} its
+# snapshot's, and {q[j]} and {p[j]} its field j quoted and as it stands.
+_RECORD_ERRORS = (
+    "record {i}: expected 6 tab-separated fields, got {fields}",
+    "record {i}: position {q[0]} is not " + _ID_TEXT,
+    "record {i}: node {q[1]} is not " + _ID_TEXT,
+    "record {i}: degree {q[2]} is not " + _ID_TEXT,
+    "record {i}: weight {q[3]} is not a number",
+    "record {i}: walker {q[4]} is not " + _ID_TEXT,
+    "record {i}: walker {q[4]} is not below 2^63",
+    "record {i}: snapshot {q[5]} is not a comma-separated list of " + _ID_TEXT,
+    "record {p[0]}: position must be its index, {i}",
+    "record {p[0]}: weight must be finite and positive, got {p[3]}",
+    "record {p[0]}: degree {p[2]} differs from its {entries} snapshot entries",
+    "record {p[0]}: node {p[1]} has a snapshot that differs from an earlier "
+    "record's")
 
 
 def _parse_records(data: bytes) -> tuple:
@@ -533,9 +544,12 @@ def _parse_records(data: bytes) -> tuple:
     not empty, as :class:`Sample`'s rank, weight and walker columns and
     offsets, then the sampled ids and the ids their snapshots name.
 
-    Every check runs on all records at once; a malformed record gives junk
-    values, not an exception.  A check that reads another record reads an
-    earlier one, so the first record that fails is the first bad one.
+    Each check is one boolean array over all records; a malformed record
+    gives junk values, not an exception.  A check that reads another record
+    reads an earlier one, so the first record that fails is the first bad
+    one.  Its message is the first check it fails, in the order of
+    ``_RECORD_ERRORS``, worded from its fields' bytes, its tab count and its
+    snapshot's entry count: no field is parsed twice.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     sep = _find(buf, "\t", "\n")         # tabs and newlines
@@ -561,9 +575,10 @@ def _parse_records(data: bytes) -> tuple:
     values, valid = _decimals(buf, begin[:, fields].T.ravel(), ends.T.ravel())
     position, degree, walker, node, digits = values.reshape(5, n)
     valid = valid.reshape(5, n)
-    weights = digits.astype(np.float64)
+    weights, numeric = digits.astype(np.float64), valid[4].copy()
     other = np.flatnonzero(~valid[4])
-    weights[other] = _floats(buf, weight[other], after[other] - weight[other])
+    weights[other], numeric[other] = _floats(buf, weight[other],
+                                            after[other] - weight[other])
 
     # Snapshots are parsed for each node's first record.  A repeat whose
     # text is its first record's byte for byte needs no parsing; one whose
@@ -591,18 +606,26 @@ def _parse_records(data: bytes) -> tuple:
     same = count[r] == count[p]
     unequal = (named[_ranges(at[r[same]], count[r[same]])]
                != named[_ranges(at[p[same]], count[r[same]])])
+    moved = np.zeros(n, dtype=bool)  # a repeat unlike its first record
+    moved[changed[~same]] = True
+    moved[np.repeat(changed[same], count[r[same]])[unequal]] = True
 
-    bad = ((tabs != 5)
-           | ~valid[:4].all(axis=0) | (walker >= 2**63)
-           | ~((weights > 0.0) & (weights < math.inf))
-           | (position != np.arange(n)) | ~listed[slot]
-           | (degree != count[slot]))
-    bad[changed[~same]] = True
-    bad[np.repeat(changed[same], count[r[same]])[unequal]] = True
+    # One array per check, in the order of _RECORD_ERRORS; valid's rows are
+    # position, degree, walker and node.
+    checks = (tabs != 5, ~valid[0], ~valid[3], ~valid[1], ~numeric, ~valid[2],
+              walker >= 2**63, ~listed[slot], position != np.arange(n),
+              ~((weights > 0.0) & (weights < math.inf)),
+              degree != count[slot], moved)
+    bad = np.logical_or.reduce(checks)
     if bad.any():
         i = int(bad.argmax())
-        end = sep[line[record[i] + 1]]
-        raise _record_error(i, data[begin[i, 0]:end].decode("utf-8"))
+        cells = [data[a:b].decode("utf-8")
+                 for a, b in zip(begin[i].tolist(), stop[i].tolist())]
+        raise SamplingError(_RECORD_ERRORS[next(
+            k for k, failed in enumerate(checks) if failed[i])].format(
+            i=i, fields=int(tabs[i]) + 1, entries=int(count[slot[i]]),
+            q=[_excerpt(cell) for cell in cells],
+            p=[_excerpt(cell, quote=False) for cell in cells]))
     rows = slot[first_record]
     return (node_ranks, weights, walker.astype(np.int64),
             np.append(0, np.cumsum(count[rows])), sampled,
@@ -640,8 +663,9 @@ def _snapshots(data: bytes, starts: np.ndarray,
 
 
 def _floats(buf: np.ndarray, starts: np.ndarray,
-            lengths: np.ndarray) -> np.ndarray:
-    """The cells as float() reads them, NaN where it cannot."""
+            lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells as float() reads them, NaN where it cannot, and whether it
+    can."""
     # Space padding, which float() ignores, keeps every NUL byte inside.
     width = int(lengths.max(initial=0)) + 1
     columns = np.arange(width)
@@ -649,54 +673,11 @@ def _floats(buf: np.ndarray, starts: np.ndarray,
     text[columns >= lengths[:, None]] = ord(" ")
     text = text.view(f"S{width}").ravel()
     try:
-        return text.astype(np.float64)
+        return text.astype(np.float64), np.ones(len(text), dtype=bool)
     except ValueError:
-        return np.array(list(map(_number, text.tolist())), dtype=np.float64)
-
-
-def _number(text: bytes) -> float | None:
-    """float(text), or None where float() cannot read it."""
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-# Each field before the snapshot, its check and what it must be.
-_FIELDS = (("position", _is_id, _ID_TEXT), ("node", _is_id, _ID_TEXT),
-           ("degree", _is_id, _ID_TEXT),
-           ("weight", lambda text: _number(text.encode()) is not None,
-            "a number"),
-           ("walker", _is_id, _ID_TEXT))
-
-
-def _record_error(i: int, line: str) -> SamplingError:
-    """The one-line error for record i, which the array checks rejected: of
-    its problems, the first in the order checked here."""
-    fields = line.split("\t")
-    if len(fields) != 6:
-        return SamplingError(f"record {i}: expected 6 tab-separated fields, "
-                             f"got {len(fields)}")
-    for (name, check, kind), text in zip(_FIELDS, fields):
-        if not check(text):
-            return SamplingError(f"record {i}: {name} {_excerpt(text)} is "
-                                 f"not {kind}")
-    pos, node, deg, weight, walker, nbrs = fields
-    label = f"record {_excerpt(pos, quote=False)}"
-    if int(walker) >= 2**63:
-        return SamplingError(f"record {i}: walker {_excerpt(walker)} is not "
-                             "below 2^63")
-    ids = nbrs.split(",") if nbrs else []
-    if not all(map(_is_id, ids)):
-        return SamplingError(f"record {i}: snapshot {_excerpt(nbrs)} is not a "
-                             f"comma-separated list of {_ID_TEXT}")
-    if int(pos) != i:
-        return SamplingError(f"{label}: position must be its index, {i}")
-    if not 0.0 < float(weight.encode()) < math.inf:
-        return SamplingError(f"{label}: weight must be finite and positive, "
-                             f"got {_excerpt(weight, quote=False)}")
-    if int(deg) != len(ids):
-        return SamplingError(f"{label}: degree {_excerpt(deg, quote=False)} "
-                             f"differs from its {len(ids)} snapshot entries")
-    return SamplingError(f"{label}: node {_excerpt(node, quote=False)} has a "
-                         "snapshot that differs from an earlier record's")
+        values = np.full(len(text), math.nan)
+        readable = np.zeros(len(text), dtype=bool)
+        for k, cell in enumerate(text.tolist()):
+            with contextlib.suppress(ValueError):
+                values[k], readable[k] = float(cell), True
+        return values, readable

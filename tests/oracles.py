@@ -446,6 +446,23 @@ def erdos_renyi(n, p, seed):
     return Graph.from_edges(edges, extra_nodes=range(n))
 
 
+def hub_of_cliques(num_cliques, clique_size):
+    """A hub node joined to one member of each clique (skewed degrees)."""
+    from graphsize.graph import Graph
+
+    if num_cliques < 1 or clique_size < 2:
+        raise ValueError("need num_cliques >= 1 and clique_size >= 2")
+    edges = []
+    hub = num_cliques * clique_size
+    for c in range(num_cliques):
+        base = c * clique_size
+        for i in range(clique_size):
+            for j in range(i + 1, clique_size):
+                edges.append((base + i, base + j))
+        edges.append((hub, base))
+    return Graph.from_edges(edges)
+
+
 def barabasi_albert(n, m, seed):
     """``barabasi_albert`` drawing each target with ``rng.integers``: the
     raw-stream version's reference."""
@@ -726,6 +743,16 @@ def indb_parts(sample, mode: str, weighted: bool) -> tuple[float, float]:
         return float(size * len(sample)), float(sum(hits))
     inv = [1.0 / w for w in weights]
     return size * math.fsum(inv), math.fsum(i * h for i, h in zip(inv, hits))
+
+
+def capture_recapture(s1_unique: set, s2_unique: set):
+    """Two-phase capture-recapture from duplicate-free node sets."""
+    from graphsize.core import EstimatorError, RatioEstimate
+
+    if not s1_unique or not s2_unique:
+        raise EstimatorError("capture-recapture needs two non-empty sets")
+    overlap = len(s1_unique & s2_unique)
+    return RatioEstimate(len(s1_unique) * len(s2_unique), overlap).outcome()
 
 
 def capture_split(sample, seed: int) -> tuple[set, set]:

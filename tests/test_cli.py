@@ -173,6 +173,21 @@ def test_estimate_rw_margin(tmp_path, capsys):
     assert payload["denominator"] >= 0
 
 
+def test_thin_shifted_theta_past_the_sample_length(tmp_path, capsys):
+    """theta beyond n leaves the n one-record parts of theta = n, none of
+    them empty for ind-b to reject."""
+    sample = _rw_sample_file(tmp_path, capsys)  # 80 records
+    payloads = []
+    for theta in ("80", "90"):
+        code, out, err = run(capsys, "estimate", "--sample", str(sample),
+                             "--estimator", "ind-b", "--correction",
+                             "thin-shifted", "--theta", theta)
+        assert (code, err) == (0, "")
+        payloads.append(json.loads(out))
+        assert payloads[-1].pop("params")["theta"] == int(theta)
+    assert payloads[0] == payloads[1]
+
+
 def test_estimate_config_error_exit_code(tmp_path, capsys):
     edges = tmp_path / "g.txt"
     sample = tmp_path / "s.tsv"

@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 
 from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
                             EstimateOutcome, EstimatorError, RatioEstimate,
-                            _auxiliary_counts, _fsum, aggregate_ratios,
+                            _auxiliary_counts, _fsum, _inverse_pair_sum,
+                            _inverse_weights, aggregate_ratios,
                             count_collisions, count_induced_edges,
-                            count_unique, pairwise_inverse_weight_sum)
+                            count_unique)
 from graphsize.generators import erdos_renyi
-from graphsize.ind_estimators import (edge_pair_inverse_weight_sum,
-                                      inda_wis_ratio, indb_uis_ratio,
-                                      indb_wis_ratio)
+from graphsize.ind_estimators import (density_wis, inda_wis_ratio,
+                                      indb_uis_ratio, indb_wis_ratio)
 from graphsize.node_estimators import node_wis_ratio
 from graphsize.sampling import sample_uis
 
@@ -119,6 +119,12 @@ def test_cross_collisions_of_own_multiset_is_twice_induced():
             == 2 * count_induced_edges(s)
 
 
+def pairwise_inverse_weight_sum(weights):
+    """The closed-form sum over all pairs that ``density_wis`` divides by."""
+    inv = _inverse_weights(np.asarray(weights, dtype=np.float64))
+    return _inverse_pair_sum(inv, _fsum(inv))
+
+
 def test_pairwise_inverse_weight_sum_examples(k5):
     assert pairwise_inverse_weight_sum([1.0, 2.0]) == pytest.approx(0.5)
     assert pairwise_inverse_weight_sum([1.0, 1.0, 1.0]) == pytest.approx(3.0)
@@ -170,7 +176,7 @@ def test_pairwise_inverse_weight_sum_rejects_zero():
             pairwise_inverse_weight_sum([1.0, bad])
         # Every kernel that inverts weights applies the same rule.
         weights = np.append(bad, s.weight_column[1:])
-        for kernel in (node_wis_ratio, edge_pair_inverse_weight_sum):
+        for kernel in (node_wis_ratio, density_wis):
             with pytest.raises(EstimatorError):
                 kernel(replace(s, weight_column=weights))
 

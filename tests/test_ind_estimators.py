@@ -3,7 +3,7 @@ import pytest
 
 from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
                             EstimatorError, RatioEstimate)
-from graphsize.generators import erdos_renyi, hub_of_cliques
+from graphsize.generators import erdos_renyi
 from graphsize.ind_estimators import (density_uis, density_wis,
                                       inda_uis_ratio, inda_wis_ratio,
                                       indb_auto_ratio, indb_uis_ratio,
@@ -165,7 +165,7 @@ def test_indb_auto_uis_ignores_weights():
 
 
 def test_indb_set_mode_disperses_less_on_skewed_graph():
-    g = hub_of_cliques(12, 6)
+    g = oracles.hub_of_cliques(12, 6)
     set_err, multi_err = [], []
     n_true = g.node_count
     for t in range(200):

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from graphsize.core import NO_COLLISIONS, EstimateOutcome, EstimatorError
 from graphsize.generators import erdos_renyi
-from graphsize.node_estimators import (capture_recapture,
-                                       capture_recapture_from_sample,
+from graphsize.node_estimators import (capture_recapture_from_sample,
                                        mle_unique_approx, mle_unique_exact,
                                        node_uis_ratio, node_wis_ratio)
 from graphsize.sampling import sample_uis
@@ -16,11 +15,11 @@ from conftest import make_sample
 
 
 def test_capture_recapture_examples():
-    assert capture_recapture({1, 2, 3, 4}, {3, 4, 5, 6}).value == 8.0
-    assert capture_recapture({1}, {1}).value == 1.0
-    assert capture_recapture({1, 2}, {3, 4}) == NO_COLLISIONS
+    assert oracles.capture_recapture({1, 2, 3, 4}, {3, 4, 5, 6}).value == 8.0
+    assert oracles.capture_recapture({1}, {1}).value == 1.0
+    assert oracles.capture_recapture({1, 2}, {3, 4}) == NO_COLLISIONS
     with pytest.raises(EstimatorError):
-        capture_recapture(set(), {1})
+        oracles.capture_recapture(set(), {1})
 
 
 def test_capture_split_counts_each_half_once(k5):

@@ -75,6 +75,16 @@ def test_thin_shifted_concatenation_permutes(theta, n):
     assert sum(len(sub) for sub in subs) == n
 
 
+def test_thin_shifted_past_the_sample_length_has_no_empty_part():
+    """theta beyond n leaves the n one-record parts of theta = n: no part
+    is empty for ind-b to reject, and node-wis sums are those of theta = n."""
+    s = sample_rw(_walk_graph(), 5, seed=3)
+    assert [len(sub) for sub in thin_shifted(s, 8)] == [1] * 5
+    for ratio in (node_wis_ratio, lambda sub: indb_auto_ratio(sub, MODE_SET)):
+        assert estimate_thinned(s, 8, ratio, shifted=True) \
+            == estimate_thinned(s, 5, ratio, shifted=True)
+
+
 # Each kernel with its sweep parameter set to a value, and that parameter's
 # least valid value.
 PARAMETER_KERNELS = {

@@ -33,8 +33,7 @@ from graphsize.graph import Graph, GraphError
 from graphsize.ind_estimators import (_edge_pair_sum, _in_first_seen_order,
                                       inda_wis_ratio, indb_uis_ratio,
                                       indb_wis_ratio)
-from graphsize.node_estimators import (capture_recapture,
-                                       capture_recapture_from_sample)
+from graphsize.node_estimators import capture_recapture_from_sample
 from graphsize.rw_correction import (ind_margin_ratio, margin_crosswalker,
                                      thin_shifted)
 from graphsize.sampling import (Sample, SamplingError, _first_seen,
@@ -250,6 +249,48 @@ def test_narrowed_tokens_are_one_record_error(tmp_path, record):
     assert err.getvalue().count("\n") == 1
 
 
+# Record 1 repeats record 0's node.  For each of the reader's checks, in
+# order: cells of record 1 (by field, 6 a seventh) that fail that check
+# alone, and its message.
+VALID = ["1", "5", "2", "2.0", "0", "6,7"]
+ID = "1 to 20 ASCII digits below 2^64"
+FAILS = [
+    ({6: "x"}, "record 1: expected 6 tab-separated fields, got 7"),
+    ({0: "-1"}, f"record 1: position '-1' is not {ID}"),
+    ({1: "+5"}, f"record 1: node '+5' is not {ID}"),
+    ({2: "x"}, f"record 1: degree 'x' is not {ID}"),
+    ({3: "x"}, "record 1: weight 'x' is not a number"),
+    ({4: "-0"}, f"record 1: walker '-0' is not {ID}"),
+    ({4: str(2**63)}, f"record 1: walker '{2**63}' is not below 2^63"),
+    ({5: "6,,7"}, "record 1: snapshot '6,,7' is not a comma-separated list "
+                  f"of {ID}"),
+    ({0: "2"}, "record 2: position must be its index, 1"),
+    ({3: "nan"}, "record 1: weight must be finite and positive, got nan"),
+    ({2: "3"}, "record 1: degree 3 differs from its 2 snapshot entries"),
+    ({5: "6,8"}, "record 1: node 5 has a snapshot that differs from an "
+                 "earlier record's"),
+]
+# Each adjacent pair of checks failed at once gives the earlier message.
+# The walker checks share a field: 2^64 + 2^63 is no cell, and the digit
+# loop's value of it wraps to 2^63.
+PAIRS = [({**FAILS[k + 1][0], **FAILS[k][0]}, FAILS[k][1])
+         for k in range(len(FAILS) - 1)]
+PAIRS[5] = ({4: str(2**64 + 2**63)},
+            f"record 1: walker '{2**64 + 2**63}' is not {ID}")
+
+
+@pytest.mark.parametrize("cells,message", FAILS + PAIRS,
+                         ids=[f"check-{k}" for k in range(len(FAILS))]
+                         + [f"checks-{k}-{k + 1}" for k in range(len(PAIRS))])
+def test_first_failed_check_names_the_record(cells, message):
+    fields = [cells.get(k, text) for k, text in enumerate(VALID)]
+    fields += [cells[6]] if 6 in cells else []
+    first = "0\t5\t2\t2.0\t0\t6,7"
+    assert isinstance(_outcome(read_sample, _file([first, "\t".join(VALID)])),
+                      Sample)
+    assert _outcome(read_sample, _file([first, "\t".join(fields)])) == message
+
+
 # -- kernels -----------------------------------------------------------------
 
 
@@ -283,7 +324,7 @@ def test_kernels_equal_the_dict_loops_bit_for_bit(s, seed):
         assert (ratio.numerator, ratio.denominator) \
             == oracles.inda_wis_parts(s)
         assert capture_recapture_from_sample(s, seed) \
-            == capture_recapture(*oracles.capture_split(s, seed))
+            == oracles.capture_recapture(*oracles.capture_split(s, seed))
     for mode in (MODE_SET, MODE_MULTISET):
         for kernel, weighted in ((indb_uis_ratio, False),
                                  (indb_wis_ratio, True)):
@@ -325,7 +366,9 @@ def route_a_samples(draw):
         return s.subset(np.arange(n)[::-1]), None
     if cut == "thin-shifted":
         theta = draw(st.integers(2, 5))
-        return thin_shifted(s, theta)[draw(st.integers(1, theta - 1))], None
+        # Past n, thin_shifted has no part, and the part is empty.
+        parts, k = thin_shifted(s, theta), draw(st.integers(1, theta - 1))
+        return parts[k] if k < len(parts) else s.subset([]), None
     if cut == "reorder":
         # The cross-walker kernels' stable reorder by walker label.
         shuffled = s.subset(draw(st.permutations(range(n))))
