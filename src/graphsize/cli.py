@@ -37,8 +37,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
     except (PlanError, EstimatorError, GraphError, SamplingError, OSError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            ValueError, OverflowError, MemoryError) as exc:
+        # A MemoryError raised by Python's own allocator has no message.
+        bare = isinstance(exc, MemoryError) and not str(exc)
+        print(f"error: {'out of memory' if bare else exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, PlanError) else EXIT_DATA
 
 

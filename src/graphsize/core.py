@@ -110,9 +110,9 @@ def _auxiliary_counts(s: Sample, mode: str) -> np.ndarray:
 
 def _inverse_pair_sum(inv: np.ndarray, s1: float) -> float:
     """Sum of 1/(w_i * w_j) over unordered pairs, from checked inverse
-    weights and their compensated sum ``s1``, via the closed form
-    0.5 * ((sum 1/w)^2 - sum 1/w^2).  Reciprocal sums use compensated
-    summation because the terms can be heavy-tailed."""
+    weights and their exact sum ``s1``, via the closed form
+    0.5 * ((sum 1/w)^2 - sum 1/w^2).  Reciprocal sums are exact (correctly
+    rounded) sums because the terms can be heavy-tailed."""
     s2 = _fsum(inv * inv)
     return 0.5 * (s1 * s1 - s2)
 

@@ -269,7 +269,7 @@ def _simple_csr(
         raise GraphError("empty graph: no nodes in input")
     n = nodes.size
     ranks = ranks[:pairs.size].reshape(-1, 2)
-    lo, hi = ranks.min(axis=1), ranks.max(axis=1)
+    lo, hi = np.minimum(*ranks.T), np.maximum(*ranks.T)
     proper = lo != hi
     keys, _ = np.unique(lo[proper] * n + hi[proper], return_counts=True)
     # Each edge in both directions, sorted by (vertex, neighbor).

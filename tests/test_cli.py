@@ -577,6 +577,41 @@ def test_estimate_that_overflows_is_data_error(tmp_path, capsys):
                          "--estimator", "node-wis"), 3)
 
 
+@pytest.mark.parametrize("correction", [
+    [], ["--correction", "margin"], ["--correction", "thin-shifted"]])
+def test_weights_whose_sum_overflows_are_data_error(tmp_path, capsys,
+                                                    correction):
+    # Every weight is finite, but 80 of them sum past the float range.
+    sample = _rw_sample_file(tmp_path, capsys)
+    _rewrite(sample, record=lambda f: f[:3] + ["1.5e+308"] + f[4:])
+    err = _one_line_error(*run(capsys, "estimate", "--sample", str(sample),
+                               "--estimator", "node-wis", *correction), 3)
+    assert "overflow" in err
+
+
+@pytest.mark.parametrize("refusal, reason", [
+    ("size", "too big"), ("numpy", "Unable to allocate"),
+    ("python", "out of memory")])
+def test_a_sample_too_large_to_allocate_is_data_error(tmp_path, capsys,
+                                                      monkeypatch, refusal,
+                                                      reason):
+    # numpy refuses 2^60 draws of 8 bytes (ValueError) before allocating
+    # anything; an allocation that fails raises MemoryError, faked here,
+    # with numpy's message or with none, as Python's own allocator does.
+    if refusal != "size":
+        error = MemoryError(reason) if refusal == "numpy" else MemoryError()
+
+        def draw(*args):
+            raise error
+        monkeypatch.setattr("graphsize.cli.draw_sample", draw)
+    out = tmp_path / "s.tsv"
+    err = _one_line_error(*run(capsys, "sample", "--graph",
+                               "gen:er:nodes=50,p=0.2,seed=1", "--method",
+                               "uis", "--n", str(2**60), "-o", str(out)), 3)
+    assert reason in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_estimate_rejects_header_without_count(tmp_path, capsys):
     sample = _rw_sample_file(tmp_path, capsys)
     _rewrite(sample, header=lambda h: "\t".join(

@@ -1,21 +1,28 @@
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
+from graphsize import (core, ind_estimators, node_estimators, rw_correction,
+                       sampling)
+from graphsize.core import (A_MODES, MODE_MULTISET, MODE_SET, NO_COLLISIONS,
                             EstimateOutcome, EstimatorError, RatioEstimate,
                             _auxiliary_counts, _fsum, _inverse_pair_sum,
                             _inverse_weights, aggregate_ratios,
                             count_collisions, count_induced_edges,
                             count_unique)
-from graphsize.generators import erdos_renyi
+from graphsize.experiment import (CORRECTIONS, ESTIMATORS, EstimatorSpec,
+                                  PlanError, check_spec, evaluate_with_ratio)
+from graphsize.generators import erdos_renyi, ring_of_cliques
+from graphsize.graph import largest_connected_component
 from graphsize.ind_estimators import (density_wis, inda_wis_ratio,
                                       indb_uis_ratio, indb_wis_ratio)
 from graphsize.node_estimators import node_wis_ratio
-from graphsize.sampling import sample_uis
+from graphsize.sampling import (METHODS, sample_rw, sample_rw_multi,
+                                sample_uis, sample_wis)
 
 import oracles
 from conftest import graph_from_text, make_sample
@@ -158,6 +165,134 @@ def test_fsum_is_math_fsum_of_the_list(floats, ints, order, step):
                   np.array(floats, dtype=f"{order}f4"),
                   np.array(ints, dtype=f"{order}i8")):
         assert _fsum(array[::step]) == math.fsum(array[::step].tolist())
+
+
+def _assert_fsum_is_math_fsum(x):
+    """Same value and sign of zero as math.fsum of the list, NaN for NaN,
+    and the same exception type where math.fsum raises."""
+    try:
+        want = math.fsum(x.tolist())
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _fsum(x)
+        return
+    got = _fsum(x)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+# Lengths on either side of each power of two, where 2^m >= 2n steps m.
+_EDGE_LENGTHS = [2**k + d for k in range(13) for d in (-1, 0, 1)]
+
+
+@st.composite
+def _fsum_inputs(draw):
+    n = draw(st.integers(0, 5000) | st.sampled_from(_EDGE_LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    lo = draw(st.integers(-300, 300))
+    hi = draw(st.integers(lo, 300))
+    kind = draw(st.sampled_from(
+        ["mixed", "cancel", "subnormal", "int64", "zeros", "reciprocal",
+         "same-scale"]))
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(lo, hi, n)
+    if kind == "cancel":  # pairs x, -x and one tiny term, shuffled
+        half = x[:n // 2]
+        x = rng.permutation(np.concatenate(
+            (half, -half, rng.standard_normal(n % 2) * 1e-300)))
+    elif kind == "subnormal":
+        x[rng.random(n) < 0.5] = rng.standard_normal() * 1e-310
+    elif kind == "int64":
+        x = rng.choice([-1, 1], n) * (2**62 - rng.integers(0, 2**12, n))
+    elif kind == "zeros":
+        x = rng.choice([0.0, -0.0], n)
+    elif kind == "reciprocal":  # inverse degree weights
+        x = 1.0 / rng.integers(1, 1000, n)
+    elif kind == "same-scale":  # one sign, one binade: the largest sums
+        x = rng.uniform(1.0, 2.0, n) * 2.0 ** (lo * 3)
+    if draw(st.booleans()) and x.dtype == np.float64:
+        with np.errstate(over="ignore"):
+            x = x.astype(np.float32)
+    x = x.astype(x.dtype.newbyteorder(draw(st.sampled_from("<>"))))
+    return x[::draw(st.sampled_from([1, 1, 2, -1, -3]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fsum_inputs())
+def test_fsum_is_math_fsum_on_any_array(x):
+    _assert_fsum_is_math_fsum(x)
+
+
+@pytest.mark.parametrize("values", [
+    [], [0.0], [-0.0], [-0.0] * 3, [0.0, -0.0], [1.0, -1.0], [-1.0, 1.0],
+    [float("nan"), 1.0], [float("inf"), 1.0], [-float("inf"), -1.0],
+    [float("inf"), -float("inf")],  # ValueError in math.fsum
+    [1.5e308] * 40, [1e308, 1e308, -1e308],  # OverflowError
+    [1e300] * 4 + [-1e300] * 4 + [1e-300], [5e-324] * 3 + [1.0],
+    [2.0**53, 1.0], [2.0**53, 1.0, 2.0**-60], [2.0**53, 1.0, -2.0**-60],
+    [2.0**53, 1.0, 1.0],  # a tie to even, either side of it, no tie
+])
+def test_fsum_special_values(values):
+    # A dtype that names its byte order, even the native one, exports a
+    # buffer format such as '<d', which memoryview refuses.  Each array
+    # also runs padded with 1000 terms of -0.0, the length of a sample.
+    for padding in (0, 1000):
+        for order in "=<>":
+            _assert_fsum_is_math_fsum(np.array(values + [-0.0] * padding)
+                                      .astype(np.dtype("f8")
+                                              .newbyteorder(order)))
+
+
+def _every_estimate(sample):
+    """Each estimator x correction x auxiliary mode that the tables allow
+    on ``sample``: its ratio and outcome, or the error it raises."""
+    method = {v: k for k, v in METHODS.items()}[sample.method]
+    results = {}
+    for name, correction, a_mode in itertools.product(
+            ESTIMATORS, CORRECTIONS, A_MODES):
+        est = EstimatorSpec(name, correction, a_mode,
+                            theta=3 if correction.startswith("thin") else 1,
+                            m=5 if correction == "margin" else 0)
+        try:
+            check_spec(method, est)
+        except PlanError:
+            continue
+        try:  # a copy caches its own margin basis
+            results[est] = evaluate_with_ratio(replace(sample), est, seed=1)
+        except EstimatorError as exc:
+            results[est] = str(exc)
+    return results
+
+
+def test_estimates_are_those_of_the_math_fsum_reference(monkeypatch):
+    """Every kernel returns the same numerators and denominators, ``==``,
+    with ``_fsum`` replaced by math.fsum of the list, on the criterion-2
+    graphs and samplers."""
+    pool = [largest_connected_component(erdos_renyi(150, 0.06, seed=0)),
+            ring_of_cliques(8, 5), oracles.hub_of_cliques(6, 5),
+            erdos_renyi(60, 0.2, seed=1)]
+    samples = []
+    for i in range(20):
+        # 30 to 2129 records, so thinned parts are short and long too.
+        g, n = pool[i % len(pool)], 30 + (i * 211) % 2100
+        samples.append([
+            lambda: sample_uis(g, n, seed=i),
+            lambda: sample_wis(g, "degree", n, seed=i),
+            lambda: sample_wis(g, lambda v: 0.3 + (v % 7), n, seed=i),
+            lambda: sample_rw(g, n, seed=i),
+            lambda: sample_rw_multi(g, 3, n // 3, seeds=[i, i + 1, i + 2]),
+        ][i % 5]())
+    got = [_every_estimate(s) for s in samples]
+    with monkeypatch.context() as patch:
+        for module in (core, ind_estimators, node_estimators, rw_correction,
+                       sampling):
+            patch.setattr(module, "_fsum",
+                          lambda values: math.fsum(values.tolist()))
+        want = [_every_estimate(s) for s in samples]
+    assert sum(map(len, got)) > 200
+    assert got == want
 
 
 def test_wis_kernels_read_a_big_endian_weight_column():
