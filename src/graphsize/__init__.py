@@ -12,9 +12,8 @@ from .core import (EstimateOutcome, EstimatorError, NO_COLLISIONS,
 from .graph import (Graph, GraphError, GraphStats, LoadReport, exact_stats,
                     largest_connected_component, load_edge_list,
                     size_identity, write_edge_list)
-from .ind_estimators import (density_uis, density_wis, inda_uis_ratio,
-                             inda_wis_ratio, indb_auto_ratio, indb_uis_ratio,
-                             indb_wis_ratio, mean_degree_uis, mean_degree_wis)
+from .ind_estimators import (density_wis, inda_wis_ratio, indb_wis_ratio,
+                             mean_degree_wis)
 from .node_estimators import (capture_recapture_from_sample, mle_unique_approx,
                               mle_unique_exact, node_uis_ratio,
                               node_wis_ratio)

@@ -201,7 +201,15 @@ def _cmd_estimate(args) -> int:
     with open(args.sample, "rb") as fh:
         sample = read_sample(fh)
     check_spec(next(k for k, v in METHODS.items() if v == sample.method), est)
-    ratio, outcome = evaluate_with_ratio(sample, est, args.seed)
+    try:
+        ratio, outcome = evaluate_with_ratio(sample, est, args.seed)
+        parts = (ratio.numerator, ratio.denominator) if ratio else ()
+        finite = all(map(math.isfinite, (*parts, outcome.value or 0.0)))
+    except OverflowError:  # an exact sum past the float range
+        finite = False
+    if not finite:
+        raise EstimatorError(f"estimator {est.name}: the sample's weights "
+                             "take its sums outside the float range")
     payload = {
         "estimator": est.name,
         "correction": est.correction,
@@ -211,7 +219,7 @@ def _cmd_estimate(args) -> int:
         "denominator": ratio.denominator if ratio else None,
         "estimate": outcome.value if outcome.finite else "no_collisions",
     }
-    print(json.dumps(payload, allow_nan=False))  # ValueError on inf or nan
+    print(json.dumps(payload, allow_nan=False))
     return 0
 
 

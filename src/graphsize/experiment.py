@@ -23,8 +23,8 @@ from .core import (A_MODES, MODE_SET, EstimateOutcome, EstimatorError,
 from .graph import (Graph, _excerpt, largest_connected_component,
                     load_edge_list)
 from .rw_correction import estimate_thinned, margin_crosswalker
-from .sampling import (METHOD_UIS, METHODS, WEIGHT_RULES, Sample,
-                       sample_rw, sample_rw_multi, sample_uis, sample_wis)
+from .sampling import (METHODS, WEIGHT_RULES, Sample, sample_rw,
+                       sample_rw_multi, sample_uis, sample_wis)
 
 
 class PlanError(Exception):
@@ -82,9 +82,8 @@ ESTIMATORS = {
                             node.mle_unique_approx(len(s), count_unique(s))),
     "mle-exact": Estimator(lambda s, est, seed:
                            node.mle_unique_exact(len(s), count_unique(s))),
-    "ind-a": Estimator(lambda s, est, seed: ind.inda_uis_ratio(s)
-                       if s.method == METHOD_UIS else ind.inda_wis_ratio(s)),
-    "ind-b": Estimator(lambda s, est, seed: ind.indb_auto_ratio(s, est.a_mode),
+    "ind-a": Estimator(lambda s, est, seed: ind.inda_wis_ratio(s)),
+    "ind-b": Estimator(lambda s, est, seed: ind.indb_wis_ratio(s, est.a_mode),
                        walk_corrections=True),
 }
 

@@ -1,44 +1,23 @@
 """Size estimators based on induced edges (the IND family).
 
-Route A goes through the density identity N = <k>/rho + 1, so its ratios
-carry the +1 as their offset; route B counts cross-collisions between the
-sample and an auxiliary node (multi)set A, the union of the sampled nodes'
-neighbor snapshots.
+Each estimator has one kernel, which reads the record weights of every
+sample; a uniform sample's are all 1.  Route A goes through the density
+identity N = <k>/rho + 1, so its ratios carry the +1 as their offset; route
+B counts cross-collisions between the sample and an auxiliary node
+(multi)set A, the union of the sampled nodes' neighbor snapshots.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
 from .core import (MODE_SET, EstimatorError, RatioEstimate,
                    _auxiliary_counts, _fsum, _inverse_pair_sum,
                    _inverse_weights, _row_sums, count_induced_edges)
-from .sampling import METHOD_UIS, Sample, _first_seen
-
-
-def mean_degree_uis(s: Sample) -> float:
-    """Plain average of sampled degrees."""
-    if len(s) < 1:
-        raise EstimatorError("empty sample")
-    return _fsum(s.degree_column) / len(s)
-
-
-def density_uis(s: Sample) -> float:
-    """Fraction of sample pairs that form edges."""
-    n = len(s)
-    if n < 2:
-        raise EstimatorError("density needs at least 2 records")
-    return count_induced_edges(s) / (n * (n - 1) / 2)
-
-
-def inda_uis_ratio(s: Sample) -> RatioEstimate:
-    """Density-route estimator for uniform samples:
-    (n-1)*sum(deg)/(2*n_ind) + 1."""
-    if len(s) < 2:
-        raise EstimatorError("need at least 2 records")
-    n = len(s)
-    num = (n - 1) * _fsum(s.degree_column)
-    return RatioEstimate(num, float(2 * count_induced_edges(s)), 1.0)
+from .sampling import Sample, _first_seen
 
 
 def mean_degree_wis(s: Sample) -> float:
@@ -80,23 +59,48 @@ def _in_first_seen_order(ranks: np.ndarray) -> bool:
 
 def density_wis(s: Sample) -> float:
     """Two-point corrected density: edge pair terms over all pair terms."""
-    if len(s) < 2:
-        raise EstimatorError("density needs at least 2 records")
-    inv = _inverse_weights(s.weight_column)
-    return _edge_pair_sum(s, inv) / _inverse_pair_sum(inv, _fsum(inv))
+    _, _, pairs, edges = _route_a_sums(s)
+    return edges / pairs
 
 
 def inda_wis_ratio(s: Sample) -> RatioEstimate:
-    """Weight-corrected density-route estimator; equals inda_uis_ratio's
-    quotient at unit weights."""
+    """Weight-corrected density-route estimator: sum(deg/w) times the pair
+    sum of 1/(w_i * w_j), over sum(1/w) times its edge pair sum, plus 1.
+    At unit weights it is (n-1)*sum(deg)/(2*n_ind) + 1, its parts times
+    n/2."""
+    degrees, inverse, pairs, edges = _route_a_sums(s)
+    return RatioEstimate(degrees * pairs, inverse * edges, 1.0)
+
+
+@np.errstate(over="ignore")  # sums past the float range are taken again
+def _route_a_sums(s: Sample) -> tuple[float, float, float, float]:
+    """Route A's sums: sum(deg/w), sum(1/w), and the sums of 1/(w_i * w_j)
+    over all unordered pairs and over the edge-forming ones.
+
+    They, the numerator and the denominator must be finite normal floats;
+    without induced edges, the edge sum is 0 and the numerator only finite.
+    Where the weights take them out of that range, they are taken again
+    from the inverse weights scaled by a power of two, which is exact and
+    changes no ratio of them; if still out of it, EstimatorError.
+    """
     if len(s) < 2:
-        raise EstimatorError("need at least 2 records")
+        raise EstimatorError("route A needs at least 2 records")
     inv = _inverse_weights(s.weight_column)
-    deg_over_w = _fsum(s.degree_column * inv)
-    inv_sum = _fsum(inv)
-    num = deg_over_w * _inverse_pair_sum(inv, inv_sum)
-    den = inv_sum * _edge_pair_sum(s, inv)
-    return RatioEstimate(num, den, 1.0)
+    for scale in (0, -math.frexp(inv.max())[1]):
+        scaled = np.ldexp(inv, scale)
+        inverse = _fsum(scaled)
+        sums = (_fsum(s.degree_column * scaled), inverse,
+                _inverse_pair_sum(scaled, inverse), _edge_pair_sum(s, scaled))
+        degrees, _, pairs, edges = sums
+        num = degrees * pairs
+        normal = [sys.float_info.min <= v < math.inf for v in
+                  (inverse, pairs, degrees, edges, num, inverse * edges)]
+        if all(normal) or (normal[0] and normal[1] and num < math.inf
+                           and edges == 0.0 and not count_induced_edges(s)):
+            return sums
+    raise EstimatorError(
+        f"route A (ind-a): weights from {s.weight_column.min():.6g} to "
+        f"{s.weight_column.max():.6g} take its sums outside the float range")
 
 
 def _cross_hits(s: Sample, mode: str) -> tuple[int, np.ndarray]:
@@ -109,27 +113,11 @@ def _cross_hits(s: Sample, mode: str) -> tuple[int, np.ndarray]:
     return size, counts[s.rank_column]
 
 
-def indb_uis_ratio(s: Sample, mode: str = MODE_SET) -> RatioEstimate:
-    """|A| * |S| over the cross-collision count, A the union of the
-    positions' neighbor snapshots taken as a set or a multiset."""
-    size, hits = _cross_hits(s, mode)
-    return RatioEstimate(float(size * len(s)), float(hits.sum()))
-
-
 def indb_wis_ratio(s: Sample, mode: str = MODE_SET) -> RatioEstimate:
-    """One-point corrected cross-collision estimator, A as in
-    :func:`indb_uis_ratio`."""
+    """One-point corrected cross-collision estimator: |A| * sum(1/w) over
+    the sum of 1/w over the positions' matches in A, the union of the
+    positions' neighbor snapshots taken as a set or a multiset.  At unit
+    weights it is |A| * |S| over the cross-collision count."""
     size, hits = _cross_hits(s, mode)
     inv = _inverse_weights(s.weight_column)
     return RatioEstimate(size * _fsum(inv), _fsum(inv * hits))
-
-
-def indb_auto_ratio(s: Sample, mode: str = MODE_SET) -> RatioEstimate:
-    """The default IND estimator: the cross-collision ratio with duplicates
-    in A discarded unless asked.
-
-    Uniform samples take the unweighted path even if weights are present;
-    anything else is corrected by the record weights.
-    """
-    ratio = indb_uis_ratio if s.method == METHOD_UIS else indb_wis_ratio
-    return ratio(s, mode)

@@ -527,7 +527,8 @@ def read_sample(source: IO[str] | IO[bytes]) -> Sample:
         raise SamplingError(
             f"unknown sampling method {_excerpt(meta['method'])}")
     seed, count = _header_int(meta, "seed"), _header_int(meta, "n")
-    *columns, sampled, named = _parse_records(data)
+    *columns, sampled, named = _parse_records(data,
+                                              meta["method"] == METHOD_UIS)
     if len(columns[0]) != count:
         raise SamplingError("record count does not match header")
     del data  # rank the ids once the text and the parser's arrays are freed
@@ -564,15 +565,17 @@ _RECORD_ERRORS = (
     "record {i}: snapshot {q[5]} is not a comma-separated list of " + _ID_TEXT,
     "record {p[0]}: position must be its index, {i}",
     "record {p[0]}: weight must be finite and positive, got {p[3]}",
+    "record {p[0]}: weight must be 1 in a UIS sample, got {p[3]}",
     "record {p[0]}: degree {p[2]} differs from its {entries} snapshot entries",
     "record {p[0]}: node {p[1]} has a snapshot that differs from an earlier "
     "record's")
 
 
-def _parse_records(data: bytes) -> tuple:
+def _parse_records(data: bytes, unit: bool) -> tuple:
     """The records of a sample file, the lines after the header that are
     not empty, as :class:`Sample`'s rank, weight and walker columns and
-    offsets, then the sampled ids and the ids their snapshots name.
+    offsets, then the sampled ids and the ids their snapshots name.  With
+    ``unit`` (a uniform sample), every weight must be 1.
 
     Each check is one boolean array over all records; a malformed record
     gives junk values, not an exception.  A check that reads another record
@@ -645,6 +648,7 @@ def _parse_records(data: bytes) -> tuple:
     checks = (tabs != 5, ~valid[0], ~valid[3], ~valid[1], ~numeric, ~valid[2],
               walker >= 2**63, ~listed[slot], position != np.arange(n),
               ~((weights > 0.0) & (weights < math.inf)),
+              (weights != 1.0) & unit,
               degree != count[slot], moved)
     bad = np.logical_or.reduce(checks)
     if bad.any():

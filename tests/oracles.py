@@ -128,6 +128,29 @@ def inda_wis_value(sample) -> float:
     return mean_deg / density_wis(sample) + 1.0
 
 
+def mean_degree_uis(sample) -> float:
+    """The plain mean of the sampled degrees: ``mean_degree_wis`` at unit
+    weights."""
+    _, _, deg = _arrays(sample)
+    return math.fsum(deg) / len(deg)
+
+
+def density_uis(sample) -> float:
+    """The share of sample pairs that form edges: ``density_wis`` at unit
+    weights."""
+    n = len(sample)
+    return induced_edge_count(sample) / (n * (n - 1) / 2)
+
+
+def inda_uis_value(sample) -> float | None:
+    """Route A's closed uniform form (n-1)*sum(deg)/(2*n_ind) + 1, which
+    ``inda_wis_ratio`` gives at unit weights; None without induced edges."""
+    _, _, deg = _arrays(sample)
+    edges = induced_edge_count(sample)
+    return (len(sample) - 1) * math.fsum(deg) / (2 * edges) + 1 \
+        if edges else None
+
+
 def node_margin_parts(sample, m: int) -> tuple[float, float]:
     nodes, w, _ = _arrays(sample)
     n = len(nodes)
@@ -637,6 +660,9 @@ def read_sample(source):
         if not 0.0 < w < math.inf:
             raise SamplingError(
                 f"record {pos}: weight must be finite and positive, got {weight}")
+        if meta["method"] == "UIS" and w != 1.0:
+            raise SamplingError(
+                f"record {pos}: weight must be 1 in a UIS sample, got {weight}")
         if degree != len(neighbors):
             raise SamplingError(f"record {pos}: degree {deg} differs from its "
                                 f"{len(neighbors)} snapshot entries")
@@ -732,9 +758,11 @@ def auxiliary_counts(sample, mode: str) -> dict:
 
 
 def indb_parts(sample, mode: str, weighted: bool) -> tuple[float, float]:
-    """``indb_wis_ratio``'s (``weighted``) or ``indb_uis_ratio``'s
-    numerator and denominator from :func:`auxiliary_counts`, in the order
-    the kernels sum, so that the two agree bit for bit."""
+    """``indb_wis_ratio``'s numerator and denominator from
+    :func:`auxiliary_counts`, in the order the kernel sums, so that the two
+    agree bit for bit; unless ``weighted``, the closed uniform form
+    |A| * n over the cross-collision count, which the kernel gives at unit
+    weights."""
     aux = auxiliary_counts(sample, mode)
     size = sum(aux.values())
     nodes, weights, _, _ = views(sample)

@@ -11,21 +11,22 @@ from hypothesis import assume, strategies as st
 
 from graphsize.generators import erdos_renyi
 from graphsize.graph import largest_connected_component
-from graphsize.sampling import sample_rw_multi, write_sample
+from graphsize.sampling import sample_rw_multi, sample_uis, write_sample
 
 import oracles
 
 ALPHABET = "0123456789.,-=e:#\t\n "
 
 
-def _sample_text() -> str:
+def _sample_text(draw_sample) -> str:
     g = largest_connected_component(erdos_renyi(12, 0.4, seed=1))
     sink = io.StringIO()
-    write_sample(sample_rw_multi(g, 2, 8, seeds=[1, 2]), sink)
+    write_sample(draw_sample(g), sink)
     return sink.getvalue()
 
 
-SAMPLE = _sample_text()
+SAMPLE = _sample_text(lambda g: sample_rw_multi(g, 2, 8, seeds=[1, 2]))
+UIS_SAMPLE = _sample_text(lambda g: sample_uis(g, 12, seed=1))
 
 
 @st.composite

@@ -19,8 +19,7 @@ from graphsize.core import MODE_MULTISET, MODE_SET, _fsum, \
     _inverse_pair_sum, _inverse_weights, count_collisions, count_induced_edges
 from graphsize.generators import erdos_renyi, grid_2d, ring_of_cliques
 from graphsize.graph import largest_connected_component, size_identity
-from graphsize.ind_estimators import (density_uis, density_wis,
-                                      inda_wis_ratio, indb_auto_ratio,
+from graphsize.ind_estimators import (density_wis, inda_wis_ratio,
                                       indb_wis_ratio)
 from graphsize.node_estimators import (mle_unique_approx, mle_unique_exact,
                                        node_uis_ratio, node_wis_ratio)
@@ -109,8 +108,8 @@ def test_criterion_02_oracle_equivalence():
         if ncol:
             close(node_wis_ratio(s).outcome().value,
                   math.fsum(w) * math.fsum(1 / x for x in w) / (2 * ncol))
-        close(density_uis(s), oracles.induced_edge_count(s)
-              / (len(s) * (len(s) - 1) / 2))
+        if kind == 0:  # unit weights: the plain share of edge pairs
+            close(density_wis(s), oracles.density_uis(s))
         d_wis = oracles.density_wis(s)
         if d_wis:
             close(density_wis(s), d_wis)
@@ -183,7 +182,7 @@ def test_criterion_04_induced_edge_beats_collision_band():
     ind_vals, node_vals = [], []
     for t in range(200):
         s = sample_uis(g, 200, seed=t)
-        ind_vals.append(indb_auto_ratio(s, MODE_SET).outcome().value)
+        ind_vals.append(indb_wis_ratio(s, MODE_SET).outcome().value)
         out = node_uis_ratio(s).outcome()
         if out.finite:
             node_vals.append(out.value)
@@ -292,7 +291,7 @@ def test_criterion_08_lattice_failure_mode():
     uis_vals = []
     for t in range(100):
         s = sample_uis(g, 2000, seed=t)
-        uis_vals.append(indb_auto_ratio(s, MODE_SET).outcome().value
+        uis_vals.append(indb_wis_ratio(s, MODE_SET).outcome().value
                         / g.node_count)
     uis_median = _median(uis_vals)
     walk_fails = all(v < 0.7 for v in walk_medians.values())
@@ -333,7 +332,7 @@ def test_criterion_10_weight_scale_invariance():
             scaled = _scale_weights(s, c)
             for fn in (node_wis_ratio,
                        inda_wis_ratio,
-                       lambda x: indb_auto_ratio(x, MODE_SET),
+                       lambda x: indb_wis_ratio(x, MODE_SET),
                        lambda x: node_margin_ratio(x, 3),
                        lambda x: ind_margin_ratio(x, 3, MODE_MULTISET)):
                 base = fn(s).outcome().value

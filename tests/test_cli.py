@@ -567,14 +567,19 @@ def test_estimate_rejects_invalid_weight(tmp_path, capsys, rewrite):
     assert err.startswith("error: record ") and err.count("\n") == 1
 
 
+_OUT_OF_RANGE = ("error: estimator {}: the sample's weights take its sums "
+                 "outside the float range\n")
+
+
 def test_estimate_that_overflows_is_data_error(tmp_path, capsys):
     # sum(w) * sum(1/w) overflows: the estimate is not a JSON number.
     sample = _rw_sample_file(tmp_path, capsys)
     weights = {"3": "1e300", "4": "1e-300"}
     _rewrite(sample, record=lambda f: f[:3] + [weights.get(f[0], f[3])]
              + f[4:])
-    _one_line_error(*run(capsys, "estimate", "--sample", str(sample),
-                         "--estimator", "node-wis"), 3)
+    err = _one_line_error(*run(capsys, "estimate", "--sample", str(sample),
+                               "--estimator", "node-wis"), 3)
+    assert err == _OUT_OF_RANGE.format("node-wis")
 
 
 @pytest.mark.parametrize("correction", [
@@ -586,7 +591,62 @@ def test_weights_whose_sum_overflows_are_data_error(tmp_path, capsys,
     _rewrite(sample, record=lambda f: f[:3] + ["1.5e+308"] + f[4:])
     err = _one_line_error(*run(capsys, "estimate", "--sample", str(sample),
                                "--estimator", "node-wis", *correction), 3)
-    assert "overflow" in err
+    assert err == _OUT_OF_RANGE.format("node-wis")
+
+
+def test_route_a_answers_at_any_weight_scale(tmp_path, capsys):
+    # Route A's products of sums left the float range at these scales: 0/0
+    # read as no collisions, and inf/inf gave NaN.
+    sample = tmp_path / "s.tsv"
+    run(capsys, "sample", "--graph", "gen:er:nodes=30,p=0.3,seed=1",
+        "--method", "rw", "--n", "80", "--seed", "1", "--lcc",
+        "-o", str(sample))
+    text = sample.read_text()
+
+    def estimates(scale):
+        sample.write_text(text)
+        _rewrite(sample, record=lambda f: f[:3]
+                 + [repr(float(f[3]) * scale)] + f[4:])
+        for name in ("ind-a", "node-wis", "ind-b"):
+            code, out, err = run(capsys, "estimate", "--sample", str(sample),
+                                 "--estimator", name)
+            assert (code, err) == (0, "")
+            yield json.loads(out)["estimate"]
+
+    base = list(estimates(1.0))
+    assert base[0] == pytest.approx(30.63, abs=0.01)
+    for scale in (1e150, 1e-150):
+        assert list(estimates(scale)) == pytest.approx(base, rel=1e-12)
+
+
+def test_route_a_names_weights_it_cannot_sum(tmp_path, capsys):
+    # Unscaled, 1/w^2 overflows; scaled to the larger inverse weight, the
+    # other vanishes, and with it the pair sums of the edge 0-1.
+    edges = tmp_path / "g.txt"
+    edges.write_text("0 1\n")
+    sample = tmp_path / "s.tsv"
+    run(capsys, "sample", "--graph", str(edges), "--method", "wis",
+        "--n", "2", "-o", str(sample))
+    records = {"0": ["0", "0", "1", "1e300", "0", "1"],
+               "1": ["1", "1", "1", "1e-300", "0", "0"]}
+    _rewrite(sample, record=lambda f: records[f[0]])
+    err = _one_line_error(*run(capsys, "estimate", "--sample", str(sample),
+                               "--estimator", "ind-a"), 3)
+    assert err == ("error: route A (ind-a): weights from 1e-300 to 1e+300 "
+                   "take its sums outside the float range\n")
+
+
+def test_uniform_sample_with_a_weight_other_than_1_is_data_error(tmp_path,
+                                                                 capsys):
+    sample = tmp_path / "s.tsv"
+    run(capsys, "sample", "--graph", "gen:er:nodes=30,p=0.3,seed=1",
+        "--method", "uis", "--n", "20", "-o", str(sample))
+    _rewrite(sample, record=_at_record_3(3, lambda _: "2.0"))
+    for name in ("node-uis", "node-wis", "ind-a", "ind-b"):
+        err = _one_line_error(*run(capsys, "estimate", "--sample",
+                                   str(sample), "--estimator", name), 3)
+        assert err == ("error: record 3: weight must be 1 in a UIS sample, "
+                       "got 2.0\n")
 
 
 @pytest.mark.parametrize("refusal, reason", [

@@ -2,7 +2,8 @@
 
 Each test mutates one small valid input (a sample file, a plan, an
 experiment CSV, a command line) by inserting, deleting and replacing
-characters from a small alphabet, or whole arguments, and drives the result
+characters from a small alphabet, whole arguments, or a uniform sample's
+weight cell, and drives the result
 through ``cli.main``.  Whatever the input, main must return 0, 2 or 3
 without raising, print exactly one ``error:`` line when it fails, and print
 valid JSON from a successful ``estimate``.
@@ -21,8 +22,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from graphsize.cli import main
+from graphsize.experiment import ESTIMATORS
 
-from strategies import ALPHABET, SAMPLE, mutated
+from strategies import ALPHABET, SAMPLE, UIS_SAMPLE, mutated
 
 PLAN = """\
 graph = gen:er:nodes=30,p=0.2,seed=1
@@ -61,6 +63,12 @@ ESTIMATE_FLAGS = [
      "--theta", "3"],
     ["--estimator", "ind-b", "--correction", "cross-walker"],
 ]
+
+
+# Every estimator a uniform sample allows: none takes a correction.
+UIS_ESTIMATE_FLAGS = [["--estimator", name] for name in ESTIMATORS] + [
+    ["--estimator", "capture", "--seed", "3"],
+    ["--estimator", "ind-b", "--a-mode", "multiset"]]
 
 
 def _strict_json(text: str):
@@ -104,6 +112,34 @@ def test_estimate_survives_a_mutated_sample_file(workdir, text, flags):
     if code == 0:
         payload = _strict_json(out)
         assert payload["estimator"] == flags[1]
+
+
+@st.composite
+def reweighted(draw, text: str) -> str:
+    """``text``, a sample file, with one record's weight cell replaced by a
+    spelling of 1, another number, or a short text."""
+    head, *records = text.splitlines(keepends=True)
+    at = draw(st.integers(0, len(records) - 1))
+    fields = records[at].split("\t")
+    fields[3] = draw(st.sampled_from(
+        ["1", "1e0", "1.00", "2.0", "0.5", "1.0000000000000002", "-1.0"])
+        | st.text(st.sampled_from(ALPHABET), max_size=4))
+    records[at] = "\t".join(fields)
+    return head + "".join(records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated(UIS_SAMPLE) | reweighted(UIS_SAMPLE),
+       flags=st.sampled_from(UIS_ESTIMATE_FLAGS))
+@example(text=UIS_SAMPLE.replace("\t1.0\t", "\t2.0\t", 1),
+         flags=UIS_ESTIMATE_FLAGS[0])
+def test_estimate_survives_a_mutated_uniform_sample_file(workdir, text,
+                                                         flags):
+    path = workdir / "uis.tsv"
+    path.write_text(text, encoding="utf-8")
+    code, out = _run(["estimate", "--sample", str(path), *flags])
+    if code == 0:
+        assert _strict_json(out)["estimator"] == flags[1]
 
 
 @settings(max_examples=150, deadline=None)

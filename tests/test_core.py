@@ -19,7 +19,7 @@ from graphsize.experiment import (CORRECTIONS, ESTIMATORS, EstimatorSpec,
 from graphsize.generators import erdos_renyi, ring_of_cliques
 from graphsize.graph import largest_connected_component
 from graphsize.ind_estimators import (density_wis, inda_wis_ratio,
-                                      indb_uis_ratio, indb_wis_ratio)
+                                      indb_wis_ratio)
 from graphsize.node_estimators import node_wis_ratio
 from graphsize.sampling import (METHODS, sample_rw, sample_rw_multi,
                                 sample_uis, sample_wis)
@@ -102,7 +102,7 @@ def test_multiset_cardinality_is_degree_sum():
 
 def test_auxiliary_mode_must_be_known(k5):
     s = make_sample(k5, [0])
-    for kernel in (_auxiliary_counts, indb_uis_ratio, indb_wis_ratio):
+    for kernel in (_auxiliary_counts, indb_wis_ratio):
         with pytest.raises(EstimatorError, match="unknown auxiliary mode"):
             kernel(s, "bag")
 
@@ -112,9 +112,9 @@ def test_cross_collisions_simple(k5):
     # occurrence and 1 meets it twice as a multiset, once as a set.
     s = make_sample(k5, [0, 0, 1])
     assert _auxiliary(s, MODE_MULTISET) == {0: 1, 1: 2, 2: 3, 3: 3, 4: 3}
-    assert indb_uis_ratio(s, MODE_MULTISET) == RatioEstimate(12.0 * 3, 4.0)
-    assert indb_uis_ratio(s, MODE_SET) == RatioEstimate(5.0 * 3, 3.0)
-    assert indb_uis_ratio(make_sample(k5, [0]), MODE_MULTISET).denominator \
+    assert indb_wis_ratio(s, MODE_MULTISET) == RatioEstimate(12.0 * 3, 4.0)
+    assert indb_wis_ratio(s, MODE_SET) == RatioEstimate(5.0 * 3, 3.0)
+    assert indb_wis_ratio(make_sample(k5, [0]), MODE_MULTISET).denominator \
         == 0.0
 
 
@@ -122,7 +122,7 @@ def test_cross_collisions_of_own_multiset_is_twice_induced():
     for seed in range(5):
         g = erdos_renyi(30, 0.25, seed=seed)
         s = sample_uis(g, 60, seed=seed + 10)
-        assert indb_uis_ratio(s, MODE_MULTISET).denominator \
+        assert indb_wis_ratio(s, MODE_MULTISET).denominator \
             == 2 * count_induced_edges(s)
 
 

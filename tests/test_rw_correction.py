@@ -12,7 +12,7 @@ from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
 from graphsize.experiment import EstimatorSpec, evaluate
 from graphsize.generators import barabasi_albert, erdos_renyi, ring_of_cliques
 from graphsize.graph import largest_connected_component
-from graphsize.ind_estimators import indb_auto_ratio
+from graphsize.ind_estimators import indb_wis_ratio
 from graphsize.node_estimators import node_wis_ratio
 from graphsize.rw_correction import (estimate_thinned, ind_margin_ratio,
                                      margin_crosswalker, node_margin_ratio,
@@ -80,7 +80,7 @@ def test_thin_shifted_past_the_sample_length_has_no_empty_part():
     is empty for ind-b to reject, and node-wis sums are those of theta = n."""
     s = sample_rw(_walk_graph(), 5, seed=3)
     assert [len(sub) for sub in thin_shifted(s, 8)] == [1] * 5
-    for ratio in (node_wis_ratio, lambda sub: indb_auto_ratio(sub, MODE_SET)):
+    for ratio in (node_wis_ratio, lambda sub: indb_wis_ratio(sub, MODE_SET)):
         assert estimate_thinned(s, 8, ratio, shifted=True) \
             == estimate_thinned(s, 5, ratio, shifted=True)
 
@@ -149,7 +149,7 @@ def test_shifted_aggregation_survives_empty_parts():
 def test_estimate_thinned_ind_base():
     g = _walk_graph()
     s = sample_rw(g, 150, seed=6)
-    got = estimate_thinned(s, 5, lambda x: indb_auto_ratio(x, MODE_SET),
+    got = estimate_thinned(s, 5, lambda x: indb_wis_ratio(x, MODE_SET),
                            shifted=True)
     assert got.finite
 

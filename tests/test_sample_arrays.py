@@ -31,8 +31,7 @@ from graphsize.experiment import (ESTIMATORS, EstimatorSpec, SamplerSpec,
 from graphsize.generators import barabasi_albert
 from graphsize.graph import Graph, GraphError
 from graphsize.ind_estimators import (_edge_pair_sum, _in_first_seen_order,
-                                      inda_wis_ratio, indb_uis_ratio,
-                                      indb_wis_ratio)
+                                      inda_wis_ratio, indb_wis_ratio)
 from graphsize.node_estimators import capture_recapture_from_sample
 from graphsize.rw_correction import (ind_margin_ratio, margin_crosswalker,
                                      thin_shifted)
@@ -42,7 +41,7 @@ from graphsize.sampling import (Sample, SamplingError, _first_seen,
 
 import graphsize
 import oracles
-from strategies import SAMPLE, mutated, walk_like_samples
+from strategies import SAMPLE, UIS_SAMPLE, mutated, walk_like_samples
 
 HEADER = ("graphsize-sample v1\tmethod=RW_MULTI\tseed=0\tweight_rule=degree"
           "\tgraph_digest=x\trng=numpy-pcg64\tn={n}\n")
@@ -291,22 +290,46 @@ def test_first_failed_check_names_the_record(cells, message):
     assert _outcome(read_sample, _file([first, "\t".join(fields)])) == message
 
 
+# A uniform file's weight must be 1: checked after the weight's value and
+# before the degree.
+@pytest.mark.parametrize("cells,message", [
+    ({3: "2.0"}, "record 1: weight must be 1 in a UIS sample, got 2.0"),
+    ({3: "2.0", 0: "2"}, "record 2: position must be its index, 1"),
+    ({3: "-1.0"}, "record 1: weight must be finite and positive, got -1.0"),
+    ({3: "2.0", 2: "3"}, "record 1: weight must be 1 in a UIS sample, got 2.0"),
+])
+def test_a_uniform_file_checks_its_unit_weights_in_order(cells, message):
+    fields = [cells.get(k, text) for k, text in enumerate(VALID)]
+    fields[3] = cells.get(3, "1.0")
+    text = _file(["0\t5\t2\t1.0\t0\t6,7", "\t".join(fields)]).replace(
+        "method=RW_MULTI", "method=UIS")
+    assert _outcome(read_sample, text) == message
+    assert _outcome(oracles.read_sample, text) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated(UIS_SAMPLE))
+def test_reader_matches_the_record_loop_on_mutated_uniform_files(text):
+    _assert_same(text)
+
+
 # -- kernels -----------------------------------------------------------------
 
 
 @st.composite
 def drawn_samples(draw):
-    """A WIS or rw-multi sample on a small BA graph, or a walk-like sample
-    with arbitrary ids; then a head cut or a reorder of it."""
-    kind = draw(st.sampled_from(["wis", "rw-multi", "walk-like"]))
+    """A UIS, WIS or rw-multi sample on a small BA graph, or a walk-like
+    sample with arbitrary ids; then a head cut or a reorder of it."""
+    kind = draw(st.sampled_from(["uis", "wis", "rw-multi", "walk-like"]))
     if kind == "walk-like":
         s = draw(walk_like_samples())
     else:
         g = barabasi_albert(60, 2, seed=draw(st.integers(0, 2**16)))
-        walkers = 1 if kind == "wis" else draw(st.integers(1, 4))
+        walkers = 1 if kind != "rw-multi" else draw(st.integers(1, 4))
         spec = SamplerSpec(kind, walkers * draw(st.integers(2, 30)), walkers)
         seed = draw(st.integers(0, 2**32))
-        s = (sample_wis(g, "degree", spec.n, seed) if kind == "wis" else
+        s = (sample_uis(g, spec.n, seed) if kind == "uis" else
+             sample_wis(g, "degree", spec.n, seed) if kind == "wis" else
              sample_rw_multi(g, walkers, spec.n // walkers,
                              [seed + k for k in range(walkers)]))
         keep = draw(st.integers(2, spec.n // walkers))
@@ -325,16 +348,18 @@ def test_kernels_equal_the_dict_loops_bit_for_bit(s, seed):
             == oracles.inda_wis_parts(s)
         assert capture_recapture_from_sample(s, seed) \
             == oracles.capture_recapture(*oracles.capture_split(s, seed))
+        if (s.weight_column == 1.0).all():  # the closed uniform form
+            assert ratio.outcome().value == oracles.inda_uis_value(s)
     for mode in (MODE_SET, MODE_MULTISET):
-        for kernel, weighted in ((indb_uis_ratio, False),
-                                 (indb_wis_ratio, True)):
-            if not oracles.auxiliary_counts(s, mode):
-                with pytest.raises(EstimatorError):
-                    kernel(s, mode)
-                continue
-            ratio = kernel(s, mode)
-            assert (ratio.numerator, ratio.denominator) \
-                == oracles.indb_parts(s, mode, weighted)
+        if not oracles.auxiliary_counts(s, mode):
+            with pytest.raises(EstimatorError):
+                indb_wis_ratio(s, mode)
+            continue
+        ratio = indb_wis_ratio(s, mode)
+        parts = (ratio.numerator, ratio.denominator)
+        assert parts == oracles.indb_parts(s, mode, weighted=True)
+        if (s.weight_column == 1.0).all():
+            assert parts == oracles.indb_parts(s, mode, weighted=False)
 
 
 @st.composite
