@@ -17,6 +17,8 @@ import secrets
 import stat
 import sys
 
+import numpy as np
+
 from .core import A_MODES, MODE_SET, EstimatorError
 from .experiment import (CORRECTIONS, CSV_COLUMNS, ESTIMATORS, METHODS,
                          EstimatorSpec, PlanError, SamplerSpec, TrialSummary,
@@ -202,7 +204,10 @@ def _cmd_estimate(args) -> int:
         sample = read_sample(fh)
     check_spec(next(k for k, v in METHODS.items() if v == sample.method), est)
     try:
-        ratio, outcome = evaluate_with_ratio(sample, est, args.seed)
+        # Weights whose inverses or sums leave the float range are reported
+        # by the check below, in one line, not by numpy's warnings too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio, outcome = evaluate_with_ratio(sample, est, args.seed)
         parts = (ratio.numerator, ratio.denominator) if ratio else ()
         finite = all(map(math.isfinite, (*parts, outcome.value or 0.0)))
     except OverflowError:  # an exact sum past the float range

@@ -112,9 +112,32 @@ def _inverse_pair_sum(inv: np.ndarray, s1: float) -> float:
     """Sum of 1/(w_i * w_j) over unordered pairs, from checked inverse
     weights and their exact sum ``s1``, via the closed form
     0.5 * ((sum 1/w)^2 - sum 1/w^2).  Reciprocal sums are exact (correctly
-    rounded) sums because the terms can be heavy-tailed."""
-    s2 = _fsum(inv * inv)
-    return 0.5 * (s1 * s1 - s2)
+    rounded) sums because the terms can be heavy-tailed.
+
+    The closed form's relative error is a few ulps times
+    s1^2 / (s1^2 - sum 1/w^2); where that ratio passes 2^10 (one inverse
+    weight carries almost all of s1) or a square leaves the float range,
+    the sum is taken exactly in integers and rounded once instead.  Route
+    A, the one caller, lets squares overflow silently (``np.errstate``).
+    """
+    square = s1 * s1
+    difference = square - _fsum(inv * inv)
+    if math.isfinite(square) and square <= 1024.0 * difference:
+        return 0.5 * difference
+    if not math.isfinite(s1):  # an infinite inverse weight
+        return math.inf
+    # Each inverse weight is an integer times 2^low.
+    mantissas, exponents = np.frexp(inv)
+    low = int(exponents.min()) - 53
+    whole = (np.ldexp(mantissas, 53).astype(np.int64).astype(object)
+             << (exponents - 53 - low).astype(object))
+    total = int(whole.sum())
+    pairs = (total * total - int((whole * whole).sum())) // 2
+    scale = 1 << abs(2 * low)
+    try:  # int to float and int / int round once
+        return float(pairs * scale) if low >= 0 else pairs / scale
+    except OverflowError:
+        return math.inf
 
 
 def _check_weights(weights: np.ndarray) -> None:

@@ -92,6 +92,9 @@ class Correction(NamedTuple):
     methods: tuple[str, ...]  # the sampling methods it needs
     param: str | None = None  # the grid parameter it sweeps besides n
     apply: Callable | None = None  # (sample, spec), for the estimator's own
+    # (sample, spec, values of param) -> one RatioEstimate per value, where
+    # one call costs less than a call per value
+    sweep: Callable | None = None
 
 
 def _thinned(shifted: bool) -> Callable:
@@ -109,7 +112,9 @@ CORRECTIONS = {
     "thin-shifted": Correction(WALKS, "theta", _thinned(True)),
     "margin": Correction(WALKS, "m", lambda s, est:
                          rw.node_margin_ratio(s, est.m) if est.name == "node-wis"
-                         else rw.ind_margin_ratio(s, est.m, est.a_mode)),
+                         else rw.ind_margin_ratio(s, est.m, est.a_mode),
+                         lambda s, est, ms: rw.margin_ratios(
+                             s, ms, est.name.split("-")[0], est.a_mode)),
     "cross-walker": Correction(("rw-multi",), None, lambda s, est:
                                margin_crosswalker(s, est.name.split("-")[0],
                                                   est.a_mode)),
@@ -254,7 +259,8 @@ def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
     the sample of its own size that the seed gives, which is that draw's
     head (per walker for rw-multi): every sampler is prefix-stable.  For
     theta/m grids the parameter is swept over the one sample, mirroring how
-    a real crawl would be post-processed.
+    a real crawl would be post-processed, and a correction with a
+    ``sweep`` answers the whole grid in one call.
     """
     scale = plan.graph.node_count if plan.normalize else 1.0
 
@@ -267,6 +273,10 @@ def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
                              seed)
                     for value in plan.values]
         sample = draw_sample(plan.graph, plan.sampler, seed)
+        sweep = CORRECTIONS[plan.estimator.correction].sweep
+        if sweep:
+            return [ratio.outcome() for ratio in sweep(
+                sample, plan.estimator, [int(v) for v in plan.values])]
         return [evaluate(sample,
                          replace(plan.estimator, **{plan.param: int(value)}),
                          seed)

@@ -17,24 +17,30 @@ occurrence indexes (:class:`~graphsize.sampling.Occurrences`),
 :class:`~graphsize.sampling.Windows`, the prefix sums of the inverse
 weights, the exact full-pair totals and each occurrence's position, rank
 base and inverse weight.  A NODE or multiset window then costs one
-prefix-window exact sum for its numerator, and one search call over both
-window edges (:meth:`~graphsize.sampling.Sample.far`) and one exact sum
-for its denominator.  Set mode reads the mentions' cached first and last
-positions.  So a sweep over many m sorts once, and each m costs what its
-own window needs.  The positivity check on the weights runs on every
-call.  Thinning slices the rank column over the parent's shared CSR.
+prefix-window exact sum for its numerator, and for its denominator one
+exact sum over each occurrence's count of its rank outside the window,
+which one search call over both window edges finds (:func:`_inside`).
+:func:`margin_ratios` takes a grid of margins: it searches once, at the
+widest, then buckets the pairs inside those windows by distance to count
+every narrower margin, unless the pairs outnumber the narrower windows'
+search needles.  Set mode reads the mentions' cached first and last
+positions, one margin at a time.  So a sweep over many m sorts once and,
+where its pairs are few, searches once.  The positivity check on the
+weights runs on every call.  Thinning slices the rank column over the
+parent's shared CSR.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (MODE_MULTISET, NO_COLLISIONS, EstimateOutcome,
-                   EstimatorError, RatioEstimate, _check_mode, _check_weights,
-                   _fsum, aggregate_ratios)
-from .sampling import Sample
+from .core import (MODE_SET, NO_COLLISIONS, EstimateOutcome, EstimatorError,
+                   RatioEstimate, _check_mode, _check_weights, _fsum,
+                   aggregate_ratios)
+from .graph import _ranges
+from .sampling import Occurrences, Sample
 
 
 def _check_at_least(name: str, value: int, least: int) -> None:
@@ -72,6 +78,20 @@ def estimate_thinned(s: Sample, theta: int,
 
 # -- margin and cross-walker filtering ---------------------------------------
 
+# A margin grid counts its narrower windows from the pairs inside its widest
+# window when those number at most this many per search needle the narrower
+# windows would take (two per position and window); otherwise each window
+# searches.  Measured on walks over three graphs (BENCH_28.json), bucketing
+# beat searching up to 3.2 pairs per needle on mention keys and broke even
+# near 0.9 on node keys, whose search is cheap; at 1 its pair arrays also
+# stay within what one window allocates.
+_PAIRS_PER_NEEDLE = 1
+
+
+def _check_base(base: str, correction: str) -> None:
+    if base not in ("node", "ind"):
+        raise EstimatorError(f"unsupported {correction} base: {base!r}")
+
 
 def _margin_window(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Each position's excluded window: the positions at most m steps away."""
@@ -79,33 +99,49 @@ def _margin_window(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(i - m, 0), np.minimum(i + m + 1, n)
 
 
-def _runs(s: Sample, lo: np.ndarray, hi: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """Windows [lo_i, hi_i) of positions: the inverse weights summed over
-    each, by position, and their edges as keys, as :meth:`Sample.far`
-    takes them."""
+def _window_sums(s: Sample, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The inverse weights summed over each window [lo_i, hi_i) of
+    positions, by position."""
+    return s.windows.prefix[hi] - s.windows.prefix[lo]
+
+
+def _inside(s: Sample, occ: Occurrences, lo: np.ndarray, hi: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """For each occurrence of a sampled node, in the key order of
+    ``s.occurrences``: where the occurrences in ``occ`` of its rank inside
+    its window [lo, hi) of positions start in ``occ.keys``, and how many
+    there are.  The windows' edges, as keys, ascend in each half, so the
+    one search call walks ``occ.keys`` forwards twice."""
     w = s.windows
     edges = np.concatenate((w.base + lo[w.position], w.base + hi[w.position]))
-    return (w.prefix[hi] - w.prefix[lo],
-            edges.astype(s.occurrences.keys.dtype, copy=False))
+    found = np.searchsorted(occ.keys,
+                            edges.astype(occ.keys.dtype, copy=False))
+    n = len(s)
+    return found[:n], found[n:] - found[:n]
 
 
 # Sums of values_i * inv_j over ordered pairs with j outside i's window are
 # the exact total minus, for each i, values_i times i's window sum of inv.
 
 
-def _node_window_ratio(s: Sample, sums: np.ndarray,
-                       edges: np.ndarray) -> RatioEstimate:
-    return RatioEstimate(
-        s.windows.weight_total - _fsum(s.weight_column * sums),
-        float(s.far(s.occurrences, edges).sum()))
-
-
-def _multiset_window_ratio(s: Sample, sums: np.ndarray,
-                           edges: np.ndarray) -> RatioEstimate:
+def _window_ratio(s: Sample, node: bool, sums: np.ndarray,
+                  inside: np.ndarray) -> RatioEstimate:
+    """A node or multiset window's ratio, from each position's window sum
+    of inverse weights and each sampled occurrence's count of its rank's
+    occurrences (node) or mentions (multiset) inside its window."""
     w = s.windows
+    if node:
+        return RatioEstimate(w.weight_total - _fsum(s.weight_column * sums),
+                             float((s.occurrences.own - inside).sum()))
     return RatioEstimate(w.degree_total - _fsum(s.degree_column * sums),
-                         _fsum(w.keyed_inverse * s.far(s.mentions, edges)))
+                         _fsum(w.keyed_inverse * (s.mentions.own - inside)))
+
+
+def _searched_ratio(s: Sample, node: bool, lo: np.ndarray,
+                    hi: np.ndarray) -> RatioEstimate:
+    occ = s.occurrences if node else s.mentions
+    return _window_ratio(s, node, _window_sums(s, lo, hi),
+                         _inside(s, occ, lo, hi)[1])
 
 
 def _set_window_ratio(s: Sample, lo: np.ndarray,
@@ -127,20 +163,72 @@ def _set_window_ratio(s: Sample, lo: np.ndarray,
     return RatioEstimate(num, _fsum(inv[seen]))
 
 
-def node_margin_ratio(s: Sample, m: int) -> RatioEstimate:
-    """Ordered-pair ratio sum(w_i/w_j) over sum(1{s_i=s_j}), pairs > m apart."""
-    _check_at_least("margin", m, 0)
-    _check_weights(s.weight_column)
-    if m >= len(s) - 1:
-        return RatioEstimate(0.0, 0.0)
-    return _node_window_ratio(s, *_runs(s, *_margin_window(len(s), m)))
+def _grid_ratios(s: Sample, node: bool, grid: list[int]
+                 ) -> dict[int, RatioEstimate]:
+    """The node or multiset ratio at each margin of ``grid``, ascending and
+    below n - 1.
+
+    One search finds, for each sampled occurrence, its rank's occurrences
+    (or mentions) inside its widest window.  When those pairs are few
+    enough, running counts of them bucketed by distance give every narrower
+    window's counts (:func:`_bucketed`); otherwise each narrower window
+    searches its own, one window's memory at a time.  Both give the same
+    integers.
+    """
+    n = len(s)
+    occ = s.occurrences if node else s.mentions
+    *narrower, widest = grid
+    lo, hi = _margin_window(n, widest)
+    starts, inside = _inside(s, occ, lo, hi)
+    ratios = {widest: _window_ratio(s, node, _window_sums(s, lo, hi), inside)}
+    del lo, hi
+    if narrower and (inside.sum()
+                     <= _PAIRS_PER_NEEDLE * 2 * n * len(narrower)):
+        for m, within in zip(narrower, _bucketed(s, occ, starts, inside,
+                                                 grid)):
+            ratios[m] = _window_ratio(
+                s, node, _window_sums(s, *_margin_window(n, m)), within)
+        return ratios
+    del starts, inside
+    for m in narrower:
+        ratios[m] = _searched_ratio(s, node, *_margin_window(n, m))
+    return ratios
 
 
-def ind_margin_ratio(s: Sample, m: int, a_mode: str) -> RatioEstimate:
-    """Margin-filtered cross-collision ratio.
+def _bucketed(s: Sample, occ: Occurrences, starts: np.ndarray,
+              inside: np.ndarray, grid: list[int]) -> np.ndarray:
+    """One row per margin of the ascending ``grid`` but its widest, the
+    last: row j holds, for each sampled occurrence k, its rank's
+    occurrences in ``occ`` at most ``grid[j]`` positions away.  Those in
+    k's widest window are ``occ.keys[starts[k]:starts[k] + inside[k]]``;
+    each such pair is counted at the first margin that reaches its
+    distance, and the rows are running sums over the margins."""
+    n, rows = len(s), len(grid) - 1
+    label = np.int32 if n * len(grid) <= 2**31 - 1 else np.int64
+    occurrence = np.repeat(np.arange(n, dtype=label), inside)
+    at = (np.int32 if max(len(occ.keys), len(occurrence)) <= 2**31 - 1
+          else np.int64)
+    # Keys of one rank differ by their positions' difference.
+    distance = occ.keys.take(_ranges(starts, inside, at))
+    distance -= s.occurrences.keys.take(occurrence)
+    np.abs(distance, out=distance)
+    # Each distance's first margin, times n; past the narrower margins it
+    # labels row ``rows``, which is dropped.
+    first = np.searchsorted(grid[:-1], np.arange(grid[-1] + 1)) * n
+    occurrence += first.astype(label).take(distance)
+    counts = np.bincount(occurrence, minlength=n * len(grid))[:n * rows]
+    return np.cumsum(counts.reshape(rows, n), axis=0)
 
-    Multiset mode is the direct pair form: sum(deg(s_i)/w(s_j)) over
-    sum(1{s_i in N(s_j)}/w(s_i)), both restricted to |j-i| > m.
+
+def margin_ratios(s: Sample, ms: Sequence[int], base: str,
+                  a_mode: str) -> list[RatioEstimate]:
+    """Margin-filtered ratios, one per m of ``ms``, in that order.
+
+    Each counts the ordered pairs of positions more than m steps apart; an
+    m of n - 1 or more leaves none, and the ratio 0/0.  The ``node`` base
+    is sum(w_i/w_j) over sum(1{s_i=s_j}).  The ``ind`` base in multiset
+    mode is the direct pair form: sum(deg(s_i)/w(s_j)) over
+    sum(1{s_i in N(s_j)}/w(s_i)).
 
     Set mode deduplicates the auxiliary side: the numerator counts, for each
     j, the distinct neighbor nodes contributed by qualifying positions i
@@ -148,17 +236,38 @@ def ind_margin_ratio(s: Sample, m: int, a_mode: str) -> RatioEstimate:
     once, when s_i appears in the neighbor snapshot of any qualifying j.
     This counting rule is an artifact convention, held fixed by golden tests
     and documented in the README.
+
+    Node and multiset margins share one search at the widest of them (see
+    :func:`_grid_ratios`); set mode searches each margin's spans.  Every
+    margin and ``a_mode`` are checked for either base, before the weights.
     """
-    _check_at_least("margin", m, 0)
+    for m in ms:
+        _check_at_least("margin", m, 0)
     _check_mode(a_mode)
+    _check_base(base, "margin")
     _check_weights(s.weight_column)
     n = len(s)
-    if m >= n - 1:
-        return RatioEstimate(0.0, 0.0)
-    lo, hi = _margin_window(n, m)
-    if a_mode == MODE_MULTISET:
-        return _multiset_window_ratio(s, *_runs(s, lo, hi))
-    return _set_window_ratio(s, lo, hi)
+    ratios = dict.fromkeys([m for m in ms if m >= n - 1],
+                           RatioEstimate(0.0, 0.0))
+    grid = sorted(set(ms) - ratios.keys())
+    if base == "ind" and a_mode == MODE_SET:
+        ratios.update((m, _set_window_ratio(s, *_margin_window(n, m)))
+                      for m in grid)
+    elif grid:
+        ratios.update(_grid_ratios(s, base == "node", grid))
+    return [ratios[m] for m in ms]
+
+
+def node_margin_ratio(s: Sample, m: int) -> RatioEstimate:
+    """Ordered-pair ratio sum(w_i/w_j) over sum(1{s_i=s_j}), pairs > m
+    apart: :func:`margin_ratios` at one margin."""
+    return margin_ratios(s, [m], "node", MODE_SET)[0]
+
+
+def ind_margin_ratio(s: Sample, m: int, a_mode: str) -> RatioEstimate:
+    """Margin-filtered cross-collision ratio in ``a_mode``:
+    :func:`margin_ratios` at one margin."""
+    return margin_ratios(s, [m], "ind", a_mode)[0]
 
 
 def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
@@ -171,8 +280,7 @@ def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
     the ind base uses it.
     """
     _check_mode(a_mode)
-    if base not in ("node", "ind"):
-        raise EstimatorError(f"unsupported cross-walker base: {base!r}")
+    _check_base(base, "cross-walker")
     _check_weights(s.weight_column)
     walkers = s.walker_column
     if len(walkers) == 0 or (walkers == walkers[0]).all():
@@ -183,13 +291,9 @@ def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
         s, walkers = s.subset(order), walkers[order]
     lo = np.searchsorted(walkers, walkers, "left")
     hi = np.searchsorted(walkers, walkers, "right")
-    if base == "node":
-        ratio = _node_window_ratio(s, *_runs(s, lo, hi))
-    elif a_mode == MODE_MULTISET:
-        ratio = _multiset_window_ratio(s, *_runs(s, lo, hi))
-    else:
-        ratio = _set_window_ratio(s, lo, hi)
-    return ratio.outcome()
+    if base == "ind" and a_mode == MODE_SET:
+        return _set_window_ratio(s, lo, hi).outcome()
+    return _searched_ratio(s, base == "node", lo, hi).outcome()
 
 
 # -- surviving pair accounting ---------------------------------------------

@@ -66,9 +66,11 @@ class Sample:
     is sampled, and ``mentions``, which positions' snapshots name it; and
     ``windows``, the window-independent sums and arrays of
     :class:`Windows`.  Built once, they leave each further window one
-    prefix-window exact sum for its numerator, and one search call and one
-    exact sum for its denominator.  A sample derived by :meth:`subset` or
-    ``dataclasses.replace`` builds its own.
+    prefix-window exact sum for its numerator, and one exact sum for its
+    denominator over counts that one search call finds, or that one search
+    over a whole margin grid gives (``rw_correction.margin_ratios``).  A
+    sample derived by :meth:`subset` or ``dataclasses.replace`` builds its
+    own.
     """
 
     ids: np.ndarray
@@ -161,18 +163,6 @@ class Sample:
                        float(int(self.degree_column.sum())) * inverse_sum,
                        position, base, keyed)
 
-    def far(self, occ: Occurrences, edges: np.ndarray) -> np.ndarray:
-        """For each occurrence of a sampled node, in the key order of
-        ``occurrences``, the occurrences in ``occ`` of its rank outside its
-        window of positions.  ``edges`` holds the windows as keys, in the
-        dtype of ``occ.keys``: the key each window starts at, then the key
-        it ends before.  Each half ascends, so the one search call walks
-        ``occ.keys`` forwards twice; the count at each occurrence is cached
-        in ``occ.own``.  Nothing is gathered or scattered."""
-        found = np.searchsorted(occ.keys, edges)
-        n = len(self)
-        return occ.own - (found[n:] - found[:n])
-
 
 class Occurrences(NamedTuple):
     """Where each rank occurs in a sample of n positions, read-only.
@@ -196,8 +186,11 @@ class Windows(NamedTuple):
     arrays follow the key order of ``Sample.occurrences``.
 
     A window then costs one prefix-window exact sum for its numerator, and
-    for its denominator one search call over both window edges
-    (:meth:`Sample.far`) and one exact sum.
+    for its denominator one exact sum over its counts of occurrences
+    outside it.  A search call over both window edges finds those counts
+    for one window, or for the widest of a margin grid, whose pairs,
+    bucketed by distance, then give every narrower margin's counts
+    (``rw_correction._grid_ratios``).
     """
 
     prefix: np.ndarray   # running sums of 1 / weight, from 0 (n + 1 values)

@@ -6,6 +6,8 @@ import resource
 import signal
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -13,6 +15,9 @@ import pytest
 
 import graphsize
 from graphsize.cli import main
+from graphsize.core import NO_COLLISIONS, EstimateOutcome
+from graphsize.experiment import (draw_sample, emit_csv, evaluate,
+                                  parse_plan_file, run_experiment, summarize)
 from graphsize.graph import _excerpt
 
 
@@ -171,6 +176,50 @@ def test_estimate_rw_margin(tmp_path, capsys):
     assert payload["correction"] == "margin"
     assert payload["params"]["m"] == 10
     assert payload["denominator"] >= 0
+
+
+@pytest.mark.parametrize("estimator", [
+    ["node-wis"], ["ind-b", "--a-mode", "multiset"], ["ind-b"]])
+def test_an_m_grid_plan_is_its_margins_one_at_a_time(tmp_path, capsys,
+                                                     estimator):
+    """A plan answers its whole m grid in one kernel call per trial; the
+    summaries are those of one evaluate call, or one estimate command,
+    per margin and trial seed."""
+    graph, values, seeds = "gen:er:nodes=120,p=0.06,seed=2", "25,0,5,5,79,3", \
+        range(7, 10)
+    a_mode = f"a_mode = {estimator[2]}\n" if estimator[1:] else ""
+    plan_file = tmp_path / "plan.txt"
+    plan_file.write_text(
+        f"graph = {graph}\nlcc = true\nmethod = rw\nn = 80\n"
+        f"estimator = {estimator[0]}\ncorrection = margin\n{a_mode}"
+        f"param = m\nvalues = {values}\ntrials = 3\nbase_seed = 7\n")
+    plan = parse_plan_file(plan_file.read_text())
+    size = plan.graph.node_count
+    samples = [draw_sample(plan.graph, plan.sampler, seed) for seed in seeds]
+    expected = [summarize(m, [evaluate(s, replace(plan.estimator, m=int(m)))
+                              for s in samples], size)
+                for m in plan.values]
+    assert run_experiment(plan) == expected
+
+    code, _, err = run(capsys, "experiment", "--plan", str(plan_file),
+                       "-o", str(tmp_path / "x.csv"))
+    assert (code, err) == (0, "")
+    outcomes = [[] for _ in plan.values]
+    for seed in seeds:
+        sample = tmp_path / f"s{seed}.tsv"
+        run(capsys, "sample", "--graph", graph, "--lcc", "--method", "rw",
+            "--n", "80", "--seed", str(seed), "-o", str(sample))
+        for m, column in zip(plan.values, outcomes):
+            code, out, err = run(capsys, "estimate", "--sample", str(sample),
+                                 "--estimator", *estimator, "--correction",
+                                 "margin", "--margin", f"{m:g}")
+            assert (code, err) == (0, "")
+            value = json.loads(out)["estimate"]
+            column.append(NO_COLLISIONS if value == "no_collisions"
+                          else EstimateOutcome(value))
+    assert (tmp_path / "x.csv").read_text() == emit_csv(
+        [summarize(m, column, size) for m, column in zip(plan.values,
+                                                         outcomes)])
 
 
 def test_thin_shifted_theta_past_the_sample_length(tmp_path, capsys):
@@ -594,6 +643,33 @@ def test_weights_whose_sum_overflows_are_data_error(tmp_path, capsys,
     assert err == _OUT_OF_RANGE.format("node-wis")
 
 
+@pytest.mark.parametrize("flags", [
+    ["node-wis"], ["ind-b"],
+    ["node-wis", "--correction", "margin", "--margin", "3"],
+    ["ind-b", "--correction", "margin", "--margin", "3", "--a-mode",
+     "multiset"],
+    ["ind-b", "--correction", "margin", "--margin", "3"],
+    ["ind-b", "--correction", "thin-shifted", "--theta", "3"],
+    ["node-wis", "--correction", "cross-walker"],
+    ["ind-b", "--correction", "cross-walker", "--a-mode", "multiset"],
+    ["ind-b", "--correction", "cross-walker"],
+], ids=" ".join)
+def test_a_subnormal_weight_is_one_error_line(tmp_path, capsys, flags):
+    # 1 / 1e-320 overflows, and sums and window differences of it turn
+    # inf or NaN: one error line, and no numpy warning besides.
+    edges, sample = tmp_path / "g.txt", tmp_path / "s.tsv"
+    run(capsys, "gen", "gen:er:nodes=60,p=0.15,seed=4", "-o", str(edges))
+    run(capsys, "sample", "--graph", str(edges), "--method", "rw-multi",
+        "--walkers", "2", "--n", "80", "--lcc", "--seed", "5",
+        "-o", str(sample))
+    _rewrite(sample, record=_at_record_3(3, lambda _: "1e-320"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _one_line_error(*run(capsys, "estimate", "--sample",
+                                   str(sample), "--estimator", *flags), 3)
+    assert err == _OUT_OF_RANGE.format(flags[0])
+
+
 def test_route_a_answers_at_any_weight_scale(tmp_path, capsys):
     # Route A's products of sums left the float range at these scales: 0/0
     # read as no collisions, and inf/inf gave NaN.
@@ -619,17 +695,36 @@ def test_route_a_answers_at_any_weight_scale(tmp_path, capsys):
         assert list(estimates(scale)) == pytest.approx(base, rel=1e-12)
 
 
-def test_route_a_names_weights_it_cannot_sum(tmp_path, capsys):
-    # Unscaled, 1/w^2 overflows; scaled to the larger inverse weight, the
-    # other vanishes, and with it the pair sums of the edge 0-1.
+def _edge_sample(tmp_path, capsys, weights):
+    """A WIS sample file over the one-edge graph 0-1: node 0 at weight
+    1e300, then node 1 at each of ``weights``."""
     edges = tmp_path / "g.txt"
     edges.write_text("0 1\n")
     sample = tmp_path / "s.tsv"
+    n = 1 + len(weights)
     run(capsys, "sample", "--graph", str(edges), "--method", "wis",
-        "--n", "2", "-o", str(sample))
-    records = {"0": ["0", "0", "1", "1e300", "0", "1"],
-               "1": ["1", "1", "1", "1e-300", "0", "0"]}
-    _rewrite(sample, record=lambda f: records[f[0]])
+        "--n", str(n), "-o", str(sample))
+    records = [["0", "0", "1", "1e300", "0", "1"]] + [
+        [str(p), "1", "1", w, "0", "0"] for p, w in enumerate(weights, 1)]
+    _rewrite(sample, record=lambda f: records[int(f[0])])
+    return sample
+
+
+def test_route_a_sums_a_dominant_inverse_weight_exactly(tmp_path, capsys):
+    # Unscaled, 1/w^2 overflows, but the pair sum 1/(1e300 * 1e-300) is 1:
+    # taken exactly, route A answers the graph's two nodes.
+    sample = _edge_sample(tmp_path, capsys, ["1e-300"])
+    code, out, err = run(capsys, "estimate", "--sample", str(sample),
+                         "--estimator", "ind-a")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["estimate"] == 2.0
+
+
+def test_route_a_names_weights_it_cannot_sum(tmp_path, capsys):
+    # Unscaled, the pair sum of node 1's two records is about 1e600;
+    # scaled to the larger inverse weight, node 0's vanishes, and with it
+    # the pair sums of the edge 0-1.
+    sample = _edge_sample(tmp_path, capsys, ["1e-300", "1e-300"])
     err = _one_line_error(*run(capsys, "estimate", "--sample", str(sample),
                                "--estimator", "ind-a"), 3)
     assert err == ("error: route A (ind-a): weights from 1e-300 to 1e+300 "

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,6 +154,40 @@ def test_pairwise_inverse_weight_sum_matches_pair_loop():
 def test_pairwise_inverse_weight_sum_property(w):
     got = pairwise_inverse_weight_sum(w)
     assert oracles.relerr(got, oracles.pairwise_inverse_weight_sum(w)) < 1e-9
+
+
+def _exact_pair_sum(inv):
+    """The sum of inv_i * inv_j over unordered pairs, in rationals, rounded
+    once; inf past the float range."""
+    terms = [Fraction(x) for x in inv]
+    total = sum(terms)
+    try:
+        return float((total * total - sum(t * t for t in terms)) / 2)
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("inv", [
+    [1.0] + [1e-10] * 80,  # the closed form read 7.99999999579e-9
+    [1e300, 1e-300],       # and here nan: both squares overflow
+    [2.0**-1074, 1.0],     # the smallest subnormal, lost in sum 1/w
+    [1e300, 1e300],        # the pair sum itself is past the range
+])
+def test_inverse_pair_sum_is_exact_where_the_closed_form_cancels(inv):
+    inv = np.array(inv)
+    with np.errstate(over="ignore"):  # as route A calls it
+        assert _inverse_pair_sum(inv, _fsum(inv)) == _exact_pair_sum(inv)
+
+
+@given(st.lists(st.floats(min_value=1e-100, max_value=1e100), min_size=2,
+                max_size=40))
+def test_inverse_pair_sum_is_the_closed_form_where_it_holds(inv):
+    inv = np.array(inv)
+    s1, s2 = _fsum(inv), _fsum(inv * inv)
+    got = _inverse_pair_sum(inv, s1)
+    assert oracles.relerr(got, _exact_pair_sum(inv)) <= 1e-12
+    if s1 * s1 <= 1024.0 * (s1 * s1 - s2):
+        assert got == 0.5 * (s1 * s1 - s2)
 
 
 @given(st.lists(st.floats(-1e30, 1e30), max_size=60),

@@ -1,7 +1,9 @@
 import io
 import math
 import random
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +16,11 @@ from graphsize.generators import barabasi_albert, erdos_renyi, ring_of_cliques
 from graphsize.graph import largest_connected_component
 from graphsize.ind_estimators import indb_wis_ratio
 from graphsize.node_estimators import node_wis_ratio
+from graphsize import rw_correction
 from graphsize.rw_correction import (estimate_thinned, ind_margin_ratio,
-                                     margin_crosswalker, node_margin_ratio,
-                                     surviving_pair_count, thin_shifted,
-                                     thin_simple)
+                                     margin_crosswalker, margin_ratios,
+                                     node_margin_ratio, surviving_pair_count,
+                                     thin_shifted, thin_simple)
 from graphsize.sampling import (Sample, read_sample, sample_rw,
                                 sample_rw_multi, write_sample)
 
@@ -513,6 +516,140 @@ def test_margin_kernels_reject_invalid_weights(bad):
         for kernel, _ in CROSSWALKER_KERNELS.values():
             with pytest.raises(EstimatorError):
                 kernel(d)
+
+
+# -- margin grids ------------------------------------------------------------
+
+# Each margin kernel's base and auxiliary mode in ``margin_ratios``.
+GRID_BASES = {"node": ("node", MODE_SET), "multiset": ("ind", MODE_MULTISET),
+              "set": ("ind", MODE_SET)}
+
+
+@st.composite
+def _rw_multi_samples(draw):
+    walkers = draw(st.integers(1, 4))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=walkers,
+                          max_size=walkers))
+    return sample_rw_multi(_walk_graph(), walkers, draw(st.integers(1, 12)),
+                           seeds)
+
+
+@st.composite
+def _repeated_snapshot_files(draw):
+    """Sample files in which every non-empty snapshot names its first id
+    twice."""
+    v = oracles.views(draw(walk_like_samples()))
+    doubled = oracles.sample_from_snapshots(
+        v.node_at, v.weight_at, v.walker_at,
+        {x: row + row[:1] for x, row in v.snapshots.items()}, "RW_MULTI", 0,
+        "custom", "synthetic")
+    text = io.StringIO()
+    write_sample(doubled, text)
+    return read_sample(io.StringIO(text.getvalue()))
+
+
+def _counted_multiset_parts(s, m):
+    """Multiset margin parts that count every snapshot entry, a repeated
+    id as often as it is named; without repeats, the oracle's parts."""
+    nodes, w, _, _ = oracles.views(s)
+    snapshots = oracles.snapshots_at(s)
+    far = [(i, j) for i in range(len(s)) for j in range(len(s))
+           if abs(i - j) > m]
+    return (math.fsum(len(snapshots[i]) / w[j] for i, j in far),
+            math.fsum(snapshots[j].count(nodes[i]) / w[i] for i, j in far))
+
+
+@given(st.one_of(walk_like_samples(), _rw_multi_samples(),
+                 _repeated_snapshot_files()),
+       st.data(), st.sampled_from([-1, 1, 10**9]))
+def test_a_margin_grid_is_its_margins_one_at_a_time(s, data,
+                                                    pairs_per_needle):
+    """Unsorted grids with repeats, 0 and margins past n - 1; a bound of -1
+    makes every window search, and 10**9 buckets every grid of two or more
+    margins below n - 1."""
+    n = len(s)
+    grid = data.draw(st.lists(st.integers(0, n + 2), min_size=1, max_size=6))
+    grid = data.draw(st.permutations(grid + data.draw(st.sampled_from(
+        [[], [0], [0, 0], [max(n - 1, 0)], [n + 2, 0, 0]]))))
+    repeated = any(len(set(row)) < len(row)
+                   for row in oracles.views(s).snapshots.values())
+    with mock.patch.object(rw_correction, "_PAIRS_PER_NEEDLE",
+                           pairs_per_needle), \
+            mock.patch.object(rw_correction, "_bucketed",
+                              wraps=rw_correction._bucketed) as bucketed:
+        for name, (base, a_mode) in GRID_BASES.items():
+            kernel, oracle = MARGIN_KERNELS[name]
+            if name == "multiset" and repeated:
+                oracle = _counted_multiset_parts
+            got = margin_ratios(s, grid, base, a_mode)
+            assert got == [kernel(s, m) for m in grid], name
+            for m, ratio in zip(grid, got):
+                num, den = oracle(s, m)
+                assert math.isclose(ratio.numerator, num, rel_tol=1e-9,
+                                    abs_tol=1e-9), (name, m)
+                assert math.isclose(ratio.denominator, den, rel_tol=1e-9,
+                                    abs_tol=1e-9), (name, m)
+    if pairs_per_needle == -1:
+        assert bucketed.call_count == 0
+    elif pairs_per_needle == 10**9:  # node and multiset; set never buckets
+        windows = len({m for m in grid if m < n - 1})
+        assert bucketed.call_count == (2 if windows > 1 else 0)
+
+
+def test_one_margin_never_enumerates_pairs(monkeypatch):
+    s = _basis_samples()["rw-multi"]
+    n = len(s)
+    bucketed = mock.Mock(wraps=rw_correction._bucketed)
+    monkeypatch.setattr(rw_correction, "_PAIRS_PER_NEEDLE", 10**9)
+    monkeypatch.setattr(rw_correction, "_bucketed", bucketed)
+    for m in (0, 3, n - 2, n - 1):
+        for kernel, _ in MARGIN_KERNELS.values():
+            kernel(s, m)
+        for base, a_mode in GRID_BASES.values():
+            margin_ratios(s, [m, m, n - 1, n + 4], base, a_mode)
+    assert bucketed.call_count == 0
+    for base, a_mode in GRID_BASES.values():
+        margin_ratios(s, [3, 0], base, a_mode)
+    assert bucketed.call_count == 2  # node and multiset; set never buckets
+
+
+def test_a_sweep_buckets_where_pairs_are_few():
+    # The README sweep: on ER(1000, 0.02) a walk's pairs inside its widest
+    # window are far fewer than the narrower windows' search needles.
+    s = sample_rw(erdos_renyi(1000, 0.02, seed=1), 2000, seed=0)
+    grid = [0, 5, 10, 25, 50, 100]
+    with mock.patch.object(rw_correction, "_bucketed",
+                           wraps=rw_correction._bucketed) as bucketed:
+        for base, a_mode in GRID_BASES.values():
+            got = margin_ratios(s, grid, base, a_mode)
+            assert got == [margin_ratios(s, [m], base, a_mode)[0]
+                           for m in grid]
+    assert bucketed.call_count == 2
+
+
+def test_a_wide_grid_peaks_no_higher_than_one_window():
+    # At m = n - 2 nearly every pair of equal ranks is inside a window:
+    # far more pairs than the margin-0 window's search needles, so each
+    # window searches, one window's arrays at a time.
+    g = largest_connected_component(barabasi_albert(2000, 3, seed=1))
+    s = sample_rw(g, 2000, seed=1)
+    n = len(s)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for base, a_mode in GRID_BASES.values():
+        margin_ratios(s, [0], base, a_mode)  # builds the cached indexes
+        one = max(peak(lambda m=m: margin_ratios(s, [m], base, a_mode))
+                  for m in (0, n - 2))
+        both = peak(lambda: margin_ratios(s, [0, n - 2], base, a_mode))
+        # The grid's lists hold one more value each: a few pointers.
+        assert both <= one + 256, (base, a_mode)
 
 
 # -- cross-walker ------------------------------------------------------------
