@@ -277,7 +277,17 @@ def _read_csv(path: str) -> list[TrialSummary]:
                                      f"{_excerpt(text)} is not a finite "
                                      "number") from None
                 values.append(value)
-            rows.append(TrialSummary(*values))
+            row = TrialSummary(*values)
+            at = f"{path} line {line_no}:"
+            if not 0.0 <= row.infinite_fraction <= 1.0:
+                raise ValueError(f"{at} infinite_fraction "
+                                 f"{_excerpt(fields[4])} is not in [0, 1]")
+            if row.trials < 1:
+                raise ValueError(f"{at} trials {_excerpt(fields[5])} is "
+                                 "below 1")
+            if any(percentiles) and not row.p10 <= row.p50 <= row.p90:
+                raise ValueError(f"{at} p10, p50 and p90 must not decrease")
+            rows.append(row)
     return rows
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sampling import Sample, _fsum
+from .sampling import Sample
 
 MODE_SET = "set"
 MODE_MULTISET = "multiset"
@@ -106,6 +106,44 @@ def _auxiliary_counts(s: Sample, mode: str) -> np.ndarray:
     counts = np.bincount(s.entries, np.repeat(occurrences, np.diff(s.offsets)),
                          minlength=len(s.ids)).astype(np.int64)
     return np.minimum(counts, 1) if mode == MODE_SET else counts
+
+
+def _fsum(values: np.ndarray) -> float:
+    """The correctly rounded sum of a 1-D array: the same float as
+    ``math.fsum(values.tolist())``, at the cost of a few whole-array steps.
+
+    Error-free vector extraction (Rump, Ogita and Oishi, "Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008):
+    with 2^m >= 2n and sigma the power of two at or above 2^m * max|p|,
+    q = (sigma + p) - sigma is p rounded to a multiple of 2^-53 * sigma, and
+    every partial sum of q is such a multiple below sigma / 2, so ``q.sum()``
+    is exact in any order and p - q is the exact remainder.  Steps repeat
+    on the remainder until it is zero; math.fsum of their exact sums is the
+    total.  Each step clears about 53 - m binades of the terms' exponent
+    range, so the step count grows with that range: two steps for inverse
+    degrees, about twenty for terms spread over 1e-100..1e100.  math.fsum
+    of the whole input answers instead where the steps are not exact or
+    not needed: an empty or all-zero array (the sign of zero), a value that
+    is not finite, a maximum at or above 2^(1000 - m) (sigma would
+    overflow, and math.fsum may raise), or a step whose maximum falls below
+    2^-900 (its grid would be subnormal).
+    """
+    p = values.astype(np.float64)
+    m = (2 * len(p)).bit_length()
+    huge = math.ldexp(1.0, 1000 - m)
+    q = np.empty_like(p)
+    top = float(np.abs(p, out=q).max(initial=0.0))
+    parts = []
+    while 2.0 ** -900 <= top < huge:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+        np.add(p, sigma, out=q)
+        q -= sigma
+        p -= q
+        parts.append(q.sum())
+        top = float(np.abs(p, out=q).max())
+    if top == 0.0 and parts:
+        return math.fsum(parts)
+    return math.fsum(memoryview(values.astype(np.float64)))
 
 
 def _inverse_pair_sum(inv: np.ndarray, s1: float) -> float:

@@ -9,30 +9,24 @@ Margin and cross-walker filtering are one pair filter: each position i
 excludes a window [lo_i, hi_i) of positions, the positions within m steps
 for a margin, the positions of its own walker for cross-walker filtering.
 All their sums run over ordered pairs (i, j), i != j, and are computed as
-full-pair totals minus within-window totals.  Everything that no window
-changes is built once per sample and cached on it, read-only: the two
-occurrence indexes (:class:`~graphsize.sampling.Occurrences`),
-``occurrences``, each position's node, and, for the IND kernels only,
-``mentions``, each position's snapshot entries; and
-:class:`~graphsize.sampling.Windows`, the prefix sums of the inverse
-weights, the exact full-pair totals and each occurrence's position, rank
-base and inverse weight.  A NODE or multiset window then costs one
-prefix-window exact sum for its numerator, and for its denominator one
-exact sum over each occurrence's count of its rank outside the window,
-which one search call over both window edges finds (:func:`_inside`).
-:func:`margin_ratios` takes a grid of margins: it searches once, at the
-widest, then buckets the pairs inside those windows by distance to count
-every narrower margin, unless the pairs outnumber the narrower windows'
-search needles.  Set mode reads the mentions' cached first and last
-positions, one margin at a time.  So a sweep over many m sorts once and,
-where its pairs are few, searches once.  The positivity check on the
-weights runs on every call.  Thinning slices the rank column over the
-parent's shared CSR.
+full-pair totals minus within-window totals.  Each call checks the weights,
+then builds what no window changes: where each rank occurs among the
+positions or is named by their snapshots (:class:`Occurrences`) and, for
+the node and multiset windows, the prefix sums of the inverse weights and
+the exact full-pair total (:class:`Windows`).  A window then costs one
+prefix-window exact sum for its numerator and, for its denominator, one
+exact sum over counts that one search call over both window edges finds
+(:func:`_inside`).  :func:`margin_ratios` answers a grid of margins in one
+call: it searches once, at the widest, then buckets the pairs inside those
+windows by distance to count every narrower margin, unless the pairs
+outnumber the narrower windows' search needles.  Set mode reads the
+mentions' first and last positions, one margin at a time.  Thinning slices
+the rank column over the parent's shared CSR.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +34,7 @@ from .core import (MODE_SET, NO_COLLISIONS, EstimateOutcome, EstimatorError,
                    RatioEstimate, _check_mode, _check_weights, _fsum,
                    aggregate_ratios)
 from .graph import _ranges
-from .sampling import Occurrences, Sample
+from .sampling import Sample
 
 
 def _check_at_least(name: str, value: int, least: int) -> None:
@@ -88,6 +82,88 @@ def estimate_thinned(s: Sample, theta: int,
 _PAIRS_PER_NEEDLE = 1
 
 
+class Occurrences(NamedTuple):
+    """Where each rank occurs in a sample of n positions.  An occurrence of
+    rank r at position p is the key r * (n + 1) + p, so the sorted keys list
+    each rank's positions in order, and counting a rank's occurrences in a
+    window of positions takes two binary searches."""
+
+    keys: np.ndarray   # sorted; int32 when every key fits
+    first: np.ndarray  # first position per rank, n if none
+    last: np.ndarray   # last position per rank, -1 if none
+    own: np.ndarray    # counts of each sampled occurrence's rank, in the
+                       # key order of the sample's own occurrences
+
+
+class Windows(NamedTuple):
+    """What the node or multiset windows of one call read and no window
+    changes; per-occurrence arrays follow the sample's own key order."""
+
+    counted: Occurrences  # the sample's own occurrences (node) or mentions
+    keys: np.ndarray      # the sample's own occurrence keys
+    prefix: np.ndarray    # running sums of 1 / weight, from 0 (n + 1 values)
+    total: float          # fsum(values) * fsum(1 / weights)
+    values: np.ndarray    # each position's weight (node) or degree
+    position: np.ndarray  # each occurrence's position
+    base: np.ndarray      # each occurrence's key less its position
+    keyed_inverse: np.ndarray | None  # multiset: 1 / weight by occurrence
+
+
+def _occurrences(s: Sample, mentions: bool = False) -> Occurrences:
+    """Each position's node, as one occurrence of its rank; or, with
+    ``mentions``, each snapshot entry, as an occurrence of the rank it names
+    at the position carrying it."""
+    n, size = len(s), len(s.ids)
+    if mentions:
+        lengths = s.degree_column
+        # Position p's entries are entries[starts[p]:starts[p] + lengths[p]].
+        # The gather indices take 32 bits when they fit, and the ranks and
+        # positions gathered the fewest bits that hold them.
+        gather = np.int32 if lengths.sum() <= 2**31 - 1 else np.int64
+        ranks = s.entries.astype(np.min_scalar_type(size))[_ranges(
+            s.offsets[s.rank_column], lengths, gather)]
+        positions = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)),
+                              lengths)
+    else:
+        ranks, positions = s.rank_column, np.arange(n)
+    stride = n + 1
+    # Keys take 32 bits when they fit: they are the largest array a margin
+    # estimate allocates.
+    keys = ranks.astype(np.int32 if size * stride <= 2**31 - 1 else np.int64)
+    del ranks  # a gathered rank column is freed before the sort
+    keys *= stride
+    keys += positions
+    keys.sort()
+    bounds = np.searchsorted(keys, np.arange(0, (size + 1) * stride, stride,
+                                             dtype=keys.dtype))
+    counts = np.diff(bounds)
+    carried = np.flatnonzero(counts)
+    first = np.full(size, n, dtype=np.int64)
+    last = np.full(size, -1, dtype=np.int64)
+    first[carried] = keys[bounds[carried]] - carried * stride
+    last[carried] = keys[bounds[carried + 1] - 1] - carried * stride
+    # Sorted by key, the sample's own occurrences run through its ranks in
+    # order, each rank as often as it is sampled.
+    own = np.repeat(counts, np.bincount(s.rank_column, minlength=size))
+    return Occurrences(keys, first, last, own)
+
+
+def _windows(s: Sample, node: bool) -> Windows:
+    """The node or multiset basis of ``s``, whose weights the caller has
+    checked."""
+    mentions = None if node else _occurrences(s, mentions=True)
+    own = _occurrences(s)
+    position = own.keys % (len(s) + 1)
+    inverse = 1.0 / s.weight_column
+    # The degrees' exact integer sum, rounded once, is their fsum.
+    total = (_fsum(s.weight_column) if node
+             else float(int(s.degree_column.sum()))) * _fsum(inverse)
+    return Windows(own if node else mentions, own.keys,
+                   np.concatenate(([0.0], np.cumsum(inverse))), total,
+                   s.weight_column if node else s.degree_column, position,
+                   own.keys - position, None if node else inverse[position])
+
+
 def _check_base(base: str, correction: str) -> None:
     if base not in ("node", "ind"):
         raise EstimatorError(f"unsupported {correction} base: {base!r}")
@@ -99,24 +175,23 @@ def _margin_window(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(i - m, 0), np.minimum(i + m + 1, n)
 
 
-def _window_sums(s: Sample, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _window_sums(w: Windows, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The inverse weights summed over each window [lo_i, hi_i) of
     positions, by position."""
-    return s.windows.prefix[hi] - s.windows.prefix[lo]
+    return w.prefix[hi] - w.prefix[lo]
 
 
-def _inside(s: Sample, occ: Occurrences, lo: np.ndarray, hi: np.ndarray
+def _inside(w: Windows, lo: np.ndarray, hi: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
-    """For each occurrence of a sampled node, in the key order of
-    ``s.occurrences``: where the occurrences in ``occ`` of its rank inside
-    its window [lo, hi) of positions start in ``occ.keys``, and how many
-    there are.  The windows' edges, as keys, ascend in each half, so the
-    one search call walks ``occ.keys`` forwards twice."""
-    w = s.windows
+    """For each occurrence of a sampled node, in the sample's key order:
+    where the occurrences in ``w.counted`` of its rank inside its window
+    [lo, hi) of positions start in their keys, and how many there are.
+    The windows' edges, as keys, ascend in each half, so the one search
+    call walks the keys forwards twice."""
+    keys = w.counted.keys
     edges = np.concatenate((w.base + lo[w.position], w.base + hi[w.position]))
-    found = np.searchsorted(occ.keys,
-                            edges.astype(occ.keys.dtype, copy=False))
-    n = len(s)
+    found = np.searchsorted(keys, edges.astype(keys.dtype, copy=False))
+    n = len(w.position)
     return found[:n], found[n:] - found[:n]
 
 
@@ -124,47 +199,42 @@ def _inside(s: Sample, occ: Occurrences, lo: np.ndarray, hi: np.ndarray
 # the exact total minus, for each i, values_i times i's window sum of inv.
 
 
-def _window_ratio(s: Sample, node: bool, sums: np.ndarray,
+def _window_ratio(w: Windows, sums: np.ndarray,
                   inside: np.ndarray) -> RatioEstimate:
     """A node or multiset window's ratio, from each position's window sum
     of inverse weights and each sampled occurrence's count of its rank's
     occurrences (node) or mentions (multiset) inside its window."""
-    w = s.windows
-    if node:
-        return RatioEstimate(w.weight_total - _fsum(s.weight_column * sums),
-                             float((s.occurrences.own - inside).sum()))
-    return RatioEstimate(w.degree_total - _fsum(s.degree_column * sums),
-                         _fsum(w.keyed_inverse * (s.mentions.own - inside)))
+    outside = w.counted.own - inside
+    return RatioEstimate(w.total - _fsum(w.values * sums),
+                         float(outside.sum()) if w.keyed_inverse is None
+                         else _fsum(w.keyed_inverse * outside))
 
 
-def _searched_ratio(s: Sample, node: bool, lo: np.ndarray,
+def _searched_ratio(w: Windows, lo: np.ndarray,
                     hi: np.ndarray) -> RatioEstimate:
-    occ = s.occurrences if node else s.mentions
-    return _window_ratio(s, node, _window_sums(s, lo, hi),
-                         _inside(s, occ, lo, hi)[1])
+    return _window_ratio(w, _window_sums(w, lo, hi), _inside(w, lo, hi)[1])
 
 
-def _set_window_ratio(s: Sample, lo: np.ndarray,
+def _set_window_ratio(s: Sample, occ: Occurrences, lo: np.ndarray,
                       hi: np.ndarray) -> RatioEstimate:
-    # Set mode reads only the mentions: no window total or key edge.
-    n, inv, occ = len(s), 1.0 / s.weight_column, s.mentions
-    first, last = occ.spans
+    # Set mode reads only the mentions ``occ``: no window total or key edge.
+    n, inv = len(s), 1.0 / s.weight_column
     # A neighbor node is invisible from position j iff all positions carrying
     # it fall inside j's window; lo and hi never decrease, so that happens
-    # exactly for j in an interval.
-    lo_j = np.searchsorted(hi, last, "right")
-    hi_j = np.searchsorted(lo, first, "right") - 1
+    # exactly for j in an interval.  A rank no position mentions (first n,
+    # last -1) is invisible from every j, so it cancels out of the count.
+    lo_j = np.searchsorted(hi, occ.last, "right")
+    hi_j = np.searchsorted(lo, occ.first, "right") - 1
     hidden = lo_j <= hi_j
     missing = np.cumsum(np.bincount(lo_j[hidden], minlength=n + 1)
                         - np.bincount(hi_j[hidden] + 1, minlength=n + 1))[:n]
-    num = _fsum(inv * (len(first) - missing))
+    num = _fsum(inv * (len(occ.first) - missing))
     r = s.rank_column
     seen = (occ.first[r] < lo) | (occ.last[r] >= hi)
     return RatioEstimate(num, _fsum(inv[seen]))
 
 
-def _grid_ratios(s: Sample, node: bool, grid: list[int]
-                 ) -> dict[int, RatioEstimate]:
+def _grid_ratios(w: Windows, grid: list[int]) -> dict[int, RatioEstimate]:
     """The node or multiset ratio at each margin of ``grid``, ascending and
     below n - 1.
 
@@ -175,42 +245,40 @@ def _grid_ratios(s: Sample, node: bool, grid: list[int]
     searches its own, one window's memory at a time.  Both give the same
     integers.
     """
-    n = len(s)
-    occ = s.occurrences if node else s.mentions
+    n = len(w.position)
     *narrower, widest = grid
     lo, hi = _margin_window(n, widest)
-    starts, inside = _inside(s, occ, lo, hi)
-    ratios = {widest: _window_ratio(s, node, _window_sums(s, lo, hi), inside)}
+    starts, inside = _inside(w, lo, hi)
+    ratios = {widest: _window_ratio(w, _window_sums(w, lo, hi), inside)}
     del lo, hi
     if narrower and (inside.sum()
                      <= _PAIRS_PER_NEEDLE * 2 * n * len(narrower)):
-        for m, within in zip(narrower, _bucketed(s, occ, starts, inside,
-                                                 grid)):
+        for m, within in zip(narrower, _bucketed(w, starts, inside, grid)):
             ratios[m] = _window_ratio(
-                s, node, _window_sums(s, *_margin_window(n, m)), within)
+                w, _window_sums(w, *_margin_window(n, m)), within)
         return ratios
     del starts, inside
     for m in narrower:
-        ratios[m] = _searched_ratio(s, node, *_margin_window(n, m))
+        ratios[m] = _searched_ratio(w, *_margin_window(n, m))
     return ratios
 
 
-def _bucketed(s: Sample, occ: Occurrences, starts: np.ndarray,
-              inside: np.ndarray, grid: list[int]) -> np.ndarray:
+def _bucketed(w: Windows, starts: np.ndarray, inside: np.ndarray,
+              grid: list[int]) -> np.ndarray:
     """One row per margin of the ascending ``grid`` but its widest, the
     last: row j holds, for each sampled occurrence k, its rank's
-    occurrences in ``occ`` at most ``grid[j]`` positions away.  Those in
-    k's widest window are ``occ.keys[starts[k]:starts[k] + inside[k]]``;
-    each such pair is counted at the first margin that reaches its
+    occurrences in ``w.counted`` at most ``grid[j]`` positions away.  Those
+    in k's widest window are ``keys[starts[k]:starts[k] + inside[k]]`` of
+    them; each such pair is counted at the first margin that reaches its
     distance, and the rows are running sums over the margins."""
-    n, rows = len(s), len(grid) - 1
+    n, rows, keys = len(w.position), len(grid) - 1, w.counted.keys
     label = np.int32 if n * len(grid) <= 2**31 - 1 else np.int64
     occurrence = np.repeat(np.arange(n, dtype=label), inside)
-    at = (np.int32 if max(len(occ.keys), len(occurrence)) <= 2**31 - 1
+    at = (np.int32 if max(len(keys), len(occurrence)) <= 2**31 - 1
           else np.int64)
     # Keys of one rank differ by their positions' difference.
-    distance = occ.keys.take(_ranges(starts, inside, at))
-    distance -= s.occurrences.keys.take(occurrence)
+    distance = keys.take(_ranges(starts, inside, at))
+    distance -= w.keys.take(occurrence)
     np.abs(distance, out=distance)
     # Each distance's first margin, times n; past the narrower margins it
     # labels row ``rows``, which is dropped.
@@ -238,8 +306,9 @@ def margin_ratios(s: Sample, ms: Sequence[int], base: str,
     and documented in the README.
 
     Node and multiset margins share one search at the widest of them (see
-    :func:`_grid_ratios`); set mode searches each margin's spans.  Every
-    margin and ``a_mode`` are checked for either base, before the weights.
+    :func:`_grid_ratios`); set mode searches each margin's first and last
+    mentions.  Every margin and ``a_mode`` are checked for either base,
+    before the weights, and the weights before any index is built.
     """
     for m in ms:
         _check_at_least("margin", m, 0)
@@ -250,11 +319,13 @@ def margin_ratios(s: Sample, ms: Sequence[int], base: str,
     ratios = dict.fromkeys([m for m in ms if m >= n - 1],
                            RatioEstimate(0.0, 0.0))
     grid = sorted(set(ms) - ratios.keys())
-    if base == "ind" and a_mode == MODE_SET:
-        ratios.update((m, _set_window_ratio(s, *_margin_window(n, m)))
+    if grid and base == "ind" and a_mode == MODE_SET:
+        mentions = _occurrences(s, mentions=True)
+        ratios.update((m, _set_window_ratio(s, mentions,
+                                            *_margin_window(n, m)))
                       for m in grid)
     elif grid:
-        ratios.update(_grid_ratios(s, base == "node", grid))
+        ratios.update(_grid_ratios(_windows(s, base == "node"), grid))
     return [ratios[m] for m in ms]
 
 
@@ -292,8 +363,9 @@ def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
     lo = np.searchsorted(walkers, walkers, "left")
     hi = np.searchsorted(walkers, walkers, "right")
     if base == "ind" and a_mode == MODE_SET:
-        return _set_window_ratio(s, lo, hi).outcome()
-    return _searched_ratio(s, base == "node", lo, hi).outcome()
+        return _set_window_ratio(s, _occurrences(s, mentions=True), lo,
+                                 hi).outcome()
+    return _searched_ratio(_windows(s, base == "node"), lo, hi).outcome()
 
 
 # -- surviving pair accounting ---------------------------------------------

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-from typing import IO, Callable, NamedTuple, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -60,17 +60,10 @@ class Sample:
     the head holds.
 
     Samples compare by identity.  The ``nodes()`` and ``degrees()`` lists
-    remain only for ``bench/``, until it reads the columns.  The margin and
-    cross-walker kernels read what the sample caches on first use, all
-    read-only: two :class:`Occurrences`, ``occurrences``, where each rank
-    is sampled, and ``mentions``, which positions' snapshots name it; and
-    ``windows``, the window-independent sums and arrays of
-    :class:`Windows`.  Built once, they leave each further window one
-    prefix-window exact sum for its numerator, and one exact sum for its
-    denominator over counts that one search call finds, or that one search
-    over a whole margin grid gives (``rw_correction.margin_ratios``).  A
-    sample derived by :meth:`subset` or ``dataclasses.replace`` builds its
-    own.
+    remain only for ``bench/``, until it reads the columns.  A sample
+    caches only ``degree_column``; the margin and cross-walker kernels
+    build their occurrence indexes inside each call
+    (``rw_correction.margin_ratios`` answers a whole margin grid in one).
     """
 
     ids: np.ndarray
@@ -122,151 +115,6 @@ class Sample:
                        walker_column=self.walker_column[index],
                        offsets=self.offsets[:rows + 1],
                        entries=self.entries[:self.offsets[rows]])
-
-    @cached_property
-    def occurrences(self) -> Occurrences:
-        """Each position's node, as one occurrence of its rank."""
-        n = len(self)
-        return _occurrences(self.rank_column, np.arange(n), n, len(self.ids),
-                            self.rank_column)
-
-    @cached_property
-    def mentions(self) -> Occurrences:
-        """Each snapshot entry, as an occurrence of the rank it names at the
-        position carrying it.  Node-only queries never build it."""
-        n, size, lengths = len(self), len(self.ids), self.degree_column
-        # Position p's entries are entries[starts[p]:starts[p] + lengths[p]].
-        # The gather indices take 32 bits when they fit, and the ranks and
-        # positions gathered the fewest bits that hold them.
-        gather = np.int32 if lengths.sum() <= 2**31 - 1 else np.int64
-        return _occurrences(
-            self.entries.astype(np.min_scalar_type(size))[_ranges(
-                self.offsets[self.rank_column], lengths, gather)],
-            np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), lengths), n,
-            size, self.rank_column)
-
-    @cached_property
-    def windows(self) -> Windows:
-        """What a node or multiset window reads and no window changes; see
-        :class:`Windows`.  The caller checks that the weights are
-        positive."""
-        keys = self.occurrences.keys
-        position = keys % (len(self) + 1)
-        inverse = 1.0 / self.weight_column
-        prefix = np.concatenate(([0.0], np.cumsum(inverse)))
-        base, keyed = keys - position, inverse[position]
-        for array in (prefix, position, base, keyed):
-            array.flags.writeable = False
-        inverse_sum = _fsum(inverse)
-        return Windows(prefix, _fsum(self.weight_column) * inverse_sum,
-                       # The exact integer sum, rounded once, is their fsum.
-                       float(int(self.degree_column.sum())) * inverse_sum,
-                       position, base, keyed)
-
-
-class Occurrences(NamedTuple):
-    """Where each rank occurs in a sample of n positions, read-only.
-
-    An occurrence of rank r at position p is the key r * (n + 1) + p, so the
-    sorted keys list each rank's positions in order, and counting a rank's
-    occurrences in a window of positions takes two binary searches.
-    """
-
-    keys: np.ndarray     # sorted; int32 when every key fits
-    first: np.ndarray    # first position per rank, n if none
-    last: np.ndarray     # last position per rank, -1 if none
-    spans: np.ndarray    # rows: first and last position per rank that occurs
-    own: np.ndarray      # counts of each sampled occurrence's rank, in the
-                         # key order of Sample.occurrences
-
-
-class Windows(NamedTuple):
-    """What the node and multiset windows of one sample (margin or
-    cross-walker) read and no window changes, read-only.  Per-occurrence
-    arrays follow the key order of ``Sample.occurrences``.
-
-    A window then costs one prefix-window exact sum for its numerator, and
-    for its denominator one exact sum over its counts of occurrences
-    outside it.  A search call over both window edges finds those counts
-    for one window, or for the widest of a margin grid, whose pairs,
-    bucketed by distance, then give every narrower margin's counts
-    (``rw_correction._grid_ratios``).
-    """
-
-    prefix: np.ndarray   # running sums of 1 / weight, from 0 (n + 1 values)
-    weight_total: float  # fsum(weights) * fsum(1 / weights)
-    degree_total: float  # fsum(degrees) * fsum(1 / weights)
-    position: np.ndarray  # each occurrence's position
-    base: np.ndarray     # each occurrence's key less its position, r * (n + 1)
-    keyed_inverse: np.ndarray  # 1 / weight at each occurrence's position
-
-
-def _fsum(values: np.ndarray) -> float:
-    """The correctly rounded sum of a 1-D array: the same float as
-    ``math.fsum(values.tolist())``, at the cost of a few whole-array steps.
-
-    Error-free vector extraction (Rump, Ogita and Oishi, "Accurate
-    floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008):
-    with 2^m >= 2n and sigma the power of two at or above 2^m * max|p|,
-    q = (sigma + p) - sigma is p rounded to a multiple of 2^-53 * sigma, and
-    every partial sum of q is such a multiple below sigma / 2, so ``q.sum()``
-    is exact in any order and p - q is the exact remainder.  Steps repeat
-    on the remainder until it is zero; math.fsum of their exact sums is the
-    total.  Each step clears about 53 - m binades of the terms' exponent
-    range, so the step count grows with that range: two steps for inverse
-    degrees, about twenty for terms spread over 1e-100..1e100.  math.fsum
-    of the whole input answers instead where the steps are not exact or
-    not needed: an empty or all-zero array (the sign of zero), a value that
-    is not finite, a maximum at or above 2^(1000 - m) (sigma would
-    overflow, and math.fsum may raise), or a step whose maximum falls below
-    2^-900 (its grid would be subnormal).
-    """
-    p = values.astype(np.float64)
-    m = (2 * len(p)).bit_length()
-    huge = math.ldexp(1.0, 1000 - m)
-    q = np.empty_like(p)
-    top = float(np.abs(p, out=q).max(initial=0.0))
-    parts = []
-    while 2.0 ** -900 <= top < huge:
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
-        np.add(p, sigma, out=q)
-        q -= sigma
-        p -= q
-        parts.append(q.sum())
-        top = float(np.abs(p, out=q).max())
-    if top == 0.0 and parts:
-        return math.fsum(parts)
-    return math.fsum(memoryview(values.astype(np.float64)))
-
-
-def _occurrences(ranks: np.ndarray, positions: np.ndarray, n: int,
-                 size: int, sampled: np.ndarray) -> Occurrences:
-    """The occurrences of ``ranks[k]`` (below ``size``) at ``positions[k]``,
-    in a sample whose rank column is ``sampled``."""
-    stride = n + 1
-    # Keys take 32 bits when they fit: they are the largest array a margin
-    # estimate allocates.
-    keys = ranks.astype(np.int32 if size * stride <= 2**31 - 1 else np.int64)
-    del ranks  # a gathered rank column is freed before the sort
-    keys *= stride
-    keys += positions
-    keys.sort()
-    bounds = np.searchsorted(keys, np.arange(0, (size + 1) * stride, stride,
-                                             dtype=keys.dtype))
-    counts = np.diff(bounds)
-    carried = np.flatnonzero(counts)
-    first = np.full(size, n, dtype=np.int64)
-    last = np.full(size, -1, dtype=np.int64)
-    spans = (np.stack((keys[bounds[carried]], keys[bounds[carried + 1] - 1]))
-             - carried * stride)
-    first[carried], last[carried] = spans
-    # Sorted by key, the sample's own occurrences run through its ranks in
-    # order, each rank as often as it is sampled.
-    own = np.repeat(counts, np.bincount(sampled, minlength=size))
-    occ = Occurrences(keys, first, last, spans, own)
-    for array in occ:
-        array.flags.writeable = False
-    return occ
 
 
 def _first_seen(values: np.ndarray, size: int | None = None

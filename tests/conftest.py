@@ -27,6 +27,15 @@ def make_sample(g: Graph, ext_nodes, weights=None, method="WIS",
         method, seed=0, weight_rule=weight_rule, graph_digest=g.digest)
 
 
+def repeated_entry_sample() -> Sample:
+    """A hand-made two-walker sample whose node 1 has the snapshot (2, 2),
+    as a sample file may give it: the multiset kernels count both
+    entries."""
+    return oracles.sample_from_snapshots(
+        (1, 1, 2, 3, 3, 3), (1.0,) * 6, (0, 1, 1, 1, 1, 1),
+        {1: (2, 2), 2: (1, 3), 3: (2,)}, "RW_MULTI", 0, "custom", "synthetic")
+
+
 @pytest.fixture
 def triangle():
     return graph_from_text("0 1\n1 2\n0 2\n")

@@ -82,15 +82,20 @@ def _arrays(sample):
             np.asarray([len(v.snapshots[x]) for x in v.node_at], dtype=float))
 
 
-def neighbor_membership(sample) -> np.ndarray:
-    """Boolean matrix M[i, j] = (node at position i is in snapshot of j)."""
+def neighbor_counts(sample) -> np.ndarray:
+    """Integer matrix C[i, j]: the entries of position j's snapshot that
+    name the node at position i, a repeated id as often as it is named.
+    The multiset and induced-edge oracles count these, as the kernels do;
+    the set-mode oracles count membership.  C is symmetric with a zero
+    diagonal on a drawn sample; the induced-edge oracles halve its total,
+    as ``count_induced_edges`` does, so they agree on any sample."""
     nodes, _, _ = _arrays(sample)
     n = len(nodes)
-    m = np.zeros((n, n), dtype=bool)
+    c = np.zeros((n, n), dtype=np.int64)
     for j, snapshot in enumerate(snapshots_at(sample)):
-        if snapshot:
-            m[:, j] = np.isin(nodes, np.asarray(snapshot))
-    return m
+        for u in snapshot:
+            c[:, j] += nodes == u
+    return c
 
 
 def collision_count(sample) -> int:
@@ -100,8 +105,7 @@ def collision_count(sample) -> int:
 
 
 def induced_edge_count(sample) -> int:
-    member = neighbor_membership(sample)
-    return int(np.triu(member, k=1).sum())
+    return int(neighbor_counts(sample).sum()) // 2
 
 
 def pairwise_inverse_weight_sum(weights) -> float:
@@ -115,8 +119,7 @@ def density_wis(sample) -> float:
     _, w, _ = _arrays(sample)
     inv = 1.0 / w
     prod = inv[:, None] * inv[None, :]
-    member = neighbor_membership(sample)
-    num = np.triu(prod, k=1)[np.triu(member, k=1)].sum()
+    num = 0.5 * (prod * neighbor_counts(sample)).sum()
     den = np.triu(prod, k=1).sum()
     return float(num / den)
 
@@ -168,9 +171,7 @@ def ind_margin_multiset_parts(sample, m: int) -> tuple[float, float]:
     idx = np.arange(n)
     far = np.abs(idx[:, None] - idx[None, :]) > m
     num = float((deg[:, None] * (1.0 / w)[None, :])[far].sum())
-    member = neighbor_membership(sample)
-    inv_i = (1.0 / w)[:, None] * np.ones(n)[None, :]
-    den = float(inv_i[member & far].sum())
+    den = float(((1.0 / w)[:, None] * neighbor_counts(sample))[far].sum())
     return num, den
 
 
@@ -208,14 +209,11 @@ def crosswalker_node_parts(sample) -> tuple[float, float]:
 
 
 def crosswalker_ind_multiset_parts(sample) -> tuple[float, float]:
-    nodes, w, deg = _arrays(sample)
-    n = len(nodes)
+    _, w, deg = _arrays(sample)
     walkers = np.asarray(views(sample).walker_at)
     cross = walkers[:, None] != walkers[None, :]
     num = float((deg[:, None] * (1.0 / w)[None, :])[cross].sum())
-    member = neighbor_membership(sample)
-    inv_i = (1.0 / w)[:, None] * np.ones(n)[None, :]
-    den = float(inv_i[member & cross].sum())
+    den = float(((1.0 / w)[:, None] * neighbor_counts(sample))[cross].sum())
     return num, den
 
 
@@ -247,13 +245,16 @@ def relerr(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-OCCURRENCE_FIELDS = ("keys", "first", "last", "spans", "own")
+OCCURRENCE_FIELDS = ("keys", "first", "last", "own")
 
 
 def occurrence_arrays(sample) -> dict[str, np.ndarray]:
-    """The sample's rank, weight and degree columns and the arrays of its
-    ``occurrences``, ``mentions`` and ``windows``, with their dtypes, from
-    one loop over every position and every snapshot entry it carries."""
+    """The sample's rank, weight and degree columns and the arrays of the
+    indexes the margin kernels build for it (``rw_correction._occurrences``
+    of its positions, ``occurrences``, and of its snapshot entries,
+    ``mentions``, and a multiset ``rw_correction._windows``), with their
+    dtypes, from one loop over every position and every snapshot entry it
+    carries."""
     nodes, weights, _, _ = views(sample)
     snapshots = snapshots_at(sample)
     n = len(nodes)
@@ -276,12 +277,9 @@ def occurrence_arrays(sample) -> dict[str, np.ndarray]:
             counts[k] += 1
             first[k] = min(first[k], p)
             last[k] = max(last[k], p)
-        occurs = counts > 0
-        spans = np.array([first[occurs], last[occurs]], dtype=np.int64)
         own = np.array([counts[k] for k, _ in sampled], dtype=np.int64)
         return dict(zip(OCCURRENCE_FIELDS, (
-            np.array(sorted(keys), dtype=key_type), first, last, spans,
-            own)))
+            np.array(sorted(keys), dtype=key_type), first, last, own)))
 
     inverse = [1.0 / w for w in weights]
     arrays = {

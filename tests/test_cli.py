@@ -454,6 +454,12 @@ _CSV_HEADER = "param,p10,p50,p90,infinite_fraction,trials\n"
                          "all present"),
     ("40,1,1,1,0,10\n0,,1.0,1.1,0,3\n", "line 3: p10, p50 and p90"),
     ("0,-9e307,0,9e307,0,3\n", "percentiles span more than the float range"),
+    ("1,0.5,1,1.5,7,-3\n", "line 2: infinite_fraction '7' is not in [0, 1]"),
+    ("1,0.5,1,1.5,-0.1,3\n", "line 2: infinite_fraction '-0.1' is not in"),
+    ("1,0.5,1,1.5,0,-3\n", "line 2: trials '-3' is below 1"),
+    ("1,,,,1,0\n", "line 2: trials '0' is below 1"),
+    ("1,2,1,0,0,5\n", "line 2: p10, p50 and p90 must not decrease"),
+    ("1,0,2,1,0,5\n", "line 2: p10, p50 and p90 must not decrease"),
 ])
 def test_plot_names_a_malformed_csv(tmp_path, capsys, rows, message):
     csv = tmp_path / "out.csv"

@@ -4,7 +4,8 @@ from dataclasses import replace
 import pytest
 
 from graphsize.core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS,
-                            EstimatorError, RatioEstimate)
+                            EstimatorError, RatioEstimate,
+                            count_induced_edges)
 from graphsize.generators import erdos_renyi
 from graphsize.ind_estimators import (density_wis, inda_wis_ratio,
                                       indb_wis_ratio, mean_degree_wis)
@@ -12,7 +13,7 @@ from graphsize.sampling import (SamplingError, read_sample, sample_uis,
                                 sample_wis, write_sample)
 
 import oracles
-from conftest import graph_from_text, make_sample
+from conftest import graph_from_text, make_sample, repeated_entry_sample
 
 
 def test_mean_degree_uis(k5, triangle):
@@ -134,6 +135,22 @@ def test_indb_wis_unit_reduction(k5):
     for mode in (MODE_SET, MODE_MULTISET):
         assert indb_wis_ratio(s, mode) == RatioEstimate(
             *oracles.indb_parts(s, mode, weighted=False))
+
+
+def test_a_repeated_snapshot_entry_counts_in_kernels_and_oracles():
+    """Node 1's snapshot names node 2 twice: route B's multiset, route A and
+    the induced-edge count take both entries, and so do their oracles."""
+    s = repeated_entry_sample()
+    for mode in (MODE_SET, MODE_MULTISET):
+        ratio = indb_wis_ratio(s, mode)
+        assert (ratio.numerator, ratio.denominator) \
+            == oracles.indb_parts(s, mode, weighted=True)
+    assert indb_wis_ratio(s, MODE_MULTISET) == RatioEstimate(54.0, 12.0)
+    assert count_induced_edges(s) == oracles.count_induced_edges(s) \
+        == oracles.induced_edge_count(s) == 6
+    assert density_wis(s) == oracles.density_wis(s) == 0.4
+    ratio = inda_wis_ratio(s)
+    assert (ratio.numerator, ratio.denominator) == oracles.inda_wis_parts(s)
 
 
 def test_indb_wis_triangle(triangle):

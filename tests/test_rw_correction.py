@@ -2,7 +2,7 @@ import io
 import math
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -25,7 +25,7 @@ from graphsize.sampling import (Sample, read_sample, sample_rw,
                                 sample_rw_multi, write_sample)
 
 import oracles
-from conftest import graph_from_text, make_sample
+from conftest import graph_from_text, make_sample, repeated_entry_sample
 from strategies import walk_like_samples
 
 
@@ -341,31 +341,45 @@ def test_margin_kernels_match_oracles_for_any_m_order(s, data):
         _assert_matches_oracle(s, m)
         for name, (kernel, _) in MARGIN_KERNELS.items():
             assert first.setdefault((name, m), kernel(s, m)) == kernel(s, m)
-    # A copy starts without an index; ascending m gives the same ratios.
+    # A copy, in ascending m, gives the same ratios.
     fresh = replace(s)
     for m in sorted(set(ms)):
         for name, (kernel, _) in MARGIN_KERNELS.items():
             assert kernel(fresh, m) == first[name, m]
     _assert_crosswalker_matches_oracle(s)
-    # Samples derived after the index was built get their own; reversing or
-    # shuffling the positions also reverses or interleaves the walkers.
+    # Reversing or shuffling the positions also reverses or interleaves the
+    # walkers.
     shuffled = data.draw(st.permutations(range(n)))
     derived = (s.subset(range(n - 1, -1, -1)), s.subset(range(1, n)),
                s.subset(shuffled))
     for d in derived:
-        assert d.occurrences is not s.occurrences
         for m in (0, 1):
             _assert_matches_oracle(d, m)
         _assert_crosswalker_matches_oracle(d)
 
 
-def _assert_occurrences_match(s, expected):
+def _index_arrays(s):
+    """The columns the margin kernels read and the arrays of the indexes
+    they build, named as ``oracles.occurrence_arrays`` names them."""
+    arrays = {"rank_column": s.rank_column, "weight_column": s.weight_column,
+              "degree_column": s.degree_column}
+    for name, mentions in (("occurrences", False), ("mentions", True)):
+        occ = rw_correction._occurrences(s, mentions)
+        arrays.update((f"{name}.{field}", array)
+                      for field, array in occ._asdict().items())
+    w = rw_correction._windows(s, node=False)
+    arrays.update({"windows.prefix": w.prefix, "windows.position": w.position,
+                   "windows.base": w.base,
+                   "windows.keyed_inverse": w.keyed_inverse})
+    return arrays
+
+
+def _assert_index_matches(s, expected):
+    got = _index_arrays(s)
+    assert got.keys() == expected.keys()
     for name, want in expected.items():
-        got = s
-        for attribute in name.split("."):
-            got = getattr(got, attribute)
-        assert got.dtype == want.dtype, name
-        assert np.array_equal(got, want), name
+        assert got[name].dtype == want.dtype, name
+        assert np.array_equal(got[name], want), name
 
 
 @given(walk_like_samples())
@@ -382,33 +396,49 @@ def test_sample_file_round_trip_shares_snapshots(s):
     assert again.getvalue() == text.getvalue()
     expected = oracles.occurrence_arrays(s)
     for sample in (s, back):
-        _assert_occurrences_match(sample, expected)
+        _assert_index_matches(sample, expected)
 
 
 def test_mentions_are_built_on_first_use():
+    """Node calls never build the mentions; each IND call does."""
     s = sample_rw_multi(_walk_graph(), 3, 40, seeds=[1, 2, 3])
-    node_margin_ratio(s, 2)
-    margin_crosswalker(s, "node", MODE_SET)
-    occurrences = s.occurrences
-    assert "mentions" not in vars(s)
-    ind_margin_ratio(s, 2, MODE_MULTISET)
-    assert s.occurrences is occurrences and "mentions" in vars(s)
-    eager = replace(s)
-    eager.mentions  # built before anything else is read
-    assert "occurrences" not in vars(eager)
-    expected = oracles.occurrence_arrays(s)
-    for built in (s, eager):
-        _assert_occurrences_match(built, expected)
+    build, built = rw_correction._occurrences, []
+
+    def occurrences(sample, mentions=False):
+        built.append(mentions)
+        return build(sample, mentions)
+
+    with mock.patch.object(rw_correction, "_occurrences", occurrences):
+        node_margin_ratio(s, 2)
+        margin_crosswalker(s, "node", MODE_SET)
+        assert built == [False, False]
+        for a_mode in (MODE_MULTISET, MODE_SET):
+            built.clear()
+            ind_margin_ratio(s, 2, a_mode)
+            margin_crosswalker(s, "ind", a_mode)
+            assert built.count(True) == 2
 
 
-def test_occurrences_are_read_only():
-    s = sample_rw(_walk_graph(), 30, seed=1)
-    for occ in (s.occurrences, s.mentions):
-        for array in occ:
-            with pytest.raises(ValueError):
-                array[0] = 0
-        with pytest.raises(AttributeError):
-            occ.keys = None
+FIELDS = {f.name for f in fields(Sample)}
+
+
+def test_margin_calls_leave_nothing_on_the_sample_but_its_degrees():
+    """Each call builds its index and drops it: only ``degree_column``, which
+    the IND bases read, stays cached."""
+    for s in _basis_samples().values():
+        calls = [lambda k=k, m=m: k(s, m)
+                 for k, _ in MARGIN_KERNELS.values() for m in (0, 3)]
+        calls += [lambda k=k: k(s) for k, _ in CROSSWALKER_KERNELS.values()]
+        calls += [lambda base=base, a_mode=a_mode: margin_ratios(
+                      s, [0, 3, 5], base, a_mode)
+                  for base, a_mode in GRID_BASES.values()]
+        for call in calls:
+            call()
+            assert set(vars(s)) - FIELDS <= {"degree_column"}
+    fresh = _basis_samples()["rw"]
+    node_margin_ratio(fresh, 3)
+    margin_ratios(fresh, [0, 3], "node", MODE_SET)
+    assert set(vars(fresh)) == FIELDS
 
 
 # -- the window basis --------------------------------------------------------
@@ -417,39 +447,41 @@ def test_occurrences_are_read_only():
 def _basis_samples():
     g = _walk_graph()
     return {"rw": sample_rw(g, 60, seed=4),
-            "rw-multi": sample_rw_multi(g, 3, 20, seeds=[4, 5, 6])}
+            "rw-multi": sample_rw_multi(g, 3, 20, seeds=[4, 5, 6]),
+            "repeated-entry": repeated_entry_sample()}
 
 
-@pytest.mark.parametrize("method", ["rw", "rw-multi"])
-def test_a_sweep_in_any_order_answers_each_m_as_a_fresh_sample(method):
-    s = _basis_samples()[method]
+@pytest.mark.parametrize("name", ["rw", "rw-multi", "repeated-entry"])
+def test_a_sweep_in_any_order_answers_each_m_as_a_fresh_sample(name):
+    s = _basis_samples()[name]
     n = len(s)
     ms = [0, 1, 2, 5, 10, 25, n - 2, n - 1, n + 3] * 2
-    random.Random(method).shuffle(ms)
+    random.Random(name).shuffle(ms)
     for m in ms:
         for name, (kernel, _) in MARGIN_KERNELS.items():
             assert kernel(s, m) == kernel(replace(s), m), (name, m)
         _assert_matches_oracle(s, m)
-    windows = s.windows
     for name, (kernel, _) in CROSSWALKER_KERNELS.items():
         assert kernel(s) == kernel(replace(s)), name
     _assert_crosswalker_matches_oracle(s)
-    assert s.windows is windows  # built once, for the whole sweep
 
 
-def test_window_basis_is_read_only_and_matches_its_reference():
-    s = _basis_samples()["rw-multi"]
-    node_margin_ratio(s, 2)
-    arrays = [a for a in s.windows if isinstance(a, np.ndarray)]
-    assert len(arrays) == 4
-    for array in arrays:
-        with pytest.raises(ValueError):
-            array[0] = 0
-    with pytest.raises(AttributeError):
-        s.windows.prefix = None
-    _assert_occurrences_match(s, oracles.occurrence_arrays(s))
-    totals = (s.windows.weight_total, s.windows.degree_total)
-    assert totals == oracles.window_totals(s)
+def test_window_basis_matches_its_reference():
+    for s in _basis_samples().values():
+        _assert_index_matches(s, oracles.occurrence_arrays(s))
+        node, multiset = (rw_correction._windows(s, node)
+                          for node in (True, False))
+        assert (node.total, multiset.total) == oracles.window_totals(s)
+        # A node basis counts the sample's own occurrences, by weight.
+        occurrences = rw_correction._occurrences(s)
+        for got, want in zip(node.counted, occurrences):
+            assert np.array_equal(got, want)
+        assert node.keyed_inverse is None
+        assert node.values is s.weight_column
+        assert multiset.values is s.degree_column
+        for field in ("keys", "prefix", "position", "base"):
+            assert np.array_equal(getattr(node, field),
+                                  getattr(multiset, field)), field
 
 
 def test_a_zero_weight_is_rejected_on_every_call():
@@ -458,11 +490,12 @@ def test_a_zero_weight_is_rejected_on_every_call():
         calls = [lambda m=m, k=k: k(bad, m)
                  for k, _ in MARGIN_KERNELS.values() for m in (0, 3)]
         calls += [lambda k=k: k(bad) for k, _ in CROSSWALKER_KERNELS.values()]
-        for call in calls:
-            for _ in range(2):
-                with pytest.raises(EstimatorError):
-                    call()
-        assert "windows" not in vars(bad)
+        with mock.patch.object(rw_correction, "_occurrences") as built:
+            for call in calls:
+                for _ in range(2):
+                    with pytest.raises(EstimatorError):
+                        call()
+        assert built.call_count == 0  # checked before any index is built
 
 
 def test_derived_samples_build_their_own_basis():
@@ -473,14 +506,12 @@ def test_derived_samples_build_their_own_basis():
     derived = (replace(s), s.subset(range(n - 1, -1, -1)),
                s.subset(range(5, n)), s.subset(range(0, n, 2)))
     for d in derived:
-        assert not {"occurrences", "mentions", "windows"} & set(vars(d))
         for m in (0, 2):
             _assert_matches_oracle(d, m)
         _assert_crosswalker_matches_oracle(d)
-        assert d.windows is not s.windows
     # A copy keeps the ranks, which follow first appearance as the
     # reference's do.
-    _assert_occurrences_match(derived[0], oracles.occurrence_arrays(s))
+    _assert_index_matches(derived[0], oracles.occurrence_arrays(s))
 
 
 def test_margin_edges_stay_inside_32_bit_keys():
@@ -491,7 +522,8 @@ def test_margin_edges_stay_inside_32_bit_keys():
     s = Sample(np.arange(n, dtype=np.uint64), np.arange(n), np.ones(n),
                np.zeros(n, dtype=np.int64), np.arange(n + 1),
                (np.arange(n) + 1) % n, "RW", 0, "degree", "0" * 16)
-    assert s.occurrences.keys.dtype == s.mentions.keys.dtype == np.int32
+    for mentions in (False, True):
+        assert rw_correction._occurrences(s, mentions).keys.dtype == np.int32
     for m in (n - 3, n - 2):
         pairs = float(surviving_pair_count(n, "margin", m))
         assert node_margin_ratio(s, m) == RatioEstimate(pairs, 0.0)
@@ -548,17 +580,6 @@ def _repeated_snapshot_files(draw):
     return read_sample(io.StringIO(text.getvalue()))
 
 
-def _counted_multiset_parts(s, m):
-    """Multiset margin parts that count every snapshot entry, a repeated
-    id as often as it is named; without repeats, the oracle's parts."""
-    nodes, w, _, _ = oracles.views(s)
-    snapshots = oracles.snapshots_at(s)
-    far = [(i, j) for i in range(len(s)) for j in range(len(s))
-           if abs(i - j) > m]
-    return (math.fsum(len(snapshots[i]) / w[j] for i, j in far),
-            math.fsum(snapshots[j].count(nodes[i]) / w[i] for i, j in far))
-
-
 @given(st.one_of(walk_like_samples(), _rw_multi_samples(),
                  _repeated_snapshot_files()),
        st.data(), st.sampled_from([-1, 1, 10**9]))
@@ -571,16 +592,12 @@ def test_a_margin_grid_is_its_margins_one_at_a_time(s, data,
     grid = data.draw(st.lists(st.integers(0, n + 2), min_size=1, max_size=6))
     grid = data.draw(st.permutations(grid + data.draw(st.sampled_from(
         [[], [0], [0, 0], [max(n - 1, 0)], [n + 2, 0, 0]]))))
-    repeated = any(len(set(row)) < len(row)
-                   for row in oracles.views(s).snapshots.values())
     with mock.patch.object(rw_correction, "_PAIRS_PER_NEEDLE",
                            pairs_per_needle), \
             mock.patch.object(rw_correction, "_bucketed",
                               wraps=rw_correction._bucketed) as bucketed:
         for name, (base, a_mode) in GRID_BASES.items():
             kernel, oracle = MARGIN_KERNELS[name]
-            if name == "multiset" and repeated:
-                oracle = _counted_multiset_parts
             got = margin_ratios(s, grid, base, a_mode)
             assert got == [kernel(s, m) for m in grid], name
             for m, ratio in zip(grid, got):
@@ -644,7 +661,7 @@ def test_a_wide_grid_peaks_no_higher_than_one_window():
             tracemalloc.stop()
 
     for base, a_mode in GRID_BASES.values():
-        margin_ratios(s, [0], base, a_mode)  # builds the cached indexes
+        margin_ratios(s, [0], base, a_mode)  # warms numpy's first calls
         one = max(peak(lambda m=m: margin_ratios(s, [m], base, a_mode))
                   for m in (0, n - 2))
         both = peak(lambda: margin_ratios(s, [0, n - 2], base, a_mode))
