@@ -285,6 +285,13 @@ def _read_csv(path: str) -> list[TrialSummary]:
             if row.trials < 1:
                 raise ValueError(f"{at} trials {_excerpt(fields[5])} is "
                                  "below 1")
+            # summarize leaves them empty exactly when every trial is
+            # infinite.
+            if (row.p50 is None) != (row.infinite_fraction == 1.0):
+                state = "empty" if row.p50 is None else "present"
+                raise ValueError(f"{at} p10, p50 and p90 are {state} with "
+                                 f"infinite_fraction {_excerpt(fields[4])}; "
+                                 "they are empty exactly when it is 1")
             if any(percentiles) and not row.p10 <= row.p50 <= row.p90:
                 raise ValueError(f"{at} p10, p50 and p90 must not decrease")
             rows.append(row)

@@ -69,9 +69,10 @@ def barabasi_albert(n: int, m: int, seed: int) -> Graph:
         for t in targets:
             repeated += [t, v]
     # Entries pair up into edges, after the lone path node when m = 1.
-    edges = np.array(repeated[len(repeated) % 2:], dtype=np.uint64)
-    edges = edges.reshape(-1, 2)
-    return Graph.from_edges(edges, extra_nodes=np.arange(n, dtype=np.uint64))
+    edges = np.array(repeated, dtype=np.uint64)[len(repeated) % 2:]
+    del repeated
+    return Graph.from_edges(edges.reshape(-1, 2),
+                            extra_nodes=np.arange(n, dtype=np.uint64))
 
 
 _WORD = (1 << 32) - 1

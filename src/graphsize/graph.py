@@ -87,24 +87,31 @@ class Graph:
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
                  ext_ids: Iterable[int] | np.ndarray,
                  load_report: LoadReport | None = None):
-        self.ext_ids = _node_ids(ext_ids).copy()
-        if len(indptr) != len(self.ext_ids) + 1:
+        # The graph checks and keeps copies: the caller's arrays stay theirs.
+        self._adopt(np.array(indptr, dtype=np.int64),
+                    np.array(indices, dtype=np.int64),
+                    _node_ids(ext_ids).copy(), load_report)
+
+    def _adopt(self, indptr: np.ndarray, indices: np.ndarray,
+               ext_ids: np.ndarray, load_report: LoadReport | None) -> None:
+        """Check the int64 CSR and the uint64 ids, then keep them read-only;
+        no other holder may write to these arrays."""
+        self.ext_ids, self._indptr, self._indices = ext_ids, indptr, indices
+        if len(indptr) != len(ext_ids) + 1:
             raise GraphError("adjacency and id map length mismatch")
-        if not len(self.ext_ids):
+        if not len(ext_ids):
             raise GraphError("empty graph")
         # Dense indices follow the ids: an edge's smaller end has the
         # smaller id (_edge_array).
-        unsorted = np.flatnonzero(self.ext_ids[1:] <= self.ext_ids[:-1])
+        unsorted = np.flatnonzero(ext_ids[1:] <= ext_ids[:-1])
         if unsorted.size:
             v = int(unsorted[0]) + 1
-            raise GraphError(f"external id {self.ext_ids[v]} at dense index "
+            raise GraphError(f"external id {ext_ids[v]} at dense index "
                              f"{v} does not exceed its predecessor")
-        self._indptr = np.array(indptr, dtype=np.int64)
-        self._indices = np.array(indices, dtype=np.int64)
-        if (self._indptr[0] != 0 or self._indptr[-1] != len(self._indices)
-                or (np.diff(self._indptr) < 0).any()):
+        if (indptr[0] != 0 or indptr[-1] != len(indices)
+                or (np.diff(indptr) < 0).any()):
             raise GraphError("indptr does not delimit the indices")
-        for array in (self.ext_ids, self._indptr, self._indices):
+        for array in (ext_ids, indptr, indices):
             array.flags.writeable = False
         self.load_report = load_report
         self._validate()
@@ -116,26 +123,31 @@ class Graph:
         offending entry in (vertex, position) order, and of its failed
         checks the first of: self-loop, order, range.
         """
-        owner, flat = self._owners(), self._indices
-        loop = flat == owner
+        owner, flat = self._owners(_index_type(self.node_count)), self._indices
         # An entry is out of order if it is at most its predecessor in the
         # same list, or than -1 if it comes first.  Any negative entry may
         # count: at the first offender every predecessor passed, so is >= 0.
-        unordered = flat < 0
-        unordered[1:] |= (owner[1:] == owner[:-1]) & (flat[1:] <= flat[:-1])
-        bad = loop | unordered | (flat >= self.node_count)
+        bad = flat < 0
+        follows = owner[1:] == owner[:-1]
+        follows &= flat[1:] <= flat[:-1]
+        bad[1:] |= follows
+        del follows
+        bad |= flat == owner
+        bad |= flat >= self.node_count
         if bad.any():
             i = int(bad.argmax())
             v, u = int(owner[i]), int(flat[i])
-            if loop[i]:
+            if u == v:
                 raise GraphError(f"self-loop at dense index {v}")
-            if unordered[i]:
+            if u < 0 or (i and int(owner[i - 1]) == v
+                         and int(flat[i - 1]) >= u):
                 raise GraphError(f"adjacency of {v} not sorted/unique")
             raise GraphError(f"neighbor index {u} out of range")
 
-    def _owners(self) -> np.ndarray:
-        """The vertex of each CSR entry, as an int64 array."""
-        return np.repeat(np.arange(self.node_count),
+    def _owners(self, dtype: type = np.int64) -> np.ndarray:
+        """The vertex of each CSR entry.  An int32 array is half the size,
+        but indexing with it converts it to int64 on every call."""
+        return np.repeat(np.arange(self.node_count, dtype=dtype),
                          np.diff(self._indptr))
 
     def _edge_array(self) -> np.ndarray:
@@ -162,9 +174,12 @@ class Graph:
         ext_ids, indptr, indices, loops, dupes = _simple_csr(edges,
                                                              extra_nodes)
         base = report_base or LoadReport()
-        return cls(indptr, indices, ext_ids, replace(
+        # The arrays are new, so the graph keeps them without a copy.
+        graph = cls.__new__(cls)
+        graph._adopt(indptr, indices, ext_ids, replace(
             base, self_loops_dropped=base.self_loops_dropped + loops,
             duplicates_collapsed=base.duplicates_collapsed + dupes))
+        return graph
 
     # -- basic accessors ---------------------------------------------------
 
@@ -259,7 +274,7 @@ def _simple_csr(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """The sorted node ids, the CSR of their dense indices, and the numbers
     of self-loops and of repeated edges in ``edges``; see
-    :meth:`Graph.from_edges`."""
+    :meth:`Graph.from_edges`.  Each temporary is freed once read."""
     if not isinstance(edges, np.ndarray):
         edges = chain.from_iterable(edges)
     pairs = _node_ids(edges).reshape(-1, 2)
@@ -268,32 +283,58 @@ def _simple_csr(
     if not nodes.size:
         raise GraphError("empty graph: no nodes in input")
     n = nodes.size
-    ranks = ranks[:pairs.size].reshape(-1, 2)
-    lo, hi = np.minimum(*ranks.T), np.maximum(*ranks.T)
-    proper = lo != hi
-    keys, _ = np.unique(lo[proper] * n + hi[proper], return_counts=True)
-    # Each edge in both directions, sorted by (vertex, neighbor).
-    both = np.sort(np.concatenate((keys, keys % n * n + keys // n)))
-    indptr = np.searchsorted(both, np.arange(n + 1) * n)
+    tips = ranks[:pairs.size].reshape(-1, 2).T
+    proper = tips[0] != tips[1]
     kept = int(proper.sum())
-    return (nodes, indptr, both % n,
-            len(pairs) - kept, kept - len(keys))
+    if kept < len(proper):
+        tips = tips[:, proper]
+    del ranks, proper
+    # Each edge in both directions as the key vertex * n + neighbor, formed
+    # in int64: in int32 it overflows once n passes 46,341.
+    both = np.empty((2, kept), dtype=np.int64)
+    np.multiply(tips, n, out=both, dtype=np.int64)
+    both += tips[::-1]
+    del tips
+    # Sorted by (vertex, neighbor), a repeated edge's keys are adjacent.
+    both = both.ravel()
+    both.sort()
+    fresh = np.ones(len(both), dtype=bool)
+    np.not_equal(both[1:], both[:-1], out=fresh[1:])
+    if not fresh.all():
+        both = both[fresh]
+    del fresh
+    indptr = np.searchsorted(both, np.arange(n + 1) * n)
+    np.remainder(both, n, out=both)
+    return nodes, indptr, both, len(pairs) - kept, kept - len(both) // 2
 
 
 def _sorted_ranks(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ids, sorted, and each id's index among them.  Dense ids
-    (see :func:`_dense_span`) mark a table; others are sorted."""
+    """The distinct ids, sorted, and each id's index among them, int32
+    where the indices fit.  Dense ids (see :func:`_dense_span`) mark a
+    table, and ``ids`` is overwritten with their offsets; others are
+    sorted."""
     dense = _dense_span(ids)
-    if dense is not None:
-        low, span = dense
-        offsets = ids - low
-        mark = np.zeros(span, dtype=bool)
-        mark[offsets] = True
-        ranks = np.cumsum(mark)[offsets] - 1
-        return np.flatnonzero(mark).astype(ids.dtype) + low, ranks
-    # Asking for the inverse makes np.unique sort, which is several times
-    # faster here than its hash table.
-    return np.unique(ids, return_inverse=True)
+    if dense is None:
+        # Asking for the inverse makes np.unique sort, which is several
+        # times faster here than its hash table.
+        nodes, ranks = np.unique(ids, return_inverse=True)
+        return nodes, ranks.astype(_index_type(len(nodes)), copy=False)
+    low, span = dense
+    ids -= low
+    # An offset is below span <= 4 len(ids), so int64 indexes as it is.
+    offsets = ids.view(np.int64)
+    mark = np.zeros(span, dtype=bool)
+    mark[offsets] = True
+    table = np.cumsum(mark, dtype=_index_type(span))
+    table -= 1
+    nodes = np.flatnonzero(mark).astype(ids.dtype)
+    nodes += low
+    return nodes, table[offsets]
+
+
+def _index_type(n: int) -> type:
+    """int32 if the indices [0, n) fit in it, else int64."""
+    return np.int32 if n < 2**31 else np.int64
 
 
 def _dense_span(values: np.ndarray) -> tuple[np.generic, int] | None:
@@ -325,6 +366,7 @@ _MAX_DIGITS = 20                        # len(str(2**64 - 1))
 _U64_TOP, _U64_REST = divmod((1 << 64) - 1, 10**19)
 _POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
 _SPELL_BLOCK = 2**14
+_SCAN = 2**16                           # bytes or runs a parse step reads
 _BLANKS = b" \t\r"
 _ID = re.compile(r"-?[0-9]+")
 
@@ -349,18 +391,24 @@ def load_edge_list(source: IO[str] | IO[bytes]) -> Graph:
 
 def _parse_edge_list(data: bytes) -> tuple[np.ndarray, LoadReport]:
     """The id pairs of an edge list as an (E, 2) uint64 array, and its line
-    and comment counts."""
+    and comment counts.  Positions are int32 where they fit, and each
+    temporary is freed once read."""
     buf = np.frombuffer(data, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    starts, ends = _tokens(buf)
-    line_of = np.searchsorted(newlines, starts)
-    first = np.ones(len(starts), dtype=bool)
-    first[1:] = line_of[1:] != line_of[:-1]
+    newlines = _find(buf, "\n", "\n")
+    starts, ends, line_of = _tokens(buf, newlines)
+    # A comment line's first token starts with '#': of the tokens that
+    # start at a '#', those first on their line mark the comments.
+    hashes = _find(buf, "#", "#")
+    lead = np.searchsorted(starts, hashes)
+    lead = lead[np.take(starts, lead, mode="clip") == hashes]
+    lead = lead[(lead == 0) | (line_of[lead - 1] != line_of[lead])]
     comment = np.zeros(len(newlines) + 1, dtype=bool)
-    comment[line_of[first & (buf[starts] == ord("#"))]] = True
-    ids = ~comment[line_of]
-    starts, ends, line_of = starts[ids], ends[ids], line_of[ids]
+    comment[line_of[lead]] = True
+    if lead.size:
+        kept = ~comment[line_of]
+        starts, ends, line_of = starts[kept], ends[kept], line_of[kept]
     values, valid = _decimals(buf, starts, ends)
+    del starts, ends
 
     # The first bad line: one that does not hold two tokens, or a token that
     # is no node id.
@@ -382,20 +430,27 @@ def _decimals(buf: np.ndarray, starts: np.ndarray,
     """The byte runs [starts, ends) of ``buf`` read as node ids, 1 to 20
     ASCII digits with a value below 2^64: their uint64 values, junk where a
     run is no id, and whether each is one.  A run may be empty, end before
-    it starts, or reach past either end of ``buf``."""
-    lengths = ends - starts
+    it starts, or reach past either end of ``buf``.  The runs are read
+    _SCAN at a time, which bounds the temporaries."""
     values = np.zeros(len(starts), dtype=np.uint64)
-    valid = (lengths > 0) & (lengths <= _MAX_DIGITS)
-    # Horner's rule from the right: the digit k places before a run's end
-    # is worth 10**k, and a byte before the run's start counts as a zero.
-    for k in range(min(int(lengths.max(initial=0)), _MAX_DIGITS)):
-        digit = np.take(buf, ends - (k + 1), mode="clip") - np.uint8(ord("0"))
-        digit *= lengths > k
-        valid &= digit <= 9
-        if k == _MAX_DIGITS - 1:  # a 20th digit may carry past 2^64 - 1
-            valid &= (digit < _U64_TOP) | ((digit == _U64_TOP)
-                                           & (values <= _U64_REST))
-        values += digit * np.uint64(10**k)
+    valid = np.empty(len(starts), dtype=bool)
+    for i in range(0, len(starts), _SCAN):
+        value, ok, end = (a[i:i + _SCAN] for a in (values, valid, ends))
+        lengths = end - starts[i:i + _SCAN]
+        np.greater(lengths, 0, out=ok)
+        ok &= lengths <= _MAX_DIGITS
+        # Horner's rule from the right: the digit k places before a run's
+        # end is worth 10**k, and a byte before the run's start counts as
+        # a zero.
+        for k in range(min(int(lengths.max(initial=0)), _MAX_DIGITS)):
+            digit = np.take(buf, end - (k + 1), mode="clip")
+            digit -= np.uint8(ord("0"))
+            digit *= lengths > k
+            ok &= digit <= 9
+            if k == _MAX_DIGITS - 1:  # a 20th digit may carry past 2^64 - 1
+                ok &= (digit < _U64_TOP) | ((digit == _U64_TOP)
+                                            & (value <= _U64_REST))
+            value += digit * np.uint64(10**k)
     return values, valid
 
 
@@ -429,7 +484,7 @@ def _spelled(text: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     marks = np.frombuffer(marks, dtype=np.uint8)
     # The gather indices take 32 bits when every position in the text fits;
     # a block is far shorter than 2^31 bytes.
-    gather = np.int32 if len(text) < 2**31 else np.int64
+    gather = _index_type(len(text))
     blocks = []
     for k in range(0, len(cells), _SPELL_BLOCK):
         block = cells[k:k + _SPELL_BLOCK]
@@ -451,15 +506,46 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray,
     return index
 
 
-def _tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tokens(buf: np.ndarray, newlines: np.ndarray) -> tuple[np.ndarray, ...]:
     """The start and end of each token, a maximal run of bytes that are
-    neither blanks nor newlines.  The per-byte arrays are freed on return."""
-    word = np.ones(len(buf), dtype=bool)
-    for blank in _BLANKS + b"\n":
-        word &= buf != blank
-    step = np.diff(word.view(np.int8), prepend=np.int8(0),
-                   append=np.int8(0))
-    return np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    neither blanks nor newlines, and the index of its line, given the
+    ``newlines`` positions.  The bytes are scanned _SCAN at a time, so no
+    per-byte array spans the text."""
+    dtype = _index_type(len(buf) + 1)
+    bounds, inside = [np.zeros(0, dtype=dtype)], False
+    word = np.empty(_SCAN + 1, dtype=bool)  # [0]: the byte before the part
+    for i in range(0, len(buf), _SCAN):
+        part = buf[i:i + _SCAN]
+        word[0] = inside
+        in_part = word[1:len(part) + 1]
+        np.not_equal(part, ord("\n"), out=in_part)
+        for blank in _BLANKS:
+            in_part &= part != blank
+        # A token starts or ends where a byte and its predecessor differ.
+        flips = np.flatnonzero(in_part != word[:len(part)]).astype(dtype)
+        flips += dtype(i)
+        bounds.append(flips)
+        inside = bool(in_part[-1])
+    if inside:
+        bounds.append(np.array([len(buf)], dtype=dtype))
+    bounds = np.concatenate(bounds)
+    starts, ends = bounds[0::2], bounds[1::2]
+    line_of = np.empty(len(starts), dtype=_index_type(len(newlines) + 1))
+    for i in range(0, len(starts), _SCAN):
+        line_of[i:i + _SCAN] = np.searchsorted(newlines, starts[i:i + _SCAN])
+    return starts, ends, line_of
+
+
+def _find(buf: np.ndarray, low: str, high: str) -> np.ndarray:
+    """The positions of the bytes from ``low`` to ``high`` in ``buf``, int32
+    where they fit, found _SCAN bytes at a time so no temporary spans the
+    text."""
+    dtype = _index_type(len(buf))
+    # Subtracting low wraps every byte below it past high - low.
+    return np.concatenate([
+        np.flatnonzero(buf[i:i + _SCAN] - np.uint8(ord(low))
+                       <= ord(high) - ord(low)).astype(dtype) + dtype(i)
+        for i in range(0, max(len(buf), 1), _SCAN)])
 
 
 def _line_error(line_number: int, raw: bytes) -> EdgeListParseError:

@@ -113,6 +113,25 @@ def _occurrences(s: Sample, mentions: bool = False) -> Occurrences:
     """Each position's node, as one occurrence of its rank; or, with
     ``mentions``, each snapshot entry, as an occurrence of the rank it names
     at the position carrying it."""
+    keys = _keys(s, mentions)
+    n, size = len(s), len(s.ids)
+    stride = n + 1
+    bounds = np.searchsorted(keys, np.arange(0, (size + 1) * stride, stride,
+                                             dtype=keys.dtype))
+    counts = np.diff(bounds)
+    carried = np.flatnonzero(counts)
+    first = np.full(size, n, dtype=np.int64)
+    last = np.full(size, -1, dtype=np.int64)
+    first[carried] = keys[bounds[carried]] - carried * stride
+    last[carried] = keys[bounds[carried + 1] - 1] - carried * stride
+    # Sorted by key, the sample's own occurrences run through its ranks in
+    # order, each rank as often as it is sampled.
+    own = np.repeat(counts, np.bincount(s.rank_column, minlength=size))
+    return Occurrences(keys, first, last, own)
+
+
+def _keys(s: Sample, mentions: bool = False) -> np.ndarray:
+    """The sorted keys of :func:`_occurrences`, alone."""
     n, size = len(s), len(s.ids)
     if mentions:
         lengths = s.degree_column
@@ -134,34 +153,24 @@ def _occurrences(s: Sample, mentions: bool = False) -> Occurrences:
     keys *= stride
     keys += positions
     keys.sort()
-    bounds = np.searchsorted(keys, np.arange(0, (size + 1) * stride, stride,
-                                             dtype=keys.dtype))
-    counts = np.diff(bounds)
-    carried = np.flatnonzero(counts)
-    first = np.full(size, n, dtype=np.int64)
-    last = np.full(size, -1, dtype=np.int64)
-    first[carried] = keys[bounds[carried]] - carried * stride
-    last[carried] = keys[bounds[carried + 1] - 1] - carried * stride
-    # Sorted by key, the sample's own occurrences run through its ranks in
-    # order, each rank as often as it is sampled.
-    own = np.repeat(counts, np.bincount(s.rank_column, minlength=size))
-    return Occurrences(keys, first, last, own)
+    return keys
 
 
 def _windows(s: Sample, node: bool) -> Windows:
     """The node or multiset basis of ``s``, whose weights the caller has
-    checked."""
-    mentions = None if node else _occurrences(s, mentions=True)
-    own = _occurrences(s)
-    position = own.keys % (len(s) + 1)
+    checked.  A multiset basis counts mentions, and of the sample's own
+    occurrences reads only their keys."""
+    counted = _occurrences(s, mentions=not node)
+    keys = counted.keys if node else _keys(s)
+    position = keys % (len(s) + 1)
     inverse = 1.0 / s.weight_column
     # The degrees' exact integer sum, rounded once, is their fsum.
     total = (_fsum(s.weight_column) if node
              else float(int(s.degree_column.sum()))) * _fsum(inverse)
-    return Windows(own if node else mentions, own.keys,
+    return Windows(counted, keys,
                    np.concatenate(([0.0], np.cumsum(inverse))), total,
                    s.weight_column if node else s.degree_column, position,
-                   own.keys - position, None if node else inverse[position])
+                   keys - position, None if node else inverse[position])
 
 
 def _check_base(base: str, correction: str) -> None:

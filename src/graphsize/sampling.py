@@ -21,7 +21,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .graph import (Graph, _decimals, _dense_span, _digits, _excerpt,
-                    _node_ids, _ranges, _spelled)
+                    _find, _node_ids, _ranges, _spelled)
 
 RNG_NAME = "numpy-pcg64"
 
@@ -505,17 +505,6 @@ def _parse_records(data: bytes, unit: bool) -> tuple:
     return (node_ranks, weights, walker.astype(np.int64),
             np.append(0, np.cumsum(count[rows])), sampled,
             named[_ranges(at[rows], count[rows])])
-
-
-def _find(buf: np.ndarray, low: str, high: str) -> np.ndarray:
-    """The positions of the bytes from ``low`` to ``high`` in ``buf``, int32
-    where they fit, found a MiB at a time so no temporary spans the text."""
-    dtype = np.int32 if len(buf) < 2**31 else np.int64
-    # Subtracting low wraps every byte below it past high - low.
-    return np.concatenate([
-        np.flatnonzero(buf[i:i + 2**20] - np.uint8(ord(low))
-                       <= ord(high) - ord(low)).astype(dtype) + dtype(i)
-        for i in range(0, max(len(buf), 1), 2**20)])
 
 
 def _snapshots(data: bytes, starts: np.ndarray,

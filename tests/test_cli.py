@@ -460,6 +460,12 @@ _CSV_HEADER = "param,p10,p50,p90,infinite_fraction,trials\n"
     ("1,,,,1,0\n", "line 2: trials '0' is below 1"),
     ("1,2,1,0,0,5\n", "line 2: p10, p50 and p90 must not decrease"),
     ("1,0,2,1,0,5\n", "line 2: p10, p50 and p90 must not decrease"),
+    # Percentiles are empty exactly when every trial was infinite.
+    ("1,,,,0,3\n", "line 2: p10, p50 and p90 are empty with "
+                   "infinite_fraction '0'; they are empty exactly when it "
+                   "is 1"),
+    ("2,1,1,1,1,3\n", "line 2: p10, p50 and p90 are present with "
+                      "infinite_fraction '1'"),
 ])
 def test_plot_names_a_malformed_csv(tmp_path, capsys, rows, message):
     csv = tmp_path / "out.csv"

@@ -1,12 +1,14 @@
 import contextlib
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from graphsize import cli
+from graphsize import cli, graph
 from graphsize.generators import barabasi_albert, erdos_renyi, grid_2d
 from graphsize.graph import (EdgeListParseError, Graph, GraphError,
                              _sorted_ranks, exact_stats,
@@ -400,9 +402,10 @@ def _spread_edges(draw):
 def test_dense_id_table_matches_the_sorted_ids(inputs):
     edges, extra = inputs
     ids = np.array([v for e in edges for v in e] + extra, dtype=np.uint64)
-    got, want = _sorted_ranks(ids), np.unique(ids, return_inverse=True)
+    # _sorted_ranks may overwrite its argument; it ranks in int32.
+    got, want = _sorted_ranks(ids.copy()), np.unique(ids, return_inverse=True)
+    assert (got[0].dtype, got[1].dtype) == (np.uint64, np.int32)
     for a, b in zip(got, want):
-        assert a.dtype == b.dtype
         assert np.array_equal(a, b)
     got = Graph.from_edges(edges, extra_nodes=extra)
     want = oracles.graph_from_edges(edges, extra)
@@ -410,6 +413,102 @@ def test_dense_id_table_matches_the_sorted_ids(inputs):
     assert oracles.adjacency(got) == oracles.adjacency(want)
     assert got.load_report == want.load_report
     assert got.digest == want.digest
+
+
+@pytest.mark.parametrize("step", [1, 2**40])  # a dense table, then a sort
+def test_from_edges_keys_do_not_overflow_past_46341_nodes(step):
+    # 50,000 nodes: a key vertex * n + neighbor passes 2^31.  The path runs
+    # through the ids in random order, with edges in either orientation, a
+    # self-loop and a repeated edge.
+    rng = np.random.default_rng(5)
+    path = rng.permutation(50_000).astype(np.uint64) * np.uint64(step) + 7
+    edges = np.stack((path[:-1], path[1:]), axis=1)
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    edges = np.concatenate((edges, [[path[9], path[9]], edges[3, ::-1]]))
+    got = Graph.from_edges(edges)
+    want = oracles.graph_from_edges(edges.tolist())
+    assert oracles.ext_ids(got) == oracles.ext_ids(want)
+    assert oracles.adjacency(got) == oracles.adjacency(want)
+    assert got.load_report == want.load_report
+    assert got.digest == want.digest
+    assert (got.load_report.self_loops_dropped,
+            got.load_report.duplicates_collapsed) == (1, 1)
+
+
+@pytest.mark.parametrize("edges,extra", [
+    ([(3, 3)], []),                          # self-loops alone: no edges
+    ([(3, 3), (9, 9), (3, 3)], [4]),
+    ([(1, 2), (2, 1), (1, 2), (2, 2)], []),  # every edge but one repeats
+    (np.array([[5, 6], [6, 5]], dtype=np.uint64), [2**64 - 1]),
+])
+def test_from_edges_of_only_loops_and_repeats(edges, extra):
+    got = Graph.from_edges(edges, extra_nodes=extra)
+    want = oracles.graph_from_edges(np.asarray(edges).tolist(), extra)
+    assert oracles.ext_ids(got) == oracles.ext_ids(want)
+    assert oracles.adjacency(got) == oracles.adjacency(want)
+    assert got.load_report == want.load_report
+    assert got.digest == want.digest
+
+
+def test_the_constructor_copies_its_arrays():
+    indptr = np.array([0, 1, 3, 4])
+    indices = np.array([1, 0, 2, 1])
+    ids = np.array([10, 20, 30], dtype=np.uint64)
+    g = Graph(indptr, indices, ids)
+    want = oracles.adjacency(g), oracles.ext_ids(g), g.digest
+    for array in (indptr, indices, ids):
+        assert array.flags.writeable
+        array[:] = array[::-1]
+    assert (oracles.adjacency(g), oracles.ext_ids(g), g.digest) == want
+    with pytest.raises(ValueError, match="read-only"):
+        g.adjacency_arrays[1][0] = 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edge_list(), st.sampled_from([1, 2, 3, 7]))
+def test_loader_reads_across_scan_parts(text, scan):
+    # The parser scans the text, and reads its tokens, a part at a time;
+    # tiny parts put token and line ends on every part boundary.
+    want = _outcome(load_edge_list, text)
+    with mock.patch.object(graph, "_SCAN", scan):
+        got = _outcome(load_edge_list, text)
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert getattr(got, "line_number", None) == getattr(
+            want, "line_number", None)
+    else:
+        assert (oracles.adjacency(got), oracles.ext_ids(got),
+                got.load_report) == (oracles.adjacency(want),
+                                     oracles.ext_ids(want), want.load_report)
+
+
+def _traced(call):
+    """What ``call`` returns, and the traced bytes it keeps and peaks at."""
+    tracemalloc.start()
+    try:
+        kept = call()
+        return (kept, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_builds_peak_within_a_bound_of_what_they_keep():
+    # BA(20k, 5) holds about 1.8 MiB of arrays.  The bounds are the peaks
+    # over what each call keeps, as measured, with about 25% headroom.
+    barabasi_albert(300, 5, 1)  # warms numpy's first calls
+    g, kept, peak = _traced(lambda: barabasi_albert(20000, 5, 1))
+    assert peak <= 3.5 * kept
+    edges = g._edge_array()
+    built, kept, peak = _traced(lambda: Graph.from_edges(edges))
+    assert built.digest == g.digest
+    assert peak <= 2.2 * kept
+    sink = io.StringIO()
+    write_edge_list(g, sink)
+    text = sink.getvalue().encode()
+    loaded, kept, peak = _traced(lambda: load_edge_list(io.BytesIO(text)))
+    assert loaded.digest == g.digest
+    assert peak <= 3.8 * kept
 
 
 # -- components against the breadth-first reference ---------------------------
