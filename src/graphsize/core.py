@@ -108,6 +108,9 @@ def _auxiliary_counts(s: Sample, mode: str) -> np.ndarray:
     return np.minimum(counts, 1) if mode == MODE_SET else counts
 
 
+_FSUM_STEPS_FROM = 700  # math.fsum is faster below (break-even 700-800 terms)
+
+
 def _fsum(values: np.ndarray) -> float:
     """The correctly rounded sum of a 1-D array: the same float as
     ``math.fsum(values.tolist())``, at the cost of a few whole-array steps.
@@ -122,13 +125,16 @@ def _fsum(values: np.ndarray) -> float:
     total.  Each step clears about 53 - m binades of the terms' exponent
     range, so the step count grows with that range: two steps for inverse
     degrees, about twenty for terms spread over 1e-100..1e100.  math.fsum
-    of the whole input answers instead where the steps are not exact or
-    not needed: an empty or all-zero array (the sign of zero), a value that
-    is not finite, a maximum at or above 2^(1000 - m) (sigma would
-    overflow, and math.fsum may raise), or a step whose maximum falls below
-    2^-900 (its grid would be subnormal).
+    of the whole input answers instead where it is faster, below
+    ``_FSUM_STEPS_FROM`` terms, or where the steps are not exact or not
+    needed: an all-zero array (the sign of zero), a value that is not
+    finite, a maximum at or above 2^(1000 - m) (sigma would overflow, and
+    math.fsum may raise), or a step whose maximum falls below 2^-900 (its
+    grid would be subnormal).
     """
     p = values.astype(np.float64)
+    if len(p) < _FSUM_STEPS_FROM:
+        return math.fsum(memoryview(p))
     m = (2 * len(p)).bit_length()
     huge = math.ldexp(1.0, 1000 - m)
     q = np.empty_like(p)

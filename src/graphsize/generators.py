@@ -7,7 +7,7 @@ All generators are deterministic given their parameters and seed, and return
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,25 +49,26 @@ def barabasi_albert(n: int, m: int, seed: int) -> Graph:
     Starts from an m-node path; attachment targets are drawn from the
     repeated-endpoints list, without duplicate targets per new node.  Each
     draw is the value of ``rng.integers(len(repeated))`` on
-    ``default_rng(seed)``, replayed from the raw PCG64 stream by
-    :func:`bounded_draws`, which takes about half the time of one
-    ``rng.integers`` call per node for the draws it still needs.
+    ``default_rng(seed)``, replayed by :func:`attachment_targets` from the
+    raw PCG64 stream that :func:`raw_words` reads.  A size whose last node
+    would draw from 2^32 or more entries is rejected before any draw.
     """
     if m < 1 or n <= m:
         raise ValueError("need n > m >= 1")
+    last = 1 + 2 * (n - 2) if m == 1 else 2 * (m - 1) + 2 * m * (n - 1 - m)
+    if last > _WORD:
+        raise ValueError(f"nodes={n}, m={m}: the last node would draw from "
+                         f"{last} endpoints, over the 2^32 - 1 that a 32-bit "
+                         f"draw can index")
     words = raw_words(np.random.default_rng(seed).bit_generator)
     # The path's edge endpoints in order; with no edge (m = 1), its node.
     repeated = [end for i in range(m - 1) for end in (i, i + 1)] or [0]
     for v in range(m, n):
-        # A set's iteration order fixes the order of ``repeated`` and so
-        # every later draw; it must stay a set.
-        targets: set[int] = set()
-        for draw in bounded_draws(words, len(repeated)):
-            targets.add(repeated[draw])
-            if len(targets) == m:
-                break
-        for t in targets:
-            repeated += [t, v]
+        # Each target t adds t, v.  A set's iteration order fixes the order
+        # of ``repeated`` and so every later draw; it must stay a set.
+        block = [v] * (2 * m)
+        block[::2] = attachment_targets(words, repeated, m)
+        repeated += block
     # Entries pair up into edges, after the lone path node when m = 1.
     edges = np.array(repeated, dtype=np.uint64)[len(repeated) % 2:]
     del repeated
@@ -87,19 +88,22 @@ def raw_words(bit_generator: np.random.BitGenerator) -> Iterator[int]:
         for raw in map(bit_generator.random_raw, repeat(4096)))
 
 
-def bounded_draws(words: Iterator[int], bound: int) -> Iterator[int]:
-    """The values of successive ``Generator.integers(bound)`` calls that
-    read ``words``, by Lemire's multiply-shift method ("Fast Random Integer
-    Generation in an Interval", ACM TOMACS 2019): a word w gives
-    ``(w * bound) >> 32``, unless ``(w * bound) mod 2^32`` is below
-    ``2^32 mod bound``: then it is skipped.  A bound of 1 reads no word,
-    and no word is read before its draw is taken."""
-    if not 1 <= bound <= _WORD:
-        raise ValueError(f"bound {bound} is outside [1, 2^32)")
-    threshold = (_WORD + 1 - bound) % bound
-    return repeat(0) if bound == 1 else (
-        scaled >> 32 for scaled in map(bound.__mul__, words)
-        if scaled & _WORD >= threshold)
+def attachment_targets(words: Iterator[int], repeated: Sequence[int],
+                       m: int) -> set[int]:
+    """The first m distinct values that successive
+    ``Generator.integers(len(repeated))`` calls reading ``words`` pick from
+    ``repeated``, by Lemire's multiply-shift method (ACM TOMACS 2019): a
+    word w gives ``(w * bound) >> 32``, unless ``(w * bound) mod 2^32`` is
+    below ``2^32 mod bound``.  A bound of 1 reads no word, and no word is
+    read past the m-th value."""
+    bound, targets = len(repeated), set()
+    threshold = (_WORD + 1) % bound
+    for w in words if bound > 1 else repeat(0):
+        scaled = w * bound
+        if scaled & _WORD >= threshold:
+            targets.add(repeated[scaled >> 32])
+            if len(targets) == m:
+                return targets
 
 
 def ring_of_cliques(num_cliques: int, clique_size: int) -> Graph:

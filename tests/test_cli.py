@@ -498,6 +498,24 @@ def test_bad_generator_value_is_config_error(tmp_path, capsys, spec, message):
         assert message in err
 
 
+def test_an_oversize_ba_is_refused_before_it_draws():
+    # Without the size check this spec grows a Python list until memory
+    # runs out, so the child gets 1 GiB of address space and 20 s of CPU.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+    src = str(Path(graphsize.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "graphsize.cli", "graphstat",
+         "gen:ba:nodes=2147483648,m=2,seed=1"], capture_output=True,
+        text=True, preexec_fn=cap, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert (done.returncode, done.stdout) == (2, "")
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: ") and "nodes=2147483648, m=2:" in line
+
+
 @pytest.mark.parametrize("argv, message", [
     (["estimate", "--sample", "s.tsv", "--estimator", "capture", "--seed",
       "abc"], "argument --seed: invalid int value: 'abc'"),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 from dataclasses import replace
 from fractions import Fraction
 
@@ -277,6 +278,21 @@ def test_fsum_special_values(values):
             _assert_fsum_is_math_fsum(np.array(values + [-0.0] * padding)
                                       .astype(np.dtype("f8")
                                               .newbyteorder(order)))
+
+
+@pytest.mark.parametrize("n", [0, 1, core._FSUM_STEPS_FROM - 1,
+                               core._FSUM_STEPS_FROM, 4000])
+@pytest.mark.parametrize("kind", ["-0.0", "inf", "nan", "spread"])
+def test_fsum_is_math_fsum_bit_for_bit_on_either_side_of_its_cutoff(n, kind):
+    # Below the cutoff _fsum is math.fsum; from it on, the steps answer.
+    rng = np.random.default_rng(n)
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    if kind == "-0.0":
+        x[:] = -0.0
+    elif kind != "spread" and n:
+        x[rng.integers(n)] = float(kind)
+    got, want = _fsum(x), math.fsum(x.tolist())
+    assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def _every_estimate(sample):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from graphsize.generators import (barabasi_albert, bounded_draws,
+from graphsize import generators
+from graphsize.generators import (attachment_targets, barabasi_albert,
                                   erdos_renyi, grid_2d, raw_words,
                                   ring_of_cliques)
 from graphsize.graph import Graph, largest_connected_component, size_identity
@@ -135,6 +136,8 @@ def test_ba_matches_the_integers_reference(n, m, seed):
 @pytest.mark.parametrize("args", [(2000, 3, 1), (20000, 5, 1), (300, 1, 2),
                                   (50, 7, 9), (2, 1, 0)])
 def test_ba_matches_the_integers_reference_at_bench_sizes(args):
+    # (20000, 5, 1) reads 100,144 words, rejects one of them and draws 168
+    # duplicate targets, so it takes the rejection branch of the draw.
     want = oracles.barabasi_albert(*args).digest
     assert barabasi_albert(*args).digest == want
 
@@ -161,13 +164,19 @@ def test_er_matches_the_one_gap_per_call_reference(n, p, seed):
 _EDGE_BOUNDS = [1, 2, 3, 2**31, 2**31 + 1, 2**32 - 1]
 
 
+def _draws(words, bound, count):
+    """``count`` draws below ``bound`` by the draw code BA runs: with
+    ``range(bound)`` as the endpoints, one target is one draw."""
+    return [next(iter(attachment_targets(words, range(bound), 1)))
+            for _ in range(count)]
+
+
 @pytest.mark.parametrize("bound", _EDGE_BOUNDS)
 def test_bounded_draws_replay_integers_at_the_edges(bound):
     rng = np.random.default_rng(5)
-    draws = bounded_draws(raw_words(np.random.default_rng(5).bit_generator),
-                          bound)
+    words = raw_words(np.random.default_rng(5).bit_generator)
     want = [int(rng.integers(bound)) for _ in range(3000)]
-    assert [next(draws) for _ in range(3000)] == want
+    assert _draws(words, bound, 3000) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -175,15 +184,44 @@ def test_bounded_draws_replay_integers_at_the_edges(bound):
                           st.integers(1, 2**32 - 1)), min_size=1, max_size=60),
        st.integers(0, 2**64 - 1))
 def test_bounded_draws_replay_integers(bounds, seed):
-    # A fresh draw iterator per bound, as barabasi_albert makes one per node.
+    # One call per bound, as barabasi_albert makes one per node: no call
+    # may read a word that the next one needs.
     rng = np.random.default_rng(seed)
     words = raw_words(np.random.default_rng(seed).bit_generator)
     want = [int(rng.integers(b)) for b in bounds]
-    assert [next(bounded_draws(words, b)) for b in bounds] == want
+    assert [_draws(words, b, 1)[0] for b in bounds] == want
 
 
-@pytest.mark.parametrize("bound", [0, -1, 2**32, 2**40])
-def test_bounded_draws_reject_bounds_outside_32_bits(bound):
-    words = raw_words(np.random.default_rng(0).bit_generator)
-    with pytest.raises(ValueError, match="outside"):
-        bounded_draws(words, bound)
+def _last_bound(n, m):
+    """How many endpoints the last node of BA(n, m) draws from."""
+    return 1 + 2 * (n - 2) if m == 1 else 2 * (m - 1) + 2 * m * (n - 1 - m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+def test_ba_rejects_a_size_whose_draws_pass_32_bits(m, monkeypatch):
+    bounds = []
+
+    def recording(words, repeated, m):
+        bounds.append(len(repeated))
+        return attachment_targets(words, repeated, m)
+
+    monkeypatch.setattr(generators, "attachment_targets", recording)
+    barabasi_albert(60, m, 3)
+    assert bounds[-1] == _last_bound(60, m)
+    # The largest n whose last node draws from at most 2^32 - 1 endpoints
+    # passes the check and starts drawing; one more node is refused first.
+    largest = (2**31 + 1 if m == 1
+               else m + 1 + (2**32 - 2 * m + 1) // (2 * m))
+    assert _last_bound(largest, m) < 2**32 <= _last_bound(largest + 1, m)
+
+    class Drawing(Exception):
+        pass
+
+    def refuse(bit_generator):
+        raise Drawing
+
+    monkeypatch.setattr(generators, "raw_words", refuse)
+    with pytest.raises(Drawing):
+        barabasi_albert(largest, m, 0)
+    with pytest.raises(ValueError, match=f"nodes={largest + 1}, m={m}:"):
+        barabasi_albert(largest + 1, m, 0)
