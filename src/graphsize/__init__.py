@@ -17,9 +17,8 @@ from .ind_estimators import (density_wis, inda_wis_ratio, indb_wis_ratio,
 from .node_estimators import (capture_recapture_from_sample, mle_unique_approx,
                               mle_unique_exact, node_uis_ratio,
                               node_wis_ratio)
-from .rw_correction import (estimate_thinned, ind_margin_ratio,
-                            margin_crosswalker, margin_ratios,
-                            node_margin_ratio, surviving_pair_count,
+from .rw_correction import (estimate_thinned, margin_crosswalker,
+                            margin_ratios, surviving_pair_count,
                             thin_shifted, thin_simple)
 from .sampling import (Sample, SamplingError, read_sample, sample_rw,
                        sample_rw_multi, sample_uis, sample_wis, write_sample)

@@ -91,33 +91,29 @@ ESTIMATORS = {
 class Correction(NamedTuple):
     methods: tuple[str, ...]  # the sampling methods it needs
     param: str | None = None  # the grid parameter it sweeps besides n
-    apply: Callable | None = None  # (sample, spec), for the estimator's own
-    # (sample, spec, values of param) -> one RatioEstimate per value, where
-    # one call costs less than a call per value
-    sweep: Callable | None = None
+    # (sample, spec, values of param) -> one result per value, for the
+    # estimator's own; without a param, one result for the one value None
+    grid: Callable | None = None
 
 
 def _thinned(shifted: bool) -> Callable:
     # Thins the estimator's own ratio; a walk estimator's ratio takes no seed.
-    return lambda s, est: estimate_thinned(
-        s, est.theta, lambda sub: ESTIMATORS[est.name].estimate(sub, est, 0),
-        shifted=shifted)
+    return lambda s, est, thetas: [estimate_thinned(
+        s, theta, lambda sub: ESTIMATORS[est.name].estimate(sub, est, 0),
+        shifted=shifted) for theta in thetas]
 
 
-# rw_correction names its cross-walker bases by their family (node-, ind-).
 WALKS = ("rw", "rw-multi")
+# rw_correction names the margin and cross-walker bases by their estimator's
+# family (node-, ind-).
 CORRECTIONS = {
     "none": Correction(tuple(METHODS)),
     "thin": Correction(WALKS, "theta", _thinned(False)),
     "thin-shifted": Correction(WALKS, "theta", _thinned(True)),
-    "margin": Correction(WALKS, "m", lambda s, est:
-                         rw.node_margin_ratio(s, est.m) if est.name == "node-wis"
-                         else rw.ind_margin_ratio(s, est.m, est.a_mode),
-                         lambda s, est, ms: rw.margin_ratios(
-                             s, ms, est.name.split("-")[0], est.a_mode)),
-    "cross-walker": Correction(("rw-multi",), None, lambda s, est:
-                               margin_crosswalker(s, est.name.split("-")[0],
-                                                  est.a_mode)),
+    "margin": Correction(WALKS, "m", lambda s, est, ms: rw.margin_ratios(
+        s, ms, est.name.split("-")[0], est.a_mode)),
+    "cross-walker": Correction(("rw-multi",), None, lambda s, est, _: [
+        margin_crosswalker(s, est.name.split("-")[0], est.a_mode)]),
 }
 
 
@@ -140,7 +136,7 @@ def check_spec(method: str | None, est: EstimatorSpec, param: str = "n") -> None
     if est.m < 0:
         raise PlanError(f"margin must be >= 0, got {est.m}")
     correction = CORRECTIONS[est.correction]
-    if correction.apply and not ESTIMATORS[est.name].walk_corrections:
+    if correction.grid and not ESTIMATORS[est.name].walk_corrections:
         raise PlanError(
             f"correction {_excerpt(est.correction)} does not apply to "
             f"{est.name}")
@@ -238,9 +234,14 @@ def evaluate_with_ratio(sample: Sample, est: EstimatorSpec, seed: int = 0):
     numerator/denominator pair.
     """
     check_spec(None, est)
-    apply = CORRECTIONS[est.correction].apply
-    result = (apply(sample, est) if apply
-              else ESTIMATORS[est.name].estimate(sample, est, seed))
+    correction = CORRECTIONS[est.correction]
+    if correction.grid:
+        value = getattr(est, correction.param) if correction.param else None
+        return _with_outcome(correction.grid(sample, est, [value])[0])
+    return _with_outcome(ESTIMATORS[est.name].estimate(sample, est, seed))
+
+
+def _with_outcome(result) -> tuple[RatioEstimate | None, EstimateOutcome]:
     if isinstance(result, RatioEstimate):
         return result, result.outcome()
     return None, result
@@ -259,8 +260,8 @@ def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
     the sample of its own size that the seed gives, which is that draw's
     head (per walker for rw-multi): every sampler is prefix-stable.  For
     theta/m grids the parameter is swept over the one sample, mirroring how
-    a real crawl would be post-processed, and a correction with a
-    ``sweep`` answers the whole grid in one call.
+    a real crawl would be post-processed: the correction's grid call answers
+    the whole grid at once.
     """
     scale = plan.graph.node_count if plan.normalize else 1.0
 
@@ -273,14 +274,9 @@ def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
                              seed)
                     for value in plan.values]
         sample = draw_sample(plan.graph, plan.sampler, seed)
-        sweep = CORRECTIONS[plan.estimator.correction].sweep
-        if sweep:
-            return [ratio.outcome() for ratio in sweep(
-                sample, plan.estimator, [int(v) for v in plan.values])]
-        return [evaluate(sample,
-                         replace(plan.estimator, **{plan.param: int(value)}),
-                         seed)
-                for value in plan.values]
+        grid = CORRECTIONS[plan.estimator.correction].grid
+        return [_with_outcome(result)[1] for result in grid(
+            sample, plan.estimator, [int(v) for v in plan.values])]
 
     per_trial = [run_trial(t) for t in range(plan.trials)]
     summaries = []

@@ -10,17 +10,19 @@ excludes a window [lo_i, hi_i) of positions, the positions within m steps
 for a margin, the positions of its own walker for cross-walker filtering.
 All their sums run over ordered pairs (i, j), i != j, and are computed as
 full-pair totals minus within-window totals.  Each call checks the weights,
-then builds what no window changes: where each rank occurs among the
-positions or is named by their snapshots (:class:`Occurrences`) and, for
-the node and multiset windows, the prefix sums of the inverse weights and
-the exact full-pair total (:class:`Windows`).  A window then costs one
+then builds what no window changes.  For the node and multiset windows
+(:class:`Windows`) that is the sorted keys of where each rank occurs among
+the positions or is named by their snapshots (:func:`_keys`), each rank's
+count of them, the prefix sums of the inverse weights and the exact
+full-pair total.  A window then costs one
 prefix-window exact sum for its numerator and, for its denominator, one
 exact sum over counts that one search call over both window edges finds
 (:func:`_inside`).  :func:`margin_ratios` answers a grid of margins in one
 call: it searches once, at the widest, then buckets the pairs inside those
 windows by distance to count every narrower margin, unless the pairs
-outnumber the narrower windows' search needles.  Set mode reads the
-mentions' first and last positions, one margin at a time.  Thinning slices
+outnumber the narrower windows' search needles.  Set mode reads each
+rank's first and last mentioning position off the snapshot CSR
+(:func:`_mention_spans`), one margin at a time.  Thinning slices
 the rank column over the parent's shared CSR.
 """
 
@@ -30,9 +32,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (MODE_SET, NO_COLLISIONS, EstimateOutcome, EstimatorError,
-                   RatioEstimate, _check_mode, _check_weights, _fsum,
-                   aggregate_ratios)
+from .core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS, EstimateOutcome,
+                   EstimatorError, RatioEstimate, _auxiliary_counts,
+                   _check_mode, _check_weights, _fsum, aggregate_ratios)
 from .graph import _ranges
 from .sampling import Sample
 
@@ -82,24 +84,12 @@ def estimate_thinned(s: Sample, theta: int,
 _PAIRS_PER_NEEDLE = 1
 
 
-class Occurrences(NamedTuple):
-    """Where each rank occurs in a sample of n positions.  An occurrence of
-    rank r at position p is the key r * (n + 1) + p, so the sorted keys list
-    each rank's positions in order, and counting a rank's occurrences in a
-    window of positions takes two binary searches."""
-
-    keys: np.ndarray   # sorted; int32 when every key fits
-    first: np.ndarray  # first position per rank, n if none
-    last: np.ndarray   # last position per rank, -1 if none
-    own: np.ndarray    # counts of each sampled occurrence's rank, in the
-                       # key order of the sample's own occurrences
-
-
 class Windows(NamedTuple):
     """What the node or multiset windows of one call read and no window
     changes; per-occurrence arrays follow the sample's own key order."""
 
-    counted: Occurrences  # the sample's own occurrences (node) or mentions
+    counted: np.ndarray   # sorted keys of own occurrences (node) or mentions
+    own: np.ndarray       # those of each sampled occurrence's rank, counted
     keys: np.ndarray      # the sample's own occurrence keys
     prefix: np.ndarray    # running sums of 1 / weight, from 0 (n + 1 values)
     total: float          # fsum(values) * fsum(1 / weights)
@@ -109,29 +99,13 @@ class Windows(NamedTuple):
     keyed_inverse: np.ndarray | None  # multiset: 1 / weight by occurrence
 
 
-def _occurrences(s: Sample, mentions: bool = False) -> Occurrences:
-    """Each position's node, as one occurrence of its rank; or, with
-    ``mentions``, each snapshot entry, as an occurrence of the rank it names
-    at the position carrying it."""
-    keys = _keys(s, mentions)
-    n, size = len(s), len(s.ids)
-    stride = n + 1
-    bounds = np.searchsorted(keys, np.arange(0, (size + 1) * stride, stride,
-                                             dtype=keys.dtype))
-    counts = np.diff(bounds)
-    carried = np.flatnonzero(counts)
-    first = np.full(size, n, dtype=np.int64)
-    last = np.full(size, -1, dtype=np.int64)
-    first[carried] = keys[bounds[carried]] - carried * stride
-    last[carried] = keys[bounds[carried + 1] - 1] - carried * stride
-    # Sorted by key, the sample's own occurrences run through its ranks in
-    # order, each rank as often as it is sampled.
-    own = np.repeat(counts, np.bincount(s.rank_column, minlength=size))
-    return Occurrences(keys, first, last, own)
-
-
 def _keys(s: Sample, mentions: bool = False) -> np.ndarray:
-    """The sorted keys of :func:`_occurrences`, alone."""
+    """Where each rank occurs in ``s``: each position's node as one
+    occurrence of its rank or, with ``mentions``, each snapshot entry as an
+    occurrence of the rank it names at the position carrying it.  An
+    occurrence of rank r at position p is the key r * (n + 1) + p, so the
+    sorted keys list each rank's positions in order, and counting a rank's
+    occurrences in a window of positions takes two binary searches."""
     n, size = len(s), len(s.ids)
     if mentions:
         lengths = s.degree_column
@@ -156,18 +130,38 @@ def _keys(s: Sample, mentions: bool = False) -> np.ndarray:
     return keys
 
 
+def _mention_spans(s: Sample) -> tuple[np.ndarray, np.ndarray]:
+    """Each rank's first and last position whose snapshot names it, n and
+    -1 where none does, read off the CSR: a rank's first mention is the
+    first position of any row naming it.  Rows of the CSR view that ``s``
+    does not hold keep n and -1, so they lower or raise nothing."""
+    n, spans = len(s), []
+    for at, none in ((np.minimum.at, n), (np.maximum.at, -1)):
+        row = np.full(len(s.offsets) - 1, none, dtype=np.int64)
+        at(row, s.rank_column, np.arange(n))
+        mention = np.full(len(s.ids), none, dtype=np.int64)
+        at(mention, s.entries, np.repeat(row, np.diff(s.offsets)))
+        spans.append(mention)
+    return tuple(spans)
+
+
 def _windows(s: Sample, node: bool) -> Windows:
     """The node or multiset basis of ``s``, whose weights the caller has
-    checked.  A multiset basis counts mentions, and of the sample's own
-    occurrences reads only their keys."""
-    counted = _occurrences(s, mentions=not node)
-    keys = counted.keys if node else _keys(s)
+    checked.  A rank's count is how often it is sampled (node) or named by
+    the sampled snapshots (multiset)."""
+    keys = _keys(s)
+    counted = keys if node else _keys(s, mentions=True)
+    sampled = np.bincount(s.rank_column, minlength=len(s.ids))
+    # Sorted by key, the sample's own occurrences run through its ranks in
+    # order, each rank as often as it is sampled.
+    own = np.repeat(sampled if node else _auxiliary_counts(s, MODE_MULTISET),
+                    sampled)
     position = keys % (len(s) + 1)
     inverse = 1.0 / s.weight_column
     # The degrees' exact integer sum, rounded once, is their fsum.
     total = (_fsum(s.weight_column) if node
              else float(int(s.degree_column.sum()))) * _fsum(inverse)
-    return Windows(counted, keys,
+    return Windows(counted, own, keys,
                    np.concatenate(([0.0], np.cumsum(inverse))), total,
                    s.weight_column if node else s.degree_column, position,
                    keys - position, None if node else inverse[position])
@@ -184,20 +178,14 @@ def _margin_window(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(i - m, 0), np.minimum(i + m + 1, n)
 
 
-def _window_sums(w: Windows, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The inverse weights summed over each window [lo_i, hi_i) of
-    positions, by position."""
-    return w.prefix[hi] - w.prefix[lo]
-
-
 def _inside(w: Windows, lo: np.ndarray, hi: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
     """For each occurrence of a sampled node, in the sample's key order:
-    where the occurrences in ``w.counted`` of its rank inside its window
-    [lo, hi) of positions start in their keys, and how many there are.
-    The windows' edges, as keys, ascend in each half, so the one search
-    call walks the keys forwards twice."""
-    keys = w.counted.keys
+    where the keys in ``w.counted`` of its rank inside its window [lo, hi)
+    of positions start, and how many there are.  The windows' edges, as
+    keys, ascend in each half, so the one search call walks the keys
+    forwards twice."""
+    keys = w.counted
     edges = np.concatenate((w.base + lo[w.position], w.base + hi[w.position]))
     found = np.searchsorted(keys, edges.astype(keys.dtype, copy=False))
     n = len(w.position)
@@ -208,12 +196,13 @@ def _inside(w: Windows, lo: np.ndarray, hi: np.ndarray
 # the exact total minus, for each i, values_i times i's window sum of inv.
 
 
-def _window_ratio(w: Windows, sums: np.ndarray,
+def _window_ratio(w: Windows, lo: np.ndarray, hi: np.ndarray,
                   inside: np.ndarray) -> RatioEstimate:
-    """A node or multiset window's ratio, from each position's window sum
-    of inverse weights and each sampled occurrence's count of its rank's
+    """A node or multiset ratio over the windows [lo_i, hi_i) of
+    positions, given each sampled occurrence's count of its rank's
     occurrences (node) or mentions (multiset) inside its window."""
-    outside = w.counted.own - inside
+    outside = w.own - inside
+    sums = w.prefix[hi] - w.prefix[lo]  # each window's sum of 1 / weight
     return RatioEstimate(w.total - _fsum(w.values * sums),
                          float(outside.sum()) if w.keyed_inverse is None
                          else _fsum(w.keyed_inverse * outside))
@@ -221,25 +210,26 @@ def _window_ratio(w: Windows, sums: np.ndarray,
 
 def _searched_ratio(w: Windows, lo: np.ndarray,
                     hi: np.ndarray) -> RatioEstimate:
-    return _window_ratio(w, _window_sums(w, lo, hi), _inside(w, lo, hi)[1])
+    return _window_ratio(w, lo, hi, _inside(w, lo, hi)[1])
 
 
-def _set_window_ratio(s: Sample, occ: Occurrences, lo: np.ndarray,
-                      hi: np.ndarray) -> RatioEstimate:
-    # Set mode reads only the mentions ``occ``: no window total or key edge.
+def _set_window_ratio(s: Sample, first: np.ndarray, last: np.ndarray,
+                      lo: np.ndarray, hi: np.ndarray) -> RatioEstimate:
+    # Set mode reads only each rank's first and last mention: no window
+    # total or key edge.
     n, inv = len(s), 1.0 / s.weight_column
     # A neighbor node is invisible from position j iff all positions carrying
     # it fall inside j's window; lo and hi never decrease, so that happens
     # exactly for j in an interval.  A rank no position mentions (first n,
     # last -1) is invisible from every j, so it cancels out of the count.
-    lo_j = np.searchsorted(hi, occ.last, "right")
-    hi_j = np.searchsorted(lo, occ.first, "right") - 1
+    lo_j = np.searchsorted(hi, last, "right")
+    hi_j = np.searchsorted(lo, first, "right") - 1
     hidden = lo_j <= hi_j
     missing = np.cumsum(np.bincount(lo_j[hidden], minlength=n + 1)
                         - np.bincount(hi_j[hidden] + 1, minlength=n + 1))[:n]
-    num = _fsum(inv * (len(occ.first) - missing))
+    num = _fsum(inv * (len(first) - missing))
     r = s.rank_column
-    seen = (occ.first[r] < lo) | (occ.last[r] >= hi)
+    seen = (first[r] < lo) | (last[r] >= hi)
     return RatioEstimate(num, _fsum(inv[seen]))
 
 
@@ -258,13 +248,12 @@ def _grid_ratios(w: Windows, grid: list[int]) -> dict[int, RatioEstimate]:
     *narrower, widest = grid
     lo, hi = _margin_window(n, widest)
     starts, inside = _inside(w, lo, hi)
-    ratios = {widest: _window_ratio(w, _window_sums(w, lo, hi), inside)}
+    ratios = {widest: _window_ratio(w, lo, hi, inside)}
     del lo, hi
     if narrower and (inside.sum()
                      <= _PAIRS_PER_NEEDLE * 2 * n * len(narrower)):
         for m, within in zip(narrower, _bucketed(w, starts, inside, grid)):
-            ratios[m] = _window_ratio(
-                w, _window_sums(w, *_margin_window(n, m)), within)
+            ratios[m] = _window_ratio(w, *_margin_window(n, m), within)
         return ratios
     del starts, inside
     for m in narrower:
@@ -276,11 +265,11 @@ def _bucketed(w: Windows, starts: np.ndarray, inside: np.ndarray,
               grid: list[int]) -> np.ndarray:
     """One row per margin of the ascending ``grid`` but its widest, the
     last: row j holds, for each sampled occurrence k, its rank's
-    occurrences in ``w.counted`` at most ``grid[j]`` positions away.  Those
+    keys in ``w.counted`` at most ``grid[j]`` positions away.  Those
     in k's widest window are ``keys[starts[k]:starts[k] + inside[k]]`` of
     them; each such pair is counted at the first margin that reaches its
     distance, and the rows are running sums over the margins."""
-    n, rows, keys = len(w.position), len(grid) - 1, w.counted.keys
+    n, rows, keys = len(w.position), len(grid) - 1, w.counted
     label = np.int32 if n * len(grid) <= 2**31 - 1 else np.int64
     occurrence = np.repeat(np.arange(n, dtype=label), inside)
     at = (np.int32 if max(len(keys), len(occurrence)) <= 2**31 - 1
@@ -299,7 +288,8 @@ def _bucketed(w: Windows, starts: np.ndarray, inside: np.ndarray,
 
 def margin_ratios(s: Sample, ms: Sequence[int], base: str,
                   a_mode: str) -> list[RatioEstimate]:
-    """Margin-filtered ratios, one per m of ``ms``, in that order.
+    """Margin-filtered ratios, one per m of ``ms``, in that order: the one
+    margin entry, so a single margin is ``margin_ratios(s, [m], ...)[0]``.
 
     Each counts the ordered pairs of positions more than m steps apart; an
     m of n - 1 or more leaves none, and the ratio 0/0.  The ``node`` base
@@ -315,9 +305,10 @@ def margin_ratios(s: Sample, ms: Sequence[int], base: str,
     and documented in the README.
 
     Node and multiset margins share one search at the widest of them (see
-    :func:`_grid_ratios`); set mode searches each margin's first and last
-    mentions.  Every margin and ``a_mode`` are checked for either base,
-    before the weights, and the weights before any index is built.
+    :func:`_grid_ratios`); set mode searches each margin's windows for
+    every rank's first and last mention.  Every margin and ``a_mode`` are
+    checked for either base, before the weights, and the weights before any
+    index is built.
     """
     for m in ms:
         _check_at_least("margin", m, 0)
@@ -329,25 +320,12 @@ def margin_ratios(s: Sample, ms: Sequence[int], base: str,
                            RatioEstimate(0.0, 0.0))
     grid = sorted(set(ms) - ratios.keys())
     if grid and base == "ind" and a_mode == MODE_SET:
-        mentions = _occurrences(s, mentions=True)
-        ratios.update((m, _set_window_ratio(s, mentions,
-                                            *_margin_window(n, m)))
-                      for m in grid)
+        spans = _mention_spans(s)
+        for m in grid:
+            ratios[m] = _set_window_ratio(s, *spans, *_margin_window(n, m))
     elif grid:
         ratios.update(_grid_ratios(_windows(s, base == "node"), grid))
     return [ratios[m] for m in ms]
-
-
-def node_margin_ratio(s: Sample, m: int) -> RatioEstimate:
-    """Ordered-pair ratio sum(w_i/w_j) over sum(1{s_i=s_j}), pairs > m
-    apart: :func:`margin_ratios` at one margin."""
-    return margin_ratios(s, [m], "node", MODE_SET)[0]
-
-
-def ind_margin_ratio(s: Sample, m: int, a_mode: str) -> RatioEstimate:
-    """Margin-filtered cross-collision ratio in ``a_mode``:
-    :func:`margin_ratios` at one margin."""
-    return margin_ratios(s, [m], "ind", a_mode)[0]
 
 
 def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
@@ -372,8 +350,7 @@ def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
     lo = np.searchsorted(walkers, walkers, "left")
     hi = np.searchsorted(walkers, walkers, "right")
     if base == "ind" and a_mode == MODE_SET:
-        return _set_window_ratio(s, _occurrences(s, mentions=True), lo,
-                                 hi).outcome()
+        return _set_window_ratio(s, *_mention_spans(s), lo, hi).outcome()
     return _searched_ratio(_windows(s, base == "node"), lo, hi).outcome()
 
 

@@ -248,18 +248,25 @@ def relerr(a: float, b: float) -> float:
 OCCURRENCE_FIELDS = ("keys", "first", "last", "own")
 
 
-def occurrence_arrays(sample) -> dict[str, np.ndarray]:
+def occurrence_arrays(sample, ids=None) -> dict[str, np.ndarray]:
     """The sample's rank, weight and degree columns and the arrays of the
-    indexes the margin kernels build for it (``rw_correction._occurrences``
-    of its positions, ``occurrences``, and of its snapshot entries,
-    ``mentions``, and a multiset ``rw_correction._windows``), with their
-    dtypes, from one loop over every position and every snapshot entry it
-    carries."""
+    indexes the margin kernels build for it, with their dtypes, from one
+    loop over every position and every snapshot entry it carries: the
+    sorted keys (``rw_correction._keys``) of its positions, ``occurrences``,
+    and of its snapshot entries, ``mentions``, with each sampled
+    occurrence's count of its rank's keys (``own``); each rank's first and
+    last mention (``rw_correction._mention_spans``); and a multiset
+    ``rw_correction._windows``.
+
+    Ids are ranked by first appearance, among the positions and then the
+    snapshots, or by their index in ``ids`` when given (a subset keeps its
+    parent's ids)."""
     nodes, weights, _, _ = views(sample)
     snapshots = snapshots_at(sample)
     n = len(nodes)
     rank = {}
-    for v in list(nodes) + [u for snapshot in snapshots for u in snapshot]:
+    for v in (list(nodes) + [u for snapshot in snapshots for u in snapshot]
+              if ids is None else ids):
         rank.setdefault(v, len(rank))
     size, stride = len(rank), n + 1
     key_type = np.int32 if size * stride <= 2**31 - 1 else np.int64
@@ -294,12 +301,15 @@ def occurrence_arrays(sample) -> dict[str, np.ndarray]:
                                  dtype=key_type),
         "windows.keyed_inverse": np.array([inverse[p] for _, p in sampled]),
     }
-    for name, pairs in (
-            ("occurrences", [(v, p) for p, v in enumerate(nodes)]),
+    # The kernels read the positions' first and last occurrences nowhere.
+    for name, pairs, kept in (
+            ("occurrences", [(v, p) for p, v in enumerate(nodes)],
+             ("keys", "own")),
             ("mentions", [(u, p) for p, snapshot in enumerate(snapshots)
-                          for u in snapshot])):
+                          for u in snapshot], OCCURRENCE_FIELDS)):
         for field, array in occurrences(pairs).items():
-            arrays[f"{name}.{field}"] = array
+            if field in kept:
+                arrays[f"{name}.{field}"] = array
     return arrays
 
 

@@ -23,9 +23,8 @@ from graphsize.ind_estimators import (density_wis, inda_wis_ratio,
                                       indb_wis_ratio)
 from graphsize.node_estimators import (mle_unique_approx, mle_unique_exact,
                                        node_uis_ratio, node_wis_ratio)
-from graphsize.rw_correction import (estimate_thinned, ind_margin_ratio,
-                                     margin_crosswalker, node_margin_ratio,
-                                     surviving_pair_count)
+from graphsize.rw_correction import (estimate_thinned, margin_crosswalker,
+                                     margin_ratios, surviving_pair_count)
 from graphsize.sampling import (Sample, sample_rw, sample_rw_multi,
                                 sample_uis, sample_wis)
 from graphsize.experiment import percentile
@@ -124,15 +123,15 @@ def test_criterion_02_oracle_equivalence():
                 close(indb_wis_ratio(s, mode).outcome().value,
                       sum(a.values()) * math.fsum(inv) / den)
         for m in (0, 5):
-            got = node_margin_ratio(s, m)
+            got = margin_ratios(s, [m], "node", MODE_SET)[0]
             num, den = oracles.node_margin_parts(s, m)
             close(got.numerator, num)
             close(got.denominator, den)
-            got = ind_margin_ratio(s, m, MODE_MULTISET)
+            got = margin_ratios(s, [m], "ind", MODE_MULTISET)[0]
             num, den = oracles.ind_margin_multiset_parts(s, m)
             close(got.numerator, num)
             close(got.denominator, den)
-            got = ind_margin_ratio(s, m, MODE_SET)
+            got = margin_ratios(s, [m], "ind", MODE_SET)[0]
             num, den = oracles.ind_margin_set_parts(s, m)
             close(got.numerator, num)
             close(got.denominator, den)
@@ -218,7 +217,7 @@ def _margin_medians():
     for t in range(200):
         s = sample_rw(g, 2000, seed=t)
         for m in ms:
-            out = ind_margin_ratio(s, m, MODE_MULTISET).outcome()
+            out = margin_ratios(s, [m], "ind", MODE_MULTISET)[0].outcome()
             if out.finite:
                 vals[m].append(out.value / g.node_count)
     return ms, [(m, _median(vals[m])) for m in ms]
@@ -284,7 +283,7 @@ def test_criterion_08_lattice_failure_mode():
         vals = []
         for t in range(100):
             s = sample_rw(g, 2000, seed=t)
-            out = ind_margin_ratio(s, m, MODE_MULTISET).outcome()
+            out = margin_ratios(s, [m], "ind", MODE_MULTISET)[0].outcome()
             if out.finite:
                 vals.append(out.value / g.node_count)
         walk_medians[m] = _median(vals)
@@ -333,8 +332,9 @@ def test_criterion_10_weight_scale_invariance():
             for fn in (node_wis_ratio,
                        inda_wis_ratio,
                        lambda x: indb_wis_ratio(x, MODE_SET),
-                       lambda x: node_margin_ratio(x, 3),
-                       lambda x: ind_margin_ratio(x, 3, MODE_MULTISET)):
+                       lambda x: margin_ratios(x, [3], "node", MODE_SET)[0],
+                       lambda x: margin_ratios(x, [3], "ind",
+                                               MODE_MULTISET)[0]):
                 base = fn(s).outcome().value
                 got = fn(scaled).outcome().value
                 worst = max(worst, abs(got - base) / abs(base))
@@ -372,14 +372,14 @@ def test_criterion_12_linear_time_margin():
     small = _synthetic_walk_sample(100_000)
     large = _synthetic_walk_sample(200_000)
     for s in (small, large):  # warm up allocators and caches
-        node_margin_ratio(s, 50)
+        margin_ratios(s, [50], "node", MODE_SET)[0]
     # Small and large runs alternate, so that a burst of load on a shared
     # machine slows runs of both sizes rather than the runs of one.
     times = {"small": float("inf"), "large": float("inf")}
     for _ in range(5):
         for name, s in (("small", small), ("large", large)):
             t0 = time.perf_counter()
-            node_margin_ratio(s, 50)
+            margin_ratios(s, [50], "node", MODE_SET)[0]
             times[name] = min(times[name], time.perf_counter() - t0)
     ratio = times["large"] / times["small"]
     ok = ratio <= 2.5

@@ -1085,7 +1085,7 @@ def test_estimate_calls_each_kernel_once(tmp_path, capsys, monkeypatch):
     calls = Counter()
     for module, name in [(node_estimators, "node_wis_ratio"),
                          (ind_estimators, "inda_wis_ratio"),
-                         (rw_correction, "ind_margin_ratio")]:
+                         (rw_correction, "margin_ratios")]:
         def counted(*args, _kernel=getattr(module, name), _name=name):
             calls[_name] += 1
             return _kernel(*args)
@@ -1098,7 +1098,7 @@ def test_estimate_calls_each_kernel_once(tmp_path, capsys, monkeypatch):
         assert code == 0, err
         assert json.loads(out)["numerator"] is not None
     assert calls == {"node_wis_ratio": 1, "inda_wis_ratio": 1,
-                     "ind_margin_ratio": 1}
+                     "margin_ratios": 1}
 
 
 def test_readme_lists_the_tables():

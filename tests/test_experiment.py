@@ -1,3 +1,4 @@
+import itertools
 import os
 from dataclasses import replace
 
@@ -5,12 +6,15 @@ import numpy as np
 import pytest
 
 from graphsize import experiment
-from graphsize.core import NO_COLLISIONS, EstimateOutcome, EstimatorError
-from graphsize.experiment import (EstimatorSpec, ExperimentPlan, PlanError,
-                                  SamplerSpec, TrialSummary, draw_sample,
+from graphsize.core import (A_MODES, NO_COLLISIONS, EstimateOutcome,
+                            EstimatorError)
+from graphsize.experiment import (CORRECTIONS, ESTIMATORS, EstimatorSpec,
+                                  ExperimentPlan, PlanError, SamplerSpec,
+                                  TrialSummary, check_spec, draw_sample,
                                   emit_csv, emit_svg_band, evaluate,
-                                  parse_plan_file, percentile, resolve_graph,
-                                  run_experiment, summarize)
+                                  evaluate_with_ratio, parse_plan_file,
+                                  percentile, resolve_graph, run_experiment,
+                                  summarize)
 from graphsize.generators import barabasi_albert, erdos_renyi
 from graphsize.graph import largest_connected_component
 from graphsize.sampling import _resolve_weights, sample_wis
@@ -137,6 +141,55 @@ def test_n_grid_draws_once_per_trial(monkeypatch):
     run_experiment(_plan(sampler=SamplerSpec("rw-multi", 8, walkers=4),
                          values=(40.0, 8.0, 40.0), trials=3))
     assert sizes == [80, 40, 40, 40]
+
+
+@pytest.mark.parametrize("method", ["rw", "rw-multi"])
+def test_one_value_is_the_grid_call_at_that_value(method):
+    """For every estimator, correction and auxiliary mode the tables admit
+    on a walk, evaluate_with_ratio at one value of the correction's
+    parameter is its grid call's answer at that value, ``==``."""
+    walkers = 3 if method == "rw-multi" else 1
+    sample = draw_sample(SPARSE_LCC, SamplerSpec(method, 90, walkers), 5)
+    grids = {"theta": [4, 1, 3, 200, 4], "m": [5, 0, 2, 200, 5], None: [None]}
+    compared = set()
+    for name, correction, a_mode in itertools.product(
+            ESTIMATORS, CORRECTIONS, A_MODES):
+        row = CORRECTIONS[correction]
+        est = EstimatorSpec(name, correction, a_mode)
+        try:
+            check_spec(method, est, row.param or "n")
+        except PlanError:
+            continue
+        if row.grid is None:
+            continue
+        values = grids[row.param]
+        for value, result in zip(values, row.grid(sample, est, values)):
+            one = replace(est, **{row.param: value}) if row.param else est
+            ratio, outcome = evaluate_with_ratio(sample, one, seed=2)
+            assert result == (outcome if ratio is None else ratio), one
+        compared.add(correction)
+    assert compared == ({"thin", "thin-shifted", "margin", "cross-walker"}
+                        if method == "rw-multi"
+                        else {"thin", "thin-shifted", "margin"})
+
+
+@pytest.mark.parametrize("correction", ["thin", "thin-shifted"])
+@pytest.mark.parametrize("estimator", [
+    EstimatorSpec("node-wis"), EstimatorSpec("ind-b", a_mode="multiset")],
+    ids=["node-wis", "ind-b-multiset"])
+def test_a_theta_grid_is_its_values_one_at_a_time(correction, estimator):
+    """A theta grid's summaries are those of one evaluate call per theta
+    and trial seed, on the trial's one sample."""
+    plan = _plan(graph=SPARSE_LCC, sampler=SamplerSpec("rw", 60),
+                 estimator=replace(estimator, correction=correction),
+                 param="theta", values=(3.0, 1.0, 7.0, 3.0, 90.0), trials=4)
+    seeds = range(plan.base_seed, plan.base_seed + plan.trials)
+    samples = [draw_sample(plan.graph, plan.sampler, seed) for seed in seeds]
+    expected = [summarize(theta, [
+        evaluate(s, replace(plan.estimator, theta=int(theta)), seed)
+        for s, seed in zip(samples, seeds)], plan.graph.node_count)
+        for theta in plan.values]
+    assert run_experiment(plan) == expected
 
 
 def test_weight_tables_are_read_only_and_built_once_per_graph():

@@ -17,9 +17,8 @@ from graphsize.graph import largest_connected_component
 from graphsize.ind_estimators import indb_wis_ratio
 from graphsize.node_estimators import node_wis_ratio
 from graphsize import rw_correction
-from graphsize.rw_correction import (estimate_thinned, ind_margin_ratio,
-                                     margin_crosswalker, margin_ratios,
-                                     node_margin_ratio, surviving_pair_count,
+from graphsize.rw_correction import (estimate_thinned, margin_crosswalker,
+                                     margin_ratios, surviving_pair_count,
                                      thin_shifted, thin_simple)
 from graphsize.sampling import (Sample, read_sample, sample_rw,
                                 sample_rw_multi, write_sample)
@@ -91,10 +90,12 @@ def test_thin_shifted_past_the_sample_length_has_no_empty_part():
 # Each kernel with its sweep parameter set to a value, and that parameter's
 # least valid value.
 PARAMETER_KERNELS = {
-    "node_margin_ratio": (node_margin_ratio, 0),
+    "node_margin_ratio": (
+        lambda s, m: margin_ratios(s, [m], "node", MODE_SET)[0], 0),
     "ind_margin_ratio-multiset": (
-        lambda s, m: ind_margin_ratio(s, m, MODE_MULTISET), 0),
-    "ind_margin_ratio-set": (lambda s, m: ind_margin_ratio(s, m, MODE_SET), 0),
+        lambda s, m: margin_ratios(s, [m], "ind", MODE_MULTISET)[0], 0),
+    "ind_margin_ratio-set": (
+        lambda s, m: margin_ratios(s, [m], "ind", MODE_SET)[0], 0),
     "thin_simple": (thin_simple, 1),
     "thin_shifted": (thin_shifted, 1),
     "estimate_thinned": (
@@ -199,9 +200,12 @@ def test_auxiliary_and_thinned_estimates_are_pinned():
 def test_node_margin_small_examples(k5):
     s = make_sample(k5, [0, 1, 0])
     # 6 / 2, then 2 / 2, then no pair more than 2 steps apart
-    assert node_margin_ratio(s, 0).outcome().value == pytest.approx(3.0)
-    assert node_margin_ratio(s, 1).outcome().value == pytest.approx(1.0)
-    assert node_margin_ratio(s, 2).outcome() == NO_COLLISIONS
+    assert margin_ratios(s, [0], "node", MODE_SET)[0].outcome().value \
+        == pytest.approx(3.0)
+    assert margin_ratios(s, [1], "node", MODE_SET)[0].outcome().value \
+        == pytest.approx(1.0)
+    assert margin_ratios(s, [2], "node", MODE_SET)[0].outcome() \
+        == NO_COLLISIONS
 
 
 def test_node_margin_zero_equals_closed_form():
@@ -217,7 +221,7 @@ def test_node_margin_zero_equals_closed_form():
                 ncol += nodes[i] == nodes[j]
         closed = ((math.fsum(w) * math.fsum(1 / x for x in w) - len(w))
                   / (2 * ncol))
-        assert node_margin_ratio(s, 0).outcome().value \
+        assert margin_ratios(s, [0], "node", MODE_SET)[0].outcome().value \
             == pytest.approx(closed, rel=1e-12)
 
 
@@ -226,7 +230,7 @@ def test_node_margin_matches_pair_loop(m):
     g = _walk_graph(seed=2)
     for seed in (0, 1):
         s = sample_rw(g, 200, seed=seed)
-        got = node_margin_ratio(s, m)
+        got = margin_ratios(s, [m], "node", MODE_SET)[0]
         num, den = oracles.node_margin_parts(s, m)
         assert oracles.relerr(got.numerator, num) < 1e-9
         assert got.denominator == den
@@ -234,15 +238,16 @@ def test_node_margin_matches_pair_loop(m):
 
 def test_ind_margin_triangle_example(triangle):
     s = make_sample(triangle, [0, 1, 2], weights=[2.0, 2.0, 2.0])
-    got = ind_margin_ratio(s, 0, MODE_MULTISET).outcome()
+    got = margin_ratios(s, [0], "ind", MODE_MULTISET)[0].outcome()
     # numerator 6, denominator 3 over ordered far pairs
     assert got.value == pytest.approx(2.0)
 
 
 def test_ind_margin_m_too_large(triangle):
     s = make_sample(triangle, [0, 1, 2])
-    assert ind_margin_ratio(s, 2, MODE_MULTISET).outcome() == NO_COLLISIONS
-    assert ind_margin_ratio(s, 5, MODE_SET).outcome() == NO_COLLISIONS
+    assert margin_ratios(s, [2], "ind", MODE_MULTISET)[0].outcome() \
+        == NO_COLLISIONS
+    assert margin_ratios(s, [5], "ind", MODE_SET)[0].outcome() == NO_COLLISIONS
 
 
 @pytest.mark.parametrize("m", [0, 1, 5, 50])
@@ -251,7 +256,7 @@ def test_ind_margin_matches_pair_loop(m, a_mode):
     g = _walk_graph(seed=3)
     for seed in (0, 1):
         s = sample_rw(g, 150, seed=seed)
-        got = ind_margin_ratio(s, m, a_mode)
+        got = margin_ratios(s, [m], "ind", a_mode)[0]
         oracle = (oracles.ind_margin_multiset_parts
                   if a_mode == MODE_MULTISET
                   else oracles.ind_margin_set_parts)
@@ -264,7 +269,7 @@ def test_ind_margin_set_mode_golden():
     # pins the deduplicated counting rule on a hand-checkable walk
     g = graph_from_text("0 1\n1 2\n2 3\n3 0\n0 2\n")
     s = make_sample(g, [0, 2, 0, 1], weights=[2.0, 1.0, 2.0, 4.0])
-    got = ind_margin_ratio(s, 1, MODE_SET)
+    got = margin_ratios(s, [1], "ind", MODE_SET)[0]
     num, den = oracles.ind_margin_set_parts(s, 1)
     assert got.numerator == pytest.approx(num)
     assert got.denominator == pytest.approx(den)
@@ -277,8 +282,8 @@ def test_margin_estimates_flatten_on_expander():
     g = erdos_renyi(300, 0.08, seed=12)
     g = g if g.is_connected else largest_connected_component(g)
     s = sample_rw(g, 1200, seed=13)
-    raw = ind_margin_ratio(s, 0, MODE_MULTISET).outcome().value
-    corrected = ind_margin_ratio(s, 20, MODE_MULTISET).outcome().value
+    raw = margin_ratios(s, [0], "ind", MODE_MULTISET)[0].outcome().value
+    corrected = margin_ratios(s, [20], "ind", MODE_MULTISET)[0].outcome().value
     assert abs(corrected - g.node_count) <= abs(raw - g.node_count) + 30
 
 
@@ -286,18 +291,19 @@ def test_margin_scale_invariance():
     g = _walk_graph(seed=5)
     s = sample_rw(g, 300, seed=14)
     scaled = replace(s, weight_column=s.weight_column * 0.1)
-    for fn in (lambda x: node_margin_ratio(x, 3).outcome().value,
-               lambda x: ind_margin_ratio(x, 3, MODE_MULTISET).outcome().value,
-               lambda x: ind_margin_ratio(x, 3, MODE_SET).outcome().value):
-        a, b = fn(s), fn(scaled)
+    for base, a_mode in (("node", MODE_SET), ("ind", MODE_MULTISET),
+                         ("ind", MODE_SET)):
+        a, b = (margin_ratios(x, [3], base, a_mode)[0].outcome().value
+                for x in (s, scaled))
         assert abs(a - b) / a < 1e-12
 
 
 MARGIN_KERNELS = {
-    "node": (node_margin_ratio, oracles.node_margin_parts),
-    "multiset": (lambda s, m: ind_margin_ratio(s, m, MODE_MULTISET),
+    "node": (lambda s, m: margin_ratios(s, [m], "node", MODE_SET)[0],
+             oracles.node_margin_parts),
+    "multiset": (lambda s, m: margin_ratios(s, [m], "ind", MODE_MULTISET)[0],
                  oracles.ind_margin_multiset_parts),
-    "set": (lambda s, m: ind_margin_ratio(s, m, MODE_SET),
+    "set": (lambda s, m: margin_ratios(s, [m], "ind", MODE_SET)[0],
             oracles.ind_margin_set_parts),
 }
 
@@ -363,18 +369,22 @@ def _index_arrays(s):
     they build, named as ``oracles.occurrence_arrays`` names them."""
     arrays = {"rank_column": s.rank_column, "weight_column": s.weight_column,
               "degree_column": s.degree_column}
-    for name, mentions in (("occurrences", False), ("mentions", True)):
-        occ = rw_correction._occurrences(s, mentions)
-        arrays.update((f"{name}.{field}", array)
-                      for field, array in occ._asdict().items())
-    w = rw_correction._windows(s, node=False)
-    arrays.update({"windows.prefix": w.prefix, "windows.position": w.position,
-                   "windows.base": w.base,
-                   "windows.keyed_inverse": w.keyed_inverse})
+    node, multiset = (rw_correction._windows(s, node)
+                      for node in (True, False))
+    for name, w in (("occurrences", node), ("mentions", multiset)):
+        arrays.update({f"{name}.keys": w.counted, f"{name}.own": w.own})
+    arrays["mentions.first"], arrays["mentions.last"] = \
+        rw_correction._mention_spans(s)
+    arrays.update({"windows.prefix": multiset.prefix,
+                   "windows.position": multiset.position,
+                   "windows.base": multiset.base,
+                   "windows.keyed_inverse": multiset.keyed_inverse})
     return arrays
 
 
 def _assert_index_matches(s, expected):
+    """``==`` and dtype for dtype; ``expected`` is
+    ``oracles.occurrence_arrays``."""
     got = _index_arrays(s)
     assert got.keys() == expected.keys()
     for name, want in expected.items():
@@ -400,23 +410,31 @@ def test_sample_file_round_trip_shares_snapshots(s):
 
 
 def test_mentions_are_built_on_first_use():
-    """Node calls never build the mentions; each IND call does."""
+    """Node calls never read the mentions.  Each multiset IND call gathers
+    their keys once, beside the positions' keys; each set IND call reads
+    their spans off the CSR once, and gathers no keys."""
     s = sample_rw_multi(_walk_graph(), 3, 40, seeds=[1, 2, 3])
-    build, built = rw_correction._occurrences, []
+    keys, spans, built = rw_correction._keys, rw_correction._mention_spans, []
 
-    def occurrences(sample, mentions=False):
-        built.append(mentions)
-        return build(sample, mentions)
+    def counted_keys(sample, mentions=False):
+        built.append("mention keys" if mentions else "keys")
+        return keys(sample, mentions)
 
-    with mock.patch.object(rw_correction, "_occurrences", occurrences):
-        node_margin_ratio(s, 2)
+    def counted_spans(sample):
+        built.append("spans")
+        return spans(sample)
+
+    with mock.patch.object(rw_correction, "_keys", counted_keys), \
+            mock.patch.object(rw_correction, "_mention_spans", counted_spans):
+        margin_ratios(s, [2], "node", MODE_SET)[0]
         margin_crosswalker(s, "node", MODE_SET)
-        assert built == [False, False]
-        for a_mode in (MODE_MULTISET, MODE_SET):
+        assert built == ["keys", "keys"]
+        for a_mode, reads in ((MODE_MULTISET, ["keys", "mention keys"]),
+                              (MODE_SET, ["spans"])):
             built.clear()
-            ind_margin_ratio(s, 2, a_mode)
+            margin_ratios(s, [2], "ind", a_mode)[0]
             margin_crosswalker(s, "ind", a_mode)
-            assert built.count(True) == 2
+            assert sorted(built) == sorted(reads * 2)
 
 
 FIELDS = {f.name for f in fields(Sample)}
@@ -436,7 +454,7 @@ def test_margin_calls_leave_nothing_on_the_sample_but_its_degrees():
             call()
             assert set(vars(s)) - FIELDS <= {"degree_column"}
     fresh = _basis_samples()["rw"]
-    node_margin_ratio(fresh, 3)
+    margin_ratios(fresh, [3], "node", MODE_SET)[0]
     margin_ratios(fresh, [0, 3], "node", MODE_SET)
     assert set(vars(fresh)) == FIELDS
 
@@ -473,9 +491,7 @@ def test_window_basis_matches_its_reference():
                           for node in (True, False))
         assert (node.total, multiset.total) == oracles.window_totals(s)
         # A node basis counts the sample's own occurrences, by weight.
-        occurrences = rw_correction._occurrences(s)
-        for got, want in zip(node.counted, occurrences):
-            assert np.array_equal(got, want)
+        assert node.counted is node.keys
         assert node.keyed_inverse is None
         assert node.values is s.weight_column
         assert multiset.values is s.degree_column
@@ -490,12 +506,14 @@ def test_a_zero_weight_is_rejected_on_every_call():
         calls = [lambda m=m, k=k: k(bad, m)
                  for k, _ in MARGIN_KERNELS.values() for m in (0, 3)]
         calls += [lambda k=k: k(bad) for k, _ in CROSSWALKER_KERNELS.values()]
-        with mock.patch.object(rw_correction, "_occurrences") as built:
+        with mock.patch.object(rw_correction, "_keys") as keys, \
+                mock.patch.object(rw_correction, "_mention_spans") as spans:
             for call in calls:
                 for _ in range(2):
                     with pytest.raises(EstimatorError):
                         call()
-        assert built.call_count == 0  # checked before any index is built
+        # Checked before any index is built.
+        assert keys.call_count == spans.call_count == 0
 
 
 def test_derived_samples_build_their_own_basis():
@@ -509,6 +527,12 @@ def test_derived_samples_build_their_own_basis():
         for m in (0, 2):
             _assert_matches_oracle(d, m)
         _assert_crosswalker_matches_oracle(d)
+        # A subset keeps its parent's ranks, and the reference ranks by them.
+        _assert_index_matches(d, oracles.occurrence_arrays(
+            d, d.ids.tolist()))
+    # The tail and the strided subset view CSR rows they do not hold.
+    for d in derived[2:]:
+        assert len(np.unique(d.rank_column)) < len(d.offsets) - 1
     # A copy keeps the ranks, which follow first appearance as the
     # reference's do.
     _assert_index_matches(derived[0], oracles.occurrence_arrays(s))
@@ -523,12 +547,14 @@ def test_margin_edges_stay_inside_32_bit_keys():
                np.zeros(n, dtype=np.int64), np.arange(n + 1),
                (np.arange(n) + 1) % n, "RW", 0, "degree", "0" * 16)
     for mentions in (False, True):
-        assert rw_correction._occurrences(s, mentions).keys.dtype == np.int32
+        assert rw_correction._keys(s, mentions).dtype == np.int32
     for m in (n - 3, n - 2):
         pairs = float(surviving_pair_count(n, "margin", m))
-        assert node_margin_ratio(s, m) == RatioEstimate(pairs, 0.0)
+        assert margin_ratios(s, [m], "node", MODE_SET)[0] \
+            == RatioEstimate(pairs, 0.0)
         for a_mode in (MODE_MULTISET, MODE_SET):
-            assert ind_margin_ratio(s, m, a_mode) == RatioEstimate(pairs, 1.0)
+            assert margin_ratios(s, [m], "ind", a_mode)[0] \
+                == RatioEstimate(pairs, 1.0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
@@ -697,7 +723,7 @@ def test_ind_margin_rejects_an_unknown_auxiliary_mode(m):
     s = sample_rw(_walk_graph(), 40, seed=1)
     with pytest.raises(EstimatorError,
                        match="unknown auxiliary mode: 'bogus'"):
-        ind_margin_ratio(s, m, "bogus")
+        margin_ratios(s, [m], "ind", "bogus")[0]
 
 
 def test_crosswalker_single_walker_is_no_collisions(k5):

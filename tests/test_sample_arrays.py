@@ -33,7 +33,7 @@ from graphsize.graph import Graph, GraphError
 from graphsize.ind_estimators import (_edge_pair_sum, _in_first_seen_order,
                                       inda_wis_ratio, indb_wis_ratio)
 from graphsize.node_estimators import capture_recapture_from_sample
-from graphsize.rw_correction import (ind_margin_ratio, margin_crosswalker,
+from graphsize.rw_correction import (margin_crosswalker, margin_ratios,
                                      thin_shifted)
 from graphsize.sampling import (Sample, SamplingError, _first_seen,
                                 read_sample, sample_rw_multi, sample_uis,
@@ -458,7 +458,7 @@ def _answers(s, seed):
 
     calls = [(ESTIMATORS[name].estimate, EstimatorSpec(name, a_mode=mode),
               seed) for name in ESTIMATORS for mode in A_MODES]
-    calls += [(ind_margin_ratio, m, mode) for m in (0, 1, 3)
+    calls += [(margin_ratios, [m], "ind", mode) for m in (0, 1, 3)
               for mode in A_MODES]
     calls += [(margin_crosswalker, base, mode) for base in ("node", "ind")
               for mode in A_MODES]
