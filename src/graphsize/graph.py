@@ -4,22 +4,24 @@ Graphs are loaded from edge lists: one pair of ASCII decimal node ids below
 2^64 per line, separated by spaces or tabs, with ``#`` comment lines and
 blank lines allowed.  The whole text is checked and parsed at once with
 byte-class arrays; only a rejected input is scanned line by line, to name
-the first bad line.  Every graph, loaded or generated, is built by
-:meth:`Graph.from_edges`, which cleans it to simple form (no self-loops, no
-parallel edges) and stores it with a dense index in [0, N).  The adjacency
-is one read-only int64 CSR: node v's neighbors, in increasing order, are
-``indices[indptr[v]:indptr[v + 1]]``.  Nothing is written after
-construction except caches of values derived from it, so a graph is safely
-shareable across threads.
+the first bad line.  Every graph, loaded or generated, is built by the one
+constructor, :meth:`Graph.from_edges`, which cleans it to simple form (no
+self-loops, no parallel edges) and stores it with a dense index in [0, N).
+The adjacency is one read-only int64 CSR: node v's neighbors, in
+increasing order, are ``indices[indptr[v]:indptr[v + 1]]``.  Nothing is
+written after construction except caches of values derived from it, so a
+graph is safely shareable across threads.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
+from numbers import Integral
 from typing import IO, Iterable
 
 import numpy as np
@@ -77,87 +79,25 @@ class Graph:
     Nodes carry two identities: the external 64-bit id from the input, and a
     dense index in [0, N) used everywhere internally.  Dense indices are
     assigned in increasing external-id order, so loading is deterministic:
-    ``ext_ids`` is the read-only uint64 array of the ids, sorted.
-    ``indptr`` and ``indices`` are the adjacency as a CSR (see the module
-    docstring); the graph keeps them read-only.
+    ``ext_ids`` is the read-only uint64 array of the ids, sorted.  The CSR
+    ``indptr``/``indices`` is read-only too (see the module docstring).
+    :meth:`from_edges` is the one constructor.
     """
 
     __slots__ = ("_indptr", "_indices", "ext_ids", "load_report", "__dict__")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
-                 ext_ids: Iterable[int] | np.ndarray,
-                 load_report: LoadReport | None = None):
-        # The graph checks and keeps copies: the caller's arrays stay theirs.
-        self._adopt(np.array(indptr, dtype=np.int64),
-                    np.array(indices, dtype=np.int64),
-                    _node_ids(ext_ids).copy(), load_report)
-
-    def _adopt(self, indptr: np.ndarray, indices: np.ndarray,
-               ext_ids: np.ndarray, load_report: LoadReport | None) -> None:
-        """Check the int64 CSR and the uint64 ids, then keep them read-only;
-        no other holder may write to these arrays."""
-        self.ext_ids, self._indptr, self._indices = ext_ids, indptr, indices
-        if len(indptr) != len(ext_ids) + 1:
-            raise GraphError("adjacency and id map length mismatch")
-        if not len(ext_ids):
-            raise GraphError("empty graph")
-        # Dense indices follow the ids: an edge's smaller end has the
-        # smaller id (_edge_array).
-        unsorted = np.flatnonzero(ext_ids[1:] <= ext_ids[:-1])
-        if unsorted.size:
-            v = int(unsorted[0]) + 1
-            raise GraphError(f"external id {ext_ids[v]} at dense index "
-                             f"{v} does not exceed its predecessor")
-        if (indptr[0] != 0 or indptr[-1] != len(indices)
-                or (np.diff(indptr) < 0).any()):
-            raise GraphError("indptr does not delimit the indices")
-        for array in (ext_ids, indptr, indices):
-            array.flags.writeable = False
-        self.load_report = load_report
-        self._validate()
-
-    def _validate(self) -> None:
-        """Every neighbor list sorted, unique, in range and loop-free.
-
-        The checks run on the whole CSR at once; the error names the first
-        offending entry in (vertex, position) order, and of its failed
-        checks the first of: self-loop, order, range.
-        """
-        owner, flat = self._owners(_index_type(self.node_count)), self._indices
-        # An entry is out of order if it is at most its predecessor in the
-        # same list, or than -1 if it comes first.  Any negative entry may
-        # count: at the first offender every predecessor passed, so is >= 0.
-        bad = flat < 0
-        follows = owner[1:] == owner[:-1]
-        follows &= flat[1:] <= flat[:-1]
-        bad[1:] |= follows
-        del follows
-        bad |= flat == owner
-        bad |= flat >= self.node_count
-        if bad.any():
-            i = int(bad.argmax())
-            v, u = int(owner[i]), int(flat[i])
-            if u == v:
-                raise GraphError(f"self-loop at dense index {v}")
-            if u < 0 or (i and int(owner[i - 1]) == v
-                         and int(flat[i - 1]) >= u):
-                raise GraphError(f"adjacency of {v} not sorted/unique")
-            raise GraphError(f"neighbor index {u} out of range")
-
-    def _owners(self, dtype: type = np.int64) -> np.ndarray:
-        """The vertex of each CSR entry.  An int32 array is half the size,
-        but indexing with it converts it to int64 on every call."""
-        return np.repeat(np.arange(self.node_count, dtype=dtype),
+    def _owners(self) -> np.ndarray:
+        """The vertex of each CSR entry."""
+        return np.repeat(np.arange(self.node_count, dtype=np.int64),
                          np.diff(self._indptr))
 
-    def _edge_array(self) -> np.ndarray:
-        """Each edge once, as an (E, 2) uint64 array of external ids, smaller
-        id first, in (vertex, position) order of its smaller end."""
+    def _edges(self) -> np.ndarray:
+        """Each edge once, as an (E, 2) int64 array of dense indices, smaller
+        first, in (vertex, position) order of its smaller end.  Dense indices
+        follow the ids, so the smaller index has the smaller id."""
         owner = self._owners()
         upper = owner < self._indices
-        ext = self.ext_ids
-        return np.stack((ext[owner[upper]], ext[self._indices[upper]]),
-                        axis=1)
+        return np.stack((owner[upper], self._indices[upper]), axis=1)
 
     # -- construction ------------------------------------------------------
 
@@ -167,18 +107,21 @@ class Graph:
                    report_base: LoadReport | None = None) -> "Graph":
         """Build a graph from external-id edge pairs, ids in [0, 2^64).
 
-        ``edges`` is an iterable of pairs or an (E, 2) integer array.
-        Self-loops are dropped and parallel edges collapsed; the counts land
-        in ``load_report``.  ``extra_nodes`` adds isolated nodes by id.
+        ``edges`` is an iterable of pairs or an (E, 2) integer array;
+        GraphError names the first edge or id that is not one.  Self-loops
+        are dropped and parallel edges collapsed; the counts land in
+        ``load_report``.  ``extra_nodes`` adds isolated nodes by id.
         """
         ext_ids, indptr, indices, loops, dupes = _simple_csr(edges,
                                                              extra_nodes)
         base = report_base or LoadReport()
-        # The arrays are new, so the graph keeps them without a copy.
-        graph = cls.__new__(cls)
-        graph._adopt(indptr, indices, ext_ids, replace(
+        graph = object.__new__(cls)
+        graph.ext_ids, graph._indptr, graph._indices = ext_ids, indptr, indices
+        for array in (ext_ids, indptr, indices):
+            array.flags.writeable = False
+        graph.load_report = replace(
             base, self_loops_dropped=base.self_loops_dropped + loops,
-            duplicates_collapsed=base.duplicates_collapsed + dupes))
+            duplicates_collapsed=base.duplicates_collapsed + dupes)
         return graph
 
     # -- basic accessors ---------------------------------------------------
@@ -227,7 +170,8 @@ class Graph:
     def digest(self) -> str:
         """Stable hash of the graph content (external-id edge list)."""
         h = hashlib.sha256(self.ext_ids.astype("<u8").tobytes())
-        h.update(self._edge_array().astype("<u8", copy=False).tobytes())
+        edges = self.ext_ids[self._edges()]
+        h.update(edges.astype("<u8", copy=False).tobytes())
         return h.hexdigest()[:16]
 
     @cached_property
@@ -276,7 +220,13 @@ def _simple_csr(
     of self-loops and of repeated edges in ``edges``; see
     :meth:`Graph.from_edges`.  Each temporary is freed once read."""
     if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+        odd = next((e for e in edges if len(e) != 2), None)
+        if odd is not None:
+            raise GraphError(f"edge {odd!r} is not a pair")
         edges = chain.from_iterable(edges)
+    elif edges.ndim != 2 or edges.shape[1] != 2:
+        raise GraphError(f"edge array of shape {edges.shape} is not (E, 2)")
     pairs = _node_ids(edges).reshape(-1, 2)
     nodes, ranks = _sorted_ranks(
         np.concatenate((pairs.ravel(), _node_ids(extra_nodes))))
@@ -349,17 +299,20 @@ def _dense_span(values: np.ndarray) -> tuple[np.generic, int] | None:
 
 
 def _node_ids(ids: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Node ids as a uint64 array; GraphError for an id outside [0, 2^64)."""
+    """Node ids as a uint64 array, taken as it is if it is one, else checked
+    id by id; GraphError for an id that is not an integer in [0, 2^64)."""
     if isinstance(ids, np.ndarray):
         if ids.dtype == np.uint64:
             return ids
         ids = ids.ravel().tolist()
     ids = list(ids)
     try:
-        return np.array(ids, dtype=np.uint64)
-    except OverflowError:
-        bad = next(i for i in ids if not 0 <= i < 1 << 64)
-        raise GraphError(f"node id {bad} is outside [0, 2^64)") from None
+        return np.array(list(map(operator.index, ids)), dtype=np.uint64)
+    except (TypeError, OverflowError):
+        bad = next(i for i in ids
+                   if not (isinstance(i, Integral) and 0 <= i < 1 << 64))
+        raise GraphError(f"node id {bad!r} is not an integer in "
+                         f"[0, 2^64)") from None
 
 
 _MAX_DIGITS = 20                        # len(str(2**64 - 1))
@@ -568,13 +521,8 @@ def _line_error(line_number: int, raw: bytes) -> EdgeListParseError:
 def write_edge_list(g: Graph, sink: IO[str]) -> None:
     """Serialize as one external-id pair per line, smaller id first.  Each
     id is formatted once, and the lines are gathered from those texts."""
-    # The edges of _edge_array, as dense indices into the ids' texts.
-    owner, neighbor = g._owners(), g._indices
-    upper = owner < neighbor
-    pairs = np.stack((owner[upper], neighbor[upper]), axis=1)
-    del owner, upper
-    sink.write(_spelled(*_digits(g.ext_ids), pairs.ravel(),
-                        b" \n" * len(pairs)))
+    sink.write(_spelled(*_digits(g.ext_ids), g._edges().ravel(),
+                        b" \n" * g.edge_count))
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -589,11 +537,12 @@ def largest_connected_component(g: Graph) -> Graph:
     # The first largest component has the smallest root, and a component's
     # root has its smallest external id.
     roots = g.component_roots
-    members = g.ext_ids[roots == np.bincount(roots).argmax()]
-    edges = g._edge_array()
+    root = np.bincount(roots).argmax()
+    edges = g._edges()
     # An edge lies inside one component, so its smaller end decides.
-    return Graph.from_edges(edges[np.isin(edges[:, 0], members)],
-                            extra_nodes=members)
+    edges = edges[roots[edges[:, 0]] == root]
+    return Graph.from_edges(g.ext_ids[edges],
+                            extra_nodes=g.ext_ids[roots == root])
 
 
 def exact_stats(g: Graph) -> GraphStats:

@@ -2,12 +2,15 @@
 
 Everything here deliberately evaluates pair sums with explicit (i, j) masks
 over full n x n matrices, and loads edge lists line by line into Python
-sets.  Nothing from this module is used outside tests.
+sets.  The set-based graph builders return a :class:`ReferenceGraph` of
+Python values, with its own digest, so no ``Graph`` code checks them.
+Nothing from this module is used outside tests.
 """
 
 from __future__ import annotations
 
 import decimal
+import hashlib
 import itertools
 import math
 from typing import NamedTuple
@@ -50,6 +53,48 @@ def snapshots_at(sample) -> list:
     return [v.snapshots[x] for x in v.node_at]
 
 
+class ReferenceGraph(NamedTuple):
+    """A set-based builder's graph: its sorted external ids, each dense
+    index's neighbor tuple, in increasing order, and its load report.  The
+    ``Graph`` attributes that tests compare are computed from these."""
+
+    ids: tuple
+    adjacency: tuple
+    load_report: object
+
+    @property
+    def ext_ids(self) -> np.ndarray:
+        return np.array(self.ids, dtype=np.uint64)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.ids)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self.adjacency)) // 2
+
+    @property
+    def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        indptr = np.cumsum([0] + [len(nbrs) for nbrs in self.adjacency])
+        indices = [u for nbrs in self.adjacency for u in nbrs]
+        return indptr, np.array(indices, dtype=np.int64)
+
+    @property
+    def digest(self) -> str:
+        """sha256 of the ids, then of each edge's ids, smaller first, in
+        order of its smaller end, all as ``<u8``; 16 hex digits."""
+        h = hashlib.sha256()
+        for e in self.ids:
+            h.update(e.to_bytes(8, "little"))
+        for v, nbrs in enumerate(self.adjacency):
+            for u in nbrs:
+                if v < u:
+                    h.update(self.ids[v].to_bytes(8, "little"))
+                    h.update(self.ids[u].to_bytes(8, "little"))
+        return h.hexdigest()[:16]
+
+
 def ext_ids(g) -> tuple:
     """The external id of each dense index, as Python ints."""
     return tuple(g.ext_ids.tolist())
@@ -61,7 +106,10 @@ def degrees(g) -> tuple:
 
 
 def neighbors(g, v: int) -> tuple:
-    """The dense neighbor indices of node v, read off the CSR."""
+    """The dense neighbor indices of node v, read off the CSR, or a
+    reference graph's tuple."""
+    if isinstance(g, ReferenceGraph):
+        return g.adjacency[v]
     indptr, indices = g.adjacency_arrays
     return tuple(indices[indptr[v]:indptr[v + 1]].tolist())
 
@@ -370,7 +418,8 @@ def load_edge_list(source):
 
 
 def graph_from_edges(edges, extra_nodes=(), report_base=None):
-    """Set-based ``Graph.from_edges``: the array builder's reference."""
+    """Set-based ``Graph.from_edges``: the array builder's reference, as a
+    :class:`ReferenceGraph`."""
     from graphsize.graph import GraphError, LoadReport
 
     base = report_base or LoadReport()
@@ -391,7 +440,7 @@ def graph_from_edges(edges, extra_nodes=(), report_base=None):
         nodes.update(key)
     if not nodes:
         raise GraphError("empty graph: no nodes in input")
-    ext_ids = sorted(nodes)
+    ext_ids = sorted(map(int, nodes))
     dense = {e: i for i, e in enumerate(ext_ids)}
     adj = [[] for _ in ext_ids]
     for a, b in edge_set:
@@ -401,18 +450,8 @@ def graph_from_edges(edges, extra_nodes=(), report_base=None):
                         comments_skipped=base.comments_skipped,
                         self_loops_dropped=self_loops,
                         duplicates_collapsed=dupes)
-    return graph_from_adjacency([tuple(sorted(a)) for a in adj], ext_ids,
-                                report)
-
-
-def graph_from_adjacency(adjacency, ext_ids, load_report=None):
-    """A ``Graph`` from one neighbor tuple per dense index, through the CSR
-    that its constructor takes."""
-    from graphsize.graph import Graph
-
-    indptr = np.cumsum([0] + [len(nbrs) for nbrs in adjacency])
-    indices = [u for nbrs in adjacency for u in nbrs]
-    return Graph(indptr, indices, ext_ids, load_report)
+    return ReferenceGraph(tuple(ext_ids),
+                          tuple(tuple(sorted(a)) for a in adj), report)
 
 
 def adjacency(g):
@@ -543,12 +582,12 @@ def wis_draw(weights, n, seed):
 
 def largest_connected_component(g):
     """Edge-by-edge ``largest_connected_component``: the array version's
-    reference.  A connected graph is its own component, load report and
-    all."""
+    reference, as a :class:`ReferenceGraph`.  A connected graph is its own
+    component, load report and all."""
     comps = components(g)
-    if len(comps) == 1:
-        return g
     ext = ext_ids(g)
+    if len(comps) == 1:
+        return ReferenceGraph(ext, adjacency(g), g.load_report)
     best = max(comps, key=lambda comp: (len(comp), -min(ext[v] for v in comp)))
     keep = set(best)
     edges = [(ext[v], ext[u]) for v in best for u in neighbors(g, v)

@@ -583,8 +583,7 @@ def writer_samples(draw):
     ids = np.array(draw(st.lists(IDS, min_size=24, max_size=24, unique=True)),
                    dtype=np.uint64)
     isolated = ids[20:] if method in ("uis", "wis") else ()
-    g = Graph.from_edges(ids[base._edge_array().astype(np.intp)],
-                         extra_nodes=isolated)
+    g = Graph.from_edges(ids[base._edges()], extra_nodes=isolated)
     walkers = draw(st.integers(2, 3)) if method == "rw-multi" else 1
     spec = SamplerSpec(method, walkers * draw(st.integers(1, 15)), walkers,
                        "unit" if method == "wis" else "degree")
