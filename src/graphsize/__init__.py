@@ -18,8 +18,7 @@ from .node_estimators import (capture_recapture_from_sample, mle_unique_approx,
                               mle_unique_exact, node_uis_ratio,
                               node_wis_ratio)
 from .rw_correction import (estimate_thinned, margin_crosswalker,
-                            margin_ratios, surviving_pair_count,
-                            thin_shifted, thin_simple)
+                            margin_ratios, surviving_pair_count)
 from .sampling import (Sample, SamplingError, read_sample, sample_rw,
                        sample_rw_multi, sample_uis, sample_wis, write_sample)
 

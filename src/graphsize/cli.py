@@ -19,11 +19,11 @@ import sys
 
 import numpy as np
 
-from .core import A_MODES, MODE_SET, EstimatorError
+from .core import A_MODES, MODE_SET, EstimatorError, RatioEstimate
 from .experiment import (CORRECTIONS, CSV_COLUMNS, ESTIMATORS, METHODS,
                          EstimatorSpec, PlanError, SamplerSpec, TrialSummary,
                          check_spec, draw_sample, emit_csv, emit_svg_band,
-                         evaluate_with_ratio, parse_plan_file, resolve_graph,
+                         evaluate, parse_plan_file, resolve_graph,
                          run_experiment)
 from .graph import (GraphError, _excerpt, exact_stats,
                     largest_connected_component, size_identity,
@@ -123,10 +123,8 @@ def _cmd_graphstat(args) -> int:
     if g.edge_count:
         residual = abs(size_identity(g) - g.node_count) / g.node_count
         print(f"size_identity_residual: {residual:.3e}")
-    if g.load_report is not None:
-        r = g.load_report
-        print(f"dropped_self_loops: {r.self_loops_dropped}")
-        print(f"collapsed_duplicates: {r.duplicates_collapsed}")
+    print(f"dropped_self_loops: {g.load_report.self_loops_dropped}")
+    print(f"collapsed_duplicates: {g.load_report.duplicates_collapsed}")
     if not g.is_connected:
         print("warning: graph is disconnected; random walks need the "
               "largest connected component", file=sys.stderr)
@@ -207,7 +205,9 @@ def _cmd_estimate(args) -> int:
         # Weights whose inverses or sums leave the float range are reported
         # by the check below, in one line, not by numpy's warnings too.
         with np.errstate(over="ignore", invalid="ignore"):
-            ratio, outcome = evaluate_with_ratio(sample, est, args.seed)
+            result = evaluate(sample, est, args.seed)
+        outcome = result.outcome()
+        ratio = result if isinstance(result, RatioEstimate) else None
         parts = (ratio.numerator, ratio.denominator) if ratio else ()
         finite = all(map(math.isfinite, (*parts, outcome.value or 0.0)))
     except OverflowError:  # an exact sum past the float range

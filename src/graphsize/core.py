@@ -38,6 +38,10 @@ class EstimateOutcome:
     def finite(self) -> bool:
         return self.value is not None
 
+    def outcome(self) -> EstimateOutcome:
+        """Itself, so that either result kind answers ``outcome()``."""
+        return self
+
     def __repr__(self) -> str:
         if self.value is None:
             return "EstimateOutcome(no collisions)"

@@ -168,6 +168,10 @@ def _check_plan(sampler: SamplerSpec, est: EstimatorSpec, param: str,
     if not values:
         raise PlanError("parameter grid must be non-empty")
     check_spec(sampler.method, est, param)
+    # The grid sets its parameter at each point; a fixed one is read by none.
+    if param != "n" and getattr(est, param) != getattr(EstimatorSpec, param):
+        raise PlanError(f"plan key {_excerpt(param)} ({getattr(est, param)}) "
+                        f"is read by nothing: param = {param} sweeps it")
     for value in values:
         # n, m and theta are all integers.
         if not float(value).is_integer():
@@ -227,29 +231,20 @@ def draw_sample(g: Graph, spec: SamplerSpec, seed: int) -> Sample:
     raise PlanError(f"unknown sampling method: {_excerpt(spec.method)}")
 
 
-def evaluate_with_ratio(sample: Sample, est: EstimatorSpec, seed: int = 0):
+def evaluate(sample: Sample, est: EstimatorSpec, seed: int = 0
+             ) -> RatioEstimate | EstimateOutcome:
     """Apply the configured estimator and correction to one sample.
 
-    Returns (ratio, outcome); ratio is None unless the result is one
-    numerator/denominator pair.
+    Returns what the estimator's table entry, or its correction's grid at
+    the spec's one value, returns: a RatioEstimate, or an EstimateOutcome
+    where that function gives one.  Either's ``outcome()`` is the estimate.
     """
     check_spec(None, est)
     correction = CORRECTIONS[est.correction]
     if correction.grid:
         value = getattr(est, correction.param) if correction.param else None
-        return _with_outcome(correction.grid(sample, est, [value])[0])
-    return _with_outcome(ESTIMATORS[est.name].estimate(sample, est, seed))
-
-
-def _with_outcome(result) -> tuple[RatioEstimate | None, EstimateOutcome]:
-    if isinstance(result, RatioEstimate):
-        return result, result.outcome()
-    return None, result
-
-
-def evaluate(sample: Sample, est: EstimatorSpec, seed: int = 0) -> EstimateOutcome:
-    """Apply the configured estimator (and correction) to one sample."""
-    return evaluate_with_ratio(sample, est, seed)[1]
+        return correction.grid(sample, est, [value])[0]
+    return ESTIMATORS[est.name].estimate(sample, est, seed)
 
 
 def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
@@ -271,11 +266,11 @@ def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
             spec = replace(plan.sampler, n=int(max(plan.values)))
             sample = draw_sample(plan.graph, spec, seed)
             return [evaluate(_head(sample, spec, int(value)), plan.estimator,
-                             seed)
+                             seed).outcome()
                     for value in plan.values]
         sample = draw_sample(plan.graph, plan.sampler, seed)
         grid = CORRECTIONS[plan.estimator.correction].grid
-        return [_with_outcome(result)[1] for result in grid(
+        return [result.outcome() for result in grid(
             sample, plan.estimator, [int(v) for v in plan.values])]
 
     per_trial = [run_trial(t) for t in range(plan.trials)]
@@ -451,15 +446,24 @@ def parse_plan_file(text: str) -> ExperimentPlan:
                    for v in kv["values"].split(","))
     trials = _number("trials", kv.get("trials", "500"))
     base_seed = _number("base_seed", kv.get("base_seed", "0"))
+    lcc = _boolean("lcc", kv.get("lcc", "false"))
+    normalize = _boolean("normalize", kv.get("normalize", "true"))
     _check_plan(sampler, estimator, kv["param"], values, trials, base_seed)
     graph = resolve_graph(kv["graph"])
-    if kv.get("lcc", "false").lower() in ("1", "true", "yes"):
+    if lcc:
         graph = largest_connected_component(graph)
     return ExperimentPlan(
         graph=graph, sampler=sampler, estimator=estimator,
         param=kv["param"], values=values, trials=trials,
-        base_seed=base_seed,
-        normalize=kv.get("normalize", "true").lower() in ("1", "true", "yes"))
+        base_seed=base_seed, normalize=normalize)
+
+
+def _boolean(key: str, text: str) -> bool:
+    """A plan value as a boolean, in any case; PlanError names the key."""
+    if text.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise PlanError(f"plan key {_excerpt(key)}: expected true, false, "
+                        f"yes, no, 1 or 0, got {_excerpt(text)}")
+    return text.lower() in ("true", "yes", "1")
 
 
 def _number(key: str, text: str, convert: Callable[[str], float] = int,

@@ -44,32 +44,19 @@ def _check_at_least(name: str, value: int, least: int) -> None:
         raise EstimatorError(f"{name} must be >= {least}, got {value}")
 
 
-def thin_simple(s: Sample, theta: int) -> Sample:
-    """Keep every theta-th position, starting from the first."""
-    _check_at_least("theta", theta, 1)
-    return s.subset(np.arange(0, len(s), theta))
-
-
-def thin_shifted(s: Sample, theta: int) -> list[Sample]:
-    """The theta shifted subsamples, less the empty ones when theta exceeds
-    the sample's length; their concatenation permutes the input."""
-    _check_at_least("theta", theta, 1)
-    return [s.subset(np.arange(k, len(s), theta))
-            for k in range(min(theta, len(s)))]
-
-
 def estimate_thinned(s: Sample, theta: int,
                      ratio: Callable[[Sample], RatioEstimate],
                      shifted: bool = False) -> EstimateOutcome:
-    """The base estimator ``ratio`` on a thinned sample.
-
-    Simple mode evaluates the base estimator on the single kept subsample.
-    Shifted mode aggregates the per-subsample numerators and denominators,
-    which stays finite even when some subsamples have no collisions.
+    """The base estimator ``ratio`` on thinned subsamples: positions k,
+    k + theta, k + 2 theta, ... for k = 0 only (simple mode), or for every k
+    below theta that keeps a position (shifted mode), whose parts are
+    summed.  The sums stay finite even when some subsamples have no
+    collisions; simple mode's one part is its own ratio.
     """
-    if shifted:
-        return aggregate_ratios([ratio(sub) for sub in thin_shifted(s, theta)])
-    return ratio(thin_simple(s, theta)).outcome()
+    _check_at_least("theta", theta, 1)
+    n = len(s)
+    return aggregate_ratios([ratio(s.subset(np.arange(k, n, theta)))
+                             for k in range(min(theta, n) if shifted else 1)])
 
 
 # -- margin and cross-walker filtering ---------------------------------------

@@ -196,7 +196,8 @@ def test_an_m_grid_plan_is_its_margins_one_at_a_time(tmp_path, capsys,
     plan = parse_plan_file(plan_file.read_text())
     size = plan.graph.node_count
     samples = [draw_sample(plan.graph, plan.sampler, seed) for seed in seeds]
-    expected = [summarize(m, [evaluate(s, replace(plan.estimator, m=int(m)))
+    expected = [summarize(m, [evaluate(s, replace(plan.estimator,
+                                                  m=int(m))).outcome()
                               for s in samples], size)
                 for m in plan.values]
     assert run_experiment(plan) == expected
@@ -589,6 +590,27 @@ def test_duplicate_plan_key_is_config_error(tmp_path, capsys):
     err = _one_line_error(*run(capsys, "experiment", "--plan", str(plan),
                                "-o", str(tmp_path / "x.csv")), 2)
     assert "plan line 9: duplicate key 'trials'" in err
+
+
+def test_a_misspelt_or_unread_plan_key_is_config_error(tmp_path, capsys):
+    plan, out = tmp_path / "plan.txt", str(tmp_path / "x.csv")
+    base = ("graph = gen:er:nodes=100,p=0.1,seed=1\nmethod = rw\nn = 50\n"
+            "estimator = ind-b\ncorrection = margin\nparam = m\n"
+            "values = 0,3\ntrials = 2\n")
+    for extra, message in [
+            ("lcc = ture\n", "plan key 'lcc': expected true, false, yes, "
+             "no, 1 or 0, got 'ture'"),
+            ("lcc = true\nnormalize = flase\n", "plan key 'normalize': "
+             "expected true, false, yes, no, 1 or 0, got 'flase'"),
+            ("lcc = true\nm = 7\n", "plan key 'm' (7) is read by nothing: "
+             "param = m sweeps it")]:
+        plan.write_text(base + extra)
+        err = _one_line_error(*run(capsys, "experiment", "--plan", str(plan),
+                                   "-o", out), 2)
+        assert err == f"error: {message}\n"
+        assert not os.path.exists(out)
+    plan.write_text(base + "lcc = TRUE\nnormalize = no\n")
+    assert run(capsys, "experiment", "--plan", str(plan), "-o", out)[0] == 0
 
 
 def test_edge_list_id_of_2_64_is_a_data_error(tmp_path, capsys):

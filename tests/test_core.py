@@ -16,7 +16,7 @@ from graphsize.core import (A_MODES, MODE_MULTISET, MODE_SET, NO_COLLISIONS,
                             count_collisions, count_induced_edges,
                             count_unique)
 from graphsize.experiment import (CORRECTIONS, ESTIMATORS, EstimatorSpec,
-                                  PlanError, check_spec, evaluate_with_ratio)
+                                  PlanError, check_spec, evaluate)
 from graphsize.generators import erdos_renyi, ring_of_cliques
 from graphsize.graph import largest_connected_component
 from graphsize.ind_estimators import (density_wis, inda_wis_ratio,
@@ -297,7 +297,7 @@ def test_fsum_is_math_fsum_bit_for_bit_on_either_side_of_its_cutoff(n, kind):
 
 def _every_estimate(sample):
     """Each estimator x correction x auxiliary mode that the tables allow
-    on ``sample``: its ratio and outcome, or the error it raises."""
+    on ``sample``: its result, or the error it raises."""
     method = {v: k for k, v in METHODS.items()}[sample.method]
     results = {}
     for name, correction, a_mode in itertools.product(
@@ -310,7 +310,7 @@ def _every_estimate(sample):
         except PlanError:
             continue
         try:
-            results[est] = evaluate_with_ratio(sample, est, seed=1)
+            results[est] = evaluate(sample, est, seed=1)
         except EstimatorError as exc:
             results[est] = str(exc)
     return results
@@ -381,6 +381,7 @@ def test_aggregate_ratios():
 
 def test_outcome_sentinel():
     assert not NO_COLLISIONS.finite
+    assert NO_COLLISIONS.outcome() is NO_COLLISIONS
     assert RatioEstimate(3.0, 0.0).outcome() == NO_COLLISIONS
     assert RatioEstimate(6.0, 2.0, 1.0).outcome().value == 4.0
     assert RatioEstimate(6.0, 0.0, 1.0).outcome() == NO_COLLISIONS

@@ -12,9 +12,8 @@ from graphsize.experiment import (CORRECTIONS, ESTIMATORS, EstimatorSpec,
                                   ExperimentPlan, PlanError, SamplerSpec,
                                   TrialSummary, check_spec, draw_sample,
                                   emit_csv, emit_svg_band, evaluate,
-                                  evaluate_with_ratio, parse_plan_file,
-                                  percentile, resolve_graph, run_experiment,
-                                  summarize)
+                                  parse_plan_file, percentile, resolve_graph,
+                                  run_experiment, summarize)
 from graphsize.generators import barabasi_albert, erdos_renyi
 from graphsize.graph import largest_connected_component
 from graphsize.sampling import _resolve_weights, sample_wis
@@ -95,7 +94,7 @@ def _draw_per_size(plan):
         seed = plan.base_seed + trial
         per_trial.append([
             evaluate(draw_sample(plan.graph, replace(plan.sampler, n=int(v)),
-                                 seed), plan.estimator, seed)
+                                 seed), plan.estimator, seed).outcome()
             for v in plan.values])
     return emit_csv([summarize(v, [row[col] for row in per_trial],
                                plan.graph.node_count)
@@ -146,8 +145,8 @@ def test_n_grid_draws_once_per_trial(monkeypatch):
 @pytest.mark.parametrize("method", ["rw", "rw-multi"])
 def test_one_value_is_the_grid_call_at_that_value(method):
     """For every estimator, correction and auxiliary mode the tables admit
-    on a walk, evaluate_with_ratio at one value of the correction's
-    parameter is its grid call's answer at that value, ``==``."""
+    on a walk, evaluate at one value of the correction's parameter is its
+    grid call's answer at that value, ``==``."""
     walkers = 3 if method == "rw-multi" else 1
     sample = draw_sample(SPARSE_LCC, SamplerSpec(method, 90, walkers), 5)
     grids = {"theta": [4, 1, 3, 200, 4], "m": [5, 0, 2, 200, 5], None: [None]}
@@ -165,8 +164,7 @@ def test_one_value_is_the_grid_call_at_that_value(method):
         values = grids[row.param]
         for value, result in zip(values, row.grid(sample, est, values)):
             one = replace(est, **{row.param: value}) if row.param else est
-            ratio, outcome = evaluate_with_ratio(sample, one, seed=2)
-            assert result == (outcome if ratio is None else ratio), one
+            assert result == evaluate(sample, one, seed=2), one
         compared.add(correction)
     assert compared == ({"thin", "thin-shifted", "margin", "cross-walker"}
                         if method == "rw-multi"
@@ -186,7 +184,7 @@ def test_a_theta_grid_is_its_values_one_at_a_time(correction, estimator):
     seeds = range(plan.base_seed, plan.base_seed + plan.trials)
     samples = [draw_sample(plan.graph, plan.sampler, seed) for seed in seeds]
     expected = [summarize(theta, [
-        evaluate(s, replace(plan.estimator, theta=int(theta)), seed)
+        evaluate(s, replace(plan.estimator, theta=int(theta)), seed).outcome()
         for s, seed in zip(samples, seeds)], plan.graph.node_count)
         for theta in plan.values]
     assert run_experiment(plan) == expected
@@ -286,7 +284,7 @@ def test_evaluate_dispatch_smoke():
         (multi, EstimatorSpec(name="ind-b", correction="cross-walker")),
     ]
     for sample, est in cases:
-        out = evaluate(sample, est, seed=1)
+        out = evaluate(sample, est, seed=1).outcome()
         assert isinstance(out, EstimateOutcome)
     for est in (EstimatorSpec(name="magic"),
                 EstimatorSpec(name="node-uis", correction="margin", m=4)):
@@ -370,6 +368,58 @@ def test_parse_plan_file_errors():
         text = "".join(f"{k} = {v}\n" for k, v in {**base, key: value}.items())
         with pytest.raises(PlanError, match=f"plan key '{key}'"):
             parse_plan_file(text)
+
+
+def test_plan_booleans_take_six_spellings_in_any_case(tmp_path):
+    base = ("graph = gen:er:nodes=100,p=0.02,seed=1\nmethod = uis\nn = 20\n"
+            "estimator = node-uis\nparam = n\nvalues = 20\ntrials = 2\n")
+    sizes = set()
+    for lcc, normalize in [("TRUE", "no"), ("Yes", "0"), ("1", "False"),
+                           ("false", "YES"), ("No", "true"), ("0", "1")]:
+        plan = parse_plan_file(f"{base}lcc = {lcc}\nnormalize = {normalize}\n")
+        keep = lcc.lower() in ("true", "yes", "1")
+        assert plan.normalize is (normalize.lower() in ("true", "yes", "1"))
+        assert (plan.graph.node_count < 100) is keep
+        sizes.add(plan.graph.node_count)
+    assert len(sizes) == 2
+    assert parse_plan_file(base).normalize is True  # the defaults
+    assert parse_plan_file(base).graph.node_count == 100
+    # Any other value names its key, before the graph is read.
+    missing = base.replace("gen:er:nodes=100,p=0.02,seed=1",
+                           str(tmp_path / "missing.txt"))
+    for key in ("lcc", "normalize"):
+        for value in ("ture", "flase", "", "2", "on", "y"):
+            with pytest.raises(PlanError, match=rf"^plan key '{key}': "
+                               "expected true, false, yes, no, 1 or 0, got"):
+                parse_plan_file(f"{missing}{key} = {value}\n")
+
+
+def test_a_fixed_value_beside_its_own_sweep_is_rejected(tmp_path):
+    """param = m reads m from values, param = theta theta: a fixed m or
+    theta beside them is read by nothing.  n stays required beside
+    param = n."""
+    base = (f"graph = {tmp_path / 'missing.txt'}\nmethod = rw\nn = 50\n"
+            "estimator = node-wis\n")
+    for text, key, value in [
+            ("correction = margin\nparam = m\nm = 7\nvalues = 0,5\n", "m", 7),
+            ("correction = thin\nparam = theta\ntheta = 4\nvalues = 1,2\n",
+             "theta", 4)]:
+        with pytest.raises(PlanError, match=rf"^plan key '{key}' \({value}\) "
+                           f"is read by nothing: param = {key} sweeps it$"):
+            parse_plan_file(base + text)  # before the graph
+        correction = "margin" if key == "m" else "thin"
+        with pytest.raises(PlanError, match=f"plan key '{key}'"):
+            _plan(sampler=SamplerSpec("rw", 50), param=key, values=(1, 2),
+                  estimator=EstimatorSpec("node-wis", correction,
+                                          **{key: value}))
+    # The defaults are not a fixed value: a grid over m or theta runs.
+    walk = dict(graph=SPARSE_LCC, sampler=SamplerSpec("rw", 30), trials=2)
+    assert len(run_experiment(_plan(
+        **walk, estimator=EstimatorSpec("node-wis", "margin", m=0),
+        param="m", values=(0, 3)))) == 2
+    assert len(run_experiment(_plan(
+        **walk, estimator=EstimatorSpec("node-wis", "thin", theta=1),
+        param="theta", values=(1, 3)))) == 2
 
 
 def test_resolve_graph_specs(tmp_path):

@@ -18,8 +18,7 @@ from graphsize.ind_estimators import indb_wis_ratio
 from graphsize.node_estimators import node_wis_ratio
 from graphsize import rw_correction
 from graphsize.rw_correction import (estimate_thinned, margin_crosswalker,
-                                     margin_ratios, surviving_pair_count,
-                                     thin_shifted, thin_simple)
+                                     margin_ratios, surviving_pair_count)
 from graphsize.sampling import (Sample, read_sample, sample_rw,
                                 sample_rw_multi, write_sample)
 
@@ -36,10 +35,20 @@ def _walk_graph(seed=1):
 # -- thinning ----------------------------------------------------------------
 
 
+def _thinned_parts(s, theta, shifted=False):
+    """The subsamples estimate_thinned hands its base estimator."""
+    parts = []
+    estimate_thinned(s, theta,
+                     lambda sub: parts.append(sub) or node_wis_ratio(sub),
+                     shifted=shifted)
+    return parts
+
+
 def test_thin_simple_positions():
     g = _walk_graph()
     s = sample_rw(g, 9, seed=0)
-    kept, full = oracles.views(thin_simple(s, 3)), oracles.views(s)
+    (part,) = _thinned_parts(s, 3)
+    kept, full = oracles.views(part), oracles.views(s)
     assert kept.node_at == full.node_at[::3]
     assert kept.weight_at == full.weight_at[::3]
     assert kept.snapshots == {v: full.snapshots[v] for v in kept.node_at}
@@ -49,20 +58,23 @@ def test_thin_simple_identity_and_overlong():
     g = _walk_graph()
     s = sample_rw(g, 5, seed=1)
     nodes = oracles.views(s).node_at
-    assert oracles.views(thin_simple(s, 1)).node_at == nodes
-    assert oracles.views(thin_simple(s, 9)).node_at == nodes[:1]
+    assert [oracles.views(sub).node_at for sub in _thinned_parts(s, 1)] \
+        == [nodes]
+    assert [oracles.views(sub).node_at for sub in _thinned_parts(s, 9)] \
+        == [nodes[:1]]
 
 
 def test_thin_shifted_patterns():
     g = _walk_graph()
     s = sample_rw(g, 6, seed=2)
     nodes = oracles.views(s).node_at
-    assert [oracles.views(sub).node_at for sub in thin_shifted(s, 2)] \
+    assert [oracles.views(sub).node_at
+            for sub in _thinned_parts(s, 2, shifted=True)] \
         == [nodes[0::2], nodes[1::2]]
-    assert [oracles.views(sub).node_at for sub in thin_shifted(s, 1)] \
-        == [nodes]
+    assert [oracles.views(sub).node_at
+            for sub in _thinned_parts(s, 1, shifted=True)] == [nodes]
     s5 = sample_rw(g, 5, seed=3)
-    assert [len(sub) for sub in thin_shifted(s5, 3)] \
+    assert [len(sub) for sub in _thinned_parts(s5, 3, shifted=True)] \
         == [2, 2, 1]
 
 
@@ -71,7 +83,7 @@ def test_thin_shifted_patterns():
 def test_thin_shifted_concatenation_permutes(theta, n):
     g = graph_from_text("0 1\n1 2\n2 0\n")
     s = sample_rw(g, n, seed=7)
-    subs = thin_shifted(s, theta)
+    subs = _thinned_parts(s, theta, shifted=True)
     merged = sorted(v for sub in subs for v in oracles.views(sub).node_at)
     assert merged == sorted(oracles.views(s).node_at)
     assert sum(len(sub) for sub in subs) == n
@@ -81,7 +93,8 @@ def test_thin_shifted_past_the_sample_length_has_no_empty_part():
     """theta beyond n leaves the n one-record parts of theta = n: no part
     is empty for ind-b to reject, and node-wis sums are those of theta = n."""
     s = sample_rw(_walk_graph(), 5, seed=3)
-    assert [len(sub) for sub in thin_shifted(s, 8)] == [1] * 5
+    assert [len(sub) for sub in _thinned_parts(s, 8, shifted=True)] \
+        == [1] * 5
     for ratio in (node_wis_ratio, lambda sub: indb_wis_ratio(sub, MODE_SET)):
         assert estimate_thinned(s, 8, ratio, shifted=True) \
             == estimate_thinned(s, 5, ratio, shifted=True)
@@ -96,8 +109,6 @@ PARAMETER_KERNELS = {
         lambda s, m: margin_ratios(s, [m], "ind", MODE_MULTISET)[0], 0),
     "ind_margin_ratio-set": (
         lambda s, m: margin_ratios(s, [m], "ind", MODE_SET)[0], 0),
-    "thin_simple": (thin_simple, 1),
-    "thin_shifted": (thin_shifted, 1),
     "estimate_thinned": (
         lambda s, theta: estimate_thinned(s, theta, node_wis_ratio), 1),
     "estimate_thinned-shifted": (lambda s, theta: estimate_thinned(
@@ -137,7 +148,8 @@ def test_estimate_thinned_shifted_aggregates_parts():
     g = _walk_graph()
     s = sample_rw(g, 101, seed=5)
     theta = 4
-    parts = [node_wis_ratio(sub) for sub in thin_shifted(s, theta)]
+    parts = [node_wis_ratio(s.subset(np.arange(k, len(s), theta)))
+             for k in range(theta)]
     expected = (sum(p.numerator for p in parts)
                 / sum(p.denominator for p in parts))
     got = estimate_thinned(s, theta, node_wis_ratio, shifted=True)

@@ -33,8 +33,7 @@ from graphsize.graph import Graph, GraphError
 from graphsize.ind_estimators import (_edge_pair_sum, _in_first_seen_order,
                                       inda_wis_ratio, indb_wis_ratio)
 from graphsize.node_estimators import capture_recapture_from_sample
-from graphsize.rw_correction import (margin_crosswalker, margin_ratios,
-                                     thin_shifted)
+from graphsize.rw_correction import margin_crosswalker, margin_ratios
 from graphsize.sampling import (Sample, SamplingError, _first_seen,
                                 read_sample, sample_rw_multi, sample_uis,
                                 sample_wis, write_sample)
@@ -391,9 +390,9 @@ def route_a_samples(draw):
         return s.subset(np.arange(n)[::-1]), None
     if cut == "thin-shifted":
         theta = draw(st.integers(2, 5))
-        # Past n, thin_shifted has no part, and the part is empty.
-        parts, k = thin_shifted(s, theta), draw(st.integers(1, theta - 1))
-        return parts[k] if k < len(parts) else s.subset([]), None
+        # Shifted thinning's part k, empty past n.
+        k = draw(st.integers(1, theta - 1))
+        return s.subset(np.arange(k, n, theta)), None
     if cut == "reorder":
         # The cross-walker kernels' stable reorder by walker label.
         shuffled = s.subset(draw(st.permutations(range(n))))
