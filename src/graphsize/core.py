@@ -25,7 +25,9 @@ A_MODES = (MODE_SET, MODE_MULTISET)
 
 
 class EstimatorError(Exception):
-    """Invalid estimator input (non-positive weight, empty sample, ...)."""
+    """Invalid estimator input (a sample too small for the estimator, an
+    unknown auxiliary mode, ...).  A sample's weights need no check here:
+    a ``Sample`` holds only finite, positive ones."""
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ def _fsum(values: np.ndarray) -> float:
 
 
 def _inverse_pair_sum(inv: np.ndarray, s1: float) -> float:
-    """Sum of 1/(w_i * w_j) over unordered pairs, from checked inverse
+    """Sum of 1/(w_i * w_j) over unordered pairs, from the inverse
     weights and their exact sum ``s1``, via the closed form
     0.5 * ((sum 1/w)^2 - sum 1/w^2).  Reciprocal sums are exact (correctly
     rounded) sums because the terms can be heavy-tailed.
@@ -186,16 +188,6 @@ def _inverse_pair_sum(inv: np.ndarray, s1: float) -> float:
         return float(pairs * scale) if low >= 0 else pairs / scale
     except OverflowError:
         return math.inf
-
-
-def _check_weights(weights: np.ndarray) -> None:
-    if not (weights > 0.0).all():
-        raise EstimatorError("weights must be positive")
-
-
-def _inverse_weights(weights: np.ndarray) -> np.ndarray:
-    _check_weights(weights)
-    return 1.0 / weights
 
 
 def aggregate_ratios(parts: Sequence[RatioEstimate]) -> EstimateOutcome:

@@ -192,7 +192,6 @@ class ExperimentPlan:
     values: tuple = ()
     trials: int = 500
     base_seed: int = 0
-    normalize: bool = True
 
     def __post_init__(self):
         _check_plan(self.sampler, self.estimator, self.param, self.values,
@@ -248,7 +247,8 @@ def evaluate(sample: Sample, est: EstimatorSpec, seed: int = 0
 
 
 def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
-    """One summary per grid point, over `trials` seeded independent trials.
+    """One summary per grid point of estimate / N, N the graph's node
+    count, over `trials` seeded independent trials.
 
     Trial seeds are base_seed + trial index.  Each trial draws one sample.
     For n grids it is drawn at the largest n, and each grid point evaluates
@@ -258,8 +258,6 @@ def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
     a real crawl would be post-processed: the correction's grid call answers
     the whole grid at once.
     """
-    scale = plan.graph.node_count if plan.normalize else 1.0
-
     def run_trial(trial: int) -> list[EstimateOutcome]:
         seed = plan.base_seed + trial
         if plan.param == "n":
@@ -277,7 +275,7 @@ def run_experiment(plan: ExperimentPlan) -> list[TrialSummary]:
     summaries = []
     for col, value in enumerate(plan.values):
         outcomes = [per_trial[t][col] for t in range(plan.trials)]
-        summaries.append(summarize(value, outcomes, scale))
+        summaries.append(summarize(value, outcomes, plan.graph.node_count))
     return summaries
 
 
@@ -325,7 +323,7 @@ def emit_csv(summaries: Sequence[TrialSummary]) -> str:
     fmt = lambda x: "" if x is None else f"{x:.12g}"
     lines = [",".join(CSV_COLUMNS)]
     for s in summaries:
-        lines.append(f"{s.param_value:g},{fmt(s.p10)},{fmt(s.p50)},"
+        lines.append(f"{s.param_value:.17g},{fmt(s.p10)},{fmt(s.p50)},"
                      f"{fmt(s.p90)},{s.infinite_fraction:.12g},{s.trials}")
     return "\n".join(lines) + "\n"
 
@@ -386,8 +384,8 @@ def emit_svg_band(summaries: Sequence[TrialSummary],
                      'stroke="black" stroke-dasharray="4 3"/>')
     for i, s in enumerate(summaries):
         parts.append(f'<text x="{x_of(i):.2f}" y="{margin_t + plot_h + 18}" '
-                     f'font-size="11" text-anchor="middle">{s.param_value:g}'
-                     '</text>')
+                     f'font-size="11" text-anchor="middle">'
+                     f'{s.param_value:.17g}</text>')
     for frac in (0.0, 0.5, 1.0):
         v = y_lo + frac * (y_hi - y_lo)
         parts.append(f'<text x="{margin_l - 6}" y="{y_of(v) + 4:.2f}" '
@@ -406,7 +404,7 @@ def emit_svg_band(summaries: Sequence[TrialSummary],
 
 _PLAN_KEYS = {"graph", "method", "n", "walkers", "weight_rule", "estimator",
               "correction", "a_mode", "theta", "m", "param", "values",
-              "trials", "base_seed", "normalize", "lcc"}
+              "trials", "base_seed", "lcc"}
 
 
 def parse_plan_file(text: str) -> ExperimentPlan:
@@ -447,7 +445,6 @@ def parse_plan_file(text: str) -> ExperimentPlan:
     trials = _number("trials", kv.get("trials", "500"))
     base_seed = _number("base_seed", kv.get("base_seed", "0"))
     lcc = _boolean("lcc", kv.get("lcc", "false"))
-    normalize = _boolean("normalize", kv.get("normalize", "true"))
     _check_plan(sampler, estimator, kv["param"], values, trials, base_seed)
     graph = resolve_graph(kv["graph"])
     if lcc:
@@ -455,7 +452,7 @@ def parse_plan_file(text: str) -> ExperimentPlan:
     return ExperimentPlan(
         graph=graph, sampler=sampler, estimator=estimator,
         param=kv["param"], values=values, trials=trials,
-        base_seed=base_seed, normalize=normalize)
+        base_seed=base_seed)
 
 
 def _boolean(key: str, text: str) -> bool:
@@ -497,7 +494,7 @@ _GENERATORS = {
 def resolve_graph(spec: str) -> Graph:
     """Load a graph from a path, or build one from a ``gen:...`` spec."""
     if not spec.startswith("gen:"):
-        with open(spec, "r", encoding="utf-8") as fh:
+        with open(spec, "rb") as fh:
             return load_edge_list(fh)
     try:
         _, model, args = spec.split(":", 2)

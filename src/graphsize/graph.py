@@ -320,25 +320,35 @@ _U64_TOP, _U64_REST = divmod((1 << 64) - 1, 10**19)
 _POWERS = 10 ** np.arange(_MAX_DIGITS, dtype=np.uint64)
 _SPELL_BLOCK = 2**14
 _SCAN = 2**16                           # bytes or runs a parse step reads
-_BLANKS = b" \t\r"
+_BLANKS = b" \t"
 _ID = re.compile(r"-?[0-9]+")
 
 
-def load_edge_list(source: IO[str] | IO[bytes]) -> Graph:
-    """Parse an edge list into a simple graph.
-
-    Each line holds two node ids, 1 to 20 ASCII digits with a value below
-    2^64, separated by spaces or tabs (a CR counts as one).  Blank lines are
-    skipped, and so is a comment line, whose first non-blank character is
-    '#'.  Self-loops are dropped, duplicate edges collapsed, and external
-    ids remapped densely; counts are recorded in the returned graph's
-    ``load_report``.  Any other line raises EdgeListParseError naming the
-    first such line.
-    """
+def _read_text(source: IO[str] | IO[bytes]) -> bytes:
+    """All the text of a binary or text handle, as UTF-8 bytes, read as
+    text mode reads a file: CRLF and a lone CR end a line as LF does, and
+    bytes that are not UTF-8 raise UnicodeDecodeError.  Both text readers,
+    :func:`load_edge_list` and ``sampling.read_sample``, start here."""
     data = source.read()
     if isinstance(data, str):
         data = data.encode("utf-8")
-    pairs, report = _parse_edge_list(data)
+    elif not data.isascii():
+        data.decode("utf-8")  # raises where the bytes are not UTF-8
+    return re.sub(rb"\r\n?", b"\n", data) if b"\r" in data else data
+
+
+def load_edge_list(source: IO[str] | IO[bytes]) -> Graph:
+    """Parse an edge list, read from a binary or text handle as
+    :func:`_read_text` reads it, into a simple graph.
+
+    Each line holds two node ids, 1 to 20 ASCII digits with a value below
+    2^64, separated by spaces or tabs.  Blank lines are skipped, and so is
+    a comment line, whose first non-blank character is '#'.  Self-loops are
+    dropped, duplicate edges collapsed, and external ids remapped densely;
+    counts are recorded in the returned graph's ``load_report``.  Any other
+    line raises EdgeListParseError naming the first such line.
+    """
+    pairs, report = _parse_edge_list(_read_text(source))
     return Graph.from_edges(pairs, report_base=report)
 
 
@@ -503,8 +513,8 @@ def _find(buf: np.ndarray, low: str, high: str) -> np.ndarray:
 
 def _line_error(line_number: int, raw: bytes) -> EdgeListParseError:
     """The error for an edge-list line that the array check rejected."""
-    line = raw.decode("utf-8", "replace").strip(_BLANKS.decode())
-    fields = re.split(r"[ \t\r]+", line)
+    line = raw.decode("utf-8").strip(_BLANKS.decode())
+    fields = re.split(r"[ \t]+", line)
     if len(fields) != 2:
         reason = "expected two node ids"
     elif not all(map(_ID.fullmatch, fields)):

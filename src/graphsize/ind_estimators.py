@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from .core import (MODE_SET, EstimatorError, RatioEstimate,
-                   _auxiliary_counts, _fsum, _inverse_pair_sum,
-                   _inverse_weights, _row_sums, count_induced_edges)
+                   _auxiliary_counts, _fsum, _inverse_pair_sum, _row_sums,
+                   count_induced_edges)
 from .sampling import Sample, _first_seen
 
 
@@ -24,13 +24,13 @@ def mean_degree_wis(s: Sample) -> float:
     """Inverse-probability-weighted mean degree: sum(deg/w) / sum(1/w)."""
     if len(s) < 1:
         raise EstimatorError("empty sample")
-    inv = _inverse_weights(s.weight_column)
+    inv = 1.0 / s.weight_column
     return _fsum(s.degree_column * inv) / _fsum(inv)
 
 
 def _edge_pair_sum(s: Sample, inv: np.ndarray) -> float:
     """Sum over unordered edge-forming pairs of 1/(w_i * w_j), in linear
-    time, from the sample's checked inverse weights.
+    time, from the sample's inverse weights ``inv``.
 
     Grouping occurrences by node turns the pair sum into a sum over adjacent
     distinct-node pairs of products of per-node inverse-weight totals.  Sums
@@ -85,7 +85,7 @@ def _route_a_sums(s: Sample) -> tuple[float, float, float, float]:
     """
     if len(s) < 2:
         raise EstimatorError("route A needs at least 2 records")
-    inv = _inverse_weights(s.weight_column)
+    inv = 1.0 / s.weight_column
     for scale in (0, -math.frexp(inv.max())[1]):
         scaled = np.ldexp(inv, scale)
         inverse = _fsum(scaled)
@@ -119,5 +119,5 @@ def indb_wis_ratio(s: Sample, mode: str = MODE_SET) -> RatioEstimate:
     positions' neighbor snapshots taken as a set or a multiset.  At unit
     weights it is |A| * |S| over the cross-collision count."""
     size, hits = _cross_hits(s, mode)
-    inv = _inverse_weights(s.weight_column)
+    inv = 1.0 / s.weight_column
     return RatioEstimate(size * _fsum(inv), _fsum(inv * hits))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .core import (NO_COLLISIONS, EstimateOutcome, EstimatorError,
-                   RatioEstimate, _fsum, _inverse_weights, count_collisions)
+                   RatioEstimate, _fsum, count_collisions)
 from .sampling import Sample
 
 
@@ -122,5 +122,5 @@ def node_wis_ratio(s: Sample) -> RatioEstimate:
     is invariant under rescaling all weights by a constant.
     """
     weights = s.weight_column
-    num = _fsum(weights) * _fsum(_inverse_weights(weights))
+    num = _fsum(weights) * _fsum(1.0 / weights)
     return RatioEstimate(num, float(2 * count_collisions(s)))

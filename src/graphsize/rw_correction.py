@@ -9,8 +9,8 @@ Margin and cross-walker filtering are one pair filter: each position i
 excludes a window [lo_i, hi_i) of positions, the positions within m steps
 for a margin, the positions of its own walker for cross-walker filtering.
 All their sums run over ordered pairs (i, j), i != j, and are computed as
-full-pair totals minus within-window totals.  Each call checks the weights,
-then builds what no window changes.  For the node and multiset windows
+full-pair totals minus within-window totals.  Each call builds what no
+window changes.  For the node and multiset windows
 (:class:`Windows`) that is the sorted keys of where each rank occurs among
 the positions or is named by their snapshots (:func:`_keys`), each rank's
 count of them, the prefix sums of the inverse weights and the exact
@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import (MODE_MULTISET, MODE_SET, NO_COLLISIONS, EstimateOutcome,
                    EstimatorError, RatioEstimate, _auxiliary_counts,
-                   _check_mode, _check_weights, _fsum, aggregate_ratios)
+                   _check_mode, _fsum, aggregate_ratios)
 from .graph import _ranges
 from .sampling import Sample
 
@@ -133,9 +133,8 @@ def _mention_spans(s: Sample) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _windows(s: Sample, node: bool) -> Windows:
-    """The node or multiset basis of ``s``, whose weights the caller has
-    checked.  A rank's count is how often it is sampled (node) or named by
-    the sampled snapshots (multiset)."""
+    """The node or multiset basis of ``s``.  A rank's count is how often
+    it is sampled (node) or named by the sampled snapshots (multiset)."""
     keys = _keys(s)
     counted = keys if node else _keys(s, mentions=True)
     sampled = np.bincount(s.rank_column, minlength=len(s.ids))
@@ -294,14 +293,12 @@ def margin_ratios(s: Sample, ms: Sequence[int], base: str,
     Node and multiset margins share one search at the widest of them (see
     :func:`_grid_ratios`); set mode searches each margin's windows for
     every rank's first and last mention.  Every margin and ``a_mode`` are
-    checked for either base, before the weights, and the weights before any
-    index is built.
+    checked for either base.
     """
     for m in ms:
         _check_at_least("margin", m, 0)
     _check_mode(a_mode)
     _check_base(base, "margin")
-    _check_weights(s.weight_column)
     n = len(s)
     ratios = dict.fromkeys([m for m in ms if m >= n - 1],
                            RatioEstimate(0.0, 0.0))
@@ -326,7 +323,6 @@ def margin_crosswalker(s: Sample, base: str, a_mode: str) -> EstimateOutcome:
     """
     _check_mode(a_mode)
     _check_base(base, "cross-walker")
-    _check_weights(s.weight_column)
     walkers = s.walker_column
     if len(walkers) == 0 or (walkers == walkers[0]).all():
         return NO_COLLISIONS

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
@@ -21,7 +20,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .graph import (Graph, _decimals, _dense_span, _digits, _excerpt,
-                    _find, _node_ids, _ranges, _spelled)
+                    _find, _node_ids, _ranges, _read_text, _spelled)
 
 RNG_NAME = "numpy-pcg64"
 
@@ -49,7 +48,9 @@ class Sample:
     drawn sample; ``ids`` is a read-only uint64 array, as ``Graph.ext_ids``
     is (ids given in another form are converted).  Position i holds the
     node of rank ``rank_column[i]``, its weight ``weight_column[i]``
-    (float64) and its walker ``walker_column[i]`` (int64).  Snapshots are
+    (native float64) and its walker ``walker_column[i]`` (int64), converted
+    likewise.  Every weight is finite and positive, or construction raises
+    SamplingError, so the kernels take 1/w as it stands.  Snapshots are
     kept once per distinct node, as one CSR: row r,
     ``entries[offsets[r]:offsets[r + 1]]``, holds the ranks that rank r's
     snapshot names, and every sampled rank has a row.  The samplers and
@@ -83,6 +84,13 @@ class Sample:
         if len(self.weight_column) != n or len(self.walker_column) != n:
             raise SamplingError("sample columns differ in length")
         object.__setattr__(self, "ids", _node_ids(self.ids))
+        object.__setattr__(self, "weight_column",
+                           np.asarray(self.weight_column, dtype=np.float64))
+        object.__setattr__(self, "walker_column",
+                           np.asarray(self.walker_column, dtype=np.int64))
+        weights = self.weight_column
+        if not ((weights > 0.0) & (weights < math.inf)).all():
+            raise SamplingError("sample weights must be finite and positive")
         for column in (self.ids, self.rank_column, self.weight_column,
                        self.walker_column, self.offsets, self.entries):
             column.flags.writeable = False
@@ -280,8 +288,8 @@ def write_sample(s: Sample, sink: IO[str]) -> None:
 
     Each distinct id, CSR row, weight and walker is formatted once, and
     each position: numbers by :func:`graph._digits`, rows gathered from
-    their digits, weights (told apart by their bits) by repr.  The records
-    are joined from those texts 4096 at a time and written as ``str``.
+    their digits, weights by repr.  The records are joined from those texts
+    4096 at a time and written as ``str``.
     """
     sink.write(f"{_HEADER_PREFIX}\tmethod={s.method}\tseed={s.seed}"
                f"\tweight_rule={s.weight_rule}\tgraph_digest={s.graph_digest}"
@@ -309,12 +317,10 @@ def write_sample(s: Sample, sink: IO[str]) -> None:
     marks[np.cumsum(np.maximum(degrees, 1)) - 1] = ord("\n")
     tails = _spelled(*texts, cells, marks).splitlines(True)
     del cells, marks
-    # Weights are told apart by their bits: 0.0 and -0.0 differ in repr.
-    weights = np.asarray(s.weight_column, dtype=np.float64)
-    bits, weight_at = np.unique(weights.view(np.uint64), return_inverse=True)
+    weights, weight_at = np.unique(s.weight_column, return_inverse=True)
     walkers, walker_at = np.unique(s.walker_column, return_inverse=True)
     columns = ((np.array(heads, dtype=object), s.rank_column),
-               (np.array([f"{w!r}\t" for w in bits.view(np.float64).tolist()],
+               (np.array([f"{w!r}\t" for w in weights.tolist()],
                          dtype=object), weight_at),
                (np.array([f"{k}\t" for k in walkers.tolist()], dtype=object),
                 walker_at),
@@ -331,22 +337,16 @@ def write_sample(s: Sample, sink: IO[str]) -> None:
 
 
 def read_sample(source: IO[str] | IO[bytes]) -> Sample:
-    """Read a sample file from a binary or text handle; node ids are the
-    external ids as written.
+    """Read a sample file from a binary or text handle, as text mode reads
+    a file (see :func:`graph._read_text`); node ids are the external ids as
+    written.
 
-    Bytes are read as text mode reads them: CRLF and a lone CR end a line,
-    and text that is not UTF-8 raises UnicodeDecodeError.  From a text
-    handle, its own newline translation applies.  The records are checked
-    and parsed at once with byte-class arrays, one boolean array per check;
-    a rejected file's one error line names its first bad record and the
-    first check that record fails.  A repeated node's snapshot must hold the
-    same ids as its first record's.
+    The records are checked and parsed at once with byte-class arrays, one
+    boolean array per check; a rejected file's one error line names its
+    first bad record and the first check that record fails.  A repeated
+    node's snapshot must hold the same ids as its first record's.
     """
-    data = source.read()
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    elif not data.isascii() or b"\r" in data:  # read it as text mode would
-        data = re.sub(rb"\r\n?", b"\n", data.decode("utf-8").encode("utf-8"))
+    data = _read_text(source)
     data += b"" if data.endswith(b"\n") else b"\n"  # ends every line
     fields = data[:data.index(b"\n")].decode("utf-8").split("\t")
     if not fields or fields[0] != _HEADER_PREFIX:
@@ -451,8 +451,12 @@ def _parse_records(data: bytes, unit: bool) -> tuple:
     valid = valid.reshape(5, n)
     weights, numeric = digits.astype(np.float64), valid[4].copy()
     other = np.flatnonzero(~valid[4])
-    weights[other], numeric[other] = _floats(buf, weight[other],
-                                            after[other] - weight[other])
+    for k, a, b in zip(other.tolist(), weight[other].tolist(),
+                       after[other].tolist()):
+        try:
+            weights[k], numeric[k] = float(data[a:b]), True
+        except ValueError:
+            pass
 
     # Snapshots are parsed for each node's first record.  A repeat whose
     # text is its first record's byte for byte needs no parsing; one whose
@@ -525,23 +529,3 @@ def _snapshots(data: bytes, starts: np.ndarray,
                          minlength=len(starts)) == 0
     return values, count, listed
 
-
-def _floats(buf: np.ndarray, starts: np.ndarray,
-            lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells as float() reads them, NaN where it cannot, and whether it
-    can."""
-    # Space padding, which float() ignores, keeps every NUL byte inside.
-    width = int(lengths.max(initial=0)) + 1
-    columns = np.arange(width)
-    text = np.take(buf, starts[:, None] + columns, mode="clip")
-    text[columns >= lengths[:, None]] = ord(" ")
-    text = text.view(f"S{width}").ravel()
-    try:
-        return text.astype(np.float64), np.ones(len(text), dtype=bool)
-    except ValueError:
-        values = np.full(len(text), math.nan)
-        readable = np.zeros(len(text), dtype=bool)
-        for k, cell in enumerate(text.tolist()):
-            with contextlib.suppress(ValueError):
-                values[k], readable[k] = float(cell), True
-        return values, readable

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import decimal
 import hashlib
+import io
 import itertools
 import math
 from typing import NamedTuple
@@ -384,16 +385,17 @@ def load_edge_list(source):
 
     It accepts what ``int()`` accepts as an id (so ``+5``, ``1_0`` and
     non-ASCII digits too, which the array loader rejects) and splits on any
-    whitespace.
+    whitespace.  Lines end as in text mode: at LF, CRLF or a lone CR.
     """
     from graphsize.graph import EdgeListParseError, LoadReport
 
     edges = []
     lines_read = 0
     comments = 0
-    for line_no, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+    text = source.read()
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
         lines_read += 1
         line = raw.strip()
         if not line:

@@ -396,6 +396,23 @@ def test_experiment_and_plot(tmp_path, capsys):
     assert label in [t.text for t in texts]
 
 
+def test_grid_values_print_in_full(tmp_path, capsys):
+    """A grid value of seven digits is written whole in the CSV and labels
+    its point whole in the plot, not rounded to six significant digits."""
+    plan, csv, svg = (tmp_path / name for name in ("p.txt", "o.csv", "o.svg"))
+    plan.write_text("graph = gen:grid:rows=4,cols=5\nmethod = rw\nn = 20\n"
+                    "estimator = node-wis\ncorrection = margin\nparam = m\n"
+                    "values = 3,1234567\ntrials = 2\n")
+    assert run(capsys, "experiment", "--plan", str(plan),
+               "-o", str(csv))[0] == 0
+    assert [line.split(",")[0] for line in csv.read_text().splitlines()] \
+        == ["param", "3", "1234567"]
+    assert run(capsys, "plot", "--csv", str(csv), "-o", str(svg))[0] == 0
+    texts = [t.text for t in ElementTree.fromstring(svg.read_text()).iter(
+        "{http://www.w3.org/2000/svg}text")]
+    assert "1234567" in texts and "1.23457e+06" not in texts
+
+
 def test_experiment_bad_plan_is_config_error(tmp_path, capsys):
     plan = tmp_path / "plan.txt"
     plan.write_text("graph = gen:er:nodes=50,p=0.1,seed=1\nmethod = uis\n")
@@ -600,8 +617,8 @@ def test_a_misspelt_or_unread_plan_key_is_config_error(tmp_path, capsys):
     for extra, message in [
             ("lcc = ture\n", "plan key 'lcc': expected true, false, yes, "
              "no, 1 or 0, got 'ture'"),
-            ("lcc = true\nnormalize = flase\n", "plan key 'normalize': "
-             "expected true, false, yes, no, 1 or 0, got 'flase'"),
+            ("lcc = true\nnormalize = false\n", "plan line 10: unknown key "
+             "'normalize'"),
             ("lcc = true\nm = 7\n", "plan key 'm' (7) is read by nothing: "
              "param = m sweeps it")]:
         plan.write_text(base + extra)
@@ -609,7 +626,7 @@ def test_a_misspelt_or_unread_plan_key_is_config_error(tmp_path, capsys):
                                    "-o", out), 2)
         assert err == f"error: {message}\n"
         assert not os.path.exists(out)
-    plan.write_text(base + "lcc = TRUE\nnormalize = no\n")
+    plan.write_text(base + "lcc = TRUE\n")
     assert run(capsys, "experiment", "--plan", str(plan), "-o", out)[0] == 0
 
 

@@ -12,15 +12,14 @@ from graphsize import core, ind_estimators, node_estimators, rw_correction
 from graphsize.core import (A_MODES, MODE_MULTISET, MODE_SET, NO_COLLISIONS,
                             EstimateOutcome, EstimatorError, RatioEstimate,
                             _auxiliary_counts, _fsum, _inverse_pair_sum,
-                            _inverse_weights, aggregate_ratios,
+                            aggregate_ratios,
                             count_collisions, count_induced_edges,
                             count_unique)
 from graphsize.experiment import (CORRECTIONS, ESTIMATORS, EstimatorSpec,
                                   PlanError, check_spec, evaluate)
 from graphsize.generators import erdos_renyi, ring_of_cliques
 from graphsize.graph import largest_connected_component
-from graphsize.ind_estimators import (density_wis, inda_wis_ratio,
-                                      indb_wis_ratio)
+from graphsize.ind_estimators import inda_wis_ratio, indb_wis_ratio
 from graphsize.node_estimators import node_wis_ratio
 from graphsize.sampling import (METHODS, sample_rw, sample_rw_multi,
                                 sample_uis, sample_wis)
@@ -129,7 +128,7 @@ def test_cross_collisions_of_own_multiset_is_twice_induced():
 
 def pairwise_inverse_weight_sum(weights):
     """The closed-form sum over all pairs that ``density_wis`` divides by."""
-    inv = _inverse_weights(np.asarray(weights, dtype=np.float64))
+    inv = 1.0 / np.asarray(weights, dtype=np.float64)
     return _inverse_pair_sum(inv, _fsum(inv))
 
 
@@ -351,18 +350,6 @@ def test_wis_kernels_read_a_big_endian_weight_column():
     native = replace(s, weight_column=weights)
     for kernel in (node_wis_ratio, inda_wis_ratio, indb_wis_ratio):
         assert kernel(swapped) == kernel(native)
-
-
-def test_pairwise_inverse_weight_sum_rejects_zero():
-    s = _multiplicity_sample()
-    for bad in (0.0, float("nan")):
-        with pytest.raises(EstimatorError):
-            pairwise_inverse_weight_sum([1.0, bad])
-        # Every kernel that inverts weights applies the same rule.
-        weights = np.append(bad, s.weight_column[1:])
-        for kernel in (node_wis_ratio, density_wis):
-            with pytest.raises(EstimatorError):
-                kernel(replace(s, weight_column=weights))
 
 
 def test_aggregate_ratios():

@@ -374,24 +374,20 @@ def test_plan_booleans_take_six_spellings_in_any_case(tmp_path):
     base = ("graph = gen:er:nodes=100,p=0.02,seed=1\nmethod = uis\nn = 20\n"
             "estimator = node-uis\nparam = n\nvalues = 20\ntrials = 2\n")
     sizes = set()
-    for lcc, normalize in [("TRUE", "no"), ("Yes", "0"), ("1", "False"),
-                           ("false", "YES"), ("No", "true"), ("0", "1")]:
-        plan = parse_plan_file(f"{base}lcc = {lcc}\nnormalize = {normalize}\n")
+    for lcc in ("TRUE", "Yes", "1", "false", "No", "0"):
+        plan = parse_plan_file(f"{base}lcc = {lcc}\n")
         keep = lcc.lower() in ("true", "yes", "1")
-        assert plan.normalize is (normalize.lower() in ("true", "yes", "1"))
         assert (plan.graph.node_count < 100) is keep
         sizes.add(plan.graph.node_count)
     assert len(sizes) == 2
-    assert parse_plan_file(base).normalize is True  # the defaults
-    assert parse_plan_file(base).graph.node_count == 100
+    assert parse_plan_file(base).graph.node_count == 100  # the default
     # Any other value names its key, before the graph is read.
     missing = base.replace("gen:er:nodes=100,p=0.02,seed=1",
                            str(tmp_path / "missing.txt"))
-    for key in ("lcc", "normalize"):
-        for value in ("ture", "flase", "", "2", "on", "y"):
-            with pytest.raises(PlanError, match=rf"^plan key '{key}': "
-                               "expected true, false, yes, no, 1 or 0, got"):
-                parse_plan_file(f"{missing}{key} = {value}\n")
+    for value in ("ture", "flase", "", "2", "on", "y"):
+        with pytest.raises(PlanError, match=r"^plan key 'lcc': expected "
+                           "true, false, yes, no, 1 or 0, got"):
+            parse_plan_file(f"{missing}lcc = {value}\n")
 
 
 def test_a_fixed_value_beside_its_own_sweep_is_rejected(tmp_path):

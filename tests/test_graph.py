@@ -281,7 +281,7 @@ def _edge_list(draw):
     lines = draw(st.lists(_line(), max_size=12))
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), draw(_bad_line()))
-    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     text = "".join(line + e for line, e in zip(lines, ends))
     return text[:-1] if lines and draw(st.booleans()) else text
 
@@ -319,6 +319,39 @@ def test_loader_matches_the_line_by_line_reference(tmp_path_factory, text):
         assert err.getvalue().count("\n") == 1
     if isinstance(want, EdgeListParseError):
         assert rc == 3 and f"line {want.line_number}:" in err.getvalue()
+
+
+@pytest.mark.parametrize("data,want", [
+    (b"1 2\r\n3 4\r\n", "nodes: 4\nedges: 2\n"),
+    (b"1 2\r3 4\r", "nodes: 4\nedges: 2\n"),
+    (b"# caf\xe9\n1 2\n", "error: 'utf-8' codec can't decode byte 0xe9 in "
+     "position 5: invalid continuation byte\n"),
+    (b"\xef\xbb\xbf1 2\n", "error: line 1: non-integer node id: "
+     "'\\ufeff1 2'\n"),
+], ids=["crlf", "lone-cr", "not-utf8", "bom"])
+def test_every_edge_list_path_reads_the_same_bytes_alike(tmp_path, data, want):
+    """load_edge_list on a binary handle and on text handles, with and
+    without newline translation, and ``graphsize graphstat`` give the same
+    graph or the same one error line."""
+    def loaded(source):
+        try:
+            g = load_edge_list(source)
+        except (GraphError, ValueError) as exc:
+            return f"error: {exc}\n"
+        return f"nodes: {g.node_count}\nedges: {g.edge_count}\n"
+
+    got = {loaded(io.BytesIO(data))}
+    for newline in (None, ""):
+        got.add(loaded(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                        newline=newline)))
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["graphstat", str(path)])
+    got.add(err.getvalue() if rc == 3
+            else "".join(out.getvalue().splitlines(True)[:2]))
+    assert got == {want}
 
 
 @pytest.mark.parametrize("line", ["+5 1", "1_0 2", "\u0661 2", "1 \uff12",

@@ -162,12 +162,6 @@ def test_node_wis_repeated_weighted_node(k5):
     assert node_wis_ratio(s).outcome().value == pytest.approx(2.0)
 
 
-def test_node_wis_rejects_zero_weight(k5):
-    s = make_sample(k5, [0, 1], weights=[1.0, 0.0])
-    with pytest.raises(EstimatorError):
-        node_wis_ratio(s)
-
-
 @given(st.floats(min_value=0.01, max_value=100.0))
 def test_node_wis_scale_invariance(c):
     from dataclasses import replace

@@ -512,22 +512,6 @@ def test_window_basis_matches_its_reference():
                                   getattr(multiset, field)), field
 
 
-def test_a_zero_weight_is_rejected_on_every_call():
-    for s in _basis_samples().values():
-        bad = replace(s, weight_column=np.append(s.weight_column[:-1], 0.0))
-        calls = [lambda m=m, k=k: k(bad, m)
-                 for k, _ in MARGIN_KERNELS.values() for m in (0, 3)]
-        calls += [lambda k=k: k(bad) for k, _ in CROSSWALKER_KERNELS.values()]
-        with mock.patch.object(rw_correction, "_keys") as keys, \
-                mock.patch.object(rw_correction, "_mention_spans") as spans:
-            for call in calls:
-                for _ in range(2):
-                    with pytest.raises(EstimatorError):
-                        call()
-        # Checked before any index is built.
-        assert keys.call_count == spans.call_count == 0
-
-
 def test_derived_samples_build_their_own_basis():
     s = _basis_samples()["rw-multi"]
     n = len(s)
@@ -567,25 +551,6 @@ def test_margin_edges_stay_inside_32_bit_keys():
         for a_mode in (MODE_MULTISET, MODE_SET):
             assert margin_ratios(s, [m], "ind", a_mode)[0] \
                 == RatioEstimate(pairs, 1.0)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
-def test_margin_kernels_reject_invalid_weights(bad):
-    g = _walk_graph()
-    s = sample_rw(g, 20, seed=2)
-    s = replace(s, weight_column=np.append(bad, s.weight_column[1:]))
-    for kernel, _ in MARGIN_KERNELS.values():
-        for m in (1, 5, len(s) - 1, len(s) + 2):
-            with pytest.raises(EstimatorError):
-                kernel(s, m)
-    multi = sample_rw_multi(g, 2, 10, seeds=[2, 3])
-    multi = replace(multi,
-                    weight_column=np.append(bad, multi.weight_column[1:]))
-    # In file order and with the walkers interleaved.
-    for d in (multi, multi.subset([*range(0, 20, 2), *range(1, 20, 2)])):
-        for kernel, _ in CROSSWALKER_KERNELS.values():
-            with pytest.raises(EstimatorError):
-                kernel(d)
 
 
 # -- margin grids ------------------------------------------------------------

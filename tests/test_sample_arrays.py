@@ -171,19 +171,28 @@ def test_reader_matches_the_record_loop_on_edge_cases(case, offset):
                                        and all(map(_is_cell, ids)))
 
 
-def test_reader_takes_newlines_as_the_handle_gives_them():
+def test_reader_reads_text_and_binary_handles_alike():
+    """CRLF and a lone CR end a line, whatever newline translation a text
+    handle does or leaves undone, and bytes that are not UTF-8 are one
+    error from either handle."""
     text = _file(["0\t5\t1\t1.0\t0\t6", "1\t6\t1\t1.0\t0\t5"])
-    crlf = text.replace("\n", "\r\n").encode()
-    translated = read_sample(io.TextIOWrapper(io.BytesIO(crlf),
-                                              encoding="utf-8"))
-    assert oracles.same_sample(translated, read_sample(io.StringIO(text)))
-    # Untranslated, a CR ends the header's last value, n, and then each
-    # record's snapshot: neither is digits only.
-    with pytest.raises(SamplingError, match=r"sample header n='2\\r' is not"):
-        read_sample(io.StringIO(crlf.decode()))
-    head, body = crlf.decode().split("\r\n", 1)
-    with pytest.raises(SamplingError, match=r"record 0: snapshot '6\\r'"):
-        read_sample(io.StringIO(head + "\n" + body))
+    want = read_sample(io.StringIO(text))
+    for newline in ("\r\n", "\r", "\n"):
+        raw = text.replace("\n", newline).encode()
+        for source in (io.BytesIO(raw), io.StringIO(raw.decode()),
+                       io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
+                       io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                                        newline="")):
+            assert oracles.same_sample(read_sample(source), want), source
+    latin = text.replace("graph_digest=x", "graph_digest=caf\xe9")
+    errors = set()
+    for source in (io.BytesIO(latin.encode("latin-1")),
+                   io.TextIOWrapper(io.BytesIO(latin.encode("latin-1")),
+                                    encoding="utf-8")):
+        with pytest.raises(UnicodeDecodeError) as error:
+            read_sample(source)
+        errors.add(str(error.value))
+    assert len(errors) == 1
 
 
 @st.composite
@@ -550,9 +559,9 @@ def test_estimating_from_a_file_does_not_import_numpy_ma(tmp_path):
 # -- the writer against its reference ---------------------------------------
 
 # Ids up to the largest below 2^64, and weights whose reprs the writer must
-# keep apart: 0.0 and -0.0 share a value, and NaN equals nothing.
+# keep: the least subnormal, and integers on either side of 10^15.
 IDS = st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**63, 2**64 - 1])
-WEIGHTS = (0.1, 1 / 3, 1e15, 1e16, 5e-324, 0.0, -0.0, math.nan, 1.0, 7.0)
+WEIGHTS = (0.1, 1 / 3, 1e15, 1e16, 5e-324, 1.0, 7.0)
 
 
 def _text(writer, s) -> str:
@@ -613,21 +622,16 @@ def test_the_writer_matches_its_reference_around_its_chunk_size(n):
     "5.0", "05.0", "999999999999999.0", "1000000000000000.0", "1_0.0",
     " 5.0", "+5.0", "5.00", "inf", "nan", "0.0", "-0.0"])
 def test_weight_cells_read_as_float_reads_them(cell):
-    """Integral weights of up to 15 digits are read as digits, every other
-    cell (16 digits, underscores, signs, blanks, more decimals) as float()
-    reads it; a weight that is not finite and positive is rejected, by both
-    readers with one message."""
+    """Every weight cell reads as float() reads it: integral weights of up
+    to 15 digits through the digit path, every other cell (16 digits,
+    underscores, signs, blanks, more decimals) through float() itself; a
+    weight that is not finite and positive is rejected, by both readers
+    with one message."""
     text = HEADER.format(n=2) + f"0\t7\t1\t{cell}\t0\t8\n1\t8\t1\t2.0\t0\t7\n"
     value = float(cell)
     if 0.0 < value < math.inf:
-        floats = graphsize.sampling._floats
-        with mock.patch("graphsize.sampling._floats", wraps=floats) as spy:
-            s = read_sample(io.BytesIO(text.encode()))
+        s = read_sample(io.BytesIO(text.encode()))
         assert s.weight_column.tolist() == [value, 2.0]
-        buf, starts, lengths = spy.call_args.args
-        digits = re.fullmatch(r"[0-9]{1,15}\.0", cell) is not None
-        assert [bytes(buf[a:a + k]) for a, k in zip(starts, lengths)] == (
-            [] if digits else [cell.encode()])
         assert oracles.same_sample(s, oracles.read_sample(io.StringIO(text)))
         return
     message = f"record 0: weight must be finite and positive, got {cell}"

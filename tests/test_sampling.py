@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from dataclasses import replace
@@ -9,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from graphsize.generators import (barabasi_albert, erdos_renyi, grid_2d,
                                   ring_of_cliques)
 from graphsize.graph import load_edge_list
-from graphsize.sampling import (SamplingError, read_sample, sample_rw,
-                                sample_rw_multi, sample_uis, sample_wis,
-                                write_sample)
+from graphsize.sampling import (Sample, SamplingError, read_sample,
+                                sample_rw, sample_rw_multi, sample_uis,
+                                sample_wis, write_sample)
 
 import oracles
 from conftest import graph_from_text
@@ -73,9 +74,43 @@ def test_wis_degree_rule_on_star(star4):
 
 
 def test_wis_rejects_non_positive_weight(k5):
-    for bad in (0.0, math.nan, math.inf):
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(SamplingError):
             sample_wis(k5, lambda v: bad if v == 2 else 1.0, 10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_a_sample_holds_only_finite_positive_weights(k5, bad):
+    """Every way to build a sample raises SamplingError for a weight that
+    is not finite and positive: the reader, ``replace`` (which ``subset``
+    goes through) and the constructor, as ``sample_wis`` does (see
+    test_wis_rejects_non_positive_weight); and columns of another byte
+    order or dtype come out native float64 and int64."""
+    s = sample_rw_multi(k5, 2, 3, seeds=[1, 2])
+    sink = io.StringIO()
+    write_sample(s, sink)
+    header, first, rest = sink.getvalue().split("\n", 2)
+    cells = first.split("\t")
+    cells[3] = repr(bad)
+    text = "\n".join((header, "\t".join(cells), rest))
+    with pytest.raises(SamplingError, match=rf"^record 0: weight must be "
+                       rf"finite and positive, got {cells[3]}$"):
+        read_sample(io.StringIO(text))
+    weights = np.append(bad, s.weight_column[1:])
+    columns = {f.name: getattr(s, f.name) for f in dataclasses.fields(s)}
+    message = "^sample weights must be finite and positive$"
+    with pytest.raises(SamplingError, match=message):
+        replace(s, weight_column=weights)
+    with pytest.raises(SamplingError, match=message):
+        Sample(**{**columns, "weight_column": weights})
+    swapped = Sample(**{**columns,
+                        "weight_column": s.weight_column.astype(">f8"),
+                        "walker_column": s.walker_column.astype(">i4")})
+    for d in (swapped, swapped.subset([5, 0, 3])):
+        assert d.weight_column.dtype == np.dtype(np.float64)
+        assert d.walker_column.dtype == np.dtype(np.int64)
+    assert swapped.weight_column.tolist() == s.weight_column.tolist()
+    assert swapped.walker_column.tolist() == s.walker_column.tolist()
 
 
 def test_wis_degree_rule_rejects_an_isolated_node_on_every_call():
